@@ -16,7 +16,7 @@ from repro.cosim import (
     CosimBoardRuntime,
     CosimConfig,
     CosimMaster,
-    MultiBoardInprocSession,
+    InprocSession,
     build_driver_sim,
 )
 from repro.devices import (
@@ -79,7 +79,7 @@ def main():
         BoardSlot("io", link_b,
                   CosimBoardRuntime(board_b, link_b.board, config)),
     ]
-    session = MultiBoardInprocSession(master, slots, config)
+    session = InprocSession.for_boards(master, slots, config)
 
     # Phase 1: let the compute board work; the switch is untouched.
     session.run(max_cycles=150)

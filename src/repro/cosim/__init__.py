@@ -1,20 +1,10 @@
 """The timed co-simulation framework (the paper's contribution)."""
 
-from repro.cosim.adaptive import (
-    AdaptiveController,
-    AdaptiveInprocSession,
-    AdaptivePolicy,
-)
+from repro.cosim.adaptive import AdaptiveController, AdaptivePolicy
 from repro.cosim.board_runtime import CosimBoardRuntime
 from repro.cosim.config import CosimConfig
 from repro.cosim.master import CosimMaster, build_driver_sim
 from repro.cosim.metrics import CosimMetrics
-from repro.cosim.multiboard import (
-    BoardSlot,
-    MultiBoardInprocSession,
-    MultiBoardThreadedSession,
-)
-from repro.cosim.optimistic import OptimisticSession
 from repro.cosim.protocol import (
     BoardProtocol,
     MasterProtocol,
@@ -22,13 +12,12 @@ from repro.cosim.protocol import (
     is_shutdown,
     make_shutdown,
 )
-from repro.cosim.session import InprocSession, ThreadedSession
+from repro.cosim.session import BoardSlot, InprocSession, ThreadedSession
 from repro.cosim.trace import ProtocolTrace, WindowRecord, rows_to_csv
 from repro.obs.recorder import TracingConfig
 
 __all__ = [
     "AdaptiveController",
-    "AdaptiveInprocSession",
     "AdaptivePolicy",
     "BoardProtocol",
     "BoardSlot",
@@ -38,9 +27,6 @@ __all__ = [
     "CosimMetrics",
     "InprocSession",
     "MasterProtocol",
-    "MultiBoardInprocSession",
-    "MultiBoardThreadedSession",
-    "OptimisticSession",
     "ProtocolTrace",
     "SHUTDOWN_TICKS",
     "ThreadedSession",

@@ -20,10 +20,8 @@ alignment invariants keep holding (and keep being checked).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List
 
-from repro.cosim.metrics import CosimMetrics
-from repro.cosim.session import DoneFn, InprocSession
 from repro.errors import ProtocolError
 
 
@@ -119,57 +117,3 @@ class AdaptiveController:
         self.trace = list(state["trace"])
         self.shrinks = state["shrinks"]
         self.grows = state["grows"]
-
-
-class AdaptiveInprocSession(InprocSession):
-    """Deterministic session with a feedback-controlled window size."""
-
-    def __init__(self, master, runtime, link_stats, config,
-                 policy: Optional[AdaptivePolicy] = None) -> None:
-        super().__init__(master, runtime, link_stats, config)
-        self.controller = AdaptiveController(policy or AdaptivePolicy())
-        self.register_snapshotable("adaptive_controller", self.controller)
-
-    def run(self, max_cycles: Optional[int] = None,
-            done: Optional[DoneFn] = None,
-            max_windows: Optional[int] = None) -> CosimMetrics:
-        if max_cycles is None and done is None and max_windows is None:
-            raise ProtocolError(
-                "need max_cycles, max_windows, and/or a done() condition"
-            )
-        metrics = self._new_metrics()
-        metrics.t_sync = 0  # varies; see controller.trace
-        while self._should_continue(metrics.windows, done, max_cycles,
-                                    max_windows):
-            max_ticks = self.controller.next_window()
-            if max_cycles is not None:
-                max_ticks = min(max_ticks,
-                                max_cycles - self.master.clock.cycles)
-            ints_before = self.master.interrupts_sent
-            data_before = self.link_stats.data_messages
-            token = None
-            if self.obs.enabled:
-                token = self.obs.begin("session", "window",
-                                       sim=self.master.clock.cycles,
-                                       index=self.windows_completed,
-                                       max_ticks=max_ticks)
-            try:
-                # Reactive window: ends early at the first interrupt
-                # edge.
-                actual_ticks = self.master.run_window_inproc_reactive(
-                    max_ticks)
-                self.runtime.serve_window()
-                report = self.master.endpoint.recv_report()
-                if report is None:
-                    raise ProtocolError("board produced no time report")
-                self.master.finish_window_inproc(report)
-            finally:
-                if token is not None:
-                    self.obs.end(token, sim=self.master.clock.cycles)
-            metrics.windows += 1
-            metrics.sync_exchanges += 1
-            self._after_window(actual_ticks, ints_before, data_before)
-            active = (self.master.interrupts_sent > ints_before
-                      or self.link_stats.data_messages > data_before)
-            self.controller.feedback(active)
-        return self._finalize(metrics)

@@ -1,0 +1,148 @@
+"""Which session features combine: the one compatibility table.
+
+Every session runs the same window loop
+(:meth:`repro.cosim.session._SessionBase.run`); what varies is a set of
+features.  :data:`COMPATIBILITY` declares, once, every pair of features
+the loop cannot combine.  A pair it does not list runs.
+
+* ``refuse`` rows raise :class:`~repro.errors.ProtocolError` before
+  window 0: at session construction, at ``attach_*`` time, or at the
+  top of ``run()`` for state wired in by hand.  ``restore_session``
+  and lint rule COSIM005 read the same rows.
+* ``degrade`` rows run with the row's *first* feature switched off; the
+  reason says what the run does instead.
+
+Features (see :func:`features`): ``memo``, ``speculation``,
+``adaptive``, ``fault`` (a fault injector on a board link),
+``threaded``, ``multiboard``, ``checkpointer`` and ``tracing``, plus
+two that only appear in rows: ``done`` (a ``done()`` probe passed to
+``run``) and ``restore`` (``restore_session``).
+"""
+
+from __future__ import annotations
+
+from typing import Dict, List, Optional, Set
+
+from repro.errors import ProtocolError
+from repro.transport.faults import find_fault_injector
+
+REFUSE = "refuse"
+DEGRADE = "degrade"
+
+_OFF_SNAPSHOT = ("the fault plan's drop/corruption schedule lives outside "
+                 "the session snapshot")
+_ONE_BOARD = "session snapshots cover the first board only"
+
+#: (feature, feature) -> (verdict, reason).
+COMPATIBILITY = {
+    ("memo", "speculation"): (
+        REFUSE, "memo and speculation both skip re-execution, and a memo "
+        "hit at a speculative boundary would be rolled back as if it had "
+        "been simulated"),
+    ("memo", "fault"): (
+        REFUSE, f"{_OFF_SNAPSHOT}, so memoized windows would silently "
+        "skip scheduled faults"),
+    ("memo", "adaptive"): (
+        REFUSE, "an adaptive window is sized after it is simulated, so "
+        "the memo, keyed on the granted ticks, would never be consulted"),
+    ("memo", "threaded"): (
+        REFUSE, "a threaded window is not a pure function of the session "
+        "snapshot"),
+    ("memo", "multiboard"): (REFUSE, _ONE_BOARD),
+    ("speculation", "fault"): (
+        REFUSE, f"cannot speculate across a fault-injected link: "
+        f"{_OFF_SNAPSHOT}, so a rollback would not rewind it"),
+    ("speculation", "adaptive"): (
+        REFUSE, "adaptive synchronization sizes windows reactively and "
+        "cannot be combined with speculation"),
+    ("speculation", "threaded"): (
+        REFUSE, "optimistic synchronization is only supported in-process"),
+    ("speculation", "multiboard"): (
+        REFUSE, "speculation checkpoints and rolls back a single board"),
+    ("adaptive", "threaded"): (
+        REFUSE, "adaptive synchronization is only supported in-process"),
+    ("checkpointer", "multiboard"): (REFUSE, _ONE_BOARD),
+    ("restore", "threaded"): (
+        REFUSE, "threaded sessions cannot be restored by re-execution; "
+        "record the message stream and replay it instead"),
+    ("restore", "multiboard"): (REFUSE, _ONE_BOARD),
+    ("speculation", "done"): (
+        DEGRADE, "a done() probe inspects live state between windows, "
+        "which is meaningless while the board runs ahead; every window "
+        "runs conservatively"),
+}
+
+
+#: How messages name the features that are attached rather than built.
+_ATTACHED = {
+    "memo": "a window memo",
+    "adaptive": "an adaptive window controller",
+    "checkpointer": "a checkpointer",
+    "restore": "restore_session",
+}
+
+
+def features(session, done=None) -> Dict[str, str]:
+    """The features *session* holds, each with a short description."""
+    found = {}
+    if session.memo is not None:
+        found["memo"] = _ATTACHED["memo"]
+    depth = session.config.speculation_depth
+    if depth > 0:
+        found["speculation"] = f"speculation_depth={depth}"
+    if session.controller is not None:
+        found["adaptive"] = _ATTACHED["adaptive"]
+    for slot in session.slots:
+        injector = find_fault_injector(slot.runtime.endpoint)
+        if injector is not None:
+            found["fault"] = (f"a fault injector "
+                              f"({type(injector).__name__})")
+            break
+    if session.threaded:
+        found["threaded"] = "a threaded session"
+    if len(session.slots) > 1:
+        found["multiboard"] = f"{len(session.slots)} boards"
+    if session.checkpointer is not None:
+        found["checkpointer"] = _ATTACHED["checkpointer"]
+    if session.obs.enabled:
+        found["tracing"] = "tracing"
+    if done is not None:
+        found["done"] = "a done() probe"
+    return found
+
+
+def with_feature(session, feature: str) -> Dict[str, str]:
+    """:func:`features` of *session* once *feature* is attached."""
+    return {**features(session), feature: _ATTACHED[feature]}
+
+
+def refusals(found: Dict[str, str],
+             involving: Optional[str] = None) -> List[str]:
+    """One message per refused pair in *found* (restricted to pairs
+    that contain *involving*, when given)."""
+    messages = []
+    for (a, b), (verdict, reason) in COMPATIBILITY.items():
+        if verdict != REFUSE or a not in found or b not in found:
+            continue
+        if involving is None or involving in (a, b):
+            messages.append(
+                f"cannot combine {found[a]} with {found[b]}: {reason}")
+    return messages
+
+
+def check(found: Dict[str, str], involving: Optional[str] = None) -> None:
+    """Raise :class:`ProtocolError` for the first refused pair."""
+    messages = refusals(found, involving)
+    if messages:
+        raise ProtocolError(messages[0])
+
+
+def resolve(found: Dict[str, str]) -> Set[str]:
+    """The features a run executes: refused pairs raise, degraded ones
+    drop the row's first feature."""
+    check(found)
+    active = set(found)
+    for (a, b), (verdict, _reason) in COMPATIBILITY.items():
+        if verdict == DEGRADE and a in found and b in found:
+            active.discard(a)
+    return active

@@ -26,7 +26,7 @@ class CosimConfig:
     t_sync: int = 1000
     #: Windows the board may run ahead of the simulator before the
     #: master catches up (Time-Warp-style speculation; see
-    #: :class:`repro.cosim.optimistic.OptimisticSession`).  0 keeps the
+    #: :class:`repro.cosim.optimistic.Speculator`).  0 keeps the
     #: paper's strictly conservative lock-step protocol.
     speculation_depth: int = 0
     #: Master clock period in picoseconds (the tick-rate clock).

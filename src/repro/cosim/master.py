@@ -33,7 +33,13 @@ from repro.simkernel.clock import Clock
 from repro.simkernel.driver_ext import DriverSimulator
 from repro.simkernel.signals import Signal
 from repro.transport.channel import MasterEndpoint
-from repro.transport.messages import DataRead, DataWrite, Interrupt, TimeReport
+from repro.transport.messages import (
+    ClockGrant,
+    DataRead,
+    DataWrite,
+    Interrupt,
+    TimeReport,
+)
 
 
 class CosimMaster:
@@ -154,39 +160,41 @@ class CosimMaster:
             return None
         raise SimulationError(f"bad DATA operation {op!r}")
 
-    def _serve_pending_data(self, endpoint: Optional[MasterEndpoint] = None) -> int:
+    def _serve_pending_data(self, endpoints=None) -> int:
         """Drain queued DATA requests (threaded sessions); returns count.
 
         Requests are drained from the transport in batches and served in
         arrival order (a write must be visible to the read behind it).
-        Multi-board sessions pass each board's *endpoint* in turn; the
-        default serves the master's primary endpoint.
+        Multi-board sessions pass every board's endpoint; the default
+        serves the master's primary endpoint.
         """
-        endpoint = endpoint or self.endpoint
         served = 0
-        while True:
-            batch = endpoint.poll_data_batch()
-            if not batch:
-                return served
-            served += len(batch)
-            for request in batch:
-                if isinstance(request, DataRead):
-                    self.data_reads_served += 1
-                    if self.obs.enabled:
-                        self.obs.event("master", "data.read",
-                                       sim=self.clock.cycles,
-                                       address=request.address)
-                    value = self.sim.external_read(request.address)
-                    endpoint.send_reply(request.seq, value)
-                elif isinstance(request, DataWrite):
-                    self.data_writes_served += 1
-                    if self.obs.enabled:
-                        self.obs.event("master", "data.write",
-                                       sim=self.clock.cycles,
-                                       address=request.address)
-                    self.sim.external_write(request.address, request.value)
-                else:  # pragma: no cover - endpoint type-checks already
-                    raise ProtocolError(f"bad DATA request {request!r}")
+        for endpoint in endpoints or (self.endpoint,):
+            while True:
+                batch = endpoint.poll_data_batch()
+                if not batch:
+                    break
+                served += len(batch)
+                for request in batch:
+                    if isinstance(request, DataRead):
+                        self.data_reads_served += 1
+                        if self.obs.enabled:
+                            self.obs.event("master", "data.read",
+                                           sim=self.clock.cycles,
+                                           address=request.address)
+                        value = self.sim.external_read(request.address)
+                        endpoint.send_reply(request.seq, value)
+                    elif isinstance(request, DataWrite):
+                        self.data_writes_served += 1
+                        if self.obs.enabled:
+                            self.obs.event("master", "data.write",
+                                           sim=self.clock.cycles,
+                                           address=request.address)
+                        self.sim.external_write(request.address,
+                                                request.value)
+                    else:  # pragma: no cover - endpoint type-checks
+                        raise ProtocolError(f"bad DATA request {request!r}")
+        return served
 
     # ------------------------------------------------------------------
     # Window execution
@@ -207,28 +215,41 @@ class CosimMaster:
             clocks=(self.clock,),
         )
 
-    def run_window_inproc(self, ticks: int) -> None:
-        """Deterministic sessions: grant, then simulate the window.
-
-        The caller (the session) afterwards steps the board and collects
-        the time report through :meth:`finish_window_inproc`.
-        """
+    def _send_grant(self, ticks: int, endpoints) -> ClockGrant:
+        """Book and send one window's grant.  Every board's endpoint
+        receives it (default: the primary endpoint), under a single
+        send_grant phase change however many boards there are."""
         self.fsm.step("send_grant")
         grant = self.protocol.make_grant(ticks)
         if self.obs.enabled:
             self.obs.event("transport", "grant.send",
                            sim=self.clock.cycles, seq=grant.seq,
                            ticks=ticks)
-        self.endpoint.send_grant(grant)
+        for endpoint in endpoints or (self.endpoint,):
+            endpoint.send_grant(grant)
+        return grant
+
+    def run_window_inproc(self, ticks: int, *endpoints) -> None:
+        """Deterministic sessions: grant, then simulate the window.
+
+        The caller (the session) afterwards steps the boards and hands
+        their time reports to :meth:`finish_window_inproc`.
+        """
+        self._send_grant(ticks, endpoints)
         self._run_cycles_traced(ticks)
         self.fsm.step("window_simulated")
 
-    def finish_window_inproc(self, report: TimeReport) -> None:
-        if self.obs.enabled:
-            self.obs.event("transport", "report.recv",
-                           sim=self.clock.cycles, seq=report.seq,
-                           board_ticks=report.board_ticks)
-        self.protocol.check_report(report, self.clock.cycles)
+    def finish_window_inproc(self, *reports: TimeReport) -> None:
+        """Check every board's time report: one logical exchange per
+        window, however many boards answered."""
+        exchanges = self.protocol.exchanges
+        for report in reports:
+            if self.obs.enabled:
+                self.obs.event("transport", "report.recv",
+                               sim=self.clock.cycles, seq=report.seq,
+                               board_ticks=report.board_ticks)
+            self.protocol.check_report(report, self.clock.cycles)
+        self.protocol.exchanges = exchanges + 1
         self.fsm.step("recv_report")
 
     def _run_cycles_traced(self, ticks: int) -> None:
@@ -248,7 +269,7 @@ class CosimMaster:
                          deltas=self.sim.delta_count - deltas,
                          process_runs=self.sim.process_runs - runs)
 
-    def run_window_inproc_reactive(self, max_ticks: int) -> int:
+    def run_window_inproc_reactive(self, max_ticks: int, *endpoints) -> int:
         """Simulate up to *max_ticks* cycles, stopping at the first
         interrupt edge, then grant exactly the cycles simulated.
 
@@ -282,25 +303,17 @@ class CosimMaster:
                 self.obs.end(token, sim=self.clock.cycles)
         # Reactive windows simulate first and size the grant after the
         # fact, so both phase changes land at the send.
-        self.fsm.step("send_grant")
-        grant = self.protocol.make_grant(ticks)
-        if self.obs.enabled:
-            self.obs.event("transport", "grant.send", sim=self.clock.cycles,
-                           seq=grant.seq, ticks=ticks)
-        self.endpoint.send_grant(grant)
+        self._send_grant(ticks, endpoints)
         self.fsm.step("window_simulated")
         return ticks
 
-    def run_window_threaded(self, ticks: int) -> None:
+    def run_window_threaded(self, ticks: int, *endpoints) -> None:
         """Threaded sessions: grant, simulate cycle by cycle while
-        servicing the DATA port, then block for the time report."""
-        self.fsm.step("send_grant")
-        grant = self.protocol.make_grant(ticks)
+        servicing every board's DATA port, then block for every time
+        report (one endpoint per board; default: the primary)."""
+        endpoints = endpoints or (self.endpoint,)
+        grant = self._send_grant(ticks, endpoints)
         obs = self.obs
-        if obs.enabled:
-            obs.event("transport", "grant.send", sim=self.clock.cycles,
-                      seq=grant.seq, ticks=ticks)
-        self.endpoint.send_grant(grant)
         period = self.clock.period
         sim_token = None
         if obs.enabled:
@@ -309,7 +322,7 @@ class CosimMaster:
             sim_token = obs.begin("master", "simulate",
                                   sim=self.clock.cycles, ticks=ticks)
         try:
-            # Poll the DATA port every cycle only while the board is
+            # Poll the DATA port every cycle only while a board is
             # actually talking; on quiet cycles the stride between
             # polls doubles (up to the configured cap) so long silent
             # stretches cost one Python iteration per stride rather
@@ -319,7 +332,7 @@ class CosimMaster:
             stride = 1
             remaining = ticks
             while remaining > 0:
-                if self._serve_pending_data():
+                if self._serve_pending_data(endpoints):
                     stride = 1
                 elif stride < stride_max:
                     stride = min(stride * 2, stride_max)
@@ -337,6 +350,7 @@ class CosimMaster:
             wait_token = obs.begin("transport", "report_wait",
                                    sim=self.clock.cycles, seq=grant.seq)
         polls = 0
+        exchanges = self.protocol.exchanges
         timeout_s = self.config.report_timeout_s
         poll_s = self.config.report_poll_s
         poll_max_s = self.config.report_poll_max_s
@@ -344,14 +358,15 @@ class CosimMaster:
         # slow board that keeps issuing DATA requests is alive, so each
         # sign of progress pushes the deadline out again.
         deadline = time.monotonic() + timeout_s
+        pending = list(endpoints)
         try:
-            while True:
-                if self._serve_pending_data():
+            while pending:
+                if self._serve_pending_data(endpoints):
                     deadline = time.monotonic() + timeout_s
                     poll_s = self.config.report_poll_s
                 polls += 1
                 try:
-                    report = self.endpoint.recv_report(timeout=poll_s)
+                    report = pending[0].recv_report(timeout=poll_s)
                 except TransportError as exc:
                     # A resilient endpoint only raises once its
                     # reconnect / liveness budget is spent; that is a
@@ -361,7 +376,11 @@ class CosimMaster:
                         f"seq {grant.seq}: {exc}"
                     ) from exc
                 if report is not None:
-                    break
+                    self.protocol.check_report(report, self.clock.cycles)
+                    pending.pop(0)
+                    deadline = time.monotonic() + timeout_s
+                    poll_s = self.config.report_poll_s
+                    continue
                 poll_s = min(poll_s * 2, poll_max_s)
                 if time.monotonic() > deadline:
                     raise ProtocolError(
@@ -371,7 +390,8 @@ class CosimMaster:
         finally:
             if wait_token is not None:
                 obs.end(wait_token, sim=self.clock.cycles, polls=polls)
-        self.protocol.check_report(report, self.clock.cycles)
+        # One logical exchange per window, however many boards answered.
+        self.protocol.exchanges = exchanges + 1
         self.fsm.step("recv_report")
 
 

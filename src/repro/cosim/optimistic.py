@@ -4,14 +4,15 @@ conflict (ROADMAP item 3, Time-Warp style).
 The paper's protocol is strictly conservative — board and simulator
 lock-step at every ``T_sync``, so idle-heavy workloads pay the full
 synchronization cost for windows in which no interrupt ever lands.
-:class:`OptimisticSession` decouples the two sides the way CHESSY does:
+:class:`Speculator`, the speculating window execution of the one
+session loop, decouples the two sides the way CHESSY does:
 
 * **Speculate** — the board runs up to ``config.speculation_depth``
   windows ahead of the simulator, assuming no interrupt will land in
   them.  A lightweight in-memory checkpoint (plain-data state tree, no
   disk) of the *board side* is taken at each speculative window
   boundary.  Only windows the board would execute as *pure idle time*
-  are eligible (see :meth:`OptimisticSession._board_quiescent`): board
+  are eligible (see :meth:`Speculator._board_quiescent`): board
   threads are Python generators whose frames advance irreversibly, so
   a window in which any thread would run cannot be discarded by a
   plain-data restore.  Idle windows advance nothing but counters —
@@ -45,101 +46,44 @@ Conflict definition (either condition):
    expected path.
 
 Equivalence: at every committed boundary the session state is
-bit-identical to the conservative :class:`InprocSession` — same trace
-rows, same snapshot digests, same tick accounting — which the difftest
+bit-identical to the conservative window — same trace rows, same
+snapshot digests, same tick accounting — which the difftest
 ``optimistic`` backend proves against ``inproc`` on every fuzz case.
 
-Speculation is disabled (the session degrades to the conservative
-loop) when a ``done()`` probe is supplied, since probing live state
-between windows is incompatible with the board running ahead; it is
-*refused* outright in combination with the window memo or a fault
-injector, both of which hold state outside the snapshot tree that a
-rollback could not rewind (lint rule COSIM005).
+The session speculates when ``config.speculation_depth > 0``.  Which
+features it combines with is declared in :mod:`repro.cosim.compat`:
+a ``done()`` probe degrades every window to the conservative one,
+since probing live state between windows is incompatible with the
+board running ahead; the window memo, a fault injector, adaptive
+windows, threads and several boards are refused.
 """
 
 from __future__ import annotations
 
 import copy
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 from repro.cosim.metrics import CosimMetrics
-from repro.cosim.session import DoneFn, InprocSession
 from repro.errors import ProtocolError
-from repro.transport.faults import FaultyBoardEndpoint
 from repro.transport.messages import ClockGrant
 
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.cosim.session import _SessionBase
 
-class OptimisticSession(InprocSession):
-    """In-process session that lets the board speculate ahead.
 
-    Construction is identical to :class:`InprocSession`; the behaviour
-    switch is ``config.speculation_depth`` (0 = conservative).
-    """
+class Speculator:
+    """Window execution "speculate": one call runs one round of up to
+    ``config.speculation_depth`` windows for *session*."""
 
-    # Composed boundary state served while reporting a committed
-    # speculative window whose live board has already run ahead; the
-    # checkpointer reads it through the snapshot() override.
-    _boundary_state = None
+    def __init__(self, session: "_SessionBase") -> None:
+        self.session = session
+        self.master = session.master
+        self.runtime = session.runtime
+        self.obs = session.obs
 
-    # ------------------------------------------------------------------
-    # Checkpoint interface
-    # ------------------------------------------------------------------
-    def snapshot(self) -> dict:
-        if self._boundary_state is not None:
-            return self._boundary_state
-        return super().snapshot()
-
-    def attach_memo(self, memo) -> None:
-        if self.config.speculation_depth > 0:
-            raise ProtocolError(
-                "cannot attach a window memo to an OptimisticSession "
-                f"(speculation_depth={self.config.speculation_depth}): "
-                "memo and speculation both skip re-execution, and a "
-                "memo hit at a speculative boundary would be rolled "
-                "back as if it had been simulated"
-            )
-        super().attach_memo(memo)
-
-    # ------------------------------------------------------------------
-    # Run loop
-    # ------------------------------------------------------------------
-    def run(self, max_cycles: Optional[int] = None,
-            done: Optional[DoneFn] = None,
-            max_windows: Optional[int] = None) -> CosimMetrics:
-        if self.config.speculation_depth < 1 or done is not None:
-            # A done() probe inspects live state between windows, which
-            # is meaningless while the board runs ahead — degrade to
-            # the conservative loop (correct, merely not speculative).
-            return super().run(max_cycles=max_cycles, done=done,
-                               max_windows=max_windows)
-        if self.memo is not None:
-            raise ProtocolError(
-                "cannot speculate with a window memo attached (see "
-                "attach_memo); detach the memo or set "
-                "speculation_depth=0"
-            )
-        self._refuse_fault_injection()
-        if max_cycles is None and max_windows is None:
-            raise ProtocolError(
-                "need max_cycles, max_windows, and/or a done() condition"
-            )
-        metrics = self._new_metrics()
-        while self._should_continue(metrics.windows, None, max_cycles,
-                                    max_windows):
-            self._run_round(metrics, max_cycles, max_windows)
-        return self._finalize(metrics)
-
-    def _refuse_fault_injection(self) -> None:
-        endpoint = self.runtime.endpoint
-        while endpoint is not None:
-            if isinstance(endpoint, FaultyBoardEndpoint):
-                raise ProtocolError(
-                    "cannot speculate across a fault-injected link: "
-                    "the fault plan's drop/corruption schedule lives "
-                    "outside the session snapshot, so a rollback "
-                    "would not rewind it"
-                )
-            endpoint = getattr(endpoint, "inner", None)
+    def __call__(self, metrics: CosimMetrics, max_cycles: Optional[int],
+                 max_windows: Optional[int]) -> None:
+        self._run_round(metrics, max_cycles, max_windows)
 
     # ------------------------------------------------------------------
     # Quiescence probe
@@ -194,16 +138,18 @@ class OptimisticSession(InprocSession):
         resulting grant sizes are exactly the ones the conservative
         loop would issue one at a time.
         """
-        budget = self.config.speculation_depth
+        config = self.session.config
+        budget = config.speculation_depth
         if max_windows is not None:
-            budget = min(budget, max_windows - self.windows_completed)
-        budget = min(budget, self.config.max_windows - metrics.windows)
+            budget = min(budget,
+                         max_windows - self.session.windows_completed)
+        budget = min(budget, config.max_windows - metrics.windows)
         plan = []
         projected = self.master.clock.cycles
         for _ in range(budget):
             if max_cycles is not None and projected >= max_cycles:
                 break
-            ticks = self.config.t_sync
+            ticks = config.t_sync
             if max_cycles is not None:
                 ticks = min(ticks, max_cycles - projected)
             plan.append(ticks)
@@ -213,9 +159,10 @@ class OptimisticSession(InprocSession):
     def _run_round(self, metrics: CosimMetrics,
                    max_cycles: Optional[int],
                    max_windows: Optional[int]) -> None:
+        session = self.session
         master = self.master
         runtime = self.runtime
-        stats = self.link_stats
+        stats = session.link_stats
         plan = self._plan_round(metrics, max_cycles, max_windows)
         if not plan or not self._board_quiescent(plan[0]):
             # The board has live work — a busy window is not frame-safe
@@ -223,7 +170,7 @@ class OptimisticSession(InprocSession):
             # a depth-1 plan is worth speculating: the catch-up pass
             # rides the simkernel's clock leap, which the conservative
             # window body cannot use.
-            self._run_conservative_window(metrics, max_cycles)
+            session._simulate_window(metrics, max_cycles)
             return
 
         # -- speculate -------------------------------------------------
@@ -265,7 +212,8 @@ class OptimisticSession(InprocSession):
             if self.obs.enabled:
                 token = self.obs.begin("spec", "window",
                                        sim=master.clock.cycles,
-                                       index=self.windows_completed + k - 1,
+                                       index=(session.windows_completed
+                                              + k - 1),
                                        ticks=ticks, depth=k)
             try:
                 master.endpoint.send_grant(grant)
@@ -279,7 +227,7 @@ class OptimisticSession(InprocSession):
             master.fsm.step("recv_spec_report")
             data_delta = stats.data_messages - data_before
             stash.append((grant, report, ticks))
-            self.windows_speculated += 1
+            session.windows_speculated += 1
             if data_delta:
                 # The board touched master state up to k windows stale;
                 # stop speculating — window k replays after catch-up.
@@ -321,42 +269,14 @@ class OptimisticSession(InprocSession):
                 # Alignment invariants exactly as finish_window_inproc:
                 # the books and the clock are both at boundary k.
                 master.protocol.check_report(report, master.clock.cycles)
-                metrics.windows += 1
-                metrics.sync_exchanges += 1
                 boundary = checkpoints[k] if k < len(stash) else None
-                self._commit_boundary(ticks, boundary)
+                self._commit_boundary(metrics, ticks, boundary)
             else:
                 self._rollback_replay(metrics, k, len(stash), grant,
                                       ticks, checkpoints[k - 1],
                                       spec_end_link, ints_before)
                 break
         master.fsm.step("round_done")
-
-    def _run_conservative_window(self, metrics: CosimMetrics,
-                                 max_cycles: Optional[int]) -> None:
-        """One plain InprocSession window (round too short to overlap)."""
-        ticks = self._window_ticks(max_cycles)
-        ints_before = self.master.interrupts_sent
-        data_before = self.link_stats.data_messages
-        token = None
-        if self.obs.enabled:
-            token = self.obs.begin("session", "window",
-                                   sim=self.master.clock.cycles,
-                                   index=self.windows_completed,
-                                   ticks=ticks)
-        try:
-            self.master.run_window_inproc(ticks)
-            self.runtime.serve_window()
-            report = self.master.endpoint.recv_report()
-            if report is None:
-                raise ProtocolError("board produced no time report")
-            self.master.finish_window_inproc(report)
-        finally:
-            if token is not None:
-                self.obs.end(token, sim=self.master.clock.cycles)
-        metrics.windows += 1
-        metrics.sync_exchanges += 1
-        self._after_window(ticks, ints_before, data_before)
 
     # ------------------------------------------------------------------
     # Catch-up, commit, rollback
@@ -381,7 +301,8 @@ class OptimisticSession(InprocSession):
                          leapt=leapt)
         return leapt
 
-    def _commit_boundary(self, ticks: int, boundary: Optional[dict]) -> None:
+    def _commit_boundary(self, metrics: CosimMetrics, ticks: int,
+                         boundary: Optional[dict]) -> None:
         """Report a committed window to the trace and checkpointer.
 
         The live board has already run ahead, so for every committed
@@ -391,45 +312,27 @@ class OptimisticSession(InprocSession):
         definition, and board ticks equal granted ticks by the
         alignment invariant just checked.
         """
-        self.windows_completed += 1
-        if self.trace is not None:
-            self.trace.record(
-                ticks=ticks,
-                master_cycles=self.master.clock.cycles,
-                board_ticks=self.master.protocol.ticks_granted,
-                interrupts=0,
-                data_messages=0,
-            )
-        if self.checkpointer is None:
-            return
-        if boundary is not None:
+        session = self.session
+        master = self.master
+        if boundary is not None and session.checkpointer is not None:
             extra = {}
-            for name in sorted(self.snapshotables):
-                if self.snapshotable_sides.get(name, "master") == "board":
+            for name in sorted(session.snapshotables):
+                if session.snapshotable_sides.get(name, "master") == "board":
                     extra[name] = boundary["extra"][name]
                 else:
-                    extra[name] = self.snapshotables[name].snapshot()
-            self._boundary_state = {
-                "master": self.master.snapshot(),
+                    extra[name] = session.snapshotables[name].snapshot()
+            session._boundary_state = {
+                "master": master.snapshot(),
                 "board_runtime": boundary["board_runtime"],
                 "link": boundary["link"],
                 "extra": extra,
             }
         try:
-            if self.obs.enabled:
-                taken = self.checkpoints_taken
-                token = self.obs.begin("session", "checkpoint",
-                                       sim=self.master.clock.cycles,
-                                       window=self.windows_completed)
-                try:
-                    self.checkpointer.on_window(self)
-                finally:
-                    self.obs.end(token, sim=self.master.clock.cycles,
-                                 taken=self.checkpoints_taken - taken)
-            else:
-                self.checkpointer.on_window(self)
+            session._after_window(metrics, ticks, master.interrupts_sent,
+                                  session._data_messages(),
+                                  board_ticks=master.protocol.ticks_granted)
         finally:
-            self._boundary_state = None
+            session._boundary_state = None
 
     def _rollback_replay(self, metrics: CosimMetrics, k: int,
                          spec_count: int, grant: ClockGrant, ticks: int,
@@ -439,17 +342,18 @@ class OptimisticSession(InprocSession):
         pre-window checkpoint and replay the window conservatively
         against the caught-up master, discarding windows k..end of the
         round."""
+        session = self.session
         master = self.master
         runtime = self.runtime
-        stats = self.link_stats
+        stats = session.link_stats
         depth = spec_count - (k - 1)
-        self.rollbacks += 1
-        self.rollback_depth_max = max(self.rollback_depth_max, depth)
+        session.rollbacks += 1
+        session.rollback_depth_max = max(session.rollback_depth_max, depth)
         token = None
         if self.obs.enabled:
             token = self.obs.begin("spec", "rollback",
                                    sim=master.clock.cycles,
-                                   window=self.windows_completed,
+                                   window=session.windows_completed,
                                    depth=depth)
         try:
             master.fsm.step("rollback")
@@ -482,9 +386,7 @@ class OptimisticSession(InprocSession):
                                board_ticks=report.board_ticks)
             master.protocol.check_report(report, master.clock.cycles)
             master.fsm.step("recv_spec_report")
-            metrics.windows += 1
-            metrics.sync_exchanges += 1
-            self._after_window(ticks, ints_before, data_before)
+            session._after_window(metrics, ticks, ints_before, data_before)
         finally:
             if token is not None:
                 self.obs.end(token, sim=master.clock.cycles)
@@ -493,10 +395,11 @@ class OptimisticSession(InprocSession):
     # Side-tagged extra snapshotables
     # ------------------------------------------------------------------
     def _extra_snapshot(self, side: str) -> dict:
+        session = self.session
         return {name: obj.snapshot()
-                for name, obj in sorted(self.snapshotables.items())
-                if self.snapshotable_sides.get(name, "master") == side}
+                for name, obj in sorted(session.snapshotables.items())
+                if session.snapshotable_sides.get(name, "master") == side}
 
     def _extra_restore(self, tree: dict) -> None:
         for name, state in tree.items():
-            self.snapshotables[name].restore(state)
+            self.session.snapshotables[name].restore(state)

@@ -1,13 +1,28 @@
-"""Co-simulation sessions: the top-level run loops.
+"""Co-simulation sessions: the one window loop.
 
-* :class:`InprocSession` — master and board interleaved window by
-  window in one thread.  Bit-for-bit deterministic; wall-clock cost is
-  *modeled* (calibrated cost model), simulated-time behaviour — and
-  therefore the accuracy results of Figure 7 — is exact.
-* :class:`ThreadedSession` — the board runtime runs in its own OS
-  thread behind a queue or TCP link, as in the paper's physical setup.
-  Wall-clock cost is *measured* (Figures 5 and 6); interleaving is
-  real and slightly nondeterministic.
+A session runs the paper's ``driver_simulate`` loop: grant ``T_sync``
+ticks, simulate the window, wait for the board's time report.
+:meth:`_SessionBase.run` is that loop, and the only one; what varies
+is chosen from the session's features (see :mod:`repro.cosim.compat`):
+
+* **window sizing** — the fixed ``config.t_sync``, or an
+  :class:`~repro.cosim.adaptive.AdaptiveController` with reactive,
+  interrupt-terminated windows (:meth:`_SessionBase.attach_adaptive`);
+* **window execution** — simulate, replay from a window memo
+  (:meth:`_SessionBase.attach_memo`), or speculate ahead
+  (``config.speculation_depth > 0``, see :mod:`repro.cosim.optimistic`);
+* **topology** — a list of :class:`BoardSlot`; the paper's single board
+  is one slot, :meth:`_SessionBase.for_boards` takes N;
+* **threading** — the two session classes:
+
+  * :class:`InprocSession` — master and boards interleaved window by
+    window in one thread.  Bit-for-bit deterministic; wall-clock cost
+    is *modeled* (calibrated cost model), simulated-time behaviour — and
+    therefore the accuracy results of Figure 7 — is exact.
+  * :class:`ThreadedSession` — each board runtime runs in its own OS
+    thread behind a queue or TCP link, as in the paper's physical setup.
+    Wall-clock cost is *measured* (Figures 5 and 6); interleaving is
+    real and slightly nondeterministic.
 
 Window ordering in :class:`InprocSession`: the master simulates its
 half of the window first, then the board consumes the same window with
@@ -15,35 +30,76 @@ interrupts delivered at their recorded in-window offsets.  This is the
 serialization of the paper's concurrent execution in which the board
 observes hardware state loosely — the decoupling that *is* the source
 of the accuracy loss the paper measures for large ``T_sync``.
+
+With several boards every window grants the same tick budget to all
+of them and waits for all time reports, so ``master cycles == board_i
+ticks`` holds for every board at every exchange.  Boards share the
+hardware through their own DATA ports; the master sends each bound
+interrupt on the endpoint of the board that owns the device.
 """
 
 from __future__ import annotations
 
+import contextlib
 import copy
 import threading
 import time
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
+from repro.cosim import compat
+from repro.cosim.adaptive import AdaptiveController, AdaptivePolicy
 from repro.cosim.board_runtime import CosimBoardRuntime
 from repro.cosim.config import CosimConfig
 from repro.cosim.master import CosimMaster
 from repro.cosim.metrics import CosimMetrics
+from repro.cosim.optimistic import Speculator
 from repro.cosim.protocol import make_shutdown
 from repro.errors import ProtocolError, ReproError, TransportError
 from repro.obs.recorder import install_recorder, make_recorder
 from repro.transport.channel import LinkStats
-from repro.transport.faults import FaultyBoardEndpoint
 
 DoneFn = Callable[[], bool]
 
 
+class BoardSlot:
+    """One board's attachment to a session.
+
+    For in-process and queue links pass the *link* object (anything with
+    ``.master`` and ``.stats`` attributes).  For transports whose two
+    endpoints are created separately (TCP), pass ``link=None`` plus
+    explicit ``master_ep`` and ``stats``.
+    """
+
+    def __init__(self, name: str, link, runtime: CosimBoardRuntime,
+                 master_ep=None, stats: Optional[LinkStats] = None) -> None:
+        if link is None and (master_ep is None or stats is None):
+            raise ProtocolError(
+                f"board slot {name!r}: need a link, or master_ep + stats"
+            )
+        self.name = name
+        self.link = link
+        self.runtime = runtime
+        self.master_ep = master_ep if master_ep is not None else link.master
+        self.stats = stats if stats is not None else link.stats
+
+
 class _SessionBase:
+    #: Board runtimes serve in their own OS threads.
+    threaded = False
+
     def __init__(self, master: CosimMaster, runtime: CosimBoardRuntime,
                  link_stats: LinkStats, config: CosimConfig) -> None:
         self.master = master
+        #: The first board's runtime and link counters.
         self.runtime = runtime
         self.link_stats = link_stats
         self.config = config
+        #: Every board of the session, the first one included.
+        self.slots = [BoardSlot("board", None, runtime,
+                                master_ep=master.endpoint, stats=link_stats)]
+        #: Every board's master endpoint, when not just the master's
+        #: own (see for_boards): each grant fans out to all of them.
+        self._fanout = ()
         #: Optional per-window recorder (see repro.cosim.trace).
         # Attachment points (trace/checkpointer) are wiring, not
         # simulated state; checkpoints deliberately omit them.
@@ -53,8 +109,8 @@ class _SessionBase:
         #: Extra checkpointed objects, name -> Snapshotable-like.
         self.snapshotables = {}
         #: Which half of the co-simulation owns each extra snapshotable
-        #: ("master" or "board") — the optimistic session rolls the two
-        #: sides back independently.  Wiring, not simulated state.
+        #: ("master" or "board") — speculation rolls the two sides back
+        #: independently.  Wiring, not simulated state.
         self.snapshotable_sides = {}  # lint: disable=SNAP001
         #: Span recorder (NULL_RECORDER unless config.tracing enables
         #: it), installed across master, board and transport wrappers.
@@ -66,13 +122,53 @@ class _SessionBase:
         self.checkpoints_taken = 0
         self.restores = 0
         self.windows_replayed = 0
-        #: Window-digest memo (InprocSession only; see attach_memo).
-        self.memo = None
+        #: Window-digest memo (see attach_memo).  Wiring, like trace.
+        self.memo = None  # lint: disable=SNAP001
         self.windows_memoized = 0
-        # Speculation accounting (OptimisticSession; zero elsewhere).
+        #: Adaptive window controller (see attach_adaptive); its state
+        #: is checkpointed as extra/adaptive_controller.
+        self.controller = None  # lint: disable=SNAP001
+        # Speculation accounting (zero unless speculating).
         self.windows_speculated = 0
         self.rollbacks = 0
         self.rollback_depth_max = 0
+        #: Composed boundary state served by snapshot() while a
+        #: committed speculative window is reported (the live board has
+        #: already run ahead).  Transient within one window report.
+        self._boundary_state = None
+        self._check_shape()
+
+    @classmethod
+    def for_boards(cls, master: CosimMaster, slots: Sequence[BoardSlot],
+                   config: CosimConfig) -> "_SessionBase":
+        """A session over one master and N boards.
+
+        The master needs one link endpoint per board for grants and
+        interrupts; its protocol object tracks the grant history once,
+        and each board's protocol tracks its own sequence.  The master
+        binds each device's interrupt signal to a vector and to the
+        endpoint of the board owning the device, so give each board's
+        devices distinct vectors.
+        """
+        if not slots:
+            raise ProtocolError("a multi-board session needs boards")
+        names = [slot.name for slot in slots]
+        if len(set(names)) != len(names):
+            raise ProtocolError(f"duplicate board names: {names}")
+        session = cls(master, slots[0].runtime, slots[0].stats, config)
+        session.slots = list(slots)
+        session._fanout = tuple(slot.master_ep for slot in slots)
+        for slot in slots[1:]:
+            install_recorder(session.obs, runtime=slot.runtime)
+        session._check_shape()
+        return session
+
+    def _check_shape(self) -> None:
+        """Construction-time check of the compatibility table, over the
+        features a session is built with."""
+        compat.check({name: text
+                      for name, text in compat.features(self).items()
+                      if name in ("speculation", "threaded", "multiboard")})
 
     def attach_trace(self, trace) -> None:
         """Record every window into *trace* (a ProtocolTrace)."""
@@ -81,7 +177,37 @@ class _SessionBase:
     def attach_checkpointer(self, checkpointer) -> None:
         """Capture checkpoints at window boundaries via *checkpointer*
         (an object with an ``on_window(session)`` hook)."""
+        compat.check(compat.with_feature(self, "checkpointer"),
+                     "checkpointer")
         self.checkpointer = checkpointer
+
+    def attach_memo(self, memo) -> None:
+        """Skip re-executing repeated windows via *memo* (a
+        :class:`~repro.cosim.memo.WindowMemo`).
+
+        Sound only where a window really is a pure function of
+        (snapshot state, ticks): each window boundary snapshots the
+        session; when the normalized pre-state matches a recorded
+        window, the memoized post-state is installed instead of
+        simulating.  With ``memo.verify`` set the window is executed
+        anyway and the prediction is checked — the differential fuzzer
+        runs that mode as an oracle.  The compatibility table refuses
+        the combinations where that purity fails (fault injectors,
+        speculation, adaptive windows, threads, several boards).
+        """
+        compat.check(compat.with_feature(self, "memo"), "memo")
+        self.memo = memo
+
+    def attach_adaptive(self, policy: Optional[AdaptivePolicy] = None) -> None:
+        """Size windows with an :class:`AdaptiveController` for
+        *policy*: each window ends early at the first interrupt edge,
+        and the next budget shrinks after activity and grows after
+        quiet windows.  The controller joins the checkpoint as
+        ``extra/adaptive_controller``."""
+        controller = AdaptiveController(policy or AdaptivePolicy())
+        compat.check(compat.with_feature(self, "adaptive"), "adaptive")
+        self.register_snapshotable("adaptive_controller", controller)
+        self.controller = controller
 
     def register_snapshotable(self, name: str, obj,
                               side: str = "master") -> None:
@@ -92,9 +218,9 @@ class _SessionBase:
         ``"master"`` for state driven by the hardware simulation (e.g.
         workload stats fed by the model), ``"board"`` for state driven
         by board software (e.g. an application on the RTOS).  The
-        conservative sessions ignore the distinction; the optimistic
-        session relies on it to checkpoint and roll back each side at
-        its own point in time.
+        conservative window ignores the distinction; speculation relies
+        on it to checkpoint and roll back each side at its own point in
+        time.
         """
         if not (callable(getattr(obj, "snapshot", None))
                 and callable(getattr(obj, "restore", None))):
@@ -111,11 +237,19 @@ class _SessionBase:
         self.snapshotables[name] = obj
         self.snapshotable_sides[name] = side
 
+    def aligned(self) -> bool:
+        """Every board's tick counter equals the master's cycle count."""
+        cycles = self.master.clock.cycles
+        return all(slot.runtime.board.kernel.sw_ticks == cycles
+                   for slot in self.slots)
+
     # ------------------------------------------------------------------
     # Checkpointing
     # ------------------------------------------------------------------
     def snapshot(self) -> dict:
         """Full-session state tree (only call at a window boundary)."""
+        if self._boundary_state is not None:
+            return self._boundary_state
         return {
             "master": self.master.snapshot(),
             "board_runtime": self.runtime.snapshot(),
@@ -144,72 +278,54 @@ class _SessionBase:
                 )
             self.snapshotables[name].restore(subtree)
 
+    def _memo_snapshot(self) -> dict:
+        # Deep-copied so neither cached entries nor the live objects
+        # that a later restore() may adopt references from can alias
+        # the tree we keep (snapshot/restore promise plain data, not
+        # freshly-copied leaves).
+        return copy.deepcopy(self.snapshot())
+
     def close(self) -> None:
-        """Release transport resources on both ends of the link."""
-        try:
-            self.master.endpoint.close()
-        finally:
-            self.runtime.endpoint.close()
+        """Release transport resources on both ends of every link."""
+        for slot in self.slots:
+            try:
+                slot.master_ep.close()
+            finally:
+                slot.runtime.endpoint.close()
 
-    def _after_window(self, ticks: int, ints_before: int,
-                      data_before: int) -> None:
-        """Window-boundary hook: trace row, then checkpointer."""
-        self.windows_completed += 1
-        self._record_window(ticks, ints_before, data_before)
-        if self.checkpointer is not None:
-            if self.obs.enabled:
-                taken = self.checkpoints_taken
-                token = self.obs.begin("session", "checkpoint",
-                                       sim=self.master.clock.cycles,
-                                       window=self.windows_completed)
-                try:
-                    self.checkpointer.on_window(self)
-                finally:
-                    # taken=0 marks the windows where the hook ran but
-                    # the interval skipped the capture.
-                    self.obs.end(token, sim=self.master.clock.cycles,
-                                 taken=self.checkpoints_taken - taken)
-            else:
-                self.checkpointer.on_window(self)
-
-    def _record_window(self, ticks: int, ints_before: int,
-                       data_before: int) -> None:
-        if self.trace is None:
-            return
-        self.trace.record(
-            ticks=ticks,
-            master_cycles=self.master.clock.cycles,
-            board_ticks=self.runtime.board.kernel.sw_ticks,
-            interrupts=self.master.interrupts_sent - ints_before,
-            data_messages=self.link_stats.data_messages - data_before,
-        )
-
-    def _new_metrics(self) -> CosimMetrics:
-        return CosimMetrics(t_sync=self.config.t_sync)
-
-    def _finalize(self, metrics: CosimMetrics) -> CosimMetrics:
-        metrics.master_cycles = self.master.clock.cycles
-        board_kernel = self.runtime.board.kernel
-        metrics.board_ticks = board_kernel.sw_ticks
-        metrics.board_cycles = board_kernel.cycles
-        metrics.state_switches = board_kernel.state_switches
-        metrics.checkpoints_taken = self.checkpoints_taken
-        metrics.restores = self.restores
-        metrics.windows_replayed = self.windows_replayed
-        metrics.windows_memoized = self.windows_memoized
-        metrics.windows_speculated = self.windows_speculated
-        metrics.rollbacks = self.rollbacks
-        metrics.rollback_depth_max = self.rollback_depth_max
-        metrics.absorb_link_stats(self.link_stats)
-        if self.obs.enabled:
-            metrics.spans_recorded = self.obs.span_count
-            metrics.span_events = self.obs.event_count
-            metrics.spans_dropped = self.obs.dropped_spans
-        metrics.finish_modeled(self.config.wall_cost)
-        return metrics
+    # ------------------------------------------------------------------
+    # The window loop
+    # ------------------------------------------------------------------
+    def run(self, max_cycles: Optional[int] = None,
+            done: Optional[DoneFn] = None,
+            max_windows: Optional[int] = None) -> CosimMetrics:
+        """Run windows until *done()* holds, the master reaches
+        *max_cycles*, or the session has completed *max_windows*."""
+        if max_cycles is None and done is None and max_windows is None:
+            raise ProtocolError(
+                "need max_cycles, max_windows, and/or a done() condition"
+            )
+        active = compat.resolve(compat.features(self, done))
+        if "speculation" in active:
+            step = Speculator(self)
+        elif "memo" in active:
+            step = _MemoWindows(self)
+        else:
+            step = self._simulate_window
+        metrics = self._new_metrics()
+        with self._serving(metrics):
+            while self._should_continue(metrics.windows, done, max_cycles,
+                                        max_windows):
+                step(metrics, max_cycles, max_windows)
+        return self._finalize(metrics)
 
     def _window_ticks(self, max_cycles: Optional[int]) -> int:
-        ticks = self.config.t_sync
+        """Window sizing: the fixed ``T_sync``, or the adaptive
+        controller's next budget; never past *max_cycles*."""
+        if self.controller is None:
+            ticks = self.config.t_sync
+        else:
+            ticks = self.controller.next_window()
         if max_cycles is not None:
             remaining = max_cycles - self.master.clock.cycles
             ticks = min(ticks, remaining)
@@ -231,154 +347,203 @@ class _SessionBase:
             return False
         return True
 
+    def _simulate_window(self, metrics: CosimMetrics,
+                         max_cycles: Optional[int],
+                         max_windows: Optional[int] = None,
+                         ticks: Optional[int] = None) -> None:
+        """Window execution "simulate": one grant/simulate/report
+        exchange with every board, under a ``session.window`` span."""
+        master = self.master
+        if ticks is None:
+            ticks = self._window_ticks(max_cycles)
+        ints_before = master.interrupts_sent
+        data_before = self._data_messages()
+        token = None
+        if self.obs.enabled:
+            token = self.obs.begin("session", "window",
+                                   sim=master.clock.cycles,
+                                   index=self.windows_completed,
+                                   ticks=ticks)
+        try:
+            ticks = self._exchange(ticks)
+        finally:
+            if token is not None:
+                self.obs.end(token, sim=master.clock.cycles)
+        self._after_window(metrics, ticks, ints_before, data_before)
+        if self.controller is not None:
+            self.controller.feedback(
+                master.interrupts_sent > ints_before
+                or self._data_messages() > data_before)
+
+    def _exchange(self, ticks: int) -> int:
+        """Threading policy: one window's exchange; returns the ticks
+        actually granted."""
+        raise NotImplementedError
+
+    def _serving(self, metrics: CosimMetrics):
+        """Threading policy: the boards' lifecycle around one run."""
+        return contextlib.nullcontext()
+
+    def _data_messages(self) -> int:
+        return sum(slot.stats.data_messages for slot in self.slots)
+
+    def _after_window(self, metrics: CosimMetrics, ticks: int,
+                      ints_before: int, data_before: int,
+                      board_ticks: Optional[int] = None) -> None:
+        """Window-boundary hook, the one place a completed window is
+        counted: metrics, trace row, then checkpointer."""
+        metrics.windows += 1
+        metrics.sync_exchanges += len(self.slots)
+        self.windows_completed += 1
+        if self.trace is not None:
+            if board_ticks is None:
+                board_ticks = self.runtime.board.kernel.sw_ticks
+            self.trace.record(
+                ticks=ticks,
+                master_cycles=self.master.clock.cycles,
+                board_ticks=board_ticks,
+                interrupts=self.master.interrupts_sent - ints_before,
+                data_messages=self._data_messages() - data_before,
+            )
+        if self.checkpointer is not None:
+            if self.obs.enabled:
+                taken = self.checkpoints_taken
+                token = self.obs.begin("session", "checkpoint",
+                                       sim=self.master.clock.cycles,
+                                       window=self.windows_completed)
+                try:
+                    self.checkpointer.on_window(self)
+                finally:
+                    # taken=0 marks the windows where the hook ran but
+                    # the interval skipped the capture.
+                    self.obs.end(token, sim=self.master.clock.cycles,
+                                 taken=self.checkpoints_taken - taken)
+            else:
+                self.checkpointer.on_window(self)
+
+    def _new_metrics(self) -> CosimMetrics:
+        # Adaptive windows vary; see controller.trace.
+        return CosimMetrics(
+            t_sync=self.config.t_sync if self.controller is None else 0)
+
+    def _finalize(self, metrics: CosimMetrics) -> CosimMetrics:
+        metrics.master_cycles = self.master.clock.cycles
+        metrics.board_ticks = self.runtime.board.kernel.sw_ticks
+        kernels = [slot.runtime.board.kernel for slot in self.slots]
+        metrics.board_cycles = sum(kernel.cycles for kernel in kernels)
+        metrics.state_switches = sum(kernel.state_switches
+                                     for kernel in kernels)
+        metrics.checkpoints_taken = self.checkpoints_taken
+        metrics.restores = self.restores
+        metrics.windows_replayed = self.windows_replayed
+        metrics.windows_memoized = self.windows_memoized
+        metrics.windows_speculated = self.windows_speculated
+        metrics.rollbacks = self.rollbacks
+        metrics.rollback_depth_max = self.rollback_depth_max
+        combined = LinkStats()
+        for name in LinkStats.FIELDS:
+            setattr(combined, name, sum(getattr(slot.stats, name)
+                                        for slot in self.slots))
+        metrics.absorb_link_stats(combined)
+        if self.obs.enabled:
+            metrics.spans_recorded = self.obs.span_count
+            metrics.span_events = self.obs.event_count
+            metrics.spans_dropped = self.obs.dropped_spans
+        metrics.finish_modeled(self.config.wall_cost)
+        return metrics
+
+
+class _MemoWindows:
+    """Window execution "memo": install a recorded window's post-state
+    when the pre-state matches, simulate (and record) otherwise."""
+
+    def __init__(self, session: _SessionBase) -> None:
+        self.session = session
+        self.memo = session.memo
+        #: The current boundary's snapshot, carried between windows.
+        self.pre = None
+
+    def __call__(self, metrics: CosimMetrics, max_cycles: Optional[int],
+                 max_windows: Optional[int]) -> None:
+        session = self.session
+        memo = self.memo
+        ticks = session._window_ticks(max_cycles)
+        if self.pre is None:
+            self.pre = session._memo_snapshot()
+        entry = memo.lookup(self.pre, ticks)
+        if entry is not None and not memo.verify:
+            ints_before = session.master.interrupts_sent
+            data_before = session._data_messages()
+            post = memo.apply(self.pre, entry)
+            session.restore(copy.deepcopy(post))
+            session.windows_memoized += 1
+            session._after_window(metrics, ticks, ints_before, data_before)
+            self.pre = post
+            return
+        session._simulate_window(metrics, max_cycles, ticks=ticks)
+        post = session._memo_snapshot()
+        if entry is not None:
+            # verify mode: the window ran anyway — check the memoized
+            # prediction against reality.
+            memo.check(self.pre, entry, post)
+        else:
+            memo.record(self.pre, ticks, post)
+        self.pre = post
+
 
 class InprocSession(_SessionBase):
     """Deterministic, single-thread co-simulation."""
 
-    def attach_memo(self, memo) -> None:
-        """Skip re-executing repeated windows via *memo* (a
-        :class:`~repro.cosim.memo.WindowMemo`).
-
-        Sound only here: the in-process session is deterministic, so a
-        window really is a pure function of (snapshot state, ticks).
-        Each window boundary snapshots the session; when the normalized
-        pre-state matches a recorded window, the memoized post-state is
-        installed instead of simulating.  With ``memo.verify`` set the
-        window is executed anyway and the prediction is checked —
-        the differential fuzzer runs that mode as an oracle.
-
-        Raises :class:`~repro.errors.ProtocolError` when the board link
-        carries a fault injector: fault plans hold off-snapshot state
-        (drop/duplicate/corruption schedules), so a window is *not* a
-        pure function of the session snapshot and memo hits would
-        silently skip scheduled faults.  Likewise refused when the
-        session speculates (``config.speculation_depth > 0``): memo and
-        speculation both skip re-execution, and a memo hit installed at
-        a speculative boundary would be rolled back as if it had been
-        simulated.  Lint rule COSIM005 flags both combinations.
-        """
-        if self.config.speculation_depth > 0:
-            raise ProtocolError(
-                "cannot attach a window memo to a speculating session "
-                f"(speculation_depth={self.config.speculation_depth}): "
-                "memoized windows skip the very re-execution the "
-                "rollback engine relies on"
-            )
-        endpoint = self.runtime.endpoint
-        while endpoint is not None:
-            if isinstance(endpoint, FaultyBoardEndpoint):
+    def _exchange(self, ticks: int) -> int:
+        master = self.master
+        if self.controller is None:
+            master.run_window_inproc(ticks, *self._fanout)
+        else:
+            # Reactive window: ends early at the first interrupt edge.
+            ticks = master.run_window_inproc_reactive(ticks, *self._fanout)
+        for slot in self.slots:
+            slot.runtime.serve_window()
+        reports = []
+        for slot in self.slots:
+            report = slot.master_ep.recv_report()
+            if report is None:
                 raise ProtocolError(
-                    "cannot attach a window memo to a fault-injected "
-                    "session: the fault plan's drop/corruption schedule "
-                    "lives outside the session snapshot, so memoized "
-                    "windows would silently skip scheduled faults"
-                )
-            endpoint = getattr(endpoint, "inner", None)
-        self.memo = memo
-
-    def _memo_snapshot(self) -> dict:
-        # Deep-copied so neither cached entries nor the live objects
-        # that a later restore() may adopt references from can alias
-        # the tree we keep (snapshot/restore promise plain data, not
-        # freshly-copied leaves).
-        return copy.deepcopy(self.snapshot())
-
-    def run(self, max_cycles: Optional[int] = None,
-            done: Optional[DoneFn] = None,
-            max_windows: Optional[int] = None) -> CosimMetrics:
-        if max_cycles is None and done is None and max_windows is None:
-            raise ProtocolError(
-                "need max_cycles, max_windows, and/or a done() condition"
-            )
-        metrics = self._new_metrics()
-        pre = None
-        while self._should_continue(metrics.windows, done, max_cycles,
-                                    max_windows):
-            ticks = self._window_ticks(max_cycles)
-            ints_before = self.master.interrupts_sent
-            data_before = self.link_stats.data_messages
-            entry = None
-            if self.memo is not None:
-                if pre is None:
-                    pre = self._memo_snapshot()
-                entry = self.memo.lookup(pre, ticks)
-                if entry is not None and not self.memo.verify:
-                    post = self.memo.apply(pre, entry)
-                    self.restore(copy.deepcopy(post))
-                    self.windows_memoized += 1
-                    metrics.windows += 1
-                    metrics.sync_exchanges += 1
-                    self._after_window(ticks, ints_before, data_before)
-                    pre = post
-                    continue
-            token = None
-            if self.obs.enabled:
-                token = self.obs.begin("session", "window",
-                                       sim=self.master.clock.cycles,
-                                       index=self.windows_completed,
-                                       ticks=ticks)
-            try:
-                self.master.run_window_inproc(ticks)
-                self.runtime.serve_window()
-                report = self.master.endpoint.recv_report()
-                if report is None:
-                    raise ProtocolError("board produced no time report")
-                self.master.finish_window_inproc(report)
-            finally:
-                if token is not None:
-                    self.obs.end(token, sim=self.master.clock.cycles)
-            metrics.windows += 1
-            metrics.sync_exchanges += 1
-            self._after_window(ticks, ints_before, data_before)
-            if self.memo is not None:
-                post = self._memo_snapshot()
-                if entry is not None:
-                    # verify mode: the window ran anyway — check the
-                    # memoized prediction against reality.
-                    self.memo.check(pre, entry, post)
-                else:
-                    self.memo.record(pre, ticks, post)
-                pre = post
-        return self._finalize(metrics)
+                    f"no time report from board {slot.name!r}")
+            reports.append(report)
+        master.finish_window_inproc(*reports)
+        return ticks
 
 
 class ThreadedSession(_SessionBase):
-    """Two-thread co-simulation with measured wall-clock time."""
+    """Co-simulation with each board in its own thread and measured
+    wall-clock time."""
 
-    def run(self, max_cycles: Optional[int] = None,
-            done: Optional[DoneFn] = None) -> CosimMetrics:
-        if max_cycles is None and done is None:
-            raise ProtocolError("need max_cycles and/or a done() condition")
-        metrics = self._new_metrics()
-        board_thread = threading.Thread(
-            target=self.runtime.serve_forever,
-            kwargs={"grant_timeout_s": self.config.report_timeout_s},
-            name="cosim-board",
-            daemon=True,
-        )
-        board_thread.start()
+    threaded = True
+
+    def _exchange(self, ticks: int) -> int:
+        self.master.run_window_threaded(ticks, *self._fanout)
+        return ticks
+
+    @contextlib.contextmanager
+    def _serving(self, metrics: CosimMetrics):
+        """Start every board thread, then after the last window send the
+        shutdown grant and join them; on failure close the links."""
+        threads = [
+            threading.Thread(
+                target=slot.runtime.serve_forever,
+                kwargs={"grant_timeout_s": self.config.report_timeout_s},
+                name=("cosim-board" if len(self.slots) == 1
+                      else f"cosim-board-{slot.name}"),
+                daemon=True,
+            )
+            for slot in self.slots
+        ]
+        for thread in threads:
+            thread.start()
         start = time.perf_counter()
         failed = True
         try:
-            while self._should_continue(metrics.windows, done, max_cycles):
-                ticks = self._window_ticks(max_cycles)
-                ints_before = self.master.interrupts_sent
-                data_before = self.link_stats.data_messages
-                token = None
-                if self.obs.enabled:
-                    token = self.obs.begin("session", "window",
-                                           sim=self.master.clock.cycles,
-                                           index=self.windows_completed,
-                                           ticks=ticks)
-                try:
-                    self.master.run_window_threaded(ticks)
-                finally:
-                    if token is not None:
-                        self.obs.end(token,
-                                     sim=self.master.clock.cycles)
-                metrics.windows += 1
-                metrics.sync_exchanges += 1
-                self._after_window(ticks, ints_before, data_before)
+            yield
             failed = False
         finally:
             if not failed:
@@ -386,19 +551,20 @@ class ThreadedSession(_SessionBase):
                 # error struck; only the clean path claims a legal
                 # idle -> closed shutdown transition.
                 self.master.fsm.step("send_shutdown")
-            try:
-                self.master.endpoint.send_grant(
-                    make_shutdown(self.master.protocol.seq + 1)
-                )
-            except TransportError:
-                # The link is already down; don't let the poison pill
-                # mask the error that ended the run.  The daemon board
-                # thread will hit its own grant timeout.
-                pass
-            board_thread.join(timeout=self.config.report_timeout_s)
-            if failed or board_thread.is_alive():
-                # The run died (or the board thread wedged): close both
-                # endpoints so sockets are not leaked and a blocked
+            shutdown = make_shutdown(self.master.protocol.seq + 1)
+            for slot in self.slots:
+                try:
+                    slot.master_ep.send_grant(shutdown)
+                except TransportError:
+                    # The link is already down; don't let the poison
+                    # pill mask the error that ended the run.  The
+                    # daemon board thread hits its own grant timeout.
+                    pass
+            for thread in threads:
+                thread.join(timeout=self.config.report_timeout_s)
+            if failed or any(thread.is_alive() for thread in threads):
+                # The run died (or a board thread wedged): close every
+                # endpoint so sockets are not leaked and a blocked
                 # recv_grant is unblocked, without masking the original
                 # exception.
                 try:
@@ -406,8 +572,8 @@ class ThreadedSession(_SessionBase):
                 except Exception:
                     pass
         metrics.wall_seconds = time.perf_counter() - start
-        if board_thread.is_alive():
-            board_thread.join(timeout=1.0)
-            if board_thread.is_alive():
+        if any(thread.is_alive() for thread in threads):
+            for thread in threads:
+                thread.join(timeout=1.0)
+            if any(thread.is_alive() for thread in threads):
                 raise ProtocolError("board runtime failed to shut down")
-        return self._finalize(metrics)

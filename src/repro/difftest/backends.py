@@ -22,9 +22,9 @@ from repro.cosim import (
     CosimBoardRuntime,
     CosimConfig,
     CosimMaster,
-    MultiBoardInprocSession,
-    MultiBoardThreadedSession,
+    InprocSession,
     ProtocolTrace,
+    ThreadedSession,
     build_driver_sim,
 )
 from repro.devices import AcceleratorDriver, ChecksumAccelerator
@@ -156,8 +156,9 @@ def _run_router(spec: FuzzSpec, backend: str) -> RunOutcome:
     # must land on bit-identical trace rows and digests — the oracles
     # are exactly the ≥2x-throughput claim's correctness half.  Fault
     # plans are hidden off-snapshot state a rollback cannot rewind
-    # (OptimisticSession refuses the combination), so faulted specs run
-    # as a plain second conservative execution instead, like memo.
+    # (the compatibility table refuses the combination), so faulted
+    # specs run as a plain second conservative execution instead, like
+    # memo.
     use_optimistic = (backend == "optimistic"
                       and spec.fault_plan() is None)
     # Deterministic flavours record: the finalized recording's trace
@@ -435,9 +436,8 @@ def _run_multiboard(spec: FuzzSpec, backend: str) -> RunOutcome:
         results["csum"] = value
 
     boards[0].kernel.create_thread("fuzz_app", app, 10)
-    session_cls = (MultiBoardThreadedSession if threaded
-                   else MultiBoardInprocSession)
-    session = session_cls(master, slots, config)
+    session_cls = ThreadedSession if threaded else InprocSession
+    session = session_cls.for_boards(master, slots, config)
     metrics = session.run(max_cycles=spec.max_cycles)
     return RunOutcome(
         backend=backend,

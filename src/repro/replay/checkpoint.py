@@ -213,19 +213,21 @@ def restore_session(session, checkpoint: Checkpoint, strict: bool = True):
     plain-data state is re-applied.  Returns the fast-forward metrics;
     afterwards ``session.run(...)`` continues the run bit-exactly.
 
-    Only deterministic (in-process) sessions can be restored this way;
-    threaded sessions are nondeterministic in their interleaving and
-    must be reproduced through the transport recorder instead.
+    Only sessions the compatibility table lets restore can be restored
+    this way; threaded sessions, for one, are nondeterministic in their
+    interleaving and must be reproduced through the transport recorder
+    instead.
     """
+    from repro.cosim import compat
+
     if session.windows_completed != 0:
         raise SnapshotError(
             "restore_session needs a fresh session (windows already run)"
         )
-    if type(session).__name__ == "ThreadedSession":
-        raise SnapshotError(
-            "threaded sessions cannot be restored by re-execution; "
-            "record the message stream and replay it instead"
-        )
+    refused = compat.refusals(compat.with_feature(session, "restore"),
+                              "restore")
+    if refused:
+        raise SnapshotError(refused[0])
     metrics = session.run(max_windows=checkpoint.window)
     verify_against(session, checkpoint, strict=strict)
     session.restore(checkpoint.state)

@@ -21,7 +21,6 @@ from repro.cosim.board_runtime import CosimBoardRuntime
 from repro.cosim.config import CosimConfig
 from repro.cosim.master import CosimMaster, build_driver_sim
 from repro.cosim.metrics import CosimMetrics
-from repro.cosim.optimistic import OptimisticSession
 from repro.cosim.session import InprocSession, ThreadedSession
 from repro.errors import ProtocolError
 from repro.router.app import ChecksumApp, install_checksum_app
@@ -270,35 +269,15 @@ def build_router_cosim(
     # ------------------------------------------------------------------
     if mode == INPROC:
         link.install_data_server(master.serve_data)
-        if adaptive is not None:
-            if config.speculation_depth > 0:
-                raise ProtocolError(
-                    "adaptive synchronization sizes windows reactively "
-                    "and cannot be combined with speculation "
-                    "(speculation_depth > 0)"
-                )
-            from repro.cosim.adaptive import AdaptiveInprocSession
-
-            session = AdaptiveInprocSession(master, runtime, stats_src,
-                                            config, policy=adaptive)
-        elif config.speculation_depth > 0:
-            session = OptimisticSession(master, runtime, stats_src, config)
-        else:
-            session = InprocSession(master, runtime, stats_src, config)
+        session = InprocSession(master, runtime, stats_src, config)
     else:
-        if adaptive is not None:
-            raise ProtocolError(
-                "adaptive synchronization is only supported in-process"
-            )
-        if config.speculation_depth > 0:
-            raise ProtocolError(
-                "optimistic synchronization is only supported in-process"
-            )
         session = ThreadedSession(master, runtime, stats_src, config)
+    if adaptive is not None:
+        session.attach_adaptive(adaptive)
 
     # Workload-level state that lives outside the master/board trees
-    # joins the checkpoint under extra/.  Sides matter to the optimistic
-    # session: the workload stats are mutated by the hardware model, the
+    # joins the checkpoint under extra/.  Sides matter to speculation:
+    # the workload stats are mutated by the hardware model, the
     # checksum app by board software.
     session.register_snapshotable("workload_stats", stats, side="master")
     session.register_snapshotable("checksum_app", app, side="board")

@@ -22,22 +22,18 @@ neither is reported only for sessions where checkpointing is enabled
 the caller passes ``assume_enabled=True`` — the ``repro lint router``
 sweep does, so gaps surface before anyone attaches a checkpointer.
 
-A memo-attached session whose board link carries a fault injector is
-reported as an *error*: the fault plan's drop/corruption schedule
-lives outside the session snapshot, so memoized windows would silently
-skip scheduled faults (the defect PR 6's fuzzer found dynamically —
-``InprocSession.attach_memo`` now refuses the combination at runtime,
-and this rule catches sessions assembled around that guard).  The same
-severity applies to a memo attached to a session configured for
-optimistic speculation (``speculation_depth > 0``): memo and
-speculation both skip re-execution, and a memo hit at a speculative
-boundary would be rolled back as if it had been simulated.
+A session holding any pair of features that the compatibility table
+(:mod:`repro.cosim.compat`) refuses is reported as an *error* — a
+memo attached beside a fault injector or beside speculation, say.
+Sessions refuse those pairs themselves before window 0; this rule
+catches sessions assembled by hand around those guards.
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING, List, Optional
 
+from repro.cosim import compat
 from repro.staticcheck.diagnostics import Diagnostic, LintReport
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -80,17 +76,6 @@ def _check_object(report: LintReport, target: str, kind: str, name: str,
         )
 
 
-def _fault_injector(session: "_SessionBase"):
-    """The fault-injecting endpoint wrapper on the board link, if any."""
-    endpoint = session.runtime.endpoint
-    while endpoint is not None:
-        if getattr(endpoint, "plan", None) is not None \
-                and hasattr(endpoint, "inner"):
-            return endpoint
-        endpoint = getattr(endpoint, "inner", None)
-    return None
-
-
 def check_snapshotability(
     session: "_SessionBase",
     target: str = "cosim:checkpoint",
@@ -107,31 +92,8 @@ def check_snapshotability(
     before = len(report.diagnostics)
     enabled = assume_enabled or session.checkpointer is not None
 
-    injector = _fault_injector(session)
-    if session.memo is not None and injector is not None:
-        report.add(
-            "COSIM005",
-            f"session has a window memo attached while the board link "
-            f"carries a fault injector ({_describe(injector)}); the "
-            f"fault plan's schedule is off-snapshot state, so memoized "
-            f"windows silently skip scheduled faults",
-            target,
-            severity="error",
-        )
-
-    depth = getattr(session.config, "speculation_depth", 0)
-    if session.memo is not None and depth > 0:
-        report.add(
-            "COSIM005",
-            f"session has a window memo attached while "
-            f"speculation_depth={depth}; memo and speculation both "
-            f"skip re-execution, and a memo hit at a speculative "
-            f"boundary would be rolled back as if it had been "
-            f"simulated (attach_memo refuses this combination at "
-            f"runtime)",
-            target,
-            severity="error",
-        )
+    for message in compat.refusals(compat.features(session)):
+        report.add("COSIM005", message, target, severity="error")
 
     sim = getattr(session.master, "sim", None)
     for index, module in enumerate(getattr(sim, "modules", ()) or ()):

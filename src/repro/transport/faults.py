@@ -148,3 +148,13 @@ class FaultyBoardEndpoint(BoardEndpoint):
 
     def close(self) -> None:
         self.inner.close()
+
+
+def find_fault_injector(endpoint) -> Optional[FaultyBoardEndpoint]:
+    """The fault injector in *endpoint*'s wrapper chain (followed
+    through ``inner``), or None."""
+    while endpoint is not None:
+        if isinstance(endpoint, FaultyBoardEndpoint):
+            return endpoint
+        endpoint = getattr(endpoint, "inner", None)
+    return None

@@ -139,3 +139,33 @@ class TestAdaptiveSession:
         assert cosim.accuracy() == 1.0
         controller = cosim.session.controller
         assert controller.mean_window < 2000
+
+
+class TestAdaptiveMemo:
+    """A memo on an adaptive session used to be attached and then never
+    consulted: the run recorded nothing, and ``WindowMemo(verify=True)``
+    verified nothing.  The compatibility table refuses the pair."""
+
+    def _cosim(self):
+        return build_router_cosim(
+            CosimConfig(), RouterWorkload(packets_per_producer=3,
+                                          interval_cycles=20_000),
+            adaptive=AdaptivePolicy())
+
+    def test_attach_memo_refused(self):
+        from repro.cosim.memo import WindowMemo
+
+        cosim = self._cosim()
+        with pytest.raises(ProtocolError, match="adaptive"):
+            cosim.session.attach_memo(WindowMemo(verify=True))
+        assert cosim.session.memo is None
+
+    def test_hand_attached_memo_refused_before_window_zero(self):
+        from repro.cosim.memo import WindowMemo
+
+        cosim = self._cosim()
+        cosim.session.memo = WindowMemo(verify=True)
+        with pytest.raises(ProtocolError, match="memo"):
+            cosim.run(max_cycles=100_000, await_drain=False)
+        assert cosim.master.clock.cycles == 0
+        assert cosim.session.windows_completed == 0

@@ -8,8 +8,8 @@ from repro.cosim import (
     CosimBoardRuntime,
     CosimConfig,
     CosimMaster,
-    MultiBoardInprocSession,
-    MultiBoardThreadedSession,
+    InprocSession,
+    ThreadedSession,
     build_driver_sim,
 )
 from repro.devices import (
@@ -33,9 +33,9 @@ class Rig:
     transport and session flavour: ``inproc`` (deterministic), ``queue``
     or ``tcp`` (threaded board runtimes)."""
 
-    def __init__(self, t_sync=25, mode="inproc"):
+    def __init__(self, t_sync=25, mode="inproc", **config_kwargs):
         self.mode = mode
-        self.config = CosimConfig(t_sync=t_sync)
+        self.config = CosimConfig(t_sync=t_sync, **config_kwargs)
         self.sim, self.clock = build_driver_sim("multi_hw",
                                                 config=self.config)
         self.accel = ChecksumAccelerator(self.sim, "accel", self.clock)
@@ -75,9 +75,8 @@ class Rig:
             "b", self.link_b,
             CosimBoardRuntime(self.board_b, board_b_ep, self.config),
             master_ep=master_b, stats=stats_b)
-        session_cls = (MultiBoardInprocSession if mode == "inproc"
-                       else MultiBoardThreadedSession)
-        self.session = session_cls(
+        session_cls = InprocSession if mode == "inproc" else ThreadedSession
+        self.session = session_cls.for_boards(
             self.master, [self.slot_a, self.slot_b], self.config)
 
     def _make_link(self, name):
@@ -169,16 +168,42 @@ class TestMultiBoard:
 
     def test_empty_slot_list_rejected(self, rig):
         with pytest.raises(ProtocolError, match="needs boards"):
-            MultiBoardInprocSession(rig.master, [], rig.config)
+            InprocSession.for_boards(rig.master, [], rig.config)
 
     def test_duplicate_names_rejected(self, rig):
         with pytest.raises(ProtocolError, match="duplicate"):
-            MultiBoardInprocSession(rig.master,
-                                    [rig.slot_a, rig.slot_a], rig.config)
+            InprocSession.for_boards(rig.master,
+                                     [rig.slot_a, rig.slot_a], rig.config)
 
     def test_needs_bound(self, rig):
         with pytest.raises(ProtocolError):
             rig.session.run()
+
+    def test_tracing_records_spans_and_trace_rows(self):
+        from repro.cosim import ProtocolTrace, TracingConfig
+
+        rig = Rig(tracing=TracingConfig(enabled=True))
+        trace = ProtocolTrace()
+        rig.session.attach_trace(trace)
+        metrics = rig.session.run(max_cycles=100)
+        assert metrics.spans_recorded > 0
+        assert [r.as_row()[1:4] for r in trace.records] == [
+            [25, 25, 25], [25, 50, 50], [25, 75, 75], [25, 100, 100]]
+        windows = [s for s in rig.session.obs.spans
+                   if s.cat == "session" and s.name == "window"]
+        boards = [s for s in rig.session.obs.spans
+                  if s.cat == "board" and s.name == "window"]
+        assert len(windows) == 4
+        assert len(boards) == 2 * 4
+
+    def test_speculation_refused(self):
+        with pytest.raises(ProtocolError, match="single board"):
+            Rig(speculation_depth=4)
+
+    def test_max_windows_bound(self, rig):
+        metrics = rig.session.run(max_windows=3)
+        assert metrics.windows == 3
+        assert rig.session.aligned()
 
 
 def _run_checksum(rig, max_cycles=200):

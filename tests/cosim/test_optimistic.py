@@ -1,4 +1,4 @@
-"""OptimisticSession guard rails and wiring regressions.
+"""Speculation guard rails and wiring regressions.
 
 The speculation machinery's *refusals* — every combination that holds
 state outside the snapshot tree (window memo, fault plan) or inspects
@@ -11,7 +11,7 @@ over.  The happy-path equivalence lives in
 
 import pytest
 
-from repro.cosim import CosimConfig, OptimisticSession
+from repro.cosim import CosimConfig
 from repro.cosim.memo import WindowMemo
 from repro.errors import ProtocolError
 from repro.router.testbench import RouterWorkload, build_router_cosim
@@ -33,10 +33,14 @@ class TestConfig:
             CosimConfig(speculation_depth=-1)
 
     def test_testbench_wires_optimistic_session(self):
+        # Speculation is a window execution of the one session loop,
+        # switched on by the depth alone.
         cosim = build(depth=3)
-        assert isinstance(cosim.session, OptimisticSession)
+        metrics = cosim.run(max_cycles=4000, await_drain=False)
+        assert metrics.windows_speculated > 0
         conservative = build(depth=0)
-        assert not isinstance(conservative.session, OptimisticSession)
+        metrics = conservative.run(max_cycles=4000, await_drain=False)
+        assert metrics.windows_speculated == 0
 
     def test_metrics_summary_reports_speculation(self):
         cosim = build(depth=4)

@@ -2,7 +2,7 @@
 
 The mutation-check idiom from the difftest PR, turned on the new
 speculation machinery: each classic optimistic-sync bug is injected by
-monkeypatching one seam of :class:`OptimisticSession`, and the stock
+monkeypatching one seam of :class:`Speculator`, and the stock
 difftest oracles — *not* bespoke assertions — must convict it by name.
 A conflict harness that only passes on correct code is untested; these
 prove the oracles would have caught each bug had it shipped.
@@ -32,7 +32,7 @@ enough to roll back several times per run, so every seam is exercised.
 
 import pytest
 
-from repro.cosim.optimistic import OptimisticSession
+from repro.cosim.optimistic import Speculator
 from repro.difftest import FuzzSpec, run_spec
 
 BACKENDS = ["inproc", "optimistic"]
@@ -71,7 +71,7 @@ class TestMissedConflict:
         # The conflict check diffs master.interrupts_sent across the
         # catch-up simulation; resetting the counter afterwards is
         # exactly "the schedule diff missed the interrupt".
-        original = OptimisticSession._catchup_simulate
+        original = Speculator._catchup_simulate
 
         def blinded(self, ticks):
             before = self.master.interrupts_sent
@@ -79,7 +79,7 @@ class TestMissedConflict:
             self.master.interrupts_sent = before
             return leapt
 
-        monkeypatch.setattr(OptimisticSession, "_catchup_simulate",
+        monkeypatch.setattr(Speculator, "_catchup_simulate",
                             blinded)
         outcomes, mismatches = sweep()
         convicted = oracles(mismatches)
@@ -98,7 +98,7 @@ class TestShallowRollback:
         # the conflict window is never rewound, which for a conflict in
         # the round's last speculated window is precisely one window
         # too few.
-        original = OptimisticSession._rollback_replay
+        original = Speculator._rollback_replay
 
         def shallow(self, metrics, k, spec_count, grant, ticks,
                     checkpoint, spec_end_link, ints_before):
@@ -108,7 +108,7 @@ class TestShallowRollback:
             return original(self, metrics, k, spec_count, grant, ticks,
                             stale, spec_end_link, ints_before)
 
-        monkeypatch.setattr(OptimisticSession, "_rollback_replay",
+        monkeypatch.setattr(Speculator, "_rollback_replay",
                             shallow)
         _outcomes, mismatches = sweep()
         convicted = oracles(mismatches)
@@ -125,7 +125,7 @@ class TestStaleCheckpointReuse:
     def test_reused_checkpoint_is_convicted(self, monkeypatch):
         # Every rollback after the first reuses the first's checkpoint,
         # as if the implementation forgot to re-capture after restore.
-        original = OptimisticSession._rollback_replay
+        original = Speculator._rollback_replay
         cache = {}
 
         def reused(self, metrics, k, spec_count, grant, ticks,
@@ -134,7 +134,7 @@ class TestStaleCheckpointReuse:
             return original(self, metrics, k, spec_count, grant, ticks,
                             stale, spec_end_link, ints_before)
 
-        monkeypatch.setattr(OptimisticSession, "_rollback_replay",
+        monkeypatch.setattr(Speculator, "_rollback_replay",
                             reused)
         _outcomes, mismatches = sweep()
         convicted = oracles(mismatches)

@@ -120,3 +120,35 @@ class TestFailureCleanup:
             "failed run leaked the board thread"
         assert closed == ["master", "board"], \
             "failed run must close both transport endpoints"
+
+
+class TestOneLoop:
+    """The threaded session runs the same window loop as the in-process
+    one: the same bounds, the same refusals."""
+
+    def test_max_windows_bound(self):
+        cosim = build_router_cosim(CosimConfig(t_sync=100),
+                                   RouterWorkload(), mode="queue")
+        metrics = cosim.session.run(max_windows=2)
+        assert metrics.windows == 2
+        assert metrics.master_cycles == 200
+        assert cosim.session.aligned()
+
+    def test_speculation_refused_at_construction(self):
+        from repro.board import Board
+        from repro.cosim import (
+            CosimBoardRuntime,
+            CosimMaster,
+            ThreadedSession,
+            build_driver_sim,
+        )
+        from repro.errors import ProtocolError
+        from repro.transport.queues import QueueLink
+
+        config = CosimConfig(t_sync=100, speculation_depth=4)
+        sim, clock = build_driver_sim("spec_threaded", config=config)
+        link = QueueLink()
+        master = CosimMaster(sim, clock, link.master, config)
+        runtime = CosimBoardRuntime(Board(), link.board, config)
+        with pytest.raises(ProtocolError, match="in-process"):
+            ThreadedSession(master, runtime, link.stats, config)

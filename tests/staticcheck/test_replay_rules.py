@@ -123,8 +123,8 @@ class TestMemoWithFaultInjection:
 
 class TestMemoPlusSpeculation:
     """Memo and speculation both skip re-execution; the combination is
-    refused at runtime (attach_memo / OptimisticSession.run) and COSIM005
-    is the lint backstop for hand-assembled sessions."""
+    refused at runtime (attach_memo, and run() before window 0) and
+    COSIM005 is the lint backstop for hand-assembled sessions."""
 
     def _speculating_session(self):
         cosim = build_router_cosim(
@@ -148,6 +148,20 @@ class TestMemoPlusSpeculation:
         assert diagnostic.severity == "error"
         assert "speculation_depth=3" in diagnostic.message
         assert "memo" in diagnostic.message
+
+    def test_speculation_plus_fault_plan_is_an_error(self):
+        from repro.transport.faults import FaultPlan, FaultyBoardEndpoint
+
+        session = self._speculating_session()
+        session.runtime.endpoint = FaultyBoardEndpoint(
+            session.runtime.endpoint, FaultPlan(drop_grants={2}))
+        diagnostics = check_snapshotability(session, assume_enabled=True)
+        assert len(diagnostics) == 1
+        diagnostic = diagnostics[0]
+        assert diagnostic.rule == "COSIM005"
+        assert diagnostic.severity == "error"
+        assert "speculation_depth=3" in diagnostic.message
+        assert "FaultyBoardEndpoint" in diagnostic.message
 
     def test_speculation_without_memo_is_fine(self):
         session = self._speculating_session()
