@@ -15,6 +15,9 @@ activity (interrupt packets and DATA traffic) and
 The controller never violates the protocol: every window is still a
 legal grant/report exchange, just with a varying tick count, so all
 alignment invariants keep holding (and keep being checked).
+
+A session takes a controller through ``attach_adaptive(policy)``; its
+windows then end early at the first interrupt edge (reactive windows).
 """
 
 from __future__ import annotations

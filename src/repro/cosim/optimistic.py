@@ -81,10 +81,6 @@ class Speculator:
         self.runtime = session.runtime
         self.obs = session.obs
 
-    def __call__(self, metrics: CosimMetrics, max_cycles: Optional[int],
-                 max_windows: Optional[int]) -> None:
-        self._run_round(metrics, max_cycles, max_windows)
-
     # ------------------------------------------------------------------
     # Quiescence probe
     # ------------------------------------------------------------------
@@ -156,9 +152,9 @@ class Speculator:
             projected += ticks
         return plan
 
-    def _run_round(self, metrics: CosimMetrics,
-                   max_cycles: Optional[int],
-                   max_windows: Optional[int]) -> None:
+    def __call__(self, metrics: CosimMetrics, max_cycles: Optional[int],
+                 max_windows: Optional[int]) -> None:
+        """One speculative round (or one conservative window)."""
         session = self.session
         master = self.master
         runtime = self.runtime
@@ -314,25 +310,13 @@ class Speculator:
         """
         session = self.session
         master = self.master
-        if boundary is not None and session.checkpointer is not None:
-            extra = {}
-            for name in sorted(session.snapshotables):
-                if session.snapshotable_sides.get(name, "master") == "board":
-                    extra[name] = boundary["extra"][name]
-                else:
-                    extra[name] = session.snapshotables[name].snapshot()
-            session._boundary_state = {
-                "master": master.snapshot(),
-                "board_runtime": boundary["board_runtime"],
-                "link": boundary["link"],
-                "extra": extra,
-            }
+        session._committed_board = boundary
         try:
             session._after_window(metrics, ticks, master.interrupts_sent,
                                   session._data_messages(),
                                   board_ticks=master.protocol.ticks_granted)
         finally:
-            session._boundary_state = None
+            session._committed_board = None
 
     def _rollback_replay(self, metrics: CosimMetrics, k: int,
                          spec_count: int, grant: ClockGrant, ticks: int,

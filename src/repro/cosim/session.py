@@ -132,10 +132,10 @@ class _SessionBase:
         self.windows_speculated = 0
         self.rollbacks = 0
         self.rollback_depth_max = 0
-        #: Composed boundary state served by snapshot() while a
-        #: committed speculative window is reported (the live board has
-        #: already run ahead).  Transient within one window report.
-        self._boundary_state = None
+        #: Board-side trees (board_runtime, link, board-side extras) of
+        #: a committed speculative boundary, read by snapshot() while
+        #: that window is reported.  Transient within one window report.
+        self._committed_board = None
         self._check_shape()
 
     @classmethod
@@ -247,14 +247,22 @@ class _SessionBase:
     # Checkpointing
     # ------------------------------------------------------------------
     def snapshot(self) -> dict:
-        """Full-session state tree (only call at a window boundary)."""
-        if self._boundary_state is not None:
-            return self._boundary_state
+        """Full-session state tree (only call at a window boundary).
+
+        While a committed speculative window is reported the live board
+        has already run ahead, so the board half of the tree comes from
+        the speculation checkpoint of that boundary; the master half is
+        live and exact.
+        """
+        board = self._committed_board
         return {
             "master": self.master.snapshot(),
-            "board_runtime": self.runtime.snapshot(),
-            "link": self.link_stats.snapshot(),
-            "extra": {name: obj.snapshot()
+            "board_runtime": (board["board_runtime"] if board
+                              else self.runtime.snapshot()),
+            "link": board["link"] if board else self.link_stats.snapshot(),
+            "extra": {name: (board["extra"][name]
+                             if board and self.snapshotable_sides[name]
+                             == "board" else obj.snapshot())
                       for name, obj in sorted(self.snapshotables.items())},
         }
 

@@ -35,6 +35,7 @@ import os
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
+from repro.cosim import compat
 from repro.replay.snapshot import (
     SnapshotError,
     decode_tree,
@@ -213,13 +214,11 @@ def restore_session(session, checkpoint: Checkpoint, strict: bool = True):
     plain-data state is re-applied.  Returns the fast-forward metrics;
     afterwards ``session.run(...)`` continues the run bit-exactly.
 
-    Only sessions the compatibility table lets restore can be restored
-    this way; threaded sessions, for one, are nondeterministic in their
-    interleaving and must be reproduced through the transport recorder
-    instead.
+    Sessions the compatibility table refuses to restore raise
+    :class:`SnapshotError`: threaded sessions are nondeterministic in
+    their interleaving and must be reproduced through the transport
+    recorder instead, and multi-board snapshots cover one board.
     """
-    from repro.cosim import compat
-
     if session.windows_completed != 0:
         raise SnapshotError(
             "restore_session needs a fresh session (windows already run)"
