@@ -18,6 +18,7 @@ from repro.cosim import (
     CosimConfig,
     CosimMaster,
     InprocSession,
+    ProtocolTrace,
     ThreadedSession,
     TracingConfig,
     build_driver_sim,
@@ -80,12 +81,15 @@ class Rig:
 
         kernel.create_thread("app", app, 10)
         self.session = None
+        self.trace = None
 
     def assemble_and_run(self):
         """Build the session with every feature, then run it."""
         features = self.features
         cls = ThreadedSession if "threaded" in features else InprocSession
         self.session = cls.for_boards(self.master, self.slots, self.config)
+        self.trace = ProtocolTrace()
+        self.session.attach_trace(self.trace)
         if "adaptive" in features:
             self.session.attach_adaptive(
                 AdaptivePolicy(min_t_sync=10, initial_t_sync=40,
@@ -95,6 +99,20 @@ class Rig:
         if "checkpointer" in features:
             self.session.attach_checkpointer(Checkpointer(every=2))
         return self.session.run(max_cycles=MAX_CYCLES)
+
+
+#: Features that legitimately change the window schedule or board set.
+SHAPING = {"adaptive", "threaded", "multiboard"}
+
+
+def rows(rig):
+    return [record.as_row() for record in rig.trace.records]
+
+
+def plain_run():
+    rig = Rig(set())
+    rig.assemble_and_run()
+    return rig
 
 
 def refused(a, b) -> bool:
@@ -116,6 +134,10 @@ def test_pair_runs_or_is_refused_before_window_zero(a, b):
     assert metrics.master_cycles == MAX_CYCLES
     assert metrics.windows == rig.session.windows_completed > 0
     assert rig.session.aligned()
+    if not {a, b} & SHAPING:
+        # Memo, speculation, an idle fault injector, checkpoints and
+        # tracing must not change a single window.
+        assert rows(rig) == rows(plain_run())
 
 
 @pytest.mark.parametrize("feature", FEATURES)
