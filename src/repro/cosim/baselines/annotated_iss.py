@@ -22,16 +22,16 @@ from dataclasses import dataclass
 from typing import Dict, Optional
 
 from repro.cosim.config import CosimConfig
-from repro.cosim.master import build_driver_sim
 from repro.iss.programs import run_checksum
 from repro.iss.timing import TimingModel
 from repro.router.app import ChecksumApp
-from repro.router.consumer import Consumer
-from repro.router.producer import Producer
-from repro.router.router import REG_PACKET, REG_STATUS, REG_VERDICT, Router
-from repro.router.routing_table import RoutingTable
+from repro.router.router import Router
 from repro.router.stats import WorkloadStats
-from repro.router.testbench import RouterWorkload
+from repro.router.testbench import (
+    RouterWorkload,
+    build_router_netlist,
+    packets_drained,
+)
 from repro.simkernel.module import Module
 
 
@@ -100,12 +100,7 @@ class AnnotatedRouterCosim:
     workload: RouterWorkload
 
     def drained(self) -> bool:
-        if not all(p.done for p in self.producers):
-            return False
-        terminal = (self.stats.forwarded + self.stats.dropped_overflow
-                    + self.stats.dropped_checksum
-                    + self.stats.dropped_unroutable)
-        return terminal >= self.stats.generated
+        return packets_drained(self.producers, self.stats)
 
     def run(self, max_cycles: Optional[int] = None) -> WorkloadStats:
         bound = max_cycles or (4 * self.workload.estimated_cycles())
@@ -125,30 +120,10 @@ def build_annotated_router(
     """Assemble the router with annotated-ISS software timing."""
     workload = workload or RouterWorkload()
     config = config or CosimConfig()
-    sim, clock = build_driver_sim("annotated_hw", config=config)
-    stats = WorkloadStats()
-    table = RoutingTable.uniform(workload.num_ports,
-                                 addresses_per_port=256 // workload.num_ports)
-    router = Router(sim, "router", clock, table, stats,
-                    buffer_capacity=workload.buffer_capacity,
-                    num_ports=workload.num_ports)
-    sim.map_port(REG_STATUS, router.reg_status)
-    sim.map_port(REG_PACKET, router.reg_packet)
-    sim.map_port(REG_VERDICT, router.reg_verdict)
-    software = AnnotatedSoftwareModel(sim, "annotated_sw", router, clock,
-                                      cycles_per_tick, timing=timing)
-    producers = [
-        Producer(sim, f"producer{i}", router, i, clock, stats,
-                 count=workload.packets_per_producer,
-                 interval_cycles=workload.interval_cycles,
-                 payload_size=workload.payload_size,
-                 corrupt_rate=workload.corrupt_rate,
-                 seed=workload.seed)
-        for i in range(workload.num_ports)
-    ]
-    consumers = [
-        Consumer(sim, f"consumer{i}", router, i, clock, stats)
-        for i in range(workload.num_ports)
-    ]
-    return AnnotatedRouterCosim(sim, clock, router, software, producers,
-                                consumers, stats, workload)
+    hw = build_router_netlist("annotated_hw", workload, config)
+    software = AnnotatedSoftwareModel(hw.sim, "annotated_sw", hw.router,
+                                      hw.clock, cycles_per_tick,
+                                      timing=timing)
+    return AnnotatedRouterCosim(hw.sim, hw.clock, hw.router, software,
+                                hw.producers, hw.consumers, hw.stats,
+                                workload)

@@ -19,14 +19,14 @@ from dataclasses import dataclass
 from typing import Optional
 
 from repro.cosim.config import CosimConfig
-from repro.cosim.master import build_driver_sim
 from repro.router.app import ChecksumApp
-from repro.router.consumer import Consumer
-from repro.router.producer import Producer
-from repro.router.router import REG_PACKET, REG_STATUS, REG_VERDICT, Router
-from repro.router.routing_table import RoutingTable
+from repro.router.router import REG_PACKET, REG_STATUS, REG_VERDICT
 from repro.router.stats import WorkloadStats
-from repro.router.testbench import RouterWorkload
+from repro.router.testbench import (
+    RouterWorkload,
+    build_router_netlist,
+    packets_drained,
+)
 
 
 @dataclass
@@ -44,35 +44,10 @@ class UntimedRouterCosim:
                  config: Optional[CosimConfig] = None) -> None:
         self.workload = workload or RouterWorkload()
         self.config = config or CosimConfig()
-        self.sim, self.clock = build_driver_sim("untimed_hw",
-                                                config=self.config)
-        self.stats = WorkloadStats()
-        workload_ = self.workload
-        table = RoutingTable.uniform(
-            workload_.num_ports,
-            addresses_per_port=256 // workload_.num_ports,
-        )
-        self.router = Router(self.sim, "router", self.clock, table,
-                             self.stats,
-                             buffer_capacity=workload_.buffer_capacity,
-                             num_ports=workload_.num_ports)
-        self.sim.map_port(REG_STATUS, self.router.reg_status)
-        self.sim.map_port(REG_PACKET, self.router.reg_packet)
-        self.sim.map_port(REG_VERDICT, self.router.reg_verdict)
-        self.producers = [
-            Producer(self.sim, f"producer{i}", self.router, i, self.clock,
-                     self.stats, count=workload_.packets_per_producer,
-                     interval_cycles=workload_.interval_cycles,
-                     payload_size=workload_.payload_size,
-                     corrupt_rate=workload_.corrupt_rate,
-                     seed=workload_.seed)
-            for i in range(workload_.num_ports)
-        ]
-        self.consumers = [
-            Consumer(self.sim, f"consumer{i}", self.router, i, self.clock,
-                     self.stats)
-            for i in range(workload_.num_ports)
-        ]
+        hw = build_router_netlist("untimed_hw", self.workload, self.config)
+        self.sim, self.clock, self.router = hw.sim, hw.clock, hw.router
+        self.producers, self.consumers = hw.producers, hw.consumers
+        self.stats = hw.stats
         self.packets_checked = 0
 
     def _drain_instantly(self) -> None:
@@ -86,19 +61,12 @@ class UntimedRouterCosim:
             self.sim.external_write(REG_VERDICT,
                                     ChecksumApp._verdict_for(bytes(raw)))
 
-    def _drained(self) -> bool:
-        if not all(p.done for p in self.producers):
-            return False
-        terminal = (self.stats.forwarded + self.stats.dropped_overflow
-                    + self.stats.dropped_checksum
-                    + self.stats.dropped_unroutable)
-        return terminal >= self.stats.generated
-
     def run(self, max_cycles: Optional[int] = None) -> UntimedResult:
         bound = max_cycles or (4 * self.workload.estimated_cycles())
         period = self.clock.period
         start = time.perf_counter()
-        while self.clock.cycles < bound and not self._drained():
+        while (self.clock.cycles < bound
+               and not packets_drained(self.producers, self.stats)):
             self.sim.run_until(self.sim.now + period)
             if self.sim.poll_interrupt() or self.router.reg_status.read() & 1:
                 self._drain_instantly()

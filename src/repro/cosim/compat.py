@@ -14,7 +14,8 @@ the loop cannot combine.  A pair it does not list runs.
 
 Features (see :func:`features`): ``memo``, ``speculation``,
 ``adaptive``, ``fault`` (a fault injector on a board link),
-``threaded``, ``multiboard``, ``checkpointer`` and ``tracing``, plus
+``threaded``, ``multiboard``, ``checkpointer``, ``tracing`` and
+``plugin`` (the master's hardware is a plugin, see :mod:`repro.fmi`), plus
 two that only appear in rows: ``done`` (a ``done()`` probe passed to
 ``run``) and ``restore`` (``restore_session``).
 """
@@ -61,6 +62,9 @@ COMPATIBILITY = {
         REFUSE, "speculation checkpoints and rolls back a single board"),
     ("adaptive", "threaded"): (
         REFUSE, "adaptive synchronization is only supported in-process"),
+    ("adaptive", "plugin"): (
+        REFUSE, "an adaptive window ends at the first interrupt edge, and "
+        "a plugin's step(n) cannot stop early"),
     ("checkpointer", "multiboard"): (REFUSE, _ONE_BOARD),
     ("restore", "threaded"): (
         REFUSE, "threaded sessions cannot be restored by re-execution; "
@@ -106,6 +110,9 @@ def features(session, done=None) -> Dict[str, str]:
         found["checkpointer"] = _ATTACHED["checkpointer"]
     if session.obs.enabled:
         found["tracing"] = "tracing"
+    plugin = getattr(session.master, "plugin", None)
+    if plugin is not None:
+        found["plugin"] = f"a plugin master ({type(plugin).__name__})"
     if done is not None:
         found["done"] = "a done() probe"
     return found

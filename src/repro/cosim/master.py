@@ -13,6 +13,17 @@ tick protocol:
   state at any time — during the window and while waiting for the
   report — exactly as ``driver_simulate`` checks the DATA port on every
   loop iteration.
+
+The master owns that protocol for every kind of hardware: grants and
+their fan-out to every board, report checks, the window FSM, DATA
+service and its counters, interrupt sends and their counters, the
+``master.simulate`` span and the snapshot counters.  What the hardware
+itself does is a handful of operations — :meth:`CosimMaster.run_cycles`,
+:meth:`~CosimMaster.run_cycles_leaping`, :meth:`~CosimMaster.hw_read`,
+:meth:`~CosimMaster.hw_write`, :meth:`~CosimMaster._activity` and the
+hardware half of the snapshot — which this class implements on the
+simkernel netlist and :class:`repro.fmi.adapter.FmuMasterAdapter` on a
+plugin.
 """
 
 from __future__ import annotations
@@ -67,9 +78,10 @@ class CosimMaster:
         self.interrupts_sent = 0
         self.data_reads_served = 0
         self.data_writes_served = 0
-        # Structural binding registry, not simulated state; rebuilt
-        # by construction, never by restore.
-        self._bound_vectors = set()  # lint: disable=SNAP001
+        # Structural binding registry (vector -> endpoint of the board
+        # owning the device), not simulated state; rebuilt by
+        # construction, never by restore.
+        self._irq_endpoints = {}
         #: When set, an interrupt edge stops the running window early
         #: (used by reactive/adaptive sessions).  Transient within
         #: one call (reset in a finally), never spans a boundary.
@@ -89,33 +101,38 @@ class CosimMaster:
         multi-board sessions pass the *endpoint* of the board that owns
         the device (defaults to the master's primary endpoint).
         """
-        if vector in self._bound_vectors:
+        if vector in self._irq_endpoints:
             raise ProtocolError(f"interrupt vector {vector} already bound")
-        self._bound_vectors.add(vector)
+        self._irq_endpoints[vector] = endpoint or self.endpoint
         self.sim.bind_interrupt_vector(vector, signal)
         if vector == self.config.remote_vector:
             # Keep the kernel-level single-signal view working too.
             self.sim.bind_interrupt(signal)
-        target = endpoint or self.endpoint
 
-        def on_commit(sig, old, new, vector=vector, target=target):
+        def on_commit(sig, old, new, vector=vector):
             if new and not old:
-                self.interrupts_sent += 1
-                if self.obs.enabled:
-                    self.obs.event("master", "irq.send",
-                                   sim=self.clock.cycles, vector=vector)
-                target.send_interrupt(
-                    Interrupt(vector=vector,
-                              master_cycle=self.clock.cycles)
-                )
+                self.send_interrupt(vector, self.clock.cycles)
                 if self._stop_on_activity:
                     self.sim.stop()
 
         signal.observe(on_commit)
 
+    def send_interrupt(self, vector: int, cycle: int) -> None:
+        """Count one interrupt edge raised at master *cycle* and send it
+        on the endpoint of the board bound to *vector* (the primary
+        endpoint for an unbound vector)."""
+        self.interrupts_sent += 1
+        if self.obs.enabled:
+            self.obs.event("master", "irq.send", sim=cycle, vector=vector)
+        self._irq_endpoints.get(vector, self.endpoint).send_interrupt(
+            Interrupt(vector=vector, master_cycle=cycle))
+
     # ------------------------------------------------------------------
     # Checkpointing
     # ------------------------------------------------------------------
+    #: Keys of the hardware half of :meth:`snapshot`.
+    HW_KEYS = ("sim",)
+
     def snapshot(self) -> dict:
         """Protocol state, service counters, and the hardware model."""
         return {
@@ -123,12 +140,12 @@ class CosimMaster:
             "interrupts_sent": self.interrupts_sent,
             "data_reads_served": self.data_reads_served,
             "data_writes_served": self.data_writes_served,
-            "sim": self.sim.snapshot(),
+            **self._hw_snapshot(),
         }
 
     def restore(self, state: dict) -> None:
         for key in ("protocol", "interrupts_sent", "data_reads_served",
-                    "data_writes_served", "sim"):
+                    "data_writes_served") + self.HW_KEYS:
             if key not in state:
                 raise ProtocolError(f"master snapshot missing {key!r}")
         self.protocol.restore(state["protocol"])
@@ -138,27 +155,45 @@ class CosimMaster:
         self.interrupts_sent = state["interrupts_sent"]
         self.data_reads_served = state["data_reads_served"]
         self.data_writes_served = state["data_writes_served"]
+        self._hw_restore(state)
+
+    def _hw_snapshot(self) -> dict:
+        """Hardware operation: the hardware half of :meth:`snapshot`."""
+        return {"sim": self.sim.snapshot()}
+
+    def _hw_restore(self, state: dict) -> None:
+        """Hardware operation: apply :meth:`_hw_snapshot`'s keys."""
         self.sim.restore(state["sim"])
 
     # ------------------------------------------------------------------
     # DATA servicing
     # ------------------------------------------------------------------
     def serve_data(self, op: str, address: int, value=None):
-        """Synchronous DATA server (installed on in-process links)."""
+        """Serve one DATA request: the one path that counts and traces
+        each request, installed on in-process links and called by
+        :meth:`_serve_pending_data` on threaded ones."""
         if op == "read":
             self.data_reads_served += 1
             if self.obs.enabled:
                 self.obs.event("master", "data.read",
                                sim=self.clock.cycles, address=address)
-            return self.sim.external_read(address)
+            return self.hw_read(address)
         if op == "write":
             self.data_writes_served += 1
             if self.obs.enabled:
                 self.obs.event("master", "data.write",
                                sim=self.clock.cycles, address=address)
-            self.sim.external_write(address, value)
+            self.hw_write(address, value)
             return None
         raise SimulationError(f"bad DATA operation {op!r}")
+
+    def hw_read(self, address: int):
+        """Hardware operation: read a mapped register."""
+        return self.sim.external_read(address)
+
+    def hw_write(self, address: int, value) -> None:
+        """Hardware operation: write a mapped register."""
+        self.sim.external_write(address, value)
 
     def _serve_pending_data(self, endpoints=None) -> int:
         """Drain queued DATA requests (threaded sessions); returns count.
@@ -177,21 +212,12 @@ class CosimMaster:
                 served += len(batch)
                 for request in batch:
                     if isinstance(request, DataRead):
-                        self.data_reads_served += 1
-                        if self.obs.enabled:
-                            self.obs.event("master", "data.read",
-                                           sim=self.clock.cycles,
-                                           address=request.address)
-                        value = self.sim.external_read(request.address)
-                        endpoint.send_reply(request.seq, value)
+                        endpoint.send_reply(
+                            request.seq,
+                            self.serve_data("read", request.address))
                     elif isinstance(request, DataWrite):
-                        self.data_writes_served += 1
-                        if self.obs.enabled:
-                            self.obs.event("master", "data.write",
-                                           sim=self.clock.cycles,
-                                           address=request.address)
-                        self.sim.external_write(request.address,
-                                                request.value)
+                        self.serve_data("write", request.address,
+                                        request.value)
                     else:  # pragma: no cover - endpoint type-checks
                         raise ProtocolError(f"bad DATA request {request!r}")
         return served
@@ -200,20 +226,66 @@ class CosimMaster:
     # Window execution
     # ------------------------------------------------------------------
     def run_cycles(self, cycles: int) -> None:
-        """Advance the hardware simulation by *cycles* clock cycles."""
+        """Hardware operation: advance the hardware by *cycles* clock
+        cycles."""
         self.sim.run_until(self.sim.now + cycles * self.clock.period)
 
     def run_cycles_leaping(self, cycles: int) -> int:
-        """:meth:`run_cycles`, analytically skipping stretches where the
-        tick-rate clock is the only live activity (see
-        :meth:`~repro.simkernel.kernel.Simulator.run_until_leaping`).
+        """Hardware operation: :meth:`run_cycles`, analytically skipping
+        stretches where the tick-rate clock is the only live activity
+        (see :meth:`~repro.simkernel.kernel.Simulator.run_until_leaping`).
         Returns the number of clock edges applied analytically.  Used
-        by the optimistic session's catchup phase, where whole windows
-        are often pure clock ticking."""
+        by speculation's catch-up, where whole windows are often pure
+        clock ticking."""
         return self.sim.run_until_leaping(
             self.sim.now + cycles * self.clock.period,
             clocks=(self.clock,),
         )
+
+    def _activity(self) -> dict:
+        """Hardware operation: the activity counters whose growth a
+        ``master.simulate`` span reports."""
+        return {"deltas": self.sim.delta_count,
+                "process_runs": self.sim.process_runs}
+
+    def _begin_simulate(self, **attrs):
+        """Open a ``master.simulate`` span (None when tracing is off)."""
+        if not self.obs.enabled:
+            return None
+        token = self.obs.begin("master", "simulate", sim=self.clock.cycles,
+                               **attrs)
+        return token, self._activity()
+
+    def _end_simulate(self, span, **attrs) -> None:
+        """Close *span* with the hardware activity it covered."""
+        if span is None:
+            return
+        token, before = span
+        after = self._activity()
+        self.obs.end(token, sim=self.clock.cycles,
+                     **{name: after[name] - count
+                        for name, count in before.items()},
+                     **attrs)
+
+    def simulate(self, ticks: int, leap: bool = False) -> int:
+        """The master's half of one window: advance the hardware *ticks*
+        cycles under a ``master.simulate`` span when tracing is on.
+        With *leap* (speculation's catch-up) the clock leap of
+        :meth:`run_cycles_leaping` is used; returns the edges leapt."""
+        if not leap:
+            span = self._begin_simulate(ticks=ticks)
+            try:
+                self.run_cycles(ticks)
+            finally:
+                self._end_simulate(span)
+            return 0
+        span = self._begin_simulate(ticks=ticks, catchup=1)
+        leapt = 0
+        try:
+            leapt = self.run_cycles_leaping(ticks)
+        finally:
+            self._end_simulate(span, leapt=leapt)
+        return leapt
 
     def _send_grant(self, ticks: int, endpoints) -> ClockGrant:
         """Book and send one window's grant.  Every board's endpoint
@@ -236,7 +308,7 @@ class CosimMaster:
         their time reports to :meth:`finish_window_inproc`.
         """
         self._send_grant(ticks, endpoints)
-        self._run_cycles_traced(ticks)
+        self.simulate(ticks)
         self.fsm.step("window_simulated")
 
     def finish_window_inproc(self, *reports: TimeReport) -> None:
@@ -252,23 +324,6 @@ class CosimMaster:
         self.protocol.exchanges = exchanges + 1
         self.fsm.step("recv_report")
 
-    def _run_cycles_traced(self, ticks: int) -> None:
-        """One window's worth of hardware simulation, under a
-        ``master.simulate`` span when tracing is on."""
-        if not self.obs.enabled:
-            self.run_cycles(ticks)
-            return
-        deltas = self.sim.delta_count
-        runs = self.sim.process_runs
-        token = self.obs.begin("master", "simulate",
-                               sim=self.clock.cycles, ticks=ticks)
-        try:
-            self.run_cycles(ticks)
-        finally:
-            self.obs.end(token, sim=self.clock.cycles,
-                         deltas=self.sim.delta_count - deltas,
-                         process_runs=self.sim.process_runs - runs)
-
     def run_window_inproc_reactive(self, max_ticks: int, *endpoints) -> int:
         """Simulate up to *max_ticks* cycles, stopping at the first
         interrupt edge, then grant exactly the cycles simulated.
@@ -282,10 +337,7 @@ class CosimMaster:
         """
         start = self.clock.cycles
         period = self.clock.period
-        token = None
-        if self.obs.enabled:
-            token = self.obs.begin("master", "simulate", sim=start,
-                                   max_ticks=max_ticks, reactive=1)
+        span = self._begin_simulate(max_ticks=max_ticks, reactive=1)
         try:
             self._stop_on_activity = True
             try:
@@ -299,8 +351,7 @@ class CosimMaster:
                 self.sim.run_until(self.sim.now + period)
                 ticks = self.clock.cycles - start
         finally:
-            if token is not None:
-                self.obs.end(token, sim=self.clock.cycles)
+            self._end_simulate(span)
         # Reactive windows simulate first and size the grant after the
         # fact, so both phase changes land at the send.
         self._send_grant(ticks, endpoints)
@@ -314,13 +365,7 @@ class CosimMaster:
         endpoints = endpoints or (self.endpoint,)
         grant = self._send_grant(ticks, endpoints)
         obs = self.obs
-        period = self.clock.period
-        sim_token = None
-        if obs.enabled:
-            deltas = self.sim.delta_count
-            runs = self.sim.process_runs
-            sim_token = obs.begin("master", "simulate",
-                                  sim=self.clock.cycles, ticks=ticks)
+        span = self._begin_simulate(ticks=ticks)
         try:
             # Poll the DATA port every cycle only while a board is
             # actually talking; on quiet cycles the stride between
@@ -337,13 +382,10 @@ class CosimMaster:
                 elif stride < stride_max:
                     stride = min(stride * 2, stride_max)
                 step = min(stride, remaining)
-                self.sim.run_until(self.sim.now + step * period)
+                self.run_cycles(step)
                 remaining -= step
         finally:
-            if sim_token is not None:
-                obs.end(sim_token, sim=self.clock.cycles,
-                        deltas=self.sim.delta_count - deltas,
-                        process_runs=self.sim.process_runs - runs)
+            self._end_simulate(span)
         self.fsm.step("window_simulated")
         wait_token = None
         if obs.enabled:

@@ -21,7 +21,8 @@ session loop, decouples the two sides the way CHESSY does:
 * **Catch up** — the master then simulates the same windows, using the
   simkernel's analytic clock leap
   (:meth:`~repro.simkernel.kernel.Simulator.run_until_leaping`) so
-  quiet stretches cost arithmetic instead of per-edge event churn.
+  quiet stretches cost arithmetic instead of per-edge event churn (a
+  plugin master, which has no clock leap, steps plainly).
 * **Validate** — per window, the speculatively-assumed schedule (no
   interrupts, no DATA) is diffed against what the simulation actually
   produced.  A clean window **commits**: the stashed time report is
@@ -279,23 +280,7 @@ class Speculator:
     # ------------------------------------------------------------------
     def _catchup_simulate(self, ticks: int) -> int:
         """Master's half of one speculated window, with the clock leap."""
-        master = self.master
-        if not self.obs.enabled:
-            return master.run_cycles_leaping(ticks)
-        deltas = master.sim.delta_count
-        runs = master.sim.process_runs
-        leapt = 0
-        token = self.obs.begin("master", "simulate",
-                               sim=master.clock.cycles, ticks=ticks,
-                               catchup=1)
-        try:
-            leapt = master.run_cycles_leaping(ticks)
-        finally:
-            self.obs.end(token, sim=master.clock.cycles,
-                         deltas=master.sim.delta_count - deltas,
-                         process_runs=master.sim.process_runs - runs,
-                         leapt=leapt)
-        return leapt
+        return self.master.simulate(ticks, leap=True)
 
     def _commit_boundary(self, metrics: CosimMetrics, ticks: int,
                          boundary: Optional[dict]) -> None:

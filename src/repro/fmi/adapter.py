@@ -1,13 +1,16 @@
 """Mount a conforming plugin as the HW side of a cosim session.
 
-:class:`FmuMasterAdapter` presents the :class:`~repro.cosim.master.
-CosimMaster` surface — protocol/FSM stepping, DATA service counters,
-snapshot/restore — while delegating every tick of hardware behaviour to
-a plugin speaking the :mod:`repro.fmi.protocol` contract.  A session
-built by :func:`build_fmu_router_cosim` is a drop-in sibling of
+:class:`FmuMasterAdapter` is a :class:`~repro.cosim.master.CosimMaster`
+whose hardware is a plugin speaking the :mod:`repro.fmi.protocol`
+contract.  The master owns the window protocol, DATA and interrupt
+service and every counter; the adapter only hides the plugin contract
+behind the master's hardware operations.  A session built by
+:func:`build_fmu_router_cosim` is a drop-in sibling of
 ``build_router_cosim(mode="inproc")``: same window protocol, same
 ``CosimMetrics``, same recording/fault wrapping, and — for the
-reference plugins — bit-identical traces and digests.
+reference plugins — bit-identical traces and digests.  Which session
+features a plugin mount combines with is the ``plugin`` row of the
+compatibility table (:mod:`repro.cosim.compat`).
 """
 
 from __future__ import annotations
@@ -17,21 +20,15 @@ from typing import Any, Optional
 from repro.board.board import BoardConfig
 from repro.cosim.board_runtime import CosimBoardRuntime
 from repro.cosim.config import CosimConfig
-from repro.cosim.protocol import (
-    MASTER_INITIAL,
-    MASTER_WINDOW_TABLE,
-    MasterProtocol,
-    WindowFsm,
-)
+from repro.cosim.master import CosimMaster
 from repro.cosim.session import InprocSession
-from repro.errors import FmiError, SimulationError
+from repro.errors import FmiError
 from repro.fmi.protocol import (
     DATA_ADDR_KEY,
     DATA_OP_KEY,
     DATA_VALUE_KEY,
     check_surface,
 )
-from repro.obs.recorder import NULL_RECORDER
 from repro.replay.snapshot import is_snapshotable
 from repro.router.testbench import (
     RouterCosim,
@@ -41,7 +38,6 @@ from repro.router.testbench import (
 )
 from repro.transport.faults import FaultPlan, FaultyBoardEndpoint
 from repro.transport.inproc import InprocLink
-from repro.transport.messages import Interrupt
 
 
 class _PluginClock:
@@ -51,81 +47,34 @@ class _PluginClock:
         self.cycles = 0
 
 
-class _PluginHost:
-    """Stands in for the master's simulator: carries the recorder hook
-    (``install_recorder`` assigns ``master.sim.obs``) and an empty
-    module list for tools that walk the hardware tree."""
+class FmuMasterAdapter(CosimMaster):
+    """A master whose hardware is a plugin (it has no simulator:
+    ``sim`` is None)."""
 
-    def __init__(self) -> None:
-        self.obs = NULL_RECORDER
-        self.modules = []
-
-
-class FmuMasterAdapter:
-    """The master half of a window session, backed by a plugin."""
-
-    obs = NULL_RECORDER
+    HW_KEYS = ("cycles", "plugin")
 
     def __init__(self, plugin: Any, endpoint, config: CosimConfig) -> None:
         check_surface(plugin)
         self.plugin = plugin
-        self.endpoint = endpoint
-        self.config = config
-        self.protocol = MasterProtocol()
-        self.fsm = WindowFsm("master", MASTER_WINDOW_TABLE, MASTER_INITIAL)
-        self.clock = _PluginClock()
-        self.sim = _PluginHost()
-        self.interrupts_sent = 0
-        self.data_reads_served = 0
-        self.data_writes_served = 0
+        super().__init__(None, _PluginClock(), endpoint, config)
 
     # ------------------------------------------------------------------
-    # Checkpointing
+    # Hardware operations
     # ------------------------------------------------------------------
-    def snapshot(self) -> dict:
-        return {
-            "protocol": self.protocol.snapshot(),
-            "interrupts_sent": self.interrupts_sent,
-            "data_reads_served": self.data_reads_served,
-            "data_writes_served": self.data_writes_served,
-            "cycles": self.clock.cycles,
-            "plugin": self.plugin.snapshot(),
-        }
+    def _hw_snapshot(self) -> dict:
+        return {"cycles": self.clock.cycles,
+                "plugin": self.plugin.snapshot()}
 
-    def restore(self, state: dict) -> None:
-        for key in ("protocol", "interrupts_sent", "data_reads_served",
-                    "data_writes_served", "cycles", "plugin"):
-            if key not in state:
-                raise FmiError(f"adapter snapshot missing {key!r}")
-        self.protocol.restore(state["protocol"])
-        self.fsm.reset()
-        self.interrupts_sent = state["interrupts_sent"]
-        self.data_reads_served = state["data_reads_served"]
-        self.data_writes_served = state["data_writes_served"]
+    def _hw_restore(self, state: dict) -> None:
         self.clock.cycles = state["cycles"]
         self.plugin.restore(state["plugin"])
 
-    # ------------------------------------------------------------------
-    # DATA servicing
-    # ------------------------------------------------------------------
-    def serve_data(self, op: str, address: int, value=None):
-        """Synchronous DATA server (installed on in-process links)."""
-        if op == "read":
-            self.data_reads_served += 1
-            if self.obs.enabled:
-                self.obs.event("master", "data.read",
-                               sim=self.clock.cycles, address=address)
-            return self._transact({DATA_OP_KEY: "read",
-                                   DATA_ADDR_KEY: address})
-        if op == "write":
-            self.data_writes_served += 1
-            if self.obs.enabled:
-                self.obs.event("master", "data.write",
-                               sim=self.clock.cycles, address=address)
-            self._transact({DATA_OP_KEY: "write", DATA_ADDR_KEY: address,
-                            DATA_VALUE_KEY: value})
-            return None
-        raise SimulationError(f"bad DATA operation {op!r}")
+    def hw_read(self, address: int):
+        return self._transact({DATA_OP_KEY: "read", DATA_ADDR_KEY: address})
+
+    def hw_write(self, address: int, value) -> None:
+        self._transact({DATA_OP_KEY: "write", DATA_ADDR_KEY: address,
+                        DATA_VALUE_KEY: value})
 
     def _transact(self, values: dict):
         """Apply one DATA transaction without advancing plugin time."""
@@ -140,54 +89,28 @@ class FmuMasterAdapter:
         self._forward_irqs(outputs)
         return outputs.get("data_value")
 
-    def _forward_irqs(self, outputs: dict) -> None:
-        for event in outputs.get("irq_events") or []:
-            cycle, vector = event
-            self.interrupts_sent += 1
-            if self.obs.enabled:
-                self.obs.event("master", "irq.send", sim=cycle,
-                               vector=vector)
-            self.endpoint.send_interrupt(
-                Interrupt(vector=vector, master_cycle=cycle))
-
-    # ------------------------------------------------------------------
-    # Window execution
-    # ------------------------------------------------------------------
-    def run_window_inproc(self, ticks: int) -> None:
-        """Deterministic sessions: grant, then step the plugin."""
-        self.fsm.step("send_grant")
-        grant = self.protocol.make_grant(ticks)
-        if self.obs.enabled:
-            self.obs.event("transport", "grant.send",
-                           sim=self.clock.cycles, seq=grant.seq,
-                           ticks=ticks)
-        self.endpoint.send_grant(grant)
-        self._step_window(ticks)
-        self.fsm.step("window_simulated")
-
-    def finish_window_inproc(self, report) -> None:
-        if self.obs.enabled:
-            self.obs.event("transport", "report.recv",
-                           sim=self.clock.cycles, seq=report.seq,
-                           board_ticks=report.board_ticks)
-        self.protocol.check_report(report, self.clock.cycles)
-        self.fsm.step("recv_report")
-
-    def _step_window(self, ticks: int) -> None:
-        expected = self.clock.cycles + ticks
-        if self.obs.enabled:
-            token = self.obs.begin("master", "simulate",
-                                   sim=self.clock.cycles, ticks=ticks)
-        self.plugin.step(ticks)
+    def run_cycles(self, cycles: int) -> None:
+        expected = self.clock.cycles + cycles
+        self.plugin.step(cycles)
         outputs = self.plugin.get_outputs()
-        if self.obs.enabled:
-            self.obs.end(token, sim=outputs.get("cycles"))
         if outputs.get("cycles") != expected:
             raise FmiError(
                 f"plugin clock drift: stepped to {outputs.get('cycles')}"
                 f", grant requires {expected}")
         self.clock.cycles = expected
         self._forward_irqs(outputs)
+
+    def run_cycles_leaping(self, cycles: int) -> int:
+        """A plugin has no clock leap: plain stepping, no edge leapt."""
+        self.run_cycles(cycles)
+        return 0
+
+    def _activity(self) -> dict:
+        return {}
+
+    def _forward_irqs(self, outputs: dict) -> None:
+        for cycle, vector in outputs.get("irq_events") or []:
+            self.send_interrupt(vector, cycle)
 
 
 class _RemoteStats:

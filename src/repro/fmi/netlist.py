@@ -1,8 +1,8 @@
 """The simkernel router netlist, mounted as a plugin.
 
-Wraps the *existing* event-driven hardware — the same
-:class:`~repro.router.router.Router`, producers and consumers that
-``build_router_cosim`` elaborates — behind the
+Wraps the *existing* event-driven hardware — the router, producers
+and consumers that :func:`~repro.router.testbench.build_router_netlist`
+elaborates for every router run — behind the
 :mod:`repro.fmi.protocol` contract, so the boundary is exercised by
 every current scenario without reimplementing anything.  ``step``
 advances the simkernel; DATA transactions go through the simulator's
@@ -22,24 +22,14 @@ an event-driven simulator to honour FMI004 bit-exactly.
 
 from __future__ import annotations
 
+from dataclasses import fields
 from typing import Any, Dict, List, Optional
 
 from repro.cosim.config import CosimConfig
-from repro.cosim.master import build_driver_sim
 from repro.errors import FmiError
 from repro.fmi.protocol import DATA_ADDR_KEY, DATA_OP_KEY, DATA_VALUE_KEY
 from repro.replay.snapshot import plain_copy, state_digest
-from repro.router.consumer import Consumer
-from repro.router.producer import Producer
-from repro.router.router import (
-    REG_PACKET,
-    REG_STATS,
-    REG_STATUS,
-    REG_VERDICT,
-    Router,
-)
-from repro.router.routing_table import RoutingTable
-from repro.router.stats import WorkloadStats
+from repro.router.testbench import RouterWorkload, build_router_netlist
 
 
 class NetlistRouterModel:
@@ -146,43 +136,19 @@ class NetlistRouterModel:
     # ------------------------------------------------------------------
     def _build(self) -> None:
         """Elaborate a fresh netlist from ``(config, seed)``."""
-        config, seed = self._config, self._seed
-        num_ports = int(config.get("num_ports", 4))
+        config = self._config
+        defaults = RouterWorkload()
+        workload = RouterWorkload(**{
+            field.name: type(getattr(defaults, field.name))(
+                config.get(field.name, getattr(defaults, field.name)))
+            for field in fields(RouterWorkload) if field.name != "seed"
+        }, seed=self._seed)
         self._irq_vector = int(config.get("irq_vector", 1))
-        cosim_config = CosimConfig(
-            clock_period_ps=int(config.get("clock_period_ps", 10_000)))
-        self.sim, self.clock = build_driver_sim("fmu_netlist",
-                                                config=cosim_config)
-        self.stats = WorkloadStats()
-        table = RoutingTable.uniform(num_ports,
-                                     addresses_per_port=256 // num_ports)
-        self.router = Router(
-            self.sim, "router", self.clock, table, self.stats,
-            buffer_capacity=int(config.get("buffer_capacity", 20)),
-            num_ports=num_ports)
-        self.sim.map_port(REG_STATUS, self.router.reg_status)
-        self.sim.map_port(REG_PACKET, self.router.reg_packet)
-        self.sim.map_port(REG_VERDICT, self.router.reg_verdict)
-        self.sim.map_port(REG_STATS, self.router.reg_stats)
-        self.producers = [
-            Producer(self.sim, f"producer{i}", self.router, i, self.clock,
-                     self.stats,
-                     count=int(config.get("packets_per_producer", 25)),
-                     interval_cycles=int(config.get("interval_cycles",
-                                                    1000)),
-                     payload_size=int(config.get("payload_size", 32)),
-                     corrupt_rate=float(config.get("corrupt_rate", 0.05)),
-                     seed=seed,
-                     burst_size=int(config.get("burst_size", 1)),
-                     burst_gap_cycles=int(config.get("burst_gap_cycles",
-                                                     0)))
-            for i in range(num_ports)
-        ]
-        self.consumers = [
-            Consumer(self.sim, f"consumer{i}", self.router, i, self.clock,
-                     self.stats)
-            for i in range(num_ports)
-        ]
+        hw = build_router_netlist("fmu_netlist", workload, CosimConfig(
+            clock_period_ps=int(config.get("clock_period_ps", 10_000))))
+        self.sim, self.clock, self.router = hw.sim, hw.clock, hw.router
+        self.producers, self.consumers = hw.producers, hw.consumers
+        self.stats = hw.stats
         self._irq_events: List[List[int]] = []
 
         def on_irq(sig, old, new) -> None:

@@ -359,14 +359,16 @@ def make_recorder(config: Optional[TracingConfig]):
 def install_recorder(obs, master=None, runtime=None) -> None:
     """Install *obs* across a co-simulation's layers.
 
-    Covers the master (and its simulator), the board runtime (its RTOS
-    kernel, and every endpoint wrapper in the ``inner`` chain that
-    declares an ``obs`` slot — e.g. the fault injector).  Layers not
-    reached here keep the class-level :data:`NULL_RECORDER`.
+    Covers the master (and its simulator, when it has one: a plugin
+    master does not), the board runtime (its RTOS kernel, and every
+    endpoint wrapper in the ``inner`` chain that declares an ``obs``
+    slot — e.g. the fault injector).  Layers not reached here keep the
+    class-level :data:`NULL_RECORDER`.
     """
     if master is not None:
         master.obs = obs
-        master.sim.obs = obs
+        if master.sim is not None:
+            master.sim.obs = obs
     if runtime is not None:
         runtime.obs = obs
         runtime.board.kernel.obs = obs

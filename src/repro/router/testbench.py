@@ -36,6 +36,8 @@ from repro.router.router import (
 )
 from repro.router.routing_table import RoutingTable
 from repro.router.stats import WorkloadStats
+from repro.simkernel.clock import Clock
+from repro.simkernel.driver_ext import DriverSimulator
 from repro.transport.faults import FaultPlan, FaultyBoardEndpoint
 from repro.transport.inproc import InprocLink
 from repro.transport.queues import QueueLink
@@ -84,6 +86,64 @@ class RouterWorkload:
         return generation + 20 * self.interval_cycles + 10_000
 
 
+@dataclass
+class RouterNetlist:
+    """The router hardware, elaborated on its own simulator: router,
+    producers and consumers sharing one :class:`WorkloadStats`."""
+
+    sim: DriverSimulator
+    clock: Clock
+    router: Router
+    producers: List[Producer]
+    consumers: List[Consumer]
+    stats: WorkloadStats
+
+
+def build_router_netlist(name: str, workload: RouterWorkload,
+                         config: CosimConfig) -> RouterNetlist:
+    """Elaborate the case study's hardware for *workload*: the router
+    with its registers mapped on the simulator's DATA port, one
+    producer and one consumer per port.  The co-simulated testbench,
+    the netlist plugin and both baselines all build it here."""
+    sim, clock = build_driver_sim(name, config=config)
+    stats = WorkloadStats()
+    table = RoutingTable.uniform(workload.num_ports,
+                                 addresses_per_port=256 // workload.num_ports)
+    router = Router(sim, "router", clock, table, stats,
+                    buffer_capacity=workload.buffer_capacity,
+                    num_ports=workload.num_ports)
+    sim.map_port(REG_STATUS, router.reg_status)
+    sim.map_port(REG_PACKET, router.reg_packet)
+    sim.map_port(REG_VERDICT, router.reg_verdict)
+    sim.map_port(REG_STATS, router.reg_stats)
+    producers = [
+        Producer(sim, f"producer{i}", router, i, clock, stats,
+                 count=workload.packets_per_producer,
+                 interval_cycles=workload.interval_cycles,
+                 payload_size=workload.payload_size,
+                 corrupt_rate=workload.corrupt_rate,
+                 seed=workload.seed,
+                 burst_size=workload.burst_size,
+                 burst_gap_cycles=workload.burst_gap_cycles)
+        for i in range(workload.num_ports)
+    ]
+    consumers = [
+        Consumer(sim, f"consumer{i}", router, i, clock, stats)
+        for i in range(workload.num_ports)
+    ]
+    return RouterNetlist(sim, clock, router, producers, consumers, stats)
+
+
+def packets_drained(producers: List[Producer], stats: WorkloadStats) -> bool:
+    """Every producer is done and every generated packet has reached a
+    terminal outcome (forwarded or dropped)."""
+    if not all(p.done for p in producers):
+        return False
+    terminal = (stats.forwarded + stats.dropped_overflow
+                + stats.dropped_checksum + stats.dropped_unroutable)
+    return terminal >= stats.generated
+
+
 class RouterCosim:
     """One fully wired co-simulation of the router case study."""
 
@@ -107,12 +167,7 @@ class RouterCosim:
 
     def drained(self) -> bool:
         """All packets generated and accounted for (terminal outcomes)."""
-        if not all(p.done for p in self.producers):
-            return False
-        terminal = (self.stats.forwarded + self.stats.dropped_overflow
-                    + self.stats.dropped_checksum
-                    + self.stats.dropped_unroutable)
-        return terminal >= self.stats.generated
+        return packets_drained(self.producers, self.stats)
 
     def run(self, max_cycles: Optional[int] = None,
             await_drain: bool = True) -> CosimMetrics:
@@ -227,35 +282,9 @@ def build_router_cosim(
     # ------------------------------------------------------------------
     # Hardware side (the master simulation)
     # ------------------------------------------------------------------
-    sim, clock = build_driver_sim("router_hw", config=config)
-    stats = WorkloadStats()
-    table = RoutingTable.uniform(workload.num_ports,
-                                 addresses_per_port=256 // workload.num_ports)
-    router = Router(sim, "router", clock, table, stats,
-                    buffer_capacity=workload.buffer_capacity,
-                    num_ports=workload.num_ports)
-    sim.map_port(REG_STATUS, router.reg_status)
-    sim.map_port(REG_PACKET, router.reg_packet)
-    sim.map_port(REG_VERDICT, router.reg_verdict)
-    sim.map_port(REG_STATS, router.reg_stats)
-
-    producers = [
-        Producer(sim, f"producer{i}", router, i, clock, stats,
-                 count=workload.packets_per_producer,
-                 interval_cycles=workload.interval_cycles,
-                 payload_size=workload.payload_size,
-                 corrupt_rate=workload.corrupt_rate,
-                 seed=workload.seed,
-                 burst_size=workload.burst_size,
-                 burst_gap_cycles=workload.burst_gap_cycles)
-        for i in range(workload.num_ports)
-    ]
-    consumers = [
-        Consumer(sim, f"consumer{i}", router, i, clock, stats)
-        for i in range(workload.num_ports)
-    ]
-    master = CosimMaster(sim, clock, master_ep, config,
-                         interrupt_signal=router.irq)
+    hw = build_router_netlist("router_hw", workload, config)
+    master = CosimMaster(hw.sim, hw.clock, master_ep, config,
+                         interrupt_signal=hw.router.irq)
 
     # ------------------------------------------------------------------
     # Software side (the board)
@@ -279,14 +308,14 @@ def build_router_cosim(
     # joins the checkpoint under extra/.  Sides matter to speculation:
     # the workload stats are mutated by the hardware model, the
     # checksum app by board software.
-    session.register_snapshotable("workload_stats", stats, side="master")
+    session.register_snapshotable("workload_stats", hw.stats, side="master")
     session.register_snapshotable("checksum_app", app, side="board")
 
     if app.verifier is not None:
         app.verifier.obs = session.obs
 
-    return RouterCosim(session, master, runtime, router, producers,
-                       consumers, app, driver, stats, workload,
+    return RouterCosim(session, master, runtime, hw.router, hw.producers,
+                       hw.consumers, app, driver, hw.stats, workload,
                        cleanup=cleanup)
 
 

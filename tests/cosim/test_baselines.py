@@ -112,3 +112,26 @@ class TestOptimistic:
 
     def test_requires_state_restore(self):
         assert OptimisticCosim.requires_state_restore()
+
+
+class TestSharedNetlist:
+    """Both baselines elaborate the co-simulated run's netlist, so they
+    generate the same packets at the same cycles — bursts included."""
+
+    WORKLOAD = RouterWorkload(packets_per_producer=8, interval_cycles=2000,
+                              burst_size=4, burst_gap_cycles=50, seed=1)
+
+    def test_generation_schedules_match_the_cosim(self):
+        from repro.cosim import CosimConfig
+        from repro.router.testbench import build_router_cosim
+
+        cosim = build_router_cosim(CosimConfig(t_sync=1000), self.WORKLOAD)
+        cosim.run()
+        expected = cosim.stats.generation_cycle
+        assert len(expected) == self.WORKLOAD.total_packets
+        # Within a burst, packets are burst_gap_cycles apart.
+        cycles = sorted(set(expected.values()))
+        assert any(b - a == 50 for a, b in zip(cycles, cycles[1:]))
+        assert run_untimed(self.WORKLOAD).stats.generation_cycle == expected
+        annotated = build_annotated_router(self.WORKLOAD)
+        assert annotated.run().generation_cycle == expected

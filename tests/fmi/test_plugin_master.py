@@ -1,0 +1,117 @@
+"""A plugin master is a :class:`~repro.cosim.master.CosimMaster`.
+
+Session features either run on a plugin mount exactly as on the
+netlist, or are refused before window 0 by the compatibility table's
+``plugin`` row — never mid-run.
+"""
+
+import pytest
+
+from repro.board.board import BoardConfig
+from repro.cosim import (
+    CosimBoardRuntime,
+    CosimConfig,
+    CosimMaster,
+    ProtocolTrace,
+    ThreadedSession,
+    TracingConfig,
+    compat,
+)
+from repro.cosim.adaptive import AdaptiveController, AdaptivePolicy
+from repro.errors import ProtocolError
+from repro.fmi import (
+    FmuMasterAdapter,
+    build_fmu_router_cosim,
+    router_plugin_config,
+)
+from repro.fmi.behavioral import BehavioralRouterModel
+from repro.replay import board_state_summary
+from repro.router.testbench import RouterWorkload, build_router_board_side
+from repro.staticcheck.replay_rules import check_snapshotability
+from repro.transport.queues import QueueLink
+
+#: Sparse traffic: busy windows early, then a long idle tail in which
+#: the board is quiescent and speculation has windows to run ahead on.
+WORKLOAD = dict(packets_per_producer=2, interval_cycles=1500,
+                payload_size=16, corrupt_rate=0.0, seed=11)
+MAX_CYCLES = 14_000
+
+
+def _cosim(**config):
+    return build_fmu_router_cosim(CosimConfig(t_sync=1000, **config),
+                                  RouterWorkload(**WORKLOAD))
+
+
+def _run(**config):
+    cosim = _cosim(**config)
+    trace = ProtocolTrace()
+    cosim.session.attach_trace(trace)
+    metrics = cosim.run(max_cycles=MAX_CYCLES, await_drain=False)
+    return {
+        "rows": [record.as_row() for record in trace.records],
+        "board": board_state_summary(cosim.runtime.board),
+        "stats": cosim.stats.snapshot(),
+        "speculated": metrics.windows_speculated,
+    }
+
+
+def test_adapter_is_the_one_master():
+    cosim = _cosim()
+    assert isinstance(cosim.master, CosimMaster)
+    assert "plugin" in compat.features(cosim.session)
+    # The plugin layout: the master's counters, then the plugin subtree.
+    assert list(cosim.master.snapshot()) == [
+        "protocol", "interrupts_sent", "data_reads_served",
+        "data_writes_served", "cycles", "plugin"]
+
+
+class TestAdaptiveRefused:
+    def test_refused_before_window_zero(self):
+        cosim = _cosim()
+        with pytest.raises(ProtocolError, match="cannot combine.*plugin"):
+            cosim.session.attach_adaptive(AdaptivePolicy())
+        assert cosim.master.clock.cycles == 0
+        assert cosim.session.windows_completed == 0
+        assert cosim.session.controller is None
+
+    def test_cosim005_reports_the_pair(self):
+        session = _cosim().session
+        # Wired by hand, past attach_adaptive's check.
+        session.controller = AdaptiveController(AdaptivePolicy())
+        diagnostics = [d for d in check_snapshotability(session)
+                       if d.rule == "COSIM005" and d.severity == "error"]
+        assert len(diagnostics) == 1
+        assert "adaptive window controller" in diagnostics[0].message
+        assert "plugin master" in diagnostics[0].message
+
+
+class TestSpeculation:
+    @pytest.mark.parametrize("tracing", [False, True])
+    def test_matches_the_conservative_plugin_run(self, tracing):
+        tracing = TracingConfig(enabled=tracing)
+        reference = _run(tracing=tracing)
+        speculative = _run(tracing=tracing, speculation_depth=4)
+        assert speculative["speculated"] > 0
+        assert reference["speculated"] == 0
+        for key in ("rows", "board", "stats"):
+            assert speculative[key] == reference[key], key
+
+
+def test_threaded_plugin_session_runs():
+    # The master's threaded window steps the plugin like the netlist.
+    config = CosimConfig(t_sync=200, report_timeout_s=5.0)
+    workload = RouterWorkload(**WORKLOAD)
+    link = QueueLink()
+    plugin = BehavioralRouterModel()
+    plugin.init(router_plugin_config(config, workload), workload.seed)
+    master = FmuMasterAdapter(plugin, link.master, config)
+    board, _driver, _app = build_router_board_side(link.board, config,
+                                                   BoardConfig())
+    session = ThreadedSession(master,
+                              CosimBoardRuntime(board, link.board, config),
+                              link.stats, config)
+    metrics = session.run(max_cycles=6000)
+    assert metrics.master_cycles == metrics.board_ticks == 6000
+    assert session.aligned()
+    assert metrics.int_packets == master.interrupts_sent > 0
+    assert master.data_reads_served > 0
