@@ -9,7 +9,7 @@ from repro.iss import IssCpu, checksum_program
 from repro.board.memory import Memory
 from repro.router import Packet, checksum16
 from repro.rtos import CpuWork, RtosConfig, RtosKernel, YieldCpu
-from repro.simkernel import Clock, Module, Signal, Simulator, ns
+from repro.simkernel import Clock, Event, Module, Signal, Simulator, ns
 from repro.transport import DataWrite, decode, encode
 
 
@@ -44,6 +44,38 @@ def test_simkernel_clocked_methods(benchmark, quick, bench):
     bench.series("simkernel_clocked", work=cycles, unit="cycles",
                  tier1=True)
     assert count == cycles + 1  # edges at t = 0, 10 ns, ..., 20 us inclusive
+
+
+def test_simkernel_idle_clock(benchmark, quick, bench):
+    """Idle clock edges: one free-running clock, the design parked."""
+    # Tier-1 series: full size even in --quick (see simkernel_clocked).
+    cycles = 20_000
+
+    def run():
+        sim = Simulator()
+        clock = Clock(sim, "clk", period=ns(10), start_time=ns(10))
+
+        class Parked(Module):
+            """A clocked stage parked on a wake-up event that never
+            fires: its edges reach no process."""
+
+            def __init__(self, sim, name):
+                super().__init__(sim, name)
+                proc = self.method(self._tick, sensitive=[clock.signal],
+                                   edge="pos", dont_initialize=True)
+                proc.set_static_sensitivity([Event(sim, f"{name}.wake")])
+
+            def _tick(self):
+                pass
+
+        Parked(sim, "stage")
+        sim.run_until(ns(10) * cycles)
+        return clock.cycles
+
+    count = benchmark(bench.wrap(run))
+    bench.series("simkernel_idle_clock", work=cycles, unit="cycles",
+                 tier1=True)
+    assert count == cycles
 
 
 def test_simkernel_thread_pingpong(benchmark, quick, bench):

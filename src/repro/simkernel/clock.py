@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, Optional, Tuple
 
 from repro.errors import SimulationError
 from repro.simkernel.events import Event
@@ -37,14 +37,18 @@ class Clock(Module):
         if not 0 < high < period:
             raise SimulationError(f"clock {name}: invalid duty cycle {duty}")
         self.period = period
-        self._high_time = high
-        self._low_time = period - high
+        #: Delay from an edge that commits level ``L`` to the next edge,
+        #: indexed by ``L``; the one table the toggle process, the
+        #: kernel's inline edge and its leap read.
+        self._gaps = (period - high, high)
         self.signal = Signal(sim, f"{name}.sig", init=False)
         #: Number of rising edges that have occurred.
         self.cycles = 0
         self._tick = Event(sim, f"{name}.tick")
-        # Kept for Simulator.run_until_leaping: the leap is sound only
-        # while this process is the tick's sole consumer.
+        # The kernel applies a free-running edge itself (inline, or a
+        # whole quiet stretch by leaping); the back-reference lets it
+        # find the clock from the tick it pops.
+        self._tick._clock = self
         self._toggle_proc = self.method(
             self._toggle, sensitive=[self._tick], dont_initialize=True)
         # Schedule the first rising edge.
@@ -78,11 +82,25 @@ class Clock(Module):
                                   "'cycles'")
         self.cycles = state["cycles"]
 
-    def _toggle(self) -> None:
-        if self.signal.read():
-            self.signal.write(False)
-            self._tick.notify(self._low_time)
-        else:
-            self.signal.write(True)
+    def _free_running(self) -> bool:
+        """True when firing the tick can only run the toggle process:
+        no dynamic waiters, no other static consumer, toggle alive.
+        The kernel may then apply an edge without scheduling it."""
+        tick = self._tick
+        if tick.dynamic_waiters or len(tick.static_sensitive) != 1:
+            return False
+        proc = tick.static_sensitive[0]
+        return proc is self._toggle_proc and not proc.terminated
+
+    def _edge(self) -> Tuple[bool, int]:
+        """The edge leaving the committed level: count it when rising
+        and return the new level with the delay to the edge after it."""
+        level = not self.signal._current
+        if level:
             self.cycles += 1
-            self._tick.notify(self._high_time)
+        return level, self._gaps[level]
+
+    def _toggle(self) -> None:
+        level, delay = self._edge()
+        self.signal.write(level)
+        self._tick.notify(delay)

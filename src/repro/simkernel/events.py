@@ -32,6 +32,10 @@ _TIMED = 2
 class Event:
     """A synchronization point processes can wait on and modules notify."""
 
+    #: The :class:`~repro.simkernel.clock.Clock` whose tick this is, if
+    #: any: lets the kernel apply a free-running edge inline.
+    _clock = None
+
     def __init__(self, sim: "Simulator", name: str = "") -> None:
         self.sim = sim
         self.name = name or f"event_{id(self):x}"

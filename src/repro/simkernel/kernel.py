@@ -11,7 +11,9 @@ Implements the SystemC scheduling algorithm:
    became runnable, repeat from 1 (a new *delta cycle*) without
    advancing time.
 4. **Time advance** — pop the earliest timed notifications, advance
-   ``now`` and repeat from 1.
+   ``now`` and repeat from 1.  A free-running clock edge with nothing
+   else due at its timestamp is applied by the run loop itself, with
+   the outcome of steps 1-3 for the clock's toggle process.
 
 The kernel is deliberately free of global state: any number of
 :class:`Simulator` instances can coexist (the co-simulation test-suite
@@ -43,6 +45,8 @@ class Simulator:
     obs = NULL_RECORDER
 
     def __init__(self, name: str = "sim", max_deltas: int = 10_000) -> None:
+        if max_deltas < 1:
+            raise ValueError(f"max_deltas must be >= 1, got {max_deltas}")
         self.name = name
         self.max_deltas = max_deltas
         self._now = 0
@@ -185,7 +189,12 @@ class Simulator:
         """
         if not self._elaborated:
             self.elaborate()
-        deltas = 0
+        return self._settle(0)
+
+    def _settle(self, deltas: int) -> int:
+        """:meth:`settle`, with *deltas* already run at this time (an
+        inline clock edge counts as one) toward the overflow bound."""
+        start = deltas
         max_deltas = self.max_deltas
         one_delta = self._one_delta
         while self._runnable or self._update_queue or self._delta_events:
@@ -196,48 +205,27 @@ class Simulator:
                     f"{self.name}: > {self.max_deltas} delta cycles at "
                     f"time {self._now} (combinational loop?)"
                 )
-        return deltas
+        return deltas - start
 
     def run_until(self, t_end: int) -> None:
         """Advance simulation, processing all events with time <= t_end.
 
         On return ``now == t_end`` (unless :meth:`stop` was called).
         """
+        self._check_end("run_until", t_end)
         obs = self.obs
         if not obs.enabled:
-            self._run_until(t_end)
+            self._run(t_end)
             return
         deltas = self.delta_count
         runs = self.process_runs
         token = obs.begin("simkernel", "run_until", sim=self._now)
         try:
-            self._run_until(t_end)
+            self._run(t_end)
         finally:
             obs.end(token, sim=self._now,
                     deltas=self.delta_count - deltas,
                     process_runs=self.process_runs - runs)
-
-    def _run_until(self, t_end: int) -> None:
-        self.elaborate()
-        if t_end < self._now:
-            raise SimulationError(
-                f"run_until({t_end}) is in the past (now={self._now})"
-            )
-        self._stop_requested = False
-        self._running = True
-        try:
-            while not self._stop_requested:
-                self.settle()
-                if self._stop_requested:
-                    break
-                entry = self._peek_timed()
-                if entry is None or entry[0] > t_end:
-                    break
-                self._advance_to(entry[0])
-            if not self._stop_requested and t_end > self._now:
-                self._now = t_end
-        finally:
-            self._running = False
 
     def run_until_leaping(self, t_end: int, clocks=()) -> int:
         """:meth:`run_until`, with an analytic fast path over quiet
@@ -255,46 +243,110 @@ class Simulator:
 
         Returns the number of edges applied analytically.
         """
-        self.elaborate()
+        self._check_end("run_until_leaping", t_end)
+        return self._run(t_end, clocks)
+
+    def run(self, duration: Optional[int] = None) -> None:
+        """Run for *duration* picoseconds, or until no activity remains."""
+        if duration is not None:
+            self.run_until(self._now + duration)
+            return
+        self._run(None)
+
+    def _check_end(self, verb: str, t_end: int) -> None:
         if t_end < self._now:
             raise SimulationError(
-                f"run_until_leaping({t_end}) is in the past "
-                f"(now={self._now})"
+                f"{verb}({t_end}) is in the past (now={self._now})"
             )
+
+    def _run(self, t_end: Optional[int], clocks=()) -> int:
+        """The run loop: settle, then advance to the earliest timed
+        notification, until none is due by *t_end* (None: until none
+        is left).  A lone free-running clock edge is applied inline
+        (:meth:`_clock_edge`); with *clocks*, quiet stretches of their
+        edges are leapt.  Returns the number of edges leapt."""
+        self.elaborate()
         leapt = 0
+        deltas = 0
         self._stop_requested = False
         self._running = True
         try:
-            while not self._stop_requested:
-                self.settle()
+            while True:
+                if self._runnable or self._update_queue or self._delta_events:
+                    self._settle(deltas)
+                deltas = 0
                 if self._stop_requested:
                     break
                 entry = self._peek_timed()
-                if entry is None or entry[0] > t_end:
+                if entry is None or (t_end is not None and entry[0] > t_end):
                     break
-                edges = 0
-                for clock in clocks:
-                    limit = self._quiet_limit(clock, t_end)
-                    if limit is not None:
-                        edges = self._leap_clock(clock, limit)
-                        if edges:
-                            break
-                if edges:
-                    leapt += edges
-                    continue
-                self._advance_to(entry[0])
-            if not self._stop_requested and t_end > self._now:
+                when, _seq, event = entry
+                if clocks:
+                    edges = self._leap(clocks, t_end)
+                    if edges:
+                        leapt += edges
+                        continue
+                clock = event._clock
+                if clock is not None and clock._free_running():
+                    queue = self._timed_queue
+                    heapq.heappop(queue)
+                    if queue and queue[0][0] == when:
+                        self._peek_timed()  # drop stale entries at *when*
+                    if not queue or queue[0][0] != when:
+                        self._clock_edge(clock, when)
+                        deltas = 1
+                        continue
+                    # Not alone: the tick heads its timestamp, so fire
+                    # it first and then the rest in heap order.
+                    self._now = when
+                    event._fired()
+                    self._trigger_event(event)
+                self._advance_to(when)
+            if (t_end is not None and not self._stop_requested
+                    and t_end > self._now):
                 self._now = t_end
         finally:
             self._running = False
         return leapt
 
+    def _clock_edge(self, clock, when: int) -> None:
+        """Apply *clock*'s edge at *when* inline: what firing its tick
+        and running the toggle process's delta would do, with the same
+        counters, the same heap push for the re-armed tick, the same
+        signal commit (edge events, observers) and the delta-notify
+        phase.  Processes the edge wakes run in the next delta."""
+        self._now = when
+        self.delta_count += 1
+        self.process_runs += 1
+        clock._toggle_proc.activations += 1
+        level, delay = clock._edge()
+        tick = clock._tick
+        when += delay
+        tick._pending_time = when
+        self._seq += 1
+        heapq.heappush(self._timed_queue, (when, self._seq, tick))
+        signal = clock.signal
+        signal._next = level
+        signal._update()
+        if self._delta_events:
+            self._fire_delta_events()
+
+    def _leap(self, clocks, t_end: int) -> int:
+        """Leap the first of *clocks* with a quiet stretch ahead."""
+        for clock in clocks:
+            limit = self._quiet_limit(clock, t_end)
+            if limit is not None:
+                edges = self._leap_clock(clock, limit)
+                if edges:
+                    return edges
+        return 0
+
     def _quiet_limit(self, clock, t_end: int) -> Optional[int]:
         """Latest time up to which *clock* may leap, or None.
 
         A leap is sound only when the clock's tick is the sole live
-        timed notification in the stretch, the tick drives exactly the
-        clock's own toggle process, and nothing can react to the
+        timed notification in the stretch, the tick is free-running
+        (:meth:`Clock._free_running`), and nothing can react to the
         signal's edges (no observers, no waiters on its lazily-created
         edge events).  Under those conditions no other process can run
         during the stretch, so the edge-by-edge outcome is closed-form.
@@ -302,10 +354,7 @@ class Simulator:
         tick = clock._tick
         if tick._pending_kind != _TIMED or tick._pending_time is None:
             return None
-        if tick.dynamic_waiters or len(tick.static_sensitive) != 1:
-            return None
-        proc = tick.static_sensitive[0]
-        if proc is not clock._toggle_proc or proc.terminated:
+        if not clock._free_running():
             return None
         sig = clock.signal
         if sig._observers or sig._update_pending:
@@ -343,13 +392,13 @@ class Simulator:
         level = bool(clock.signal._current)
         period = clock.period
         # Gap scheduled *after* an edge depends on the level it wrote.
-        gap0 = clock._low_time if level else clock._high_time
+        gap0 = clock._gaps[not level]
         n0 = (limit - e0) // period + 1
         e1 = e0 + gap0
         n1 = (limit - e1) // period + 1 if e1 <= limit else 0
         total = n0 + n1
         if total < 2:
-            return 0  # a lone edge is cheaper to run conservatively
+            return 0  # a lone edge is cheaper to apply inline
         rising = n1 if level else n0
         last0 = e0 + (n0 - 1) * period
         t_last = last0 if n1 == 0 else max(last0, e1 + (n1 - 1) * period)
@@ -363,28 +412,8 @@ class Simulator:
         clock.cycles += rising
         self._now = t_last
         tick.cancel()
-        tick.notify(clock._high_time if final_level else clock._low_time)
+        tick.notify(clock._gaps[final_level])
         return total
-
-    def run(self, duration: Optional[int] = None) -> None:
-        """Run for *duration* picoseconds, or until no activity remains."""
-        if duration is not None:
-            self.run_until(self._now + duration)
-            return
-        self.elaborate()
-        self._stop_requested = False
-        self._running = True
-        try:
-            while not self._stop_requested:
-                self.settle()
-                if self._stop_requested:
-                    break
-                entry = self._peek_timed()
-                if entry is None:
-                    break
-                self._advance_to(entry[0])
-        finally:
-            self._running = False
 
     def stop(self) -> None:
         """Request the current :meth:`run` call to return."""
@@ -541,13 +570,18 @@ class Simulator:
             for signal in updates:
                 signal._update()
         # Delta notification phase.
+        if self._delta_events:
+            self._fire_delta_events()
+
+    def _fire_delta_events(self) -> None:
+        """The delta-notification phase: fire every still-pending delta
+        notification, making its waiters runnable."""
         pending = self._delta_events
-        if pending:
-            self._delta_events = []
-            for event in pending:
-                if event._pending_kind == _DELTA:
-                    event._fired()
-                    self._trigger_event(event)
+        self._delta_events = []
+        for event in pending:
+            if event._pending_kind == _DELTA:
+                event._fired()
+                self._trigger_event(event)
 
     def _peek_timed(self) -> Optional[Tuple[int, int, Event]]:
         """Earliest live timed notification, skipping stale entries."""

@@ -17,11 +17,6 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.simkernel.kernel import Simulator
 
 
-def _is_high(value: Any) -> bool:
-    """Boolean level of a signal value, for edge detection."""
-    return bool(value)
-
-
 class Signal:
     """A single-driver signal carrying an arbitrary (comparable) value."""
 
@@ -110,8 +105,9 @@ class Signal:
         if changed is not None and (changed.static_sensitive
                                     or changed.dynamic_waiters):
             changed.notify_delta()
-        was_high, is_high = _is_high(old), _is_high(new)
-        if was_high != is_high:
+        # Edge detection on the values' boolean levels.
+        is_high = bool(new)
+        if bool(old) != is_high:
             edge = self._posedge if is_high else self._negedge
             if edge is not None and (edge.static_sensitive
                                      or edge.dynamic_waiters):

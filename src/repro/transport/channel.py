@@ -89,6 +89,15 @@ class MasterEndpoint:
         raise NotImplementedError
 
     def recv_report(self, timeout: Optional[float] = None) -> Optional[TimeReport]:
+        """Wait up to *timeout* seconds (None: forever) for the board's
+        time report; None when none arrived.
+
+        May also return None early while a DATA request is waiting, so
+        the caller can serve it before waiting again (the board cannot
+        report while its read is unanswered).  Callers that poll DATA
+        between waits therefore loop on None rather than treat it as
+        silence; the silence deadline is theirs to keep.
+        """
         raise NotImplementedError
 
     def send_interrupt(self, interrupt: Interrupt) -> None:

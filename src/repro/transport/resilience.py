@@ -278,12 +278,15 @@ class ResilientTcpMaster(MasterEndpoint):
             slice_s = self.config.heartbeat_interval_s
             if deadline is not None:
                 slice_s = min(slice_s, max(deadline - time.monotonic(), 0.0))
+            data = self._conns.get(DATA_PORT)  # None while dead
             try:
-                message = conn.recv(slice_s)
+                message = conn.recv(slice_s, wake=data)
             except (TransportError, OSError):
                 self._mark_dead(CLOCK_PORT)
                 continue
             if message is None:
+                if data is not None and data.ready():
+                    return None  # a DATA request is waiting: serve it
                 self._liveness.probe()
                 if expired():
                     return None

@@ -11,6 +11,7 @@ Figures 5 and 6 of the paper measure.
 
 from __future__ import annotations
 
+import select
 import socket
 import struct
 import time
@@ -47,12 +48,15 @@ class _FramedSocket:
     def send(self, message: Message) -> None:
         self.sock.sendall(encode(message))
 
-    def recv(self, timeout: Optional[float]) -> Optional[Message]:
+    def recv(self, timeout: Optional[float],
+             wake: Optional["_FramedSocket"] = None) -> Optional[Message]:
         """Receive one message; None on timeout.
 
         ``timeout`` is a wall-clock *deadline* for the whole message,
         not a per-chunk allowance: a peer dribbling partial frames
-        cannot stretch the wait beyond ``timeout`` seconds.
+        cannot stretch the wait beyond ``timeout`` seconds.  With
+        *wake*, also return None as soon as *wake* has input waiting
+        and this connection has none.
         """
         deadline = None if timeout is None else time.monotonic() + timeout
         try:
@@ -60,13 +64,19 @@ class _FramedSocket:
                 frame = self._extract_frame()
                 if frame is not None:
                     return decode(frame)
-                if deadline is None:
-                    self.sock.settimeout(None)
-                else:
+                remaining = None
+                if deadline is not None:
                     remaining = deadline - time.monotonic()
                     if remaining <= 0:
                         return None
-                    self.sock.settimeout(remaining)
+                if wake is not None:
+                    if wake._has_frame():
+                        return None
+                    readable, _, _ = select.select([self.sock, wake.sock],
+                                                   [], [], remaining)
+                    if self.sock not in readable:
+                        return None  # timed out, or *wake* has input
+                self.sock.settimeout(remaining)
                 chunk = self.sock.recv(65536)
                 if not chunk:
                     raise TransportError("peer closed the connection")
@@ -93,6 +103,19 @@ class _FramedSocket:
             self.sock.settimeout(prior_timeout)
         frame = self._extract_frame()
         return decode(frame) if frame is not None else None
+
+    def ready(self) -> bool:
+        """True when a frame is buffered or bytes wait on the socket."""
+        if self._has_frame():
+            return True
+        readable, _, _ = select.select([self.sock], [], [], 0)
+        return bool(readable)
+
+    def _has_frame(self) -> bool:
+        if len(self._rxbuf) < 4:
+            return False
+        (length,) = _LEN.unpack_from(self._rxbuf, 0)
+        return len(self._rxbuf) >= 4 + length
 
     def _extract_frame(self) -> Optional[bytes]:
         if len(self._rxbuf) < 4:
@@ -227,7 +250,9 @@ class TcpMaster(MasterEndpoint):
         self._conns[CLOCK_PORT].send(grant)
 
     def recv_report(self, timeout: Optional[float] = None) -> Optional[TimeReport]:
-        message = self._conns[CLOCK_PORT].recv(timeout)
+        # Wakes early on DATA input: the master serves it and waits again.
+        message = self._conns[CLOCK_PORT].recv(
+            timeout, wake=self._conns[DATA_PORT])
         if message is not None and not isinstance(message, TimeReport):
             raise TransportError(f"unexpected message on CLOCK port: {message!r}")
         return message

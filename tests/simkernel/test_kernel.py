@@ -122,6 +122,10 @@ class TestDeltaCycles:
         with pytest.raises(DeltaOverflowError):
             sim.settle()
 
+    def test_max_deltas_must_allow_one_delta(self):
+        with pytest.raises(ValueError, match="max_deltas"):
+            Simulator(max_deltas=0)
+
     def test_method_initialization_runs_once_at_start(self):
         sim = Simulator()
         runs = []

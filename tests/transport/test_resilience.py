@@ -192,6 +192,23 @@ class TestDataRecovery:
         assert master.stats.reconnects >= 1
 
 
+class TestReportWaitWakesOnData:
+    def test_data_frame_ends_the_wait(self, resilient_pair):
+        master, board = resilient_pair
+        master.send_grant(ClockGrant(seq=1, ticks=5))
+        assert board.recv_grant(timeout=5).seq == 1
+        sender = threading.Timer(0.05, board.data_write, (3, 99))
+        sender.start()
+        start = time.monotonic()
+        assert master.recv_report(timeout=5.0) is None
+        assert time.monotonic() - start < 1.0
+        sender.join()
+        request = master.poll_data()
+        assert request.address == 3 and request.value == 99
+        board.send_report(TimeReport(seq=1, board_ticks=5))
+        assert master.recv_report(timeout=5.0).board_ticks == 5
+
+
 class TestInterruptRecovery:
     def test_interrupts_flow_again_after_disconnect(self, resilient_pair):
         master, board = resilient_pair

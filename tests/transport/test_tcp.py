@@ -137,6 +137,64 @@ class TestTcpLink:
             lone.close()
 
 
+def _after(delay_s, fn, *args):
+    thread = threading.Timer(delay_s, fn, args)
+    thread.start()
+    return thread
+
+
+class TestReportWaitWakesOnData:
+    """The master's report wait returns early while a DATA request is
+    waiting, so the caller serves it instead of sleeping out its poll."""
+
+    def test_data_frame_ends_the_wait(self, tcp_pair):
+        master, board = tcp_pair
+        sender = _after(0.05, board.data_write, 3, 99)
+        start = time.monotonic()
+        assert master.recv_report(timeout=5.0) is None
+        assert time.monotonic() - start < 1.0
+        sender.join()
+        request = master.poll_data()
+        assert request.address == 3 and request.value == 99
+
+    def test_buffered_data_frame_ends_the_wait(self, tcp_pair):
+        master, board = tcp_pair
+        board.data_write(1, 10)
+        board.data_write(2, 20)
+        time.sleep(0.05)  # both frames in flight before the first poll
+        request = None
+        while request is None:
+            request = master.poll_data()  # reads both frames
+        start = time.monotonic()
+        assert master.recv_report(timeout=5.0) is None
+        assert time.monotonic() - start < 1.0
+        assert master.poll_data().address == 2
+
+    def test_report_still_returned(self, tcp_pair):
+        master, board = tcp_pair
+        sender = _after(0.05, board.send_report,
+                        TimeReport(seq=1, board_ticks=7))
+        assert master.recv_report(timeout=5.0).board_ticks == 7
+        sender.join()
+
+    def test_report_preferred_over_waiting_data(self, tcp_pair):
+        master, board = tcp_pair
+        board.data_write(3, 99)
+        board.send_report(TimeReport(seq=1, board_ticks=7))
+        deadline = time.monotonic() + 5.0
+        report = None
+        while report is None and time.monotonic() < deadline:
+            report = master.recv_report(timeout=0.5)
+        assert report.board_ticks == 7
+        assert master.poll_data().value == 99
+
+    def test_silence_still_times_out(self, tcp_pair):
+        master, _board = tcp_pair
+        start = time.monotonic()
+        assert master.recv_report(timeout=0.1) is None
+        assert time.monotonic() - start >= 0.09
+
+
 class TestFramedSocket:
     def test_oversized_length_prefix_rejected(self):
         """A corrupt length prefix (e.g. 0xFFFFFFFF) must fail fast
