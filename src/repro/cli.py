@@ -380,12 +380,19 @@ def _cmd_checkpoint(args: argparse.Namespace) -> int:
 
 def _cmd_fuzz(args: argparse.Namespace) -> int:
     from repro.difftest import FuzzSpec, fuzz, run_spec
+    from repro.difftest.backends import check_backends
+    from repro.errors import UnknownBackendError
 
     if args.backends:
         # Accept both "--backends inproc fmu" and "--backends inproc,fmu".
         args.backends = [name
                          for token in args.backends
                          for name in token.split(",") if name]
+        try:
+            check_backends(args.backends)
+        except UnknownBackendError as exc:
+            print(f"fuzz: {exc}", file=sys.stderr)
+            return 2
     log = None if args.quiet else print
     if args.lint_concurrency:
         # Pre-flight: a fuzz campaign over a protocol or locking bug

@@ -12,12 +12,12 @@ the loop cannot combine.  A pair it does not list runs.
 * ``degrade`` rows run with the row's *first* feature switched off; the
   reason says what the run does instead.
 
-Features (see :func:`features`): ``memo``, ``speculation``,
-``adaptive``, ``fault`` (a fault injector on a board link),
-``threaded``, ``multiboard``, ``checkpointer``, ``tracing`` and
-``plugin`` (the master's hardware is a plugin, see :mod:`repro.fmi`), plus
-two that only appear in rows: ``done`` (a ``done()`` probe passed to
-``run``) and ``restore`` (``restore_session``).
+Features (see :func:`features`): ``speculation``, ``adaptive``,
+``fault`` (a fault injector on a board link), ``threaded``,
+``multiboard``, ``checkpointer``, ``tracing`` and ``plugin`` (the
+master's hardware is a plugin, see :mod:`repro.fmi`), plus two that only
+appear in rows: ``done`` (a ``done()`` probe passed to ``run``) and
+``restore`` (``restore_session``).
 """
 
 from __future__ import annotations
@@ -30,29 +30,14 @@ from repro.transport.faults import find_fault_injector
 REFUSE = "refuse"
 DEGRADE = "degrade"
 
-_OFF_SNAPSHOT = ("the fault plan's drop/corruption schedule lives outside "
-                 "the session snapshot")
 _ONE_BOARD = "session snapshots cover the first board only"
 
 #: (feature, feature) -> (verdict, reason).
 COMPATIBILITY = {
-    ("memo", "speculation"): (
-        REFUSE, "memo and speculation both skip re-execution, and a memo "
-        "hit at a speculative boundary would be rolled back as if it had "
-        "been simulated"),
-    ("memo", "fault"): (
-        REFUSE, f"{_OFF_SNAPSHOT}, so memoized windows would silently "
-        "skip scheduled faults"),
-    ("memo", "adaptive"): (
-        REFUSE, "an adaptive window is sized after it is simulated, so "
-        "the memo, keyed on the granted ticks, would never be consulted"),
-    ("memo", "threaded"): (
-        REFUSE, "a threaded window is not a pure function of the session "
-        "snapshot"),
-    ("memo", "multiboard"): (REFUSE, _ONE_BOARD),
     ("speculation", "fault"): (
-        REFUSE, f"cannot speculate across a fault-injected link: "
-        f"{_OFF_SNAPSHOT}, so a rollback would not rewind it"),
+        REFUSE, "cannot speculate across a fault-injected link: the "
+        "fault plan's drop/corruption schedule lives outside the session "
+        "snapshot, so a rollback would not rewind it"),
     ("speculation", "adaptive"): (
         REFUSE, "adaptive synchronization sizes windows reactively and "
         "cannot be combined with speculation"),
@@ -79,7 +64,6 @@ COMPATIBILITY = {
 
 #: How messages name the features that are attached rather than built.
 _ATTACHED = {
-    "memo": "a window memo",
     "adaptive": "an adaptive window controller",
     "checkpointer": "a checkpointer",
     "restore": "restore_session",
@@ -89,8 +73,6 @@ _ATTACHED = {
 def features(session, done=None) -> Dict[str, str]:
     """The features *session* holds, each with a short description."""
     found = {}
-    if session.memo is not None:
-        found["memo"] = _ATTACHED["memo"]
     depth = session.config.speculation_depth
     if depth > 0:
         found["speculation"] = f"speculation_depth={depth}"

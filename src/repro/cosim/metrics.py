@@ -45,9 +45,6 @@ class CosimMetrics:
     checkpoints_taken: int = 0
     restores: int = 0
     windows_replayed: int = 0
-    #: Windows satisfied from the window-digest memo (see
-    #: repro.cosim.memo) instead of being re-executed.
-    windows_memoized: int = 0
     # Optimistic-synchronization counters (see repro.cosim.optimistic).
     #: Board windows executed speculatively, ahead of the simulator
     #: (committed and later-discarded windows both count).
@@ -129,7 +126,6 @@ class CosimMetrics:
             f"checkpoints={self.checkpoints_taken} "
             f"restores={self.restores} "
             f"windows_replayed={self.windows_replayed} "
-            f"memoized={self.windows_memoized} "
             f"speculated={self.windows_speculated} "
             f"rollbacks={self.rollbacks} "
             f"rollback_depth_max={self.rollback_depth_max} "

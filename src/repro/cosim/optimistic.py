@@ -55,8 +55,8 @@ The session speculates when ``config.speculation_depth > 0``.  Which
 features it combines with is declared in :mod:`repro.cosim.compat`:
 a ``done()`` probe degrades every window to the conservative one,
 since probing live state between windows is incompatible with the
-board running ahead; the window memo, a fault injector, adaptive
-windows, threads and several boards are refused.
+board running ahead; a fault injector, adaptive windows, threads and
+several boards are refused.
 """
 
 from __future__ import annotations

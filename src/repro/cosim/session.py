@@ -8,8 +8,7 @@ is chosen from the session's features (see :mod:`repro.cosim.compat`):
 * **window sizing** — the fixed ``config.t_sync``, or an
   :class:`~repro.cosim.adaptive.AdaptiveController` with reactive,
   interrupt-terminated windows (:meth:`_SessionBase.attach_adaptive`);
-* **window execution** — simulate, replay from a window memo
-  (:meth:`_SessionBase.attach_memo`), or speculate ahead
+* **window execution** — simulate, or speculate ahead
   (``config.speculation_depth > 0``, see :mod:`repro.cosim.optimistic`);
 * **topology** — a list of :class:`BoardSlot`; the paper's single board
   is one slot, :meth:`_SessionBase.for_boards` takes N;
@@ -41,7 +40,6 @@ interrupt on the endpoint of the board that owns the device.
 from __future__ import annotations
 
 import contextlib
-import copy
 import threading
 import time
 from typing import Callable, Optional, Sequence
@@ -122,9 +120,6 @@ class _SessionBase:
         self.checkpoints_taken = 0
         self.restores = 0
         self.windows_replayed = 0
-        #: Window-digest memo (see attach_memo).  Wiring, like trace.
-        self.memo = None  # lint: disable=SNAP001
-        self.windows_memoized = 0
         #: Adaptive window controller (see attach_adaptive); its state
         #: is checkpointed as extra/adaptive_controller.
         self.controller = None  # lint: disable=SNAP001
@@ -180,23 +175,6 @@ class _SessionBase:
         compat.check(compat.with_feature(self, "checkpointer"),
                      "checkpointer")
         self.checkpointer = checkpointer
-
-    def attach_memo(self, memo) -> None:
-        """Skip re-executing repeated windows via *memo* (a
-        :class:`~repro.cosim.memo.WindowMemo`).
-
-        Sound only where a window really is a pure function of
-        (snapshot state, ticks): each window boundary snapshots the
-        session; when the normalized pre-state matches a recorded
-        window, the memoized post-state is installed instead of
-        simulating.  With ``memo.verify`` set the window is executed
-        anyway and the prediction is checked — the differential fuzzer
-        runs that mode as an oracle.  The compatibility table refuses
-        the combinations where that purity fails (fault injectors,
-        speculation, adaptive windows, threads, several boards).
-        """
-        compat.check(compat.with_feature(self, "memo"), "memo")
-        self.memo = memo
 
     def attach_adaptive(self, policy: Optional[AdaptivePolicy] = None) -> None:
         """Size windows with an :class:`AdaptiveController` for
@@ -286,13 +264,6 @@ class _SessionBase:
                 )
             self.snapshotables[name].restore(subtree)
 
-    def _memo_snapshot(self) -> dict:
-        # Deep-copied so neither cached entries nor the live objects
-        # that a later restore() may adopt references from can alias
-        # the tree we keep (snapshot/restore promise plain data, not
-        # freshly-copied leaves).
-        return copy.deepcopy(self.snapshot())
-
     def close(self) -> None:
         """Release transport resources on both ends of every link."""
         for slot in self.slots:
@@ -316,8 +287,6 @@ class _SessionBase:
         active = compat.resolve(compat.features(self, done))
         if "speculation" in active:
             step = Speculator(self)
-        elif "memo" in active:
-            step = _MemoWindows(self)
         else:
             step = self._simulate_window
         metrics = self._new_metrics()
@@ -357,13 +326,11 @@ class _SessionBase:
 
     def _simulate_window(self, metrics: CosimMetrics,
                          max_cycles: Optional[int],
-                         max_windows: Optional[int] = None,
-                         ticks: Optional[int] = None) -> None:
+                         max_windows: Optional[int] = None) -> None:
         """Window execution "simulate": one grant/simulate/report
         exchange with every board, under a ``session.window`` span."""
         master = self.master
-        if ticks is None:
-            ticks = self._window_ticks(max_cycles)
+        ticks = self._window_ticks(max_cycles)
         ints_before = master.interrupts_sent
         data_before = self._data_messages()
         token = None
@@ -444,7 +411,6 @@ class _SessionBase:
         metrics.checkpoints_taken = self.checkpoints_taken
         metrics.restores = self.restores
         metrics.windows_replayed = self.windows_replayed
-        metrics.windows_memoized = self.windows_memoized
         metrics.windows_speculated = self.windows_speculated
         metrics.rollbacks = self.rollbacks
         metrics.rollback_depth_max = self.rollback_depth_max
@@ -459,44 +425,6 @@ class _SessionBase:
             metrics.spans_dropped = self.obs.dropped_spans
         metrics.finish_modeled(self.config.wall_cost)
         return metrics
-
-
-class _MemoWindows:
-    """Window execution "memo": install a recorded window's post-state
-    when the pre-state matches, simulate (and record) otherwise."""
-
-    def __init__(self, session: _SessionBase) -> None:
-        self.session = session
-        self.memo = session.memo
-        #: The current boundary's snapshot, carried between windows.
-        self.pre = None
-
-    def __call__(self, metrics: CosimMetrics, max_cycles: Optional[int],
-                 max_windows: Optional[int]) -> None:
-        session = self.session
-        memo = self.memo
-        ticks = session._window_ticks(max_cycles)
-        if self.pre is None:
-            self.pre = session._memo_snapshot()
-        entry = memo.lookup(self.pre, ticks)
-        if entry is not None and not memo.verify:
-            ints_before = session.master.interrupts_sent
-            data_before = session._data_messages()
-            post = memo.apply(self.pre, entry)
-            session.restore(copy.deepcopy(post))
-            session.windows_memoized += 1
-            session._after_window(metrics, ticks, ints_before, data_before)
-            self.pre = post
-            return
-        session._simulate_window(metrics, max_cycles, ticks=ticks)
-        post = session._memo_snapshot()
-        if entry is not None:
-            # verify mode: the window ran anyway — check the memoized
-            # prediction against reality.
-            memo.check(self.pre, entry, post)
-        else:
-            memo.record(self.pre, ticks, post)
-        self.pre = post
 
 
 class InprocSession(_SessionBase):

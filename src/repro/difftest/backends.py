@@ -30,7 +30,7 @@ from repro.cosim import (
 from repro.devices import AcceleratorDriver, ChecksumAccelerator
 from repro.difftest.progbuilder import build_program
 from repro.difftest.workload import FuzzSpec
-from repro.errors import ReproError
+from repro.errors import UnknownBackendError
 from repro.iss import NUM_REGS, IssCpu, TimingModel
 from repro.replay import (
     SessionRecording,
@@ -50,8 +50,8 @@ from repro.transport.queues import QueueLink
 
 #: Backends per scenario; the first entry is the reference backend.
 SCENARIO_BACKENDS: Dict[str, List[str]] = {
-    "router": ["inproc", "rerun", "replay", "memo", "optimistic",
-               "fmu", "queue", "tcp"],
+    "router": ["inproc", "rerun", "replay", "optimistic", "fmu", "queue",
+               "tcp"],
     "iss": ["iss-default", "iss-unit"],
     "adaptive": ["adaptive", "adaptive-rerun"],
     "multiboard": ["multi-inproc", "multi-threaded"],
@@ -59,6 +59,18 @@ SCENARIO_BACKENDS: Dict[str, List[str]] = {
 
 #: Backends excluded unless explicitly requested (slow: real sockets).
 OPTIONAL_BACKENDS = {"tcp"}
+
+
+def check_backends(requested: List[str]) -> None:
+    """Raise :class:`UnknownBackendError` for any name in *requested*
+    that no scenario runs."""
+    known = sorted({name for names in SCENARIO_BACKENDS.values()
+                    for name in names})
+    unknown = [name for name in requested if name not in known]
+    if unknown:
+        raise UnknownBackendError(
+            f"unknown difftest backend(s): {', '.join(unknown)} "
+            f"(known: {', '.join(known)})")
 
 
 def scenario_backends(scenario: str,
@@ -118,8 +130,7 @@ def run_backend(spec: FuzzSpec, backend: str,
     a finding rather than an abort of the whole fuzz loop.
     """
     try:
-        if backend in ("inproc", "rerun", "memo", "optimistic", "queue",
-                       "tcp"):
+        if backend in ("inproc", "rerun", "optimistic", "queue", "tcp"):
             return _run_router(spec, backend)
         if backend == "replay":
             return _run_replay(spec, recording)
@@ -131,7 +142,7 @@ def run_backend(spec: FuzzSpec, backend: str,
             return _run_adaptive(spec, backend)
         if backend in ("multi-inproc", "multi-threaded"):
             return _run_multiboard(spec, backend)
-        raise ReproError(f"unknown difftest backend {backend!r}")
+        raise UnknownBackendError(f"unknown difftest backend {backend!r}")
     except Exception as exc:  # noqa: BLE001 - any crash is a finding
         return RunOutcome(backend=backend, ok=False,
                           error=f"{type(exc).__name__}: {exc}")
@@ -141,24 +152,14 @@ def run_backend(spec: FuzzSpec, backend: str,
 # Router scenario
 # ----------------------------------------------------------------------
 def _run_router(spec: FuzzSpec, backend: str) -> RunOutcome:
-    mode = ("inproc" if backend in ("inproc", "rerun", "memo",
-                                    "optimistic") else backend)
-    # The memo backend exercises the real skip path on fault-free
-    # specs: repeated windows are satisfied from the cache, and the
-    # cross-backend oracles then hold the final digest and trace to
-    # the reference run's — any normalization bug becomes a finding.
-    # Fault plans carry hidden state outside the session snapshot
-    # (drop schedules indexed by message count), which breaks the
-    # memo's purity requirement — those specs run as a plain second
-    # inproc execution instead.
-    use_memo = backend == "memo" and spec.fault_plan() is None
+    mode = ("inproc" if backend in ("inproc", "rerun", "optimistic")
+            else backend)
     # The optimistic backend speculates with a spec-derived depth and
     # must land on bit-identical trace rows and digests — the oracles
     # are exactly the ≥2x-throughput claim's correctness half.  Fault
     # plans are hidden off-snapshot state a rollback cannot rewind
     # (the compatibility table refuses the combination), so faulted
-    # specs run as a plain second conservative execution instead, like
-    # memo.
+    # specs run as a plain second conservative execution instead.
     use_optimistic = (backend == "optimistic"
                       and spec.fault_plan() is None)
     # Deterministic flavours record: the finalized recording's trace
@@ -166,12 +167,11 @@ def _run_router(spec: FuzzSpec, backend: str) -> RunOutcome:
     # drop packets the master sent), which is the representation the
     # replay backend reconstructs — comparing raw live rows against a
     # replay would flag every dropped interrupt as a divergence.  A
-    # memoized run cannot record (skipped windows exchange no
-    # messages), but then it never runs under faults, so its live rows
-    # equal the board-visible ones.  Only the reference ``inproc``
-    # recording is handed onward to the replay backend.
+    # speculating run does not record, but then it never runs under
+    # faults, so its live rows equal the board-visible ones.  Only the
+    # reference ``inproc`` recording is handed onward to the replay
+    # backend.
     record = (backend in ("inproc", "rerun")
-              or (backend == "memo" and not use_memo)
               or (backend == "optimistic" and not use_optimistic))
     recording = SessionRecording() if record else None
     config = spec.cosim_config()
@@ -185,12 +185,6 @@ def _run_router(spec: FuzzSpec, backend: str) -> RunOutcome:
         fault_plan=spec.fault_plan(), recorder=recording)
     trace = ProtocolTrace()
     cosim.session.attach_trace(trace)
-    memo = None
-    if use_memo:
-        from repro.cosim.memo import WindowMemo
-
-        memo = WindowMemo()
-        cosim.session.attach_memo(memo)
     # Fixed cycle budget, no drain condition: every backend covers the
     # exact same window schedule, which the cross-backend oracles need.
     metrics = cosim.run(max_cycles=spec.max_cycles, await_drain=False)
@@ -210,9 +204,6 @@ def _run_router(spec: FuzzSpec, backend: str) -> RunOutcome:
         deterministic=(mode == "inproc"),
         recording=recording if backend == "inproc" else None,
     )
-    if memo is not None:
-        outcome.extra["memo_hits"] = memo.hits
-        outcome.extra["memo_misses"] = memo.misses
     if use_optimistic:
         outcome.extra["speculation_depth"] = config.speculation_depth
         outcome.extra["windows_speculated"] = metrics.windows_speculated

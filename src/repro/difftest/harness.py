@@ -23,6 +23,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.difftest.backends import (
     RunOutcome,
+    check_backends,
     run_backend,
     scenario_backends,
 )
@@ -92,7 +93,13 @@ class FuzzReport:
 def run_spec(spec: FuzzSpec,
              backends: Optional[Sequence[str]] = None
              ) -> Tuple[Dict[str, RunOutcome], List[Mismatch]]:
-    """Sweep one spec through its backends and run every oracle."""
+    """Sweep one spec through its backends and run every oracle.
+
+    *backends* restricts the sweep; a name that no scenario runs raises
+    :class:`~repro.errors.UnknownBackendError`.
+    """
+    if backends:
+        check_backends(list(backends))
     names = scenario_backends(spec.scenario,
                               list(backends) if backends else None)
     outcomes: Dict[str, RunOutcome] = {}

@@ -57,6 +57,10 @@ class QuotaExceeded(FarmError):
     """A tenant's submission would exceed its farm quota."""
 
 
+class UnknownBackendError(ReproError):
+    """A differential-fuzz backend name that no scenario runs."""
+
+
 class AssemblerError(IssError):
     """One or more errors raised while assembling a program.
 

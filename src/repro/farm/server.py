@@ -17,7 +17,8 @@ GET      ``/stream``                 NDJSON event feed (``?cursor=N``)
 GET      ``/jobs/<id>/stream``       NDJSON feed, ends when terminal
 =======  ==========================  ====================================
 
-Status codes: 400 malformed job, 404 unknown job/route, 429 quota
+Status codes: 400 malformed job, ``Content-Length`` or ``cursor``, 404
+unknown job/route, 413 body over :data:`MAX_BODY_BYTES`, 429 quota
 exceeded, 503 farm shutting down.
 
 :func:`serve` is the ``repro serve`` entry point: it owns the signal
@@ -44,6 +45,29 @@ from repro.farm.job import TERMINAL_STATES, Job, validate_job_dict
 #: How long one streaming iteration blocks for fresh events before
 #: re-checking for shutdown/disconnect.
 STREAM_TICK_S = 0.5
+
+#: Largest request body accepted; a job document is a few hundred
+#: bytes.
+MAX_BODY_BYTES = 1 << 20
+
+
+class _BadRequest(Exception):
+    """A request answered with *status* and a JSON error document."""
+
+    def __init__(self, status: int, message: str) -> None:
+        super().__init__(message)
+        self.status = status
+
+
+def _non_negative(name: str, text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise _BadRequest(
+            400, f"{name} must be a non-negative integer, not {text!r}")
+    return value
 
 
 class _Handler(BaseHTTPRequestHandler):
@@ -73,7 +97,18 @@ class _Handler(BaseHTTPRequestHandler):
         self._send_json({"error": message}, status=status)
 
     def _read_body(self) -> Optional[Dict[str, Any]]:
-        length = int(self.headers.get("Content-Length", 0) or 0)
+        try:
+            length = _non_negative("Content-Length",
+                                   self.headers.get("Content-Length") or "0")
+            if length > MAX_BODY_BYTES:
+                raise _BadRequest(
+                    413, f"request body of {length} bytes exceeds "
+                    f"{MAX_BODY_BYTES}")
+        except _BadRequest:
+            # The body is left unread, so the connection cannot carry
+            # another request.
+            self.close_connection = True
+            raise
         raw = self.rfile.read(length) if length else b""
         if not raw:
             return None
@@ -88,8 +123,17 @@ class _Handler(BaseHTTPRequestHandler):
                  for key, values in parse_qs(parsed.query).items()}
         return parsed.path.rstrip("/") or "/", query
 
+    def _answer(self, handle) -> None:
+        try:
+            handle()
+        except _BadRequest as exc:
+            self._error(exc.status, str(exc))
+
     # -- GET -----------------------------------------------------------
     def do_GET(self) -> None:  # noqa: N802 - http.server API
+        self._answer(self._get)
+
+    def _get(self) -> None:
         path, query = self._route()
         if path == "/health":
             self._send_json({"ok": True})
@@ -106,8 +150,9 @@ class _Handler(BaseHTTPRequestHandler):
             self._send_json({"jobs": jobs})
             return
         if path == "/stream":
-            self._stream(cursor=int(query.get("cursor", 0)),
-                         job_id=None)
+            self._stream(
+                cursor=_non_negative("cursor", query.get("cursor", "0")),
+                job_id=None)
             return
         parts = path.strip("/").split("/")
         if len(parts) >= 2 and parts[0] == "jobs":
@@ -126,13 +171,17 @@ class _Handler(BaseHTTPRequestHandler):
                 self._send_json(result)
                 return
             if parts[2] == "stream":
-                self._stream(cursor=int(query.get("cursor", 0)),
-                             job_id=job.job_id)
+                self._stream(
+                    cursor=_non_negative("cursor", query.get("cursor", "0")),
+                    job_id=job.job_id)
                 return
         self._error(404, f"no route for GET {path}")
 
     # -- POST ----------------------------------------------------------
     def do_POST(self) -> None:  # noqa: N802 - http.server API
+        self._answer(self._post)
+
+    def _post(self) -> None:
         path, _query = self._route()
         if path == "/jobs":
             doc = self._read_body()

@@ -147,54 +147,64 @@ class IssCpu:
         if self.halted:
             raise IssError("stepping a halted CPU")
         pc = self.pc
-        if not 0 <= pc < len(self._ops):
-            raise IssError(f"pc {pc} outside the program")
-        next_pc = self._ops[pc](self)
-        if next_pc is not None:
-            self.pc = next_pc
+        self._run(1, chunk=1)
         return self.program.instructions[pc]
 
     def run(self, max_instructions: int = 10_000_000) -> Tuple[int, int]:
         """Run until ``halt``; returns ``(instructions, cycles)``."""
         if not self.obs.enabled:
-            return self._run(max_instructions)
+            self._run(max_instructions)
+            return self.instructions_retired, self.cycles
         instructions = self.instructions_retired
         cycles = self.cycles
         token = self.obs.begin("iss", "run", sim=self.cycles)
         try:
-            return self._run(max_instructions)
+            self._run(max_instructions)
         finally:
             self.obs.end(
                 token, sim=self.cycles,
                 instructions=self.instructions_retired - instructions,
                 cycles=self.cycles - cycles,
             )
+        return self.instructions_retired, self.cycles
 
-    def _run(self, max_instructions: int) -> Tuple[int, int]:
+    def _run(self, max_instructions: int, chunk: Optional[int] = None,
+             spent: int = 0) -> int:
+        """The one execution loop; returns how many instructions ran.
+
+        Runs until ``halt`` or, with *chunk*, until that many
+        instructions have run.  *spent* instructions of the
+        *max_instructions* budget are already used; needing one past
+        the budget raises.
+        """
         if self.halted:
-            return self.instructions_retired, self.cycles
+            return 0
         ops = self._ops
         size = len(ops)
-        remaining = max_instructions
+        remaining = max_instructions - spent
+        # Whether the chunk, not the budget, ends this call.
+        bounded = chunk is not None and chunk <= remaining
+        limit = chunk if bounded else remaining
+        executed = 0
         pc: Optional[int] = self.pc
         try:
-            while pc is not None:
-                if remaining <= 0:
-                    raise IssError(
-                        f"program did not halt within {max_instructions} "
-                        "instructions"
-                    )
+            while pc is not None and executed < limit:
                 if not 0 <= pc < size:
                     raise IssError(f"pc {pc} outside the program")
                 pc = ops[pc](self)
-                remaining -= 1
+                executed += 1
         finally:
             # ``halt`` closures set pc themselves (and return None);
             # everything else leaves the loop-local pc to write back —
             # including mid-instruction faults, which must not advance.
             if pc is not None:
                 self.pc = pc
-        return self.instructions_retired, self.cycles
+        if pc is not None and not bounded:
+            raise IssError(
+                f"program did not halt within {max_instructions} "
+                "instructions"
+            )
+        return executed
 
 
 # ----------------------------------------------------------------------

@@ -38,29 +38,21 @@ def run_program(cpu: IssCpu, chunk_instructions: int = 64,
     """
     if chunk_instructions <= 0:
         raise IssError("chunk_instructions must be positive")
-    remaining = max_instructions
+    spent = 0
     while not cpu.halted:
         cycles_before = cpu.cycles
-        executed = 0
         # Each chunk runs synchronously between preemption points, so a
         # span here never straddles a yield.
         token = None
         if cpu.obs.enabled:
+            retired = cpu.instructions_retired
             token = cpu.obs.begin("iss", "chunk", sim=cpu.cycles)
         try:
-            while not cpu.halted and executed < chunk_instructions:
-                if remaining <= 0:
-                    raise IssError(
-                        f"program did not halt within {max_instructions} "
-                        "instructions"
-                    )
-                cpu.step()
-                executed += 1
-                remaining -= 1
+            spent += cpu._run(max_instructions, chunk_instructions, spent)
         finally:
             if token is not None:
                 cpu.obs.end(token, sim=cpu.cycles,
-                            instructions=executed)
+                            instructions=cpu.instructions_retired - retired)
         charged = cpu.cycles - cycles_before
         if charged > 0:
             yield CpuWork(charged)

@@ -1,12 +1,12 @@
 """Snapshot-purity analysis (rules SNAP001–SNAP003).
 
-Checkpointing, replay, the window memo and the coming rollback backend
-all assume one thing about every Snapshotable class: ``snapshot()``
-captures *all* the state that evolves, and ``restore()`` re-establishes
-it.  PR 6 found the counterexample dynamically — fault injectors hold
-drop schedules outside the snapshot, which silently broke the window
-memo — and this pass exists so the next such class is caught before a
-fuzzer has to trip over it.
+Checkpointing, replay and speculation's rollback all assume one thing
+about every Snapshotable class: ``snapshot()`` captures *all* the state
+that evolves, and ``restore()`` re-establishes it.  The fuzzer once
+found the counterexample dynamically — fault injectors hold drop
+schedules outside the snapshot, so a restored session silently skipped
+scheduled faults — and this pass exists so the next such class is
+caught before a fuzzer has to trip over it.
 
 For every class that defines both ``snapshot`` and ``restore``, the
 pass statically diffs three views of its state:

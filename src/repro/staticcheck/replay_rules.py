@@ -24,7 +24,7 @@ sweep does, so gaps surface before anyone attaches a checkpointer.
 
 A session holding any pair of features that the compatibility table
 (:mod:`repro.cosim.compat`) refuses is reported as an *error* — a
-memo attached beside a fault injector or beside speculation, say.
+fault injector beside speculation, say.
 Sessions refuse those pairs themselves before window 0; this rule
 catches sessions assembled by hand around those guards.
 """

@@ -141,31 +141,17 @@ class TestAdaptiveSession:
         assert controller.mean_window < 2000
 
 
-class TestAdaptiveMemo:
-    """A memo on an adaptive session used to be attached and then never
-    consulted: the run recorded nothing, and ``WindowMemo(verify=True)``
-    verified nothing.  The compatibility table refuses the pair."""
+class TestHandWiredController:
+    """A controller set by hand on a speculating session bypasses
+    attach_adaptive's check; run() still refuses the pair before
+    window 0."""
 
-    def _cosim(self):
-        return build_router_cosim(
-            CosimConfig(), RouterWorkload(packets_per_producer=3,
-                                          interval_cycles=20_000),
-            adaptive=AdaptivePolicy())
-
-    def test_attach_memo_refused(self):
-        from repro.cosim.memo import WindowMemo
-
-        cosim = self._cosim()
+    def test_refused_before_window_zero(self):
+        cosim = build_router_cosim(
+            CosimConfig(speculation_depth=2),
+            RouterWorkload(packets_per_producer=3, interval_cycles=20_000))
+        cosim.session.controller = AdaptiveController(AdaptivePolicy())
         with pytest.raises(ProtocolError, match="adaptive"):
-            cosim.session.attach_memo(WindowMemo(verify=True))
-        assert cosim.session.memo is None
-
-    def test_hand_attached_memo_refused_before_window_zero(self):
-        from repro.cosim.memo import WindowMemo
-
-        cosim = self._cosim()
-        cosim.session.memo = WindowMemo(verify=True)
-        with pytest.raises(ProtocolError, match="memo"):
             cosim.run(max_cycles=100_000, await_drain=False)
         assert cosim.master.clock.cycles == 0
         assert cosim.session.windows_completed == 0

@@ -24,8 +24,7 @@ from repro.cosim import (
     build_driver_sim,
     compat,
 )
-from repro.cosim.adaptive import AdaptivePolicy
-from repro.cosim.memo import WindowMemo
+from repro.cosim.adaptive import AdaptiveController, AdaptivePolicy
 from repro.devices import AcceleratorDriver, ChecksumAccelerator
 from repro.errors import ProtocolError
 from repro.replay.checkpoint import Checkpointer
@@ -33,8 +32,8 @@ from repro.transport.faults import FaultPlan, FaultyBoardEndpoint
 from repro.transport.inproc import InprocLink
 from repro.transport.queues import QueueLink
 
-FEATURES = ("memo", "speculation", "adaptive", "fault", "threaded",
-            "multiboard", "checkpointer", "tracing")
+FEATURES = ("speculation", "adaptive", "fault", "threaded", "multiboard",
+            "checkpointer", "tracing")
 MAX_CYCLES = 400
 
 
@@ -94,8 +93,6 @@ class Rig:
             self.session.attach_adaptive(
                 AdaptivePolicy(min_t_sync=10, initial_t_sync=40,
                                max_t_sync=160))
-        if "memo" in features:
-            self.session.attach_memo(WindowMemo())
         if "checkpointer" in features:
             self.session.attach_checkpointer(Checkpointer(every=2))
         return self.session.run(max_cycles=MAX_CYCLES)
@@ -135,8 +132,8 @@ def test_pair_runs_or_is_refused_before_window_zero(a, b):
     assert metrics.windows == rig.session.windows_completed > 0
     assert rig.session.aligned()
     if not {a, b} & SHAPING:
-        # Memo, speculation, an idle fault injector, checkpoints and
-        # tracing must not change a single window.
+        # Speculation, an idle fault injector, checkpoints and tracing
+        # must not change a single window.
         assert rows(rig) == rows(plain_run())
 
 
@@ -149,13 +146,13 @@ def test_every_feature_runs_alone(feature):
 
 
 def test_hand_wired_refused_pair_is_caught_by_run():
-    # attach_memo would refuse; a harness that sets the attribute
+    # attach_adaptive would refuse; a harness that sets the attribute
     # directly is stopped by run() before window 0 instead.
     rig = Rig({"speculation"})
     rig.session = InprocSession.for_boards(rig.master, rig.slots,
                                            rig.config)
-    rig.session.memo = WindowMemo()
-    with pytest.raises(ProtocolError, match="memo"):
+    rig.session.controller = AdaptiveController(AdaptivePolicy())
+    with pytest.raises(ProtocolError, match="adaptive window controller"):
         rig.session.run(max_cycles=MAX_CYCLES)
     assert rig.master.clock.cycles == 0
     assert rig.session.windows_completed == 0

@@ -1,10 +1,9 @@
 """Speculation guard rails and wiring regressions.
 
 The speculation machinery's *refusals* — every combination that holds
-state outside the snapshot tree (window memo, fault plan) or inspects
-live state between windows (done() probe, adaptive policy, threaded
-transport) must be rejected or degraded, never silently speculated
-over.  The happy-path equivalence lives in
+state outside the snapshot tree (a fault plan) or inspects live state
+between windows (done() probe, adaptive policy, threaded transport)
+must be rejected or degraded, never silently speculated over.  The happy-path equivalence lives in
 ``test_optimistic_properties.py``; the seeded-defect convictions in
 ``test_optimistic_defects.py``.
 """
@@ -12,7 +11,6 @@ over.  The happy-path equivalence lives in
 import pytest
 
 from repro.cosim import CosimConfig
-from repro.cosim.memo import WindowMemo
 from repro.errors import ProtocolError
 from repro.router.testbench import RouterWorkload, build_router_cosim
 
@@ -49,28 +47,6 @@ class TestConfig:
         summary = metrics.summary()
         assert "speculated=" in summary
         assert "rollbacks=0" in summary
-
-
-class TestMemoExclusion:
-    def test_attach_memo_refused_while_speculating(self):
-        cosim = build(depth=2)
-        with pytest.raises(ProtocolError, match="speculation"):
-            cosim.session.attach_memo(WindowMemo())
-        assert cosim.session.memo is None
-
-    def test_run_refuses_hand_attached_memo(self):
-        # A harness that bypasses attach_memo must still be caught at
-        # run time — the memo hit would be rolled back as if simulated.
-        cosim = build(depth=2)
-        cosim.session.memo = WindowMemo()
-        with pytest.raises(ProtocolError, match="memo"):
-            cosim.run(max_cycles=2000, await_drain=False)
-
-    def test_depth_zero_still_accepts_memo(self):
-        cosim = build(depth=0)
-        cosim.session.attach_memo(WindowMemo())
-        metrics = cosim.run(max_cycles=2000, await_drain=False)
-        assert metrics.windows > 0
 
 
 class TestFaultExclusion:

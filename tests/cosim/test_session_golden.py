@@ -15,7 +15,6 @@ import pytest
 
 from repro.cosim import CosimConfig, ProtocolTrace
 from repro.cosim.adaptive import AdaptivePolicy
-from repro.cosim.memo import WindowMemo
 from repro.difftest import FuzzSpec
 from repro.difftest.backends import run_backend
 from repro.replay import board_state_summary
@@ -33,13 +32,11 @@ def int_counters(metrics) -> dict:
             if type(getattr(metrics, f.name)) is int}
 
 
-def _router(config, max_cycles, memo=None, adaptive=None):
+def _router(config, max_cycles, adaptive=None):
     cosim = build_router_cosim(config, RouterWorkload(**WORKLOAD),
                                adaptive=adaptive)
     trace = ProtocolTrace()
     cosim.session.attach_trace(trace)
-    if memo is not None:
-        cosim.session.attach_memo(memo)
     metrics = cosim.run(max_cycles=max_cycles, await_drain=False)
     return ([r.as_row() for r in trace.records], int_counters(metrics),
             state_digest(cosim.session.snapshot()))
@@ -47,10 +44,6 @@ def _router(config, max_cycles, memo=None, adaptive=None):
 
 def run_inproc():
     return _router(CosimConfig(t_sync=1000), 12_000)
-
-
-def run_memo():
-    return _router(CosimConfig(t_sync=1000), 14_000, memo=WindowMemo())
 
 
 def run_optimistic():
@@ -95,7 +88,6 @@ def run_multi_inproc():
 
 FLAVOURS = {
     "inproc": run_inproc,
-    "memo": run_memo,
     "optimistic": run_optimistic,
     "adaptive": run_adaptive,
     "multi-inproc": run_multi_inproc,
@@ -126,7 +118,7 @@ GOLDEN = {
             "reconnects": 0, "reconnect_attempts": 0, "replays": 0,
             "heartbeats_sent": 0, "heartbeats_acked": 0,
             "checkpoints_taken": 0, "restores": 0, "windows_replayed": 0,
-            "windows_memoized": 0, "windows_speculated": 0, "rollbacks": 0,
+            "windows_speculated": 0, "rollbacks": 0,
             "rollback_depth_max": 0, "spans_recorded": 0, "span_events": 0,
             "spans_dropped": 0, "farm_jobs": 0, "farm_jobs_done": 0,
             "farm_jobs_failed": 0, "farm_queue_depth_peak": 0,
@@ -152,7 +144,7 @@ GOLDEN = {
             "reconnects": 0, "reconnect_attempts": 0, "replays": 0,
             "heartbeats_sent": 0, "heartbeats_acked": 0,
             "checkpoints_taken": 0, "restores": 0, "windows_replayed": 0,
-            "windows_memoized": 0, "windows_speculated": 0, "rollbacks": 0,
+            "windows_speculated": 0, "rollbacks": 0,
             "rollback_depth_max": 0, "spans_recorded": 0, "span_events": 0,
             "spans_dropped": 0, "farm_jobs": 0, "farm_jobs_done": 0,
             "farm_jobs_failed": 0, "farm_queue_depth_peak": 0,
@@ -178,7 +170,7 @@ GOLDEN = {
             "reconnects": 0, "reconnect_attempts": 0, "replays": 0,
             "heartbeats_sent": 0, "heartbeats_acked": 0,
             "checkpoints_taken": 0, "restores": 0, "windows_replayed": 0,
-            "windows_memoized": 0, "windows_speculated": 0, "rollbacks": 0,
+            "windows_speculated": 0, "rollbacks": 0,
             "rollback_depth_max": 0, "spans_recorded": 0, "span_events": 0,
             "spans_dropped": 0, "farm_jobs": 0, "farm_jobs_done": 0,
             "farm_jobs_failed": 0, "farm_queue_depth_peak": 0,
@@ -186,33 +178,6 @@ GOLDEN = {
             "farm_timeouts": 0,
         },
         "digest": "1dc50c36400509b360f582bbeedb5108ce6807c8eac5f52a3597e39e141cef91",
-    },
-    "memo": {
-        "rows": [
-            [0, 1000, 1000, 1000, 1, 17], [1, 1000, 2000, 2000, 1, 17],
-            [2, 1000, 3000, 3000, 1, 12], [3, 1000, 4000, 4000, 0, 0],
-            [4, 1000, 5000, 5000, 0, 0], [5, 1000, 6000, 6000, 0, 0],
-            [6, 1000, 7000, 7000, 0, 0], [7, 1000, 8000, 8000, 0, 0],
-            [8, 1000, 9000, 9000, 0, 0], [9, 1000, 10000, 10000, 0, 0],
-            [10, 1000, 11000, 11000, 0, 0], [11, 1000, 12000, 12000, 0, 0],
-            [12, 1000, 13000, 13000, 0, 0], [13, 1000, 14000, 14000, 0, 0],
-        ],
-        "counters": {
-            "t_sync": 1000, "windows": 14, "sync_exchanges": 14,
-            "master_cycles": 14000, "board_ticks": 14000,
-            "board_cycles": 14000020, "int_packets": 3, "data_messages": 46,
-            "messages_total": 77, "bytes_total": 1884, "state_switches": 29,
-            "reconnects": 0, "reconnect_attempts": 0, "replays": 0,
-            "heartbeats_sent": 0, "heartbeats_acked": 0,
-            "checkpoints_taken": 0, "restores": 0, "windows_replayed": 0,
-            "windows_memoized": 8, "windows_speculated": 0, "rollbacks": 0,
-            "rollback_depth_max": 0, "spans_recorded": 0, "span_events": 0,
-            "spans_dropped": 0, "farm_jobs": 0, "farm_jobs_done": 0,
-            "farm_jobs_failed": 0, "farm_queue_depth_peak": 0,
-            "farm_workers_busy_peak": 0, "farm_crashes": 0,
-            "farm_timeouts": 0,
-        },
-        "digest": "8780e2cd5fab5760edcbd55ef431a6edee8643831d04f9e250890213578c62ef",
     },
     "multi-inproc": {
         "rows": None,
@@ -241,7 +206,7 @@ GOLDEN = {
             "reconnects": 0, "reconnect_attempts": 0, "replays": 0,
             "heartbeats_sent": 0, "heartbeats_acked": 0,
             "checkpoints_taken": 0, "restores": 0, "windows_replayed": 0,
-            "windows_memoized": 0, "windows_speculated": 17, "rollbacks": 2,
+            "windows_speculated": 17, "rollbacks": 2,
             "rollback_depth_max": 3, "spans_recorded": 0, "span_events": 0,
             "spans_dropped": 0, "farm_jobs": 0, "farm_jobs_done": 0,
             "farm_jobs_failed": 0, "farm_queue_depth_peak": 0,

@@ -1,7 +1,10 @@
 """The ``repro fuzz`` command-line surface."""
 
+import pytest
+
 from repro.cli import main
-from repro.difftest import generate_spec
+from repro.difftest import generate_spec, run_spec
+from repro.errors import UnknownBackendError
 
 
 class TestFuzzCommand:
@@ -37,3 +40,25 @@ class TestFuzzCommand:
         assert main(["fuzz", "--seed", "42", "--runs", "1",
                      "--index", "5", "--scenarios", "iss"]) == 0
         assert "[5]" in capsys.readouterr().out
+
+    def test_unknown_backend_is_a_usage_error(self, capsys):
+        assert main(["fuzz", "--seed", "1", "--runs", "2",
+                     "--backends", "inproc", "bogus"]) == 2
+        captured = capsys.readouterr()
+        assert "all oracles held" not in captured.out
+        assert "bogus" in captured.err
+        # The message lists the names that do exist.
+        assert "inproc" in captured.err and "iss-unit" in captured.err
+
+    def test_backend_of_another_scenario_is_skipped(self, capsys):
+        assert main(["fuzz", "--seed", "42", "--runs", "1",
+                     "--scenarios", "iss",
+                     "--backends", "inproc", "--quiet"]) == 0
+        assert "all oracles held" in capsys.readouterr().out
+
+
+class TestRunSpecBackends:
+    def test_unknown_name_raises_a_typed_error(self):
+        spec = generate_spec(42, 1, scenarios=["iss"])
+        with pytest.raises(UnknownBackendError, match="known: "):
+            run_spec(spec, backends=["iss-unit", "bogus"])

@@ -2,11 +2,13 @@
 multi-tenant listing."""
 
 import json
+import socket
 
 import pytest
 
 from repro.errors import FarmError, QuotaExceeded
 from repro.farm import Farm, FarmClient, FarmServer, Job, TenantQuota
+from repro.farm.server import MAX_BODY_BYTES
 
 ROUTER_PAYLOAD = {"mode": "inproc", "t_sync": 200,
                   "packets_per_producer": 1, "interval_cycles": 100,
@@ -20,6 +22,28 @@ def served():
     with FarmServer(farm) as server:
         host, port = server.address
         yield farm, FarmClient(host=host, port=port)
+
+
+def _raw(client, request: bytes):
+    """Send *request* bytes as-is; returns (status, JSON body).  The
+    server must answer and close within the socket timeout."""
+    with socket.create_connection((client.host, client.port),
+                                  timeout=5.0) as sock:
+        sock.sendall(request)
+        response = b""
+        while True:
+            chunk = sock.recv(4096)
+            if not chunk:
+                break
+            response += chunk
+    head, _, body = response.partition(b"\r\n\r\n")
+    status = int(head.split(b" ", 2)[1])
+    return status, json.loads(body)
+
+
+def _post_jobs(client, length: str) -> bytes:
+    return (f"POST /jobs HTTP/1.1\r\nHost: x\r\n"
+            f"Content-Length: {length}\r\n\r\n").encode("ascii")
 
 
 def _job(name, tenant="alice", **overrides):
@@ -112,6 +136,39 @@ class TestErrorCodes:
                 client.submit(_job("blown",
                                    payload={"max_cycles": 4000}))
             farm.wait(timeout_s=30)
+
+    def test_non_numeric_content_length_400(self, served):
+        _farm, client = served
+        status, doc = _raw(client, _post_jobs(client, "abc"))
+        assert status == 400
+        assert "Content-Length" in doc["error"]
+
+    def test_negative_content_length_400(self, served):
+        _farm, client = served
+        status, doc = _raw(client, _post_jobs(client, "-1"))
+        assert status == 400
+        assert "Content-Length" in doc["error"]
+
+    def test_oversized_body_413(self, served):
+        _farm, client = served
+        status, doc = _raw(client,
+                           _post_jobs(client, str(MAX_BODY_BYTES + 1)))
+        assert status == 413
+        assert str(MAX_BODY_BYTES) in doc["error"]
+
+    @pytest.mark.parametrize("cursor", ["xyz", "-3"])
+    def test_bad_stream_cursor_400(self, served, cursor):
+        _farm, client = served
+        job = _job("cursor")
+        client.submit(job)
+        for path in (f"/stream?cursor={cursor}",
+                     f"/jobs/{job.job_id}/stream?cursor={cursor}"):
+            request = (f"GET {path} HTTP/1.1\r\nHost: x\r\n"
+                       f"Connection: close\r\n\r\n").encode("ascii")
+            status, doc = _raw(client, request)
+            assert status == 400
+            assert "cursor" in doc["error"]
+        client.wait(job.job_id, timeout_s=30)
 
     def test_unknown_route_404(self, served):
         _farm, client = served

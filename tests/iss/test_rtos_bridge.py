@@ -72,6 +72,23 @@ class TestRunProgram:
         with pytest.raises(IssError, match="did not halt"):
             kernel.run_ticks(10)
 
+    def test_preemption_points_sit_at_chunk_boundaries(self):
+        cpu = IssCpu(assemble("nop\n" * 10 + "halt"), Memory(64))
+        retired = [cpu.instructions_retired
+                   for _work in run_program(cpu, chunk_instructions=4)]
+        assert retired == [4, 8, 11]
+
+    @pytest.mark.parametrize("budget", [8, 10])
+    def test_runaway_error_fires_at_the_budget(self, budget):
+        cpu = IssCpu(assemble("loop: jal r0, loop"), Memory(64))
+        retired = []
+        with pytest.raises(IssError, match=f"within {budget} instr"):
+            for _work in run_program(cpu, chunk_instructions=4,
+                                     max_instructions=budget):
+                retired.append(cpu.instructions_retired)
+        assert retired == [4, 8]
+        assert cpu.instructions_retired == budget
+
     def test_invalid_chunk(self, kernel):
         def thread_entry():
             cpu = IssCpu(fibonacci_program(), Memory(64))

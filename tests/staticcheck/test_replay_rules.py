@@ -86,45 +86,10 @@ class TestCheckSnapshotability:
         assert "sneaky" in diagnostics[0].message
 
 
-class TestMemoWithFaultInjection:
-    """A memo-attached session must not hide a fault plan's schedule."""
-
-    def _inject_faults(self, session):
-        from repro.transport.faults import FaultPlan, FaultyBoardEndpoint
-
-        session.runtime.endpoint = FaultyBoardEndpoint(
-            session.runtime.endpoint, FaultPlan(drop_grants={2}))
-
-    def test_memo_plus_fault_plan_is_an_error(self, session):
-        from repro.cosim.memo import WindowMemo
-
-        self._inject_faults(session)
-        # Bypass the runtime guard the way a hand-assembled harness
-        # could: the lint pass is the backstop for exactly this.
-        session.memo = WindowMemo()
-        diagnostics = check_snapshotability(session, assume_enabled=True)
-        assert len(diagnostics) == 1
-        diagnostic = diagnostics[0]
-        assert diagnostic.rule == "COSIM005"
-        assert diagnostic.severity == "error"
-        assert "fault injector" in diagnostic.message
-        assert "FaultyBoardEndpoint" in diagnostic.message
-
-    def test_fault_plan_without_memo_is_fine(self, session):
-        self._inject_faults(session)
-        assert check_snapshotability(session, assume_enabled=True) == []
-
-    def test_memo_without_fault_plan_is_fine(self, session):
-        from repro.cosim.memo import WindowMemo
-
-        session.attach_memo(WindowMemo())
-        assert check_snapshotability(session, assume_enabled=True) == []
-
-
-class TestMemoPlusSpeculation:
-    """Memo and speculation both skip re-execution; the combination is
-    refused at runtime (attach_memo, and run() before window 0) and
-    COSIM005 is the lint backstop for hand-assembled sessions."""
+class TestRefusedPairs:
+    """A pair of features the compatibility table refuses — speculation
+    beside a fault injector, say — is refused at runtime (before window
+    0) and COSIM005 is the lint backstop for hand-assembled sessions."""
 
     def _speculating_session(self):
         cosim = build_router_cosim(
@@ -134,43 +99,32 @@ class TestMemoPlusSpeculation:
             mode="inproc")
         return cosim.session
 
-    def test_memo_plus_speculation_is_an_error(self):
-        from repro.cosim.memo import WindowMemo
+    def _inject_faults(self, session):
+        from repro.transport.faults import FaultPlan, FaultyBoardEndpoint
 
+        session.runtime.endpoint = FaultyBoardEndpoint(
+            session.runtime.endpoint, FaultPlan(drop_grants={2}))
+
+    def test_speculation_plus_fault_plan_is_an_error(self):
         session = self._speculating_session()
         # Bypass the runtime guard the way a hand-assembled harness
         # could: the lint pass is the backstop for exactly this.
-        session.memo = WindowMemo()
+        self._inject_faults(session)
         diagnostics = check_snapshotability(session, assume_enabled=True)
         assert len(diagnostics) == 1
         diagnostic = diagnostics[0]
         assert diagnostic.rule == "COSIM005"
         assert diagnostic.severity == "error"
         assert "speculation_depth=3" in diagnostic.message
-        assert "memo" in diagnostic.message
-
-    def test_speculation_plus_fault_plan_is_an_error(self):
-        from repro.transport.faults import FaultPlan, FaultyBoardEndpoint
-
-        session = self._speculating_session()
-        session.runtime.endpoint = FaultyBoardEndpoint(
-            session.runtime.endpoint, FaultPlan(drop_grants={2}))
-        diagnostics = check_snapshotability(session, assume_enabled=True)
-        assert len(diagnostics) == 1
-        diagnostic = diagnostics[0]
-        assert diagnostic.rule == "COSIM005"
-        assert diagnostic.severity == "error"
-        assert "speculation_depth=3" in diagnostic.message
+        assert "fault injector" in diagnostic.message
         assert "FaultyBoardEndpoint" in diagnostic.message
 
-    def test_speculation_without_memo_is_fine(self):
-        session = self._speculating_session()
+    def test_fault_plan_alone_is_fine(self, session):
+        self._inject_faults(session)
         assert check_snapshotability(session, assume_enabled=True) == []
 
-    def test_memo_without_speculation_is_fine(self, session):
-        from repro.cosim.memo import WindowMemo
-
-        session.attach_memo(WindowMemo())
+    def test_speculation_alone_is_fine(self):
+        session = self._speculating_session()
         assert check_snapshotability(session, assume_enabled=True) == []
 
 
