@@ -86,30 +86,32 @@ class TestCheckSnapshotability:
         assert "sneaky" in diagnostics[0].message
 
 
-class TestRefusedPairs:
-    """A pair of features the compatibility table refuses — speculation
-    beside a fault injector, say — is refused at runtime (before window
-    0) and COSIM005 is the lint backstop for hand-assembled sessions."""
+def _speculating_session():
+    cosim = build_router_cosim(
+        CosimConfig(t_sync=300, speculation_depth=3),
+        RouterWorkload(packets_per_producer=2, interval_cycles=300,
+                       corrupt_rate=0.0, seed=3),
+        mode="inproc")
+    return cosim.session
 
-    def _speculating_session(self):
-        cosim = build_router_cosim(
-            CosimConfig(t_sync=300, speculation_depth=3),
-            RouterWorkload(packets_per_producer=2, interval_cycles=300,
-                           corrupt_rate=0.0, seed=3),
-            mode="inproc")
-        return cosim.session
 
-    def _inject_faults(self, session):
-        from repro.transport.faults import FaultPlan, FaultyBoardEndpoint
+def _inject_faults(session):
+    from repro.transport.faults import FaultPlan, FaultyBoardEndpoint
 
-        session.runtime.endpoint = FaultyBoardEndpoint(
-            session.runtime.endpoint, FaultPlan(drop_grants={2}))
+    session.runtime.endpoint = FaultyBoardEndpoint(
+        session.runtime.endpoint, FaultPlan(drop_grants={2}))
+
+
+class TestMemoPlusSpeculation:
+    """Speculation beside a fault injector, the refused pair left of the
+    memo and speculation exclusions: run() refuses it before window 0
+    and COSIM005 is the lint backstop for hand-assembled sessions."""
 
     def test_speculation_plus_fault_plan_is_an_error(self):
-        session = self._speculating_session()
+        session = _speculating_session()
         # Bypass the runtime guard the way a hand-assembled harness
         # could: the lint pass is the backstop for exactly this.
-        self._inject_faults(session)
+        _inject_faults(session)
         diagnostics = check_snapshotability(session, assume_enabled=True)
         assert len(diagnostics) == 1
         diagnostic = diagnostics[0]
@@ -119,12 +121,16 @@ class TestRefusedPairs:
         assert "fault injector" in diagnostic.message
         assert "FaultyBoardEndpoint" in diagnostic.message
 
+
+class TestRefusedPairs:
+    """Each half of a refused pair is clean on its own."""
+
     def test_fault_plan_alone_is_fine(self, session):
-        self._inject_faults(session)
+        _inject_faults(session)
         assert check_snapshotability(session, assume_enabled=True) == []
 
     def test_speculation_alone_is_fine(self):
-        session = self._speculating_session()
+        session = _speculating_session()
         assert check_snapshotability(session, assume_enabled=True) == []
 
 
