@@ -238,7 +238,7 @@ def _cmd_record(args: argparse.Namespace) -> int:
     )
     from repro.transport.faults import FaultPlan
     from repro.transport.messages import CLOCK_PORT, DATA_PORT, INT_PORT
-    from repro.transport.resilience import ResilienceConfig
+    from repro.transport.tcp import ResilienceConfig
 
     ports = {p: p for p in (CLOCK_PORT, DATA_PORT, INT_PORT)}
     disconnects = {}
@@ -251,8 +251,8 @@ def _cmd_record(args: argparse.Namespace) -> int:
             return 2
         disconnects[int(seq)] = port
     if disconnects and args.mode != "tcp":
-        print("--disconnect-after requires --mode tcp (the resilient "
-              "link is what reconnects)", file=sys.stderr)
+        print("--disconnect-after requires --mode tcp (the TCP link "
+              "is what reconnects)", file=sys.stderr)
         return 2
     fault_plan = None
     if disconnects or args.drop_interrupt:
@@ -265,7 +265,7 @@ def _cmd_record(args: argparse.Namespace) -> int:
         # Fast-reconnect knobs (the soak-test profile): sub-second
         # backoff so a recorded CI run stays quick.
         resilience = ResilienceConfig(
-            enabled=True, max_attempts=8, backoff_initial_s=0.005,
+            max_attempts=8, backoff_initial_s=0.005,
             backoff_max_s=0.05, heartbeat_interval_s=0.05,
             heartbeat_misses_allowed=200)
     recording = SessionRecording()
@@ -810,7 +810,7 @@ def build_parser() -> argparse.ArgumentParser:
                         default=[], metavar="SEQ[:PORT]",
                         help="fault injection (tcp mode): yank PORT "
                              "(clock/int/data) right after grant SEQ; "
-                             "enables the resilient link")
+                             "the link reconnects")
     record.set_defaults(fn=_cmd_record)
 
     replay = sub.add_parser(

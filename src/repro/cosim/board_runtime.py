@@ -161,7 +161,7 @@ class CosimBoardRuntime:
     def serve_forever(self, grant_timeout_s: float = 60.0) -> None:
         """Blocking serve loop; returns on a shutdown grant.
 
-        With a resilient endpoint the grant wait is heartbeat-probed:
+        With a TCP endpoint the grant wait is heartbeat-probed:
         a dead master is detected within the configured liveness window
         rather than after *grant_timeout_s* of silence.
         """

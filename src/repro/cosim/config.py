@@ -9,7 +9,7 @@ from repro.errors import ProtocolError
 from repro.obs.recorder import TracingConfig
 from repro.simkernel.simtime import ns
 from repro.transport.latency import CycleLatencyModel, WallCostModel
-from repro.transport.resilience import ResilienceConfig
+from repro.transport.tcp import ResilienceConfig
 
 
 @dataclass
@@ -43,24 +43,13 @@ class CosimConfig:
     #: The deadline is refreshed whenever the board shows life (DATA
     #: traffic), so it bounds *silence*, not total window duration.
     report_timeout_s: float = 60.0
-    #: Initial CLOCK-port poll slice while waiting for a time report.
-    report_poll_s: float = 0.0005
-    #: The poll slice doubles while the link stays quiet (no DATA
-    #: traffic, no report) up to this cap, and snaps back to
-    #: ``report_poll_s`` at the first sign of traffic.
-    report_poll_max_s: float = 0.01
-    #: Threaded windows poll the DATA port every cycle only while
-    #: requests are arriving; on quiet cycles the stride between polls
-    #: doubles up to this many cycles (1 = poll every cycle, as the
-    #: paper's driver_simulate loop does).
-    data_poll_stride_max: int = 16
     #: Extra wall delay the board adds before each time report in
     #: threaded sessions, emulating the Ethernet + physical-board
     #: response latency of the paper's setup (0 = localhost only).
     emulated_network_delay_s: float = 0.0
-    #: Resilient-link behaviour for the TCP transport: reconnect with
-    #: bounded backoff, heartbeats and post-reconnect resync.  Disabled
-    #: by default (faults stay fatal, as in the seed implementation).
+    #: Reconnect, heartbeat and resync knobs of the TCP transport.  A
+    #: TCP session refuses a liveness window (heartbeat interval x
+    #: misses allowed) that is not shorter than ``report_timeout_s``.
     resilience: ResilienceConfig = field(default_factory=ResilienceConfig)
     #: Observability: span tracing and profiling (see repro.obs).
     #: Disabled by default — sessions then install the no-op recorder
@@ -76,22 +65,11 @@ class CosimConfig:
             raise ProtocolError("clock period must be positive")
         if self.max_windows <= 0:
             raise ProtocolError("max_windows must be positive")
-        if self.report_poll_s <= 0:
-            raise ProtocolError("report_poll_s must be positive")
-        if self.report_poll_max_s < self.report_poll_s:
+        # Imported here: the master module imports this one.
+        from repro.cosim.master import REPORT_POLL_S
+
+        if REPORT_POLL_S >= self.report_timeout_s:
             raise ProtocolError(
-                "report_poll_max_s must be >= report_poll_s"
+                f"report_timeout_s must exceed the {REPORT_POLL_S}s "
+                "report poll slice"
             )
-        if self.report_poll_s >= self.report_timeout_s:
-            raise ProtocolError(
-                "report_poll_s must be shorter than report_timeout_s"
-            )
-        if self.data_poll_stride_max < 1:
-            raise ProtocolError("data_poll_stride_max must be >= 1")
-        if self.resilience.enabled:
-            if self.resilience.liveness_window_s >= self.report_timeout_s:
-                raise ProtocolError(
-                    "heartbeat liveness window must be shorter than "
-                    "report_timeout_s, or a dead peer is never detected "
-                    "before the session gives up"
-                )

@@ -52,6 +52,18 @@ from repro.transport.messages import (
     TimeReport,
 )
 
+#: Initial CLOCK-port poll slice while waiting for a time report.
+REPORT_POLL_S = 0.0005
+#: The poll slice doubles while the link stays quiet (no DATA traffic,
+#: no report) up to this cap, and snaps back to ``REPORT_POLL_S`` at
+#: the first sign of traffic.
+REPORT_POLL_MAX_S = 0.01
+#: Threaded windows poll the DATA port every cycle only while requests
+#: are arriving; on quiet cycles the stride between polls doubles up to
+#: this many cycles (1 would poll every cycle, as the paper's
+#: driver_simulate loop does).
+DATA_POLL_STRIDE_MAX = 16
+
 
 class CosimMaster:
     """Drives the hardware simulation as the master of co-simulated time."""
@@ -369,18 +381,17 @@ class CosimMaster:
         try:
             # Poll the DATA port every cycle only while a board is
             # actually talking; on quiet cycles the stride between
-            # polls doubles (up to the configured cap) so long silent
+            # polls doubles (up to DATA_POLL_STRIDE_MAX) so long silent
             # stretches cost one Python iteration per stride rather
             # than one per cycle.  Wall-clock only — simulated timing
             # of the window is identical either way.
-            stride_max = self.config.data_poll_stride_max
             stride = 1
             remaining = ticks
             while remaining > 0:
                 if self._serve_pending_data(endpoints):
                     stride = 1
-                elif stride < stride_max:
-                    stride = min(stride * 2, stride_max)
+                elif stride < DATA_POLL_STRIDE_MAX:
+                    stride = min(stride * 2, DATA_POLL_STRIDE_MAX)
                 step = min(stride, remaining)
                 self.run_cycles(step)
                 remaining -= step
@@ -394,8 +405,7 @@ class CosimMaster:
         polls = 0
         exchanges = self.protocol.exchanges
         timeout_s = self.config.report_timeout_s
-        poll_s = self.config.report_poll_s
-        poll_max_s = self.config.report_poll_max_s
+        poll_s = REPORT_POLL_S
         # The deadline bounds *silence*, not total window duration: a
         # slow board that keeps issuing DATA requests is alive, so each
         # sign of progress pushes the deadline out again.
@@ -405,14 +415,14 @@ class CosimMaster:
             while pending:
                 if self._serve_pending_data(endpoints):
                     deadline = time.monotonic() + timeout_s
-                    poll_s = self.config.report_poll_s
+                    poll_s = REPORT_POLL_S
                 polls += 1
                 try:
                     report = pending[0].recv_report(timeout=poll_s)
                 except TransportError as exc:
-                    # A resilient endpoint only raises once its
-                    # reconnect / liveness budget is spent; that is a
-                    # protocol death.
+                    # A TCP endpoint only raises once its reconnect /
+                    # liveness budget is spent; that is a protocol
+                    # death.
                     raise ProtocolError(
                         f"link failed while waiting for report of grant "
                         f"seq {grant.seq}: {exc}"
@@ -421,9 +431,9 @@ class CosimMaster:
                     self.protocol.check_report(report, self.clock.cycles)
                     pending.pop(0)
                     deadline = time.monotonic() + timeout_s
-                    poll_s = self.config.report_poll_s
+                    poll_s = REPORT_POLL_S
                     continue
-                poll_s = min(poll_s * 2, poll_max_s)
+                poll_s = min(poll_s * 2, REPORT_POLL_MAX_S)
                 if time.monotonic() > deadline:
                     raise ProtocolError(
                         f"no time report for grant seq {grant.seq} "

@@ -34,7 +34,8 @@ class CosimMetrics:
     messages_total: int = 0
     bytes_total: int = 0
     state_switches: int = 0
-    # Resilient-link counters (zero on fault-free / non-resilient runs).
+    # TCP reconnect/heartbeat counters (reconnects stay zero on
+    # fault-free runs).
     reconnects: int = 0
     reconnect_attempts: int = 0
     replays: int = 0
@@ -57,14 +58,6 @@ class CosimMetrics:
     spans_recorded: int = 0
     span_events: int = 0
     spans_dropped: int = 0
-    # Farm counters (zero outside a farm run; see repro.farm).
-    farm_jobs: int = 0
-    farm_jobs_done: int = 0
-    farm_jobs_failed: int = 0
-    farm_queue_depth_peak: int = 0
-    farm_workers_busy_peak: int = 0
-    farm_crashes: int = 0
-    farm_timeouts: int = 0
     #: Measured host seconds (threaded sessions) or None.
     wall_seconds: Optional[float] = None
     #: Modeled host seconds (always filled, from the wall-cost model).
@@ -129,8 +122,5 @@ class CosimMetrics:
             f"speculated={self.windows_speculated} "
             f"rollbacks={self.rollbacks} "
             f"rollback_depth_max={self.rollback_depth_max} "
-            f"spans={self.spans_recorded} "
-            f"farm_jobs={self.farm_jobs} "
-            f"farm_queue_peak={self.farm_queue_depth_peak} "
-            f"farm_busy_peak={self.farm_workers_busy_peak}"
+            f"spans={self.spans_recorded}"
         )

@@ -160,10 +160,21 @@ class _SessionBase:
 
     def _check_shape(self) -> None:
         """Construction-time check of the compatibility table, over the
-        features a session is built with."""
+        features a session is built with, and of every TCP link's
+        liveness window against the report timeout."""
         compat.check({name: text
                       for name, text in compat.features(self).items()
                       if name in ("speculation", "threaded", "multiboard")})
+        timeout = self.config.report_timeout_s
+        for slot in self.slots:
+            # Only heartbeating (TCP) endpoints have a liveness window.
+            window = getattr(slot.master_ep, "liveness_window_s", None)
+            if window is not None and window >= timeout:
+                raise ProtocolError(
+                    f"board {slot.name!r}: heartbeat liveness window "
+                    f"({window:g}s) must be shorter than report_timeout_s "
+                    f"({timeout:g}s), or a dead peer is never detected "
+                    "before the session gives up")
 
     def attach_trace(self, trace) -> None:
         """Record every window into *trace* (a ProtocolTrace)."""

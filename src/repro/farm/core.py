@@ -33,7 +33,6 @@ import threading
 import time
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.cosim.metrics import CosimMetrics
 from repro.errors import FarmError
 from repro.farm.job import (
     CANCELLED,
@@ -79,7 +78,6 @@ class Farm:
         self._drain = True
         self._thread: Optional[threading.Thread] = None
         self.obs = obs if obs is not None else NullRecorder()
-        self.metrics = CosimMetrics()
 
     # -- lifecycle -----------------------------------------------------
     def start(self) -> "Farm":
@@ -172,10 +170,6 @@ class Farm:
             self._scheduler.submit(job)
             job.state = PENDING
             self._jobs[job.job_id] = job
-            self.metrics.farm_jobs += 1
-            self.metrics.farm_queue_depth_peak = max(
-                self.metrics.farm_queue_depth_peak,
-                self._scheduler.depth)
             self._emit_locked("submitted", job)
             self._cond.notify_all()
         if self.obs.enabled:
@@ -295,18 +289,16 @@ class Farm:
             }
 
     def metrics_summary(self) -> str:
-        """One ``CosimMetrics.summary()`` line with the farm counters
-        (queue-depth and worker-utilization peaks) folded in."""
-        with self._cond:
-            self.metrics.farm_queue_depth_peak = max(
-                self.metrics.farm_queue_depth_peak,
-                self._scheduler.depth_peak)
-            self.metrics.farm_workers_busy_peak = max(
-                self.metrics.farm_workers_busy_peak,
-                self._pool.busy_peak)
-            self.metrics.farm_crashes = self._pool.crashes
-            self.metrics.farm_timeouts = self._pool.timeouts
-            return self.metrics.summary()
+        """One line of the farm counters from :meth:`snapshot`."""
+        snap = self.snapshot()
+        states = snap["states"]
+        return (
+            f"farm_jobs={snap['jobs']} "
+            f"done={states.get(DONE, 0)} failed={states.get(FAILED, 0)} "
+            f"queue_peak={snap['queue_depth_peak']} "
+            f"busy_peak={snap['workers_busy_peak']} "
+            f"crashes={snap['crashes']} timeouts={snap['timeouts']}"
+        )
 
     @property
     def store(self) -> Optional[ResultStore]:
@@ -371,8 +363,6 @@ class Farm:
                 "job": job.to_dict(),
                 "artifacts_dir": artifacts_dir,
             })
-            self.metrics.farm_workers_busy_peak = max(
-                self.metrics.farm_workers_busy_peak, self._pool.busy)
             self._emit_locked("started", job)
             if self.obs.enabled:
                 self.obs.event("farm", "dispatch", job_id=job.job_id,
@@ -433,10 +423,6 @@ class Farm:
         job.state = state
         if error:
             job.error = error
-        if state == DONE:
-            self.metrics.farm_jobs_done += 1
-        elif state == FAILED:
-            self.metrics.farm_jobs_failed += 1
         if self._store is not None:
             if result_doc is not None and job.result is None:
                 job.result = self._summarize_result(result_doc)

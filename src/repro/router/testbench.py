@@ -41,10 +41,6 @@ from repro.simkernel.driver_ext import DriverSimulator
 from repro.transport.faults import FaultPlan, FaultyBoardEndpoint
 from repro.transport.inproc import InprocLink
 from repro.transport.queues import QueueLink
-from repro.transport.resilience import (
-    ResilientLinkServer,
-    connect_board_resilient,
-)
 from repro.transport.tcp import TcpLinkServer, connect_board
 
 INPROC = "inproc"
@@ -228,9 +224,8 @@ def build_router_cosim(
     checksum application *executes* its routine on the bundled ISS
     instead of charging the coarse work-model cost.  A *fault_plan*
     wraps the board endpoint in a saboteur
-    (:class:`~repro.transport.faults.FaultyBoardEndpoint`); combined
-    with ``config.resilience.enabled`` and TCP mode this exercises
-    disconnect recovery end to end.  A *recorder* (a
+    (:class:`~repro.transport.faults.FaultyBoardEndpoint`); in TCP mode
+    this exercises disconnect recovery end to end.  A *recorder* (a
     :class:`repro.replay.SessionRecording`) wraps the board endpoint
     outermost — inside any fault injector — so it logs the exact
     message stream the board consumed, fault effects included.
@@ -250,15 +245,10 @@ def build_router_cosim(
         link = QueueLink()
         master_ep, board_ep, stats_src = link.master, link.board, link.stats
     elif mode == TCP:
-        if config.resilience.enabled:
-            server = ResilientLinkServer(config=config.resilience)
-            board_ep = connect_board_resilient(
-                server.addresses, config.resilience, stats=server.stats)
-            master_ep = server.accept()
-        else:
-            server = TcpLinkServer()
-            board_ep = connect_board(server.addresses, stats=server.stats)
-            master_ep = server.accept()
+        server = TcpLinkServer(config=config.resilience)
+        board_ep = connect_board(server.addresses, config.resilience,
+                                 stats=server.stats)
+        master_ep = server.accept()
         stats_src = server.stats
 
         def cleanup() -> None:
@@ -300,7 +290,12 @@ def build_router_cosim(
         link.install_data_server(master.serve_data)
         session = InprocSession(master, runtime, stats_src, config)
     else:
-        session = ThreadedSession(master, runtime, stats_src, config)
+        try:
+            session = ThreadedSession(master, runtime, stats_src, config)
+        except ProtocolError:
+            if cleanup is not None:
+                cleanup()
+            raise
     if adaptive is not None:
         session.attach_adaptive(adaptive)
 

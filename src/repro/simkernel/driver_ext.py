@@ -9,9 +9,10 @@ The DATE'05 methodology modifies the SystemC kernel with:
   data is present on a driver_in port" — here :func:`driver_process`;
 * a modified simulation entry point, ``driver_simulate``, which opens
   the communication channels and interleaves DATA-port servicing,
-  regular simulation cycles and interrupt forwarding — here
-  :meth:`DriverSimulator.driver_simulate` (the surrounding protocol
-  machinery lives in :mod:`repro.cosim.master`).
+  regular simulation cycles and interrupt forwarding — here the one
+  window loop, :meth:`repro.cosim.session._SessionBase.run`, driving a
+  :class:`repro.cosim.master.CosimMaster` that serves DATA, simulates
+  and forwards interrupts on this simulator.
 
 Driver ports are addressed by small integer *register addresses* so the
 remote DATA protocol can name them.
@@ -19,16 +20,13 @@ remote DATA protocol can name them.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Callable, Dict, Optional, Union
+from typing import Any, Callable, Dict, Optional, Union
 
 from repro.errors import ElaborationError, SimulationError
 from repro.simkernel.events import Event
 from repro.simkernel.kernel import Simulator
 from repro.simkernel.module import Module
 from repro.simkernel.signals import Signal
-
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.simkernel.clock import Clock
 
 
 class DriverIn:
@@ -270,38 +268,3 @@ class DriverSimulator(Simulator):
                 port.write_count = writes
             if hasattr(port, "read_count"):
                 port.read_count = reads
-
-    # ------------------------------------------------------------------
-    # Modified simulation loop (one cycle of it)
-    # ------------------------------------------------------------------
-    def driver_simulate_cycle(self, clock: "Clock", link) -> bool:
-        """One iteration of the paper's ``driver_simulate`` loop.
-
-        *link* is any object with the duck-typed interface::
-
-            poll_data_request() -> None | ("read", addr) | ("write", addr, value)
-            send_data_reply(value)
-            send_interrupt()
-
-        Performs, in order: DATA-port servicing, one standard simulation
-        cycle (advance to the next clock edge), and interrupt-signal
-        forwarding.  Returns True if an interrupt packet was sent.
-        """
-        # 1. Check for the presence of data on DATA_PORT.
-        while True:
-            request = link.poll_data_request()
-            if request is None:
-                break
-            if request[0] == "read":
-                link.send_data_reply(self.external_read(request[1]))
-            elif request[0] == "write":
-                self.external_write(request[1], request[2])
-            else:  # pragma: no cover - defensive
-                raise SimulationError(f"bad DATA request {request!r}")
-        # 2. A standard simulation cycle is accomplished.
-        self.run_until(self.now + clock.period)
-        # 3. The interrupt signal is checked.
-        if self.poll_interrupt():
-            link.send_interrupt()
-            return True
-        return False

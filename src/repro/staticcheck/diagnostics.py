@@ -85,7 +85,7 @@ RULES: Dict[str, Rule] = {
              "the emulated network delay is not smaller than the report "
              "timeout (every window would time out)"),
         Rule("COSIM003", "liveness-window-too-long", ERROR,
-             "the resilience liveness window is not shorter than the "
+             "the TCP heartbeat liveness window is not shorter than the "
              "report timeout (a dead peer is never detected in time)"),
         Rule("COSIM004", "remote-vector-unattached", ERROR,
              "the configured remote interrupt vector has no handler "
@@ -111,7 +111,7 @@ RULES: Dict[str, Rule] = {
              "configuration (livelock)"),
         Rule("PROTO004", "sequence-violation", ERROR,
              "a stale or gapped grant/report reaches a window FSM "
-             "(resilience-layer seq-dedup broken or disabled)"),
+             "(the TCP link's seq-dedup broken)"),
         Rule("PROTO005", "protocol-table-inconsistency", ERROR,
              "a window transition table is structurally defective or "
              "the bounded exploration was not exhaustive"),

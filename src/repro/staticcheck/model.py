@@ -17,14 +17,14 @@ numbers are bounded by the window budget) and classifies what it finds:
   fully-shut-down final configuration (livelock);
 * **sequence violations** — a grant or report whose sequence number is
   stale or gapped reaches the window FSM (only possible when the
-  resilience layer's seq-dedup is modelled as disabled).
+  TCP link's seq-dedup is modelled as disabled).
 
 The INT port is fire-and-forget by design ("the communication thread
 cannot be halted ... otherwise some events can be lost" concerns the
 *receiving* side staying alive; an interrupt raised after shutdown is
 discardable), so leftover IRQ messages never count as lost wake-ups.
 
-Reconnect is modelled the way the resilient transport behaves after a
+Reconnect is modelled the way the TCP link behaves after a
 drop: the last delivered grant is replayed once onto the clock channel;
 with seq-dedup on the duplicate dies in the transport, with dedup off
 it reaches the FSM and is convicted.
@@ -81,7 +81,7 @@ class ModelConfig:
     #: Maximum windows the master may grant ahead of its own simulation
     #: (0 disables the optimistic ``spec_grant``/catch-up machinery).
     speculation_depth: int = 0
-    #: Replay the last delivered grant once (resilience reconnect).
+    #: Replay the last delivered grant once (TCP reconnect).
     reconnect: bool = False
     #: Model the transport's sequence dedup (the shipped behaviour).
     dedup: bool = True
@@ -363,7 +363,7 @@ class _Explorer:
                 tag, seq = clock[0]
                 if tag == _GRANT:
                     if cfg.dedup and seq <= last_seq:
-                        # The resilience layer drops replayed grants
+                        # The TCP link drops replayed grants
                         # before they ever reach the window FSM.
                         new_chans = _replace(
                             chans, b, (clock[1:], rep, irq, dreq, drep))
@@ -453,7 +453,7 @@ class _Explorer:
                        ((m_phase, granted, irqs_left, spec, stashed), new_boards,
                         new_chans, replay), None)
 
-            # ---- resilience reconnect: replay the last delivered
+            # ---- TCP reconnect: replay the last delivered
             # grant once, exactly as redelivery after a drop does.
             if replay > 0 and last_seq >= 1 \
                     and len(clock) < cfg.channel_depth:

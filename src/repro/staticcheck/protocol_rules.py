@@ -12,8 +12,8 @@ counterexamples into diagnostics:
 * ``PROTO003`` — non-progress: some reachable state can never reach
   the fully-shut-down configuration (livelock);
 * ``PROTO004`` — sequence violation: a stale or gapped grant/report
-  reaches a window FSM (only possible when the resilience layer's
-  seq-dedup is broken or disabled);
+  reaches a window FSM (only possible when the TCP link's seq-dedup
+  is broken);
 * ``PROTO005`` — table inconsistency: structural defects in the
   transition tables themselves (unknown events, unreachable states,
   non-accepting states with no way out) or an exploration that blew
@@ -21,8 +21,8 @@ counterexamples into diagnostics:
 
 The default sweep (``repro lint protocol``) explores four bounded
 configurations: single-board with DATA and IRQ traffic, a two-board
-multiboard topology, a single-board run with one resilience-layer
-reconnect replay, and a single-board run speculating two windows ahead
+multiboard topology, a single-board run with one TCP-link reconnect
+replay, and a single-board run speculating two windows ahead
 (the optimistic extension's ``spec_grant``/catch-up/validate states).
 All four are exhaustive — every interleaving the bounds admit is
 visited.

@@ -8,7 +8,7 @@ Two entry points:
   :class:`~repro.rtos.kernel.RtosKernel`;
 * :func:`check_cosim_config` — cross-layer consistency of a
   :class:`~repro.cosim.config.CosimConfig` against the adaptive policy,
-  the resilience liveness window and (when a kernel is supplied) the
+  the TCP liveness window and (when a kernel is supplied) the
   board's interrupt vector table.
 
 The interrupt-context check is deliberately conservative: an ISR/DSR
@@ -170,16 +170,14 @@ def check_cosim_config(
             target,
         )
 
-    # COSIM003 — resilience liveness window versus the report timeout.
-    # CosimConfig validates this at construction; re-check here because
-    # `resilience.enabled` can be toggled afterwards, bypassing
-    # __post_init__.
+    # COSIM003 — TCP liveness window versus the report timeout.  A TCP
+    # session refuses this at construction; the lint flags it on every
+    # config, whichever transport it is meant for.
     resilience = config.resilience
-    if resilience.enabled \
-            and resilience.liveness_window_s >= config.report_timeout_s:
+    if resilience.liveness_window_s >= config.report_timeout_s:
         report.add(
             "COSIM003",
-            f"resilience liveness window ({resilience.liveness_window_s:g}s"
+            f"TCP liveness window ({resilience.liveness_window_s:g}s"
             f" = {resilience.heartbeat_interval_s:g}s x "
             f"{resilience.heartbeat_misses_allowed} misses) is not "
             f"shorter than report_timeout_s="

@@ -7,7 +7,8 @@ three interchangeable carriers:
   for reproducible accuracy experiments and tests;
 * :class:`~repro.transport.queues.QueueLink` — thread-safe queues, for
   two-thread wall-clock runs without socket overhead;
-* :mod:`repro.transport.tcp` — real localhost TCP, as in the paper.
+* :mod:`repro.transport.tcp` — real localhost TCP, as in the paper,
+  with reconnect, heartbeats and resync.
 """
 
 from repro.transport.channel import BoardEndpoint, LinkStats, MasterEndpoint
@@ -28,14 +29,13 @@ from repro.transport.messages import (
     TimeReport,
 )
 from repro.transport.queues import QueueLink
-from repro.transport.resilience import (
+from repro.transport.tcp import (
     ResilienceConfig,
-    ResilientLinkServer,
-    ResilientTcpBoard,
-    ResilientTcpMaster,
-    connect_board_resilient,
+    TcpBoard,
+    TcpLinkServer,
+    TcpMaster,
+    connect_board,
 )
-from repro.transport.tcp import TcpLinkServer, connect_board
 
 __all__ = [
     "BoardEndpoint",
@@ -55,14 +55,12 @@ __all__ = [
     "MasterEndpoint",
     "QueueLink",
     "ResilienceConfig",
-    "ResilientLinkServer",
-    "ResilientTcpBoard",
-    "ResilientTcpMaster",
+    "TcpBoard",
     "TcpLinkServer",
+    "TcpMaster",
     "TimeReport",
     "WallCostModel",
     "connect_board",
-    "connect_board_resilient",
     "decode",
     "encode",
     "frame_size",

@@ -41,7 +41,7 @@ class LinkStats:
         self.clock_messages = 0
         self.int_messages = 0
         self.data_messages = 0
-        # Resilience counters, populated by repro.transport.resilience.
+        # Reconnect/heartbeat counters, populated by repro.transport.tcp.
         #: Successful reconnections of a dropped port.
         self.reconnects = 0
         #: Individual (re)connect attempts, including failed ones.

@@ -37,7 +37,7 @@ class FaultPlan:
     drop_interrupts: Set[int] = field(default_factory=set)
     #: Grant seq -> port name: forcibly drop that TCP connection right
     #: after the grant is delivered (requires an endpoint with an
-    #: ``inject_disconnect`` hook, e.g. ResilientTcpBoard).
+    #: ``inject_disconnect`` hook, e.g. TcpBoard).
     disconnect_after_grants: Dict[int, str] = field(default_factory=dict)
     #: Report seq -> extra wall seconds to stall before sending it.
     delay_reports: Dict[int, float] = field(default_factory=dict)

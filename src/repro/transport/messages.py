@@ -80,10 +80,10 @@ class DataReply:
 class Heartbeat:
     """Liveness probe on the CLOCK connection.
 
-    Sent by a resilient endpoint while it waits; never passed to the
+    Sent by a TCP endpoint while it waits; never passed to the
     protocol layer — the peer's transport answers with a
     :class:`HeartbeatAck` and both sides drop the pair from the message
-    stream (see :mod:`repro.transport.resilience`).
+    stream (see :mod:`repro.transport.tcp`).
     """
 
     seq: int

@@ -7,6 +7,28 @@ use :mod:`repro.transport.framing`.
 
 The wall-clock cost of these genuine socket round trips is exactly what
 Figures 5 and 6 of the paper measure.
+
+The link survives faults instead of merely detecting them:
+
+* **Automatic reconnect** — the board side redials a dropped port with
+  exponential backoff, deterministic jitter and a bounded retry budget;
+  the master keeps its listeners open and re-accepts.
+* **Heartbeats** — while either side waits on the CLOCK connection it
+  probes the peer with :class:`~repro.transport.messages.Heartbeat`
+  frames; a dead peer is detected within
+  :attr:`ResilienceConfig.liveness_window_s` instead of blocking until
+  the session timeout.  Probes and acks are consumed at this layer and
+  never reach the protocol.
+* **Resync** — after a reconnect, the side that may have lost an
+  in-flight message replays it: the master re-sends its unacknowledged
+  :class:`ClockGrant`, the board re-sends its last
+  :class:`TimeReport` and any DATA request awaiting a reply.  The
+  existing sequence numbers let the receiver drop the duplicates, so
+  the virtual tick never skews (alignment invariant preserved).
+
+Counters for all of this land in the shared
+:class:`~repro.transport.channel.LinkStats` and surface in
+``CosimMetrics.summary()``.
 """
 
 from __future__ import annotations
@@ -15,8 +37,10 @@ import select
 import socket
 import struct
 import time
-from typing import Optional
+from dataclasses import dataclass
+from typing import Callable, Dict, List, Optional
 
+from repro.determinism import seeded_rng
 from repro.errors import TransportError
 from repro.transport.channel import BoardEndpoint, LinkStats, MasterEndpoint
 from repro.transport.framing import MAX_FRAME_SIZE, decode, encode
@@ -27,6 +51,8 @@ from repro.transport.messages import (
     DataRead,
     DataReply,
     DataWrite,
+    Heartbeat,
+    HeartbeatAck,
     INT_PORT,
     Interrupt,
     Message,
@@ -35,6 +61,103 @@ from repro.transport.messages import (
 )
 
 _LEN = struct.Struct(">I")
+_PORTS = (DATA_PORT, INT_PORT, CLOCK_PORT)
+#: How long the master waits per re-accept poll while blocked on CLOCK.
+_REVIVE_SLICE_S = 0.05
+
+
+@dataclass
+class ResilienceConfig:
+    """Reconnect and heartbeat knobs of the TCP link."""
+
+    #: Bounded retry budget: (re)connect attempts per incident.
+    max_attempts: int = 8
+    #: First backoff delay; doubles (``backoff_multiplier``) per failure.
+    backoff_initial_s: float = 0.01
+    backoff_multiplier: float = 2.0
+    #: Ceiling on a single backoff delay.
+    backoff_max_s: float = 0.5
+    #: Deterministic jitter: up to this fraction of each delay, drawn
+    #: from a PRNG seeded with ``jitter_seed`` (reproducible schedules).
+    jitter_fraction: float = 0.1
+    jitter_seed: int = 2005
+    #: TCP connect timeout for each dial attempt.
+    connect_timeout_s: float = 5.0
+    #: Seconds of CLOCK silence before a liveness probe goes out.
+    heartbeat_interval_s: float = 0.5
+    #: Unanswered probes tolerated before the peer is declared dead.
+    heartbeat_misses_allowed: int = 20
+
+    def __post_init__(self) -> None:
+        if self.max_attempts <= 0:
+            raise ValueError("max_attempts must be positive")
+        if self.backoff_initial_s < 0 or self.backoff_max_s < 0:
+            raise ValueError("backoff delays must be non-negative")
+        if self.backoff_multiplier < 1.0:
+            raise ValueError("backoff_multiplier must be >= 1")
+        if self.heartbeat_interval_s <= 0:
+            raise ValueError("heartbeat_interval_s must be positive")
+        if self.heartbeat_misses_allowed < 1:
+            raise ValueError("heartbeat_misses_allowed must be >= 1")
+
+    def backoff_schedule(self) -> List[float]:
+        """The bounded, jittered delays (seconds) for one incident.
+
+        Deterministic: the same config always yields the same schedule.
+        """
+        rng = seeded_rng(self.jitter_seed)
+        delays = []
+        delay = self.backoff_initial_s
+        for _ in range(self.max_attempts):
+            bounded = min(delay, self.backoff_max_s)
+            jitter = bounded * self.jitter_fraction * rng.random()
+            delays.append(bounded + jitter)
+            delay *= self.backoff_multiplier
+        return delays
+
+    @property
+    def liveness_window_s(self) -> float:
+        """Worst-case seconds before a dead peer is declared."""
+        return self.heartbeat_interval_s * self.heartbeat_misses_allowed
+
+
+class _Liveness:
+    """Heartbeat bookkeeping for one waiting side of the CLOCK port."""
+
+    def __init__(self, config: ResilienceConfig, stats: LinkStats,
+                 send_probe: Callable[[Heartbeat], None]) -> None:
+        self.config = config
+        self.stats = stats
+        self._send_probe = send_probe
+        self._seq = 0
+        self._misses = 0
+        self._last_probe = 0.0
+
+    def alive(self) -> None:
+        """Any received frame counts as proof of life."""
+        self._misses = 0
+
+    def reset(self) -> None:
+        self._misses = 0
+        self._last_probe = 0.0
+
+    def probe(self) -> None:
+        """Called on every silent receive slice; raises when the miss
+        budget is exhausted."""
+        now = time.monotonic()
+        if now - self._last_probe < self.config.heartbeat_interval_s:
+            return
+        if self._misses >= self.config.heartbeat_misses_allowed:
+            raise TransportError(
+                f"peer failed liveness check: {self._misses} heartbeats "
+                f"unanswered over ~{self.config.liveness_window_s:.1f}s "
+                "on the CLOCK connection"
+            )
+        self._seq += 1
+        self._misses += 1
+        self._last_probe = now
+        self.stats.heartbeats_sent += 1
+        self._send_probe(Heartbeat(seq=self._seq))
 
 
 class _FramedSocket:
@@ -148,16 +271,17 @@ class TcpLinkServer:
         server = TcpLinkServer()          # binds three ephemeral ports
         addresses = server.addresses      # hand these to the board side
         master = server.accept()          # blocks until the board connects
+
+    Listeners stay open after :meth:`accept`, so when a connection is
+    lost the board redials and the master re-accepts the fresh socket.
     """
 
     def __init__(self, host: str = "127.0.0.1",
-                 keep_listening: bool = False) -> None:
+                 config: Optional[ResilienceConfig] = None) -> None:
         self.stats = LinkStats()
-        #: When set, listeners stay open after :meth:`accept` so dropped
-        #: connections can be re-accepted (see transport.resilience).
-        self.keep_listening = keep_listening
+        self.config = config or ResilienceConfig()
         self._listeners = {}
-        for port_name in (DATA_PORT, INT_PORT, CLOCK_PORT):
+        for port_name in _PORTS:
             listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
             listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
             listener.bind((host, 0))
@@ -172,7 +296,7 @@ class TcpLinkServer:
             for name, listener in self._listeners.items()
         }
 
-    def _accept_conns(self, timeout: float) -> dict:
+    def accept(self, timeout: float = 30.0) -> "TcpMaster":
         """Accept one connection per port; cleans up fully on failure."""
         conns = {}
         try:
@@ -192,27 +316,17 @@ class TcpLinkServer:
                 conn.close()
             self.close()
             raise
-        if not self.keep_listening:
-            for listener in self._listeners.values():
-                listener.close()
-            self._listeners = {}
-        return conns
-
-    def accept(self, timeout: float = 30.0) -> "TcpMaster":
-        return TcpMaster(self._accept_conns(timeout), self.stats)
+        return TcpMaster(conns, self.stats, self, self.config)
 
     def reaccept(self, port_name: str,
                  timeout: float = 0.0) -> Optional[_FramedSocket]:
-        """Accept a fresh connection on one port (``keep_listening`` only).
+        """Accept a fresh connection on one port.
 
         Returns None when no connection is pending within *timeout*.
         """
         listener = self._listeners.get(port_name)
         if listener is None:
-            raise TransportError(
-                f"no open listener for {port_name} port "
-                "(construct the server with keep_listening=True)"
-            )
+            raise TransportError(f"no open listener for {port_name} port")
         listener.settimeout(timeout)
         try:
             sock, _ = listener.accept()
@@ -226,102 +340,412 @@ class TcpLinkServer:
         self._listeners = {}
 
 
-def connect_board(addresses: dict, timeout: float = 30.0,
-                  stats: Optional[LinkStats] = None) -> "TcpBoard":
-    """Board-side: connect the three ports to a :class:`TcpLinkServer`.
-
-    Pass the server's ``stats`` to aggregate both directions when the
-    two sides live in one process (as the threaded session does).
-    """
-    conns = {}
-    for name in (DATA_PORT, INT_PORT, CLOCK_PORT):
-        sock = socket.create_connection(addresses[name], timeout=timeout)
-        conns[name] = _FramedSocket(sock)
-    return TcpBoard(conns, stats)
-
-
 class TcpMaster(MasterEndpoint):
-    def __init__(self, conns: dict, stats: LinkStats) -> None:
+    """Master endpoint with re-accept, grant replay and heartbeat acks."""
+
+    def __init__(self, conns: Dict[str, _FramedSocket], stats: LinkStats,
+                 server: TcpLinkServer,
+                 config: ResilienceConfig) -> None:
         self._conns = conns
         self.stats = stats
+        self._server = server
+        self.config = config
+        self._dead: set = set()
+        self._last_grant: Optional[ClockGrant] = None
+        self._last_grant_acked = True
+        self._pending_interrupts: List[Interrupt] = []
+        self._liveness = _Liveness(config, stats, self._send_probe)
 
+    @property
+    def liveness_window_s(self) -> float:
+        """Worst-case CLOCK silence before the board is declared dead;
+        sessions refuse a report timeout that does not exceed it."""
+        return self.config.liveness_window_s
+
+    # -- recovery -------------------------------------------------------
+    def _mark_dead(self, port: str) -> None:
+        conn = self._conns.get(port)
+        if conn is not None:
+            conn.close()
+            self._conns[port] = None
+        self._dead.add(port)
+
+    def _revive(self, port: str, timeout: float) -> bool:
+        """Re-accept *port*; replays in-flight traffic on success."""
+        conn = self._server.reaccept(port, timeout)
+        if conn is None:
+            return False
+        old = self._conns.get(port)
+        if old is not None:
+            old.close()
+        self._conns[port] = conn
+        self._dead.discard(port)
+        self.stats.reconnects += 1
+        try:
+            if port == CLOCK_PORT:
+                self._liveness.reset()
+                if self._last_grant is not None and not self._last_grant_acked:
+                    conn.send(self._last_grant)
+                    self.stats.replays += 1
+            elif port == INT_PORT and self._pending_interrupts:
+                pending, self._pending_interrupts = self._pending_interrupts, []
+                for irq in pending:
+                    conn.send(irq)
+                    self.stats.replays += 1
+        except (TransportError, OSError):
+            self._mark_dead(port)
+            return False
+        return True
+
+    def _revive_blocking(self, port: str) -> None:
+        """Re-accept *port* within the bounded backoff budget."""
+        for delay in self.config.backoff_schedule():
+            start = time.monotonic()
+            if self._revive(port, timeout=delay):
+                return
+            self.stats.reconnect_attempts += 1
+            self.stats.backoff_wait_s += time.monotonic() - start
+        raise TransportError(
+            f"reconnect budget exhausted for {port} port "
+            f"({self.config.max_attempts} attempts)"
+        )
+
+    def _send_probe(self, probe: Heartbeat) -> None:
+        conn = self._conns.get(CLOCK_PORT)
+        if conn is None:
+            return
+        try:
+            conn.send(probe)
+        except (TransportError, OSError):
+            self._mark_dead(CLOCK_PORT)
+
+    # -- CLOCK ---------------------------------------------------------
     def send_grant(self, grant: ClockGrant) -> None:
         self.stats.account(grant, "clock")
-        self._conns[CLOCK_PORT].send(grant)
+        self._last_grant = grant
+        self._last_grant_acked = False
+        if CLOCK_PORT in self._dead:
+            self._revive_blocking(CLOCK_PORT)  # replays the unacked grant
+            return
+        try:
+            self._conns[CLOCK_PORT].send(grant)
+        except (TransportError, OSError):
+            self._mark_dead(CLOCK_PORT)
+            self._revive_blocking(CLOCK_PORT)
 
     def recv_report(self, timeout: Optional[float] = None) -> Optional[TimeReport]:
-        # Wakes early on DATA input: the master serves it and waits again.
-        message = self._conns[CLOCK_PORT].recv(
-            timeout, wake=self._conns[DATA_PORT])
-        if message is not None and not isinstance(message, TimeReport):
-            raise TransportError(f"unexpected message on CLOCK port: {message!r}")
-        return message
+        deadline = None if timeout is None else time.monotonic() + timeout
 
+        def expired() -> bool:
+            return deadline is not None and time.monotonic() >= deadline
+
+        while True:
+            if CLOCK_PORT in self._dead:
+                if not self._revive(CLOCK_PORT, timeout=_REVIVE_SLICE_S):
+                    if expired():
+                        return None
+                    continue
+            conn = self._conns[CLOCK_PORT]
+            slice_s = self.config.heartbeat_interval_s
+            if deadline is not None:
+                slice_s = min(slice_s, max(deadline - time.monotonic(), 0.0))
+            data = self._conns.get(DATA_PORT)  # None while dead
+            try:
+                message = conn.recv(slice_s, wake=data)
+            except (TransportError, OSError):
+                self._mark_dead(CLOCK_PORT)
+                continue
+            if message is None:
+                if data is not None and data.ready():
+                    return None  # a DATA request is waiting: serve it
+                self._liveness.probe()
+                if expired():
+                    return None
+                continue
+            self._liveness.alive()
+            if isinstance(message, Heartbeat):
+                try:
+                    conn.send(HeartbeatAck(seq=message.seq))
+                except (TransportError, OSError):
+                    self._mark_dead(CLOCK_PORT)
+                continue
+            if isinstance(message, HeartbeatAck):
+                self.stats.heartbeats_acked += 1
+                continue
+            if not isinstance(message, TimeReport):
+                raise TransportError(
+                    f"unexpected message on CLOCK port: {message!r}"
+                )
+            if (self._last_grant is None
+                    or message.seq < self._last_grant.seq
+                    or (message.seq == self._last_grant.seq
+                        and self._last_grant_acked)):
+                continue  # stale duplicate left over from a resync
+            if message.seq > self._last_grant.seq:
+                raise TransportError(
+                    f"time report from the future: seq {message.seq}, "
+                    f"last grant {self._last_grant.seq}"
+                )
+            self._last_grant_acked = True
+            return message
+
+    # -- INT -----------------------------------------------------------
     def send_interrupt(self, interrupt: Interrupt) -> None:
         self.stats.account(interrupt, "int")
-        self._conns[INT_PORT].send(interrupt)
+        if INT_PORT in self._dead and not self._revive(INT_PORT, 0.0):
+            self._pending_interrupts.append(interrupt)
+            return
+        try:
+            self._conns[INT_PORT].send(interrupt)
+        except (TransportError, OSError):
+            self._mark_dead(INT_PORT)
+            self._pending_interrupts.append(interrupt)
 
+    # -- DATA ----------------------------------------------------------
     def poll_data(self):
-        message = self._conns[DATA_PORT].poll()
-        if message is not None and not isinstance(message, (DataRead, DataWrite)):
+        for port in (INT_PORT, DATA_PORT):
+            # Opportunistically pick up redialed connections.
+            if port in self._dead:
+                self._revive(port, 0.0)
+        if DATA_PORT in self._dead:
+            return None
+        try:
+            message = self._conns[DATA_PORT].poll()
+        except (TransportError, OSError):
+            self._mark_dead(DATA_PORT)
+            self._revive(DATA_PORT, 0.0)
+            return None
+        if message is None:
+            return None
+        if not isinstance(message, (DataRead, DataWrite)):
             raise TransportError(f"unexpected message on DATA port: {message!r}")
+        # A board busy on DATA is alive even while CLOCK stays silent.
+        self._liveness.alive()
         return message
 
     def send_reply(self, seq: int, value: Value) -> None:
         reply = DataReply(seq, value)
         self.stats.account(reply, "data")
-        self._conns[DATA_PORT].send(reply)
+        if DATA_PORT in self._dead:
+            self._revive_blocking(DATA_PORT)
+        try:
+            self._conns[DATA_PORT].send(reply)
+        except (TransportError, OSError):
+            self._mark_dead(DATA_PORT)
+            # The board replays its request after reconnecting, which
+            # re-produces the reply; nothing more to do here.
 
     def close(self) -> None:
         for conn in self._conns.values():
-            conn.close()
+            if conn is not None:
+                conn.close()
+        self._conns = {}
+        self._server.close()
+
+
+def connect_board(addresses: dict,
+                  config: Optional[ResilienceConfig] = None,
+                  stats: Optional[LinkStats] = None) -> "TcpBoard":
+    """Board-side: dial the three ports of a :class:`TcpLinkServer`.
+
+    Pass the server's ``stats`` to aggregate both directions when the
+    two sides live in one process (as the threaded session does).
+    """
+    return TcpBoard(addresses, config or ResilienceConfig(), stats=stats)
 
 
 class TcpBoard(BoardEndpoint):
-    def __init__(self, conns: dict, stats: Optional[LinkStats] = None) -> None:
-        self._conns = conns
-        self.stats = stats
+    """Board endpoint that redials dropped ports and resyncs."""
+
+    def __init__(self, addresses: dict, config: ResilienceConfig,
+                 stats: Optional[LinkStats] = None) -> None:
+        self._addresses = addresses
+        self.config = config
+        self.stats = stats if stats is not None else LinkStats()
+        self._conns: Dict[str, Optional[_FramedSocket]] = {}
         self._data_seq = 0
         self.reply_timeout = 30.0
+        self._last_report: Optional[TimeReport] = None
+        self._last_grant_seq = 0
+        self._liveness = _Liveness(config, self.stats, self._send_probe)
+        for port in _PORTS:
+            self._dial(port)
 
-    def _account(self, message: Message, port: str) -> None:
-        if self.stats is not None:
-            self.stats.account(message, port)
+    # -- connection management -----------------------------------------
+    def _dial(self, port: str) -> None:
+        """Connect *port*, retrying over the bounded backoff schedule."""
+        last_error: Optional[OSError] = None
+        for delay in self.config.backoff_schedule():
+            try:
+                sock = socket.create_connection(
+                    self._addresses[port],
+                    timeout=self.config.connect_timeout_s,
+                )
+            except OSError as exc:
+                last_error = exc
+                # Only failed dials count: a first-try connect is not
+                # a retry and must not inflate the summary counters.
+                self.stats.reconnect_attempts += 1
+                self.stats.backoff_wait_s += delay
+                time.sleep(delay)
+                continue
+            self._conns[port] = _FramedSocket(sock)
+            return
+        raise TransportError(
+            f"reconnect budget exhausted for {port} port "
+            f"({self.config.max_attempts} attempts): {last_error}"
+        )
 
+    def _reconnect(self, port: str) -> None:
+        conn = self._conns.get(port)
+        if conn is not None:
+            conn.close()
+            self._conns[port] = None
+        self._dial(port)
+        self.stats.reconnects += 1
+        if port == CLOCK_PORT:
+            self._liveness.reset()
+            if self._last_report is not None:
+                # Resync: the master may never have heard this report;
+                # its sequence number lets the master drop a duplicate.
+                self._send_raw(CLOCK_PORT, self._last_report)
+                self.stats.replays += 1
+
+    def _send_raw(self, port: str, message: Message) -> None:
+        conn = self._conns[port]
+        if conn is None:
+            raise TransportError(f"{port} port is down")
+        conn.send(message)
+
+    def _send_with_retry(self, port: str, message: Message) -> None:
+        """Send, redialing the port once if the first attempt fails."""
+        try:
+            self._send_raw(port, message)
+            return
+        except (TransportError, OSError):
+            self._reconnect(port)
+        self._send_raw(port, message)
+
+    def _send_probe(self, probe: Heartbeat) -> None:
+        try:
+            self._send_raw(CLOCK_PORT, probe)
+        except (TransportError, OSError):
+            self._reconnect(CLOCK_PORT)
+
+    def inject_disconnect(self, port: str) -> None:
+        """Forcibly drop one connection (fault injection hook).
+
+        The dead socket stays installed, so the next operation on the
+        port fails and exercises the real recovery path on both sides.
+        """
+        conn = self._conns.get(port)
+        if conn is not None:
+            conn.close()
+
+    # -- CLOCK ---------------------------------------------------------
     def recv_grant(self, timeout: Optional[float] = None) -> Optional[ClockGrant]:
-        message = self._conns[CLOCK_PORT].recv(timeout)
-        if message is not None and not isinstance(message, ClockGrant):
-            raise TransportError(f"unexpected message on CLOCK port: {message!r}")
-        return message
+        deadline = None if timeout is None else time.monotonic() + timeout
+        while True:
+            if deadline is not None and time.monotonic() >= deadline:
+                return None
+            conn = self._conns[CLOCK_PORT]
+            if conn is None:
+                self._reconnect(CLOCK_PORT)
+                continue
+            slice_s = self.config.heartbeat_interval_s
+            if deadline is not None:
+                slice_s = min(slice_s, max(deadline - time.monotonic(), 0.0))
+            try:
+                message = conn.recv(slice_s)
+            except (TransportError, OSError):
+                self._reconnect(CLOCK_PORT)
+                continue
+            if message is None:
+                self._liveness.probe()
+                continue
+            self._liveness.alive()
+            if isinstance(message, Heartbeat):
+                try:
+                    self._send_raw(CLOCK_PORT, HeartbeatAck(seq=message.seq))
+                except (TransportError, OSError):
+                    self._reconnect(CLOCK_PORT)
+                continue
+            if isinstance(message, HeartbeatAck):
+                self.stats.heartbeats_acked += 1
+                continue
+            if not isinstance(message, ClockGrant):
+                raise TransportError(
+                    f"unexpected message on CLOCK port: {message!r}"
+                )
+            if message.seq <= self._last_grant_seq:
+                # Replayed grant we already executed: the master lost
+                # our report — resend it so both sides realign.
+                if self._last_report is not None:
+                    self._send_with_retry(CLOCK_PORT, self._last_report)
+                    self.stats.replays += 1
+                continue
+            self._last_grant_seq = message.seq
+            return message
 
     def send_report(self, report: TimeReport) -> None:
-        self._account(report, "clock")
-        self._conns[CLOCK_PORT].send(report)
+        self.stats.account(report, "clock")
+        self._last_report = report
+        self._send_with_retry(CLOCK_PORT, report)
 
+    # -- INT -----------------------------------------------------------
     def poll_interrupt(self) -> Optional[Interrupt]:
-        message = self._conns[INT_PORT].poll()
+        conn = self._conns[INT_PORT]
+        if conn is None:
+            self._reconnect(INT_PORT)
+            return None
+        try:
+            message = conn.poll()
+        except (TransportError, OSError):
+            self._reconnect(INT_PORT)
+            return None
         if message is not None and not isinstance(message, Interrupt):
             raise TransportError(f"unexpected message on INT port: {message!r}")
         return message
 
+    # -- DATA ----------------------------------------------------------
     def data_read(self, address: int) -> Value:
         self._data_seq += 1
         request = DataRead(self._data_seq, address)
-        self._account(request, "data")
-        self._conns[DATA_PORT].send(request)
-        reply = self._conns[DATA_PORT].recv(self.reply_timeout)
-        if reply is None:
-            raise TransportError(f"DATA read of {address:#x} timed out")
-        if not isinstance(reply, DataReply) or reply.seq != request.seq:
-            raise TransportError(f"bad DATA reply: {reply!r}")
-        return reply.value
+        self.stats.account(request, "data")
+        self._send_with_retry(DATA_PORT, request)
+        deadline = time.monotonic() + self.reply_timeout
+        while True:
+            remaining = deadline - time.monotonic()
+            if remaining <= 0:
+                raise TransportError(f"DATA read of {address:#x} timed out")
+            conn = self._conns[DATA_PORT]
+            try:
+                reply = conn.recv(
+                    min(remaining, self.config.heartbeat_interval_s))
+            except (TransportError, OSError):
+                # The reply (and possibly the request) was lost; replay.
+                # Reads are idempotent on the master, so at-least-once
+                # delivery is safe here.
+                self._reconnect(DATA_PORT)
+                self._send_raw(DATA_PORT, request)
+                self.stats.replays += 1
+                continue
+            if reply is None:
+                continue
+            if isinstance(reply, DataReply) and reply.seq < request.seq:
+                continue  # stale duplicate from before a reconnect
+            if not isinstance(reply, DataReply) or reply.seq != request.seq:
+                raise TransportError(f"bad DATA reply: {reply!r}")
+            return reply.value
 
     def data_write(self, address: int, value: Value) -> None:
         self._data_seq += 1
         request = DataWrite(self._data_seq, address, value)
-        self._account(request, "data")
-        self._conns[DATA_PORT].send(request)
+        self.stats.account(request, "data")
+        self._send_with_retry(DATA_PORT, request)
 
     def close(self) -> None:
         for conn in self._conns.values():
-            conn.close()
+            if conn is not None:
+                conn.close()
+        self._conns = {port: None for port in _PORTS}

@@ -44,6 +44,7 @@ class Rig:
         self.gpio.map_registers(self.sim, GPIO_BASE)
 
         self._servers = []
+        self._tcp_endpoints = []
         (master_a, board_a_ep, self.link_a,
          stats_a) = self._make_link("a")
         (master_b, board_b_ep, self.link_b,
@@ -76,8 +77,12 @@ class Rig:
             CosimBoardRuntime(self.board_b, board_b_ep, self.config),
             master_ep=master_b, stats=stats_b)
         session_cls = InprocSession if mode == "inproc" else ThreadedSession
-        self.session = session_cls.for_boards(
-            self.master, [self.slot_a, self.slot_b], self.config)
+        try:
+            self.session = session_cls.for_boards(
+                self.master, [self.slot_a, self.slot_b], self.config)
+        except ProtocolError:
+            self._close_links()
+            raise
 
     def _make_link(self, name):
         if self.mode == "inproc":
@@ -90,7 +95,14 @@ class Rig:
         self._servers.append(server)
         board_ep = connect_board(server.addresses, stats=server.stats)
         master_ep = server.accept()
+        self._tcp_endpoints += [master_ep, board_ep]
         return master_ep, board_ep, None, server.stats
+
+    def _close_links(self):
+        for endpoint in self._tcp_endpoints:
+            endpoint.close()
+        for server in self._servers:
+            server.close()
 
     def close(self):
         if self.mode != "inproc":
@@ -98,8 +110,7 @@ class Rig:
                 self.session.close()
             except Exception:
                 pass
-        for server in self._servers:
-            server.close()
+        self._close_links()
 
 
 @pytest.fixture
@@ -258,6 +269,20 @@ class TestMultiBoardThreaded:
         assert metrics.master_cycles == 100
         assert rig.board_a.kernel.sw_ticks == 100
         assert rig.board_b.kernel.sw_ticks == 100
+
+    def test_tcp_liveness_window_over_timeout_refused(self):
+        # The default liveness window is 10s: a 5s report timeout would
+        # give up on a dead board before a heartbeat could convict it.
+        with pytest.raises(ProtocolError, match="liveness window"):
+            Rig(mode="tcp", report_timeout_s=5.0)
+
+    def test_short_timeout_fine_without_heartbeats(self):
+        rig = Rig(mode="queue", report_timeout_s=5.0)
+        try:
+            metrics = rig.session.run(max_cycles=50)
+        finally:
+            rig.close()
+        assert metrics.master_cycles == 50
 
     def test_threaded_interrupts_route_to_owning_board_only(self):
         rig = Rig(mode="queue")

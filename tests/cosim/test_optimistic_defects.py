@@ -19,7 +19,7 @@ Three deliberate defects:
    the live, speculated-ahead board instead of rewinding to the
    pre-conflict checkpoint.  The board-side protocol seq is part of the
    checkpoint, so the replayed grant arrives *behind* the board's
-   books and the resilience layer refuses it.
+   books and the board protocol refuses it.
 3. **Stale-checkpoint reuse after restore** — a later rollback reuses
    the first rollback's checkpoint instead of the one captured for its
    own round, rewinding the board to an ancient boundary whose seq

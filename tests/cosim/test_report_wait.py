@@ -12,6 +12,7 @@ import time
 import pytest
 
 from repro.cosim.config import CosimConfig
+from repro.cosim.master import REPORT_POLL_S
 from repro.errors import ProtocolError
 from repro.router.testbench import RouterWorkload, build_router_cosim
 from repro.router.router import REG_STATUS
@@ -77,9 +78,7 @@ class TestReportWait:
         # poll), even though the report takes 3x longer than that.
         endpoint = ScriptedEndpoint(ticks=10, report_after_s=0.6,
                                     chatty=True)
-        master = _master_with(endpoint, report_timeout_s=0.2,
-                              report_poll_s=0.005,
-                              report_poll_max_s=0.02)
+        master = _master_with(endpoint, report_timeout_s=0.2)
         master.run_window_threaded(10)
         assert master.protocol.exchanges == 1
         assert endpoint.replies > 0
@@ -88,9 +87,7 @@ class TestReportWait:
     def test_silent_board_still_times_out(self):
         endpoint = ScriptedEndpoint(ticks=10, report_after_s=60.0,
                                     chatty=False)
-        master = _master_with(endpoint, report_timeout_s=0.2,
-                              report_poll_s=0.005,
-                              report_poll_max_s=0.02)
+        master = _master_with(endpoint, report_timeout_s=0.2)
         start = time.monotonic()
         with pytest.raises(ProtocolError, match="last sign of life"):
             master.run_window_threaded(10)
@@ -100,18 +97,6 @@ class TestReportWait:
 
 
 class TestPollConfigValidation:
-    def test_report_poll_must_be_positive(self):
-        with pytest.raises(ProtocolError):
-            CosimConfig(report_poll_s=0.0)
-
-    def test_poll_max_must_cover_poll(self):
-        with pytest.raises(ProtocolError):
-            CosimConfig(report_poll_s=0.01, report_poll_max_s=0.001)
-
     def test_poll_must_be_shorter_than_timeout(self):
-        with pytest.raises(ProtocolError):
-            CosimConfig(report_poll_s=1.0, report_timeout_s=0.5)
-
-    def test_data_poll_stride_must_be_at_least_one(self):
-        with pytest.raises(ProtocolError):
-            CosimConfig(data_poll_stride_max=0)
+        with pytest.raises(ProtocolError, match="poll slice"):
+            CosimConfig(report_timeout_s=REPORT_POLL_S)

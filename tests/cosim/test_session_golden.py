@@ -120,10 +120,7 @@ GOLDEN = {
             "checkpoints_taken": 0, "restores": 0, "windows_replayed": 0,
             "windows_speculated": 0, "rollbacks": 0,
             "rollback_depth_max": 0, "spans_recorded": 0, "span_events": 0,
-            "spans_dropped": 0, "farm_jobs": 0, "farm_jobs_done": 0,
-            "farm_jobs_failed": 0, "farm_queue_depth_peak": 0,
-            "farm_workers_busy_peak": 0, "farm_crashes": 0,
-            "farm_timeouts": 0,
+            "spans_dropped": 0,
         },
         "digest": "873a3cf69cac28a5a996e4bf45764273eee4a282878661e3ed7b14dc7014b1dd",
     },
@@ -146,10 +143,7 @@ GOLDEN = {
             "checkpoints_taken": 0, "restores": 0, "windows_replayed": 0,
             "windows_speculated": 0, "rollbacks": 0,
             "rollback_depth_max": 0, "spans_recorded": 0, "span_events": 0,
-            "spans_dropped": 0, "farm_jobs": 0, "farm_jobs_done": 0,
-            "farm_jobs_failed": 0, "farm_queue_depth_peak": 0,
-            "farm_workers_busy_peak": 0, "farm_crashes": 0,
-            "farm_timeouts": 0,
+            "spans_dropped": 0,
         },
         "digest": "b47fb12a41805901bb2f3bd049ebd80ef3760b0779bf560ffd86f0376c797659",
     },
@@ -172,10 +166,7 @@ GOLDEN = {
             "checkpoints_taken": 0, "restores": 0, "windows_replayed": 0,
             "windows_speculated": 0, "rollbacks": 0,
             "rollback_depth_max": 0, "spans_recorded": 0, "span_events": 0,
-            "spans_dropped": 0, "farm_jobs": 0, "farm_jobs_done": 0,
-            "farm_jobs_failed": 0, "farm_queue_depth_peak": 0,
-            "farm_workers_busy_peak": 0, "farm_crashes": 0,
-            "farm_timeouts": 0,
+            "spans_dropped": 0,
         },
         "digest": "1dc50c36400509b360f582bbeedb5108ce6807c8eac5f52a3597e39e141cef91",
     },
@@ -208,10 +199,7 @@ GOLDEN = {
             "checkpoints_taken": 0, "restores": 0, "windows_replayed": 0,
             "windows_speculated": 17, "rollbacks": 2,
             "rollback_depth_max": 3, "spans_recorded": 0, "span_events": 0,
-            "spans_dropped": 0, "farm_jobs": 0, "farm_jobs_done": 0,
-            "farm_jobs_failed": 0, "farm_queue_depth_peak": 0,
-            "farm_workers_busy_peak": 0, "farm_crashes": 0,
-            "farm_timeouts": 0,
+            "spans_dropped": 0,
         },
         "digest": "8780e2cd5fab5760edcbd55ef431a6edee8643831d04f9e250890213578c62ef",
     },

@@ -95,19 +95,19 @@ class TestReplayIdentity:
         assert find_divergence(recording, result).clean
 
     def test_disconnect_faulted_run_replays_identically(self):
-        # Yank connections mid-run on the resilient TCP link: the
+        # Yank connections mid-run on the TCP link: the
         # recording captures the post-recovery stream the board
         # consumed, so replay reproduces the run without re-injecting
         # faults or opening any socket.
         from repro.transport.messages import CLOCK_PORT, DATA_PORT
-        from repro.transport.resilience import ResilienceConfig
+        from repro.transport.tcp import ResilienceConfig
 
         plan = FaultPlan(disconnect_after_grants={2: CLOCK_PORT,
                                                   4: DATA_PORT})
         config = CosimConfig(
             t_sync=300,
             resilience=ResilienceConfig(
-                enabled=True, max_attempts=8, backoff_initial_s=0.005,
+                max_attempts=8, backoff_initial_s=0.005,
                 backoff_max_s=0.05, heartbeat_interval_s=0.05,
                 heartbeat_misses_allowed=200))
         recording = SessionRecording()

@@ -4,14 +4,12 @@ import pytest
 
 from repro.errors import ElaborationError, SimulationError
 from repro.simkernel import (
-    Clock,
     DriverIn,
     DriverOut,
     DriverSimulator,
     Module,
     Signal,
     driver_process,
-    ns,
 )
 
 
@@ -113,43 +111,3 @@ class TestInterruptPolling:
     def test_no_interrupt_signal_bound(self):
         sim = DriverSimulator()
         assert sim.poll_interrupt() is False
-
-
-class _ListLink:
-    """Minimal duck-typed link for driver_simulate_cycle."""
-
-    def __init__(self, requests):
-        self.requests = list(requests)
-        self.replies = []
-        self.interrupts = 0
-
-    def poll_data_request(self):
-        return self.requests.pop(0) if self.requests else None
-
-    def send_data_reply(self, value):
-        self.replies.append(value)
-
-    def send_interrupt(self):
-        self.interrupts += 1
-
-
-class TestDriverSimulateCycle:
-    def test_one_cycle_services_data_then_simulates(self):
-        sim = DriverSimulator("dsim")
-        clock = Clock(sim, "clk", period=ns(10), start_time=ns(10))
-        dev = EchoDevice(sim, "dev")
-        sim.map_port(0, dev.cmd)
-        sim.map_port(1, dev.result)
-        sim.bind_interrupt(dev.irq)
-        link = _ListLink([("write", 0, 7), ("read", 1)])
-        fired = sim.driver_simulate_cycle(clock, link)
-        assert link.replies == [14]
-        assert clock.cycles == 1
-        assert fired and link.interrupts == 1
-
-    def test_bad_request_rejected(self):
-        sim = DriverSimulator("dsim")
-        clock = Clock(sim, "clk", period=ns(10), start_time=ns(10))
-        link = _ListLink([("frobnicate", 0)])
-        with pytest.raises(SimulationError):
-            sim.driver_simulate_cycle(clock, link)

@@ -5,7 +5,7 @@ from repro.cosim.config import CosimConfig
 from repro.rtos.kernel import RtosKernel
 from repro.rtos.syscalls import CpuWork
 from repro.staticcheck import check_cosim_config, check_kernel
-from repro.transport.resilience import ResilienceConfig
+from repro.transport import ResilienceConfig
 
 
 def rules_of(diagnostics):
@@ -129,24 +129,24 @@ class TestCosimConfig:
         assert "COSIM002" not in rules_of(check_cosim_config(config))
 
     def test_cosim003_catches_post_construction_mutation(self):
-        # __post_init__ validates at construction; enabling resilience
-        # afterwards bypasses it — exactly what the lint re-checks.
-        config = CosimConfig(
+        # Every config is checked, whatever transport it is meant for:
+        # one built with too long a window, and one made so afterwards.
+        too_long = CosimConfig(
             report_timeout_s=5.0,
             resilience=ResilienceConfig(heartbeat_interval_s=1.0,
                                         heartbeat_misses_allowed=10),
         )
-        assert check_cosim_config(config) == []
-        config.resilience.enabled = True
-        diags = check_cosim_config(config)
-        (finding,) = [d for d in diags if d.rule == "COSIM003"]
-        assert "liveness window" in finding.message
+        mutated = CosimConfig(report_timeout_s=60.0)
+        assert check_cosim_config(mutated) == []
+        mutated.report_timeout_s = 5.0
+        for config in (too_long, mutated):
+            diags = check_cosim_config(config)
+            (finding,) = [d for d in diags if d.rule == "COSIM003"]
+            assert finding.severity == "error"
+            assert "liveness window" in finding.message
 
     def test_cosim003_valid_window_is_clean(self):
-        config = CosimConfig(
-            report_timeout_s=60.0,
-            resilience=ResilienceConfig(enabled=True),
-        )
+        config = CosimConfig(report_timeout_s=60.0)
         assert "COSIM003" not in rules_of(check_cosim_config(config))
 
     def test_cosim004_unattached_remote_vector(self):

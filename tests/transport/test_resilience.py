@@ -1,4 +1,5 @@
-"""Tests for the resilient transport: reconnect, deadlines, heartbeats.
+"""Tests for the TCP link's fault handling: reconnect, deadlines,
+heartbeats.
 
 Unit tests drive the endpoints directly; the session tests at the
 bottom are the acceptance runs — a TCP co-simulation survives a forced
@@ -19,9 +20,9 @@ from repro.transport import (
     ClockGrant,
     LinkStats,
     ResilienceConfig,
-    ResilientLinkServer,
+    TcpLinkServer,
     TimeReport,
-    connect_board_resilient,
+    connect_board,
 )
 from repro.transport.faults import FaultPlan
 from repro.transport.messages import (
@@ -33,7 +34,7 @@ from repro.transport.messages import (
 
 
 def fast_config(**overrides):
-    base = dict(enabled=True, max_attempts=5, backoff_initial_s=0.005,
+    base = dict(max_attempts=5, backoff_initial_s=0.005,
                 backoff_multiplier=2.0, backoff_max_s=0.02,
                 connect_timeout_s=1.0, heartbeat_interval_s=0.05,
                 heartbeat_misses_allowed=4)
@@ -44,12 +45,12 @@ def fast_config(**overrides):
 @pytest.fixture
 def resilient_pair():
     config = fast_config(heartbeat_misses_allowed=100)
-    server = ResilientLinkServer(config=config)
+    server = TcpLinkServer(config=config)
     holder = {}
 
     def connect():
-        holder["board"] = connect_board_resilient(
-            server.addresses, config, stats=server.stats)
+        holder["board"] = connect_board(server.addresses, config,
+                                        stats=server.stats)
 
     thread = threading.Thread(target=connect)
     thread.start()
@@ -103,7 +104,7 @@ class TestReconnectBudget:
         stats = LinkStats()
         start = time.monotonic()
         with pytest.raises(TransportError, match="budget exhausted"):
-            connect_board_resilient(
+            connect_board(
                 {name: dead_address
                  for name in (DATA_PORT, INT_PORT, CLOCK_PORT)},
                 config, stats=stats)
@@ -192,23 +193,6 @@ class TestDataRecovery:
         assert master.stats.reconnects >= 1
 
 
-class TestReportWaitWakesOnData:
-    def test_data_frame_ends_the_wait(self, resilient_pair):
-        master, board = resilient_pair
-        master.send_grant(ClockGrant(seq=1, ticks=5))
-        assert board.recv_grant(timeout=5).seq == 1
-        sender = threading.Timer(0.05, board.data_write, (3, 99))
-        sender.start()
-        start = time.monotonic()
-        assert master.recv_report(timeout=5.0) is None
-        assert time.monotonic() - start < 1.0
-        sender.join()
-        request = master.poll_data()
-        assert request.address == 3 and request.value == 99
-        board.send_report(TimeReport(seq=1, board_ticks=5))
-        assert master.recv_report(timeout=5.0).board_ticks == 5
-
-
 class TestInterruptRecovery:
     def test_interrupts_flow_again_after_disconnect(self, resilient_pair):
         master, board = resilient_pair
@@ -249,10 +233,10 @@ class TestInterruptRecovery:
 class TestHeartbeats:
     def test_dead_peer_detected_within_liveness_window(self):
         config = fast_config()  # 4 misses x 50ms
-        server = ResilientLinkServer(config=config)
+        server = TcpLinkServer(config=config)
         holder = {}
         thread = threading.Thread(
-            target=lambda: holder.update(board=connect_board_resilient(
+            target=lambda: holder.update(board=connect_board(
                 server.addresses, config, stats=server.stats)))
         thread.start()
         master = server.accept(timeout=10)
@@ -289,21 +273,43 @@ class TestHeartbeats:
 
 
 class TestConfigValidation:
+    """A TCP session whose liveness window does not undercut the report
+    timeout is refused before window 0; in-process and queue links
+    never heartbeat, so their short timeouts stand."""
+
+    WORKLOAD = dict(packets_per_producer=1, interval_cycles=100,
+                    corrupt_rate=0.0, payload_size=16, seed=7)
+
     def test_liveness_window_must_undercut_report_timeout(self):
-        resilience = ResilienceConfig(enabled=True, heartbeat_interval_s=1.0,
+        resilience = ResilienceConfig(heartbeat_interval_s=1.0,
                                       heartbeat_misses_allowed=10)
-        with pytest.raises(ProtocolError, match="liveness"):
-            CosimConfig(report_timeout_s=5.0, resilience=resilience)
-        # Fine when disabled, whatever the numbers say.
-        CosimConfig(report_timeout_s=5.0, resilience=ResilienceConfig(
-            heartbeat_interval_s=1.0, heartbeat_misses_allowed=10))
+        config = CosimConfig(t_sync=50, report_timeout_s=5.0,
+                             resilience=resilience)
+        with pytest.raises(ProtocolError, match="liveness window"):
+            build_router_cosim(config, RouterWorkload(**self.WORKLOAD),
+                               mode="tcp")
+        for mode in ("inproc", "queue"):
+            cosim = build_router_cosim(
+                config, RouterWorkload(**self.WORKLOAD), mode=mode)
+            metrics = cosim.run(max_cycles=100, await_drain=False)
+            assert metrics.master_cycles == 100
+
+    def test_window_under_timeout_builds(self):
+        resilience = ResilienceConfig(heartbeat_interval_s=0.4,
+                                      heartbeat_misses_allowed=10)
+        config = CosimConfig(t_sync=50, report_timeout_s=5.0,
+                             resilience=resilience)
+        cosim = build_router_cosim(config, RouterWorkload(**self.WORKLOAD),
+                                   mode="tcp")
+        metrics = cosim.run(max_cycles=100, await_drain=False)
+        assert metrics.master_cycles == metrics.board_ticks == 100
 
 
 def build_session(fault_plan=None, t_sync=50):
     workload = RouterWorkload(packets_per_producer=3, interval_cycles=100,
                               corrupt_rate=0.0, payload_size=16, seed=7)
     resilience = ResilienceConfig(
-        enabled=True, max_attempts=8, backoff_initial_s=0.005,
+        max_attempts=8, backoff_initial_s=0.005,
         backoff_max_s=0.05, heartbeat_interval_s=0.05,
         heartbeat_misses_allowed=100)
     config = CosimConfig(t_sync=t_sync, report_timeout_s=30.0,

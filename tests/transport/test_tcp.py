@@ -11,6 +11,7 @@ from repro.errors import TransportError
 from repro.transport import (
     ClockGrant,
     Interrupt,
+    ResilienceConfig,
     TcpLinkServer,
     TimeReport,
     connect_board,
@@ -107,6 +108,11 @@ class TestTcpLink:
         master, board = tcp_pair
         assert board.recv_grant(timeout=0.02) is None
 
+    def test_listeners_stay_open_for_reaccept(self, tcp_pair):
+        master, _board = tcp_pair
+        # No redial pending: the open listener just reports none.
+        assert master._server.reaccept(DATA_PORT) is None
+
     def test_accept_timeout(self):
         server = TcpLinkServer()
         with pytest.raises(TransportError, match="never connected"):
@@ -143,6 +149,13 @@ def _after(delay_s, fn, *args):
     return thread
 
 
+def _open_window(master, board, ticks=7):
+    """Grant one window: the master only accepts a report that answers
+    its outstanding grant."""
+    master.send_grant(ClockGrant(seq=1, ticks=ticks))
+    assert board.recv_grant(timeout=5) == ClockGrant(seq=1, ticks=ticks)
+
+
 class TestReportWaitWakesOnData:
     """The master's report wait returns early while a DATA request is
     waiting, so the caller serves it instead of sleeping out its poll."""
@@ -156,6 +169,19 @@ class TestReportWaitWakesOnData:
         sender.join()
         request = master.poll_data()
         assert request.address == 3 and request.value == 99
+
+    def test_data_frame_ends_the_wait_mid_window(self, tcp_pair):
+        master, board = tcp_pair
+        _open_window(master, board, ticks=5)
+        sender = _after(0.05, board.data_write, 3, 99)
+        start = time.monotonic()
+        assert master.recv_report(timeout=5.0) is None
+        assert time.monotonic() - start < 1.0
+        sender.join()
+        request = master.poll_data()
+        assert request.address == 3 and request.value == 99
+        board.send_report(TimeReport(seq=1, board_ticks=5))
+        assert master.recv_report(timeout=5.0).board_ticks == 5
 
     def test_buffered_data_frame_ends_the_wait(self, tcp_pair):
         master, board = tcp_pair
@@ -172,6 +198,7 @@ class TestReportWaitWakesOnData:
 
     def test_report_still_returned(self, tcp_pair):
         master, board = tcp_pair
+        _open_window(master, board)
         sender = _after(0.05, board.send_report,
                         TimeReport(seq=1, board_ticks=7))
         assert master.recv_report(timeout=5.0).board_ticks == 7
@@ -179,6 +206,7 @@ class TestReportWaitWakesOnData:
 
     def test_report_preferred_over_waiting_data(self, tcp_pair):
         master, board = tcp_pair
+        _open_window(master, board)
         board.data_write(3, 99)
         board.send_report(TimeReport(seq=1, board_ticks=7))
         deadline = time.monotonic() + 5.0
@@ -193,6 +221,47 @@ class TestReportWaitWakesOnData:
         start = time.monotonic()
         assert master.recv_report(timeout=0.1) is None
         assert time.monotonic() - start >= 0.09
+
+
+class TestDataIsProofOfLife:
+    def test_streaming_board_outlives_the_liveness_window(self):
+        """A board busy on DATA for four liveness windows, silent on
+        CLOCK, is alive: the master must not declare it dead."""
+        config = ResilienceConfig(heartbeat_interval_s=0.05,
+                                  heartbeat_misses_allowed=4)
+        server = TcpLinkServer(config=config)
+        board = connect_board(server.addresses, config, stats=server.stats)
+        master = server.accept(timeout=10)
+        failures = []
+
+        def stream():
+            try:
+                end = time.monotonic() + 4 * config.liveness_window_s
+                while time.monotonic() < end:
+                    board.data_write(1, 0)
+                    time.sleep(0.02)
+                board.send_report(TimeReport(seq=1, board_ticks=7))
+            except Exception as exc:  # surfaced in the main thread
+                failures.append(exc)
+
+        try:
+            _open_window(master, board)
+            thread = threading.Thread(target=stream, daemon=True)
+            thread.start()
+            writes, report = 0, None
+            deadline = time.monotonic() + 10.0
+            while report is None and time.monotonic() < deadline:
+                while master.poll_data() is not None:
+                    writes += 1
+                report = master.recv_report(timeout=0.01)
+            thread.join(timeout=5)
+        finally:
+            master.close()
+            board.close()
+        assert not failures
+        assert report == TimeReport(seq=1, board_ticks=7)
+        assert writes > 20
+        assert master.stats.heartbeats_sent > config.heartbeat_misses_allowed
 
 
 class TestFramedSocket:
