@@ -22,7 +22,10 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import List, Tuple
 
-from repro.determinism import seeded_rng
+from repro.determinism import (
+    random_bytes,
+    seeded_rng,
+)
 from repro.errors import ProtocolError
 from repro.router.checksum import checksum16
 
@@ -174,8 +177,7 @@ class OptimisticCosim:
         messages = []
         for _ in range(self.packet_count):
             now += self._rng.randint(1, 2 * self.mean_interarrival)
-            payload = bytes(self._rng.getrandbits(8)
-                            for _ in range(self.payload_size))
+            payload = random_bytes(self._rng, self.payload_size)
             messages.append(TimedMessage(now, payload))
         return messages
 

@@ -49,7 +49,7 @@ class CosimConfig:
     emulated_network_delay_s: float = 0.0
     #: Reconnect, heartbeat and resync knobs of the TCP transport.  A
     #: TCP session refuses a liveness window (heartbeat interval x
-    #: misses allowed) that is not shorter than ``report_timeout_s``.
+    #: (misses allowed + 1)) that is not shorter than ``report_timeout_s``.
     resilience: ResilienceConfig = field(default_factory=ResilienceConfig)
     #: Observability: span tracing and profiling (see repro.obs).
     #: Disabled by default — sessions then install the no-op recorder

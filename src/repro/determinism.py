@@ -38,6 +38,19 @@ def seeded_rng(seed: int) -> random.Random:
     return random.Random(seed)
 
 
+def random_bytes(rng: random.Random, n: int) -> bytes:
+    """*n* bytes equal to ``bytes(rng.getrandbits(8) for _ in range(n))``,
+    leaving *rng* in the same state, in one draw.
+
+    ``getrandbits(8)`` keeps the top byte of one 32-bit output, and
+    ``getrandbits(32 * n)`` packs *n* outputs least-significant first,
+    so byte ``4 * i + 3`` of its little-endian form is draw *i*.
+    """
+    if n == 0:
+        return b""
+    return rng.getrandbits(32 * n).to_bytes(4 * n, "little")[3::4]
+
+
 def mixed_seed(seed: int, index: int, salt: int = GOLDEN32) -> int:
     """The historical per-index stream derivation (``seed ^ i*salt``)."""
     return seed ^ (index * salt)

@@ -34,6 +34,7 @@ from typing import Any, Dict, List, Optional
 
 from repro.determinism import (
     mixed_seed,
+    random_bytes,
     rng_state_restore,
     rng_state_snapshot,
     seeded_rng,
@@ -320,8 +321,7 @@ class BehavioralRouterModel:
         rng = producer.rng
         pkt_id = (producer.index << 24) | producer.sent
         dst = rng.choice(self._dst_addresses)
-        payload = bytes(rng.getrandbits(8)
-                        for _ in range(self.payload_size))
+        payload = random_bytes(rng, self.payload_size)
         packet = Packet.build(producer.index, dst, pkt_id, payload)
         corrupt = rng.random() < self.corrupt_rate
         if corrupt:

@@ -9,18 +9,28 @@ assembly program.
 
 from __future__ import annotations
 
+import struct
 
-def checksum16(data: bytes) -> int:
-    """Ones'-complement 16-bit checksum of *data* (odd length padded)."""
-    total = 0
-    length = len(data)
-    for i in range(0, length - 1, 2):
-        total += (data[i] << 8) | data[i + 1]
-    if length % 2:
-        total += data[-1] << 8
+
+def _word_sum(data: bytes, start: int = 0) -> int:
+    """Sum of the big-endian 16-bit words of ``data[start:]``; a
+    trailing odd byte is left out."""
+    words = (len(data) - start) // 2
+    return sum(struct.unpack_from(f">{words}H", data, start))
+
+
+def _fold(total: int) -> int:
     while total >> 16:
         total = (total & 0xFFFF) + (total >> 16)
     return (~total) & 0xFFFF
+
+
+def checksum16(data: bytes) -> int:
+    """Ones'-complement 16-bit checksum of *data* (odd length padded)."""
+    total = _word_sum(data)
+    if len(data) % 2:
+        total += data[-1] << 8
+    return _fold(total)
 
 
 def verify16(data: bytes, checksum: int) -> bool:
@@ -40,15 +50,14 @@ class IncrementalChecksum:
         self._pending: int = -1  # odd leftover byte, or -1
 
     def update(self, chunk: bytes) -> "IncrementalChecksum":
-        data = chunk
-        if self._pending >= 0 and data:
-            self._total += (self._pending << 8) | data[0]
-            data = data[1:]
+        start = 0
+        if self._pending >= 0 and chunk:
+            self._total += (self._pending << 8) | chunk[0]
+            start = 1
             self._pending = -1
-        for i in range(0, len(data) - 1, 2):
-            self._total += (data[i] << 8) | data[i + 1]
-        if len(data) % 2:
-            self._pending = data[-1]
+        self._total += _word_sum(chunk, start)
+        if (len(chunk) - start) % 2:
+            self._pending = chunk[-1]
         return self
 
     @property
@@ -56,6 +65,4 @@ class IncrementalChecksum:
         total = self._total
         if self._pending >= 0:
             total += self._pending << 8
-        while total >> 16:
-            total = (total & 0xFFFF) + (total >> 16)
-        return (~total) & 0xFFFF
+        return _fold(total)

@@ -10,8 +10,8 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro.determinism import mixed_seed, rng_state_restore, \
-    rng_state_snapshot, seeded_rng
+from repro.determinism import mixed_seed, random_bytes, \
+    rng_state_restore, rng_state_snapshot, seeded_rng
 from repro.router.packet import Packet
 from repro.router.router import Router
 from repro.router.stats import WorkloadStats
@@ -106,9 +106,7 @@ class Producer(Module):
         while self.sent < self.count:
             pkt_id = self._next_packet_id()
             dst = self._rng.choice(self.dst_addresses)
-            payload = bytes(
-                self._rng.getrandbits(8) for _ in range(self.payload_size)
-            )
+            payload = random_bytes(self._rng, self.payload_size)
             packet = Packet.build(self.src_address, dst, pkt_id, payload)
             corrupt = self._rng.random() < self.corrupt_rate
             if corrupt:

@@ -496,15 +496,20 @@ class RtosKernel:
         """Advance the virtual CPU until ``cycles >= limit``."""
         self.start()
         zero_progress = 0
+        pump = True
         while self._cycles < limit:
             before = self._cycles
-            self._service_interrupts()
+            self._service_interrupts(pump)
+            pump = True
             self._schedule()
             thread = self.current
             if thread is None:
-                if (self.irq_pump is None and not self._external_irqs
+                if (not self._external_irqs
                         and self._fast_forward_idle(limit)):
                     zero_progress = 0
+                    # Vectors the fast-forward's last poll returned are
+                    # raised here, without polling the pump again.
+                    pump = not self._external_irqs
                     continue
                 self._run_idle_gap(limit)
             else:
@@ -524,8 +529,8 @@ class RtosKernel:
     # ------------------------------------------------------------------
     # Loop internals
     # ------------------------------------------------------------------
-    def _service_interrupts(self) -> None:
-        if self.irq_pump is not None:
+    def _service_interrupts(self, pump: bool = True) -> None:
+        if pump and self.irq_pump is not None:
             for vector in self.irq_pump():
                 self._external_irqs.append(vector)
         while self._external_irqs:
@@ -569,19 +574,23 @@ class RtosKernel:
         return bound
 
     def _fast_forward_idle(self, limit: int) -> bool:
-        """Arithmetically batch quiescent hardware ticks.
+        """Batch quiescent hardware ticks.
 
         When no thread is runnable and nothing can preempt — no pending
-        or due interrupts, no external injection path — each hardware
-        tick is pure bookkeeping: burn the idle gap, charge the timer
-        ISR, maybe count a software tick.  This folds a run of such
-        ticks into one arithmetic update, stopping one tick short of
-        the next deterministically scheduled interrupt, the next live
-        alarm's software tick, and the cycle *limit*, so those are
-        handled by the exact per-tick path.  Only called with
-        ``irq_pump`` unset (deterministic in-process sessions); the
-        threaded path polls the INT port every iteration and must keep
-        doing so.  Returns True if any ticks were skipped.
+        or due interrupts — each hardware tick is pure bookkeeping:
+        burn the idle gap, charge the timer ISR, maybe count a software
+        tick.  This batches a run of such ticks, stopping one tick
+        short of the next deterministically scheduled interrupt, the
+        next live alarm's software tick, and the cycle *limit*, so
+        those are handled by the exact per-tick path.
+
+        Without an ``irq_pump`` (deterministic in-process sessions) the
+        batch is one arithmetic update.  With one (threaded windows)
+        the ticks are applied one at a time and the pump is polled
+        between them, at the same cycles and as often as the per-tick
+        loop would poll it.  The first poll that returns vectors ends
+        the batch; they are left in the external queue for the caller
+        to raise at that cycle.  Returns True if any ticks were skipped.
         """
         config = self.config
         period = config.cycles_per_hw_tick
@@ -609,17 +618,40 @@ class RtosKernel:
             ticks = min(ticks, until_alarm - 1)
         if ticks <= 0:
             return False
-        # Identical bookkeeping to `ticks` iterations of the exact loop:
-        # idle up to each tick boundary, then the timer ISR charge.
-        self.idle_cycles += (next_tick - self._cycles
-                             + (ticks - 1) * (period - isr))
-        self.kernel_cycles += ticks * isr
-        self._cycles = next_tick + (ticks - 1) * period + isr
-        self._next_tick_at = next_tick + ticks * period
-        self._hw_ticks += ticks
-        wraps, self._hw_tick_phase = divmod(
-            self._hw_tick_phase + ticks, config.hw_ticks_per_sw_tick)
-        self._sw_ticks += wraps
+        pump = self.irq_pump
+        if pump is None:
+            # Identical bookkeeping to `ticks` iterations of the exact
+            # loop: idle up to each tick boundary, then the timer ISR.
+            self.idle_cycles += (next_tick - self._cycles
+                                 + (ticks - 1) * (period - isr))
+            self.kernel_cycles += ticks * isr
+            self._cycles = next_tick + (ticks - 1) * period + isr
+            self._next_tick_at = next_tick + ticks * period
+            self._hw_ticks += ticks
+            wraps, self._hw_tick_phase = divmod(
+                self._hw_tick_phase + ticks, config.hw_ticks_per_sw_tick)
+            self._sw_ticks += wraps
+            return True
+        # One tick at a time, polling between ticks: the per-tick loop
+        # polls after every tick but the last (the caller's next
+        # iteration polls after that one).
+        per_sw = config.hw_ticks_per_sw_tick
+        cycles = self._cycles
+        for left in range(ticks - 1, -1, -1):
+            self.idle_cycles += next_tick - cycles
+            self.kernel_cycles += isr
+            cycles = self._cycles = next_tick + isr
+            next_tick = self._next_tick_at = next_tick + period
+            self._hw_ticks += 1
+            self._hw_tick_phase += 1
+            if self._hw_tick_phase >= per_sw:
+                self._hw_tick_phase = 0
+                self._sw_ticks += 1
+            if left:
+                vectors = pump()
+                if vectors:
+                    self._external_irqs.extend(vectors)
+                    break
         return True
 
     def _run_idle_gap(self, limit: int) -> None:

@@ -13,9 +13,10 @@ The link survives faults instead of merely detecting them:
 * **Automatic reconnect** — the board side redials a dropped port with
   exponential backoff, deterministic jitter and a bounded retry budget;
   the master keeps its listeners open and re-accepts.
-* **Heartbeats** — while either side waits on the CLOCK connection it
-  probes the peer with :class:`~repro.transport.messages.Heartbeat`
-  frames; a dead peer is detected within
+* **Heartbeats** — when the CLOCK connection has been silent for
+  ``heartbeat_interval_s`` while a side waits on it, that side probes
+  the peer with :class:`~repro.transport.messages.Heartbeat` frames (a
+  link that keeps talking sends none); a dead peer is detected within
   :attr:`ResilienceConfig.liveness_window_s` instead of blocking until
   the session timeout.  Probes and acks are consumed at this layer and
   never reach the protocol.
@@ -26,6 +27,11 @@ The link survives faults instead of merely detecting them:
   existing sequence numbers let the receiver drop the duplicates, so
   the virtual tick never skews (alignment invariant preserved).
 
+Each connection's socket is non-blocking from the moment it is made:
+a poll is one readiness syscall, a wait is a ``poll`` with the time
+left to its deadline, and a send waits at most
+:attr:`ResilienceConfig.connect_timeout_s` for the peer to drain.
+
 Counters for all of this land in the shared
 :class:`~repro.transport.channel.LinkStats` and surface in
 ``CosimMetrics.summary()``.
@@ -33,6 +39,7 @@ Counters for all of this land in the shared
 
 from __future__ import annotations
 
+import errno
 import select
 import socket
 import struct
@@ -81,7 +88,8 @@ class ResilienceConfig:
     #: from a PRNG seeded with ``jitter_seed`` (reproducible schedules).
     jitter_fraction: float = 0.1
     jitter_seed: int = 2005
-    #: TCP connect timeout for each dial attempt.
+    #: TCP connect timeout for each dial attempt, and the deadline for
+    #: the peer to drain a send that does not fit the socket buffer.
     connect_timeout_s: float = 5.0
     #: Seconds of CLOCK silence before a liveness probe goes out.
     heartbeat_interval_s: float = 0.5
@@ -117,12 +125,19 @@ class ResilienceConfig:
 
     @property
     def liveness_window_s(self) -> float:
-        """Worst-case seconds before a dead peer is declared."""
-        return self.heartbeat_interval_s * self.heartbeat_misses_allowed
+        """Worst-case seconds of CLOCK silence before a dead peer is
+        declared: one interval before the first probe, then one per
+        tolerated unanswered probe."""
+        return self.heartbeat_interval_s * (self.heartbeat_misses_allowed + 1)
 
 
 class _Liveness:
-    """Heartbeat bookkeeping for one waiting side of the CLOCK port."""
+    """Heartbeat bookkeeping for one waiting side of the CLOCK port.
+
+    A probe goes out only after ``heartbeat_interval_s`` of silence on
+    the CLOCK connection, counted from the last frame received there
+    (or the last probe), so a link that keeps talking sends none.
+    """
 
     def __init__(self, config: ResilienceConfig, stats: LinkStats,
                  send_probe: Callable[[Heartbeat], None]) -> None:
@@ -131,21 +146,23 @@ class _Liveness:
         self._send_probe = send_probe
         self._seq = 0
         self._misses = 0
-        self._last_probe = 0.0
+        self._quiet_since = time.monotonic()
 
     def alive(self) -> None:
         """Any received frame counts as proof of life."""
         self._misses = 0
 
-    def reset(self) -> None:
+    def heard(self) -> None:
+        """A frame arrived on the CLOCK connection: proof of life, and
+        the silence that paces probes starts over."""
         self._misses = 0
-        self._last_probe = 0.0
+        self._quiet_since = time.monotonic()
 
     def probe(self) -> None:
         """Called on every silent receive slice; raises when the miss
         budget is exhausted."""
         now = time.monotonic()
-        if now - self._last_probe < self.config.heartbeat_interval_s:
+        if now - self._quiet_since < self.config.heartbeat_interval_s:
             return
         if self._misses >= self.config.heartbeat_misses_allowed:
             raise TransportError(
@@ -155,21 +172,56 @@ class _Liveness:
             )
         self._seq += 1
         self._misses += 1
-        self._last_probe = now
+        self._quiet_since = now
         self.stats.heartbeats_sent += 1
         self._send_probe(Heartbeat(seq=self._seq))
 
 
 class _FramedSocket:
-    """Length-prefixed message stream over one TCP connection."""
+    """Length-prefixed message stream over one TCP connection.
 
-    def __init__(self, sock: socket.socket) -> None:
+    The socket is made non-blocking once, here; every wait after that
+    is an explicit ``poll`` on a per-connection :class:`select.poll`
+    object, so a receive never touches the socket's mode or timeout.
+    A send that cannot complete at once waits for the peer to drain
+    for at most *send_timeout_s*, however the connection was last read.
+    """
+
+    def __init__(self, sock: socket.socket,
+                 send_timeout_s: float = ResilienceConfig.connect_timeout_s
+                 ) -> None:
         self.sock = sock
         self.sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        self.sock.setblocking(False)
+        self.send_timeout_s = send_timeout_s
+        self._fd = sock.fileno()
+        self._poller = select.poll()
+        self._poller.register(self._fd, select.POLLIN)
+        self._closed = False
         self._rxbuf = bytearray()
 
     def send(self, message: Message) -> None:
-        self.sock.sendall(encode(message))
+        """Write one frame, waiting for the peer to drain the socket for
+        at most ``send_timeout_s`` in all."""
+        data = memoryview(encode(message))
+        deadline = time.monotonic() + self.send_timeout_s
+        writable = None
+        while True:
+            try:
+                data = data[self.sock.send(data):]
+            except (BlockingIOError, InterruptedError):
+                pass
+            if not data:
+                return
+            if writable is None:
+                writable = select.poll()
+                writable.register(self._fd, select.POLLOUT)
+            remaining = deadline - time.monotonic()
+            if remaining <= 0 or not writable.poll(remaining * 1e3):
+                raise TransportError(
+                    f"send timed out: the peer did not drain the "
+                    f"connection within {self.send_timeout_s:g}s"
+                )
 
     def recv(self, timeout: Optional[float],
              wake: Optional["_FramedSocket"] = None) -> Optional[Message]:
@@ -182,57 +234,62 @@ class _FramedSocket:
         and this connection has none.
         """
         deadline = None if timeout is None else time.monotonic() + timeout
-        try:
-            while True:
-                frame = self._extract_frame()
-                if frame is not None:
-                    return decode(frame)
-                remaining = None
-                if deadline is not None:
-                    remaining = deadline - time.monotonic()
-                    if remaining <= 0:
-                        return None
-                if wake is not None:
-                    if wake._has_frame():
-                        return None
-                    readable, _, _ = select.select([self.sock, wake.sock],
-                                                   [], [], remaining)
-                    if self.sock not in readable:
-                        return None  # timed out, or *wake* has input
-                self.sock.settimeout(remaining)
-                chunk = self.sock.recv(65536)
-                if not chunk:
-                    raise TransportError("peer closed the connection")
-                self._rxbuf.extend(chunk)
-        except socket.timeout:
-            return None
+        while True:
+            frame = self._extract_frame()
+            if frame is not None:
+                return decode(frame)
+            if wake is not None and wake._has_frame():
+                return None
+            wait_ms = None
+            if deadline is not None:
+                remaining = deadline - time.monotonic()
+                if remaining <= 0:
+                    return None
+                wait_ms = remaining * 1e3
+            if not self._wait(wait_ms, wake):
+                return None  # timed out, or *wake* has input
+            self._fill()
 
     def poll(self) -> Optional[Message]:
         """Non-blocking receive; None if no complete frame is available."""
+        if self._rxbuf:
+            frame = self._extract_frame()
+            if frame is not None:
+                return decode(frame)
+        if not self._wait(0):
+            return None
+        self._fill()
         frame = self._extract_frame()
-        if frame is not None:
-            return decode(frame)
-        prior_timeout = self.sock.gettimeout()
-        self.sock.setblocking(False)
-        try:
-            while True:
-                chunk = self.sock.recv(65536)
-                if not chunk:
-                    raise TransportError("peer closed the connection")
-                self._rxbuf.extend(chunk)
-        except (BlockingIOError, InterruptedError):
-            pass
-        finally:
-            self.sock.settimeout(prior_timeout)
-        frame = self._extract_frame()
-        return decode(frame) if frame is not None else None
+        return None if frame is None else decode(frame)
 
     def ready(self) -> bool:
         """True when a frame is buffered or bytes wait on the socket."""
-        if self._has_frame():
-            return True
-        readable, _, _ = select.select([self.sock], [], [], 0)
-        return bool(readable)
+        return self._has_frame() or self._wait(0)
+
+    def _wait(self, wait_ms: Optional[float],
+              wake: Optional["_FramedSocket"] = None) -> bool:
+        """Poll until this connection is readable (True), *wake* is, or
+        *wait_ms* milliseconds pass (None: no limit)."""
+        if self._closed:
+            raise OSError(errno.EBADF, "connection is closed")
+        if wake is None:
+            return bool(self._poller.poll(wait_ms))
+        self._poller.register(wake._fd, select.POLLIN)
+        try:
+            events = self._poller.poll(wait_ms)
+        finally:
+            self._poller.unregister(wake._fd)
+        return any(fd == self._fd for fd, _ in events)
+
+    def _fill(self) -> None:
+        """One ``recv`` into the receive buffer; raises on EOF."""
+        try:
+            chunk = self.sock.recv(65536)
+        except (BlockingIOError, InterruptedError):
+            return
+        if not chunk:
+            raise TransportError("peer closed the connection")
+        self._rxbuf.extend(chunk)
 
     def _has_frame(self) -> bool:
         if len(self._rxbuf) < 4:
@@ -256,6 +313,7 @@ class _FramedSocket:
         return frame
 
     def close(self) -> None:
+        self._closed = True
         try:
             self.sock.shutdown(socket.SHUT_RDWR)
         except OSError:
@@ -308,7 +366,8 @@ class TcpLinkServer:
                     raise TransportError(
                         f"board never connected to {name} port"
                     ) from None
-                conns[name] = _FramedSocket(sock)
+                conns[name] = _FramedSocket(sock,
+                                            self.config.connect_timeout_s)
         except TransportError:
             # Don't leak the connections already accepted, nor the
             # listeners we never got to.
@@ -332,7 +391,7 @@ class TcpLinkServer:
             sock, _ = listener.accept()
         except (socket.timeout, BlockingIOError):
             return None
-        return _FramedSocket(sock)
+        return _FramedSocket(sock, self.config.connect_timeout_s)
 
     def close(self) -> None:
         for listener in self._listeners.values():
@@ -383,7 +442,7 @@ class TcpMaster(MasterEndpoint):
         self.stats.reconnects += 1
         try:
             if port == CLOCK_PORT:
-                self._liveness.reset()
+                self._liveness.heard()
                 if self._last_grant is not None and not self._last_grant_acked:
                     conn.send(self._last_grant)
                     self.stats.replays += 1
@@ -462,7 +521,7 @@ class TcpMaster(MasterEndpoint):
                 if expired():
                     return None
                 continue
-            self._liveness.alive()
+            self._liveness.heard()
             if isinstance(message, Heartbeat):
                 try:
                     conn.send(HeartbeatAck(seq=message.seq))
@@ -589,7 +648,8 @@ class TcpBoard(BoardEndpoint):
                 self.stats.backoff_wait_s += delay
                 time.sleep(delay)
                 continue
-            self._conns[port] = _FramedSocket(sock)
+            self._conns[port] = _FramedSocket(sock,
+                                              self.config.connect_timeout_s)
             return
         raise TransportError(
             f"reconnect budget exhausted for {port} port "
@@ -604,7 +664,7 @@ class TcpBoard(BoardEndpoint):
         self._dial(port)
         self.stats.reconnects += 1
         if port == CLOCK_PORT:
-            self._liveness.reset()
+            self._liveness.heard()
             if self._last_report is not None:
                 # Resync: the master may never have heard this report;
                 # its sequence number lets the master drop a duplicate.
@@ -663,7 +723,7 @@ class TcpBoard(BoardEndpoint):
             if message is None:
                 self._liveness.probe()
                 continue
-            self._liveness.alive()
+            self._liveness.heard()
             if isinstance(message, Heartbeat):
                 try:
                     self._send_raw(CLOCK_PORT, HeartbeatAck(seq=message.seq))

@@ -271,7 +271,7 @@ class TestMultiBoardThreaded:
         assert rig.board_b.kernel.sw_ticks == 100
 
     def test_tcp_liveness_window_over_timeout_refused(self):
-        # The default liveness window is 10s: a 5s report timeout would
+        # The default liveness window is 10.5s: a 5s report timeout would
         # give up on a dead board before a heartbeat could convict it.
         with pytest.raises(ProtocolError, match="liveness window"):
             Rig(mode="tcp", report_timeout_s=5.0)

@@ -5,12 +5,15 @@ import random
 import time
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.determinism import (
     EntropyError,
     derive_seed,
     forbid_entropy,
     mixed_seed,
+    random_bytes,
     rng_state_restore,
     rng_state_snapshot,
     seeded_rng,
@@ -57,6 +60,26 @@ class TestStreams:
         fresh = seeded_rng(0)
         rng_state_restore(fresh, state)
         assert [fresh.random() for _ in range(5)] == expected
+
+
+class TestRandomBytes:
+    """``random_bytes`` is an exact fast path for the per-byte draw loop
+    the producers used to run."""
+
+    @given(st.integers(min_value=0, max_value=2**63),
+           st.integers(min_value=0, max_value=2048))
+    def test_same_bytes_and_rng_state_as_per_byte_draws(self, seed, n):
+        fast, slow = seeded_rng(seed), seeded_rng(seed)
+        expected = bytes(slow.getrandbits(8) for _ in range(n))
+        assert random_bytes(fast, n) == expected
+        assert fast.getstate() == slow.getstate()
+        assert fast.random() == slow.random()
+
+    def test_empty(self):
+        rng = seeded_rng(3)
+        before = rng.getstate()
+        assert random_bytes(rng, 0) == b""
+        assert rng.getstate() == before
 
 
 class TestForbidEntropy:

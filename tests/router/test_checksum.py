@@ -6,6 +6,18 @@ from hypothesis import strategies as st
 from repro.router.checksum import IncrementalChecksum, checksum16, verify16
 
 
+def reference_checksum16(data):
+    """The per-byte-pair loop the word-sum implementation replaced."""
+    total = 0
+    for i in range(0, len(data) - 1, 2):
+        total += (data[i] << 8) | data[i + 1]
+    if len(data) % 2:
+        total += data[-1] << 8
+    while total >> 16:
+        total = (total & 0xFFFF) + (total >> 16)
+    return (~total) & 0xFFFF
+
+
 class TestChecksum16:
     def test_empty(self):
         assert checksum16(b"") == 0xFFFF
@@ -19,6 +31,11 @@ class TestChecksum16:
 
     def test_odd_length_padding(self):
         assert checksum16(b"\xAB") == (~0xAB00) & 0xFFFF
+
+    @given(st.binary(max_size=3000))
+    def test_matches_per_byte_reference(self, data):
+        assert checksum16(data) == reference_checksum16(data)
+        assert checksum16(bytearray(data)) == reference_checksum16(data)
 
     @given(st.binary(max_size=300))
     def test_verify_accepts_own_checksum(self, data):
@@ -46,6 +63,13 @@ class TestIncremental:
         for start in range(0, len(data), chunk):
             incremental.update(data[start:start + chunk])
         assert incremental.value == checksum16(data)
+
+    @given(st.lists(st.binary(max_size=40), max_size=12))
+    def test_any_split_matches_per_byte_reference(self, chunks):
+        incremental = IncrementalChecksum()
+        for chunk in chunks:
+            incremental.update(chunk)
+        assert incremental.value == reference_checksum16(b"".join(chunks))
 
     def test_empty_updates(self):
         inc = IncrementalChecksum()

@@ -272,6 +272,18 @@ class TestHeartbeats:
         assert master.stats.heartbeats_acked > 0  # ...but probes were answered
 
 
+    def test_clean_run_sends_no_heartbeats(self):
+        """Probes answer CLOCK silence, not elapsed wall time: a healthy
+        session, whose reports and grants keep arriving, sends none."""
+        workload = RouterWorkload(packets_per_producer=4, seed=7)
+        cosim = build_router_cosim(CosimConfig(t_sync=200), workload,
+                                   mode="tcp")
+        metrics = cosim.run()
+        assert metrics.windows > 10
+        assert metrics.heartbeats_sent == 0
+        assert metrics.heartbeats_acked == 0
+
+
 class TestConfigValidation:
     """A TCP session whose liveness window does not undercut the report
     timeout is refused before window 0; in-process and queue links

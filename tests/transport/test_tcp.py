@@ -17,7 +17,7 @@ from repro.transport import (
     connect_board,
 )
 from repro.transport.framing import MAX_FRAME_SIZE, encode
-from repro.transport.messages import DATA_PORT, DataRead
+from repro.transport.messages import DATA_PORT, DataRead, DataReply
 from repro.transport.tcp import _FramedSocket
 
 
@@ -299,6 +299,9 @@ class TestFramedSocket:
             # And a message still comes through afterwards.
             client.sendall(encode(ClockGrant(seq=1, ticks=2)))
             assert framed.recv(timeout=2.0) == ClockGrant(seq=1, ticks=2)
+            # Neither a message nor a timed-out receive touches it.
+            assert framed.recv(timeout=0.01) is None
+            assert framed.sock.gettimeout() == 1.5
         finally:
             client.close()
             framed.close()
@@ -333,5 +336,122 @@ class TestFramedSocket:
         finally:
             stop.set()
             thread.join(timeout=2)
+            client.close()
+            framed.close()
+
+    def test_frame_split_across_two_segments(self):
+        client, server = tcp_socket_pair()
+        framed = _FramedSocket(server)
+        wire = encode(ClockGrant(seq=3, ticks=40))
+        try:
+            client.sendall(wire[:5])
+            time.sleep(0.02)
+            assert framed.poll() is None  # half a frame is buffered
+            client.sendall(wire[5:])
+            assert framed.recv(timeout=2.0) == ClockGrant(seq=3, ticks=40)
+        finally:
+            client.close()
+            framed.close()
+
+    def test_several_frames_in_one_segment(self):
+        client, server = tcp_socket_pair()
+        framed = _FramedSocket(server)
+        grants = [ClockGrant(seq=n, ticks=n * 10) for n in (1, 2, 3)]
+        try:
+            client.sendall(b"".join(encode(grant) for grant in grants))
+            assert framed.recv(timeout=2.0) == grants[0]
+            # The other two come out one poll each, in order.
+            assert framed.ready()
+            assert [framed.poll(), framed.poll()] == grants[1:]
+            assert framed.poll() is None
+        finally:
+            client.close()
+            framed.close()
+
+    def test_peer_close_seen_by_poll(self):
+        client, server = tcp_socket_pair()
+        framed = _FramedSocket(server)
+        try:
+            client.close()
+            deadline = time.monotonic() + 2.0
+            with pytest.raises(TransportError, match="peer closed"):
+                while time.monotonic() < deadline:
+                    framed.poll()
+        finally:
+            framed.close()
+
+    def test_poll_after_local_close_fails(self):
+        """A connection closed on this side (as fault injection does)
+        fails its next poll instead of reading as silent."""
+        client, server = tcp_socket_pair()
+        framed = _FramedSocket(server)
+        framed.close()
+        try:
+            with pytest.raises(OSError):
+                framed.poll()
+            with pytest.raises(OSError):
+                framed.recv(timeout=0.05)
+        finally:
+            client.close()
+
+
+def narrow_socket_pair():
+    """A connected (client, server) pair whose kernel buffers are fixed
+    before the handshake, well below one large frame (but above the
+    loopback MSS, so the receive window reopens as the client drains)."""
+    listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+    listener.setsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF, 64 * 1024)
+    listener.bind(("127.0.0.1", 0))
+    listener.listen(1)
+    client = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+    client.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 256 * 1024)
+    client.connect(listener.getsockname())
+    server, _ = listener.accept()
+    listener.close()
+    return client, server
+
+
+class TestSendDeadline:
+    BIG = DataReply(seq=1, value=bytes(900 * 1024))
+
+    def test_peer_that_never_reads_fails_the_send(self):
+        client, server = narrow_socket_pair()
+        framed = _FramedSocket(server, send_timeout_s=0.2)
+        try:
+            start = time.monotonic()
+            with pytest.raises(TransportError, match="did not drain"):
+                for _ in range(64):
+                    framed.send(self.BIG)
+            elapsed = time.monotonic() - start
+            assert 0.2 <= elapsed < 2.0
+        finally:
+            client.close()
+            framed.close()
+
+    def test_send_ignores_the_last_receive_timeout(self):
+        """A short receive slice does not shorten the next send: a peer
+        that drains after 100ms still gets the whole frame."""
+        client, server = narrow_socket_pair()
+        framed = _FramedSocket(server)
+        wire = encode(self.BIG)
+        received = bytearray()
+
+        def slow_reader():
+            time.sleep(0.1)
+            client.settimeout(5.0)
+            while len(received) < len(wire):
+                chunk = client.recv(65536)
+                if not chunk:
+                    return
+                received.extend(chunk)
+
+        reader = threading.Thread(target=slow_reader, daemon=True)
+        reader.start()
+        try:
+            assert framed.recv(timeout=0.001) is None
+            framed.send(self.BIG)
+            reader.join(timeout=5)
+            assert bytes(received) == wire
+        finally:
             client.close()
             framed.close()
