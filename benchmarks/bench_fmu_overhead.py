@@ -24,7 +24,7 @@ from conftest import emit
 
 from repro.analysis import format_table
 from repro.cosim import CosimConfig, ProtocolTrace
-from repro.fmi import build_fmu_router_cosim
+from repro.fmi.behavioral import BehavioralRouterModel
 from repro.fmi.subproc import SubprocessPlugin
 from repro.replay import board_state_summary
 from repro.replay.snapshot import state_digest
@@ -67,8 +67,9 @@ def test_fmu_overhead(benchmark, quick, bench):
 
     mounts = [
         ("inproc", lambda c, w: build_router_cosim(c, w, mode="inproc")),
-        ("fmu-behavioral", build_fmu_router_cosim),
-        ("fmu-subprocess", lambda c, w: build_fmu_router_cosim(
+        ("fmu-behavioral", lambda c, w: build_router_cosim(
+            c, w, plugin=BehavioralRouterModel())),
+        ("fmu-subprocess", lambda c, w: build_router_cosim(
             c, w, plugin=SubprocessPlugin(
                 "repro.fmi.behavioral:BehavioralRouterModel"))),
     ]

@@ -14,10 +14,11 @@ Run:  python examples/custom_peripheral.py
 
 from repro.board import Board
 from repro.cosim import (
+    BoardSlot,
     CosimBoardRuntime,
     CosimConfig,
     CosimMaster,
-    InprocSession,
+    CosimSession,
     build_driver_sim,
 )
 from repro.router.checksum import checksum16
@@ -66,7 +67,6 @@ def run_variant(offload: bool, payloads, sw_cycles_per_byte=8):
                  sensitive=[clock.signal], edge="pos", dont_initialize=True)
     master = CosimMaster(sim, clock, link.master, config,
                          interrupt_signal=accel.done_irq)
-    link.install_data_server(master.serve_data)
 
     board = Board()
     checksums = []
@@ -85,7 +85,8 @@ def run_variant(offload: bool, payloads, sw_cycles_per_byte=8):
 
     board.kernel.create_thread("app", app, priority=8)
     runtime = CosimBoardRuntime(board, link.board, config)
-    session = InprocSession(master, runtime, link.stats, config)
+    session = CosimSession(master, [BoardSlot("board", link, runtime)],
+                           config)
 
     thread = board.kernel.threads[0]
     session.run(max_cycles=100_000,

@@ -16,7 +16,7 @@ from repro.cosim import (
     CosimBoardRuntime,
     CosimConfig,
     CosimMaster,
-    InprocSession,
+    CosimSession,
     build_driver_sim,
 )
 from repro.devices import (
@@ -45,8 +45,6 @@ def main():
     master.bind_interrupt(ACCEL_VECTOR, accel.done_irq,
                           endpoint=link_a.master)
     master.bind_interrupt(GPIO_VECTOR, gpio.irq, endpoint=link_b.master)
-    link_a.install_data_server(master.serve_data)
-    link_b.install_data_server(master.serve_data)
 
     board_a, board_b = Board(name="compute"), Board(name="io")
     accel_driver = AcceleratorDriver(board_a.kernel, link_a.board,
@@ -79,7 +77,7 @@ def main():
         BoardSlot("io", link_b,
                   CosimBoardRuntime(board_b, link_b.board, config)),
     ]
-    session = InprocSession.for_boards(master, slots, config)
+    session = CosimSession(master, slots, config)
 
     # Phase 1: let the compute board work; the switch is untouched.
     session.run(max_cycles=150)

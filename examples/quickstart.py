@@ -15,10 +15,11 @@ Run:  python examples/quickstart.py
 
 from repro.board import Board
 from repro.cosim import (
+    BoardSlot,
     CosimBoardRuntime,
     CosimConfig,
     CosimMaster,
-    InprocSession,
+    CosimSession,
     build_driver_sim,
 )
 from repro.rtos.syscalls import CpuWork
@@ -54,7 +55,6 @@ def main():
     sim.map_port(REG_OPERAND, mac.operand)
     sim.map_port(REG_RESULT, mac.result)
     master = CosimMaster(sim, clock, link.master, config)
-    link.install_data_server(master.serve_data)
 
     # Software: one RTOS thread doing driver I/O.
     board = Board()
@@ -70,7 +70,8 @@ def main():
     runtime = CosimBoardRuntime(board, link.board, config)
 
     # Run the timed co-simulation.
-    session = InprocSession(master, runtime, link.stats, config)
+    session = CosimSession(master, [BoardSlot("board", link, runtime)],
+                           config)
     metrics = session.run(max_cycles=100)
 
     expected = [3 * sum(range(1, k + 1)) for k in range(1, 11)]

@@ -60,9 +60,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
                                mode=args.mode, adaptive=adaptive)
     trace = None
     if args.trace:
-        if args.mode != "inproc":
-            print("--trace requires --mode inproc", file=sys.stderr)
-            return 2
         trace = ProtocolTrace()
         cosim.session.attach_trace(trace)
     metrics = cosim.run()
@@ -292,11 +289,17 @@ def _cmd_replay(args: argparse.Namespace) -> int:
     from repro.replay import (
         ReplayDivergence,
         SessionRecording,
+        SnapshotError,
         find_divergence,
     )
     from repro.router.testbench import replay_router_recording
 
-    recording = SessionRecording.load(args.recording)
+    try:
+        recording = SessionRecording.load(args.recording)
+    except (SnapshotError, OSError, ValueError) as exc:
+        print(f"cannot load recording {args.recording}: {exc}",
+              file=sys.stderr)
+        return 2
     scenario = recording.meta.get("scenario")
     if scenario != "router":
         print(f"cannot replay scenario {scenario!r} (only 'router')",
@@ -328,7 +331,12 @@ def _cmd_replay(args: argparse.Namespace) -> int:
 
 def _cmd_checkpoint(args: argparse.Namespace) -> int:
     from repro.cosim import CosimConfig, ProtocolTrace
-    from repro.replay import Checkpoint, Checkpointer, restore_session
+    from repro.replay import (
+        Checkpoint,
+        Checkpointer,
+        SnapshotError,
+        restore_session,
+    )
     from repro.router.testbench import (
         build_router_cosim,
         router_run_meta,
@@ -336,7 +344,12 @@ def _cmd_checkpoint(args: argparse.Namespace) -> int:
     )
 
     if args.resume:
-        checkpoint = Checkpoint.load(args.resume)
+        try:
+            checkpoint = Checkpoint.load(args.resume)
+        except (SnapshotError, OSError, ValueError) as exc:
+            print(f"cannot load checkpoint {args.resume}: {exc}",
+                  file=sys.stderr)
+            return 2
         meta = checkpoint.meta
         if meta.get("scenario") != "router":
             print(f"cannot resume scenario {meta.get('scenario')!r} "

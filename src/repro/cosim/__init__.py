@@ -12,7 +12,7 @@ from repro.cosim.protocol import (
     is_shutdown,
     make_shutdown,
 )
-from repro.cosim.session import BoardSlot, InprocSession, ThreadedSession
+from repro.cosim.session import BoardSlot, CosimSession
 from repro.cosim.trace import ProtocolTrace, WindowRecord, rows_to_csv
 from repro.obs.recorder import TracingConfig
 
@@ -25,11 +25,10 @@ __all__ = [
     "CosimConfig",
     "CosimMaster",
     "CosimMetrics",
-    "InprocSession",
+    "CosimSession",
     "MasterProtocol",
     "ProtocolTrace",
     "SHUTDOWN_TICKS",
-    "ThreadedSession",
     "TracingConfig",
     "WindowRecord",
     "build_driver_sim",

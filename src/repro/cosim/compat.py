@@ -1,7 +1,7 @@
 """Which session features combine: the one compatibility table.
 
 Every session runs the same window loop
-(:meth:`repro.cosim.session._SessionBase.run`); what varies is a set of
+(:meth:`repro.cosim.session.CosimSession.run`); what varies is a set of
 features.  :data:`COMPATIBILITY` declares, once, every pair of features
 the loop cannot combine.  A pair it does not list runs.
 

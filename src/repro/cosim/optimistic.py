@@ -69,14 +69,14 @@ from repro.errors import ProtocolError
 from repro.transport.messages import ClockGrant
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.cosim.session import _SessionBase
+    from repro.cosim.session import CosimSession
 
 
 class Speculator:
     """Window execution "speculate": one call runs one round of up to
     ``config.speculation_depth`` windows for *session*."""
 
-    def __init__(self, session: "_SessionBase") -> None:
+    def __init__(self, session: "CosimSession") -> None:
         self.session = session
         self.master = session.master
         self.runtime = session.runtime

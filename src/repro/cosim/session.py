@@ -2,29 +2,33 @@
 
 A session runs the paper's ``driver_simulate`` loop: grant ``T_sync``
 ticks, simulate the window, wait for the board's time report.
-:meth:`_SessionBase.run` is that loop, and the only one; what varies
-is chosen from the session's features (see :mod:`repro.cosim.compat`):
+:meth:`CosimSession.run` is that loop, and the only one; what varies is
+chosen from the session's features (see :mod:`repro.cosim.compat`):
 
 * **window sizing** — the fixed ``config.t_sync``, or an
   :class:`~repro.cosim.adaptive.AdaptiveController` with reactive,
-  interrupt-terminated windows (:meth:`_SessionBase.attach_adaptive`);
+  interrupt-terminated windows (:meth:`CosimSession.attach_adaptive`);
 * **window execution** — simulate, or speculate ahead
   (``config.speculation_depth > 0``, see :mod:`repro.cosim.optimistic`);
 * **topology** — a list of :class:`BoardSlot`; the paper's single board
-  is one slot, :meth:`_SessionBase.for_boards` takes N;
-* **threading** — the two session classes:
+  is one slot;
+* **window exchange** — decided by the links:
 
-  * :class:`InprocSession` — master and boards interleaved window by
-    window in one thread.  Bit-for-bit deterministic; wall-clock cost
-    is *modeled* (calibrated cost model), simulated-time behaviour — and
-    therefore the accuracy results of Figure 7 — is exact.
-  * :class:`ThreadedSession` — each board runtime runs in its own OS
-    thread behind a queue or TCP link, as in the paper's physical setup.
-    Wall-clock cost is *measured* (Figures 5 and 6); interleaving is
-    real and slightly nondeterministic.
+  * in-process links (:class:`~repro.transport.inproc.InprocLink`) —
+    master and boards interleaved window by window in one thread; the
+    session points each link's ``data_server`` at the master.
+    Bit-for-bit deterministic; wall-clock cost is *modeled* (calibrated
+    cost model), simulated-time behaviour — and therefore the accuracy
+    results of Figure 7 — is exact.
+  * queue and TCP links — each board runtime runs in its own OS thread,
+    as in the paper's physical setup.  Wall-clock cost is *measured*
+    (Figures 5 and 6); interleaving is real and slightly
+    nondeterministic.
 
-Window ordering in :class:`InprocSession`: the master simulates its
-half of the window first, then the board consumes the same window with
+  One session never mixes the two.
+
+Window ordering over in-process links: the master simulates its half of
+the window first, then the board consumes the same window with
 interrupts delivered at their recorded in-window offsets.  This is the
 serialization of the paper's concurrent execution in which the board
 observes hardware state loosely — the decoupling that *is* the source
@@ -60,44 +64,64 @@ DoneFn = Callable[[], bool]
 
 
 class BoardSlot:
-    """One board's attachment to a session.
+    """One board's attachment to a session: its *link* (``.master``,
+    ``.board``, ``.stats`` and ``close()``, as every transport's link
+    has) and the *runtime* serving the board side."""
 
-    For in-process and queue links pass the *link* object (anything with
-    ``.master`` and ``.stats`` attributes).  For transports whose two
-    endpoints are created separately (TCP), pass ``link=None`` plus
-    explicit ``master_ep`` and ``stats``.
-    """
-
-    def __init__(self, name: str, link, runtime: CosimBoardRuntime,
-                 master_ep=None, stats: Optional[LinkStats] = None) -> None:
-        if link is None and (master_ep is None or stats is None):
-            raise ProtocolError(
-                f"board slot {name!r}: need a link, or master_ep + stats"
-            )
+    def __init__(self, name: str, link, runtime: CosimBoardRuntime) -> None:
         self.name = name
         self.link = link
         self.runtime = runtime
-        self.master_ep = master_ep if master_ep is not None else link.master
-        self.stats = stats if stats is not None else link.stats
+        self._closed = False
+
+    def close(self) -> None:
+        """Close the link and the runtime's endpoint (which may wrap the
+        link's board end); closing twice is a no-op."""
+        if self._closed:
+            return
+        self._closed = True
+        try:
+            self.link.close()
+        finally:
+            self.runtime.endpoint.close()
 
 
-class _SessionBase:
-    #: Board runtimes serve in their own OS threads.
-    threaded = False
+class CosimSession:
+    """One master and its boards, run window by window.
 
-    def __init__(self, master: CosimMaster, runtime: CosimBoardRuntime,
-                 link_stats: LinkStats, config: CosimConfig) -> None:
+    The master needs one link endpoint per board for grants and
+    interrupts; its protocol object tracks the grant history once, and
+    each board's protocol tracks its own sequence.  With several boards
+    the master binds each device's interrupt signal to a vector and to
+    the endpoint of the board owning the device, so give each board's
+    devices distinct vectors.
+    """
+
+    def __init__(self, master: CosimMaster, slots: Sequence[BoardSlot],
+                 config: CosimConfig) -> None:
+        if not slots:
+            raise ProtocolError("a session needs boards")
+        names = [slot.name for slot in slots]
+        if len(set(names)) != len(names):
+            raise ProtocolError(f"duplicate board names: {names}")
+        # In-process links serve DATA through a synchronous
+        # ``data_server`` callback and are stepped window by window;
+        # every other link gets a board thread.
+        threaded = {not hasattr(slot.link, "data_server") for slot in slots}
+        if len(threaded) > 1:
+            raise ProtocolError(
+                "cannot mix in-process and threaded links in one session")
         self.master = master
-        #: The first board's runtime and link counters.
-        self.runtime = runtime
-        self.link_stats = link_stats
-        self.config = config
         #: Every board of the session, the first one included.
-        self.slots = [BoardSlot("board", None, runtime,
-                                master_ep=master.endpoint, stats=link_stats)]
-        #: Every board's master endpoint, when not just the master's
-        #: own (see for_boards): each grant fans out to all of them.
-        self._fanout = ()
+        self.slots = list(slots)
+        #: The first board's runtime and link counters.
+        self.runtime = self.slots[0].runtime
+        self.link_stats = self.slots[0].link.stats
+        self.config = config
+        #: Board runtimes serve in their own OS threads.
+        self.threaded = threaded.pop()
+        #: Every board's master endpoint: each grant fans out to all.
+        self._fanout = tuple(slot.link.master for slot in self.slots)
         #: Optional per-window recorder (see repro.cosim.trace).
         # Attachment points (trace/checkpointer) are wiring, not
         # simulated state; checkpoints deliberately omit them.
@@ -113,7 +137,9 @@ class _SessionBase:
         #: Span recorder (NULL_RECORDER unless config.tracing enables
         #: it), installed across master, board and transport wrappers.
         self.obs = make_recorder(getattr(config, "tracing", None))
-        install_recorder(self.obs, master=master, runtime=runtime)
+        install_recorder(self.obs, master=master, runtime=self.runtime)
+        for slot in self.slots[1:]:
+            install_recorder(self.obs, runtime=slot.runtime)
         #: Windows completed over the session's lifetime (across runs).
         self.windows_completed = 0  # lint: disable=SNAP001
         # Checkpoint/restore accounting, copied into the metrics.
@@ -132,31 +158,9 @@ class _SessionBase:
         #: that window is reported.  Transient within one window report.
         self._committed_board = None
         self._check_shape()
-
-    @classmethod
-    def for_boards(cls, master: CosimMaster, slots: Sequence[BoardSlot],
-                   config: CosimConfig) -> "_SessionBase":
-        """A session over one master and N boards.
-
-        The master needs one link endpoint per board for grants and
-        interrupts; its protocol object tracks the grant history once,
-        and each board's protocol tracks its own sequence.  The master
-        binds each device's interrupt signal to a vector and to the
-        endpoint of the board owning the device, so give each board's
-        devices distinct vectors.
-        """
-        if not slots:
-            raise ProtocolError("a multi-board session needs boards")
-        names = [slot.name for slot in slots]
-        if len(set(names)) != len(names):
-            raise ProtocolError(f"duplicate board names: {names}")
-        session = cls(master, slots[0].runtime, slots[0].stats, config)
-        session.slots = list(slots)
-        session._fanout = tuple(slot.master_ep for slot in slots)
-        for slot in slots[1:]:
-            install_recorder(session.obs, runtime=slot.runtime)
-        session._check_shape()
-        return session
+        if not self.threaded:
+            for slot in self.slots:
+                slot.link.data_server = master.serve_data
 
     def _check_shape(self) -> None:
         """Construction-time check of the compatibility table, over the
@@ -168,7 +172,7 @@ class _SessionBase:
         timeout = self.config.report_timeout_s
         for slot in self.slots:
             # Only heartbeating (TCP) endpoints have a liveness window.
-            window = getattr(slot.master_ep, "liveness_window_s", None)
+            window = getattr(slot.link.master, "liveness_window_s", None)
             if window is not None and window >= timeout:
                 raise ProtocolError(
                     f"board {slot.name!r}: heartbeat liveness window "
@@ -278,10 +282,7 @@ class _SessionBase:
     def close(self) -> None:
         """Release transport resources on both ends of every link."""
         for slot in self.slots:
-            try:
-                slot.master_ep.close()
-            finally:
-                slot.runtime.endpoint.close()
+            slot.close()
 
     # ------------------------------------------------------------------
     # The window loop
@@ -362,16 +363,31 @@ class _SessionBase:
                 or self._data_messages() > data_before)
 
     def _exchange(self, ticks: int) -> int:
-        """Threading policy: one window's exchange; returns the ticks
+        """One window's exchange with every board; returns the ticks
         actually granted."""
-        raise NotImplementedError
-
-    def _serving(self, metrics: CosimMetrics):
-        """Threading policy: the boards' lifecycle around one run."""
-        return contextlib.nullcontext()
+        master = self.master
+        if self.threaded:
+            master.run_window_threaded(ticks, *self._fanout)
+            return ticks
+        if self.controller is None:
+            master.run_window_inproc(ticks, *self._fanout)
+        else:
+            # Reactive window: ends early at the first interrupt edge.
+            ticks = master.run_window_inproc_reactive(ticks, *self._fanout)
+        for slot in self.slots:
+            slot.runtime.serve_window()
+        reports = []
+        for slot in self.slots:
+            report = slot.link.master.recv_report()
+            if report is None:
+                raise ProtocolError(
+                    f"no time report from board {slot.name!r}")
+            reports.append(report)
+        master.finish_window_inproc(*reports)
+        return ticks
 
     def _data_messages(self) -> int:
-        return sum(slot.stats.data_messages for slot in self.slots)
+        return sum(slot.link.stats.data_messages for slot in self.slots)
 
     def _after_window(self, metrics: CosimMetrics, ticks: int,
                       ints_before: int, data_before: int,
@@ -427,7 +443,7 @@ class _SessionBase:
         metrics.rollback_depth_max = self.rollback_depth_max
         combined = LinkStats()
         for name in LinkStats.FIELDS:
-            setattr(combined, name, sum(getattr(slot.stats, name)
+            setattr(combined, name, sum(getattr(slot.link.stats, name)
                                         for slot in self.slots))
         metrics.absorb_link_stats(combined)
         if self.obs.enabled:
@@ -437,44 +453,15 @@ class _SessionBase:
         metrics.finish_modeled(self.config.wall_cost)
         return metrics
 
-
-class InprocSession(_SessionBase):
-    """Deterministic, single-thread co-simulation."""
-
-    def _exchange(self, ticks: int) -> int:
-        master = self.master
-        if self.controller is None:
-            master.run_window_inproc(ticks, *self._fanout)
-        else:
-            # Reactive window: ends early at the first interrupt edge.
-            ticks = master.run_window_inproc_reactive(ticks, *self._fanout)
-        for slot in self.slots:
-            slot.runtime.serve_window()
-        reports = []
-        for slot in self.slots:
-            report = slot.master_ep.recv_report()
-            if report is None:
-                raise ProtocolError(
-                    f"no time report from board {slot.name!r}")
-            reports.append(report)
-        master.finish_window_inproc(*reports)
-        return ticks
-
-
-class ThreadedSession(_SessionBase):
-    """Co-simulation with each board in its own thread and measured
-    wall-clock time."""
-
-    threaded = True
-
-    def _exchange(self, ticks: int) -> int:
-        self.master.run_window_threaded(ticks, *self._fanout)
-        return ticks
-
     @contextlib.contextmanager
     def _serving(self, metrics: CosimMetrics):
-        """Start every board thread, then after the last window send the
-        shutdown grant and join them; on failure close the links."""
+        """The boards' lifecycle around one run.  In-process links need
+        none.  Threaded links: start every board thread, then after the
+        last window send the shutdown grant and join them; on failure
+        close the links."""
+        if not self.threaded:
+            yield
+            return
         threads = [
             threading.Thread(
                 target=slot.runtime.serve_forever,
@@ -501,7 +488,7 @@ class ThreadedSession(_SessionBase):
             shutdown = make_shutdown(self.master.protocol.seq + 1)
             for slot in self.slots:
                 try:
-                    slot.master_ep.send_grant(shutdown)
+                    slot.link.master.send_grant(shutdown)
                 except TransportError:
                     # The link is already down; don't let the poison
                     # pill mask the error that ended the run.  The

@@ -3,8 +3,8 @@
 Records one row per synchronization window — grant size, cumulative
 times, interrupt and DATA traffic inside the window — for debugging a
 co-simulation and for post-mortem analysis of controller behaviour.
-Attach to any in-process session with
-:meth:`repro.cosim.session.InprocSession.attach_trace`; export with
+Attach to any session, over any link, with
+:meth:`repro.cosim.session.CosimSession.attach_trace`; export with
 :meth:`ProtocolTrace.to_csv`.
 """
 

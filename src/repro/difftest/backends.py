@@ -20,11 +20,9 @@ from repro.board.memory import Memory
 from repro.cosim import (
     BoardSlot,
     CosimBoardRuntime,
-    CosimConfig,
     CosimMaster,
-    InprocSession,
+    CosimSession,
     ProtocolTrace,
-    ThreadedSession,
     build_driver_sim,
 )
 from repro.devices import AcceleratorDriver, ChecksumAccelerator
@@ -130,12 +128,11 @@ def run_backend(spec: FuzzSpec, backend: str,
     a finding rather than an abort of the whole fuzz loop.
     """
     try:
-        if backend in ("inproc", "rerun", "optimistic", "queue", "tcp"):
+        if backend in ("inproc", "rerun", "optimistic", "fmu", "queue",
+                       "tcp"):
             return _run_router(spec, backend)
         if backend == "replay":
             return _run_replay(spec, recording)
-        if backend == "fmu":
-            return _run_fmu(spec)
         if backend in ("iss-default", "iss-unit"):
             return _run_iss(spec, backend)
         if backend in ("adaptive", "adaptive-rerun"):
@@ -152,8 +149,18 @@ def run_backend(spec: FuzzSpec, backend: str,
 # Router scenario
 # ----------------------------------------------------------------------
 def _run_router(spec: FuzzSpec, backend: str) -> RunOutcome:
-    mode = ("inproc" if backend in ("inproc", "rerun", "optimistic")
-            else backend)
+    mode = backend if backend in ("queue", "tcp") else "inproc"
+    # The fmu backend mounts the behavioral-router plugin, a clean-room
+    # model of the router netlist, through the FMI-style boundary
+    # (repro.fmi): holding its digest and trace rows to the inproc
+    # reference run's convicts either a boundary bug (adapter, clock
+    # domain crossing, DATA forwarding) or a divergence between the
+    # two models.
+    plugin = None
+    if backend == "fmu":
+        from repro.fmi.behavioral import BehavioralRouterModel
+
+        plugin = BehavioralRouterModel()
     # The optimistic backend speculates with a spec-derived depth and
     # must land on bit-identical trace rows and digests — the oracles
     # are exactly the ≥2x-throughput claim's correctness half.  Fault
@@ -171,7 +178,7 @@ def _run_router(spec: FuzzSpec, backend: str) -> RunOutcome:
     # faults, so its live rows equal the board-visible ones.  Only the
     # reference ``inproc`` recording is handed onward to the replay
     # backend.
-    record = (backend in ("inproc", "rerun")
+    record = (backend in ("inproc", "rerun", "fmu")
               or (backend == "optimistic" and not use_optimistic))
     recording = SessionRecording() if record else None
     config = spec.cosim_config()
@@ -182,7 +189,7 @@ def _run_router(spec: FuzzSpec, backend: str) -> RunOutcome:
                          speculation_depth=1 + spec.seed % 8)
     cosim = build_router_cosim(
         config, spec.router_workload(), mode=mode,
-        fault_plan=spec.fault_plan(), recorder=recording)
+        fault_plan=spec.fault_plan(), recorder=recording, plugin=plugin)
     trace = ProtocolTrace()
     cosim.session.attach_trace(trace)
     # Fixed cycle budget, no drain condition: every backend covers the
@@ -215,46 +222,6 @@ def _run_router(spec: FuzzSpec, backend: str) -> RunOutcome:
             "stats": cosim.stats.snapshot(),
         })
     return outcome
-
-
-def _run_fmu(spec: FuzzSpec) -> RunOutcome:
-    """Run the spec with the behavioral-router plugin mounted through
-    the FMI-style boundary (:mod:`repro.fmi`).
-
-    The plugin is a clean-room behavioral model of the router netlist;
-    holding its digest and trace rows to the ``inproc`` reference run's
-    convicts either a boundary bug (adapter, clock domain crossing,
-    DATA forwarding) or a divergence between the two models.  The run
-    always records so faulted specs compare board-visible rows, same as
-    the deterministic netlist flavours.
-    """
-    from repro.fmi import build_fmu_router_cosim
-
-    recording = SessionRecording()
-    cosim = build_fmu_router_cosim(
-        spec.cosim_config(), spec.router_workload(),
-        fault_plan=spec.fault_plan(), recorder=recording)
-    trace = ProtocolTrace()
-    cosim.session.attach_trace(trace)
-    metrics = cosim.run(max_cycles=spec.max_cycles, await_drain=False)
-    finalize_router_recording(recording, cosim, metrics)
-    stats = cosim.stats.snapshot()
-    return RunOutcome(
-        backend="fmu",
-        windows=metrics.windows,
-        master_cycles=metrics.master_cycles,
-        board_ticks=metrics.board_ticks,
-        state_switches=metrics.state_switches,
-        aligned=(metrics.master_cycles
-                 == cosim.runtime.board.kernel.sw_ticks),
-        trace_rows=list(recording.trace_rows),
-        stats=stats,
-        digest=state_digest({
-            "board": board_state_summary(cosim.runtime.board),
-            "stats": stats,
-        }),
-        deterministic=True,
-    )
 
 
 def _run_replay(spec: FuzzSpec,
@@ -404,9 +371,6 @@ def _run_multiboard(spec: FuzzSpec, backend: str) -> RunOutcome:
     master = CosimMaster(sim, clock, links[0].master, config)
     master.bind_interrupt(_ACCEL_VECTOR, accel.done_irq,
                           endpoint=links[0].master)
-    if not threaded:
-        for link in links:
-            link.install_data_server(master.serve_data)
 
     slots = []
     boards = []
@@ -427,8 +391,7 @@ def _run_multiboard(spec: FuzzSpec, backend: str) -> RunOutcome:
         results["csum"] = value
 
     boards[0].kernel.create_thread("fuzz_app", app, 10)
-    session_cls = ThreadedSession if threaded else InprocSession
-    session = session_cls.for_boards(master, slots, config)
+    session = CosimSession(master, slots, config)
     metrics = session.run(max_cycles=spec.max_cycles)
     return RunOutcome(
         backend=backend,

@@ -159,7 +159,7 @@ def _run_router(payload: Dict[str, Any],
     )
     cosim = build_router_cosim(config, workload, mode=mode)
     trace = None
-    if payload.get("trace") and mode == "inproc":
+    if payload.get("trace"):
         trace = ProtocolTrace()
         cosim.session.attach_trace(trace)
     max_cycles = payload.get("max_cycles")

@@ -14,7 +14,6 @@ trust.  See docs/FMI.md.
 from repro.fmi.adapter import (
     FmuMasterAdapter,
     FmuRouterCosim,
-    build_fmu_router_cosim,
     router_plugin_config,
 )
 from repro.fmi.protocol import (
@@ -35,7 +34,6 @@ __all__ = [
     "FmuMasterAdapter",
     "FmuRouterCosim",
     "PLUGIN_METHODS",
-    "build_fmu_router_cosim",
     "check_surface",
     "missing_methods",
     "plugin_read",

@@ -4,24 +4,20 @@
 whose hardware is a plugin speaking the :mod:`repro.fmi.protocol`
 contract.  The master owns the window protocol, DATA and interrupt
 service and every counter; the adapter only hides the plugin contract
-behind the master's hardware operations.  A session built by
-:func:`build_fmu_router_cosim` is a drop-in sibling of
-``build_router_cosim(mode="inproc")``: same window protocol, same
-``CosimMetrics``, same recording/fault wrapping, and — for the
-reference plugins — bit-identical traces and digests.  Which session
-features a plugin mount combines with is the ``plugin`` row of the
-compatibility table (:mod:`repro.cosim.compat`).
+behind the master's hardware operations.  The router case study mounts
+a plugin with ``build_router_cosim(plugin=...)`` on any transport: same
+window protocol, same ``CosimMetrics``, same recording/fault wrapping,
+and — for the reference plugins — bit-identical traces and digests.
+Which session features a plugin mount combines with is the ``plugin``
+row of the compatibility table (:mod:`repro.cosim.compat`).
 """
 
 from __future__ import annotations
 
-from typing import Any, Optional
+from typing import Any, Tuple
 
-from repro.board.board import BoardConfig
-from repro.cosim.board_runtime import CosimBoardRuntime
 from repro.cosim.config import CosimConfig
 from repro.cosim.master import CosimMaster
-from repro.cosim.session import InprocSession
 from repro.errors import FmiError
 from repro.fmi.protocol import (
     DATA_ADDR_KEY,
@@ -30,14 +26,7 @@ from repro.fmi.protocol import (
     check_surface,
 )
 from repro.replay.snapshot import is_snapshotable
-from repro.router.testbench import (
-    RouterCosim,
-    RouterWorkload,
-    build_router_board_side,
-    router_run_meta,
-)
-from repro.transport.faults import FaultPlan, FaultyBoardEndpoint
-from repro.transport.inproc import InprocLink
+from repro.router.testbench import RouterCosim, RouterWorkload
 
 
 class _PluginClock:
@@ -147,7 +136,8 @@ class _RemoteStats:
 
 class FmuRouterCosim(RouterCosim):
     """A :class:`RouterCosim` whose hardware lives behind the plugin
-    boundary; drain detection goes through ``get_outputs()``."""
+    boundary; drain detection goes through ``get_outputs()``, and
+    closing it terminates the plugin."""
 
     def drained(self) -> bool:
         outputs = self.master.plugin.get_outputs()
@@ -159,6 +149,17 @@ class FmuRouterCosim(RouterCosim):
                     + stats.get("dropped_checksum", 0)
                     + stats.get("dropped_unroutable", 0))
         return terminal >= stats.get("generated", 0)
+
+    def close(self) -> None:
+        try:
+            super().close()
+        finally:
+            if isinstance(self.stats, _RemoteStats):
+                try:
+                    self.stats.refresh()
+                except FmiError:
+                    pass
+            self.master.plugin.terminate()
 
 
 def router_plugin_config(config: CosimConfig,
@@ -178,69 +179,17 @@ def router_plugin_config(config: CosimConfig,
     }
 
 
-def build_fmu_router_cosim(
-    config: Optional[CosimConfig] = None,
-    workload: Optional[RouterWorkload] = None,
-    board_config: Optional[BoardConfig] = None,
-    plugin: Any = None,
-    fault_plan: Optional[FaultPlan] = None,
-    recorder=None,
-) -> FmuRouterCosim:
-    """Assemble the router case study with a plugin on the HW side.
-
-    *plugin* defaults to a fresh
-    :class:`~repro.fmi.behavioral.BehavioralRouterModel`; any
-    conforming plugin works (``init`` is called here with the router
-    config and the workload seed).  The board side, the in-process
-    link, fault injection and recording are all shared with
-    :func:`~repro.router.testbench.build_router_cosim`.
-    """
-    config = config or CosimConfig()
-    workload = workload or RouterWorkload()
-    board_config = board_config or BoardConfig()
-
-    link = InprocLink()
-    master_ep, board_ep, stats_src = link.master, link.board, link.stats
-
-    if fault_plan is not None:
-        board_ep = FaultyBoardEndpoint(board_ep, fault_plan)
-
-    if recorder is not None:
-        from repro.replay import RecordingBoardEndpoint
-
-        recorder.meta.update(
-            router_run_meta(config, workload, mode="fmu"))
-        board_ep = RecordingBoardEndpoint(board_ep, recorder)
-
-    if plugin is None:
-        from repro.fmi.behavioral import BehavioralRouterModel
-
-        plugin = BehavioralRouterModel()
+def mount_router_plugin(
+        plugin: Any, endpoint, config: CosimConfig,
+        workload: RouterWorkload) -> Tuple[FmuMasterAdapter, Any]:
+    """Initialize *plugin* for the router case study and mount it as
+    the master on *endpoint*; returns the master and a view of the
+    plugin's workload stats (its own ``stats`` when snapshotable, else a
+    read-through of ``get_outputs()``)."""
     check_surface(plugin)
     plugin.init(router_plugin_config(config, workload), workload.seed)
-    adapter = FmuMasterAdapter(plugin, master_ep, config)
-
-    board, driver, app = build_router_board_side(board_ep, config,
-                                                 board_config)
-    runtime = CosimBoardRuntime(board, board_ep, config)
-
-    link.install_data_server(adapter.serve_data)
-    session = InprocSession(adapter, runtime, stats_src, config)
-
-    local_stats = getattr(plugin, "stats", None)
-    if is_snapshotable(local_stats):
-        stats = local_stats
-    else:
+    master = FmuMasterAdapter(plugin, endpoint, config)
+    stats = getattr(plugin, "stats", None)
+    if not is_snapshotable(stats):
         stats = _RemoteStats(plugin)
-    session.register_snapshotable("checksum_app", app, side="board")
-
-    def cleanup() -> None:
-        if isinstance(stats, _RemoteStats):
-            try:
-                stats.refresh()
-            except FmiError:
-                pass
-        plugin.terminate()
-
-    return FmuRouterCosim(session, adapter, runtime, None, [], [],
-                          app, driver, stats, workload, cleanup=cleanup)
+    return master, stats

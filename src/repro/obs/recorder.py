@@ -200,7 +200,7 @@ class _SpanContext:
 class TracingRecorder:
     """Records spans and events with wall + simulated time.
 
-    Thread-safe for the two-thread layout of :class:`ThreadedSession`:
+    Thread-safe for the two-thread layout of a threaded session:
     each OS thread keeps its own span stack and sampling state; the
     retained lists and aggregates are shared (list appends are atomic
     in CPython; sid allocation uses an atomic counter).

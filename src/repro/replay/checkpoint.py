@@ -38,6 +38,7 @@ from typing import Any, Dict, List, Optional
 from repro.cosim import compat
 from repro.replay.snapshot import (
     SnapshotError,
+    check_int_rows,
     decode_tree,
     diff_trees,
     encode_tree,
@@ -135,13 +136,16 @@ def validate_checkpoint_dict(payload: dict) -> None:
             )
     if payload["window"] < 0:
         raise SnapshotError("checkpoint window cannot be negative")
+    if not isinstance(payload.get("meta", {}), dict):
+        raise SnapshotError("checkpoint field 'meta' is not an object")
+    check_int_rows(payload.get("trace", []), "checkpoint trace")
 
 
 # ----------------------------------------------------------------------
 # Capture
 # ----------------------------------------------------------------------
 def capture_checkpoint(session, meta: Optional[dict] = None) -> Checkpoint:
-    """Snapshot *session* (any ``_SessionBase``) at the current window
+    """Snapshot *session* (a ``CosimSession``) at the current window
     boundary.  Must only be called between windows — the session hook
     (:class:`Checkpointer`) guarantees that."""
     trace_rows = []

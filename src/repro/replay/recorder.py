@@ -28,7 +28,12 @@ from __future__ import annotations
 import json
 from typing import Any, Dict, List, Optional
 
-from repro.replay.snapshot import SnapshotError, decode_tree, encode_tree
+from repro.replay.snapshot import (
+    SnapshotError,
+    check_int_rows,
+    decode_tree,
+    encode_tree,
+)
 from repro.transport.channel import BoardEndpoint
 from repro.transport.messages import ClockGrant, Interrupt, TimeReport
 
@@ -87,12 +92,6 @@ class SessionRecording:
         return sum(1 for _poll, _vec, cycle in self.interrupts
                    if start < cycle <= end)
 
-    def data_messages_in_window(self, window: int) -> int:
-        """DATA frame count for *window* (read = 2 frames, write = 1)."""
-        return sum(2 if kind == OP_READ else 1
-                   for win, kind, _addr, _val in self.data_ops
-                   if win == window)
-
     # -- serialization -------------------------------------------------
     def to_dict(self) -> dict:
         return {
@@ -145,6 +144,20 @@ def validate_recording_dict(payload: dict) -> None:
             raise SnapshotError(
                 f"recording field {key!r} missing or not a list"
             )
+    for key in ("meta", "final"):
+        if not isinstance(payload.get(key, {}), dict):
+            raise SnapshotError(f"recording field {key!r} is not an object")
+    check_int_rows(payload["grants"], "recording grants", width=2)
+    check_int_rows(payload["interrupts"], "recording interrupts", width=3)
+    check_int_rows(payload["reports"], "recording reports", width=2)
+    check_int_rows(payload.get("trace", []), "recording trace")
+    for index, op in enumerate(payload["data_ops"]):
+        if not (isinstance(op, list) and len(op) == 4
+                and isinstance(op[0], int) and op[1] in (OP_READ, OP_WRITE)
+                and isinstance(op[2], int)):
+            raise SnapshotError(
+                f"recording data_ops row {index} is not "
+                f"[window, 'read'|'write', address, value]: {str(op)[:60]}")
 
 
 class RecordingBoardEndpoint(BoardEndpoint):

@@ -274,12 +274,6 @@ class ReplayResult:
     def clean(self) -> bool:
         return not self.divergences
 
-    @property
-    def first_divergence_window(self) -> Optional[int]:
-        if not self.divergences:
-            return None
-        return min(entry["window"] for entry in self.divergences)
-
 
 def replay_recording(recording: SessionRecording, board=None, config=None,
                      strict: bool = True,

@@ -130,11 +130,27 @@ def decode_tree(value: Any) -> Any:
     """Inverse of :func:`encode_tree`."""
     if isinstance(value, dict):
         if set(value.keys()) == {BYTES_KEY}:
-            return zlib.decompress(base64.b64decode(value[BYTES_KEY]))
+            try:
+                return zlib.decompress(base64.b64decode(value[BYTES_KEY]))
+            except (TypeError, ValueError, zlib.error) as exc:
+                raise SnapshotError(f"corrupt byte payload: {exc}") from None
         return {key: decode_tree(item) for key, item in value.items()}
     if isinstance(value, list):
         return [decode_tree(item) for item in value]
     return value
+
+
+def check_int_rows(rows: Any, what: str, width: int = 0) -> None:
+    """Raise :class:`SnapshotError` unless *rows* is a list of lists of
+    ints (each *width* long, when given)."""
+    if not isinstance(rows, list):
+        raise SnapshotError(f"{what} is not a list")
+    for index, row in enumerate(rows):
+        if (not isinstance(row, list) or (width and len(row) != width)
+                or not all(isinstance(cell, int) for cell in row)):
+            shape = f"{width} integers" if width else "a list of integers"
+            raise SnapshotError(
+                f"{what} row {index} is not {shape}: {str(row)[:60]}")
 
 
 def canonical_json(tree: Any) -> str:

@@ -8,7 +8,8 @@ operating system."
 
 :func:`build_router_cosim` wires all of it to a chosen transport and
 returns a :class:`RouterCosim` handle with ``run()`` and the paper's
-metrics.
+metrics.  The hardware side is the router netlist, or any conforming
+plugin (:mod:`repro.fmi`) mounted in its place.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from repro.cosim.board_runtime import CosimBoardRuntime
 from repro.cosim.config import CosimConfig
 from repro.cosim.master import CosimMaster, build_driver_sim
 from repro.cosim.metrics import CosimMetrics
-from repro.cosim.session import InprocSession, ThreadedSession
+from repro.cosim.session import BoardSlot, CosimSession
 from repro.errors import ProtocolError
 from repro.router.app import ChecksumApp, install_checksum_app
 from repro.router.consumer import Consumer
@@ -41,7 +42,7 @@ from repro.simkernel.driver_ext import DriverSimulator
 from repro.transport.faults import FaultPlan, FaultyBoardEndpoint
 from repro.transport.inproc import InprocLink
 from repro.transport.queues import QueueLink
-from repro.transport.tcp import TcpLinkServer, connect_board
+from repro.transport.tcp import TcpLink
 
 INPROC = "inproc"
 QUEUE = "queue"
@@ -144,11 +145,10 @@ class RouterCosim:
     """One fully wired co-simulation of the router case study."""
 
     def __init__(self, session, master: CosimMaster,
-                 runtime: CosimBoardRuntime, router: Router,
+                 runtime: CosimBoardRuntime, router: Optional[Router],
                  producers: List[Producer], consumers: List[Consumer],
                  app: ChecksumApp, driver: RouterDriver,
-                 stats: WorkloadStats, workload: RouterWorkload,
-                 cleanup=None) -> None:
+                 stats: WorkloadStats, workload: RouterWorkload) -> None:
         self.session = session
         self.master = master
         self.runtime = runtime
@@ -159,7 +159,6 @@ class RouterCosim:
         self.driver = driver
         self.stats = stats
         self.workload = workload
-        self._cleanup = cleanup
 
     def drained(self) -> bool:
         """All packets generated and accounted for (terminal outcomes)."""
@@ -179,8 +178,11 @@ class RouterCosim:
         try:
             return self.session.run(max_cycles=bound, done=done)
         finally:
-            if self._cleanup is not None:
-                self._cleanup()
+            self.close()
+
+    def close(self) -> None:
+        """Release the link (sockets, in TCP mode)."""
+        self.session.close()
 
     def accuracy(self) -> float:
         """Figure 7's metric: fraction of packets handled."""
@@ -215,10 +217,12 @@ def build_router_cosim(
     iss_timing: bool = False,
     fault_plan: Optional[FaultPlan] = None,
     recorder=None,
+    plugin=None,
 ) -> RouterCosim:
     """Assemble the complete case study on the chosen transport.
 
-    Pass an :class:`repro.cosim.adaptive.AdaptivePolicy` as *adaptive*
+    *mode* names the link: ``"inproc"``, ``"queue"`` or ``"tcp"``.  Pass
+    an :class:`repro.cosim.adaptive.AdaptivePolicy` as *adaptive*
     (in-process mode only) to run with the feedback-controlled window
     size instead of a fixed ``T_sync``.  With ``iss_timing`` the
     checksum application *executes* its routine on the bundled ISS
@@ -229,6 +233,11 @@ def build_router_cosim(
     :class:`repro.replay.SessionRecording`) wraps the board endpoint
     outermost — inside any fault injector — so it logs the exact
     message stream the board consumed, fault effects included.
+
+    A *plugin* (see :mod:`repro.fmi`) replaces the router netlist on
+    the hardware side, on any transport: ``init`` is called here with
+    the router config and the workload seed, and ``terminate`` when the
+    run ends (:meth:`RouterCosim.close`).
     """
     config = config or CosimConfig()
     workload = workload or RouterWorkload()
@@ -237,27 +246,28 @@ def build_router_cosim(
     # ------------------------------------------------------------------
     # Transport
     # ------------------------------------------------------------------
-    cleanup = None
     if mode == INPROC:
         link = InprocLink()
-        master_ep, board_ep, stats_src = link.master, link.board, link.stats
     elif mode == QUEUE:
         link = QueueLink()
-        master_ep, board_ep, stats_src = link.master, link.board, link.stats
     elif mode == TCP:
-        server = TcpLinkServer(config=config.resilience)
-        board_ep = connect_board(server.addresses, config.resilience,
-                                 stats=server.stats)
-        master_ep = server.accept()
-        stats_src = server.stats
-
-        def cleanup() -> None:
-            master_ep.close()
-            board_ep.close()
-            server.close()
+        link = TcpLink(config.resilience)
     else:
         raise ProtocolError(f"unknown transport mode {mode!r}")
+    try:
+        return _assemble(link, config, workload, board_config, mode,
+                         adaptive, iss_timing, fault_plan, recorder, plugin)
+    except BaseException:
+        link.close()
+        raise
 
+
+def _assemble(link, config: CosimConfig, workload: RouterWorkload,
+              board_config: BoardConfig, mode: str, adaptive,
+              iss_timing: bool, fault_plan: Optional[FaultPlan], recorder,
+              plugin) -> RouterCosim:
+    """The rest of :func:`build_router_cosim`, over an open *link*."""
+    board_ep = link.board
     if fault_plan is not None:
         board_ep = FaultyBoardEndpoint(board_ep, fault_plan)
 
@@ -270,11 +280,17 @@ def build_router_cosim(
         board_ep = RecordingBoardEndpoint(board_ep, recorder)
 
     # ------------------------------------------------------------------
-    # Hardware side (the master simulation)
+    # Hardware side (the master: the netlist, or a plugin)
     # ------------------------------------------------------------------
-    hw = build_router_netlist("router_hw", workload, config)
-    master = CosimMaster(hw.sim, hw.clock, master_ep, config,
-                         interrupt_signal=hw.router.irq)
+    if plugin is None:
+        hw = build_router_netlist("router_hw", workload, config)
+        master = CosimMaster(hw.sim, hw.clock, link.master, config,
+                             interrupt_signal=hw.router.irq)
+    else:
+        from repro.fmi.adapter import FmuRouterCosim, mount_router_plugin
+
+        master, plugin_stats = mount_router_plugin(plugin, link.master,
+                                                   config, workload)
 
     # ------------------------------------------------------------------
     # Software side (the board)
@@ -286,32 +302,30 @@ def build_router_cosim(
     # ------------------------------------------------------------------
     # Session
     # ------------------------------------------------------------------
-    if mode == INPROC:
-        link.install_data_server(master.serve_data)
-        session = InprocSession(master, runtime, stats_src, config)
-    else:
-        try:
-            session = ThreadedSession(master, runtime, stats_src, config)
-        except ProtocolError:
-            if cleanup is not None:
-                cleanup()
-            raise
+    session = CosimSession(master, [BoardSlot("board", link, runtime)],
+                           config)
     if adaptive is not None:
         session.attach_adaptive(adaptive)
 
     # Workload-level state that lives outside the master/board trees
     # joins the checkpoint under extra/.  Sides matter to speculation:
     # the workload stats are mutated by the hardware model, the
-    # checksum app by board software.
-    session.register_snapshotable("workload_stats", hw.stats, side="master")
+    # checksum app by board software.  A plugin's stats are part of
+    # its own snapshot, inside the master's.
+    if plugin is None:
+        session.register_snapshotable("workload_stats", hw.stats,
+                                      side="master")
     session.register_snapshotable("checksum_app", app, side="board")
 
     if app.verifier is not None:
         app.verifier.obs = session.obs
 
-    return RouterCosim(session, master, runtime, hw.router, hw.producers,
-                       hw.consumers, app, driver, hw.stats, workload,
-                       cleanup=cleanup)
+    if plugin is None:
+        return RouterCosim(session, master, runtime, hw.router,
+                           hw.producers, hw.consumers, app, driver,
+                           hw.stats, workload)
+    return FmuRouterCosim(session, master, runtime, None, [], [], app,
+                          driver, plugin_stats, workload)
 
 
 def router_run_meta(config: CosimConfig, workload: RouterWorkload,

@@ -296,9 +296,6 @@ class Flag(Waitable):
                 self._waiters.remove(thread)
                 self.kernel._ready(thread, value)
 
-    def clear_bits(self, pattern: int) -> None:
-        self._value &= ~pattern
-
     def snapshot(self) -> dict:
         state = super().snapshot()
         state["value"] = self._value

@@ -10,7 +10,7 @@ The DATE'05 methodology modifies the SystemC kernel with:
 * a modified simulation entry point, ``driver_simulate``, which opens
   the communication channels and interleaves DATA-port servicing,
   regular simulation cycles and interrupt forwarding — here the one
-  window loop, :meth:`repro.cosim.session._SessionBase.run`, driving a
+  window loop, :meth:`repro.cosim.session.CosimSession.run`, driving a
   :class:`repro.cosim.master.CosimMaster` that serves DATA, simulates
   and forwards interrupts on this simulator.
 

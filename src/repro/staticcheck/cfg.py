@@ -119,14 +119,6 @@ class Cfg:
         return any(visit(i) for i in sorted(reachable) if i not in state)
 
 
-def _branch_targets(program: Program) -> Set[int]:
-    targets = set()
-    for instr in program.instructions:
-        if instr.op in BRANCHES or instr.op == "jal":
-            targets.add(instr.imm)
-    return targets
-
-
 def _label_targets(program: Program) -> Set[int]:
     """Indices a ``jr`` could plausibly jump to (label positions)."""
     labels = program.labels or {}

@@ -37,7 +37,7 @@ from repro.cosim import compat
 from repro.staticcheck.diagnostics import Diagnostic, LintReport
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.cosim.session import _SessionBase
+    from repro.cosim.session import CosimSession
 
 
 def _has_method(obj, name: str) -> bool:
@@ -77,7 +77,7 @@ def _check_object(report: LintReport, target: str, kind: str, name: str,
 
 
 def check_snapshotability(
-    session: "_SessionBase",
+    session: "CosimSession",
     target: str = "cosim:checkpoint",
     assume_enabled: bool = False,
     report: Optional[LintReport] = None,

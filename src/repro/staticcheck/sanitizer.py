@@ -26,7 +26,7 @@ Usage::
         ...                               # run the threaded session
 
     # Instrumented code (or tests) brackets acquisitions:
-    with sanitizer.holding("cosim/session.py:_SessionBase.lock"):
+    with sanitizer.holding("cosim/session.py:CosimSession.lock"):
         ...
 
 A violation raises :class:`LockOrderViolation` in the offending thread

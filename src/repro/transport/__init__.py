@@ -7,8 +7,12 @@ three interchangeable carriers:
   for reproducible accuracy experiments and tests;
 * :class:`~repro.transport.queues.QueueLink` — thread-safe queues, for
   two-thread wall-clock runs without socket overhead;
-* :mod:`repro.transport.tcp` — real localhost TCP, as in the paper,
-  with reconnect, heartbeats and resync.
+* :class:`~repro.transport.tcp.TcpLink` — real localhost TCP, as in
+  the paper, with reconnect, heartbeats and resync.
+
+Every link has the same shape: ``master`` and ``board`` endpoints, the
+shared ``stats`` and ``close()``.  A session steps in-process links
+window by window and gives every other link a board thread.
 """
 
 from repro.transport.channel import BoardEndpoint, LinkStats, MasterEndpoint
@@ -32,6 +36,7 @@ from repro.transport.queues import QueueLink
 from repro.transport.tcp import (
     ResilienceConfig,
     TcpBoard,
+    TcpLink,
     TcpLinkServer,
     TcpMaster,
     connect_board,
@@ -56,6 +61,7 @@ __all__ = [
     "QueueLink",
     "ResilienceConfig",
     "TcpBoard",
+    "TcpLink",
     "TcpLinkServer",
     "TcpMaster",
     "TimeReport",

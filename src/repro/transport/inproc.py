@@ -3,9 +3,10 @@
 All three ports are plain FIFOs inside one Python process; the
 co-simulation session interleaves master and board explicitly, so no OS
 threads and no real sockets are involved and every run is bit-for-bit
-reproducible.  DATA requests are served *synchronously* through a
-server callback installed by the session (the master's register file),
-mirroring the zero-time settlement of ``driver_simulate``.
+reproducible.  DATA requests are served *synchronously* through the
+link's :attr:`InprocLink.data_server` callback, which the session sets
+to the master's register file, mirroring the zero-time settlement of
+``driver_simulate``.
 
 Message and byte counts are still accounted with the real wire codec so
 the modeled wall-clock cost of a run reflects genuine frame sizes.
@@ -39,17 +40,17 @@ class InprocLink:
         self._grants: Deque[ClockGrant] = deque()
         self._reports: Deque[TimeReport] = deque()
         self._interrupts: Deque[Interrupt] = deque()
-        self._data_server: Optional[DataServer] = None
+        #: Where board DATA requests go: ``data_server("read", address,
+        #: None)`` returns the value, ``data_server("write", address,
+        #: value)`` applies the write.  A session sets it to its master's
+        #: ``serve_data``.
+        self.data_server: Optional[DataServer] = None
         self.master = _InprocMaster(self)
         self.board = _InprocBoard(self)
 
-    def install_data_server(self, server: DataServer) -> None:
-        """Route board DATA requests to *server*.
-
-        ``server("read", address, None)`` must return the value;
-        ``server("write", address, value)`` must apply the write.
-        """
-        self._data_server = server
+    def close(self) -> None:
+        self.master.close()
+        self.board.close()
 
 
 class _InprocMaster(MasterEndpoint):
@@ -101,7 +102,7 @@ class _InprocBoard(BoardEndpoint):
         return len(self.link._interrupts)
 
     def data_read(self, address: int) -> Value:
-        server = self.link._data_server
+        server = self.link.data_server
         if server is None:
             raise TransportError("no DATA server installed on in-proc link")
         self._data_seq += 1
@@ -112,7 +113,7 @@ class _InprocBoard(BoardEndpoint):
         return value
 
     def data_write(self, address: int, value: Value) -> None:
-        server = self.link._data_server
+        server = self.link.data_server
         if server is None:
             raise TransportError("no DATA server installed on in-proc link")
         self._data_seq += 1

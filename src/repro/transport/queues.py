@@ -38,6 +38,10 @@ class QueueLink:
         self.master = _QueueMaster(self)
         self.board = _QueueBoard(self)
 
+    def close(self) -> None:
+        self.master.close()
+        self.board.close()
+
 
 def _get(q: "queue.Queue", timeout: Optional[float]):
     try:

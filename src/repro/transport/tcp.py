@@ -809,3 +809,33 @@ class TcpBoard(BoardEndpoint):
             if conn is not None:
                 conn.close()
         self._conns = {port: None for port in _PORTS}
+
+
+class TcpLink:
+    """Both ends of one board's three TCP connections, in one process.
+
+    The same shape as the in-process and queue links: ``master``,
+    ``board``, the shared ``stats`` and :meth:`close`.  The master
+    listens on three ephemeral localhost ports and the board dials them.
+    """
+
+    def __init__(self, config: Optional[ResilienceConfig] = None) -> None:
+        server = TcpLinkServer(config=config)
+        self.stats = server.stats
+        self.board = None
+        try:
+            self.board = connect_board(server.addresses, server.config,
+                                       stats=self.stats)
+            self.master = server.accept()
+        except BaseException:
+            if self.board is not None:
+                self.board.close()
+            server.close()
+            raise
+
+    def close(self) -> None:
+        """Close both ends and the master's listeners."""
+        try:
+            self.master.close()
+        finally:
+            self.board.close()

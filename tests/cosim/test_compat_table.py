@@ -17,9 +17,8 @@ from repro.cosim import (
     CosimBoardRuntime,
     CosimConfig,
     CosimMaster,
-    InprocSession,
+    CosimSession,
     ProtocolTrace,
-    ThreadedSession,
     TracingConfig,
     build_driver_sim,
     compat,
@@ -59,8 +58,6 @@ class Rig:
                                    endpoint=links[0].master)
         self.slots = []
         for index, link in enumerate(links):
-            if not threaded:
-                link.install_data_server(self.master.serve_data)
             board_ep = link.board
             if index == 0 and "fault" in self.features:
                 # A plan that never fires: the injector is present, its
@@ -85,8 +82,7 @@ class Rig:
     def assemble_and_run(self):
         """Build the session with every feature, then run it."""
         features = self.features
-        cls = ThreadedSession if "threaded" in features else InprocSession
-        self.session = cls.for_boards(self.master, self.slots, self.config)
+        self.session = CosimSession(self.master, self.slots, self.config)
         self.trace = ProtocolTrace()
         self.session.attach_trace(self.trace)
         if "adaptive" in features:
@@ -149,8 +145,7 @@ def test_hand_wired_refused_pair_is_caught_by_run():
     # attach_adaptive would refuse; a harness that sets the attribute
     # directly is stopped by run() before window 0 instead.
     rig = Rig({"speculation"})
-    rig.session = InprocSession.for_boards(rig.master, rig.slots,
-                                           rig.config)
+    rig.session = CosimSession(rig.master, rig.slots, rig.config)
     rig.session.controller = AdaptiveController(AdaptivePolicy())
     with pytest.raises(ProtocolError, match="adaptive window controller"):
         rig.session.run(max_cycles=MAX_CYCLES)
@@ -166,8 +161,7 @@ class TestDegradations:
 
     def test_speculation_with_done_probe_runs_conservatively(self):
         rig = Rig({"speculation"})
-        rig.session = InprocSession.for_boards(rig.master, rig.slots,
-                                               rig.config)
+        rig.session = CosimSession(rig.master, rig.slots, rig.config)
         metrics = rig.session.run(max_cycles=MAX_CYCLES,
                                   done=lambda: False)
         assert metrics.master_cycles == MAX_CYCLES

@@ -80,7 +80,7 @@ class TestReactiveWindow:
         sim.map_port(0, device.poke)
         master = CosimMaster(sim, clock, link.master, config,
                              interrupt_signal=device.irq)
-        link.install_data_server(master.serve_data)
+        link.data_server = master.serve_data
         return link, clock, device, master
 
     def test_quiet_window_runs_to_max(self):

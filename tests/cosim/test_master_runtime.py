@@ -45,7 +45,7 @@ def rig():
     sim.map_port(1, device.value)
     master = CosimMaster(sim, clock, link.master, config,
                          interrupt_signal=device.irq)
-    link.install_data_server(master.serve_data)
+    link.data_server = master.serve_data
     board = Board()
     runtime = CosimBoardRuntime(board, link.board, config)
     return config, link, sim, clock, device, master, board, runtime

@@ -8,8 +8,7 @@ from repro.cosim import (
     CosimBoardRuntime,
     CosimConfig,
     CosimMaster,
-    InprocSession,
-    ThreadedSession,
+    CosimSession,
     build_driver_sim,
 )
 from repro.devices import (
@@ -21,7 +20,7 @@ from repro.devices import (
 from repro.errors import ProtocolError
 from repro.router.checksum import checksum16
 from repro.transport import InprocLink, QueueLink
-from repro.transport.tcp import TcpLinkServer, connect_board
+from repro.transport.tcp import TcpLink
 
 ACCEL_BASE, GPIO_BASE = 0x10, 0x30
 ACCEL_VECTOR, GPIO_VECTOR = 2, 4
@@ -43,21 +42,16 @@ class Rig:
         self.accel.map_registers(self.sim, ACCEL_BASE)
         self.gpio.map_registers(self.sim, GPIO_BASE)
 
-        self._servers = []
-        self._tcp_endpoints = []
-        (master_a, board_a_ep, self.link_a,
-         stats_a) = self._make_link("a")
-        (master_b, board_b_ep, self.link_b,
-         stats_b) = self._make_link("b")
+        self.link_a = self._make_link()
+        self.link_b = self._make_link()
+        master_a, board_a_ep = self.link_a.master, self.link_a.board
+        master_b, board_b_ep = self.link_b.master, self.link_b.board
         self.master = CosimMaster(self.sim, self.clock, master_a,
                                   self.config)
         self.master.bind_interrupt(ACCEL_VECTOR, self.accel.done_irq,
                                    endpoint=master_a)
         self.master.bind_interrupt(GPIO_VECTOR, self.gpio.irq,
                                    endpoint=master_b)
-        if mode == "inproc":
-            self.link_a.install_data_server(self.master.serve_data)
-            self.link_b.install_data_server(self.master.serve_data)
 
         self.board_a = Board(name="board_a")
         self.board_b = Board(name="board_b")
@@ -70,47 +64,27 @@ class Rig:
             vector=GPIO_VECTOR, base=GPIO_BASE)
         self.slot_a = BoardSlot(
             "a", self.link_a,
-            CosimBoardRuntime(self.board_a, board_a_ep, self.config),
-            master_ep=master_a, stats=stats_a)
+            CosimBoardRuntime(self.board_a, board_a_ep, self.config))
         self.slot_b = BoardSlot(
             "b", self.link_b,
-            CosimBoardRuntime(self.board_b, board_b_ep, self.config),
-            master_ep=master_b, stats=stats_b)
-        session_cls = InprocSession if mode == "inproc" else ThreadedSession
+            CosimBoardRuntime(self.board_b, board_b_ep, self.config))
         try:
-            self.session = session_cls.for_boards(
+            self.session = CosimSession(
                 self.master, [self.slot_a, self.slot_b], self.config)
         except ProtocolError:
-            self._close_links()
+            self.close()
             raise
 
-    def _make_link(self, name):
+    def _make_link(self):
         if self.mode == "inproc":
-            link = InprocLink()
-            return link.master, link.board, link, link.stats
+            return InprocLink()
         if self.mode == "queue":
-            link = QueueLink()
-            return link.master, link.board, link, link.stats
-        server = TcpLinkServer()
-        self._servers.append(server)
-        board_ep = connect_board(server.addresses, stats=server.stats)
-        master_ep = server.accept()
-        self._tcp_endpoints += [master_ep, board_ep]
-        return master_ep, board_ep, None, server.stats
-
-    def _close_links(self):
-        for endpoint in self._tcp_endpoints:
-            endpoint.close()
-        for server in self._servers:
-            server.close()
+            return QueueLink()
+        return TcpLink()
 
     def close(self):
-        if self.mode != "inproc":
-            try:
-                self.session.close()
-            except Exception:
-                pass
-        self._close_links()
+        self.link_a.close()
+        self.link_b.close()
 
 
 @pytest.fixture
@@ -179,12 +153,11 @@ class TestMultiBoard:
 
     def test_empty_slot_list_rejected(self, rig):
         with pytest.raises(ProtocolError, match="needs boards"):
-            InprocSession.for_boards(rig.master, [], rig.config)
+            CosimSession(rig.master, [], rig.config)
 
     def test_duplicate_names_rejected(self, rig):
         with pytest.raises(ProtocolError, match="duplicate"):
-            InprocSession.for_boards(rig.master,
-                                     [rig.slot_a, rig.slot_a], rig.config)
+            CosimSession(rig.master, [rig.slot_a, rig.slot_a], rig.config)
 
     def test_needs_bound(self, rig):
         with pytest.raises(ProtocolError):

@@ -20,7 +20,7 @@ def make_pair(t_sync=10):
     link = InprocLink()
     sim, clock = build_driver_sim("prop_hw", config=config)
     master = CosimMaster(sim, clock, link.master, config)
-    link.install_data_server(master.serve_data)
+    link.data_server = master.serve_data
     board = Board()
     runtime = CosimBoardRuntime(board, link.board, config)
     return link, clock, master, board, runtime

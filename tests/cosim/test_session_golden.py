@@ -58,10 +58,11 @@ def run_adaptive():
 
 
 def run_fmu():
-    from repro.fmi import build_fmu_router_cosim
+    from repro.fmi.behavioral import BehavioralRouterModel
 
-    cosim = build_fmu_router_cosim(CosimConfig(t_sync=1000),
-                                   RouterWorkload(**WORKLOAD))
+    cosim = build_router_cosim(CosimConfig(t_sync=1000),
+                               RouterWorkload(**WORKLOAD),
+                               plugin=BehavioralRouterModel())
     trace = ProtocolTrace()
     cosim.session.attach_trace(trace)
     metrics = cosim.run(max_cycles=12_000, await_drain=False)

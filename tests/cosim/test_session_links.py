@@ -1,0 +1,69 @@
+"""The links decide how a session exchanges windows.
+
+In-process links are stepped window by window, with the session
+pointing their DATA server at the master; queue and TCP links get a
+board thread each; one session never mixes the two.
+"""
+
+import pytest
+
+from repro.board import Board
+from repro.cosim import (
+    BoardSlot,
+    CosimBoardRuntime,
+    CosimConfig,
+    CosimMaster,
+    CosimSession,
+    build_driver_sim,
+)
+from repro.devices import AcceleratorDriver, ChecksumAccelerator
+from repro.errors import ProtocolError
+from repro.router.checksum import checksum16
+from repro.transport import InprocLink, QueueLink
+
+BASE, VECTOR = 0x10, 2
+
+
+def _rig(links):
+    config = CosimConfig(t_sync=40, report_timeout_s=5.0)
+    sim, clock = build_driver_sim("links_hw", config=config)
+    accel = ChecksumAccelerator(sim, "accel", clock)
+    accel.map_registers(sim, BASE)
+    master = CosimMaster(sim, clock, links[0].master, config)
+    master.bind_interrupt(VECTOR, accel.done_irq, endpoint=links[0].master)
+    slots = [BoardSlot(f"b{index}", link,
+                       CosimBoardRuntime(Board(name=f"board_{index}"),
+                                         link.board, config))
+             for index, link in enumerate(links)]
+    return config, master, slots
+
+
+@pytest.mark.parametrize("link_cls", [InprocLink, QueueLink])
+def test_data_reads_are_served_without_wiring_by_hand(link_cls):
+    link = link_cls()
+    config, master, slots = _rig([link])
+    kernel = slots[0].runtime.board.kernel
+    driver = AcceleratorDriver(kernel, link.board, config.latency,
+                               vector=VECTOR, base=BASE)
+    results = {}
+
+    def app():
+        results["csum"] = yield from driver.checksum([b"links"],
+                                                     wait_irq=True)
+
+    thread = kernel.create_thread("app", app, 10)
+    session = CosimSession(master, slots, config)
+    assert session.threaded == (link_cls is QueueLink)
+    metrics = session.run(max_cycles=2000, done=lambda: not thread.alive)
+    assert results["csum"] == checksum16(b"links")
+    assert master.data_reads_served > 0
+    assert metrics.master_cycles == metrics.board_ticks
+
+
+def test_mixed_links_refused_before_window_zero():
+    config, master, slots = _rig([InprocLink(), QueueLink()])
+    with pytest.raises(ProtocolError, match="cannot mix in-process and "
+                                            "threaded links"):
+        CosimSession(master, slots, config)
+    assert master.clock.cycles == 0
+    assert slots[0].link.data_server is None

@@ -137,9 +137,10 @@ class TestOneLoop:
     def test_speculation_refused_at_construction(self):
         from repro.board import Board
         from repro.cosim import (
+            BoardSlot,
             CosimBoardRuntime,
             CosimMaster,
-            ThreadedSession,
+            CosimSession,
             build_driver_sim,
         )
         from repro.errors import ProtocolError
@@ -151,4 +152,5 @@ class TestOneLoop:
         master = CosimMaster(sim, clock, link.master, config)
         runtime = CosimBoardRuntime(Board(), link.board, config)
         with pytest.raises(ProtocolError, match="in-process"):
-            ThreadedSession(master, runtime, link.stats, config)
+            CosimSession(master, [BoardSlot("board", link, runtime)],
+                         config)

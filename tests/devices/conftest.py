@@ -4,10 +4,11 @@ import pytest
 
 from repro.board import Board
 from repro.cosim import (
+    BoardSlot,
     CosimBoardRuntime,
     CosimConfig,
     CosimMaster,
-    InprocSession,
+    CosimSession,
     build_driver_sim,
 )
 from repro.devices import (
@@ -50,7 +51,6 @@ class DeviceRig:
         self.master.bind_interrupt(ACCEL_VECTOR, self.accel.done_irq)
         self.master.bind_interrupt(UART_VECTOR, self.uart.rx_irq)
         self.master.bind_interrupt(GPIO_VECTOR, self.gpio.irq)
-        self.link.install_data_server(self.master.serve_data)
 
         self.board = Board()
         latency = self.config.latency
@@ -65,8 +65,9 @@ class DeviceRig:
             vector=GPIO_VECTOR, base=GPIO_BASE)
         self.runtime = CosimBoardRuntime(self.board, self.link.board,
                                          self.config)
-        self.session = InprocSession(self.master, self.runtime,
-                                     self.link.stats, self.config)
+        self.session = CosimSession(
+            self.master, [BoardSlot("board", self.link, self.runtime)],
+            self.config)
 
     def spawn(self, entry, priority=10, name="app"):
         return self.board.kernel.create_thread(name, entry, priority)

@@ -9,7 +9,7 @@ file whose replay reproduces the out-of-schedule grants.
 
 import json
 
-from repro.cosim.session import _SessionBase
+from repro.cosim.session import CosimSession
 from repro.difftest import (
     FuzzSpec,
     RunOutcome,
@@ -70,7 +70,7 @@ def _mutate_window_grants(monkeypatch):
     which is exactly what makes it invisible to everything except the
     grant-schedule oracle.
     """
-    original = _SessionBase._window_ticks
+    original = CosimSession._window_ticks
 
     def mutated(self, max_cycles):
         ticks = original(self, max_cycles)
@@ -78,7 +78,7 @@ def _mutate_window_grants(monkeypatch):
             ticks += 1
         return ticks
 
-    monkeypatch.setattr(_SessionBase, "_window_ticks", mutated)
+    monkeypatch.setattr(CosimSession, "_window_ticks", mutated)
 
 
 class TestMutationCheck:

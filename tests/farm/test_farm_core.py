@@ -163,6 +163,18 @@ class TestPersistence:
         assert "trace.csv" in store.artifacts(job.job_id)
         assert os.path.exists(store.index_path)
 
+    def test_queue_mode_router_job_writes_its_trace(self, tmp_path):
+        artifacts = str(tmp_path / "artifacts")
+        result = runner_mod.execute_task({
+            "job": _router_job("traced-queue", payload={
+                "trace": True, "mode": "queue"}).to_dict(),
+            "artifacts_dir": artifacts})
+        assert result["ok"] is True, result.get("error")
+        assert result["artifacts"] == ["trace.csv"]
+        with open(os.path.join(artifacts, "trace.csv")) as handle:
+            rows = handle.read().splitlines()
+        assert len(rows) == 1 + result["windows"]
+
     def test_snapshot_shape(self):
         with Farm(workers=2) as farm:
             job = farm.submit(_router_job("snap"))

@@ -4,7 +4,7 @@ indistinguishable from the serial loop.
 The acceptance test seeds the same off-by-one window-grant mutation
 the difftest suite uses (see ``tests/difftest/test_harness.py``) and
 runs a 20-case campaign both ways.  Workers are **forked**, so they
-inherit the parent's monkeypatched ``_SessionBase`` — the farm
+inherit the parent's monkeypatched ``CosimSession`` — the farm
 executes genuinely mutated co-simulations, and the convicted failure
 set, shrunk workloads and on-disk artifacts must match the serial
 campaign byte for byte.
@@ -13,7 +13,7 @@ campaign byte for byte.
 import filecmp
 import os
 
-from repro.cosim.session import _SessionBase
+from repro.cosim.session import CosimSession
 from repro.difftest import fuzz
 from repro.farm import fuzz_parallel
 
@@ -21,7 +21,7 @@ from repro.farm import fuzz_parallel
 def _mutate_window_grants(monkeypatch):
     """Every full window grants T_sync+1 ticks (same injected bug as
     the serial fuzzer's acceptance test)."""
-    original = _SessionBase._window_ticks
+    original = CosimSession._window_ticks
 
     def mutated(self, max_cycles):
         ticks = original(self, max_cycles)
@@ -29,7 +29,7 @@ def _mutate_window_grants(monkeypatch):
             ticks += 1
         return ticks
 
-    monkeypatch.setattr(_SessionBase, "_window_ticks", mutated)
+    monkeypatch.setattr(CosimSession, "_window_ticks", mutated)
 
 
 def _assert_reports_match(serial, parallel, serial_dir="",

@@ -10,7 +10,7 @@ boundary is transparent even for the event-driven kernel itself.
 import pytest
 
 from repro.cosim import CosimConfig, ProtocolTrace
-from repro.fmi import build_fmu_router_cosim
+from repro.fmi.behavioral import BehavioralRouterModel
 from repro.fmi.netlist import NetlistRouterModel
 from repro.fmi.subproc import SubprocessPlugin
 from repro.replay import SessionRecording, board_state_summary
@@ -55,9 +55,9 @@ def _run_inproc(workload, fault_plan=None):
 
 def _run_fmu(workload, plugin=None, fault_plan=None):
     recording = SessionRecording()
-    cosim = build_fmu_router_cosim(CONFIG, workload, plugin=plugin,
-                                   fault_plan=fault_plan,
-                                   recorder=recording)
+    cosim = build_router_cosim(CONFIG, workload,
+                               plugin=plugin or BehavioralRouterModel(),
+                               fault_plan=fault_plan, recorder=recording)
     trace = ProtocolTrace()
     cosim.session.attach_trace(trace)
     metrics = cosim.run(max_cycles=MAX_CYCLES, await_drain=False)
@@ -93,7 +93,8 @@ class TestBehavioralEquivalence:
         workload = WORKLOADS["default"]
         ref = build_router_cosim(CONFIG, workload, mode="inproc")
         ref_metrics = ref.run(await_drain=True)
-        got = build_fmu_router_cosim(CONFIG, workload)
+        got = build_router_cosim(CONFIG, workload,
+                                 plugin=BehavioralRouterModel())
         got_metrics = got.run(await_drain=True)
         assert got_metrics.windows == ref_metrics.windows
         assert _digest(got) == _digest(ref)

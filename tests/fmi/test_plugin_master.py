@@ -9,24 +9,31 @@ import pytest
 
 from repro.board.board import BoardConfig
 from repro.cosim import (
+    BoardSlot,
     CosimBoardRuntime,
     CosimConfig,
     CosimMaster,
+    CosimSession,
     ProtocolTrace,
-    ThreadedSession,
     TracingConfig,
     compat,
 )
 from repro.cosim.adaptive import AdaptiveController, AdaptivePolicy
 from repro.errors import ProtocolError
-from repro.fmi import (
-    FmuMasterAdapter,
-    build_fmu_router_cosim,
-    router_plugin_config,
-)
+from repro.fmi import FmuMasterAdapter, router_plugin_config
 from repro.fmi.behavioral import BehavioralRouterModel
-from repro.replay import board_state_summary
-from repro.router.testbench import RouterWorkload, build_router_board_side
+from repro.replay import (
+    SessionRecording,
+    board_state_summary,
+    find_divergence,
+)
+from repro.router.testbench import (
+    RouterWorkload,
+    build_router_board_side,
+    build_router_cosim,
+    finalize_router_recording,
+    replay_router_recording,
+)
 from repro.staticcheck.replay_rules import check_snapshotability
 from repro.transport.queues import QueueLink
 
@@ -38,8 +45,9 @@ MAX_CYCLES = 14_000
 
 
 def _cosim(**config):
-    return build_fmu_router_cosim(CosimConfig(t_sync=1000, **config),
-                                  RouterWorkload(**WORKLOAD))
+    return build_router_cosim(CosimConfig(t_sync=1000, **config),
+                              RouterWorkload(**WORKLOAD),
+                              plugin=BehavioralRouterModel())
 
 
 def _run(**config):
@@ -107,11 +115,45 @@ def test_threaded_plugin_session_runs():
     master = FmuMasterAdapter(plugin, link.master, config)
     board, _driver, _app = build_router_board_side(link.board, config,
                                                    BoardConfig())
-    session = ThreadedSession(master,
-                              CosimBoardRuntime(board, link.board, config),
-                              link.stats, config)
+    runtime = CosimBoardRuntime(board, link.board, config)
+    session = CosimSession(master, [BoardSlot("board", link, runtime)],
+                           config)
     metrics = session.run(max_cycles=6000)
     assert metrics.master_cycles == metrics.board_ticks == 6000
     assert session.aligned()
     assert metrics.int_packets == master.interrupts_sent > 0
     assert master.data_reads_served > 0
+
+
+@pytest.mark.parametrize("mode", ["queue", "tcp"])
+def test_builder_mounts_a_plugin_on_threaded_links(mode):
+    cosim = build_router_cosim(CosimConfig(t_sync=200),
+                               RouterWorkload(**WORKLOAD), mode=mode,
+                               plugin=BehavioralRouterModel())
+    assert cosim.session.threaded
+    metrics = cosim.run()
+    assert cosim.drained()
+    assert metrics.board_ticks == metrics.master_cycles > 0
+    stats = cosim.stats.snapshot()
+    assert stats["generated"] == 2 * RouterWorkload().num_ports
+    assert (stats["forwarded"] + stats["dropped_overflow"]
+            + stats["dropped_checksum"] + stats["dropped_unroutable"]
+            == stats["generated"])
+
+
+def test_inproc_plugin_recording_replays_bit_identically():
+    recording = SessionRecording()
+    cosim = build_router_cosim(CosimConfig(t_sync=1000),
+                               RouterWorkload(**WORKLOAD), mode="inproc",
+                               plugin=BehavioralRouterModel(),
+                               recorder=recording)
+    cosim.session.attach_trace(ProtocolTrace())
+    metrics = cosim.run(max_cycles=MAX_CYCLES, await_drain=False)
+    finalize_router_recording(recording, cosim, metrics)
+    assert recording.meta["threaded"] is False
+    loaded = SessionRecording.from_dict(recording.to_dict())
+    result = replay_router_recording(loaded)
+    assert find_divergence(loaded, result).clean
+    assert [r.as_row() for r in result.trace.records] == \
+        recording.trace_rows
+    assert result.board_summary == recording.final["board"]

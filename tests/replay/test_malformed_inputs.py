@@ -1,0 +1,128 @@
+"""Malformed recordings and checkpoints get one-line errors, not tracebacks.
+
+``repro replay`` and ``repro checkpoint --resume`` validate the whole
+document before trusting any field, and exit 2 with a single stderr
+line on a schema error, an unreadable file or bad JSON.
+"""
+
+import json
+
+import pytest
+
+from repro.cli import main
+from repro.cosim import CosimConfig
+from repro.replay import Checkpoint, SessionRecording, SnapshotError
+from repro.router.testbench import (
+    RouterWorkload,
+    build_router_cosim,
+    finalize_router_recording,
+)
+
+CHECKPOINT_ARGS = ["--t-sync", "300", "--packets", "8", "--interval", "300",
+                   "--seed", "11", "--every", "1"]
+
+
+@pytest.fixture
+def recording_doc():
+    recording = SessionRecording()
+    cosim = build_router_cosim(
+        CosimConfig(t_sync=300),
+        RouterWorkload(packets_per_producer=2, interval_cycles=300,
+                       seed=11),
+        recorder=recording)
+    metrics = cosim.run()
+    finalize_router_recording(recording, cosim, metrics)
+    return recording.to_dict()
+
+
+@pytest.fixture
+def checkpoint_doc(tmp_path, capsys):
+    directory = tmp_path / "cks"
+    assert main(["checkpoint", *CHECKPOINT_ARGS,
+                 "--dir", str(directory)]) == 0
+    capsys.readouterr()
+    path = sorted(directory.glob("checkpoint-*.json"))[0]
+    return json.loads(path.read_text())
+
+
+def _exit_code_and_error(argv, capsys):
+    code = main(argv)
+    err = capsys.readouterr().err
+    return code, err.strip().splitlines()
+
+
+def _replay(tmp_path, capsys, doc):
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(doc))
+    return _exit_code_and_error(["replay", str(path)], capsys)
+
+
+def _resume(tmp_path, capsys, doc):
+    path = tmp_path / "checkpoint.json"
+    path.write_text(json.dumps(doc))
+    return _exit_code_and_error(
+        ["checkpoint", "--resume", str(path), "--every", "1",
+         "--dir", str(tmp_path / "out")], capsys)
+
+
+class TestReplayCommand:
+    def test_short_grant_row(self, tmp_path, capsys, recording_doc):
+        recording_doc["grants"] = [[1]]
+        code, lines = _replay(tmp_path, capsys, recording_doc)
+        assert code == 2
+        assert len(lines) == 1
+        assert "grants row 0" in lines[0]
+
+    def test_final_not_an_object(self, tmp_path, capsys, recording_doc):
+        recording_doc["final"] = 3
+        code, lines = _replay(tmp_path, capsys, recording_doc)
+        assert code == 2
+        assert len(lines) == 1
+        assert "'final'" in lines[0]
+
+    def test_bad_json_and_missing_file(self, tmp_path, capsys):
+        path = tmp_path / "run.json"
+        path.write_text("{not json")
+        code, lines = _exit_code_and_error(["replay", str(path)], capsys)
+        assert code == 2 and len(lines) == 1
+        code, lines = _exit_code_and_error(
+            ["replay", str(tmp_path / "absent.json")], capsys)
+        assert code == 2 and len(lines) == 1
+
+
+class TestCheckpointResume:
+    def test_trace_not_a_list(self, tmp_path, capsys, checkpoint_doc):
+        checkpoint_doc["trace"] = 5
+        code, lines = _resume(tmp_path, capsys, checkpoint_doc)
+        assert code == 2
+        assert len(lines) == 1
+        assert "checkpoint trace" in lines[0]
+
+    def test_bad_json(self, tmp_path, capsys):
+        path = tmp_path / "checkpoint.json"
+        path.write_text("[1,")
+        code, lines = _exit_code_and_error(
+            ["checkpoint", "--resume", str(path)], capsys)
+        assert code == 2 and len(lines) == 1
+
+
+class TestValidators:
+    def test_every_recorded_stream_checks_its_rows(self, recording_doc):
+        for key, row in (("grants", [1, "x"]), ("interrupts", [1, 2]),
+                         ("reports", [1, 2, 3]), ("trace", ["a"]),
+                         ("data_ops", [0, "poke", 1, 2])):
+            doc = dict(recording_doc, **{key: [row]})
+            with pytest.raises(SnapshotError, match=f"{key} row 0"):
+                SessionRecording.from_dict(doc)
+
+    def test_meta_must_be_an_object(self, recording_doc, checkpoint_doc):
+        with pytest.raises(SnapshotError, match="'meta'"):
+            SessionRecording.from_dict(dict(recording_doc, meta=[]))
+        with pytest.raises(SnapshotError, match="'meta'"):
+            Checkpoint.from_dict(dict(checkpoint_doc, meta="router"))
+
+    def test_corrupt_byte_payload(self, recording_doc):
+        doc = dict(recording_doc,
+                   data_ops=[[0, "read", 1, {"__bytes_zb64__": "!!"}]])
+        with pytest.raises(SnapshotError, match="corrupt byte payload"):
+            SessionRecording.from_dict(doc)

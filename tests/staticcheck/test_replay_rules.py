@@ -139,12 +139,13 @@ class TestMountedPlugin:
     mounted plugin itself must be Snapshotable (COSIM005)."""
 
     def _fmu_session(self):
-        from repro.fmi import build_fmu_router_cosim
+        from repro.fmi.behavioral import BehavioralRouterModel
 
-        cosim = build_fmu_router_cosim(
+        cosim = build_router_cosim(
             CosimConfig(t_sync=300),
             RouterWorkload(packets_per_producer=2, interval_cycles=300,
-                           corrupt_rate=0.0, seed=3))
+                           corrupt_rate=0.0, seed=3),
+            plugin=BehavioralRouterModel())
         return cosim.session
 
     def test_conforming_plugin_is_clean(self):

@@ -44,9 +44,18 @@ class TestRunCommand:
         content = trace_file.read_text()
         assert content.startswith("index,ticks,")
 
-    def test_trace_requires_inproc(self, capsys):
+    @pytest.mark.parametrize("mode", ["queue", "tcp"])
+    def test_trace_in_threaded_modes(self, tmp_path, capsys, mode):
+        trace_file = tmp_path / "windows.csv"
         assert main(["run", "--t-sync", "200", "--packets", "4",
-                     "--mode", "queue", "--trace", "x.csv"]) == 2
+                     "--mode", mode, "--trace", str(trace_file)]) == 0
+        assert "window records" in capsys.readouterr().out
+        header, *rows = trace_file.read_text().splitlines()
+        assert header.startswith("index,ticks,master_cycles,board_ticks,")
+        assert rows
+        for row in rows:
+            _index, _ticks, master_cycles, board_ticks = row.split(",")[:4]
+            assert master_cycles == board_ticks
 
 
 class TestExploreCommand:

@@ -69,10 +69,10 @@ def test_version_is_consistent():
 
 def test_key_entry_points_exist():
     from repro.cli import main
-    from repro.cosim import CosimConfig, InprocSession
+    from repro.cosim import CosimConfig, CosimSession
     from repro.router.testbench import build_router_cosim
     from repro.simkernel import Simulator
 
     assert callable(main)
     assert callable(build_router_cosim)
-    assert Simulator and InprocSession and CosimConfig
+    assert Simulator and CosimSession and CosimConfig

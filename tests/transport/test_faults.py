@@ -5,10 +5,11 @@ import pytest
 
 from repro.board import Board
 from repro.cosim import (
+    BoardSlot,
     CosimBoardRuntime,
     CosimConfig,
     CosimMaster,
-    InprocSession,
+    CosimSession,
     build_driver_sim,
 )
 from repro.devices import AcceleratorDriver, ChecksumAccelerator
@@ -29,14 +30,14 @@ def make_session(plan: FaultPlan, t_sync=20):
     accel.map_registers(sim, BASE)
     master = CosimMaster(sim, clock, link.master, config)
     master.bind_interrupt(VECTOR, accel.done_irq)
-    link.install_data_server(master.serve_data)
 
     board = Board()
     faulty = FaultyBoardEndpoint(link.board, plan)
     driver = AcceleratorDriver(board.kernel, faulty, config.latency,
                                vector=VECTOR, base=BASE)
     runtime = CosimBoardRuntime(board, faulty, config)
-    session = InprocSession(master, runtime, link.stats, config)
+    session = CosimSession(master, [BoardSlot("board", link, runtime)],
+                           config)
     return session, board, driver, accel
 
 

@@ -43,7 +43,7 @@ class TestPorts:
             registers[address] = value
             return None
 
-        link.install_data_server(server)
+        link.data_server = server
         assert link.board.data_read(0) == 7
         link.board.data_write(0, 99)
         assert registers[0] == 99
@@ -61,7 +61,7 @@ class TestPorts:
 class TestStats:
     def test_byte_and_message_accounting(self):
         link = InprocLink()
-        link.install_data_server(lambda op, a, v: 5 if op == "read" else None)
+        link.data_server = lambda op, a, v: 5 if op == "read" else None
         link.master.send_grant(ClockGrant(seq=1, ticks=10))
         link.master.send_interrupt(Interrupt(vector=1, master_cycle=3))
         link.board.data_read(0)
