@@ -36,19 +36,15 @@ import sys
 from typing import List, Optional
 
 from repro._version import __version__
+from repro.errors import WorkloadError
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
     from repro.analysis import format_percent, format_table
     from repro.cosim import AdaptivePolicy, CosimConfig, ProtocolTrace
-    from repro.router.testbench import RouterWorkload, build_router_cosim
+    from repro.router.testbench import build_router_cosim
 
-    workload = RouterWorkload(
-        packets_per_producer=max(1, args.packets // 4),
-        interval_cycles=args.interval,
-        corrupt_rate=args.corrupt_rate,
-        buffer_capacity=args.buffer,
-    )
+    workload = _workload_from_args(args)
     adaptive = None
     if args.adaptive:
         adaptive = AdaptivePolicy(
@@ -84,15 +80,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 def _cmd_explore(args: argparse.Namespace) -> int:
     from repro.analysis import find_optimal_t_sync, format_percent, format_table
-    from repro.router.testbench import RouterWorkload
 
-    workload = RouterWorkload(
-        packets_per_producer=max(1, args.packets // 4),
-        interval_cycles=args.interval,
-        corrupt_rate=0.0,
-        buffer_capacity=args.buffer,
-    )
-    result = find_optimal_t_sync(args.t_sync_values, workload=workload)
+    result = find_optimal_t_sync(args.t_sync_values,
+                                 workload=_workload_from_args(args))
     print(format_table(
         ["T_sync", "accuracy", "wall [s]", "speedup", "merit", ""],
         [[p.t_sync, format_percent(p.accuracy), f"{p.wall_seconds:.3f}",
@@ -215,15 +205,15 @@ def _cmd_lint(args: argparse.Namespace) -> int:
 
 
 def _workload_from_args(args: argparse.Namespace):
+    """The router workload the workload flags describe; a knob that a
+    subcommand has no flag for keeps the workload's default."""
     from repro.router.testbench import RouterWorkload
 
-    return RouterWorkload(
-        packets_per_producer=max(1, args.packets // 4),
-        interval_cycles=args.interval,
-        corrupt_rate=args.corrupt_rate,
-        buffer_capacity=args.buffer,
-        seed=args.seed,
-    )
+    return RouterWorkload.from_dict({
+        "packets_per_producer": max(1, args.packets // 4),
+        "interval_cycles": args.interval, "buffer_capacity": args.buffer,
+        **{key: value for key, value in vars(args).items()
+           if key in ("corrupt_rate", "seed")}})
 
 
 def _cmd_record(args: argparse.Namespace) -> int:
@@ -300,11 +290,6 @@ def _cmd_replay(args: argparse.Namespace) -> int:
         print(f"cannot load recording {args.recording}: {exc}",
               file=sys.stderr)
         return 2
-    scenario = recording.meta.get("scenario")
-    if scenario != "router":
-        print(f"cannot replay scenario {scenario!r} (only 'router')",
-              file=sys.stderr)
-        return 2
     # Bisection needs the full divergence list, so it always runs
     # non-strict; plain strict mode aborts on the first hard mismatch.
     strict = args.strict and not args.bisect
@@ -339,8 +324,8 @@ def _cmd_checkpoint(args: argparse.Namespace) -> int:
     )
     from repro.router.testbench import (
         build_router_cosim,
+        router_run_from_meta,
         router_run_meta,
-        workload_from_meta,
     )
 
     if args.resume:
@@ -350,14 +335,7 @@ def _cmd_checkpoint(args: argparse.Namespace) -> int:
             print(f"cannot load checkpoint {args.resume}: {exc}",
                   file=sys.stderr)
             return 2
-        meta = checkpoint.meta
-        if meta.get("scenario") != "router":
-            print(f"cannot resume scenario {meta.get('scenario')!r} "
-                  "(only 'router')", file=sys.stderr)
-            return 2
-        config = CosimConfig(t_sync=meta.get("t_sync", args.t_sync))
-        workload = workload_from_meta(meta)
-        iss_timing = bool(meta.get("iss_timing"))
+        config, workload, iss_timing = router_run_from_meta(checkpoint.meta)
     else:
         config = CosimConfig(t_sync=args.t_sync)
         workload = _workload_from_args(args)
@@ -595,16 +573,21 @@ def _cmd_submit(args: argparse.Namespace) -> int:
     client = _parse_server(args)
     if client is None:
         return 2
-    if args.job:
-        with open(args.job, "r", encoding="utf-8") as handle:
-            doc = json.load(handle)
-    else:
-        payload = json.loads(args.payload) if args.payload else {}
-        doc = {"schema": "repro-job/1", "tenant": args.tenant,
-               "kind": args.kind, "payload": payload,
-               "priority": args.priority, "seed": args.seed}
-        if args.name:
-            doc["name"] = args.name
+    try:
+        if args.job:
+            with open(args.job, "r", encoding="utf-8") as handle:
+                doc = json.load(handle)
+        else:
+            doc = {"schema": "repro-job/1", "tenant": args.tenant,
+                   "kind": args.kind,
+                   "payload": json.loads(args.payload or "{}"),
+                   "priority": args.priority, "seed": args.seed}
+            if args.name:
+                doc["name"] = args.name
+    except (OSError, ValueError) as exc:
+        print(f"cannot read job {args.job or '--payload'}: {exc}",
+              file=sys.stderr)
+        return 2
     try:
         submitted = client.submit(doc)
     except QuotaExceeded as exc:
@@ -694,11 +677,7 @@ def _cmd_profile(args: argparse.Namespace) -> int:
         print(f"unknown application {args.app!r} (only 'router')",
               file=sys.stderr)
         return 2
-    tracing = TracingConfig(
-        enabled=True,
-        mode="sample" if args.sample > 1 else "full",
-        sample_every=args.sample,
-    )
+    tracing = TracingConfig(enabled=True, sample_every=args.sample)
     cosim = build_router_cosim(
         CosimConfig(t_sync=args.t_sync, tracing=tracing),
         _workload_from_args(args), mode=args.mode)
@@ -761,7 +740,8 @@ def build_parser() -> argparse.ArgumentParser:
     explore.add_argument("--packets", type=int, default=100)
     explore.add_argument("--interval", type=int, default=1000)
     explore.add_argument("--buffer", type=int, default=20)
-    explore.set_defaults(fn=_cmd_explore)
+    # The sweep measures accuracy on clean traffic.
+    explore.set_defaults(fn=_cmd_explore, corrupt_rate=0.0)
 
     figures = sub.add_parser("figures",
                              help="regenerate the paper's figure tables")
@@ -1056,7 +1036,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except WorkloadError as exc:  # a malformed flag, meta or spec
+        print(f"repro {args.command}: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

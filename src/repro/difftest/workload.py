@@ -20,12 +20,15 @@ from typing import List, Optional, Sequence
 from repro.cosim.adaptive import AdaptivePolicy
 from repro.cosim.config import CosimConfig
 from repro.determinism import derive_seed, seeded_rng
-from repro.errors import ReproError
-from repro.router.testbench import RouterWorkload
+from repro.errors import ReproError, WorkloadError
+from repro.router.testbench import RouterWorkload, check_keys, check_value
 from repro.transport.faults import FaultPlan
 
 #: All fuzzable scenarios, in the order the generator cycles through.
 SCENARIOS = ("router", "iss", "adaptive", "multiboard")
+
+#: Lower bounds outside the traffic knobs, whose ranges are the codec's.
+_MINIMUM = {"index": 0, "t_sync": 1, "max_cycles": 1}
 
 
 @dataclass
@@ -63,24 +66,16 @@ class FuzzSpec:
 
     def __post_init__(self) -> None:
         if self.scenario not in SCENARIOS:
-            raise ReproError(f"unknown fuzz scenario {self.scenario!r}")
+            raise WorkloadError(f"unknown fuzz scenario {self.scenario!r}")
 
     # -- derived builders ----------------------------------------------
     def cosim_config(self) -> CosimConfig:
         return CosimConfig(t_sync=self.t_sync)
 
     def router_workload(self) -> RouterWorkload:
-        return RouterWorkload(
-            packets_per_producer=self.packets_per_producer,
-            interval_cycles=self.interval_cycles,
-            payload_size=self.payload_size,
-            corrupt_rate=self.corrupt_rate,
-            buffer_capacity=self.buffer_capacity,
-            num_ports=self.num_ports,
-            seed=self.seed,
-            burst_size=self.burst_size,
-            burst_gap_cycles=self.burst_gap_cycles,
-        )
+        """The traffic knobs (and ``seed``), read through the workload
+        codec."""
+        return RouterWorkload.split(self.to_dict())[0]
 
     def fault_plan(self) -> Optional[FaultPlan]:
         """A fresh plan per run — plans are consumed as they fire."""
@@ -107,13 +102,22 @@ class FuzzSpec:
 
     @classmethod
     def from_dict(cls, payload: dict) -> "FuzzSpec":
-        fields = {f.name for f in dataclasses.fields(cls)}
-        unknown = set(payload) - fields
-        if unknown:
-            raise ReproError(f"unknown FuzzSpec fields: {sorted(unknown)}")
+        """The strict inverse of :meth:`to_dict`: an unknown field, a
+        wrong type or an out-of-range value raises
+        :class:`WorkloadError`."""
+        # A field's type is that of its value on a default spec.
+        template = cls(scenario=SCENARIOS[0], seed=0)
+        check_keys(payload, vars(template), "FuzzSpec fields")
         if "scenario" not in payload or "seed" not in payload:
-            raise ReproError("FuzzSpec needs at least scenario and seed")
-        return cls(**payload)
+            raise WorkloadError("FuzzSpec needs at least scenario and seed")
+        for name, value in payload.items():
+            check_value(name, value, type(getattr(template, name)),
+                        _MINIMUM.get(name))
+        for item in payload.get("drop_interrupts", []):
+            check_value("drop_interrupts", item, int, 1)
+        spec = cls(**payload)
+        spec.router_workload()  # the traffic knobs' ranges
+        return spec
 
     def save(self, path: str) -> None:
         with open(path, "w", encoding="ascii") as handle:

@@ -61,6 +61,11 @@ class UnknownBackendError(ReproError):
     """A differential-fuzz backend name that no scenario runs."""
 
 
+class WorkloadError(ReproError):
+    """A malformed workload description in plain-data form: an unknown
+    key, a value of the wrong type, or a value out of range."""
+
+
 class AssemblerError(IssError):
     """One or more errors raised while assembling a program.
 

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, Optional
 
 from repro.determinism import derive_token
-from repro.errors import FarmError
+from repro.errors import FarmError, WorkloadError
 
 #: Wire-format version tag for serialized jobs.
 JOB_SCHEMA = "repro-job/1"
@@ -112,9 +112,9 @@ class Job:
         source = self.payload.get("spec")
         if not isinstance(source, dict):
             source = self.payload
-        t_sync = int(source.get("t_sync", 100) or 100)
-        max_cycles = int(source.get("max_cycles", 2000) or 2000)
-        return max(1, -(-max_cycles // max(1, t_sync)))
+        t_sync = source.get("t_sync") or 100
+        max_cycles = source.get("max_cycles") or 2000
+        return max(1, -(-max_cycles // t_sync))
 
     @property
     def terminal(self) -> bool:
@@ -158,6 +158,43 @@ class Job:
                 f"state={self.state}")
 
 
+#: Transports a hosted router job may request (no raw sockets from
+#: unvetted payloads; TCP mode stays an operator-side decision).
+_ROUTER_MODES = ("inproc", "queue")
+
+#: The small-job workload a hosted router job starts from; the
+#: payload's workload keys override it.
+_ROUTER_WORKLOAD = {"packets_per_producer": 2, "interval_cycles": 200,
+                    "payload_size": 16, "corrupt_rate": 0.0,
+                    "buffer_capacity": 8, "seed": 1}
+
+#: The router payload's run keys: default, type and bounds.
+#: ``max_cycles`` 0 runs the job to drain.
+_ROUTER_RUN = {"mode": ("inproc", str), "t_sync": (100, int, 1),
+               "emulated_network_delay_s": (0.0, float, 0.0),
+               "max_cycles": (0, int, 0), "await_drain": (True, bool),
+               "trace": (False, bool)}
+
+
+def read_router_payload(payload: Dict[str, Any]):
+    """A ``router`` job payload, validated: ``(workload, run)``, the
+    workload through the :class:`~repro.router.testbench.RouterWorkload`
+    codec, the run keys of :data:`_ROUTER_RUN` with their defaults.  A
+    malformed key raises :class:`~repro.errors.FarmError`."""
+    from repro.router.testbench import RouterWorkload, read_keys
+
+    try:
+        workload, rest = RouterWorkload.split({**_ROUTER_WORKLOAD,
+                                               **payload})
+        run = read_keys(rest, _ROUTER_RUN, "keys")
+        if run["mode"] not in _ROUTER_MODES:
+            raise WorkloadError(f"mode must be one of "
+                                f"{list(_ROUTER_MODES)}, got {run['mode']!r}")
+    except WorkloadError as exc:
+        raise FarmError(f"router payload: {exc}") from None
+    return workload, run
+
+
 def validate_job_dict(doc: Any) -> None:
     """Raise :class:`FarmError` unless *doc* is a valid ``repro-job/1``
     document (schema-checked before any field is trusted)."""
@@ -174,7 +211,8 @@ def validate_job_dict(doc: Any) -> None:
     if kind not in JOB_KINDS:
         raise FarmError(f"job.kind must be one of {list(JOB_KINDS)}, "
                         f"got {kind!r}")
-    if not isinstance(doc.get("payload", {}), dict):
+    payload = doc.get("payload", {})
+    if not isinstance(payload, dict):
         raise FarmError("job.payload must be an object")
     for int_field in ("priority", "seed", "windows_requested"):
         value = doc.get(int_field, 0)
@@ -184,7 +222,12 @@ def validate_job_dict(doc: Any) -> None:
     if state not in STATES:
         raise FarmError(f"job.state must be one of {list(STATES)}, "
                         f"got {state!r}")
-    if kind == KIND_FUZZ_CASE:
-        spec = doc.get("payload", {}).get("spec")
-        if spec is not None and not isinstance(spec, dict):
-            raise FarmError("fuzz_case payload.spec must be an object")
+    if kind == KIND_ROUTER:
+        read_router_payload(payload)
+    elif payload.get("spec") is not None:
+        from repro.difftest.workload import FuzzSpec
+
+        try:
+            FuzzSpec.from_dict(payload["spec"])
+        except WorkloadError as exc:
+            raise FarmError(f"fuzz_case payload.spec: {exc}") from None

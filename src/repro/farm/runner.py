@@ -15,9 +15,11 @@ Two job kinds:
   :func:`repro.difftest.harness.analyze_failure` code path runs in
   both, which is what makes ``--jobs N`` campaigns reproduce serial
   results bit-for-bit).
-* ``router`` — one user-style router co-simulation session
-  (``difftest.workload`` traffic knobs, selectable transport, optional
-  emulated network latency), the shape a hosted tenant submits.
+* ``router`` — one user-style router co-simulation session (the
+  :class:`~repro.router.testbench.RouterWorkload` keys, selectable
+  transport, optional emulated network latency), the shape a hosted
+  tenant submits; :func:`repro.farm.job.read_router_payload` validates
+  it.
 
 Results are plain JSON-able dicts so they cross the process boundary
 and serialize into the :class:`~repro.farm.store.ResultStore`
@@ -128,44 +130,23 @@ def failure_from_doc(doc: Dict[str, Any]):
 # ----------------------------------------------------------------------
 # router
 # ----------------------------------------------------------------------
-#: Transports a hosted router job may request (no raw sockets from
-#: unvetted payloads; TCP mode stays an operator-side decision).
-_ROUTER_MODES = ("inproc", "queue")
-
-
 def _run_router(payload: Dict[str, Any],
                 artifacts_dir: Optional[str]) -> Dict[str, Any]:
     from repro.cosim import CosimConfig, ProtocolTrace
-    from repro.router.testbench import RouterWorkload, build_router_cosim
+    from repro.farm.job import read_router_payload
+    from repro.router.testbench import build_router_cosim
 
-    mode = payload.get("mode", "inproc")
-    if mode not in _ROUTER_MODES:
-        return {"ok": False,
-                "error": f"router mode must be one of "
-                         f"{list(_ROUTER_MODES)}, got {mode!r}"}
+    workload, run = read_router_payload(payload)
     config = CosimConfig(
-        t_sync=int(payload.get("t_sync", 100)),
-        emulated_network_delay_s=float(
-            payload.get("emulated_network_delay_s", 0.0)),
-    )
-    workload = RouterWorkload(
-        packets_per_producer=int(payload.get("packets_per_producer", 2)),
-        interval_cycles=int(payload.get("interval_cycles", 200)),
-        payload_size=int(payload.get("payload_size", 16)),
-        corrupt_rate=float(payload.get("corrupt_rate", 0.0)),
-        buffer_capacity=int(payload.get("buffer_capacity", 8)),
-        num_ports=int(payload.get("num_ports", 4)),
-        seed=int(payload.get("seed", 1)),
-    )
-    cosim = build_router_cosim(config, workload, mode=mode)
+        t_sync=run["t_sync"],
+        emulated_network_delay_s=run["emulated_network_delay_s"])
+    cosim = build_router_cosim(config, workload, mode=run["mode"])
     trace = None
-    if payload.get("trace"):
+    if run["trace"]:
         trace = ProtocolTrace()
         cosim.session.attach_trace(trace)
-    max_cycles = payload.get("max_cycles")
-    metrics = cosim.run(
-        max_cycles=int(max_cycles) if max_cycles else None,
-        await_drain=bool(payload.get("await_drain", True)))
+    metrics = cosim.run(max_cycles=run["max_cycles"] or None,
+                        await_drain=run["await_drain"])
     artifacts = []
     if trace is not None and artifacts_dir:
         os.makedirs(artifacts_dir, exist_ok=True)

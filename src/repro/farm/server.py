@@ -40,7 +40,7 @@ from urllib.parse import parse_qs, urlparse
 
 from repro.errors import FarmError, QuotaExceeded
 from repro.farm.core import Farm
-from repro.farm.job import TERMINAL_STATES, Job, validate_job_dict
+from repro.farm.job import TERMINAL_STATES, Job
 
 #: How long one streaming iteration blocks for fresh events before
 #: re-checking for shutdown/disconnect.
@@ -189,7 +189,6 @@ class _Handler(BaseHTTPRequestHandler):
                 self._error(400, "request body must be a JSON object")
                 return
             try:
-                validate_job_dict(doc)
                 job = Job.from_dict(doc)
                 submitted = self.farm.submit(job)
             except QuotaExceeded as exc:

@@ -14,11 +14,11 @@ row of the compatibility table (:mod:`repro.cosim.compat`).
 
 from __future__ import annotations
 
-from typing import Any, Tuple
+from typing import Any, Dict, Optional, Tuple
 
 from repro.cosim.config import CosimConfig
 from repro.cosim.master import CosimMaster
-from repro.errors import FmiError
+from repro.errors import FmiError, WorkloadError
 from repro.fmi.protocol import (
     DATA_ADDR_KEY,
     DATA_OP_KEY,
@@ -26,7 +26,7 @@ from repro.fmi.protocol import (
     check_surface,
 )
 from repro.replay.snapshot import is_snapshotable
-from repro.router.testbench import RouterCosim, RouterWorkload
+from repro.router.testbench import RouterCosim, RouterWorkload, read_keys
 
 
 class _PluginClock:
@@ -164,19 +164,38 @@ class FmuRouterCosim(RouterCosim):
 
 def router_plugin_config(config: CosimConfig,
                          workload: RouterWorkload) -> dict:
-    """The plain-data ``init`` config for router-family plugins."""
-    return {
-        "num_ports": workload.num_ports,
-        "buffer_capacity": workload.buffer_capacity,
-        "packets_per_producer": workload.packets_per_producer,
-        "interval_cycles": workload.interval_cycles,
-        "payload_size": workload.payload_size,
-        "corrupt_rate": workload.corrupt_rate,
-        "burst_size": workload.burst_size,
-        "burst_gap_cycles": workload.burst_gap_cycles,
-        "irq_vector": config.remote_vector,
-        "clock_period_ps": config.clock_period_ps,
-    }
+    """The plain-data ``init`` config for router-family plugins: the
+    workload codec's keys except ``seed`` (``init``'s own argument),
+    plus the plugin-only keys of :data:`ROUTER_PLUGIN_KEYS`."""
+    doc = workload.to_dict()
+    del doc["seed"]
+    doc.update(irq_vector=config.remote_vector,
+               clock_period_ps=config.clock_period_ps)
+    return doc
+
+
+#: The plugin-only keys :func:`router_plugin_config` writes, as
+#: ``(default, type, minimum)``.
+ROUTER_PLUGIN_KEYS = {
+    "irq_vector": (CosimConfig.remote_vector, int, 0),
+    "clock_period_ps": (CosimConfig.clock_period_ps, int, 1)}
+
+
+def read_router_plugin_config(
+        config: Optional[dict], seed: Any, own: Optional[dict] = None
+) -> Tuple[RouterWorkload, Dict[str, Any]]:
+    """A router plugin's side of :func:`router_plugin_config`: the
+    workload the codec reads from *config* with ``init``'s *seed*, and
+    the plugin-only keys (:data:`ROUTER_PLUGIN_KEYS` plus the plugin's
+    *own*, same form) with their defaults.  Any other key, a wrong type
+    or an out-of-range value raises :class:`FmiError`."""
+    try:
+        workload, rest = RouterWorkload.split({**(config or {}),
+                                               "seed": seed})
+        return workload, read_keys(rest, {**ROUTER_PLUGIN_KEYS,
+                                          **(own or {})}, "plugin keys")
+    except WorkloadError as exc:
+        raise FmiError(f"plugin config: {exc}") from None
 
 
 def mount_router_plugin(

@@ -40,6 +40,7 @@ from repro.determinism import (
     seeded_rng,
 )
 from repro.errors import FmiError
+from repro.fmi.adapter import read_router_plugin_config
 from repro.fmi.protocol import DATA_ADDR_KEY, DATA_OP_KEY, DATA_VALUE_KEY
 from repro.router.packet import Packet
 from repro.router.router import (
@@ -51,6 +52,7 @@ from repro.router.router import (
 )
 from repro.router.routing_table import RoutingTable
 from repro.router.stats import WorkloadStats
+from repro.router.testbench import RouterWorkload
 
 #: Default FIFO depths, matching :class:`repro.router.router.Router`.
 INPUT_FIFO_CAPACITY = 4
@@ -67,18 +69,17 @@ class _Producer:
     __slots__ = ("index", "count", "rng", "sent", "input_drops", "done",
                  "next_cycle", "pre_edge")
 
-    def __init__(self, index: int, count: int, interval: int,
-                 num_ports: int, seed: int) -> None:
+    def __init__(self, index: int, workload: RouterWorkload) -> None:
         self.index = index
-        self.count = count
-        self.rng = seeded_rng(mixed_seed(seed, index))
+        self.count = workload.packets_per_producer
+        self.rng = seeded_rng(mixed_seed(workload.seed, index))
         self.sent = 0
         self.input_drops = 0
         self.done = False
         # The generator thread sees the first edge (cycle 1), then
         # sleeps its stagger offset; offset-0 producers generate in the
         # same delta cascade as that first edge (post-edge).
-        offset = (index * interval) // max(1, num_ports)
+        offset = (index * workload.interval_cycles) // workload.num_ports
         self.next_cycle: Optional[int] = 1 + offset
         self.pre_edge = offset > 0
 
@@ -110,38 +111,24 @@ class BehavioralRouterModel:
     def init(self, config: Optional[dict], seed: int) -> None:
         if self._initialized:
             raise FmiError("plugin already initialized")
-        config = dict(config or {})
-        self.num_ports = int(config.get("num_ports", 4))
-        self.buffer_capacity = int(config.get("buffer_capacity", 20))
-        self.packets_per_producer = int(
-            config.get("packets_per_producer", 25))
-        self.interval_cycles = int(config.get("interval_cycles", 1000))
-        self.payload_size = int(config.get("payload_size", 32))
-        self.corrupt_rate = float(config.get("corrupt_rate", 0.05))
-        self.burst_size = int(config.get("burst_size", 1))
-        self.burst_gap_cycles = int(config.get("burst_gap_cycles", 0))
-        self.irq_vector = int(config.get("irq_vector", 1))
-        self.input_fifo_capacity = int(
-            config.get("input_fifo_capacity", INPUT_FIFO_CAPACITY))
-        self.output_fifo_capacity = int(
-            config.get("output_fifo_capacity", OUTPUT_FIFO_CAPACITY))
-        if self.interval_cycles <= 0:
-            raise FmiError("interval_cycles must be positive")
-        if self.burst_size < 1 or self.burst_gap_cycles < 0:
-            raise FmiError("invalid burst configuration")
-
+        workload, own = read_router_plugin_config(config, seed, {
+            "input_fifo_capacity": (INPUT_FIFO_CAPACITY, int, 0),
+            "output_fifo_capacity": (OUTPUT_FIFO_CAPACITY, int, 0)})
+        self.workload = workload
+        self.irq_vector = own["irq_vector"]
+        self.input_fifo_capacity = own["input_fifo_capacity"]
+        self.output_fifo_capacity = own["output_fifo_capacity"]
         self.table = RoutingTable.uniform(
-            self.num_ports, addresses_per_port=256 // self.num_ports)
+            workload.num_ports,
+            addresses_per_port=256 // workload.num_ports)
         self.stats = WorkloadStats()
         self._dst_addresses = range(0, 256)
         self.producers = [
-            _Producer(i, self.packets_per_producer, self.interval_cycles,
-                      self.num_ports, seed)
-            for i in range(self.num_ports)
+            _Producer(i, workload) for i in range(workload.num_ports)
         ]
-        self.consumers = [_Consumer() for _ in range(self.num_ports)]
+        self.consumers = [_Consumer() for _ in range(workload.num_ports)]
         self.input_fifos: List[List[Packet]] = [
-            [] for _ in range(self.num_ports)]
+            [] for _ in range(workload.num_ports)]
         self.buffer: List[Packet] = []
         self.current: Optional[Packet] = None
         self.cycle = 0
@@ -321,9 +308,10 @@ class BehavioralRouterModel:
         rng = producer.rng
         pkt_id = (producer.index << 24) | producer.sent
         dst = rng.choice(self._dst_addresses)
-        payload = random_bytes(rng, self.payload_size)
+        workload = self.workload
+        payload = random_bytes(rng, workload.payload_size)
         packet = Packet.build(producer.index, dst, pkt_id, payload)
-        corrupt = rng.random() < self.corrupt_rate
+        corrupt = rng.random() < workload.corrupt_rate
         if corrupt:
             packet = packet.corrupted(rng.getrandbits(8))
         self.stats.record_generated(pkt_id, cycle, corrupt)
@@ -336,11 +324,11 @@ class BehavioralRouterModel:
             fifo.append(packet)
             arrived = True
         producer.sent += 1
-        if self.burst_gap_cycles \
-                and producer.sent % self.burst_size == 0:
-            delay = self.burst_gap_cycles
+        if workload.burst_gap_cycles \
+                and producer.sent % workload.burst_size == 0:
+            delay = workload.burst_gap_cycles
         else:
-            delay = self.interval_cycles
+            delay = workload.interval_cycles
         producer.next_cycle = cycle + delay
         producer.pre_edge = True
         return arrived
@@ -352,7 +340,7 @@ class BehavioralRouterModel:
             if fifo:
                 packet = fifo.pop(0)
                 idle = False
-                if len(self.buffer) >= self.buffer_capacity:
+                if len(self.buffer) >= self.workload.buffer_capacity:
                     self.stats.dropped_overflow += 1
                 else:
                     self.buffer.append(packet)

@@ -22,14 +22,14 @@ an event-driven simulator to honour FMI004 bit-exactly.
 
 from __future__ import annotations
 
-from dataclasses import fields
 from typing import Any, Dict, List, Optional
 
 from repro.cosim.config import CosimConfig
 from repro.errors import FmiError
+from repro.fmi.adapter import read_router_plugin_config
 from repro.fmi.protocol import DATA_ADDR_KEY, DATA_OP_KEY, DATA_VALUE_KEY
 from repro.replay.snapshot import plain_copy, state_digest
-from repro.router.testbench import RouterWorkload, build_router_netlist
+from repro.router.testbench import build_router_netlist
 
 
 class NetlistRouterModel:
@@ -136,16 +136,10 @@ class NetlistRouterModel:
     # ------------------------------------------------------------------
     def _build(self) -> None:
         """Elaborate a fresh netlist from ``(config, seed)``."""
-        config = self._config
-        defaults = RouterWorkload()
-        workload = RouterWorkload(**{
-            field.name: type(getattr(defaults, field.name))(
-                config.get(field.name, getattr(defaults, field.name)))
-            for field in fields(RouterWorkload) if field.name != "seed"
-        }, seed=self._seed)
-        self._irq_vector = int(config.get("irq_vector", 1))
+        workload, own = read_router_plugin_config(self._config, self._seed)
+        self._irq_vector = own["irq_vector"]
         hw = build_router_netlist("fmu_netlist", workload, CosimConfig(
-            clock_period_ps=int(config.get("clock_period_ps", 10_000))))
+            clock_period_ps=own["clock_period_ps"]))
         self.sim, self.clock, self.router = hw.sim, hw.clock, hw.router
         self.producers, self.consumers = hw.producers, hw.consumers
         self.stats = hw.stats

@@ -16,9 +16,13 @@ Semantics (the conformance kit in :mod:`repro.fmi.conformance` is the
 executable form of this paragraph):
 
 * ``init`` is called exactly once before anything else; *config* is a
-  plain-data dict (see :func:`repro.fmi.adapter.router_plugin_config`
-  for the router family's keys) and *seed* feeds every stochastic knob
-  through :mod:`repro.determinism`.
+  plain-data dict and *seed* feeds every stochastic knob through
+  :mod:`repro.determinism`.  For the router family the config is the
+  :class:`~repro.router.testbench.RouterWorkload` codec's keys except
+  ``seed``, plus the plugin-only keys ``irq_vector`` and
+  ``clock_period_ps`` (:func:`repro.fmi.adapter.router_plugin_config`
+  writes it, :func:`repro.fmi.adapter.read_router_plugin_config` reads
+  it back).
 * ``set_inputs`` latches input values; ``step(0)`` applies any pending
   transaction without advancing time.  The reserved keys
   ``data_op``/``data_addr``/``data_value`` carry one DATA-port

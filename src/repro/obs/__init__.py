@@ -27,8 +27,6 @@ from repro.obs.export import (
     write_csv,
 )
 from repro.obs.recorder import (
-    MODE_FULL,
-    MODE_SAMPLE,
     NULL_RECORDER,
     EventRecord,
     NullRecorder,
@@ -43,8 +41,6 @@ from repro.obs.recorder import (
 __all__ = [
     "CSV_HEADER",
     "EventRecord",
-    "MODE_FULL",
-    "MODE_SAMPLE",
     "NULL_RECORDER",
     "NullRecorder",
     "SpanRecord",

@@ -78,7 +78,7 @@ def to_chrome_trace(recorder, metadata: Optional[dict] = None) -> dict:
         "events_total": recorder.event_count,
         "spans_retained": len(recorder.spans),
         "events_retained": len(recorder.events),
-        "mode": recorder.config.mode,
+        "mode": "sample" if recorder.config.sample_every > 1 else "full",
     }
     doc_metadata.update(metadata or {})
     return {

@@ -12,9 +12,9 @@ Two recorder implementations share one API:
   both wall-clock (``time.perf_counter``) and simulated-time
   endpoints, plus point :class:`EventRecord` entries, per-thread span
   stacks (the threaded session's board thread gets its own track) and
-  an always-maintained per-``(cat, name)`` aggregate.  In ``sample``
-  mode only every N-th root span's subtree is retained in full; the
-  aggregate still covers every span, giving a per-layer profile
+  an always-maintained per-``(cat, name)`` aggregate.  With
+  ``sample_every=N`` only every N-th root span's subtree is retained
+  in full; the aggregate still covers every span, giving a per-layer profile
   without storing every event.
 
 Simulated time is whatever clock the instrumented layer lives on
@@ -37,11 +37,6 @@ from typing import Any, Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.errors import ReproError
 
-#: Recorder modes accepted by :class:`TracingConfig`.
-MODE_FULL = "full"
-MODE_SAMPLE = "sample"
-
-
 @dataclass
 class TracingConfig:
     """Tracing knobs, carried on :class:`repro.cosim.CosimConfig`.
@@ -53,10 +48,8 @@ class TracingConfig:
 
     #: Master switch; when False the session installs NULL_RECORDER.
     enabled: bool = False
-    #: ``full`` keeps every span; ``sample`` keeps every N-th root
-    #: span's subtree and aggregates the rest.
-    mode: str = MODE_FULL
-    #: In ``sample`` mode, retain every N-th root span (per thread).
+    #: Retain every N-th root span's subtree (per thread) and only
+    #: aggregate the rest; 1 keeps every span.
     sample_every: int = 1
     #: Hard cap on retained span records (aggregation continues past it).
     max_spans: int = 1_000_000
@@ -64,11 +57,6 @@ class TracingConfig:
     max_events: int = 1_000_000
 
     def __post_init__(self) -> None:
-        if self.mode not in (MODE_FULL, MODE_SAMPLE):
-            raise ReproError(
-                f"tracing mode must be {MODE_FULL!r} or {MODE_SAMPLE!r}, "
-                f"got {self.mode!r}"
-            )
         if self.sample_every <= 0:
             raise ReproError("sample_every must be positive")
         if self.max_spans <= 0 or self.max_events <= 0:
@@ -253,7 +241,7 @@ class TracingRecorder:
         if not state.stack:
             # Root span for this thread: take the sampling decision the
             # whole subtree inherits.
-            if self.config.mode == MODE_SAMPLE:
+            if self.config.sample_every > 1:
                 state.keep = (state.roots % self.config.sample_every) == 0
             state.roots += 1
         parent = state.stack[-1].sid if state.stack else 0

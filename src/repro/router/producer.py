@@ -8,7 +8,7 @@ simulation; generation is deterministic given the seed.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import TYPE_CHECKING
 
 from repro.determinism import mixed_seed, random_bytes, \
     rng_state_restore, rng_state_snapshot, seeded_rng
@@ -18,52 +18,30 @@ from repro.router.stats import WorkloadStats
 from repro.simkernel.clock import Clock
 from repro.simkernel.module import Module
 
+if TYPE_CHECKING:
+    from repro.router.testbench import RouterWorkload
+
 
 class Producer(Module):
-    """Generates *count* packets at a fixed cycle interval."""
+    """Generates ``workload.packets_per_producer`` packets, one every
+    ``interval_cycles``, to random destinations.
 
-    def __init__(
-        self,
-        sim,
-        name: str,
-        router: Router,
-        port_index: int,
-        clock: Clock,
-        stats: WorkloadStats,
-        count: int = 100,
-        interval_cycles: int = 1000,
-        payload_size: int = 32,
-        corrupt_rate: float = 0.0,
-        seed: int = 0,
-        src_address: Optional[int] = None,
-        dst_addresses: Optional[range] = None,
-        burst_size: int = 1,
-        burst_gap_cycles: int = 0,
-    ) -> None:
-        """With ``burst_size > 1`` the producer emits packets in bursts:
-        ``burst_size`` packets spaced ``interval_cycles`` apart, then a
-        pause of ``burst_gap_cycles`` before the next burst — the bursty
-        traffic profile that motivates adaptive synchronization."""
+    With ``burst_size > 1`` the producer emits packets in bursts:
+    ``burst_size`` packets spaced ``interval_cycles`` apart, then a
+    pause of ``burst_gap_cycles`` before the next burst — the bursty
+    traffic profile that motivates adaptive synchronization.
+    """
+
+    def __init__(self, sim, name: str, router: Router, port_index: int,
+                 clock: Clock, stats: WorkloadStats,
+                 workload: "RouterWorkload") -> None:
         super().__init__(sim, name)
-        if interval_cycles <= 0:
-            raise ValueError("interval_cycles must be positive")
-        if not 0.0 <= corrupt_rate <= 1.0:
-            raise ValueError("corrupt_rate must be within [0,1]")
-        if burst_size < 1 or burst_gap_cycles < 0:
-            raise ValueError("invalid burst configuration")
         self.router = router
         self.port_index = port_index
         self.clock = clock
         self.stats = stats
-        self.count = count
-        self.interval_cycles = interval_cycles
-        self.payload_size = payload_size
-        self.corrupt_rate = corrupt_rate
-        self.src_address = src_address if src_address is not None else port_index
-        self.dst_addresses = dst_addresses or range(0, 256)
-        self.burst_size = burst_size
-        self.burst_gap_cycles = burst_gap_cycles
-        self._rng = seeded_rng(mixed_seed(seed, port_index))
+        self.workload = workload
+        self._rng = seeded_rng(mixed_seed(workload.seed, port_index))
         #: Packets generated so far.
         self.sent = 0
         #: Packets refused at the input FIFO (also overflow drops).
@@ -94,21 +72,22 @@ class Producer(Module):
         return (self.port_index << 24) | self.sent
 
     def _run(self):
+        workload = self.workload
         period = self.clock.period
         fifo = self.router.input_fifos[self.port_index]
         # Stagger producers so arrivals are not perfectly aligned.
         yield self.clock.posedge
-        offset = (self.port_index * self.interval_cycles) // max(
+        offset = (self.port_index * workload.interval_cycles) // max(
             1, self.router.num_ports
         )
         if offset:
             yield offset * period
-        while self.sent < self.count:
+        while self.sent < workload.packets_per_producer:
             pkt_id = self._next_packet_id()
-            dst = self._rng.choice(self.dst_addresses)
-            payload = random_bytes(self._rng, self.payload_size)
-            packet = Packet.build(self.src_address, dst, pkt_id, payload)
-            corrupt = self._rng.random() < self.corrupt_rate
+            dst = self._rng.randrange(256)
+            payload = random_bytes(self._rng, workload.payload_size)
+            packet = Packet.build(self.port_index, dst, pkt_id, payload)
+            corrupt = self._rng.random() < workload.corrupt_rate
             if corrupt:
                 packet = packet.corrupted(self._rng.getrandbits(8))
             cycle = self.sim.now // period
@@ -117,9 +96,9 @@ class Producer(Module):
                 self.input_drops += 1
                 self.stats.dropped_overflow += 1
             self.sent += 1
-            if (self.burst_gap_cycles
-                    and self.sent % self.burst_size == 0):
-                yield self.burst_gap_cycles * period
+            if (workload.burst_gap_cycles
+                    and self.sent % workload.burst_size == 0):
+                yield workload.burst_gap_cycles * period
             else:
-                yield self.interval_cycles * period
+                yield workload.interval_cycles * period
         self.done = True

@@ -14,8 +14,8 @@ plugin (:mod:`repro.fmi`) mounted in its place.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Optional
+from dataclasses import asdict, dataclass, field, fields
+from typing import Any, List, Optional, Tuple
 
 from repro.board.board import Board, BoardConfig
 from repro.cosim.board_runtime import CosimBoardRuntime
@@ -23,10 +23,11 @@ from repro.cosim.config import CosimConfig
 from repro.cosim.master import CosimMaster, build_driver_sim
 from repro.cosim.metrics import CosimMetrics
 from repro.cosim.session import BoardSlot, CosimSession
-from repro.errors import ProtocolError
+from repro.errors import ProtocolError, WorkloadError
 from repro.router.app import ChecksumApp, install_checksum_app
 from repro.router.consumer import Consumer
 from repro.router.driver import RouterDriver
+from repro.router.packet import MAX_PAYLOAD
 from repro.router.producer import Producer
 from repro.router.router import (
     REG_PACKET,
@@ -49,6 +50,46 @@ QUEUE = "queue"
 TCP = "tcp"
 
 
+def check_value(name: str, value: Any, kind: type,
+                low: Any = None, high: Any = None) -> Any:
+    """*value* as a *kind* within ``[low, high]`` (None: unbounded), or
+    :class:`WorkloadError`.  A bool is not a number, and an int is
+    taken where a float is expected."""
+    accepted = (int, float) if kind is float else kind
+    if not isinstance(value, accepted) or (
+            isinstance(value, bool) and kind is not bool):
+        raise WorkloadError(
+            f"{name} must be {kind.__name__}, got {value!r}")
+    if kind is float:
+        value = float(value)
+    # Written so that NaN fails both comparisons.
+    if (low is not None and not value >= low) or (
+            high is not None and not value <= high):
+        bounds = f">= {low}" if high is None else f"in [{low}, {high}]"
+        raise WorkloadError(f"{name} must be {bounds}, got {value!r}")
+    return value
+
+
+def check_keys(doc: Any, known, what: str) -> None:
+    """Raise :class:`WorkloadError` unless *doc* is a dict whose keys
+    are all in *known*; *what* names them in the message."""
+    if not isinstance(doc, dict):
+        raise WorkloadError(
+            f"expected an object of {what}, got {type(doc).__name__}")
+    unknown = sorted(map(str, set(doc) - set(known)))
+    if unknown:
+        raise WorkloadError(f"unknown {what}: {unknown}")
+
+
+def read_keys(doc: Any, schema: dict, what: str) -> dict:
+    """*doc* read against *schema* (key -> ``(default, type, bounds...)``)
+    with the defaults filled in; see :func:`check_keys` and
+    :func:`check_value` for what is refused."""
+    check_keys(doc, schema, what)
+    return {key: check_value(key, doc.get(key, default), *spec)
+            for key, (default, *spec) in schema.items()}
+
+
 @dataclass
 class RouterWorkload:
     """Workload knobs for the router case study.
@@ -57,18 +98,32 @@ class RouterWorkload:
     injecting one packet per ``interval_cycles`` each, a 20-packet
     internal buffer — which puts the Figure 7 accuracy knee near
     ``T_sync = buffer_capacity * interval_cycles / num_ports = 5000``.
+
+    Each field's default fixes its type and its metadata its bounds,
+    checked on construction (:class:`WorkloadError`).  :meth:`to_dict`
+    and :meth:`from_dict` are the one plain-data form that recordings,
+    checkpoints, plugin configs, farm jobs and fuzz specs carry.
     """
 
-    packets_per_producer: int = 25
-    interval_cycles: int = 1000
-    payload_size: int = 32
-    corrupt_rate: float = 0.05
-    buffer_capacity: int = 20
-    num_ports: int = 4
+    packets_per_producer: int = field(default=25, metadata={"min": 0})
+    interval_cycles: int = field(default=1000, metadata={"min": 1})
+    payload_size: int = field(default=32,
+                              metadata={"min": 0, "max": MAX_PAYLOAD})
+    corrupt_rate: float = field(default=0.05,
+                                metadata={"min": 0.0, "max": 1.0})
+    buffer_capacity: int = field(default=20, metadata={"min": 1})
+    #: The 8-bit address space is split evenly over the ports.
+    num_ports: int = field(default=4, metadata={"min": 1, "max": 256})
     seed: int = 2005
     #: Bursty traffic: packets per burst and idle gap between bursts.
-    burst_size: int = 1
-    burst_gap_cycles: int = 0
+    burst_size: int = field(default=1, metadata={"min": 1})
+    burst_gap_cycles: int = field(default=0, metadata={"min": 0})
+
+    def __post_init__(self) -> None:
+        for f in fields(self):
+            setattr(self, f.name, check_value(
+                f.name, getattr(self, f.name), type(f.default),
+                f.metadata.get("min"), f.metadata.get("max")))
 
     @property
     def total_packets(self) -> int:
@@ -81,6 +136,25 @@ class RouterWorkload:
             bursts = -(-self.packets_per_producer // self.burst_size)
             generation += bursts * self.burst_gap_cycles
         return generation + 20 * self.interval_cycles + 10_000
+
+    def to_dict(self) -> dict:
+        """Every field, flat, in declaration order."""
+        return asdict(self)
+
+    @classmethod
+    def from_dict(cls, doc: Any) -> "RouterWorkload":
+        """The strict inverse of :meth:`to_dict`; missing keys take
+        their defaults."""
+        check_keys(doc, {f.name for f in fields(cls)}, "workload keys")
+        return cls(**doc)
+
+    @classmethod
+    def split(cls, doc: dict) -> Tuple["RouterWorkload", dict]:
+        """:meth:`from_dict` over *doc*'s workload keys, and the rest of
+        *doc* for the caller to check."""
+        ours = {f.name for f in fields(cls)}
+        return (cls.from_dict({k: v for k, v in doc.items() if k in ours}),
+                {k: v for k, v in doc.items() if k not in ours})
 
 
 @dataclass
@@ -114,14 +188,7 @@ def build_router_netlist(name: str, workload: RouterWorkload,
     sim.map_port(REG_VERDICT, router.reg_verdict)
     sim.map_port(REG_STATS, router.reg_stats)
     producers = [
-        Producer(sim, f"producer{i}", router, i, clock, stats,
-                 count=workload.packets_per_producer,
-                 interval_cycles=workload.interval_cycles,
-                 payload_size=workload.payload_size,
-                 corrupt_rate=workload.corrupt_rate,
-                 seed=workload.seed,
-                 burst_size=workload.burst_size,
-                 burst_gap_cycles=workload.burst_gap_cycles)
+        Producer(sim, f"producer{i}", router, i, clock, stats, workload)
         for i in range(workload.num_ports)
     ]
     consumers = [
@@ -328,28 +395,43 @@ def _assemble(link, config: CosimConfig, workload: RouterWorkload,
                           driver, plugin_stats, workload)
 
 
+#: The run keys :func:`router_run_meta` stamps beside the workload's
+#: (default, type, bounds), and the session class a checkpoint adds.
+_RUN_META = {"scenario": (None, str), "mode": (INPROC, str),
+             "threaded": (False, bool), "t_sync": (1000, int, 1),
+             "iss_timing": (False, bool), "session": ("", str)}
+
+
 def router_run_meta(config: CosimConfig, workload: RouterWorkload,
                     mode: str = INPROC,
                     iss_timing: bool = False) -> dict:
     """The knobs needed to rebuild an identical router run — stamped
     into recordings and checkpoints so replay/restore can reconstruct
-    the session without out-of-band information."""
+    the session without out-of-band information.  The workload's keys
+    sit flat beside the run keys; :func:`router_run_from_meta` inverts
+    it."""
     return {
         "scenario": "router",
         "mode": mode,
         "threaded": mode != INPROC,
         "t_sync": config.t_sync,
-        "packets_per_producer": workload.packets_per_producer,
-        "interval_cycles": workload.interval_cycles,
-        "payload_size": workload.payload_size,
-        "corrupt_rate": workload.corrupt_rate,
-        "buffer_capacity": workload.buffer_capacity,
-        "num_ports": workload.num_ports,
-        "seed": workload.seed,
-        "burst_size": workload.burst_size,
-        "burst_gap_cycles": workload.burst_gap_cycles,
+        **workload.to_dict(),
         "iss_timing": iss_timing,
     }
+
+
+def router_run_from_meta(
+        meta: dict) -> Tuple[CosimConfig, RouterWorkload, bool]:
+    """The inverse of :func:`router_run_meta`: the config, workload and
+    ``iss_timing`` of the stamped run.  Meta read from a file is outside
+    input (a checkpoint's digest does not cover it), so any malformed
+    key raises :class:`WorkloadError` before anything is built."""
+    workload, rest = RouterWorkload.split(meta)
+    run = read_keys(rest, _RUN_META, "run meta keys")
+    if run["scenario"] != "router":
+        raise WorkloadError(f"cannot rebuild scenario "
+                            f"{run['scenario']!r} (only 'router')")
+    return CosimConfig(t_sync=run["t_sync"]), workload, run["iss_timing"]
 
 
 def finalize_router_recording(recording, cosim: RouterCosim,
@@ -386,26 +468,6 @@ def finalize_router_recording(recording, cosim: RouterCosim,
         recording.trace_rows = rows
 
 
-def workload_from_meta(meta: dict) -> RouterWorkload:
-    """Rebuild the recorded run's workload knobs from recording meta."""
-    defaults = RouterWorkload()
-    return RouterWorkload(
-        packets_per_producer=meta.get("packets_per_producer",
-                                      defaults.packets_per_producer),
-        interval_cycles=meta.get("interval_cycles",
-                                 defaults.interval_cycles),
-        payload_size=meta.get("payload_size", defaults.payload_size),
-        corrupt_rate=meta.get("corrupt_rate", defaults.corrupt_rate),
-        buffer_capacity=meta.get("buffer_capacity",
-                                 defaults.buffer_capacity),
-        num_ports=meta.get("num_ports", defaults.num_ports),
-        seed=meta.get("seed", defaults.seed),
-        burst_size=meta.get("burst_size", defaults.burst_size),
-        burst_gap_cycles=meta.get("burst_gap_cycles",
-                                  defaults.burst_gap_cycles),
-    )
-
-
 def replay_router_recording(recording, strict: bool = True,
                             config: Optional[CosimConfig] = None,
                             board_config: Optional[BoardConfig] = None):
@@ -414,20 +476,21 @@ def replay_router_recording(recording, strict: bool = True,
     return the :class:`repro.replay.ReplayResult`.
 
     No sockets are opened, no threads are started and no wall clock is
-    read — the recording fully determines the board's inputs.
+    read — the recording fully determines the board's inputs.  Malformed
+    meta raises :class:`WorkloadError` (see :func:`router_run_from_meta`).
     """
     from repro.replay import replay_recording
 
-    meta = recording.meta
-    config = config or CosimConfig(t_sync=meta.get("t_sync", 1000))
+    run_config, _workload, iss_timing = router_run_from_meta(
+        recording.meta)
+    config = config or run_config
     board_config = board_config or BoardConfig()
 
     obs_targets = []
 
     def factory(endpoint):
         board, _driver, app = build_router_board_side(
-            endpoint, config, board_config,
-            iss_timing=bool(meta.get("iss_timing")))
+            endpoint, config, board_config, iss_timing=iss_timing)
         if app.verifier is not None:
             obs_targets.append(app.verifier)
         return board

@@ -6,9 +6,13 @@ import socket
 
 import pytest
 
+from repro.cli import main
+from repro.cosim import CosimConfig
+from repro.difftest import generate_spec
 from repro.errors import FarmError, QuotaExceeded
 from repro.farm import Farm, FarmClient, FarmServer, Job, TenantQuota
 from repro.farm.server import MAX_BODY_BYTES
+from repro.router.testbench import RouterWorkload, build_router_cosim
 
 ROUTER_PAYLOAD = {"mode": "inproc", "t_sync": 200,
                   "packets_per_producer": 1, "interval_cycles": 100,
@@ -44,6 +48,13 @@ def _raw(client, request: bytes):
 def _post_jobs(client, length: str) -> bytes:
     return (f"POST /jobs HTTP/1.1\r\nHost: x\r\n"
             f"Content-Length: {length}\r\n\r\n").encode("ascii")
+
+
+def _post_job(kind, payload) -> bytes:
+    body = json.dumps({"tenant": "alice", "kind": kind,
+                       "payload": payload}).encode("utf-8")
+    return (f"POST /jobs HTTP/1.1\r\nHost: x\r\nConnection: close\r\n"
+            f"Content-Length: {len(body)}\r\n\r\n").encode("ascii") + body
 
 
 def _job(name, tenant="alice", **overrides):
@@ -156,6 +167,31 @@ class TestErrorCodes:
         assert status == 413
         assert str(MAX_BODY_BYTES) in doc["error"]
 
+    @pytest.mark.parametrize("payload,message", [
+        ({"t_sync": "x"}, "t_sync"),
+        ({"t_sync": 0}, "t_sync"),
+        ({"packets_per_prodcuer": 4}, "unknown"),
+        ({"seed": 1.5}, "seed"),
+        ({"mode": "tcp"}, "mode"),
+        ({"trace": "yes"}, "trace"),
+    ])
+    def test_malformed_router_payload_400(self, served, payload, message):
+        _farm, client = served
+        status, doc = _raw(client, _post_job("router", payload))
+        assert status == 400
+        assert message in doc["error"]
+        assert client.jobs() == []
+
+    @pytest.mark.parametrize("change", [{"t_sync": "x"}, {"seed": None},
+                                        {"num_ports": 0}])
+    def test_malformed_fuzz_spec_400(self, served, change):
+        _farm, client = served
+        spec = dict(generate_spec(42, 0).to_dict(), **change)
+        status, doc = _raw(client, _post_job("fuzz_case", {"spec": spec}))
+        assert status == 400
+        assert next(iter(change)) in doc["error"]
+        assert client.jobs() == []
+
     @pytest.mark.parametrize("cursor", ["xyz", "-3"])
     def test_bad_stream_cursor_400(self, served, cursor):
         _farm, client = served
@@ -176,6 +212,52 @@ class TestErrorCodes:
             client._request("GET", "/nope")
         with pytest.raises(FarmError, match="404"):
             client._request("POST", "/jobs/x/promote")
+
+
+class TestRouterJobs:
+    def test_bursty_job_matches_the_direct_run(self, served):
+        _farm, client = served
+        knobs = {"packets_per_producer": 4, "interval_cycles": 100,
+                 "num_ports": 2, "burst_size": 2, "burst_gap_cycles": 1500}
+        job = _job("bursty", payload=knobs)
+        client.submit(job)
+        assert client.wait(job.job_id, timeout_s=30)["state"] == "done"
+        result = client.result(job.job_id)
+        # The farm's small-job defaults fill the knobs the payload omits.
+        workload = RouterWorkload(payload_size=16, corrupt_rate=0.0,
+                                  buffer_capacity=8, seed=1, **knobs)
+        cosim = build_router_cosim(CosimConfig(t_sync=200), workload)
+        metrics = cosim.run()
+        assert result["master_cycles"] == metrics.master_cycles
+        assert result["stats"] == json.loads(
+            json.dumps(cosim.stats.snapshot()))
+
+
+class TestSubmitCommand:
+    def _run(self, argv, capsys):
+        code = main(["submit", "--server", "127.0.0.1:9", *argv])
+        return code, capsys.readouterr().err.strip().splitlines()
+
+    def test_non_json_payload(self, capsys):
+        code, lines = self._run(["--payload", "{t_sync: 5"], capsys)
+        assert code == 2 and len(lines) == 1
+        assert "--payload" in lines[0]
+
+    def test_unreadable_job_file(self, tmp_path, capsys):
+        code, lines = self._run([str(tmp_path / "absent.json")], capsys)
+        assert code == 2 and len(lines) == 1
+        bad = tmp_path / "bad.json"
+        bad.write_text("{")
+        code, lines = self._run([str(bad)], capsys)
+        assert code == 2 and len(lines) == 1
+
+    def test_malformed_payload_is_refused_with_400(self, served, capsys):
+        _farm, client = served
+        code = main(["submit", "--server", f"{client.host}:{client.port}",
+                     "--payload", '{"t_sync": 0}'])
+        assert code != 0
+        assert "400" in capsys.readouterr().err
+        assert client.jobs() == []
 
 
 class TestStreaming:

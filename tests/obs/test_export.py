@@ -138,8 +138,7 @@ class TestTextReport:
         assert "master.irq.send" in report
 
     def test_dropped_note_when_sampling(self):
-        rec = TracingRecorder(TracingConfig(enabled=True, mode="sample",
-                                            sample_every=2))
+        rec = TracingRecorder(TracingConfig(enabled=True, sample_every=2))
         for index in range(4):
             rec.end(rec.begin("s", "w", sim=index))
         report = render_text_report(rec)

@@ -138,8 +138,7 @@ class TestSampling:
     def test_sampling_thins_retention_not_aggregation(self):
         full = build_router_cosim(traced_config(), small_workload())
         full.run()
-        sampled = build_router_cosim(traced_config(mode="sample",
-                                                   sample_every=4),
+        sampled = build_router_cosim(traced_config(sample_every=4),
                                      small_workload())
         sampled.run()
         full_obs, sampled_obs = full.session.obs, sampled.session.obs
@@ -194,8 +193,8 @@ class TestThreadedTracing:
 # Config plumbing
 # ----------------------------------------------------------------------
 class TestConfigPlumbing:
-    def test_tracing_config_rejects_bad_mode_at_construction(self):
+    def test_tracing_config_rejects_bad_sampling_at_construction(self):
         from repro.errors import ReproError
 
         with pytest.raises(ReproError):
-            CosimConfig(tracing=TracingConfig(enabled=True, mode="bogus"))
+            CosimConfig(tracing=TracingConfig(enabled=True, sample_every=0))

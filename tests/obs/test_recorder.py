@@ -22,11 +22,7 @@ class TestTracingConfig:
     def test_defaults_disabled(self):
         config = TracingConfig()
         assert config.enabled is False
-        assert config.mode == "full"
-
-    def test_rejects_bad_mode(self):
-        with pytest.raises(ReproError):
-            TracingConfig(mode="verbose")
+        assert config.sample_every == 1
 
     def test_rejects_nonpositive_sample(self):
         with pytest.raises(ReproError):
@@ -156,8 +152,7 @@ class TestTracingRecorder:
         assert by_name["root"].tid != by_name["outer"].tid
 
     def test_sampling_keeps_every_nth_root(self):
-        rec = TracingRecorder(TracingConfig(enabled=True, mode="sample",
-                                            sample_every=3))
+        rec = TracingRecorder(TracingConfig(enabled=True, sample_every=3))
         for index in range(9):
             token = rec.begin("s", "window", sim=index)
             rec.event("s", "inside")
@@ -171,8 +166,7 @@ class TestTracingRecorder:
         assert rec.dropped_events == 6
 
     def test_sampling_inherited_by_subtree(self):
-        rec = TracingRecorder(TracingConfig(enabled=True, mode="sample",
-                                            sample_every=2))
+        rec = TracingRecorder(TracingConfig(enabled=True, sample_every=2))
         for _ in range(2):
             root = rec.begin("s", "root")
             child = rec.begin("s", "child")

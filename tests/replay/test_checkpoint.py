@@ -17,8 +17,8 @@ from repro.replay import (
 from repro.router.testbench import (
     RouterWorkload,
     build_router_cosim,
+    router_run_from_meta,
     router_run_meta,
-    workload_from_meta,
 )
 
 T_SYNC = 300
@@ -129,10 +129,10 @@ class TestRestore:
 
         checkpoint = Checkpoint.load(checkpointer.paths[0])
         # The checkpoint's meta alone is enough to rebuild the session.
-        rebuilt_workload = workload_from_meta(checkpoint.meta)
-        cosim = build_router_cosim(
-            CosimConfig(t_sync=checkpoint.meta["t_sync"]),
-            rebuilt_workload, mode="inproc")
+        rebuilt_config, rebuilt_workload, _iss = router_run_from_meta(
+            checkpoint.meta)
+        cosim = build_router_cosim(rebuilt_config, rebuilt_workload,
+                                   mode="inproc")
         trace = ProtocolTrace()
         cosim.session.attach_trace(trace)
         restore_session(cosim.session, checkpoint)

@@ -80,6 +80,17 @@ class TestReplayCommand:
         assert len(lines) == 1
         assert "'final'" in lines[0]
 
+    @pytest.mark.parametrize("key,value", [
+        ("seed", None), ("packets_per_producer", "4"), ("t_sync", "x"),
+        ("iss_timing", "yes"), ("scenario", "iss")])
+    def test_malformed_meta(self, tmp_path, capsys, recording_doc, key,
+                            value):
+        recording_doc["meta"][key] = value
+        code, lines = _replay(tmp_path, capsys, recording_doc)
+        assert code == 2
+        assert len(lines) == 1
+        assert key in lines[0]
+
     def test_bad_json_and_missing_file(self, tmp_path, capsys):
         path = tmp_path / "run.json"
         path.write_text("{not json")
@@ -97,6 +108,19 @@ class TestCheckpointResume:
         assert code == 2
         assert len(lines) == 1
         assert "checkpoint trace" in lines[0]
+
+    @pytest.mark.parametrize("key,value", [
+        ("seed", None), ("packets_per_producer", "4"), ("t_sync", 0),
+        ("num_ports", 0), ("bogus_knob", 1)])
+    def test_malformed_meta(self, tmp_path, capsys, checkpoint_doc, key,
+                            value):
+        # The state digest does not cover the meta, so the load passes
+        # and the meta reader alone must refuse it.
+        checkpoint_doc["meta"][key] = value
+        code, lines = _resume(tmp_path, capsys, checkpoint_doc)
+        assert code == 2
+        assert len(lines) == 1
+        assert key in lines[0]
 
     def test_bad_json(self, tmp_path, capsys):
         path = tmp_path / "checkpoint.json"

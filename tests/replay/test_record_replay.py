@@ -22,7 +22,7 @@ from repro.router.testbench import (
     build_router_cosim,
     finalize_router_recording,
     replay_router_recording,
-    workload_from_meta,
+    router_run_from_meta,
 )
 from repro.transport.faults import FaultPlan
 
@@ -68,7 +68,7 @@ class TestRecording:
     def test_workload_round_trips_through_meta(self):
         recording, _metrics, _trace = record_run(seed=99,
                                                  corrupt_rate=0.3)
-        rebuilt = workload_from_meta(recording.meta)
+        _config, rebuilt, _iss = router_run_from_meta(recording.meta)
         assert rebuilt.seed == 99
         assert rebuilt.corrupt_rate == 0.3
         assert rebuilt.packets_per_producer == 5
