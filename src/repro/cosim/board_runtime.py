@@ -2,26 +2,24 @@
 
 Implements the OS half of the protocol (Sections 4 and 5.3): the board
 freezes in the IDLE state between windows, wakes on a clock grant, runs
-exactly the granted number of software ticks — with interrupts flowing
-in through the channel-thread machinery — then re-freezes and reports
-its time.
+exactly the granted number of software ticks, then re-freezes and
+reports its time.
 
-Two operating modes:
+The master simulates each window before it grants it, so every
+interrupt of the window is on the INT port when the grant arrives; the
+board schedules each one at its exact cycle offset inside the window.
+One window body serves every link, in two drivers:
 
-* :meth:`serve_window` — deterministic: the session calls it once per
-  window after the master has simulated its half; interrupts collected
-  from the INT port are scheduled at their exact cycle offsets inside
-  the window.
-* :meth:`serve_forever` — threaded: a blocking loop driven by the CLOCK
-  port, suitable for running in its own OS thread against a queue or
-  TCP link; the kernel's ``irq_pump`` drains the INT port while the
-  window is running.
+* :meth:`serve_window` — the session calls it once per window
+  (in-process links, and replay);
+* :meth:`serve_forever` — a blocking loop driven by the CLOCK port,
+  run in its own OS thread against a queue or TCP link until a
+  shutdown grant arrives.
 """
 
 from __future__ import annotations
 
 import time
-from typing import List
 
 from repro.board.board import Board
 from repro.cosim.config import CosimConfig
@@ -107,29 +105,49 @@ class CosimBoardRuntime:
             kernel.interrupts.schedule_at_cycle(deliver_at, irq.vector)
             scheduled += 1
 
-    def _pump_interrupts(self) -> List[int]:
-        """irq_pump callback for threaded windows."""
-        vectors = []
-        while True:
-            irq = self.endpoint.poll_interrupt()
-            if irq is None:
-                return vectors
-            self.interrupts_received += 1
-            if self.obs.enabled:
-                self.obs.event("board", "irq.receive",
-                               sim=self.board.kernel.cycles,
-                               vector=irq.vector,
-                               master_cycle=irq.master_cycle)
-            vectors.append(irq.vector)
-
     # ------------------------------------------------------------------
-    # Deterministic (in-process) mode
+    # The window
     # ------------------------------------------------------------------
     def serve_window(self) -> None:
-        """Serve exactly one window: grant -> run -> freeze -> report."""
+        """Serve the one pending grant: the session's per-window call
+        on in-process links and in replay."""
         grant = self.endpoint.recv_grant()
         if grant is None:
             raise ProtocolError("no clock grant pending for the board")
+        self._serve(grant)
+
+    def serve_forever(self, grant_timeout_s: float = 60.0) -> None:
+        """Serve every grant of the CLOCK port until a shutdown grant:
+        a board thread's loop on queue and TCP links.
+
+        With a TCP endpoint the grant wait is heartbeat-probed:
+        a dead master is detected within the configured liveness window
+        rather than after *grant_timeout_s* of silence.
+        """
+        kernel = self.board.kernel
+        while True:
+            wait_token = None
+            if self.obs.enabled:
+                wait_token = self.obs.begin("transport", "grant_wait",
+                                            sim=kernel.cycles)
+            try:
+                grant = self.endpoint.recv_grant(timeout=grant_timeout_s)
+            finally:
+                if wait_token is not None:
+                    self.obs.end(wait_token, sim=kernel.cycles)
+            if grant is None:
+                raise ProtocolError(
+                    f"no clock grant within {grant_timeout_s}s"
+                )
+            if is_shutdown(grant):
+                self.fsm.step("recv_shutdown")
+                return
+            self._serve(grant, self.config.emulated_network_delay_s)
+
+    def _serve(self, grant, report_delay_s: float = 0.0) -> None:
+        """The one window body: accept *grant*, thaw, schedule the
+        window's interrupts, run its ticks, freeze, and report after
+        *report_delay_s* of emulated network latency."""
         self.fsm.step("recv_grant")
         ticks = self.protocol.accept_grant(grant)
         kernel = self.board.kernel
@@ -152,68 +170,7 @@ class CosimBoardRuntime:
                              interrupts=scheduled)
         self.fsm.step("window_done")
         self.windows_served += 1
+        if report_delay_s > 0:
+            time.sleep(report_delay_s)
         self.fsm.step("send_report")
         self.endpoint.send_report(self.protocol.make_report(kernel.sw_ticks))
-
-    # ------------------------------------------------------------------
-    # Threaded mode
-    # ------------------------------------------------------------------
-    def serve_forever(self, grant_timeout_s: float = 60.0) -> None:
-        """Blocking serve loop; returns on a shutdown grant.
-
-        With a TCP endpoint the grant wait is heartbeat-probed:
-        a dead master is detected within the configured liveness window
-        rather than after *grant_timeout_s* of silence.
-        """
-        kernel = self.board.kernel
-        kernel.irq_pump = self._pump_interrupts
-        try:
-            while True:
-                wait_token = None
-                if self.obs.enabled:
-                    wait_token = self.obs.begin("transport", "grant_wait",
-                                                sim=kernel.cycles)
-                try:
-                    grant = self.endpoint.recv_grant(
-                        timeout=grant_timeout_s)
-                finally:
-                    if wait_token is not None:
-                        self.obs.end(wait_token, sim=kernel.cycles)
-                if grant is None:
-                    raise ProtocolError(
-                        f"no clock grant within {grant_timeout_s}s"
-                    )
-                if is_shutdown(grant):
-                    self.fsm.step("recv_shutdown")
-                    return
-                self.fsm.step("recv_grant")
-                ticks = self.protocol.accept_grant(grant)
-                token = None
-                if self.obs.enabled:
-                    token = self.obs.begin("board", "window",
-                                           sim=kernel.cycles,
-                                           index=self.windows_served,
-                                           ticks=ticks, seq=grant.seq)
-                try:
-                    # Interrupts that arrived while frozen were taken by
-                    # the channel thread, which "cannot be halted when
-                    # the OS is in the idle state, otherwise some events
-                    # can be lost".
-                    for vector in self._pump_interrupts():
-                        kernel.deliver_interrupt_in_idle(vector)
-                    kernel.exit_idle_state()
-                    kernel.run_ticks(ticks)
-                    kernel.enter_idle_state()
-                finally:
-                    if token is not None:
-                        self.obs.end(token, sim=kernel.cycles)
-                self.fsm.step("window_done")
-                self.windows_served += 1
-                if self.config.emulated_network_delay_s > 0:
-                    time.sleep(self.config.emulated_network_delay_s)
-                self.fsm.step("send_report")
-                self.endpoint.send_report(
-                    self.protocol.make_report(kernel.sw_ticks)
-                )
-        finally:
-            kernel.irq_pump = None

@@ -45,15 +45,10 @@ COMPATIBILITY = {
         REFUSE, "optimistic synchronization is only supported in-process"),
     ("speculation", "multiboard"): (
         REFUSE, "speculation checkpoints and rolls back a single board"),
-    ("adaptive", "threaded"): (
-        REFUSE, "adaptive synchronization is only supported in-process"),
     ("adaptive", "plugin"): (
         REFUSE, "an adaptive window ends at the first interrupt edge, and "
         "a plugin's step(n) cannot stop early"),
     ("checkpointer", "multiboard"): (REFUSE, _ONE_BOARD),
-    ("restore", "threaded"): (
-        REFUSE, "threaded sessions cannot be restored by re-execution; "
-        "record the message stream and replay it instead"),
     ("restore", "multiboard"): (REFUSE, _ONE_BOARD),
     ("speculation", "done"): (
         DEGRADE, "a done() probe inspects live state between windows, "

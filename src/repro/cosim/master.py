@@ -2,17 +2,15 @@
 
 Wraps a :class:`~repro.simkernel.driver_ext.DriverSimulator` and a
 master link endpoint, implementing the simulator half of the virtual
-tick protocol:
+tick protocol.  Every window, on every link, runs in one order:
 
-* every ``T_sync`` clock cycles it emits a clock grant and, once its
-  own window is simulated, waits for the board's time report ("it waits
-  an answer from the board");
-* rising edges of the model's interrupt signal are forwarded on the INT
-  port, stamped with the clock cycle at which they occurred;
-* DATA requests from the board are serviced against the settled model
-  state at any time — during the window and while waiting for the
-  report — exactly as ``driver_simulate`` checks the DATA port on every
-  loop iteration.
+* the master simulates the window first, forwarding each rising edge
+  of the model's interrupt signal on the INT port, stamped with the
+  clock cycle at which it occurred (an adaptive window stops at the
+  first edge);
+* it then grants the board exactly the cycles it simulated;
+* and serves DATA requests against the settled model state until every
+  board's time report is in ("it waits an answer from the board").
 
 The master owns that protocol for every kind of hardware: grants and
 their fan-out to every board, report checks, the window FSM, DATA
@@ -45,7 +43,6 @@ from repro.simkernel.driver_ext import DriverSimulator
 from repro.simkernel.signals import Signal
 from repro.transport.channel import MasterEndpoint
 from repro.transport.messages import (
-    ClockGrant,
     DataRead,
     DataWrite,
     Interrupt,
@@ -58,11 +55,6 @@ REPORT_POLL_S = 0.0005
 #: no report) up to this cap, and snaps back to ``REPORT_POLL_S`` at
 #: the first sign of traffic.
 REPORT_POLL_MAX_S = 0.01
-#: Threaded windows poll the DATA port every cycle only while requests
-#: are arriving; on quiet cycles the stride between polls doubles up to
-#: this many cycles (1 would poll every cycle, as the paper's
-#: driver_simulate loop does).
-DATA_POLL_STRIDE_MAX = 16
 
 
 class CosimMaster:
@@ -95,8 +87,8 @@ class CosimMaster:
         # construction, never by restore.
         self._irq_endpoints = {}
         #: When set, an interrupt edge stops the running window early
-        #: (used by reactive/adaptive sessions).  Transient within
-        #: one call (reset in a finally), never spans a boundary.
+        #: (reactive windows, used by adaptive sessions).  Transient
+        #: within one call (reset in a finally), never spans a boundary.
         self._stop_on_activity = False  # lint: disable=SNAP001
         if interrupt_signal is not None:
             self.bind_interrupt(config.remote_vector, interrupt_signal)
@@ -207,16 +199,13 @@ class CosimMaster:
         """Hardware operation: write a mapped register."""
         self.sim.external_write(address, value)
 
-    def _serve_pending_data(self, endpoints=None) -> int:
-        """Drain queued DATA requests (threaded sessions); returns count.
-
-        Requests are drained from the transport in batches and served in
-        arrival order (a write must be visible to the read behind it).
-        Multi-board sessions pass every board's endpoint; the default
-        serves the master's primary endpoint.
-        """
+    def _serve_pending_data(self, endpoints) -> int:
+        """Drain the DATA requests queued on every endpoint (threaded
+        links); returns the count.  Requests are drained in batches and
+        served in arrival order (a write must be visible to the read
+        behind it)."""
         served = 0
-        for endpoint in endpoints or (self.endpoint,):
+        for endpoint in endpoints:
             while True:
                 batch = endpoint.poll_data_batch()
                 if not batch:
@@ -299,54 +288,9 @@ class CosimMaster:
             self._end_simulate(span, leapt=leapt)
         return leapt
 
-    def _send_grant(self, ticks: int, endpoints) -> ClockGrant:
-        """Book and send one window's grant.  Every board's endpoint
-        receives it (default: the primary endpoint), under a single
-        send_grant phase change however many boards there are."""
-        self.fsm.step("send_grant")
-        grant = self.protocol.make_grant(ticks)
-        if self.obs.enabled:
-            self.obs.event("transport", "grant.send",
-                           sim=self.clock.cycles, seq=grant.seq,
-                           ticks=ticks)
-        for endpoint in endpoints or (self.endpoint,):
-            endpoint.send_grant(grant)
-        return grant
-
-    def run_window_inproc(self, ticks: int, *endpoints) -> None:
-        """Deterministic sessions: grant, then simulate the window.
-
-        The caller (the session) afterwards steps the boards and hands
-        their time reports to :meth:`finish_window_inproc`.
-        """
-        self._send_grant(ticks, endpoints)
-        self.simulate(ticks)
-        self.fsm.step("window_simulated")
-
-    def finish_window_inproc(self, *reports: TimeReport) -> None:
-        """Check every board's time report: one logical exchange per
-        window, however many boards answered."""
-        exchanges = self.protocol.exchanges
-        for report in reports:
-            if self.obs.enabled:
-                self.obs.event("transport", "report.recv",
-                               sim=self.clock.cycles, seq=report.seq,
-                               board_ticks=report.board_ticks)
-            self.protocol.check_report(report, self.clock.cycles)
-        self.protocol.exchanges = exchanges + 1
-        self.fsm.step("recv_report")
-
-    def run_window_inproc_reactive(self, max_ticks: int, *endpoints) -> int:
+    def _simulate_reactive(self, max_ticks: int) -> int:
         """Simulate up to *max_ticks* cycles, stopping at the first
-        interrupt edge, then grant exactly the cycles simulated.
-
-        In-process sessions simulate the master's half of a window
-        before the board consumes it, so the grant can legally be sized
-        *after* the fact.  Ending the window at the first sign of
-        device activity lets the board react within one cycle of the
-        event while quiet stretches still cost a single exchange — the
-        mechanism behind :class:`repro.cosim.adaptive`.
-        """
+        interrupt edge; returns the cycles simulated (at least one)."""
         start = self.clock.cycles
         period = self.clock.period
         span = self._begin_simulate(max_ticks=max_ticks, reactive=1)
@@ -364,87 +308,115 @@ class CosimMaster:
                 ticks = self.clock.cycles - start
         finally:
             self._end_simulate(span)
-        # Reactive windows simulate first and size the grant after the
-        # fact, so both phase changes land at the send.
-        self._send_grant(ticks, endpoints)
-        self.fsm.step("window_simulated")
         return ticks
 
-    def run_window_threaded(self, ticks: int, *endpoints) -> None:
-        """Threaded sessions: grant, simulate cycle by cycle while
-        servicing every board's DATA port, then block for every time
-        report (one endpoint per board; default: the primary)."""
+    def _send_grant(self, ticks: int, endpoints) -> None:
+        """Book and send one window's grant.  Every board's endpoint
+        receives it (default: the primary endpoint), under a single
+        send_grant phase change however many boards there are."""
+        self.fsm.step("send_grant")
+        grant = self.protocol.make_grant(ticks)
+        if self.obs.enabled:
+            self.obs.event("transport", "grant.send",
+                           sim=self.clock.cycles, seq=grant.seq,
+                           ticks=ticks)
+        for endpoint in endpoints or (self.endpoint,):
+            endpoint.send_grant(grant)
+
+    def run_window_inproc(self, ticks: int, *endpoints,
+                          reactive: bool = False) -> int:
+        """The master's half of a window, on every link (named for the
+        in-process order, which every link runs): simulate
+        *ticks* cycles, then grant every board exactly the cycles
+        simulated, so each interrupt of the window precedes its grant.
+        A *reactive* window (adaptive sessions) stops at the first
+        interrupt edge.  Returns the ticks granted; an in-process
+        session then serves the boards and calls
+        :meth:`finish_window_inproc`."""
+        if reactive:
+            ticks = self._simulate_reactive(ticks)
+        else:
+            self.simulate(ticks)
+        self._send_grant(ticks, endpoints)
+        return ticks
+
+    def finish_window_inproc(self, *reports: TimeReport) -> None:
+        """Check every board's time report: one logical exchange per
+        window, however many boards answered."""
+        exchanges = self.protocol.exchanges
+        for report in reports:
+            if self.obs.enabled:
+                self.obs.event("transport", "report.recv",
+                               sim=self.clock.cycles, seq=report.seq,
+                               board_ticks=report.board_ticks)
+            self.protocol.check_report(report, self.clock.cycles)
+        self.protocol.exchanges = exchanges + 1
+        self.fsm.step("recv_report")
+
+    def run_window_threaded(self, ticks: int, *endpoints,
+                            reactive: bool = False) -> int:
+        """A window over threaded links (queue, TCP): the same
+        :meth:`run_window_inproc`, then serve every board's DATA port
+        until all of them have reported (one endpoint per board;
+        default: the primary), then :meth:`finish_window_inproc`.
+        Returns the ticks granted."""
         endpoints = endpoints or (self.endpoint,)
-        grant = self._send_grant(ticks, endpoints)
+        ticks = self.run_window_inproc(ticks, *endpoints, reactive=reactive)
+        self.finish_window_inproc(*self._await_reports(endpoints))
+        return ticks
+
+    def _await_reports(self, endpoints) -> list:
+        """Serve DATA until every endpoint has sent its time report;
+        returns the reports in endpoint order."""
         obs = self.obs
-        span = self._begin_simulate(ticks=ticks)
-        try:
-            # Poll the DATA port every cycle only while a board is
-            # actually talking; on quiet cycles the stride between
-            # polls doubles (up to DATA_POLL_STRIDE_MAX) so long silent
-            # stretches cost one Python iteration per stride rather
-            # than one per cycle.  Wall-clock only — simulated timing
-            # of the window is identical either way.
-            stride = 1
-            remaining = ticks
-            while remaining > 0:
-                if self._serve_pending_data(endpoints):
-                    stride = 1
-                elif stride < DATA_POLL_STRIDE_MAX:
-                    stride = min(stride * 2, DATA_POLL_STRIDE_MAX)
-                step = min(stride, remaining)
-                self.run_cycles(step)
-                remaining -= step
-        finally:
-            self._end_simulate(span)
-        self.fsm.step("window_simulated")
+        seq = self.protocol.seq
         wait_token = None
         if obs.enabled:
             wait_token = obs.begin("transport", "report_wait",
-                                   sim=self.clock.cycles, seq=grant.seq)
+                                   sim=self.clock.cycles, seq=seq)
         polls = 0
-        exchanges = self.protocol.exchanges
         timeout_s = self.config.report_timeout_s
         poll_s = REPORT_POLL_S
         # The deadline bounds *silence*, not total window duration: a
         # slow board that keeps issuing DATA requests is alive, so each
         # sign of progress pushes the deadline out again.
         deadline = time.monotonic() + timeout_s
-        pending = list(endpoints)
+        reports = []
         try:
-            while pending:
+            while True:
                 if self._serve_pending_data(endpoints):
                     deadline = time.monotonic() + timeout_s
                     poll_s = REPORT_POLL_S
+                if len(reports) == len(endpoints):
+                    # Served after the last report: a DATA write a
+                    # board issued just before reporting.
+                    return reports
                 polls += 1
                 try:
-                    report = pending[0].recv_report(timeout=poll_s)
+                    report = endpoints[len(reports)].recv_report(
+                        timeout=poll_s)
                 except TransportError as exc:
                     # A TCP endpoint only raises once its reconnect /
                     # liveness budget is spent; that is a protocol
                     # death.
                     raise ProtocolError(
                         f"link failed while waiting for report of grant "
-                        f"seq {grant.seq}: {exc}"
+                        f"seq {seq}: {exc}"
                     ) from exc
                 if report is not None:
-                    self.protocol.check_report(report, self.clock.cycles)
-                    pending.pop(0)
+                    reports.append(report)
                     deadline = time.monotonic() + timeout_s
                     poll_s = REPORT_POLL_S
                     continue
                 poll_s = min(poll_s * 2, REPORT_POLL_MAX_S)
                 if time.monotonic() > deadline:
                     raise ProtocolError(
-                        f"no time report for grant seq {grant.seq} "
+                        f"no time report for grant seq {seq} "
                         f"within {timeout_s}s of the last sign of life"
                     )
         finally:
             if wait_token is not None:
                 obs.end(wait_token, sim=self.clock.cycles, polls=polls)
-        # One logical exchange per window, however many boards answered.
-        self.protocol.exchanges = exchanges + 1
-        self.fsm.step("recv_report")
 
 
 def build_driver_sim(name: str = "cosim_hw",

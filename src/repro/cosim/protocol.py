@@ -53,10 +53,10 @@ from repro.transport.messages import ClockGrant, TimeReport
 #: unchanged :data:`BOARD_WINDOW_TABLE` for speculative, replayed and
 #: conservative windows alike.
 MASTER_WINDOW_TABLE: Dict[Tuple[str, str], str] = {
-    ("idle", "send_grant"): "simulating",
-    ("simulating", "send_irq"): "simulating",
-    ("simulating", "serve_data"): "simulating",
-    ("simulating", "window_simulated"): "awaiting_report",
+    # Between windows the master simulates the next one, forwarding its
+    # interrupt edges, then grants exactly the cycles it simulated.
+    ("idle", "send_irq"): "idle",
+    ("idle", "send_grant"): "awaiting_report",
     ("awaiting_report", "serve_data"): "awaiting_report",
     ("awaiting_report", "recv_report"): "idle",
     ("idle", "send_shutdown"): "closed",
@@ -81,14 +81,13 @@ MASTER_INITIAL = "idle"
 MASTER_ACCEPTING = ("idle", "closed")
 
 #: Board window phases: (state, event) -> successor state.  The board
-#: freezes between windows; the channel thread keeps consuming IRQs in
-#: the frozen state ("the communication thread cannot be halted when
-#: the OS is in the idle state, otherwise some events can be lost").
+#: freezes between windows and takes a window's IRQs while frozen: the
+#: master raised all of them before it granted the window, and the
+#: board endpoint hands a grant over only once they have arrived.
 BOARD_WINDOW_TABLE: Dict[Tuple[str, str], str] = {
     ("frozen", "recv_grant"): "running",
     ("frozen", "recv_irq"): "frozen",
     ("frozen", "recv_shutdown"): "closed",
-    ("running", "recv_irq"): "running",
     ("running", "send_data_request"): "awaiting_data",
     ("awaiting_data", "recv_data_reply"): "running",
     ("running", "window_done"): "reporting",

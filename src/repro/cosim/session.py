@@ -1,7 +1,7 @@
 """Co-simulation sessions: the one window loop.
 
-A session runs the paper's ``driver_simulate`` loop: grant ``T_sync``
-ticks, simulate the window, wait for the board's time report.
+A session runs the paper's ``driver_simulate`` loop: simulate the
+window, grant it, wait for the board's time report.
 :meth:`CosimSession.run` is that loop, and the only one; what varies is
 chosen from the session's features (see :mod:`repro.cosim.compat`):
 
@@ -17,19 +17,20 @@ chosen from the session's features (see :mod:`repro.cosim.compat`):
   * in-process links (:class:`~repro.transport.inproc.InprocLink`) —
     master and boards interleaved window by window in one thread; the
     session points each link's ``data_server`` at the master.
-    Bit-for-bit deterministic; wall-clock cost is *modeled* (calibrated
-    cost model), simulated-time behaviour — and therefore the accuracy
-    results of Figure 7 — is exact.
+    Wall-clock cost is *modeled* (calibrated cost model).
   * queue and TCP links — each board runtime runs in its own OS thread,
-    as in the paper's physical setup.  Wall-clock cost is *measured*
-    (Figures 5 and 6); interleaving is real and slightly
-    nondeterministic.
+    as in the paper's physical setup, from the first window until
+    :meth:`CosimSession.close`.  Wall-clock cost is *measured*
+    (Figures 5 and 6).
 
   One session never mixes the two.
 
-Window ordering over in-process links: the master simulates its half of
-the window first, then the board consumes the same window with
-interrupts delivered at their recorded in-window offsets.  This is the
+Window ordering, on every link: the master simulates its half of the
+window first, then grants it, and the board consumes the same window
+with every interrupt delivered at its recorded in-window offset.  The
+two sides never run at once, so every link gives the same
+bit-for-bit deterministic run, and simulated-time behaviour — and
+therefore the accuracy results of Figure 7 — is exact.  This is the
 serialization of the paper's concurrent execution in which the board
 observes hardware state loosely — the decoupling that *is* the source
 of the accuracy loss the paper measures for large ``T_sync``.
@@ -72,6 +73,9 @@ class BoardSlot:
         self.name = name
         self.link = link
         self.runtime = runtime
+        #: The board's thread on a threaded link, serving from the
+        #: session's first window until it closes.
+        self.thread = None
         self._closed = False
 
     def close(self) -> None:
@@ -280,9 +284,33 @@ class CosimSession:
             self.snapshotables[name].restore(subtree)
 
     def close(self) -> None:
-        """Release transport resources on both ends of every link."""
+        """Stop the board threads, if any — a shutdown grant each, then
+        a join — and release transport resources on both ends of every
+        link.  Raises :class:`ProtocolError` if a board thread does not
+        stop."""
+        threads = [slot.thread for slot in self.slots if slot.thread]
+        for slot in self.slots:
+            slot.thread = None
+        if threads:
+            if self.master.fsm.state == "idle":
+                # A mid-window failure leaves the FSM wherever the
+                # error struck; only a window boundary claims a legal
+                # idle -> closed shutdown transition.
+                self.master.fsm.step("send_shutdown")
+            shutdown = make_shutdown(self.master.protocol.seq + 1)
+            for slot in self.slots:
+                try:
+                    slot.link.master.send_grant(shutdown)
+                except TransportError:
+                    pass  # the link is down; closing it below ends the thread
+            for thread in threads:
+                thread.join(timeout=self.config.report_timeout_s)
         for slot in self.slots:
             slot.close()
+        for thread in threads:
+            thread.join(timeout=1.0)
+        if any(thread.is_alive() for thread in threads):
+            raise ProtocolError("board runtime failed to shut down")
 
     # ------------------------------------------------------------------
     # The window loop
@@ -364,16 +392,15 @@ class CosimSession:
 
     def _exchange(self, ticks: int) -> int:
         """One window's exchange with every board; returns the ticks
-        actually granted."""
+        actually granted.  An adaptive session's window is reactive:
+        it ends early at the first interrupt edge."""
         master = self.master
+        reactive = self.controller is not None
         if self.threaded:
-            master.run_window_threaded(ticks, *self._fanout)
-            return ticks
-        if self.controller is None:
-            master.run_window_inproc(ticks, *self._fanout)
-        else:
-            # Reactive window: ends early at the first interrupt edge.
-            ticks = master.run_window_inproc_reactive(ticks, *self._fanout)
+            return master.run_window_threaded(ticks, *self._fanout,
+                                              reactive=reactive)
+        ticks = master.run_window_inproc(ticks, *self._fanout,
+                                         reactive=reactive)
         for slot in self.slots:
             slot.runtime.serve_window()
         reports = []
@@ -455,59 +482,31 @@ class CosimSession:
 
     @contextlib.contextmanager
     def _serving(self, metrics: CosimMetrics):
-        """The boards' lifecycle around one run.  In-process links need
-        none.  Threaded links: start every board thread, then after the
-        last window send the shutdown grant and join them; on failure
-        close the links."""
+        """The boards' side of one run.  In-process links need nothing.
+        Threaded links: start every board thread at the session's first
+        window (they serve every run until :meth:`close`), and close
+        the session when a run fails."""
         if not self.threaded:
             yield
             return
-        threads = [
-            threading.Thread(
-                target=slot.runtime.serve_forever,
-                kwargs={"grant_timeout_s": self.config.report_timeout_s},
-                name=("cosim-board" if len(self.slots) == 1
-                      else f"cosim-board-{slot.name}"),
-                daemon=True,
-            )
-            for slot in self.slots
-        ]
-        for thread in threads:
-            thread.start()
+        for slot in self.slots:
+            if slot.thread is None:
+                slot.thread = threading.Thread(
+                    target=slot.runtime.serve_forever,
+                    kwargs={"grant_timeout_s": self.config.report_timeout_s},
+                    name=("cosim-board" if len(self.slots) == 1
+                          else f"cosim-board-{slot.name}"),
+                    daemon=True,
+                )
+                slot.thread.start()
         start = time.perf_counter()
-        failed = True
         try:
             yield
-            failed = False
+        except BaseException:
+            # Stop the board threads and release the sockets, without
+            # masking the error that ended the run.
+            with contextlib.suppress(Exception):
+                self.close()
+            raise
         finally:
-            if not failed:
-                # A mid-window failure leaves the FSM wherever the
-                # error struck; only the clean path claims a legal
-                # idle -> closed shutdown transition.
-                self.master.fsm.step("send_shutdown")
-            shutdown = make_shutdown(self.master.protocol.seq + 1)
-            for slot in self.slots:
-                try:
-                    slot.link.master.send_grant(shutdown)
-                except TransportError:
-                    # The link is already down; don't let the poison
-                    # pill mask the error that ended the run.  The
-                    # daemon board thread hits its own grant timeout.
-                    pass
-            for thread in threads:
-                thread.join(timeout=self.config.report_timeout_s)
-            if failed or any(thread.is_alive() for thread in threads):
-                # The run died (or a board thread wedged): close every
-                # endpoint so sockets are not leaked and a blocked
-                # recv_grant is unblocked, without masking the original
-                # exception.
-                try:
-                    self.close()
-                except Exception:
-                    pass
-        metrics.wall_seconds = time.perf_counter() - start
-        if any(thread.is_alive() for thread in threads):
-            for thread in threads:
-                thread.join(timeout=1.0)
-            if any(thread.is_alive() for thread in threads):
-                raise ProtocolError("board runtime failed to shut down")
+            metrics.wall_seconds = time.perf_counter() - start

@@ -169,17 +169,16 @@ def _run_router(spec: FuzzSpec, backend: str) -> RunOutcome:
     # specs run as a plain second conservative execution instead.
     use_optimistic = (backend == "optimistic"
                       and spec.fault_plan() is None)
-    # Deterministic flavours record: the finalized recording's trace
-    # rows carry *board-visible* interrupt counts (a fault plan can
-    # drop packets the master sent), which is the representation the
-    # replay backend reconstructs — comparing raw live rows against a
-    # replay would flag every dropped interrupt as a divergence.  A
+    # Every flavour records, so that every backend's trace rows carry
+    # the *board-visible* interrupt counts (a fault plan can drop
+    # packets the master sent), which is the representation the replay
+    # backend reconstructs — comparing raw live rows against a replay
+    # would flag every dropped interrupt as a divergence.  A
     # speculating run does not record, but then it never runs under
     # faults, so its live rows equal the board-visible ones.  Only the
     # reference ``inproc`` recording is handed onward to the replay
     # backend.
-    record = (backend in ("inproc", "rerun", "fmu")
-              or (backend == "optimistic" and not use_optimistic))
+    record = not use_optimistic
     recording = SessionRecording() if record else None
     config = spec.cosim_config()
     if use_optimistic:
@@ -208,7 +207,13 @@ def _run_router(spec: FuzzSpec, backend: str) -> RunOutcome:
         trace_rows=(list(recording.trace_rows) if record
                     else [r.as_row() for r in trace.records]),
         stats=cosim.stats.snapshot(),
-        deterministic=(mode == "inproc"),
+        # Every link runs the same window order, so every mode is
+        # bit-deterministic.
+        deterministic=True,
+        digest=state_digest({
+            "board": board_state_summary(cosim.runtime.board),
+            "stats": cosim.stats.snapshot(),
+        }),
         recording=recording if backend == "inproc" else None,
     )
     if use_optimistic:
@@ -216,11 +221,6 @@ def _run_router(spec: FuzzSpec, backend: str) -> RunOutcome:
         outcome.extra["windows_speculated"] = metrics.windows_speculated
         outcome.extra["rollbacks"] = metrics.rollbacks
         outcome.extra["rollback_depth_max"] = metrics.rollback_depth_max
-    if mode == "inproc":
-        outcome.digest = state_digest({
-            "board": board_state_summary(cosim.runtime.board),
-            "stats": cosim.stats.snapshot(),
-        })
     return outcome
 
 
@@ -392,7 +392,10 @@ def _run_multiboard(spec: FuzzSpec, backend: str) -> RunOutcome:
 
     boards[0].kernel.create_thread("fuzz_app", app, 10)
     session = CosimSession(master, slots, config)
-    metrics = session.run(max_cycles=spec.max_cycles)
+    try:
+        metrics = session.run(max_cycles=spec.max_cycles)
+    finally:
+        session.close()
     return RunOutcome(
         backend=backend,
         windows=metrics.windows,
@@ -400,8 +403,8 @@ def _run_multiboard(spec: FuzzSpec, backend: str) -> RunOutcome:
         board_ticks=metrics.board_ticks,
         state_switches=metrics.state_switches,
         aligned=session.aligned(),
-        deterministic=not threaded,
-        digest=None if threaded else state_digest({
+        deterministic=True,
+        digest=state_digest({
             "boards": [board_state_summary(b) for b in boards],
             "csum": results.get("csum"),
         }),

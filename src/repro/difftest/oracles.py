@@ -1,6 +1,6 @@
 """Equivalence and invariant oracles over backend outcomes.
 
-Three tiers, matching what actually holds across backends:
+Two tiers:
 
 1. **Per-backend invariants** — true of every legal run regardless of
    transport: tick alignment (``master cycles == board ticks`` at every
@@ -8,12 +8,10 @@ Three tiers, matching what actually holds across backends:
    ``T_sync`` ticks for fixed-window sessions), trace self-consistency,
    and workload-statistics conservation.
 2. **Deterministic equivalence** — backends that promise bit-identical
-   execution (in-process vs a fresh rerun vs record/replay) must agree
-   on the full state digest and every trace row.
-3. **Cross-backend equivalence** — threaded/TCP runs schedule interrupt
-   delivery on real threads, so only schedule-level facts are common:
-   window count, master cycles, board ticks and the generated-packet
-   count (producers are driven purely by simulated time).
+   execution must agree with the reference on the full state digest and
+   every trace row.  Every backend promises it: in-process, rerun,
+   replay, plugin, queue and TCP links alike, since every link runs
+   windows in one order (the master simulates, then grants).
 
 Each failure is a :class:`Mismatch` carrying a stable ``oracle`` id —
 the shrinker preserves the id while minimizing the workload.
@@ -165,61 +163,37 @@ def check_outcome(spec: FuzzSpec, outcome: RunOutcome) -> List[Mismatch]:
 
 def check_pair(spec: FuzzSpec, reference: RunOutcome,
                other: RunOutcome) -> List[Mismatch]:
-    """Tiers 2 and 3: compare *other* against the reference backend."""
+    """Tier 2: compare *other* against the reference backend."""
     found: List[Mismatch] = []
-    if not (reference.ok and other.ok):
+    if not (reference.ok and other.ok
+            and reference.deterministic and other.deterministic):
         return found
     pair = f"{reference.backend} vs {other.backend}"
-
-    if reference.deterministic and other.deterministic:
-        if (reference.digest and other.digest
-                and reference.digest != other.digest):
-            found.append(Mismatch(
-                "determinism", pair,
-                f"state digests differ: {reference.digest[:12]} != "
-                f"{other.digest[:12]}"))
-        if (reference.trace_rows and other.trace_rows
-                and reference.trace_rows != other.trace_rows):
-            first = next(
-                (i for i, (a, b) in enumerate(
-                    zip(reference.trace_rows, other.trace_rows))
-                 if a != b),
-                min(len(reference.trace_rows), len(other.trace_rows)))
-            found.append(Mismatch(
-                "trace-equivalence", pair,
-                f"trace rows diverge at window {first}"))
-        if reference.extra.get("instructions") is not None and \
-                other.extra.get("instructions") is not None:
-            if reference.extra["instructions"] \
-                    != other.extra["instructions"]:
-                found.append(Mismatch(
-                    "iss-retirement", pair,
-                    f"instruction counts differ: "
-                    f"{reference.extra['instructions']} != "
-                    f"{other.extra['instructions']}"))
-        return found
-
-    # Threaded vs deterministic: schedule-level equivalence only.
-    for attribute in ("windows", "master_cycles", "board_ticks"):
-        a, b = getattr(reference, attribute), getattr(other, attribute)
-        if a and b and a != b:
-            found.append(Mismatch(
-                "cross-backend-ticks", pair,
-                f"{attribute}: {a} != {b}"))
-    if reference.stats and other.stats:
-        a = reference.stats.get("generated")
-        b = other.stats.get("generated")
-        if a != b:
-            found.append(Mismatch(
-                "generated-equality", pair,
-                f"generated packets differ: {a} != {b} (producers are "
-                f"driven by simulated time only)"))
-    a_each = reference.extra.get("board_ticks_each")
-    b_each = other.extra.get("board_ticks_each")
-    if a_each is not None and b_each is not None and a_each != b_each:
+    if (reference.digest and other.digest
+            and reference.digest != other.digest):
         found.append(Mismatch(
-            "cross-backend-ticks", pair,
-            f"per-board ticks differ: {a_each} != {b_each}"))
+            "determinism", pair,
+            f"state digests differ: {reference.digest[:12]} != "
+            f"{other.digest[:12]}"))
+    if (reference.trace_rows and other.trace_rows
+            and reference.trace_rows != other.trace_rows):
+        first = next(
+            (i for i, (a, b) in enumerate(
+                zip(reference.trace_rows, other.trace_rows))
+             if a != b),
+            min(len(reference.trace_rows), len(other.trace_rows)))
+        found.append(Mismatch(
+            "trace-equivalence", pair,
+            f"trace rows diverge at window {first}"))
+    if reference.extra.get("instructions") is not None and \
+            other.extra.get("instructions") is not None:
+        if reference.extra["instructions"] \
+                != other.extra["instructions"]:
+            found.append(Mismatch(
+                "iss-retirement", pair,
+                f"instruction counts differ: "
+                f"{reference.extra['instructions']} != "
+                f"{other.extra['instructions']}"))
     return found
 
 

@@ -219,9 +219,9 @@ def restore_session(session, checkpoint: Checkpoint, strict: bool = True):
     afterwards ``session.run(...)`` continues the run bit-exactly.
 
     Sessions the compatibility table refuses to restore raise
-    :class:`SnapshotError`: threaded sessions are nondeterministic in
-    their interleaving and must be reproduced through the transport
-    recorder instead, and multi-board snapshots cover one board.
+    :class:`SnapshotError`: multi-board snapshots cover one board.  Any
+    link restores: queue and TCP windows run in the same order as
+    in-process ones, so re-execution reproduces them bit for bit.
     """
     if session.windows_completed != 0:
         raise SnapshotError(

@@ -60,16 +60,11 @@ class ReplayBoardEndpoint(BoardEndpoint):
     """Serve a recording to a board runtime as if it were the master."""
 
     def __init__(self, recording: SessionRecording,
-                 strict: bool = True,
-                 append_shutdown: bool = False) -> None:
+                 strict: bool = True) -> None:
         self.recording = recording
         self.strict = strict
         self._grants = [ClockGrant(seq=seq, ticks=ticks)
                         for seq, ticks in recording.grants]
-        if append_shutdown and (not self._grants
-                                or self._grants[-1].ticks != 0):
-            last_seq = self._grants[-1].seq if self._grants else 0
-            self._grants.append(ClockGrant(seq=last_seq + 1, ticks=0))
         self._grant_index = 0
         self._interrupt_index = 0
         self._data_index = 0
@@ -288,19 +283,17 @@ def replay_recording(recording: SessionRecording, board=None, config=None,
     endpoint at construction time, pass *board_factory* — a callable
     receiving the :class:`ReplayBoardEndpoint` and returning the board
     — instead of a pre-built *board* whenever the board does driver
-    I/O.  The recording's ``threaded`` flag selects the same serve loop
-    the live board used; in threaded replay the emulated network delay
-    is forced to zero, so the loop never sleeps.
+    I/O.  Every recording replays through
+    :meth:`~repro.cosim.board_runtime.CosimBoardRuntime.serve_window`,
+    one call per granted window, whichever link it was made on (a
+    threaded run's trailing shutdown grant is never taken).
 
     When ``config.tracing`` enables tracing, a fresh recorder is
     installed on the board runtime (and on every object in
     *obs_targets* — e.g. an ISS-backed verifier the factory built) and
     returned on :attr:`ReplayResult.obs`.
     """
-    endpoint = ReplayBoardEndpoint(
-        recording, strict=strict,
-        append_shutdown=bool(recording.meta.get("threaded")),
-    )
+    endpoint = ReplayBoardEndpoint(recording, strict=strict)
     if board_factory is not None:
         board = board_factory(endpoint)
     if board is None:
@@ -313,18 +306,10 @@ def replay_recording(recording: SessionRecording, board=None, config=None,
     install_recorder(obs, runtime=runtime)
     for target in obs_targets or ():
         target.obs = obs
-    if recording.meta.get("threaded"):
-        saved_delay = config.emulated_network_delay_s
-        config.emulated_network_delay_s = 0.0
-        try:
-            runtime.serve_forever(grant_timeout_s=1.0)
-        finally:
-            config.emulated_network_delay_s = saved_delay
-    else:
-        for _ in range(len(recording.grants)):
-            runtime.serve_window()
-
     window_ticks = [t for _seq, t in recording.grants if t != 0]
+    for _ in window_ticks:
+        runtime.serve_window()
+
     trace = reconstruct_trace(
         window_ticks,
         [[r.seq, r.board_ticks] for r in endpoint.reports],

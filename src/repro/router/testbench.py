@@ -289,9 +289,9 @@ def build_router_cosim(
     """Assemble the complete case study on the chosen transport.
 
     *mode* names the link: ``"inproc"``, ``"queue"`` or ``"tcp"``.  Pass
-    an :class:`repro.cosim.adaptive.AdaptivePolicy` as *adaptive*
-    (in-process mode only) to run with the feedback-controlled window
-    size instead of a fixed ``T_sync``.  With ``iss_timing`` the
+    an :class:`repro.cosim.adaptive.AdaptivePolicy` as *adaptive* (any
+    link) to run with the feedback-controlled window size instead of a
+    fixed ``T_sync``.  With ``iss_timing`` the
     checksum application *executes* its routine on the bundled ISS
     instead of charging the coarse work-model cost.  A *fault_plan*
     wraps the board endpoint in a saboteur

@@ -13,10 +13,9 @@ Co-simulation support (Section 5.3 of the paper) is built in:
   NORMAL/IDLE switch, saving and restoring the interrupted thread's
   timeslice exactly as the paper describes;
 * :meth:`run_ticks` runs the OS for a granted number of software ticks
-  (the "multiple-tick message" of Section 4.2);
-* :meth:`deliver_interrupt_in_idle` models the always-running *channel
-  thread*: the data exchange happens even while frozen, but data
-  *management* threads wake parked and only run once NORMAL again.
+  (the "multiple-tick message" of Section 4.2); the co-simulation
+  runtime schedules the window's interrupts at their exact cycles
+  before it starts.
 """
 
 from __future__ import annotations
@@ -89,16 +88,14 @@ class RtosKernel:
 
         # External (cross-OS-thread) interrupt injection ------------------
         self._external_irqs: Deque[int] = deque()
-        #: Optional callable returning an iterable of freshly arrived
-        #: interrupt vectors; polled at every service point.  The
-        #: co-simulation board runtime uses it to drain the INT port
-        #: while a window is running (the paper's channel thread).
-        self.irq_pump: Optional[Callable[[], list]] = None
 
         # Statistics ------------------------------------------------------
         self.idle_cycles = 0
         self.kernel_cycles = 0
         self.context_switches = 0
+        #: Interrupts serviced while frozen: always 0, since every
+        #: interrupt is scheduled inside its window.  Kept in the
+        #: snapshot until the checkpoint schema next changes.
         self.idle_service_count = 0
 
     # ------------------------------------------------------------------
@@ -285,19 +282,6 @@ class RtosKernel:
         """Asynchronously mark *vector* pending (safe cross-OS-thread)."""
         self._external_irqs.append(vector)
 
-    def deliver_interrupt_in_idle(self, vector: int) -> None:
-        """Service *vector* while the OS is frozen in the IDLE state.
-
-        Models the paper's channel thread, which "cannot be halted when
-        the OS is in the idle state, otherwise some events can be
-        lost": the ISR/DSR run (waking data-management threads into the
-        ready queues) but no virtual time passes and non-communication
-        threads stay parked until the next NORMAL window.
-        """
-        self.interrupts.raise_now(vector)
-        self.interrupts.service()
-        self.idle_service_count += 1
-
     # ------------------------------------------------------------------
     # Co-simulation NORMAL/IDLE state machine (Section 5.3)
     # ------------------------------------------------------------------
@@ -452,7 +436,9 @@ class RtosKernel:
     # Execution
     # ------------------------------------------------------------------
     def run_ticks(self, ticks: int) -> None:
-        """Run the OS for *ticks* software ticks (one granted window)."""
+        """Run the OS for *ticks* software ticks: one granted window,
+        whose interrupts the co-simulation runtime has already
+        scheduled at their exact cycles."""
         if ticks <= 0:
             raise RtosError(f"tick grant must be positive: {ticks}")
         obs = self.obs
@@ -496,20 +482,15 @@ class RtosKernel:
         """Advance the virtual CPU until ``cycles >= limit``."""
         self.start()
         zero_progress = 0
-        pump = True
         while self._cycles < limit:
             before = self._cycles
-            self._service_interrupts(pump)
-            pump = True
+            self._service_interrupts()
             self._schedule()
             thread = self.current
             if thread is None:
                 if (not self._external_irqs
                         and self._fast_forward_idle(limit)):
                     zero_progress = 0
-                    # Vectors the fast-forward's last poll returned are
-                    # raised here, without polling the pump again.
-                    pump = not self._external_irqs
                     continue
                 self._run_idle_gap(limit)
             else:
@@ -529,10 +510,7 @@ class RtosKernel:
     # ------------------------------------------------------------------
     # Loop internals
     # ------------------------------------------------------------------
-    def _service_interrupts(self, pump: bool = True) -> None:
-        if pump and self.irq_pump is not None:
-            for vector in self.irq_pump():
-                self._external_irqs.append(vector)
+    def _service_interrupts(self) -> None:
         while self._external_irqs:
             self.interrupts.raise_now(self._external_irqs.popleft())
         if self.interrupts.has_work(self._cycles):
@@ -574,23 +552,16 @@ class RtosKernel:
         return bound
 
     def _fast_forward_idle(self, limit: int) -> bool:
-        """Batch quiescent hardware ticks.
+        """Arithmetically batch quiescent hardware ticks.
 
         When no thread is runnable and nothing can preempt — no pending
         or due interrupts — each hardware tick is pure bookkeeping:
         burn the idle gap, charge the timer ISR, maybe count a software
-        tick.  This batches a run of such ticks, stopping one tick
-        short of the next deterministically scheduled interrupt, the
-        next live alarm's software tick, and the cycle *limit*, so
-        those are handled by the exact per-tick path.
-
-        Without an ``irq_pump`` (deterministic in-process sessions) the
-        batch is one arithmetic update.  With one (threaded windows)
-        the ticks are applied one at a time and the pump is polled
-        between them, at the same cycles and as often as the per-tick
-        loop would poll it.  The first poll that returns vectors ends
-        the batch; they are left in the external queue for the caller
-        to raise at that cycle.  Returns True if any ticks were skipped.
+        tick.  This folds a run of such ticks into one arithmetic
+        update, stopping one tick short of the next deterministically
+        scheduled interrupt, the next live alarm's software tick, and
+        the cycle *limit*, so those are handled by the exact per-tick
+        path.  Returns True if any ticks were skipped.
         """
         config = self.config
         period = config.cycles_per_hw_tick
@@ -618,40 +589,17 @@ class RtosKernel:
             ticks = min(ticks, until_alarm - 1)
         if ticks <= 0:
             return False
-        pump = self.irq_pump
-        if pump is None:
-            # Identical bookkeeping to `ticks` iterations of the exact
-            # loop: idle up to each tick boundary, then the timer ISR.
-            self.idle_cycles += (next_tick - self._cycles
-                                 + (ticks - 1) * (period - isr))
-            self.kernel_cycles += ticks * isr
-            self._cycles = next_tick + (ticks - 1) * period + isr
-            self._next_tick_at = next_tick + ticks * period
-            self._hw_ticks += ticks
-            wraps, self._hw_tick_phase = divmod(
-                self._hw_tick_phase + ticks, config.hw_ticks_per_sw_tick)
-            self._sw_ticks += wraps
-            return True
-        # One tick at a time, polling between ticks: the per-tick loop
-        # polls after every tick but the last (the caller's next
-        # iteration polls after that one).
-        per_sw = config.hw_ticks_per_sw_tick
-        cycles = self._cycles
-        for left in range(ticks - 1, -1, -1):
-            self.idle_cycles += next_tick - cycles
-            self.kernel_cycles += isr
-            cycles = self._cycles = next_tick + isr
-            next_tick = self._next_tick_at = next_tick + period
-            self._hw_ticks += 1
-            self._hw_tick_phase += 1
-            if self._hw_tick_phase >= per_sw:
-                self._hw_tick_phase = 0
-                self._sw_ticks += 1
-            if left:
-                vectors = pump()
-                if vectors:
-                    self._external_irqs.extend(vectors)
-                    break
+        # Identical bookkeeping to `ticks` iterations of the exact loop:
+        # idle up to each tick boundary, then the timer ISR charge.
+        self.idle_cycles += (next_tick - self._cycles
+                             + (ticks - 1) * (period - isr))
+        self.kernel_cycles += ticks * isr
+        self._cycles = next_tick + (ticks - 1) * period + isr
+        self._next_tick_at = next_tick + ticks * period
+        self._hw_ticks += ticks
+        wraps, self._hw_tick_phase = divmod(
+            self._hw_tick_phase + ticks, config.hw_ticks_per_sw_tick)
+        self._sw_ticks += wraps
         return True
 
     def _run_idle_gap(self, limit: int) -> None:

@@ -110,8 +110,9 @@ RULES: Dict[str, Rule] = {
              "a reachable state can never reach the shut-down "
              "configuration (livelock)"),
         Rule("PROTO004", "sequence-violation", ERROR,
-             "a stale or gapped grant/report reaches a window FSM "
-             "(the TCP link's seq-dedup broken)"),
+             "a stale or gapped grant/report reaches a window FSM, or "
+             "a grant overtakes its interrupts (the TCP link's "
+             "seq-dedup or interrupt fence broken)"),
         Rule("PROTO005", "protocol-table-inconsistency", ERROR,
              "a window transition table is structurally defective or "
              "the bounded exploration was not exhaustive"),

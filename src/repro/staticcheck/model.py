@@ -16,13 +16,18 @@ numbers are bounded by the window budget) and classifies what it finds:
 * **non-progress** — a state from which no interleaving reaches the
   fully-shut-down final configuration (livelock);
 * **sequence violations** — a grant or report whose sequence number is
-  stale or gapped reaches the window FSM (only possible when the
-  TCP link's seq-dedup is modelled as disabled).
+  stale or gapped reaches the window FSM, or a board takes a grant
+  before the IRQs sent ahead of it (only possible when the TCP link's
+  seq-dedup or interrupt fence is modelled as disabled).
 
-The INT port is fire-and-forget by design ("the communication thread
-cannot be halted ... otherwise some events can be lost" concerns the
-*receiving* side staying alive; an interrupt raised after shutdown is
-discardable), so leftover IRQ messages never count as lost wake-ups.
+The master simulates each window before it grants it, so a window's
+IRQs are all sent before its grant.  INT and CLOCK are separate
+channels, so each grant carries a *fence* — the IRQs sent to that board
+so far — and the board takes the grant only once it has received that
+many (the TCP link's interrupt fence).  With the fence disabled, a
+grant that overtakes its IRQs is a sequence violation: the board would
+start the window without them.  The INT port is otherwise
+fire-and-forget, so leftover IRQ messages never count as lost wake-ups.
 
 Reconnect is modelled the way the TCP link behaves after a
 drop: the last delivered grant is replayed once onto the clock channel;
@@ -52,8 +57,7 @@ Table = Dict[Tuple[str, str], str]
 #: Events the explorer knows how to execute, per role.  A table entry
 #: whose event is not listed here is a table inconsistency (PROTO005).
 MASTER_EVENTS = frozenset({
-    "send_grant", "send_irq", "serve_data", "window_simulated",
-    "recv_report", "send_shutdown",
+    "send_grant", "send_irq", "serve_data", "recv_report", "send_shutdown",
     # Optimistic synchronization (repro.cosim.optimistic).
     "spec_grant", "recv_spec_report", "begin_catchup",
     "catchup_simulated", "commit_window", "rollback", "round_done",
@@ -168,16 +172,18 @@ def table_inconsistencies(table: Table, initial: str,
 #         the master's own simulation (0 outside speculative rounds);
 #         stashed counts speculative reports consumed but not yet
 #         validated.  Committed windows = granted - spec.
-# board:  (phase, last_seq, data_left)            -- one tuple per board
+#         irqs_left is the IRQ budget of the window being simulated.
+# board:  (phase, last_seq, data_left, irqs_read) -- one tuple per board
 # chan:   (clock, report, irq, dreq, drep)        -- one tuple per board
-#         clock/report are tuples of (tag, seq); irq/dreq/drep are ints
+#         clock holds (tag, seq, fence) and report (tag, seq) tuples;
+#         irq/dreq/drep are ints
 # replay_left: int
 _State = Tuple
 
 
 def _initial_state(cfg: ModelConfig, m_init: str, b_init: str) -> _State:
-    master = (m_init, 0, 0, 0, 0)
-    boards = tuple((b_init, 0, 0) for _ in range(cfg.boards))
+    master = (m_init, 0, cfg.irqs_per_window, 0, 0)
+    boards = tuple((b_init, 0, 0, 0) for _ in range(cfg.boards))
     chans = tuple(((), (), 0, 0, 0) for _ in range(cfg.boards))
     return (master, boards, chans, 1 if cfg.reconnect else 0)
 
@@ -203,11 +209,32 @@ class _Explorer:
             return False
         if spec != 0 or stashed != 0:
             return False
-        if any(phase != self.b_final for (phase, _s, _d) in boards):
+        if any(board[0] != self.b_final for board in boards):
             return False
         # IRQs are fire-and-forget; every other channel must be drained.
         return all(not clock and not rep and dreq == 0 and drep == 0
                    for (clock, rep, _irq, dreq, drep) in chans)
+
+    def _armed(self, granted: int) -> int:
+        """The IRQ budget of the next window, once *granted* windows
+        have been granted."""
+        return self.cfg.irqs_per_window if granted < self.cfg.windows else 0
+
+    @staticmethod
+    def _fence_met(irqs_read: int, fence: int) -> bool:
+        """The interrupt fence: a board takes a grant only once the IRQs
+        sent before it have arrived (the mutation self-tests disable
+        it to prove the explorer convicts its absence)."""
+        return irqs_read >= fence
+
+    @staticmethod
+    def _grants(chans, boards, tag: str, seq: int) -> tuple:
+        """*chans* with a clock message appended for every board, each
+        fenced behind the IRQs sent to that board so far."""
+        return tuple(
+            (clock + ((tag, seq, board[3] + irq),), rep, irq, dreq, drep)
+            for board, (clock, rep, irq, dreq, drep) in zip(boards, chans)
+        )
 
     # ------------------------------------------------------------------
     def successors(self, state: _State):
@@ -221,24 +248,19 @@ class _Explorer:
         if succ is not None and granted < cfg.windows \
                 and all(len(c[0]) < cfg.channel_depth for c in chans):
             seq = granted + 1
-            new_chans = tuple(
-                (clock + ((_GRANT, seq),), rep, irq, dreq, drep)
-                for (clock, rep, irq, dreq, drep) in chans
-            )
+            # The window was simulated before its grant: its IRQ budget
+            # is spent.
             yield (f"master.send_grant(seq={seq})",
-                   ((succ, granted + 1, cfg.irqs_per_window, spec, stashed),
-                    boards, new_chans, replay), None)
+                   ((succ, granted + 1, 0, spec, stashed), boards,
+                    self._grants(chans, boards, _GRANT, seq), replay), None)
 
         succ = self.mt.get((m_phase, "send_shutdown"))
         if succ is not None and granted == cfg.windows \
                 and all(len(c[0]) < cfg.channel_depth for c in chans):
-            new_chans = tuple(
-                (clock + ((_SHUTDOWN, granted + 1),), rep, irq, dreq, drep)
-                for (clock, rep, irq, dreq, drep) in chans
-            )
             yield ("master.send_shutdown",
                    ((succ, granted, irqs_left, spec, stashed), boards,
-                    new_chans, replay), None)
+                    self._grants(chans, boards, _SHUTDOWN, granted + 1),
+                    replay), None)
 
         succ = self.mt.get((m_phase, "send_irq"))
         if succ is not None and irqs_left > 0:
@@ -264,12 +286,6 @@ class _Explorer:
                        ((succ, granted, irqs_left, spec, stashed), boards,
                         new_chans, replay), None)
 
-        succ = self.mt.get((m_phase, "window_simulated"))
-        if succ is not None:
-            yield ("master.window_simulated",
-                   ((succ, granted, irqs_left, spec, stashed), boards,
-                    chans, replay), None)
-
         succ = self.mt.get((m_phase, "recv_report"))
         if succ is not None and all(c[1] for c in chans):
             violation = None
@@ -284,8 +300,8 @@ class _Explorer:
                     )
                 new_chans.append((clock, rep[1:], irq, dreq, drep))
             yield ("master.recv_report",
-                   ((succ, granted, irqs_left, spec, stashed), boards,
-                    tuple(new_chans), replay), violation)
+                   ((succ, granted, self._armed(granted), spec, stashed),
+                    boards, tuple(new_chans), replay), violation)
 
         # ---- master: optimistic speculation ---------------------------
         # Counters mirror repro.cosim.optimistic: `spec` windows granted
@@ -296,13 +312,10 @@ class _Explorer:
                 and spec < cfg.speculation_depth \
                 and all(len(c[0]) < cfg.channel_depth for c in chans):
             seq = granted + 1
-            new_chans = tuple(
-                (clock + ((_GRANT, seq),), rep, irq, dreq, drep)
-                for (clock, rep, irq, dreq, drep) in chans
-            )
             yield (f"master.spec_grant(seq={seq})",
                    ((succ, granted + 1, irqs_left, spec + 1, stashed),
-                    boards, new_chans, replay), None)
+                    boards, self._grants(chans, boards, _GRANT, seq),
+                    replay), None)
 
         succ = self.mt.get((m_phase, "recv_spec_report"))
         if succ is not None and all(c[1] for c in chans):
@@ -351,16 +364,16 @@ class _Explorer:
         succ = self.mt.get((m_phase, "round_done"))
         if succ is not None and spec == 0 and stashed == 0:
             yield ("master.round_done",
-                   ((succ, granted, irqs_left, spec, stashed), boards,
-                    chans, replay), None)
+                   ((succ, granted, self._armed(granted), spec, stashed),
+                    boards, chans, replay), None)
 
         # ---- boards ---------------------------------------------------
         for b in range(cfg.boards):
-            b_phase, last_seq, data_left = boards[b]
+            b_phase, last_seq, data_left, irqs_read = boards[b]
             clock, rep, irq, dreq, drep = chans[b]
 
             if clock:
-                tag, seq = clock[0]
+                tag, seq, fence = clock[0]
                 if tag == _GRANT:
                     if cfg.dedup and seq <= last_seq:
                         # The TCP link drops replayed grants
@@ -372,9 +385,17 @@ class _Explorer:
                                 new_chans, replay), None)
                     else:
                         succ = self.bt.get((b_phase, "recv_grant"))
+                        if not self._fence_met(irqs_read, fence):
+                            succ = None
                         if succ is not None:
                             violation = None
-                            if seq <= last_seq:
+                            if irqs_read < fence:
+                                violation = (
+                                    f"board {b}: grant seq {seq} taken "
+                                    f"with {irqs_read} of the {fence} "
+                                    f"IRQs sent before it"
+                                )
+                            elif seq <= last_seq:
                                 violation = (
                                     f"board {b}: replayed grant seq {seq} "
                                     f"reached the FSM (last_seq="
@@ -388,7 +409,7 @@ class _Explorer:
                             new_boards = _replace(
                                 boards, b,
                                 (succ, max(last_seq, seq),
-                                 cfg.data_per_window))
+                                 cfg.data_per_window, irqs_read))
                             new_chans = _replace(
                                 chans, b,
                                 (clock[1:], rep, irq, dreq, drep))
@@ -400,7 +421,8 @@ class _Explorer:
                     succ = self.bt.get((b_phase, "recv_shutdown"))
                     if succ is not None:
                         new_boards = _replace(
-                            boards, b, (succ, last_seq, data_left))
+                            boards, b,
+                            (succ, last_seq, data_left, irqs_read))
                         new_chans = _replace(
                             chans, b, (clock[1:], rep, irq, dreq, drep))
                         yield (f"board{b}.recv_shutdown",
@@ -409,7 +431,8 @@ class _Explorer:
 
             succ = self.bt.get((b_phase, "recv_irq"))
             if succ is not None and irq > 0:
-                new_boards = _replace(boards, b, (succ, last_seq, data_left))
+                new_boards = _replace(
+                    boards, b, (succ, last_seq, data_left, irqs_read + 1))
                 new_chans = _replace(chans, b,
                                      (clock, rep, irq - 1, dreq, drep))
                 yield (f"board{b}.recv_irq",
@@ -419,8 +442,8 @@ class _Explorer:
             succ = self.bt.get((b_phase, "send_data_request"))
             if succ is not None and data_left > 0 \
                     and dreq < cfg.channel_depth:
-                new_boards = _replace(boards, b,
-                                      (succ, last_seq, data_left - 1))
+                new_boards = _replace(
+                    boards, b, (succ, last_seq, data_left - 1, irqs_read))
                 new_chans = _replace(chans, b,
                                      (clock, rep, irq, dreq + 1, drep))
                 yield (f"board{b}.send_data_request",
@@ -429,7 +452,8 @@ class _Explorer:
 
             succ = self.bt.get((b_phase, "recv_data_reply"))
             if succ is not None and drep > 0:
-                new_boards = _replace(boards, b, (succ, last_seq, data_left))
+                new_boards = _replace(
+                    boards, b, (succ, last_seq, data_left, irqs_read))
                 new_chans = _replace(chans, b,
                                      (clock, rep, irq, dreq, drep - 1))
                 yield (f"board{b}.recv_data_reply",
@@ -438,14 +462,16 @@ class _Explorer:
 
             succ = self.bt.get((b_phase, "window_done"))
             if succ is not None:
-                new_boards = _replace(boards, b, (succ, last_seq, data_left))
+                new_boards = _replace(
+                    boards, b, (succ, last_seq, data_left, irqs_read))
                 yield (f"board{b}.window_done",
                        ((m_phase, granted, irqs_left, spec, stashed), new_boards, chans,
                         replay), None)
 
             succ = self.bt.get((b_phase, "send_report"))
             if succ is not None and len(rep) < cfg.channel_depth:
-                new_boards = _replace(boards, b, (succ, last_seq, data_left))
+                new_boards = _replace(
+                    boards, b, (succ, last_seq, data_left, irqs_read))
                 new_chans = _replace(
                     chans, b,
                     (clock, rep + ((_REPORT, last_seq),), irq, dreq, drep))
@@ -454,12 +480,14 @@ class _Explorer:
                         new_chans, replay), None)
 
             # ---- TCP reconnect: replay the last delivered
-            # grant once, exactly as redelivery after a drop does.
+            # grant once, exactly as redelivery after a drop does (its
+            # fence was met when it was first taken).
             if replay > 0 and last_seq >= 1 \
                     and len(clock) < cfg.channel_depth:
                 new_chans = _replace(
                     chans, b,
-                    (clock + ((_GRANT, last_seq),), rep, irq, dreq, drep))
+                    (clock + ((_GRANT, last_seq, irqs_read),), rep, irq,
+                     dreq, drep))
                 yield (f"link{b}.replay_grant(seq={last_seq})",
                        ((m_phase, granted, irqs_left, spec, stashed), boards, new_chans,
                         replay - 1), None)
@@ -551,7 +579,7 @@ class _Explorer:
         (_m, _g, _i, _sp, _st), _boards, chans, _replay = state
         stuck = []
         for b, (clock, rep, _irq, dreq, drep) in enumerate(chans):
-            for tag, seq in clock:
+            for tag, seq, _fence in clock:
                 stuck.append(f"board{b}<-{tag}({seq})")
             for tag, seq in rep:
                 stuck.append(f"master<-{tag}({seq})")
@@ -565,7 +593,7 @@ class _Explorer:
     def _describe(state: _State) -> str:
         (m_phase, granted, _irqs, spec, _stashed), boards, _chans, \
             _replay = state
-        phases = ",".join(phase for (phase, _s, _d) in boards)
+        phases = ",".join(board[0] for board in boards)
         ahead = f", spec={spec}" if spec else ""
         return (f"(master={m_phase}, boards=[{phases}], "
                 f"windows={granted}{ahead})")

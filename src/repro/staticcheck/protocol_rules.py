@@ -12,8 +12,9 @@ counterexamples into diagnostics:
 * ``PROTO003`` — non-progress: some reachable state can never reach
   the fully-shut-down configuration (livelock);
 * ``PROTO004`` — sequence violation: a stale or gapped grant/report
-  reaches a window FSM (only possible when the TCP link's seq-dedup
-  is broken);
+  reaches a window FSM, or a board takes a grant before the interrupts
+  sent ahead of it (only possible when the TCP link's seq-dedup or
+  interrupt fence is broken);
 * ``PROTO005`` — table inconsistency: structural defects in the
   transition tables themselves (unknown events, unreachable states,
   non-accepting states with no way out) or an exploration that blew

@@ -15,6 +15,7 @@ from typing import Tuple
 from repro.errors import TransportError
 from repro.transport.messages import (
     ClockGrant,
+    Counted,
     DataRead,
     DataReply,
     DataWrite,
@@ -34,6 +35,7 @@ _T_DATA_WRITE = 5
 _T_DATA_REPLY = 6
 _T_HEARTBEAT = 7
 _T_HEARTBEAT_ACK = 8
+_T_COUNTED = 9
 
 _V_INT = 0
 _V_BYTES = 1
@@ -104,6 +106,10 @@ def _encode(message: Message) -> bytes:
         body = bytes([_T_HEARTBEAT]) + _U64.pack(message.seq)
     elif isinstance(message, HeartbeatAck):
         body = bytes([_T_HEARTBEAT_ACK]) + _U64.pack(message.seq)
+    elif isinstance(message, Counted) \
+            and not isinstance(message.message, Counted):
+        body = (bytes([_T_COUNTED]) + _U64.pack(message.count)
+                + _encode(message.message)[4:])
     else:
         raise TransportError(f"cannot encode {message!r}")
     if len(body) > MAX_FRAME_SIZE:
@@ -143,6 +149,11 @@ def decode(body: bytes) -> Message:
             return Heartbeat(seq=_U64.unpack_from(body, 1)[0])
         if kind == _T_HEARTBEAT_ACK:
             return HeartbeatAck(seq=_U64.unpack_from(body, 1)[0])
+        if kind == _T_COUNTED:
+            if body[9:10] == bytes([_T_COUNTED]):
+                raise TransportError("nested counted frame")
+            return Counted(count=_U64.unpack_from(body, 1)[0],
+                           message=decode(body[9:]))
     except (struct.error, IndexError) as exc:
         raise TransportError(f"truncated frame of kind {kind}: {exc}") from exc
     raise TransportError(f"unknown frame kind {kind}")

@@ -96,8 +96,20 @@ class HeartbeatAck:
     seq: int
 
 
+@dataclass(frozen=True)
+class Counted:
+    """A protocol message as the TCP link frames it, with the count the
+    link orders its separate connections by: a grant carries the INT
+    frames sent before it, a report the DATA requests sent before it,
+    and an interrupt its own index.  Never passed to the protocol layer
+    (see :mod:`repro.transport.tcp`)."""
+
+    count: int
+    message: "Message"
+
+
 Message = Union[ClockGrant, TimeReport, Interrupt, DataRead, DataWrite,
-                DataReply, Heartbeat, HeartbeatAck]
+                DataReply, Heartbeat, HeartbeatAck, Counted]
 
 #: Logical port names.
 CLOCK_PORT = "clock"

@@ -41,6 +41,12 @@ class QueueLink:
     def close(self) -> None:
         self.master.close()
         self.board.close()
+        # Release a board still waiting on the CLOCK port.
+        self._grants.put(_CLOSED)
+
+
+#: Put on the CLOCK queue by :meth:`QueueLink.close`.
+_CLOSED = object()
 
 
 def _get(q: "queue.Queue", timeout: Optional[float]):
@@ -87,7 +93,10 @@ class _QueueBoard(BoardEndpoint):
         self.reply_timeout = 30.0
 
     def recv_grant(self, timeout: Optional[float] = None) -> Optional[ClockGrant]:
-        return _get(self.link._grants, timeout)
+        grant = _get(self.link._grants, timeout)
+        if grant is _CLOSED:
+            raise TransportError("queue link closed")
+        return grant
 
     def send_report(self, report: TimeReport) -> None:
         self.link.stats.account(report, "clock")

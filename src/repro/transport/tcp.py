@@ -26,6 +26,13 @@ The link survives faults instead of merely detecting them:
   :class:`TimeReport` and any DATA request awaiting a reply.  The
   existing sequence numbers let the receiver drop the duplicates, so
   the virtual tick never skews (alignment invariant preserved).
+* **Fences** — the ports are separate connections, so grants, reports
+  and interrupts travel as :class:`~repro.transport.messages.Counted`
+  frames.  The board returns a grant only once it has read the INT
+  frames the grant counts, and the master a report only once it has
+  handed out the DATA requests the report counts.  Interrupts are
+  numbered: the master resends those no report has covered after an
+  INT reconnect, and the board drops numbers it already has.
 
 Each connection's socket is non-blocking from the moment it is made:
 a poll is one readiness syscall, a wait is a ``poll`` with the time
@@ -44,8 +51,9 @@ import select
 import socket
 import struct
 import time
+from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Deque, Dict, List, Optional
 
 from repro.determinism import seeded_rng
 from repro.errors import TransportError
@@ -54,6 +62,7 @@ from repro.transport.framing import MAX_FRAME_SIZE, decode, encode
 from repro.transport.messages import (
     CLOCK_PORT,
     ClockGrant,
+    Counted,
     DATA_PORT,
     DataRead,
     DataReply,
@@ -410,9 +419,19 @@ class TcpMaster(MasterEndpoint):
         self._server = server
         self.config = config
         self._dead: set = set()
-        self._last_grant: Optional[ClockGrant] = None
+        #: The last grant as sent, counted; replayed on a CLOCK
+        #: reconnect until its report arrives.
+        self._last_grant: Optional[Counted] = None
         self._last_grant_acked = True
-        self._pending_interrupts: List[Interrupt] = []
+        #: INT frames accepted so far: the count of the next grant.
+        self._interrupts_accepted = 0
+        #: Accepted INT frames that no report has covered yet, in order;
+        #: resent after an INT reconnect.
+        self._unreported: List[Counted] = []
+        #: Highest DATA request number handed out, and a report held
+        #: back until the requests it counts have been.
+        self._data_seen = 0
+        self._held_report: Optional[Counted] = None
         self._liveness = _Liveness(config, stats, self._send_probe)
 
     @property
@@ -446,10 +465,9 @@ class TcpMaster(MasterEndpoint):
                 if self._last_grant is not None and not self._last_grant_acked:
                     conn.send(self._last_grant)
                     self.stats.replays += 1
-            elif port == INT_PORT and self._pending_interrupts:
-                pending, self._pending_interrupts = self._pending_interrupts, []
-                for irq in pending:
-                    conn.send(irq)
+            elif port == INT_PORT:
+                for frame in self._unreported:
+                    conn.send(frame)
                     self.stats.replays += 1
         except (TransportError, OSError):
             self._mark_dead(port)
@@ -480,7 +498,10 @@ class TcpMaster(MasterEndpoint):
 
     # -- CLOCK ---------------------------------------------------------
     def send_grant(self, grant: ClockGrant) -> None:
+        # The count is framing, like a heartbeat: the logical grant is
+        # what the link counters account.
         self.stats.account(grant, "clock")
+        grant = Counted(self._interrupts_accepted, grant)
         self._last_grant = grant
         self._last_grant_acked = False
         if CLOCK_PORT in self._dead:
@@ -499,6 +520,10 @@ class TcpMaster(MasterEndpoint):
             return deadline is not None and time.monotonic() >= deadline
 
         while True:
+            held = self._held_report
+            if held is not None and self._data_seen >= held.count:
+                self._held_report = None
+                return held.message
             if CLOCK_PORT in self._dead:
                 if not self._revive(CLOCK_PORT, timeout=_REVIVE_SLICE_S):
                     if expired():
@@ -517,6 +542,9 @@ class TcpMaster(MasterEndpoint):
             if message is None:
                 if data is not None and data.ready():
                     return None  # a DATA request is waiting: serve it
+                # A board stuck at an interrupt fence redials INT: take
+                # the fresh connection and resend the frames it lacks.
+                self._revive(INT_PORT, 0.0)
                 self._liveness.probe()
                 if expired():
                     return None
@@ -531,34 +559,44 @@ class TcpMaster(MasterEndpoint):
             if isinstance(message, HeartbeatAck):
                 self.stats.heartbeats_acked += 1
                 continue
-            if not isinstance(message, TimeReport):
+            if not (isinstance(message, Counted)
+                    and isinstance(message.message, TimeReport)):
                 raise TransportError(
                     f"unexpected message on CLOCK port: {message!r}"
                 )
+            seq = message.message.seq
             if (self._last_grant is None
-                    or message.seq < self._last_grant.seq
-                    or (message.seq == self._last_grant.seq
+                    or seq < self._last_grant.message.seq
+                    or (seq == self._last_grant.message.seq
                         and self._last_grant_acked)):
                 continue  # stale duplicate left over from a resync
-            if message.seq > self._last_grant.seq:
+            if seq > self._last_grant.message.seq:
                 raise TransportError(
-                    f"time report from the future: seq {message.seq}, "
-                    f"last grant {self._last_grant.seq}"
+                    f"time report from the future: seq {seq}, "
+                    f"last grant {self._last_grant.message.seq}"
                 )
             self._last_grant_acked = True
-            return message
+            # The board read every INT frame the acked grant counted.
+            self._unreported = [frame for frame in self._unreported
+                                if frame.count > self._last_grant.count]
+            # Returned at the top of the loop once its DATA requests
+            # are handed out; until then a waiting request wakes us.
+            self._held_report = message
 
     # -- INT -----------------------------------------------------------
     def send_interrupt(self, interrupt: Interrupt) -> None:
         self.stats.account(interrupt, "int")
-        if INT_PORT in self._dead and not self._revive(INT_PORT, 0.0):
-            self._pending_interrupts.append(interrupt)
+        self._interrupts_accepted += 1
+        frame = Counted(self._interrupts_accepted, interrupt)
+        self._unreported.append(frame)
+        if INT_PORT in self._dead:
+            # A successful revive resends this frame with the others.
+            self._revive(INT_PORT, 0.0)
             return
         try:
-            self._conns[INT_PORT].send(interrupt)
+            self._conns[INT_PORT].send(frame)
         except (TransportError, OSError):
             self._mark_dead(INT_PORT)
-            self._pending_interrupts.append(interrupt)
 
     # -- DATA ----------------------------------------------------------
     def poll_data(self):
@@ -580,6 +618,7 @@ class TcpMaster(MasterEndpoint):
             raise TransportError(f"unexpected message on DATA port: {message!r}")
         # A board busy on DATA is alive even while CLOCK stays silent.
         self._liveness.alive()
+        self._data_seen = max(self._data_seen, message.seq)
         return message
 
     def send_reply(self, seq: int, value: Value) -> None:
@@ -624,8 +663,12 @@ class TcpBoard(BoardEndpoint):
         self._conns: Dict[str, Optional[_FramedSocket]] = {}
         self._data_seq = 0
         self.reply_timeout = 30.0
-        self._last_report: Optional[TimeReport] = None
+        #: The last report as sent, counted; replayed on resync.
+        self._last_report: Optional[Counted] = None
         self._last_grant_seq = 0
+        #: INT frames read so far, and those not yet polled.
+        self._interrupts_read = 0
+        self._interrupts: Deque[Interrupt] = deque()
         self._liveness = _Liveness(config, self.stats, self._send_probe)
         for port in _PORTS:
             self._dial(port)
@@ -733,39 +776,90 @@ class TcpBoard(BoardEndpoint):
             if isinstance(message, HeartbeatAck):
                 self.stats.heartbeats_acked += 1
                 continue
-            if not isinstance(message, ClockGrant):
+            if not (isinstance(message, Counted)
+                    and isinstance(message.message, ClockGrant)):
                 raise TransportError(
                     f"unexpected message on CLOCK port: {message!r}"
                 )
-            if message.seq <= self._last_grant_seq:
+            grant = message.message
+            if grant.seq <= self._last_grant_seq:
                 # Replayed grant we already executed: the master lost
                 # our report — resend it so both sides realign.
                 if self._last_report is not None:
                     self._send_with_retry(CLOCK_PORT, self._last_report)
                     self.stats.replays += 1
                 continue
-            self._last_grant_seq = message.seq
-            return message
+            self._read_interrupts(message.count)
+            self._last_grant_seq = grant.seq
+            return grant
+
+    def _read_interrupts(self, count: int) -> None:
+        """Read INT frames until *count* of them have arrived, redialing
+        a dropped INT connection (the master resends what no report has
+        covered; numbers already read are dropped).  Raises
+        :class:`TransportError` when a frame is still missing after the
+        liveness window."""
+        window_s = self.config.liveness_window_s
+        deadline = time.monotonic() + window_s
+        while self._interrupts_read < count:
+            remaining = deadline - time.monotonic()
+            if remaining <= 0:
+                raise TransportError(
+                    f"INT frame {self._interrupts_read + 1} of the "
+                    f"{count} sent before this grant never arrived "
+                    f"within the liveness window ({window_s:.1f}s)"
+                )
+            conn = self._conns[INT_PORT]
+            if conn is None:
+                self._reconnect(INT_PORT)
+                continue
+            try:
+                frame = conn.recv(min(remaining,
+                                      self.config.heartbeat_interval_s))
+            except (TransportError, OSError):
+                self._reconnect(INT_PORT)
+                continue
+            if frame is not None:
+                self._take_interrupt(frame)
+
+    def _take_interrupt(self, frame: Message) -> None:
+        """Queue one INT frame for :meth:`poll_interrupt`, dropping a
+        number already read (a resend after a reconnect)."""
+        if not (isinstance(frame, Counted)
+                and isinstance(frame.message, Interrupt)):
+            raise TransportError(f"unexpected message on INT port: {frame!r}")
+        if frame.count <= self._interrupts_read:
+            return
+        if frame.count != self._interrupts_read + 1:
+            raise TransportError(
+                f"INT frame {frame.count} arrived while frame "
+                f"{self._interrupts_read + 1} is missing")
+        self._interrupts_read += 1
+        self._interrupts.append(frame.message)
 
     def send_report(self, report: TimeReport) -> None:
         self.stats.account(report, "clock")
-        self._last_report = report
-        self._send_with_retry(CLOCK_PORT, report)
+        self._last_report = Counted(self._data_seq, report)
+        self._send_with_retry(CLOCK_PORT, self._last_report)
 
     # -- INT -----------------------------------------------------------
     def poll_interrupt(self) -> Optional[Interrupt]:
-        conn = self._conns[INT_PORT]
-        if conn is None:
-            self._reconnect(INT_PORT)
-            return None
-        try:
-            message = conn.poll()
-        except (TransportError, OSError):
-            self._reconnect(INT_PORT)
-            return None
-        if message is not None and not isinstance(message, Interrupt):
-            raise TransportError(f"unexpected message on INT port: {message!r}")
-        return message
+        # recv_grant has already read every frame fenced before the
+        # grant; the socket is polled only once those are taken.
+        if not self._interrupts:
+            conn = self._conns[INT_PORT]
+            if conn is None:
+                self._reconnect(INT_PORT)
+                return None
+            try:
+                frame = conn.poll()
+            except (TransportError, OSError):
+                self._reconnect(INT_PORT)
+                return None
+            if frame is None:
+                return None
+            self._take_interrupt(frame)
+        return self._interrupts.popleft() if self._interrupts else None
 
     # -- DATA ----------------------------------------------------------
     def data_read(self, address: int) -> Value:

@@ -124,11 +124,6 @@ class TestAdaptiveSession:
                              tuple(cosim.session.controller.trace)))
         assert outcomes[0] == outcomes[1]
 
-    def test_adaptive_rejected_on_threaded_transports(self):
-        with pytest.raises(ProtocolError, match="only supported in-process"):
-            build_router_cosim(CosimConfig(), bursty_workload(),
-                               mode="queue", adaptive=adaptive_policy())
-
     def test_steady_traffic_behaves_like_tight_sync(self):
         """With continuous arrivals the controller pins near min."""
         workload = RouterWorkload(packets_per_producer=10,

@@ -91,7 +91,11 @@ class Rig:
                                max_t_sync=160))
         if "checkpointer" in features:
             self.session.attach_checkpointer(Checkpointer(every=2))
-        return self.session.run(max_cycles=MAX_CYCLES)
+        try:
+            return self.session.run(max_cycles=MAX_CYCLES)
+        finally:
+            # Threaded sessions keep their board threads until closed.
+            self.session.close()
 
 
 #: Features that legitimately change the window schedule or board set.

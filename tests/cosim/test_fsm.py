@@ -58,7 +58,7 @@ class TestWindowFsm:
     def test_reset_returns_to_initial(self):
         fsm = WindowFsm("master", MASTER_WINDOW_TABLE, MASTER_INITIAL)
         fsm.step("send_grant")
-        assert fsm.state == "simulating"
+        assert fsm.state == "awaiting_report"
         fsm.reset()
         assert fsm.state == MASTER_INITIAL
 

@@ -85,7 +85,7 @@ class TestReactiveWindow:
 
     def test_quiet_window_runs_to_max(self):
         link, clock, device, master = self.make()
-        ticks = master.run_window_inproc_reactive(50)
+        ticks = master.run_window_inproc(50, reactive=True)
         assert ticks == 50
         assert clock.cycles == 50
         grant = link.board.recv_grant()
@@ -105,7 +105,7 @@ class TestReactiveWindow:
                 device.poke.external_write(1)
 
         Poker(master.sim, "poker")
-        ticks = master.run_window_inproc_reactive(50)
+        ticks = master.run_window_inproc(50, reactive=True)
         assert ticks < 50
         grant = link.board.recv_grant()
         assert grant.ticks == ticks
@@ -116,6 +116,6 @@ class TestReactiveWindow:
         link, clock, device, master = self.make()
         # Interrupt already pending at window start (settle-time edge).
         master.serve_data("write", 0, 1)
-        ticks = master.run_window_inproc_reactive(50)
+        ticks = master.run_window_inproc(50, reactive=True)
         assert ticks >= 1
         assert master.protocol.ticks_granted == clock.cycles

@@ -83,6 +83,9 @@ class Rig:
         return TcpLink()
 
     def close(self):
+        session = getattr(self, "session", None)
+        if session is not None:
+            session.close()  # stops any board threads, then the links
         self.link_a.close()
         self.link_b.close()
 

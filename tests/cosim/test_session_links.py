@@ -54,7 +54,11 @@ def test_data_reads_are_served_without_wiring_by_hand(link_cls):
     thread = kernel.create_thread("app", app, 10)
     session = CosimSession(master, slots, config)
     assert session.threaded == (link_cls is QueueLink)
-    metrics = session.run(max_cycles=2000, done=lambda: not thread.alive)
+    try:
+        metrics = session.run(max_cycles=2000,
+                              done=lambda: not thread.alive)
+    finally:
+        session.close()
     assert results["csum"] == checksum16(b"links")
     assert master.data_reads_served > 0
     assert metrics.master_cycles == metrics.board_ticks

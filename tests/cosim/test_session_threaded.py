@@ -129,7 +129,10 @@ class TestOneLoop:
     def test_max_windows_bound(self):
         cosim = build_router_cosim(CosimConfig(t_sync=100),
                                    RouterWorkload(), mode="queue")
-        metrics = cosim.session.run(max_windows=2)
+        try:
+            metrics = cosim.session.run(max_windows=2)
+        finally:
+            cosim.close()
         assert metrics.windows == 2
         assert metrics.master_cycles == 200
         assert cosim.session.aligned()

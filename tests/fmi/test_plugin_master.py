@@ -118,7 +118,10 @@ def test_threaded_plugin_session_runs():
     runtime = CosimBoardRuntime(board, link.board, config)
     session = CosimSession(master, [BoardSlot("board", link, runtime)],
                            config)
-    metrics = session.run(max_cycles=6000)
+    try:
+        metrics = session.run(max_cycles=6000)
+    finally:
+        session.close()
     assert metrics.master_cycles == metrics.board_ticks == 6000
     assert session.aligned()
     assert metrics.int_packets == master.interrupts_sent > 0

@@ -147,19 +147,6 @@ class TestRestore:
         with pytest.raises(SnapshotError, match="fresh"):
             restore_session(first.session, checkpointer.checkpoints[0])
 
-    def test_restore_rejects_threaded_session(self):
-        first, _trace, config, workload = build()
-        checkpointer = Checkpointer(every=2)
-        first.session.attach_checkpointer(checkpointer)
-        first.run()
-        threaded = build_router_cosim(config, workload, mode="queue")
-        try:
-            with pytest.raises(SnapshotError, match="threaded"):
-                restore_session(threaded.session,
-                                checkpointer.checkpoints[0])
-        finally:
-            threaded.session.close()
-
     def test_divergent_reexecution_is_detected(self):
         first, _trace, config, workload = build()
         checkpointer = Checkpointer(every=2)

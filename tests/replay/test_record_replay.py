@@ -94,6 +94,23 @@ class TestReplayIdentity:
         assert result.clean
         assert find_divergence(recording, result).clean
 
+    def test_tcp_and_inproc_recordings_match(self):
+        # Every link runs the same windows: the two recordings differ
+        # only in their meta and the TCP run's trailing shutdown grant.
+        inproc, _m, _t = record_run()
+        tcp, _m, _t = record_run(mode="tcp")
+        a, b = inproc.to_dict(), tcp.to_dict()
+        assert b["grants"][-1][1] == 0
+        assert a["grants"] == b["grants"][:-1]
+        assert a["meta"] != b["meta"]
+        for key in set(a) - {"meta", "grants"}:
+            assert a[key] == b[key], key
+        for recording in (inproc, tcp):
+            with forbid_entropy():
+                result = replay_router_recording(recording)
+            assert result.clean
+            assert find_divergence(recording, result).clean
+
     def test_disconnect_faulted_run_replays_identically(self):
         # Yank connections mid-run on the TCP link: the
         # recording captures the post-recovery stream the board

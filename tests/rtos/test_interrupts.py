@@ -128,26 +128,3 @@ class TestScheduledInterrupts:
         kernel.interrupts.schedule_at_cycle(1500, 1)
         kernel.run_ticks(6)
         assert [tag for tag, _ in seen] == ["a", "b"]
-
-
-class TestIdleDelivery:
-    def test_deliver_interrupt_in_idle_wakes_thread_for_later(self, kernel):
-        sem = Semaphore(kernel, "s")
-        log = []
-        kernel.interrupts.attach(2, dsr=lambda v, c: sem.post())
-
-        def handler():
-            yield sem.wait()
-            log.append(kernel.sw_ticks)
-
-        kernel.create_thread("h", handler, priority=5)
-        kernel.run_ticks(1)  # let the handler block on the semaphore
-        kernel.enter_idle_state()
-        kernel.deliver_interrupt_in_idle(2)
-        cycles_frozen = kernel.cycles
-        assert kernel.cycles == cycles_frozen  # no virtual time passed
-        assert log == []  # data management waits for NORMAL
-        kernel.exit_idle_state()
-        kernel.run_ticks(1)
-        assert len(log) == 1
-        assert kernel.idle_service_count == 1

@@ -132,6 +132,24 @@ class TestSeededDefects:
         check_protocol_model(report, configs=[config])
         assert "PROTO004" in rules(report)
 
+    def test_grant_overtaking_its_interrupts_is_convicted(self,
+                                                          monkeypatch):
+        # Remove the interrupt fence: a board may take a grant before
+        # the IRQs the master raised ahead of it, and start the window
+        # without them (PROTO004).
+        from repro.staticcheck.model import _Explorer  # self-test hook
+
+        config = ModelConfig(name="no-fence", boards=1, windows=2)
+        assert explore(config).ok
+        monkeypatch.setattr(_Explorer, "_fence_met",
+                            staticmethod(lambda read, fence: True))
+        result = explore(config)
+        assert any(v.kind == "sequence" and "IRQs sent before it"
+                   in v.message for v in result.violations)
+        report = LintReport()
+        check_protocol_model(report, configs=[config])
+        assert "PROTO004" in rules(report)
+
     def test_renamed_event_is_a_table_inconsistency(self):
         table = dict(MASTER_WINDOW_TABLE)
         table[("idle", "send_gront")] = table.pop(("idle", "send_grant"))

@@ -204,17 +204,17 @@ class TestReportWaitWakesOnData:
         assert master.recv_report(timeout=5.0).board_ticks == 7
         sender.join()
 
-    def test_report_preferred_over_waiting_data(self, tcp_pair):
+    def test_report_waits_for_the_data_sent_before_it(self, tcp_pair):
+        # DATA and CLOCK are separate connections: a report must not
+        # overtake a write the board issued before it.
         master, board = tcp_pair
         _open_window(master, board)
         board.data_write(3, 99)
         board.send_report(TimeReport(seq=1, board_ticks=7))
-        deadline = time.monotonic() + 5.0
-        report = None
-        while report is None and time.monotonic() < deadline:
-            report = master.recv_report(timeout=0.5)
-        assert report.board_ticks == 7
+        time.sleep(0.05)  # both frames in flight before the first poll
+        assert master.recv_report(timeout=0.5) is None
         assert master.poll_data().value == 99
+        assert master.recv_report(timeout=5.0).board_ticks == 7
 
     def test_silence_still_times_out(self, tcp_pair):
         master, _board = tcp_pair
