@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Optional, Tuple
+from typing import TYPE_CHECKING, Optional
 
 from repro.errors import SimulationError
 from repro.simkernel.events import Event
@@ -39,15 +39,15 @@ class Clock(Module):
         self.period = period
         #: Delay from an edge that commits level ``L`` to the next edge,
         #: indexed by ``L``; the one table the toggle process, the
-        #: kernel's inline edge and its leap read.
+        #: kernel's runs of inline edges and its leap read.
         self._gaps = (period - high, high)
         self.signal = Signal(sim, f"{name}.sig", init=False)
         #: Number of rising edges that have occurred.
         self.cycles = 0
         self._tick = Event(sim, f"{name}.tick")
-        # The kernel applies a free-running edge itself (inline, or a
-        # whole quiet stretch by leaping); the back-reference lets it
-        # find the clock from the tick it pops.
+        # The kernel applies free-running edges itself (a run of them
+        # inline, or a whole quiet stretch by leaping); the
+        # back-reference lets it find the clock from the tick it pops.
         self._tick._clock = self
         self._toggle_proc = self.method(
             self._toggle, sensitive=[self._tick], dont_initialize=True)
@@ -92,15 +92,13 @@ class Clock(Module):
         proc = tick.static_sensitive[0]
         return proc is self._toggle_proc and not proc.terminated
 
-    def _edge(self) -> Tuple[bool, int]:
-        """The edge leaving the committed level: count it when rising
-        and return the new level with the delay to the edge after it."""
+    def _toggle(self) -> None:
+        """The edge leaving the committed level: count it when rising,
+        write the new level and arm the tick for the edge after it.
+        The kernel applies the same edge inline
+        (:meth:`~repro.simkernel.kernel.Simulator._clock_edges`)."""
         level = not self.signal._current
         if level:
             self.cycles += 1
-        return level, self._gaps[level]
-
-    def _toggle(self) -> None:
-        level, delay = self._edge()
         self.signal.write(level)
-        self._tick.notify(delay)
+        self._tick.notify(self._gaps[level])

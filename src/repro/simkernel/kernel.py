@@ -13,7 +13,9 @@ Implements the SystemC scheduling algorithm:
 4. **Time advance** — pop the earliest timed notifications, advance
    ``now`` and repeat from 1.  A free-running clock edge with nothing
    else due at its timestamp is applied by the run loop itself, with
-   the outcome of steps 1-3 for the clock's toggle process.
+   the outcome of steps 1-3 for the clock's toggle process; so are the
+   edges after it, one by one in a local loop, until an edge wakes
+   something or the next one would meet another notification.
 
 The kernel is deliberately free of global state: any number of
 :class:`Simulator` instances can coexist (the co-simulation test-suite
@@ -23,6 +25,7 @@ relies on this).
 from __future__ import annotations
 
 import heapq
+import math
 import re
 from collections import deque
 from typing import Any, Deque, Dict, List, Optional, Set, Tuple
@@ -100,12 +103,7 @@ class Simulator:
     @property
     def pending_activity(self) -> bool:
         """True if any runnable process, update, or notification remains."""
-        return bool(
-            self._runnable
-            or self._update_queue
-            or self._delta_events
-            or self._timed_queue
-        )
+        return self.time_of_next_activity() is not None
 
     def time_of_next_activity(self) -> Optional[int]:
         """Timestamp of the next timed event, or ``now`` if deltas pend."""
@@ -213,19 +211,7 @@ class Simulator:
         On return ``now == t_end`` (unless :meth:`stop` was called).
         """
         self._check_end("run_until", t_end)
-        obs = self.obs
-        if not obs.enabled:
-            self._run(t_end)
-            return
-        deltas = self.delta_count
-        runs = self.process_runs
-        token = obs.begin("simkernel", "run_until", sim=self._now)
-        try:
-            self._run(t_end)
-        finally:
-            obs.end(token, sim=self._now,
-                    deltas=self.delta_count - deltas,
-                    process_runs=self.process_runs - runs)
+        self._run_spanned(t_end, ())
 
     def run_until_leaping(self, t_end: int, clocks=()) -> int:
         """:meth:`run_until`, with an analytic fast path over quiet
@@ -244,7 +230,7 @@ class Simulator:
         Returns the number of edges applied analytically.
         """
         self._check_end("run_until_leaping", t_end)
-        return self._run(t_end, clocks)
+        return self._run_spanned(t_end, clocks)
 
     def run(self, duration: Optional[int] = None) -> None:
         """Run for *duration* picoseconds, or until no activity remains."""
@@ -259,13 +245,35 @@ class Simulator:
                 f"{verb}({t_end}) is in the past (now={self._now})"
             )
 
+    def _run_spanned(self, t_end: int, clocks) -> int:
+        """:meth:`_run` under a ``simkernel.run_until`` span when tracing
+        is on, reporting the deltas and process runs, and with *clocks*
+        the edges leapt."""
+        obs = self.obs
+        if not obs.enabled:
+            return self._run(t_end, clocks)
+        deltas = self.delta_count
+        runs = self.process_runs
+        leapt = 0
+        token = obs.begin("simkernel", "run_until", sim=self._now)
+        try:
+            leapt = self._run(t_end, clocks)
+        finally:
+            obs.end(token, sim=self._now,
+                    deltas=self.delta_count - deltas,
+                    process_runs=self.process_runs - runs,
+                    **({"leapt": leapt} if clocks else {}))
+        return leapt
+
     def _run(self, t_end: Optional[int], clocks=()) -> int:
         """The run loop: settle, then advance to the earliest timed
         notification, until none is due by *t_end* (None: until none
-        is left).  A lone free-running clock edge is applied inline
-        (:meth:`_clock_edge`); with *clocks*, quiet stretches of their
+        is left).  Free-running clock edges with nothing else due at
+        their timestamps are applied inline, a run at a time
+        (:meth:`_clock_edges`); with *clocks*, quiet stretches of their
         edges are leapt.  Returns the number of edges leapt."""
         self.elaborate()
+        horizon = math.inf if t_end is None else t_end
         leapt = 0
         deltas = 0
         self._stop_requested = False
@@ -278,7 +286,7 @@ class Simulator:
                 if self._stop_requested:
                     break
                 entry = self._peek_timed()
-                if entry is None or (t_end is not None and entry[0] > t_end):
+                if entry is None or entry[0] > horizon:
                     break
                 when, _seq, event = entry
                 if clocks:
@@ -288,12 +296,13 @@ class Simulator:
                         continue
                 clock = event._clock
                 if clock is not None and clock._free_running():
-                    queue = self._timed_queue
-                    heapq.heappop(queue)
-                    if queue and queue[0][0] == when:
-                        self._peek_timed()  # drop stale entries at *when*
-                    if not queue or queue[0][0] != when:
-                        self._clock_edge(clock, when)
+                    heapq.heappop(self._timed_queue)
+                    head = self._peek_timed()
+                    if head is None or head[0] != when:
+                        # Run edges up to just before the next foreign
+                        # notification: coincident ones keep heap order.
+                        self._clock_edges(clock, when, horizon if head is None
+                                          else min(horizon, head[0] - 1))
                         deltas = 1
                         continue
                     # Not alone: the tick heads its timestamp, so fire
@@ -309,27 +318,55 @@ class Simulator:
             self._running = False
         return leapt
 
-    def _clock_edge(self, clock, when: int) -> None:
-        """Apply *clock*'s edge at *when* inline: what firing its tick
-        and running the toggle process's delta would do, with the same
-        counters, the same heap push for the re-armed tick, the same
-        signal commit (edge events, observers) and the delta-notify
-        phase.  Processes the edge wakes run in the next delta."""
-        self._now = when
-        self.delta_count += 1
-        self.process_runs += 1
-        clock._toggle_proc.activations += 1
-        level, delay = clock._edge()
-        tick = clock._tick
-        when += delay
-        tick._pending_time = when
-        self._seq += 1
-        heapq.heappush(self._timed_queue, (when, self._seq, tick))
+    def _clock_edges(self, clock, when: int, until) -> None:
+        """Apply a run of *clock*'s edges inline, the first at *when*
+        and each next one while it lands by *until*: per edge, what
+        firing its tick and running the toggle process's delta would
+        do, with the same counters and the same signal commit (edge
+        events, observers).
+
+        The run ends after an edge that leaves delta notifications
+        (the delta-notify phase then runs; processes they wake run in
+        the next delta).  Nothing else can act during a run: no process
+        runs, so none can stop the kernel, wait on the tick or notify
+        an event.  Only an observer could, so a clock whose signal is
+        observed gets a run of one edge.
+
+        The re-armed tick is pushed once, when the run ends: before the
+        last edge's commit when that edge is known to be the last (an
+        observer's timed notification then lands behind it, as after a
+        per-edge push), else after it.  No other entry is pushed during
+        a run, so heap order is the same as edge by edge."""
         signal = clock.signal
-        signal._next = level
-        signal._update()
-        if self._delta_events:
-            self._fire_delta_events()
+        if signal._observers:
+            until = when
+        tick = clock._tick
+        proc = clock._toggle_proc
+        gaps = clock._gaps
+        while True:
+            self._now = when
+            self.delta_count += 1
+            self.process_runs += 1
+            proc.activations += 1
+            # The toggle process's edge (Clock._toggle), inline.
+            level = not signal._current
+            if level:
+                clock.cycles += 1
+            when += gaps[level]
+            last = when > until
+            if last:
+                tick._pending_time = when
+                self._schedule_timed_notification(tick, when)
+            signal._next = level
+            signal._update()
+            if self._delta_events:
+                break
+            if last:
+                return
+        if not last:
+            tick._pending_time = when
+            self._schedule_timed_notification(tick, when)
+        self._fire_delta_events()
 
     def _leap(self, clocks, t_end: int) -> int:
         """Leap the first of *clocks* with a quiet stretch ahead."""

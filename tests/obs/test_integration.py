@@ -116,6 +116,30 @@ class TestInprocTracing:
 
 
 # ----------------------------------------------------------------------
+# Speculation's catch-up windows leap, and still trace the simkernel
+# ----------------------------------------------------------------------
+class TestLeapingTracing:
+    def test_every_simulate_span_has_a_simkernel_child(self):
+        config = CosimConfig(t_sync=1000, speculation_depth=4,
+                             tracing=TracingConfig(enabled=True))
+        cosim = build_router_cosim(
+            config, small_workload(packets_per_producer=2,
+                                   interval_cycles=8000))
+        cosim.run(max_cycles=30_000, await_drain=False)
+        spans = cosim.session.obs.spans
+        kernel_spans = {s.parent: s for s in spans if s.cat == "simkernel"}
+        simulates = [s for s in spans
+                     if s.cat == "master" and s.name == "simulate"]
+        catchups = [s for s in simulates if s.attrs.get("catchup")]
+        assert catchups and any(s.attrs["leapt"] for s in catchups)
+        for span in simulates:
+            child = kernel_spans[span.sid]
+            assert child.name == "run_until"
+            assert child.attrs["deltas"] == span.attrs["deltas"]
+            assert child.attrs.get("leapt") == span.attrs.get("leapt")
+
+
+# ----------------------------------------------------------------------
 # Fault injection shows up as span events
 # ----------------------------------------------------------------------
 class TestFaultTracing:

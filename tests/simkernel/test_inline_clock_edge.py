@@ -1,9 +1,10 @@
-"""The kernel's inline clock edge against the generic per-edge path.
+"""The kernel's inline clock edges against the generic per-edge path.
 
-A lone, free-running clock edge is applied by the run loop itself
-(``Simulator._clock_edge``) instead of by firing the tick and running
-the clock's toggle process.  Clearing the tick's back-reference to its
-clock (``clock._tick._clock = None``) sends every edge down the generic
+A lone, free-running clock edge is applied by the run loop itself,
+together with the quiet edges after it (``Simulator._clock_edges``),
+instead of by firing the tick and running the clock's toggle process.
+Clearing the tick's back-reference to its clock
+(``clock._tick._clock = None``) sends every edge down the generic
 path, which is the reference here: both runs of the same generated
 netlist must agree on the snapshot tree, the counters, the activation
 order and the observer calls at every ``run_until`` boundary.
@@ -22,30 +23,43 @@ clock_specs = st.tuples(
     st.integers(min_value=0, max_value=6),          # start time (ns)
 )
 
-netlists = st.fixed_dictionaries({
-    "clocks": st.lists(clock_specs, min_size=1, max_size=2),
-    # (clock, edge, park after this many activations or never)
-    "methods": st.lists(
-        st.tuples(st.integers(0, 1),
-                  st.sampled_from(["pos", "neg", "changed"]),
-                  st.one_of(st.none(), st.integers(1, 12))),
-        max_size=3),
-    # (clock, posedges to wait for dynamically, then one timed wait)
-    "edge_thread": st.one_of(
-        st.none(), st.tuples(st.integers(0, 1), st.integers(1, 8),
-                             st.integers(1, 9))),
-    "timed_waits": st.lists(st.integers(1, 12), max_size=6),
-    # (clock, action, act on every k-th call)
-    "observer": st.one_of(
-        st.none(),
-        st.tuples(st.integers(0, 1),
-                  st.sampled_from(["log", "stop", "notify", "notify_delta",
-                                   "notify_timed", "write"]),
-                  st.integers(1, 9))),
-    "boundaries": st.lists(st.integers(1, 40), min_size=1, max_size=5),
-    "snapshot_at": st.one_of(st.none(), st.integers(0, 4)),
-    "leaping": st.booleans(),
-})
+
+def _netlists(steps, quiet: bool = False):
+    """Generated netlists run to ``run_until`` boundaries *steps* ns
+    apart.  *quiet* ones have long quiet stretches: one clock, every
+    clocked method parks, and nothing is leapt."""
+    park_after = st.integers(1, 12)
+    if not quiet:
+        park_after = st.one_of(st.none(), park_after)
+    return st.fixed_dictionaries({
+        "clocks": st.lists(clock_specs, min_size=1,
+                           max_size=1 if quiet else 2),
+        # (clock, edge, park after this many activations or never)
+        "methods": st.lists(
+            st.tuples(st.integers(0, 1),
+                      st.sampled_from(["pos", "neg", "changed"]),
+                      park_after),
+            max_size=3),
+        # (clock, posedges to wait for dynamically, then one timed wait)
+        "edge_thread": st.one_of(
+            st.none(), st.tuples(st.integers(0, 1), st.integers(1, 8),
+                                 st.integers(1, 9))),
+        "timed_waits": st.lists(st.integers(1, 12), max_size=6),
+        # (clock, action, act on every k-th call)
+        "observer": st.one_of(
+            st.none(),
+            st.tuples(st.integers(0, 1),
+                      st.sampled_from(["log", "stop", "notify",
+                                       "notify_delta", "notify_timed",
+                                       "write"]),
+                      st.integers(1, 9))),
+        "boundaries": st.lists(steps, min_size=1, max_size=5),
+        "snapshot_at": st.one_of(st.none(), st.integers(0, 4)),
+        "leaping": st.just(False) if quiet else st.booleans(),
+    })
+
+
+netlists = _netlists(st.integers(1, 40))
 
 
 class _Design:
@@ -241,16 +255,39 @@ class TestInlineEdgeMatchesGenericPath:
         for inline, generic in _run_both(spec):
             assert inline == generic
 
+    @pytest.mark.slow
+    @given(_netlists(st.integers(40, 400), quiet=True))
+    @settings(max_examples=300, deadline=None)
+    def test_states_agree_across_long_quiet_stretches(self, spec):
+        # Boundaries 40-400 ns apart: runs of dozens of edges.
+        for inline, generic in _run_both(spec):
+            assert inline == generic
+
+
+def _record_runs(sim, sink):
+    """Pass *sink* the edge times of every run of edges the kernel
+    applies inline (``Simulator._clock_edges``): a run starts at
+    *when*, and the toggle activations it adds say how many edges it
+    applied."""
+    original = sim._clock_edges
+
+    def recorded(clock, when, until):
+        level = clock.signal._current
+        before = clock._toggle_proc.activations
+        original(clock, when, until)
+        edges = []
+        for _ in range(clock._toggle_proc.activations - before):
+            edges.append(when)
+            level = not level
+            when += clock._gaps[level]
+        sink(edges)
+
+    sim._clock_edges = recorded
+
 
 def _count_inline_edges(sim):
     calls = []
-    original = sim._clock_edge
-
-    def counted(clock, when):
-        calls.append(when)
-        original(clock, when)
-
-    sim._clock_edge = counted
+    _record_runs(sim, calls.extend)
     return calls
 
 
@@ -301,6 +338,128 @@ class TestSeam:
         sim.run_until(ns(30))
         assert woken == [ns(10)]
         assert ns(10) not in calls and len(calls) == 4
+
+
+class TestEdgeRuns:
+    """Where a run of inline edges starts and stops."""
+
+    @staticmethod
+    def _clocked(generic=False):
+        sim = Simulator()
+        clock = Clock(sim, "clk", period=ns(10), start_time=ns(10))
+        if generic:
+            clock._tick._clock = None
+        return sim, clock
+
+    def test_run_stops_one_edge_before_a_coincident_notification(self):
+        sim, clock = self._clocked()
+        other = Event(sim, "other")
+        runs = []
+        _record_runs(sim, runs.append)
+        sim.elaborate()
+        other.notify(ns(30))
+        sim.run_until(ns(50))
+        # The 30 ns edge shares its timestamp with *other*: generic.
+        assert runs == [[ns(10), ns(15), ns(20), ns(25)],
+                        [ns(35), ns(40), ns(45), ns(50)]]
+        assert clock.cycles == 5 and clock._toggle_proc.activations == 9
+
+    def test_run_until_an_edge_time_applies_that_edge_only(self):
+        sim, clock = self._clocked()
+        runs = []
+        _record_runs(sim, runs.append)
+        sim.run_until(ns(35))
+        assert runs == [[ns(10), ns(15), ns(20), ns(25), ns(30), ns(35)]]
+        assert sim.now == ns(35) and clock.cycles == 3
+        assert not clock.read()  # the 35 ns falling edge committed
+        assert clock._tick._pending_time == ns(40)
+        assert sim.delta_count == 6 and sim.process_runs == 6
+        assert clock.signal.change_count == 6
+        sim.run_until(ns(40))
+        assert runs[-1] == [ns(40)] and clock.cycles == 4
+
+    @pytest.mark.parametrize("generic", [False, True])
+    def test_dynamic_posedge_waiter_wakes_on_the_next_rising_edge(
+            self, generic):
+        sim, clock = self._clocked(generic)
+        woken = []
+
+        class Waiter(Module):
+            def __init__(self, sim, name):
+                super().__init__(sim, name)
+                self.thread(self._run)
+
+            def _run(self):
+                yield ns(23)
+                for _ in range(2):
+                    yield clock.posedge
+                    woken.append((sim.now, clock.cycles))
+
+        Waiter(sim, "waiter")
+        runs = []
+        _record_runs(sim, runs.append)
+        sim.run_until(ns(100))
+        assert woken == [(ns(30), 3), (ns(40), 4)]
+        assert clock.cycles == 10
+        if not generic:
+            # Each wake-up ends its run; the rest of the edges run on.
+            assert runs == [[ns(10), ns(15), ns(20)], [ns(25), ns(30)],
+                            [ns(35), ns(40)],
+                            [ns(45) + i * ns(5) for i in range(12)]]
+
+    def test_observer_stop_ends_the_run_at_that_edge(self):
+        sim, clock = self._clocked()
+        seen = []
+
+        def observer(signal, old, new):
+            seen.append(sim.now)
+            if len(seen) == 3:
+                sim.stop()
+
+        clock.signal.observe(observer)
+        runs = []
+        _record_runs(sim, runs.append)
+        sim.run_until(ns(100))
+        assert seen == [ns(10), ns(15), ns(20)]
+        assert runs == [[ns(10)], [ns(15)], [ns(20)]]
+        assert sim.now == ns(20) and clock.cycles == 2
+        assert clock._tick._pending_time == ns(25)
+
+    def test_restore_mid_stretch_resumes_bit_identically(self):
+        def design():
+            sim, clock = self._clocked()
+            woken = []
+
+            class Sleeper(Module):
+                def __init__(self, sim, name):
+                    super().__init__(sim, name)
+                    self.thread(self._run)
+
+                def _run(self):
+                    while True:
+                        yield ns(170)
+                        woken.append((sim.now, clock.cycles))
+
+            Sleeper(sim, "sleeper")
+            sim.settle()  # the sleeper's first wait
+            return sim, clock, woken
+
+        def state(sim, clock, woken):
+            return (sim.snapshot(), sim.now, sim.delta_count,
+                    sim.process_runs, clock.cycles, woken)
+
+        sim, clock, woken = design()
+        sim.run_until(ns(73))  # between the 70 and 75 ns edges
+        snap = sim.snapshot()
+        sim.run_until(ns(400))
+        straight = state(sim, clock, woken)
+        resumed = design()
+        resumed[0].restore(snap)
+        resumed[0].run_until(ns(400))
+        assert state(*resumed) == straight
+        # The sleeper's entries predate the tick's, so at a shared
+        # timestamp it runs in the toggle's delta, before the edge.
+        assert straight[-1] == [(ns(170), 16), (ns(340), 33)]
 
 
 def _overflows(max_deltas: int, generic: bool) -> bool:

@@ -69,6 +69,15 @@ class TestRunControl:
         event.notify(ns(5))
         assert sim.pending_activity
 
+    def test_cancelled_notification_is_not_pending_activity(self):
+        # Cancellation is lazy: the heap keeps the stale entry.
+        sim = Simulator()
+        event = Event(sim, "e")
+        event.notify(ns(5))
+        event.cancel()
+        assert not sim.pending_activity
+        assert sim.time_of_next_activity() is None
+
     def test_time_of_next_activity(self):
         sim = Simulator()
         event = Event(sim, "e")
