@@ -131,7 +131,7 @@ def test_measured_overhead_declines(macro_benchmark, benchmark, quick,
             workload = RouterWorkload(packets_per_producer=2 if quick else 5,
                                       interval_cycles=200,
                                       corrupt_rate=0.0)
-            cosim = build_router_cosim(config, workload, mode="queue")
+            cosim = build_router_cosim(config, workload, mode="tcp")
             metrics = cosim.run()
             rows.append((t_sync, metrics.wall_seconds,
                          metrics.sync_exchanges))
@@ -139,7 +139,7 @@ def test_measured_overhead_declines(macro_benchmark, benchmark, quick,
 
     rows = macro_benchmark(run)
     bench.series("measured_overhead", work=len(sweep), unit="runs")
-    emit("\n== measured wall time vs T_sync (queue link, 2 ms network) ==")
+    emit("\n== measured wall time vs T_sync (TCP link, 2 ms network) ==")
     emit(format_table(["T_sync", "wall [s]", "sync exchanges"],
                       [[t, f"{w:.3f}", s] for t, w, s in rows]))
     walls = [w for _, w, _ in rows]

@@ -8,7 +8,7 @@ even on one CPU core.
 
 The standard workload mix is what a multi-tenant farm actually sees:
 
-* **latency-bound** jobs — queue-transport router sessions with the
+* **latency-bound** jobs — in-process router sessions with the
   emulated board/network response delay of the paper's physical setup
   (one sleep per synchronization window, ~15 ms x ~11 windows), where
   the wall clock is idle waiting;
@@ -31,9 +31,9 @@ from repro.farm import Farm, Job, TenantQuota
 
 POOL_SIZES = (1, 2, 4)
 
-#: Queue-mode session dominated by the emulated network delay.
+#: In-process session dominated by the emulated network delay.
 LATENCY_PAYLOAD = {
-    "mode": "queue",
+    "mode": "inproc",
     "t_sync": 50,
     "packets_per_producer": 2,
     "interval_cycles": 200,

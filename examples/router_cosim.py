@@ -8,8 +8,8 @@ by destination address to the consumers.
 
 Run:  python examples/router_cosim.py [T_SYNC] [PACKETS] [MODE]
 
-MODE is "inproc" (deterministic, default), "queue" or "tcp" (threaded,
-measured wall-clock).
+MODE is "inproc" (deterministic, default) or "tcp" (threaded, measured
+wall-clock).
 """
 
 import sys

@@ -3,7 +3,8 @@
 The modeled overhead figures use
 :class:`~repro.transport.latency.WallCostModel` constants calibrated to
 the paper's 2005 testbed.  This module re-fits those constants to *this
-machine*: run the threaded session at several ``T_sync`` values, record
+machine*: run the session over the TCP link (the one link with a
+measured wall clock) at several ``T_sync`` values, record
 (sync exchanges, simulated cycles, messages) against measured wall
 seconds, and solve the least-squares system
 
@@ -23,7 +24,7 @@ import numpy as np
 
 from repro.cosim.config import CosimConfig
 from repro.errors import ReproError
-from repro.router.testbench import QUEUE, RouterWorkload, build_router_cosim
+from repro.router.testbench import TCP, RouterWorkload, build_router_cosim
 from repro.transport.latency import WallCostModel
 
 
@@ -100,10 +101,9 @@ def measure_samples(
     t_sync_values: Sequence[int],
     workload: Optional[RouterWorkload] = None,
     config: Optional[CosimConfig] = None,
-    mode: str = QUEUE,
     repeats: int = 1,
 ) -> List[CalibrationSample]:
-    """Run the threaded session and collect calibration samples."""
+    """Run the session over TCP and collect calibration samples."""
     base = config or CosimConfig()
     workload = workload or RouterWorkload(packets_per_producer=5,
                                           interval_cycles=300,
@@ -112,14 +112,14 @@ def measure_samples(
     for t_sync in t_sync_values:
         for _ in range(repeats):
             cosim = build_router_cosim(replace(base, t_sync=t_sync),
-                                       workload, mode=mode)
+                                       workload, mode=TCP)
             metrics = cosim.run()
             samples.append(CalibrationSample(
                 t_sync=t_sync,
                 sync_exchanges=metrics.sync_exchanges,
                 master_cycles=metrics.master_cycles,
                 messages=metrics.messages_total,
-                wall_seconds=metrics.wall_seconds or 0.0,
+                wall_seconds=metrics.wall_seconds,
             ))
     return samples
 
@@ -127,10 +127,8 @@ def measure_samples(
 def calibrate(
     t_sync_values: Sequence[int] = (10, 50, 200, 1000),
     workload: Optional[RouterWorkload] = None,
-    mode: str = QUEUE,
     repeats: int = 2,
 ) -> CalibrationResult:
     """Measure then fit, in one call."""
-    samples = measure_samples(t_sync_values, workload, mode=mode,
-                              repeats=repeats)
+    samples = measure_samples(t_sync_values, workload, repeats=repeats)
     return fit_samples(samples)

@@ -2,7 +2,7 @@
 
 ::
 
-    repro run [--t-sync N] [--packets N] [--mode inproc|queue|tcp]
+    repro run [--t-sync N] [--packets N] [--mode inproc|tcp]
               [--adaptive]          # run the router case study
     repro explore [--t-sync-values ...]   # overhead/accuracy trade-off
     repro figures [--fast]                # regenerate Figs. 5-7 tables
@@ -725,7 +725,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--interval", type=int, default=1000)
     run.add_argument("--buffer", type=int, default=20)
     run.add_argument("--corrupt-rate", type=float, default=0.05)
-    run.add_argument("--mode", choices=["inproc", "queue", "tcp"],
+    run.add_argument("--mode", choices=["inproc", "tcp"],
                      default="inproc")
     run.add_argument("--adaptive", action="store_true",
                      help="use the adaptive synchronization controller")
@@ -792,7 +792,7 @@ def build_parser() -> argparse.ArgumentParser:
     record.add_argument("out", metavar="OUT.json",
                         help="recording file to write")
     add_workload_args(record)
-    record.add_argument("--mode", choices=["inproc", "queue", "tcp"],
+    record.add_argument("--mode", choices=["inproc", "tcp"],
                         default="inproc")
     record.add_argument("--trace", metavar="FILE.csv",
                         help="also write the live per-window trace")
@@ -855,7 +855,7 @@ def build_parser() -> argparse.ArgumentParser:
                            "round-robin)")
     fuzz.add_argument("--backends", nargs="+", metavar="NAME",
                       help="restrict to these backends (e.g. inproc rerun "
-                           "replay queue tcp); each scenario keeps its "
+                           "replay tcp); each scenario keeps its "
                            "reference backend")
     fuzz.add_argument("--no-shrink", dest="shrink", action="store_false",
                       help="report failures without minimizing them")
@@ -1016,7 +1016,7 @@ def build_parser() -> argparse.ArgumentParser:
     profile.add_argument("app", nargs="?", default="router",
                          help="application to profile (default: router)")
     add_workload_args(profile)
-    profile.add_argument("--mode", choices=["inproc", "queue", "tcp"],
+    profile.add_argument("--mode", choices=["inproc", "tcp"],
                          default="inproc")
     profile.add_argument("--format", choices=["chrome", "csv", "text"],
                          default="chrome",

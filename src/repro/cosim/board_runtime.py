@@ -13,8 +13,12 @@ One window body serves every link, in two drivers:
 * :meth:`serve_window` — the session calls it once per window
   (in-process links, and replay);
 * :meth:`serve_forever` — a blocking loop driven by the CLOCK port,
-  run in its own OS thread against a queue or TCP link until a
-  shutdown grant arrives.
+  run in its own OS thread against a TCP link until a shutdown grant
+  arrives.
+
+Either way the board waits ``config.emulated_network_delay_s`` before
+each time report, emulating the paper's Ethernet and physical-board
+latency.
 """
 
 from __future__ import annotations
@@ -118,7 +122,7 @@ class CosimBoardRuntime:
 
     def serve_forever(self, grant_timeout_s: float = 60.0) -> None:
         """Serve every grant of the CLOCK port until a shutdown grant:
-        a board thread's loop on queue and TCP links.
+        a board thread's loop on a TCP link.
 
         With a TCP endpoint the grant wait is heartbeat-probed:
         a dead master is detected within the configured liveness window
@@ -142,12 +146,12 @@ class CosimBoardRuntime:
             if is_shutdown(grant):
                 self.fsm.step("recv_shutdown")
                 return
-            self._serve(grant, self.config.emulated_network_delay_s)
+            self._serve(grant)
 
-    def _serve(self, grant, report_delay_s: float = 0.0) -> None:
+    def _serve(self, grant) -> None:
         """The one window body: accept *grant*, thaw, schedule the
         window's interrupts, run its ticks, freeze, and report after
-        *report_delay_s* of emulated network latency."""
+        the emulated network delay."""
         self.fsm.step("recv_grant")
         ticks = self.protocol.accept_grant(grant)
         kernel = self.board.kernel
@@ -170,7 +174,7 @@ class CosimBoardRuntime:
                              interrupts=scheduled)
         self.fsm.step("window_done")
         self.windows_served += 1
-        if report_delay_s > 0:
-            time.sleep(report_delay_s)
+        if self.config.emulated_network_delay_s > 0:
+            time.sleep(self.config.emulated_network_delay_s)
         self.fsm.step("send_report")
         self.endpoint.send_report(self.protocol.make_report(kernel.sw_ticks))

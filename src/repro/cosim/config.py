@@ -43,9 +43,9 @@ class CosimConfig:
     #: The deadline is refreshed whenever the board shows life (DATA
     #: traffic), so it bounds *silence*, not total window duration.
     report_timeout_s: float = 60.0
-    #: Extra wall delay the board adds before each time report in
-    #: threaded sessions, emulating the Ethernet + physical-board
-    #: response latency of the paper's setup (0 = localhost only).
+    #: Extra wall delay the board adds before each time report, on
+    #: every link, emulating the Ethernet + physical-board response
+    #: latency of the paper's setup (0 = no added delay).
     emulated_network_delay_s: float = 0.0
     #: Reconnect, heartbeat and resync knobs of the TCP transport.  A
     #: TCP session refuses a liveness window (heartbeat interval x

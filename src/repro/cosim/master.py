@@ -355,7 +355,7 @@ class CosimMaster:
 
     def run_window_threaded(self, ticks: int, *endpoints,
                             reactive: bool = False) -> int:
-        """A window over threaded links (queue, TCP): the same
+        """A window over threaded (TCP) links: the same
         :meth:`run_window_inproc`, then serve every board's DATA port
         until all of them have reported (one endpoint per board;
         default: the primary), then :meth:`finish_window_inproc`.

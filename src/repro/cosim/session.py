@@ -18,10 +18,13 @@ chosen from the session's features (see :mod:`repro.cosim.compat`):
     master and boards interleaved window by window in one thread; the
     session points each link's ``data_server`` at the master.
     Wall-clock cost is *modeled* (calibrated cost model).
-  * queue and TCP links — each board runtime runs in its own OS thread,
-    as in the paper's physical setup, from the first window until
-    :meth:`CosimSession.close`.  Wall-clock cost is *measured*
-    (Figures 5 and 6).
+  * TCP links (:class:`~repro.transport.tcp.TcpLink`) — each board
+    runtime runs in its own OS thread, as in the paper's physical
+    setup, from the first window until :meth:`CosimSession.close`.
+    Wall-clock cost is *measured* (Figures 5 and 6).  An error a board
+    thread raises is kept on its :class:`BoardSlot` and raised in the
+    caller's thread by :meth:`CosimSession.close`, or as the context of
+    the error that ends a failed :meth:`CosimSession.run`.
 
   One session never mixes the two.
 
@@ -76,7 +79,19 @@ class BoardSlot:
         #: The board's thread on a threaded link, serving from the
         #: session's first window until it closes.
         self.thread = None
+        #: The exception that ended the board thread, if one did; the
+        #: session raises it in its caller's thread.
+        self.error: Optional[BaseException] = None
         self._closed = False
+
+    def serve(self, grant_timeout_s: float) -> None:
+        """The board thread's body: serve every grant until shutdown,
+        keeping an error for the session instead of letting it escape
+        the thread."""
+        try:
+            self.runtime.serve_forever(grant_timeout_s)
+        except BaseException as exc:  # noqa: BLE001 - handed to the session
+            self.error = exc
 
     def close(self) -> None:
         """Close the link and the runtime's endpoint (which may wrap the
@@ -286,8 +301,14 @@ class CosimSession:
     def close(self) -> None:
         """Stop the board threads, if any — a shutdown grant each, then
         a join — and release transport resources on both ends of every
-        link.  Raises :class:`ProtocolError` if a board thread does not
-        stop."""
+        link.  Raises the error a board thread ended with, or
+        :class:`ProtocolError` if a board thread does not stop."""
+        error = self._stop_boards()
+        if error is not None:
+            raise error
+
+    def _stop_boards(self) -> Optional[BaseException]:
+        """:meth:`close`, returning the error it would raise."""
         threads = [slot.thread for slot in self.slots if slot.thread]
         for slot in self.slots:
             slot.thread = None
@@ -310,7 +331,12 @@ class CosimSession:
         for thread in threads:
             thread.join(timeout=1.0)
         if any(thread.is_alive() for thread in threads):
-            raise ProtocolError("board runtime failed to shut down")
+            return ProtocolError("board runtime failed to shut down")
+        # Taken, so that closing again raises nothing.
+        error = next((slot.error for slot in self.slots if slot.error), None)
+        for slot in self.slots:
+            slot.error = None
+        return error
 
     # ------------------------------------------------------------------
     # The window loop
@@ -485,14 +511,15 @@ class CosimSession:
         """The boards' side of one run.  In-process links need nothing.
         Threaded links: start every board thread at the session's first
         window (they serve every run until :meth:`close`), and close
-        the session when a run fails."""
+        the session when a run fails, with a board thread's error as the
+        context of the run's."""
         if not self.threaded:
             yield
             return
         for slot in self.slots:
             if slot.thread is None:
                 slot.thread = threading.Thread(
-                    target=slot.runtime.serve_forever,
+                    target=slot.serve,
                     kwargs={"grant_timeout_s": self.config.report_timeout_s},
                     name=("cosim-board" if len(self.slots) == 1
                           else f"cosim-board-{slot.name}"),
@@ -502,11 +529,16 @@ class CosimSession:
         start = time.perf_counter()
         try:
             yield
-        except BaseException:
+        except BaseException as failure:
             # Stop the board threads and release the sockets, without
             # masking the error that ended the run.
+            error = None
             with contextlib.suppress(Exception):
-                self.close()
+                error = self._stop_boards()
+            if error is not None:
+                while failure.__context__ is not None:
+                    failure = failure.__context__
+                failure.__context__ = error
             raise
         finally:
             metrics.wall_seconds = time.perf_counter() - start

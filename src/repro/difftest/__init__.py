@@ -1,7 +1,7 @@
 """Differential co-simulation fuzzing.
 
 Seed-driven generation of random-but-valid workloads, executed through
-multiple backends (in-process, rerun, record/replay, queue, TCP, ISS
+multiple backends (in-process, rerun, record/replay, TCP, ISS
 timing models, adaptive windows, multi-board), with equivalence oracles
 between them and greedy shrinking of failing workloads down to a
 replayable ``repro-recording/1`` artifact.

@@ -44,19 +44,15 @@ from repro.router.testbench import (
 )
 from repro.rtos.kernel import IDLE
 from repro.transport.inproc import InprocLink
-from repro.transport.queues import QueueLink
+from repro.transport.tcp import TcpLink
 
 #: Backends per scenario; the first entry is the reference backend.
 SCENARIO_BACKENDS: Dict[str, List[str]] = {
-    "router": ["inproc", "rerun", "replay", "optimistic", "fmu", "queue",
-               "tcp"],
+    "router": ["inproc", "rerun", "replay", "optimistic", "fmu", "tcp"],
     "iss": ["iss-default", "iss-unit"],
     "adaptive": ["adaptive", "adaptive-rerun"],
     "multiboard": ["multi-inproc", "multi-threaded"],
 }
-
-#: Backends excluded unless explicitly requested (slow: real sockets).
-OPTIONAL_BACKENDS = {"tcp"}
 
 
 def check_backends(requested: List[str]) -> None:
@@ -77,11 +73,11 @@ def scenario_backends(scenario: str,
 
     With *requested*, keeps its order but drops names the scenario does
     not support; the scenario's reference backend is always included.
-    Without it, returns the default set minus :data:`OPTIONAL_BACKENDS`.
+    Without it, returns every backend of the scenario.
     """
     known = SCENARIO_BACKENDS[scenario]
     if requested is None:
-        return [b for b in known if b not in OPTIONAL_BACKENDS]
+        return list(known)
     picked = [b for b in known if b in requested]
     if known[0] not in picked:
         picked.insert(0, known[0])
@@ -105,11 +101,8 @@ class RunOutcome:
     trace_rows: List[List[int]] = field(default_factory=list)
     #: Workload statistics snapshot (router scenarios).
     stats: Dict[str, Any] = field(default_factory=dict)
-    #: Digest of the final state tree; comparable only between
-    #: *deterministic* outcomes.
+    #: Digest of the final state tree.
     digest: Optional[str] = None
-    #: Bit-determinism holds: same spec => same digest and trace.
-    deterministic: bool = False
     #: Non-final windows must be exactly ``spec.t_sync`` ticks.
     fixed_windows: bool = True
     #: The message-stream recording (reference backend only).
@@ -128,8 +121,7 @@ def run_backend(spec: FuzzSpec, backend: str,
     a finding rather than an abort of the whole fuzz loop.
     """
     try:
-        if backend in ("inproc", "rerun", "optimistic", "fmu", "queue",
-                       "tcp"):
+        if backend in ("inproc", "rerun", "optimistic", "fmu", "tcp"):
             return _run_router(spec, backend)
         if backend == "replay":
             return _run_replay(spec, recording)
@@ -149,7 +141,7 @@ def run_backend(spec: FuzzSpec, backend: str,
 # Router scenario
 # ----------------------------------------------------------------------
 def _run_router(spec: FuzzSpec, backend: str) -> RunOutcome:
-    mode = backend if backend in ("queue", "tcp") else "inproc"
+    mode = "tcp" if backend == "tcp" else "inproc"
     # The fmu backend mounts the behavioral-router plugin, a clean-room
     # model of the router netlist, through the FMI-style boundary
     # (repro.fmi): holding its digest and trace rows to the inproc
@@ -207,9 +199,6 @@ def _run_router(spec: FuzzSpec, backend: str) -> RunOutcome:
         trace_rows=(list(recording.trace_rows) if record
                     else [r.as_row() for r in trace.records]),
         stats=cosim.stats.snapshot(),
-        # Every link runs the same window order, so every mode is
-        # bit-deterministic.
-        deterministic=True,
         digest=state_digest({
             "board": board_state_summary(cosim.runtime.board),
             "stats": cosim.stats.snapshot(),
@@ -241,7 +230,6 @@ def _run_replay(spec: FuzzSpec,
         board_ticks=result.board_summary["board_ticks"],
         state_switches=result.board_summary["state_switches"],
         trace_rows=trace_rows,
-        deterministic=True,
         digest=state_digest({
             "board": result.board_summary,
             "stats": recording.final.get("stats", {}),
@@ -277,7 +265,6 @@ def _run_iss(spec: FuzzSpec, backend: str) -> RunOutcome:
             for addr in range(*_ISS_DIGEST_SPAN)]
     return RunOutcome(
         backend=backend,
-        deterministic=True,
         # Architectural state only: cycle counts legitimately differ
         # between timing models, so they stay out of the digest.
         digest=state_digest({
@@ -333,7 +320,6 @@ def _run_adaptive(spec: FuzzSpec, backend: str) -> RunOutcome:
         aligned=metrics.master_cycles == kernel.sw_ticks,
         trace_rows=[r.as_row() for r in trace.records],
         stats=cosim.stats.snapshot(),
-        deterministic=True,
         fixed_windows=False,
         digest=state_digest({
             "board": board_state_summary(cosim.runtime.board),
@@ -366,7 +352,7 @@ def _run_multiboard(spec: FuzzSpec, backend: str) -> RunOutcome:
     accel = ChecksumAccelerator(sim, "accel", clock)
     accel.map_registers(sim, _ACCEL_BASE)
 
-    links = [QueueLink() if threaded else InprocLink()
+    links = [TcpLink(config.resilience) if threaded else InprocLink()
              for _ in range(spec.num_boards)]
     master = CosimMaster(sim, clock, links[0].master, config)
     master.bind_interrupt(_ACCEL_VECTOR, accel.done_irq,
@@ -403,7 +389,6 @@ def _run_multiboard(spec: FuzzSpec, backend: str) -> RunOutcome:
         board_ticks=metrics.board_ticks,
         state_switches=metrics.state_switches,
         aligned=session.aligned(),
-        deterministic=True,
         digest=state_digest({
             "boards": [board_state_summary(b) for b in boards],
             "csum": results.get("csum"),

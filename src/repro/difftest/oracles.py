@@ -7,10 +7,9 @@ Two tiers:
    exchange), the grant schedule (every non-final window is exactly
    ``T_sync`` ticks for fixed-window sessions), trace self-consistency,
    and workload-statistics conservation.
-2. **Deterministic equivalence** — backends that promise bit-identical
-   execution must agree with the reference on the full state digest and
-   every trace row.  Every backend promises it: in-process, rerun,
-   replay, plugin, queue and TCP links alike, since every link runs
+2. **Deterministic equivalence** — every backend must agree with the
+   reference on the full state digest and every trace row: in-process,
+   rerun, replay, plugin and TCP links alike, since every link runs
    windows in one order (the master simulates, then grants).
 
 Each failure is a :class:`Mismatch` carrying a stable ``oracle`` id —
@@ -20,7 +19,7 @@ the shrinker preserves the id while minimizing the workload.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from repro.difftest.backends import RunOutcome
 from repro.difftest.workload import FuzzSpec
@@ -165,8 +164,7 @@ def check_pair(spec: FuzzSpec, reference: RunOutcome,
                other: RunOutcome) -> List[Mismatch]:
     """Tier 2: compare *other* against the reference backend."""
     found: List[Mismatch] = []
-    if not (reference.ok and other.ok
-            and reference.deterministic and other.deterministic):
+    if not (reference.ok and other.ok):
         return found
     pair = f"{reference.backend} vs {other.backend}"
     if (reference.digest and other.digest
@@ -203,11 +201,7 @@ def run_oracles(spec: FuzzSpec,
     found: List[Mismatch] = []
     for outcome in outcomes.values():
         found.extend(check_outcome(spec, outcome))
-    reference: Optional[RunOutcome] = None
-    for outcome in outcomes.values():
-        if outcome.ok and outcome.deterministic:
-            reference = outcome
-            break
+    reference = next((o for o in outcomes.values() if o.ok), None)
     if reference is not None:
         for outcome in outcomes.values():
             if outcome is not reference:

@@ -159,8 +159,10 @@ class Job:
 
 
 #: Transports a hosted router job may request (no raw sockets from
-#: unvetted payloads; TCP mode stays an operator-side decision).
-_ROUTER_MODES = ("inproc", "queue")
+#: unvetted payloads; TCP mode stays an operator-side decision).  The
+#: board honours ``emulated_network_delay_s`` in-process too, so a
+#: latency-bound job needs no sockets.
+_ROUTER_MODES = ("inproc",)
 
 #: The small-job workload a hosted router job starts from; the
 #: payload's workload keys override it.

@@ -220,8 +220,8 @@ def restore_session(session, checkpoint: Checkpoint, strict: bool = True):
 
     Sessions the compatibility table refuses to restore raise
     :class:`SnapshotError`: multi-board snapshots cover one board.  Any
-    link restores: queue and TCP windows run in the same order as
-    in-process ones, so re-execution reproduces them bit for bit.
+    link restores: TCP windows run in the same order as in-process
+    ones, so re-execution reproduces them bit for bit.
     """
     if session.windows_completed != 0:
         raise SnapshotError(

@@ -1,7 +1,7 @@
 """Transport-layer recording of a live co-simulation session.
 
 :class:`RecordingBoardEndpoint` wraps the board side of any
-``BoardEndpoint`` (in-process, queue or TCP — faulty or not) and logs
+``BoardEndpoint`` (in-process or TCP — faulty or not) and logs
 the complete message stream the board actually observed:
 
 * every ``ClockGrant`` (CLOCK port, master -> board),

@@ -42,11 +42,9 @@ from repro.simkernel.clock import Clock
 from repro.simkernel.driver_ext import DriverSimulator
 from repro.transport.faults import FaultPlan, FaultyBoardEndpoint
 from repro.transport.inproc import InprocLink
-from repro.transport.queues import QueueLink
 from repro.transport.tcp import TcpLink
 
 INPROC = "inproc"
-QUEUE = "queue"
 TCP = "tcp"
 
 
@@ -288,7 +286,7 @@ def build_router_cosim(
 ) -> RouterCosim:
     """Assemble the complete case study on the chosen transport.
 
-    *mode* names the link: ``"inproc"``, ``"queue"`` or ``"tcp"``.  Pass
+    *mode* names the link: ``"inproc"`` or ``"tcp"``.  Pass
     an :class:`repro.cosim.adaptive.AdaptivePolicy` as *adaptive* (any
     link) to run with the feedback-controlled window size instead of a
     fixed ``T_sync``.  With ``iss_timing`` the
@@ -315,8 +313,6 @@ def build_router_cosim(
     # ------------------------------------------------------------------
     if mode == INPROC:
         link = InprocLink()
-    elif mode == QUEUE:
-        link = QueueLink()
     elif mode == TCP:
         link = TcpLink(config.resilience)
     else:

@@ -1,18 +1,17 @@
 """Remote IPC between the hardware simulator and the board.
 
 Three logical ports (DATA / INT / CLOCK, Section 5.1 of the paper) over
-three interchangeable carriers:
+two interchangeable carriers:
 
 * :class:`~repro.transport.inproc.InprocLink` — deterministic FIFOs,
   for reproducible accuracy experiments and tests;
-* :class:`~repro.transport.queues.QueueLink` — thread-safe queues, for
-  two-thread wall-clock runs without socket overhead;
 * :class:`~repro.transport.tcp.TcpLink` — real localhost TCP, as in
-  the paper, with reconnect, heartbeats and resync.
+  the paper, with reconnect, heartbeats and resync, for measured
+  wall-clock runs.
 
 Every link has the same shape: ``master`` and ``board`` endpoints, the
 shared ``stats`` and ``close()``.  A session steps in-process links
-window by window and gives every other link a board thread.
+window by window and gives a TCP link a board thread.
 """
 
 from repro.transport.channel import BoardEndpoint, LinkStats, MasterEndpoint
@@ -32,7 +31,6 @@ from repro.transport.messages import (
     Interrupt,
     TimeReport,
 )
-from repro.transport.queues import QueueLink
 from repro.transport.tcp import (
     ResilienceConfig,
     TcpBoard,
@@ -58,7 +56,6 @@ __all__ = [
     "Interrupt",
     "LinkStats",
     "MasterEndpoint",
-    "QueueLink",
     "ResilienceConfig",
     "TcpBoard",
     "TcpLink",

@@ -908,9 +908,9 @@ class TcpBoard(BoardEndpoint):
 class TcpLink:
     """Both ends of one board's three TCP connections, in one process.
 
-    The same shape as the in-process and queue links: ``master``,
-    ``board``, the shared ``stats`` and :meth:`close`.  The master
-    listens on three ephemeral localhost ports and the board dials them.
+    The same shape as the in-process link: ``master``, ``board``, the
+    shared ``stats`` and :meth:`close`.  The master listens on three
+    ephemeral localhost ports and the board dials them.
     """
 
     def __init__(self, config: Optional[ResilienceConfig] = None) -> None:

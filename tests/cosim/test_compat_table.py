@@ -29,7 +29,7 @@ from repro.errors import ProtocolError
 from repro.replay.checkpoint import Checkpointer
 from repro.transport.faults import FaultPlan, FaultyBoardEndpoint
 from repro.transport.inproc import InprocLink
-from repro.transport.queues import QueueLink
+from repro.transport.tcp import ResilienceConfig, TcpLink
 
 FEATURES = ("speculation", "adaptive", "fault", "threaded", "multiboard",
             "checkpointer", "tracing")
@@ -45,14 +45,15 @@ class Rig:
         threaded = "threaded" in self.features
         self.config = CosimConfig(
             t_sync=40, report_timeout_s=5.0,
+            resilience=ResilienceConfig(heartbeat_interval_s=0.1),
             speculation_depth=4 if "speculation" in self.features else 0,
             tracing=TracingConfig(enabled="tracing" in self.features))
         sim, clock = build_driver_sim("compat_hw", config=self.config)
         accel = ChecksumAccelerator(sim, "accel", clock)
         accel.map_registers(sim, 0x10)
         boards = 2 if "multiboard" in self.features else 1
-        links = [QueueLink() if threaded else InprocLink()
-                 for _ in range(boards)]
+        links = [TcpLink(self.config.resilience) if threaded
+                 else InprocLink() for _ in range(boards)]
         self.master = CosimMaster(sim, clock, links[0].master, self.config)
         self.master.bind_interrupt(2, accel.done_irq,
                                    endpoint=links[0].master)
@@ -82,20 +83,26 @@ class Rig:
     def assemble_and_run(self):
         """Build the session with every feature, then run it."""
         features = self.features
-        self.session = CosimSession(self.master, self.slots, self.config)
-        self.trace = ProtocolTrace()
-        self.session.attach_trace(self.trace)
-        if "adaptive" in features:
-            self.session.attach_adaptive(
-                AdaptivePolicy(min_t_sync=10, initial_t_sync=40,
-                               max_t_sync=160))
-        if "checkpointer" in features:
-            self.session.attach_checkpointer(Checkpointer(every=2))
         try:
+            self.session = CosimSession(self.master, self.slots,
+                                        self.config)
+            self.trace = ProtocolTrace()
+            self.session.attach_trace(self.trace)
+            if "adaptive" in features:
+                self.session.attach_adaptive(
+                    AdaptivePolicy(min_t_sync=10, initial_t_sync=40,
+                                   max_t_sync=160))
+            if "checkpointer" in features:
+                self.session.attach_checkpointer(Checkpointer(every=2))
             return self.session.run(max_cycles=MAX_CYCLES)
         finally:
-            # Threaded sessions keep their board threads until closed.
-            self.session.close()
+            # Threaded sessions keep their board threads until closed;
+            # a refused session still holds its links' sockets.
+            if self.session is None:
+                for slot in self.slots:
+                    slot.close()
+            else:
+                self.session.close()
 
 
 #: Features that legitimately change the window schedule or board set.

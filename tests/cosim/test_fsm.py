@@ -71,7 +71,7 @@ class TestRuntimeConsultsTables:
         assert cosim.runtime.fsm.state in BOARD_ACCEPTING
 
     def test_threaded_run_shuts_both_fsms_down(self):
-        cosim = build("queue")
+        cosim = build("tcp")
         cosim.run()
         # The threaded session drives the full shutdown handshake, so
         # both machines must land in their terminal phase.

@@ -90,23 +90,23 @@ class TestLatencyConfigurations:
 
 
 class TestTransportEquivalence:
-    def test_inproc_and_queue_agree_functionally(self):
+    def test_inproc_and_tcp_agree(self):
         """Different carriers, identical workload: the functional
-        outcome (who forwards, who drops on checksum) must agree.
-        Overflow drops may differ — interleaving differs — but not on
-        a workload comfortably inside the accuracy knee."""
+        outcome (who forwards, who drops on checksum) must agree, with
+        no overflow drops on a workload comfortably inside the accuracy
+        knee."""
         workload = small_workload()
         inproc = build_router_cosim(CosimConfig(t_sync=50), workload,
                                     mode="inproc")
         inproc.run()
-        queue = build_router_cosim(CosimConfig(t_sync=50), workload,
-                                   mode="queue")
-        queue.run()
-        assert inproc.stats.forwarded == queue.stats.forwarded
+        tcp = build_router_cosim(CosimConfig(t_sync=50), workload,
+                                 mode="tcp")
+        tcp.run()
+        assert inproc.stats.forwarded == tcp.stats.forwarded
         assert (inproc.stats.dropped_checksum
-                == queue.stats.dropped_checksum)
+                == tcp.stats.dropped_checksum)
         assert inproc.stats.dropped_overflow == 0
-        assert queue.stats.dropped_overflow == 0
+        assert tcp.stats.dropped_overflow == 0
 
     def test_payload_sizes(self):
         for payload in (0, 1, 63, 256):

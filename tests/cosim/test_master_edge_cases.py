@@ -6,7 +6,7 @@ import pytest
 from repro.cosim import CosimConfig, CosimMaster, build_driver_sim
 from repro.errors import ElaborationError, ProtocolError
 from repro.simkernel import DriverIn, Module, Signal, driver_process
-from repro.transport import InprocLink, QueueLink
+from repro.transport import InprocLink, TcpLink
 
 
 class Pulser(Module):
@@ -28,11 +28,15 @@ class Pulser(Module):
 class TestReportTimeout:
     def test_threaded_window_times_out_without_board(self):
         config = CosimConfig(t_sync=5, report_timeout_s=0.05)
-        link = QueueLink()
+        # Nothing serves the board end: no report ever comes back.
+        link = TcpLink()
         sim, clock = build_driver_sim("timeout_hw", config=config)
         master = CosimMaster(sim, clock, link.master, config)
-        with pytest.raises(ProtocolError, match="no time report"):
-            master.run_window_threaded(5)
+        try:
+            with pytest.raises(ProtocolError, match="no time report"):
+                master.run_window_threaded(5)
+        finally:
+            link.close()
 
 
 class TestMultiVectorBinding:

@@ -1,4 +1,4 @@
-"""Tests for multi-board co-simulation (in-process, queue and TCP)."""
+"""Tests for multi-board co-simulation (in-process and TCP)."""
 
 import pytest
 
@@ -19,8 +19,7 @@ from repro.devices import (
 )
 from repro.errors import ProtocolError
 from repro.router.checksum import checksum16
-from repro.transport import InprocLink, QueueLink
-from repro.transport.tcp import TcpLink
+from repro.transport import InprocLink, ResilienceConfig, TcpLink
 
 ACCEL_BASE, GPIO_BASE = 0x10, 0x30
 ACCEL_VECTOR, GPIO_VECTOR = 2, 4
@@ -29,8 +28,8 @@ ACCEL_VECTOR, GPIO_VECTOR = 2, 4
 class Rig:
     """One shared hardware model, two boards: board A drives the
     accelerator, board B watches the GPIO bank.  ``mode`` selects the
-    transport and session flavour: ``inproc`` (deterministic), ``queue``
-    or ``tcp`` (threaded board runtimes)."""
+    transport and session flavour: ``inproc`` (deterministic) or ``tcp``
+    (threaded board runtimes)."""
 
     def __init__(self, t_sync=25, mode="inproc", **config_kwargs):
         self.mode = mode
@@ -78,9 +77,7 @@ class Rig:
     def _make_link(self):
         if self.mode == "inproc":
             return InprocLink()
-        if self.mode == "queue":
-            return QueueLink()
-        return TcpLink()
+        return TcpLink(self.config.resilience)
 
     def close(self):
         session = getattr(self, "session", None)
@@ -208,10 +205,10 @@ def _run_checksum(rig, max_cycles=200):
 
 
 class TestMultiBoardThreaded:
-    """Satellite: socket/queue-backed multi-board sessions must keep the
-    same tick accounting as the deterministic in-process session."""
+    """Socket-backed multi-board sessions must keep the same tick
+    accounting as the deterministic in-process session."""
 
-    @pytest.mark.parametrize("mode", ["queue", "tcp"])
+    @pytest.mark.parametrize("mode", ["tcp"])
     def test_tick_accounting_matches_inproc(self, mode):
         ref = Rig()
         ref_metrics, ref_results = _run_checksum(ref)
@@ -232,7 +229,7 @@ class TestMultiBoardThreaded:
         assert metrics.board_ticks == ref_metrics.board_ticks
         assert results["csum"] == ref_results["csum"] == checksum16(b"multi")
 
-    @pytest.mark.parametrize("mode", ["queue", "tcp"])
+    @pytest.mark.parametrize("mode", ["tcp"])
     def test_windows_follow_grant_schedule(self, mode):
         rig = Rig(t_sync=30, mode=mode)
         try:
@@ -253,15 +250,19 @@ class TestMultiBoardThreaded:
             Rig(mode="tcp", report_timeout_s=5.0)
 
     def test_short_timeout_fine_without_heartbeats(self):
-        rig = Rig(mode="queue", report_timeout_s=5.0)
+        # A liveness window under the timeout builds, and a clean run
+        # never falls silent long enough to send a probe.
+        rig = Rig(mode="tcp", report_timeout_s=5.0,
+                  resilience=ResilienceConfig(heartbeat_interval_s=0.2))
         try:
             metrics = rig.session.run(max_cycles=50)
         finally:
             rig.close()
         assert metrics.master_cycles == 50
+        assert metrics.heartbeats_sent == 0
 
     def test_threaded_interrupts_route_to_owning_board_only(self):
-        rig = Rig(mode="queue")
+        rig = Rig(mode="tcp")
         try:
             _, results = _run_checksum(rig, max_cycles=300)
         finally:

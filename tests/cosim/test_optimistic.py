@@ -78,4 +78,4 @@ class TestDegradation:
 
     def test_threaded_transport_plus_speculation_rejected(self):
         with pytest.raises(ProtocolError, match="in-process"):
-            build(depth=2, mode="queue")
+            build(depth=2, mode="tcp")

@@ -127,3 +127,9 @@ class TestSessionGuards:
     def test_unknown_transport_mode(self, tiny_workload):
         with pytest.raises(ProtocolError, match="unknown transport"):
             build_router_cosim(CosimConfig(), tiny_workload, mode="carrier")
+
+    def test_queue_mode_is_gone(self, tiny_workload):
+        # The links are in-process and TCP; the old thread-safe queue
+        # link is an unknown mode like any other.
+        with pytest.raises(ProtocolError, match="unknown transport"):
+            build_router_cosim(CosimConfig(), tiny_workload, mode="queue")

@@ -1,8 +1,8 @@
 """The links decide how a session exchanges windows.
 
 In-process links are stepped window by window, with the session
-pointing their DATA server at the master; queue and TCP links get a
-board thread each; one session never mixes the two.
+pointing their DATA server at the master; TCP links get a board
+thread each; one session never mixes the two.
 """
 
 import pytest
@@ -19,13 +19,14 @@ from repro.cosim import (
 from repro.devices import AcceleratorDriver, ChecksumAccelerator
 from repro.errors import ProtocolError
 from repro.router.checksum import checksum16
-from repro.transport import InprocLink, QueueLink
+from repro.transport import InprocLink, TcpLink
 
 BASE, VECTOR = 0x10, 2
 
 
 def _rig(links):
-    config = CosimConfig(t_sync=40, report_timeout_s=5.0)
+    # Longer than the TCP link's default liveness window.
+    config = CosimConfig(t_sync=40, report_timeout_s=30.0)
     sim, clock = build_driver_sim("links_hw", config=config)
     accel = ChecksumAccelerator(sim, "accel", clock)
     accel.map_registers(sim, BASE)
@@ -38,7 +39,7 @@ def _rig(links):
     return config, master, slots
 
 
-@pytest.mark.parametrize("link_cls", [InprocLink, QueueLink])
+@pytest.mark.parametrize("link_cls", [InprocLink, TcpLink])
 def test_data_reads_are_served_without_wiring_by_hand(link_cls):
     link = link_cls()
     config, master, slots = _rig([link])
@@ -53,7 +54,7 @@ def test_data_reads_are_served_without_wiring_by_hand(link_cls):
 
     thread = kernel.create_thread("app", app, 10)
     session = CosimSession(master, slots, config)
-    assert session.threaded == (link_cls is QueueLink)
+    assert session.threaded == (link_cls is TcpLink)
     try:
         metrics = session.run(max_cycles=2000,
                               done=lambda: not thread.alive)
@@ -65,9 +66,10 @@ def test_data_reads_are_served_without_wiring_by_hand(link_cls):
 
 
 def test_mixed_links_refused_before_window_zero():
-    config, master, slots = _rig([InprocLink(), QueueLink()])
+    config, master, slots = _rig([InprocLink(), TcpLink()])
     with pytest.raises(ProtocolError, match="cannot mix in-process and "
                                             "threaded links"):
         CosimSession(master, slots, config)
+    slots[1].close()
     assert master.clock.cycles == 0
     assert slots[0].link.data_server is None

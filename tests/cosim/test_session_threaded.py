@@ -1,13 +1,25 @@
-"""Integration tests for threaded sessions (queue and TCP links).
+"""Integration tests for threaded sessions (TCP links).
 
-These runs are concurrent and hence not bit-deterministic; the tests
-assert conservation laws and protocol invariants, not exact schedules.
+Every link runs each window in the same order, so these runs are as
+deterministic as in-process ones (see test_window_order.py); the tests
+here cover what only a board thread has: the measured wall clock, the
+shutdown handshake, and errors raised on the board thread.
 """
+
+import threading
+import time
 
 import pytest
 
 from repro.cosim import CosimConfig
+from repro.errors import ProtocolError, ReproError
 from repro.router.testbench import RouterWorkload, build_router_cosim
+from repro.transport import ResilienceConfig
+from repro.transport.faults import FaultPlan
+
+#: A liveness window (0.05 s x 4) under the 0.5 s report timeout below.
+SHORT_LIVENESS = ResilienceConfig(heartbeat_interval_s=0.05,
+                                  heartbeat_misses_allowed=3)
 
 
 def run_threaded(mode, t_sync=100, **workload_kwargs):
@@ -25,7 +37,16 @@ def run_threaded(mode, t_sync=100, **workload_kwargs):
     return cosim, metrics
 
 
-@pytest.mark.parametrize("mode", ["queue", "tcp"])
+@pytest.fixture
+def thread_errors(monkeypatch):
+    """Every exception that escapes a thread during the test."""
+    escaped = []
+    monkeypatch.setattr(threading, "excepthook",
+                        lambda args: escaped.append(args.exc_value))
+    return escaped
+
+
+@pytest.mark.parametrize("mode", ["tcp"])
 class TestThreadedModes:
     def test_all_packets_accounted(self, mode):
         cosim, metrics = run_threaded(mode)
@@ -51,7 +72,7 @@ class TestThreadedModes:
 
 class TestShutdown:
     def test_board_thread_terminates(self):
-        cosim, metrics = run_threaded("queue")
+        cosim, metrics = run_threaded("tcp")
         # cosim.run() already joined the board thread; a second session
         # over the same link must not be attempted, but the runtime's
         # counters should be consistent.
@@ -59,20 +80,32 @@ class TestShutdown:
 
 
 class TestEmulatedNetworkDelay:
+    WORKLOAD = RouterWorkload(packets_per_producer=2, interval_cycles=100,
+                              corrupt_rate=0.0)
+
     def test_delay_increases_wall_time(self):
-        workload = RouterWorkload(packets_per_producer=2,
-                                  interval_cycles=100, corrupt_rate=0.0)
-        fast = build_router_cosim(CosimConfig(t_sync=50), workload,
-                                  mode="queue")
+        fast = build_router_cosim(CosimConfig(t_sync=50), self.WORKLOAD,
+                                  mode="tcp")
         fast_metrics = fast.run()
         slow = build_router_cosim(
             CosimConfig(t_sync=50, emulated_network_delay_s=0.005),
-            workload, mode="queue",
+            self.WORKLOAD, mode="tcp",
         )
         slow_metrics = slow.run()
         assert slow_metrics.wall_seconds > fast_metrics.wall_seconds
         expected_extra = 0.005 * slow_metrics.sync_exchanges
         assert slow_metrics.wall_seconds >= 0.8 * expected_extra
+
+    def test_inproc_run_honours_the_delay(self):
+        # The board waits before every report on every link, so a
+        # hosted in-process run is latency-bound without sockets.
+        cosim = build_router_cosim(
+            CosimConfig(t_sync=50, emulated_network_delay_s=0.005),
+            self.WORKLOAD, mode="inproc")
+        start = time.perf_counter()
+        metrics = cosim.run()
+        elapsed = time.perf_counter() - start
+        assert elapsed >= 0.8 * 0.005 * metrics.windows
 
 
 class TestFailureCleanup:
@@ -80,20 +113,16 @@ class TestFailureCleanup:
     leave transport endpoints open."""
 
     def _run_with_dropped_report(self):
-        import threading
-
-        from repro.errors import ProtocolError
-        from repro.transport.faults import FaultPlan
-
         workload = RouterWorkload(packets_per_producer=4,
                                   interval_cycles=150, corrupt_rate=0.0,
                                   payload_size=16, seed=3)
         # Drop the second time report: the master times out waiting for
         # it while the healthy board loops back to recv_grant and takes
-        # the shutdown pill from the cleanup path.
+        # the shutdown grant from the cleanup path.
         cosim = build_router_cosim(
-            CosimConfig(t_sync=100, report_timeout_s=0.5), workload,
-            mode="queue", fault_plan=FaultPlan(drop_reports={2}))
+            CosimConfig(t_sync=100, report_timeout_s=0.5,
+                        resilience=SHORT_LIVENESS), workload,
+            mode="tcp", fault_plan=FaultPlan(drop_reports={2}))
         session = cosim.session
         closed = []
         for name, endpoint in (("master", session.master.endpoint),
@@ -104,22 +133,46 @@ class TestFailureCleanup:
             endpoint.close = wrapped
         with pytest.raises(ProtocolError, match="report"):
             cosim.run()
-        return closed, threading
+        return closed
 
     def test_board_thread_joined_and_endpoints_closed(self):
-        import time
-
-        closed, threading = self._run_with_dropped_report()
-        deadline = time.monotonic() + 2.0
-        while time.monotonic() < deadline and any(
-                t.name == "cosim-board" and t.is_alive()
-                for t in threading.enumerate()):
-            time.sleep(0.01)
+        closed = self._run_with_dropped_report()
         assert not any(t.name == "cosim-board" and t.is_alive()
                        for t in threading.enumerate()), \
             "failed run leaked the board thread"
         assert closed == ["master", "board"], \
             "failed run must close both transport endpoints"
+
+    def test_board_error_is_the_run_errors_context(self, thread_errors):
+        # The board executes grant 2, then takes its duplicate and
+        # dies; the master then waits in vain for the report of grant 3.
+        cosim = build_router_cosim(
+            CosimConfig(t_sync=100, report_timeout_s=0.5,
+                        resilience=SHORT_LIVENESS), RouterWorkload(),
+            mode="tcp", fault_plan=FaultPlan(duplicate_grants={2}))
+        with pytest.raises(ProtocolError, match="report") as failure:
+            cosim.run()
+        chain = []
+        error = failure.value
+        while error is not None:
+            chain.append(str(error))
+            error = error.__context__
+        assert any("grant out of order" in text for text in chain), chain
+        assert thread_errors == []
+
+    def test_board_error_after_a_clean_run_raised_by_close(
+            self, thread_errors):
+        cosim = build_router_cosim(
+            CosimConfig(t_sync=100, report_timeout_s=0.5,
+                        resilience=SHORT_LIVENESS), RouterWorkload(),
+            mode="tcp")
+        cosim.session.run(max_windows=1)
+        # Nothing answers the board between runs: it gives up on the
+        # master within the liveness window.
+        time.sleep(1.0)
+        with pytest.raises(ReproError):
+            cosim.close()
+        assert thread_errors == []
 
 
 class TestOneLoop:
@@ -128,7 +181,7 @@ class TestOneLoop:
 
     def test_max_windows_bound(self):
         cosim = build_router_cosim(CosimConfig(t_sync=100),
-                                   RouterWorkload(), mode="queue")
+                                   RouterWorkload(), mode="tcp")
         try:
             metrics = cosim.session.run(max_windows=2)
         finally:
@@ -146,14 +199,16 @@ class TestOneLoop:
             CosimSession,
             build_driver_sim,
         )
-        from repro.errors import ProtocolError
-        from repro.transport.queues import QueueLink
+        from repro.transport import TcpLink
 
         config = CosimConfig(t_sync=100, speculation_depth=4)
         sim, clock = build_driver_sim("spec_threaded", config=config)
-        link = QueueLink()
+        link = TcpLink()
         master = CosimMaster(sim, clock, link.master, config)
         runtime = CosimBoardRuntime(Board(), link.board, config)
-        with pytest.raises(ProtocolError, match="in-process"):
-            CosimSession(master, [BoardSlot("board", link, runtime)],
-                         config)
+        try:
+            with pytest.raises(ProtocolError, match="in-process"):
+                CosimSession(master, [BoardSlot("board", link, runtime)],
+                             config)
+        finally:
+            link.close()

@@ -1,6 +1,6 @@
 """One window order on every link: the master simulates, then grants.
 
-In-process, queue and TCP sessions run each window the same way, so
+In-process and TCP sessions run each window the same way, so
 they must agree bit for bit: the same state digest, the same trace
 rows, and the same behaviour under adaptive windows, restores and
 repeated ``run()`` calls.
@@ -13,14 +13,14 @@ from repro.replay import Checkpointer, board_state_summary, restore_session
 from repro.replay.snapshot import state_digest
 from repro.router.testbench import RouterWorkload, build_router_cosim
 
-LINKS = ("queue", "tcp")
+LINKS = ("tcp",)
 
 #: (T_sync, workload knobs, iss_timing): every seed the reference runs
 #: use, T_sync from 50 to 10000, bursty traffic and ISS timing.
 CASES = {
     "seed2005-t1000": (1000, dict(seed=2005, packets_per_producer=4),
                        False),
-    # Where granting before simulating let a queue run handle 48
+    # Where granting before simulating let a threaded run handle 48
     # packets against the in-process run's 42.
     "seed7-t10000": (10000, dict(seed=7), False),
     "seed11-t50": (50, dict(seed=11, packets_per_producer=3,

@@ -24,8 +24,9 @@ from repro.router.testbench import replay_router_recording
 
 
 class TestBackendSelection:
-    def test_tcp_excluded_by_default(self):
-        assert "tcp" not in scenario_backends("router", None)
+    def test_tcp_in_the_default_sweep(self):
+        assert scenario_backends("router", None) == [
+            "inproc", "rerun", "replay", "optimistic", "fmu", "tcp"]
 
     def test_tcp_included_when_requested(self):
         picked = scenario_backends("router", ["tcp"])

@@ -27,7 +27,7 @@ def _clean_outcome(t_sync=100, windows=3, **overrides):
         aligned=True, trace_rows=rows,
         stats={"generated": 6, "forwarded": 4, "dropped_overflow": 1,
                "dropped_checksum": 1, "dropped_unroutable": 0},
-        deterministic=True, digest="d" * 16,
+        digest="d" * 16,
     )
     fields.update(overrides)
     return RunOutcome(**fields)
@@ -148,27 +148,25 @@ class TestTier2And3:
         diverging = [m for m in found if m.oracle == "trace-equivalence"]
         assert diverging and "window 1" in diverging[0].detail
 
-    def test_threaded_compares_schedule_only(self):
+    def test_failed_run_is_not_compared(self):
         ref = _clean_outcome()
-        other = _clean_outcome(backend="queue", deterministic=False,
-                               digest=None)
-        # Different stats breakdown but identical schedule: legal.
-        other.stats = dict(ref.stats, forwarded=3, dropped_overflow=2)
+        other = RunOutcome(backend="tcp", ok=False, error="boom")
+        # Its crash is a tier-1 finding, not a digest mismatch.
         assert check_pair(_spec(), ref, other) == []
 
-    def test_run_oracles_picks_deterministic_reference(self):
+    def test_run_oracles_picks_first_successful_reference(self):
         outcomes = {
-            "queue": _clean_outcome(backend="queue", deterministic=False,
-                                    digest=None),
-            "inproc": _clean_outcome(),
-            "rerun": _clean_outcome(backend="rerun", digest="e" * 16),
+            "inproc": RunOutcome(backend="inproc", ok=False, error="boom"),
+            "rerun": _clean_outcome(backend="rerun"),
+            "tcp": _clean_outcome(backend="tcp", digest="e" * 16),
         }
         found = run_oracles(_spec(t_sync=100), outcomes)
-        assert any(m.oracle == "determinism" for m in found)
+        assert [m.backend for m in found
+                if m.oracle == "determinism"] == ["rerun vs tcp"]
 
     def test_mismatch_renders_oracle_and_backend(self):
-        text = str(Mismatch("tick-alignment", "queue", "off by 3"))
-        assert "tick-alignment" in text and "queue" in text
+        text = str(Mismatch("tick-alignment", "tcp", "off by 3"))
+        assert "tick-alignment" in text and "tcp" in text
 
 
 class TestShrinker:

@@ -21,6 +21,5 @@ class TestSmokeCorpus:
 
     def test_router_corpus_with_tcp_backend(self):
         report = fuzz(base_seed=7, runs=2, scenarios=["router"],
-                      backends=["inproc", "rerun", "replay", "queue",
-                                "tcp"])
+                      backends=["inproc", "rerun", "replay", "tcp"])
         assert report.ok, report.describe()

@@ -163,11 +163,11 @@ class TestPersistence:
         assert "trace.csv" in store.artifacts(job.job_id)
         assert os.path.exists(store.index_path)
 
-    def test_queue_mode_router_job_writes_its_trace(self, tmp_path):
+    def test_router_job_trace_has_a_row_per_window(self, tmp_path):
         artifacts = str(tmp_path / "artifacts")
         result = runner_mod.execute_task({
-            "job": _router_job("traced-queue", payload={
-                "trace": True, "mode": "queue"}).to_dict(),
+            "job": _router_job("traced-rows", payload={
+                "trace": True}).to_dict(),
             "artifacts_dir": artifacts})
         assert result["ok"] is True, result.get("error")
         assert result["artifacts"] == ["trace.csv"]

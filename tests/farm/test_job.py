@@ -35,7 +35,7 @@ class TestDeterministicIds:
 class TestRoundTrip:
     def test_dict_round_trip(self):
         job = Job(tenant="alice", kind="router", name="nightly",
-                  payload={"mode": "queue", "t_sync": 250}, priority=2,
+                  payload={"mode": "inproc", "t_sync": 250}, priority=2,
                   seed=11)
         doc = job.to_dict()
         assert doc["schema"] == JOB_SCHEMA
@@ -76,6 +76,8 @@ class TestValidation:
         ({"tenant": "a", "state": "exploded"}, "state"),
         ({"tenant": "a", "kind": "fuzz_case",
           "payload": {"spec": "nope"}}, "spec"),
+        ({"tenant": "a", "kind": "router",
+          "payload": {"mode": "queue"}}, "mode"),
     ])
     def test_malformed_documents_rejected(self, doc, message):
         with pytest.raises(FarmError, match=message):

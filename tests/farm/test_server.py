@@ -174,6 +174,7 @@ class TestErrorCodes:
         ({"seed": 1.5}, "seed"),
         ({"mode": "tcp"}, "mode"),
         ({"trace": "yes"}, "trace"),
+        ({"mode": "queue"}, "mode"),
     ])
     def test_malformed_router_payload_400(self, served, payload, message):
         _farm, client = served

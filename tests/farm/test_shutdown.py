@@ -99,7 +99,7 @@ def test_second_signal_cancels_instead_of_draining(tmp_path):
         # finished when the second signal lands (~10 s of emulated
         # network latency).
         job = Job(tenant="alice", kind="router",
-                  payload={"mode": "queue", "t_sync": 50,
+                  payload={"mode": "inproc", "t_sync": 50,
                            "packets_per_producer": 8,
                            "interval_cycles": 400, "num_ports": 2,
                            "emulated_network_delay_s": 0.2},

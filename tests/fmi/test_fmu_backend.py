@@ -18,7 +18,7 @@ class TestOracles:
                                         backends=["inproc", "fmu"])
         assert mismatches == []
         fmu = outcomes["fmu"]
-        assert fmu.ok and fmu.deterministic
+        assert fmu.ok
         assert fmu.digest == outcomes["inproc"].digest
         assert fmu.trace_rows == outcomes["inproc"].trace_rows
 

@@ -35,7 +35,7 @@ from repro.router.testbench import (
     replay_router_recording,
 )
 from repro.staticcheck.replay_rules import check_snapshotability
-from repro.transport.queues import QueueLink
+from repro.transport.tcp import ResilienceConfig, TcpLink
 
 #: Sparse traffic: busy windows early, then a long idle tail in which
 #: the board is quiescent and speculation has windows to run ahead on.
@@ -107,9 +107,10 @@ class TestSpeculation:
 
 def test_threaded_plugin_session_runs():
     # The master's threaded window steps the plugin like the netlist.
-    config = CosimConfig(t_sync=200, report_timeout_s=5.0)
+    config = CosimConfig(t_sync=200, report_timeout_s=5.0,
+                         resilience=ResilienceConfig(heartbeat_interval_s=0.1))
     workload = RouterWorkload(**WORKLOAD)
-    link = QueueLink()
+    link = TcpLink(config.resilience)
     plugin = BehavioralRouterModel()
     plugin.init(router_plugin_config(config, workload), workload.seed)
     master = FmuMasterAdapter(plugin, link.master, config)
@@ -128,7 +129,7 @@ def test_threaded_plugin_session_runs():
     assert master.data_reads_served > 0
 
 
-@pytest.mark.parametrize("mode", ["queue", "tcp"])
+@pytest.mark.parametrize("mode", ["tcp"])
 def test_builder_mounts_a_plugin_on_threaded_links(mode):
     cosim = build_router_cosim(CosimConfig(t_sync=200),
                                RouterWorkload(**WORKLOAD), mode=mode,

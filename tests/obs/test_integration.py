@@ -197,9 +197,9 @@ class TestCheckpointTracing:
 # Threaded sessions: the board thread gets its own track
 # ----------------------------------------------------------------------
 class TestThreadedTracing:
-    def test_queue_mode_traces_both_threads(self):
+    def test_tcp_mode_traces_both_threads(self):
         cosim = build_router_cosim(traced_config(), small_workload(),
-                                   mode="queue")
+                                   mode="tcp")
         metrics = cosim.run()
         obs = cosim.session.obs
         tids = {s.tid for s in obs.spans}

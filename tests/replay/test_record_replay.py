@@ -85,7 +85,7 @@ class TestReplayIdentity:
                 == [r.as_row() for r in trace.records])
 
     def test_threaded_replay_is_bit_identical_without_entropy(self):
-        recording, _metrics, _trace = record_run(mode="queue")
+        recording, _metrics, _trace = record_run(mode="tcp")
         assert recording.meta["threaded"] is True
         # The replay side must never touch wall-clock time or global
         # randomness: the recording fully determines the run.

@@ -59,16 +59,16 @@ class TestCodec:
             RouterWorkload.from_dict(doc)
 
     def test_split_hands_back_the_other_keys(self):
-        workload, rest = RouterWorkload.split({"seed": 3, "mode": "queue"})
+        workload, rest = RouterWorkload.split({"seed": 3, "mode": "tcp"})
         assert workload == RouterWorkload(seed=3)
-        assert rest == {"mode": "queue"}
+        assert rest == {"mode": "tcp"}
 
 
 class TestRunMeta:
     def test_meta_round_trip(self):
         config = CosimConfig(t_sync=700)
         workload = RouterWorkload(seed=9, burst_size=2, burst_gap_cycles=50)
-        meta = router_run_meta(config, workload, mode="queue",
+        meta = router_run_meta(config, workload, mode="tcp",
                                iss_timing=True)
         rebuilt_config, rebuilt, iss_timing = router_run_from_meta(meta)
         assert rebuilt_config.t_sync == 700

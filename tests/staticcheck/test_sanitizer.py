@@ -110,7 +110,7 @@ class TestIntegration:
                                   interval_cycles=150, payload_size=16,
                                   corrupt_rate=0.0, seed=3)
         cosim = build_router_cosim(CosimConfig(t_sync=100), workload,
-                                   mode="queue")
+                                   mode="tcp")
         with enabled():
             with holding("tests:outer-bracket"):
                 metrics = cosim.run()

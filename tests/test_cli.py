@@ -31,10 +31,16 @@ class TestRunCommand:
                      "--interval", "150", "--adaptive"]) == 0
         assert "accuracy" in capsys.readouterr().out
 
-    def test_queue_mode(self, capsys):
+    def test_tcp_mode(self, capsys):
         assert main(["run", "--t-sync", "200", "--packets", "8",
-                     "--interval", "150", "--mode", "queue"]) == 0
+                     "--interval", "150", "--mode", "tcp"]) == 0
         assert "measured" in capsys.readouterr().out
+
+    def test_queue_mode_is_refused(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["run", "--mode", "queue"])
+        assert exit_info.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
 
     def test_trace_export(self, tmp_path, capsys):
         trace_file = tmp_path / "windows.csv"
@@ -44,7 +50,7 @@ class TestRunCommand:
         content = trace_file.read_text()
         assert content.startswith("index,ticks,")
 
-    @pytest.mark.parametrize("mode", ["queue", "tcp"])
+    @pytest.mark.parametrize("mode", ["tcp"])
     def test_trace_in_threaded_modes(self, tmp_path, capsys, mode):
         trace_file = tmp_path / "windows.csv"
         assert main(["run", "--t-sync", "200", "--packets", "4",
