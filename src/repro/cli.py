@@ -252,9 +252,7 @@ def _cmd_record(args: argparse.Namespace) -> int:
         # Fast-reconnect knobs (the soak-test profile): sub-second
         # backoff so a recorded CI run stays quick.
         resilience = ResilienceConfig(
-            max_attempts=8, backoff_initial_s=0.005,
-            backoff_max_s=0.05, heartbeat_interval_s=0.05,
-            heartbeat_misses_allowed=200)
+            max_attempts=8, backoff_initial_s=0.005, backoff_max_s=0.05)
     recording = SessionRecording()
     cosim = build_router_cosim(
         CosimConfig(t_sync=args.t_sync, resilience=resilience),

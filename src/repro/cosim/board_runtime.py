@@ -14,7 +14,7 @@ One window body serves every link, in two drivers:
   (in-process links, and replay);
 * :meth:`serve_forever` — a blocking loop driven by the CLOCK port,
   run in its own OS thread against a TCP link until a shutdown grant
-  arrives.
+  arrives or the link closes.
 
 Either way the board waits ``config.emulated_network_delay_s`` before
 each time report, emulating the paper's Ethernet and physical-board
@@ -120,13 +120,13 @@ class CosimBoardRuntime:
             raise ProtocolError("no clock grant pending for the board")
         self._serve(grant)
 
-    def serve_forever(self, grant_timeout_s: float = 60.0) -> None:
+    def serve_forever(self) -> None:
         """Serve every grant of the CLOCK port until a shutdown grant:
         a board thread's loop on a TCP link.
 
-        With a TCP endpoint the grant wait is heartbeat-probed:
-        a dead master is detected within the configured liveness window
-        rather than after *grant_timeout_s* of silence.
+        The grant wait has no deadline: a session may idle for as long
+        as it likes between two runs.  The thread ends on a shutdown
+        grant, or with an error once the link is closed under it.
         """
         kernel = self.board.kernel
         while True:
@@ -135,14 +135,10 @@ class CosimBoardRuntime:
                 wait_token = self.obs.begin("transport", "grant_wait",
                                             sim=kernel.cycles)
             try:
-                grant = self.endpoint.recv_grant(timeout=grant_timeout_s)
+                grant = self.endpoint.recv_grant()
             finally:
                 if wait_token is not None:
                     self.obs.end(wait_token, sim=kernel.cycles)
-            if grant is None:
-                raise ProtocolError(
-                    f"no clock grant within {grant_timeout_s}s"
-                )
             if is_shutdown(grant):
                 self.fsm.step("recv_shutdown")
                 return

@@ -39,17 +39,17 @@ class CosimConfig:
     wall_cost: WallCostModel = field(default_factory=WallCostModel)
     #: Safety bound on synchronization windows per run.
     max_windows: int = 2_000_000
-    #: Seconds the master waits for a time report (threaded sessions).
-    #: The deadline is refreshed whenever the board shows life (DATA
-    #: traffic), so it bounds *silence*, not total window duration.
+    #: Seconds the master waits for a time report (threaded sessions):
+    #: the one silence bound of a TCP run.  The deadline is refreshed
+    #: whenever the board shows life (DATA traffic), so it bounds
+    #: *silence*, not total window duration.  A board thread that has
+    #: ended stops the wait at once, whatever this bound.
     report_timeout_s: float = 60.0
     #: Extra wall delay the board adds before each time report, on
     #: every link, emulating the Ethernet + physical-board response
     #: latency of the paper's setup (0 = no added delay).
     emulated_network_delay_s: float = 0.0
-    #: Reconnect, heartbeat and resync knobs of the TCP transport.  A
-    #: TCP session refuses a liveness window (heartbeat interval x
-    #: (misses allowed + 1)) that is not shorter than ``report_timeout_s``.
+    #: Reconnect knobs of the TCP transport.
     resilience: ResilienceConfig = field(default_factory=ResilienceConfig)
     #: Observability: span tracing and profiling (see repro.obs).
     #: Disabled by default — sessions then install the no-op recorder

@@ -354,18 +354,20 @@ class CosimMaster:
         self.fsm.step("recv_report")
 
     def run_window_threaded(self, ticks: int, *endpoints,
-                            reactive: bool = False) -> int:
+                            reactive: bool = False, boards=()) -> int:
         """A window over threaded (TCP) links: the same
         :meth:`run_window_inproc`, then serve every board's DATA port
         until all of them have reported (one endpoint per board;
         default: the primary), then :meth:`finish_window_inproc`.
-        Returns the ticks granted."""
+        *boards* are the session's board slots behind *endpoints*, in
+        the same order: a slot's ``thread`` that has ended stops the
+        wait for its report at once.  Returns the ticks granted."""
         endpoints = endpoints or (self.endpoint,)
         ticks = self.run_window_inproc(ticks, *endpoints, reactive=reactive)
-        self.finish_window_inproc(*self._await_reports(endpoints))
+        self.finish_window_inproc(*self._await_reports(endpoints, boards))
         return ticks
 
-    def _await_reports(self, endpoints) -> list:
+    def _await_reports(self, endpoints, boards=()) -> list:
         """Serve DATA until every endpoint has sent its time report;
         returns the reports in endpoint order."""
         obs = self.obs
@@ -384,7 +386,14 @@ class CosimMaster:
         reports = []
         try:
             while True:
-                if self._serve_pending_data(endpoints):
+                # A board whose thread had ended before this visit sent
+                # all it ever will: once a visit finds neither DATA nor
+                # its report (a last short poll), the wait is over.
+                waiting = len(reports)
+                ended = (waiting < len(boards)
+                         and not boards[waiting].thread.is_alive())
+                served = self._serve_pending_data(endpoints)
+                if served:
                     deadline = time.monotonic() + timeout_s
                     poll_s = REPORT_POLL_S
                 if len(reports) == len(endpoints):
@@ -393,12 +402,11 @@ class CosimMaster:
                     return reports
                 polls += 1
                 try:
-                    report = endpoints[len(reports)].recv_report(
-                        timeout=poll_s)
+                    report = endpoints[waiting].recv_report(
+                        timeout=REPORT_POLL_S if ended else poll_s)
                 except TransportError as exc:
-                    # A TCP endpoint only raises once its reconnect /
-                    # liveness budget is spent; that is a protocol
-                    # death.
+                    # A TCP endpoint only raises once its reconnect
+                    # budget is spent; that is a protocol death.
                     raise ProtocolError(
                         f"link failed while waiting for report of grant "
                         f"seq {seq}: {exc}"
@@ -408,6 +416,11 @@ class CosimMaster:
                     deadline = time.monotonic() + timeout_s
                     poll_s = REPORT_POLL_S
                     continue
+                if ended and not served:
+                    raise ProtocolError(
+                        f"board {boards[waiting].name!r} stopped serving "
+                        f"before its time report for grant seq {seq}"
+                    )
                 poll_s = min(poll_s * 2, REPORT_POLL_MAX_S)
                 if time.monotonic() > deadline:
                     raise ProtocolError(

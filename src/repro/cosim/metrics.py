@@ -34,13 +34,10 @@ class CosimMetrics:
     messages_total: int = 0
     bytes_total: int = 0
     state_switches: int = 0
-    # TCP reconnect/heartbeat counters (reconnects stay zero on
-    # fault-free runs).
+    # TCP reconnect counters (zero on fault-free runs).
     reconnects: int = 0
     reconnect_attempts: int = 0
     replays: int = 0
-    heartbeats_sent: int = 0
-    heartbeats_acked: int = 0
     backoff_wait_s: float = 0.0
     # Checkpoint/replay counters (see repro.replay).
     checkpoints_taken: int = 0
@@ -71,8 +68,6 @@ class CosimMetrics:
         self.reconnects = stats.reconnects
         self.reconnect_attempts = stats.reconnect_attempts
         self.replays = stats.replays
-        self.heartbeats_sent = stats.heartbeats_sent
-        self.heartbeats_acked = stats.heartbeats_acked
         self.backoff_wait_s = stats.backoff_wait_s
 
     def finish_modeled(self, model: WallCostModel) -> None:
@@ -114,7 +109,6 @@ class CosimMetrics:
             f"bytes={self.bytes_total} wall={wall} "
             f"reconnects={self.reconnects} "
             f"retries={self.reconnect_attempts} replays={self.replays} "
-            f"heartbeats={self.heartbeats_sent} "
             f"backoff={self.backoff_wait_s:.3f}s "
             f"checkpoints={self.checkpoints_taken} "
             f"restores={self.restores} "

@@ -24,7 +24,10 @@ chosen from the session's features (see :mod:`repro.cosim.compat`):
     Wall-clock cost is *measured* (Figures 5 and 6).  An error a board
     thread raises is kept on its :class:`BoardSlot` and raised in the
     caller's thread by :meth:`CosimSession.close`, or as the context of
-    the error that ends a failed :meth:`CosimSession.run`.
+    the error that ends a failed :meth:`CosimSession.run`: a board
+    thread that ends mid-run ends the master's report wait at once.
+    ``config.report_timeout_s`` bounds the silence of a board that is
+    alive.
 
   One session never mixes the two.
 
@@ -84,12 +87,12 @@ class BoardSlot:
         self.error: Optional[BaseException] = None
         self._closed = False
 
-    def serve(self, grant_timeout_s: float) -> None:
+    def serve(self) -> None:
         """The board thread's body: serve every grant until shutdown,
         keeping an error for the session instead of letting it escape
         the thread."""
         try:
-            self.runtime.serve_forever(grant_timeout_s)
+            self.runtime.serve_forever()
         except BaseException as exc:  # noqa: BLE001 - handed to the session
             self.error = exc
 
@@ -183,21 +186,10 @@ class CosimSession:
 
     def _check_shape(self) -> None:
         """Construction-time check of the compatibility table, over the
-        features a session is built with, and of every TCP link's
-        liveness window against the report timeout."""
+        features a session is built with."""
         compat.check({name: text
                       for name, text in compat.features(self).items()
                       if name in ("speculation", "threaded", "multiboard")})
-        timeout = self.config.report_timeout_s
-        for slot in self.slots:
-            # Only heartbeating (TCP) endpoints have a liveness window.
-            window = getattr(slot.link.master, "liveness_window_s", None)
-            if window is not None and window >= timeout:
-                raise ProtocolError(
-                    f"board {slot.name!r}: heartbeat liveness window "
-                    f"({window:g}s) must be shorter than report_timeout_s "
-                    f"({timeout:g}s), or a dead peer is never detected "
-                    "before the session gives up")
 
     def attach_trace(self, trace) -> None:
         """Record every window into *trace* (a ProtocolTrace)."""
@@ -424,7 +416,8 @@ class CosimSession:
         reactive = self.controller is not None
         if self.threaded:
             return master.run_window_threaded(ticks, *self._fanout,
-                                              reactive=reactive)
+                                              reactive=reactive,
+                                              boards=self.slots)
         ticks = master.run_window_inproc(ticks, *self._fanout,
                                          reactive=reactive)
         for slot in self.slots:
@@ -520,7 +513,6 @@ class CosimSession:
             if slot.thread is None:
                 slot.thread = threading.Thread(
                     target=slot.serve,
-                    kwargs={"grant_timeout_s": self.config.report_timeout_s},
                     name=("cosim-board" if len(self.slots) == 1
                           else f"cosim-board-{slot.name}"),
                     daemon=True,

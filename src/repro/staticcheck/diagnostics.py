@@ -84,9 +84,6 @@ RULES: Dict[str, Rule] = {
         Rule("COSIM002", "network-delay-exceeds-timeout", ERROR,
              "the emulated network delay is not smaller than the report "
              "timeout (every window would time out)"),
-        Rule("COSIM003", "liveness-window-too-long", ERROR,
-             "the TCP heartbeat liveness window is not shorter than the "
-             "report timeout (a dead peer is never detected in time)"),
         Rule("COSIM004", "remote-vector-unattached", ERROR,
              "the configured remote interrupt vector has no handler "
              "attached on the board kernel"),

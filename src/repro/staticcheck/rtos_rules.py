@@ -1,4 +1,5 @@
-"""The RTOS / co-simulation lint pass: RTOS001-RTOS004, COSIM001-COSIM004.
+"""The RTOS / co-simulation lint pass: RTOS001-RTOS004, COSIM001, COSIM002
+and COSIM004 (COSIM003 is retired).
 
 Two entry points:
 
@@ -8,8 +9,8 @@ Two entry points:
   :class:`~repro.rtos.kernel.RtosKernel`;
 * :func:`check_cosim_config` — cross-layer consistency of a
   :class:`~repro.cosim.config.CosimConfig` against the adaptive policy,
-  the TCP liveness window and (when a kernel is supplied) the
-  board's interrupt vector table.
+  the report timeout and (when a kernel is supplied) the board's
+  interrupt vector table.
 
 The interrupt-context check is deliberately conservative: an ISR/DSR
 that *is a generator function* is certainly wrong (the kernel calls it
@@ -167,22 +168,6 @@ def check_cosim_config(
             f"emulated_network_delay_s={config.emulated_network_delay_s} "
             f">= report_timeout_s={config.report_timeout_s}: every "
             "window would time out before its report arrives",
-            target,
-        )
-
-    # COSIM003 — TCP liveness window versus the report timeout.  A TCP
-    # session refuses this at construction; the lint flags it on every
-    # config, whichever transport it is meant for.
-    resilience = config.resilience
-    if resilience.liveness_window_s >= config.report_timeout_s:
-        report.add(
-            "COSIM003",
-            f"TCP liveness window ({resilience.liveness_window_s:g}s"
-            f" = {resilience.heartbeat_interval_s:g}s x "
-            f"{resilience.heartbeat_misses_allowed} misses) is not "
-            f"shorter than report_timeout_s="
-            f"{config.report_timeout_s:g}s: a dead peer is never "
-            "detected before the session gives up",
             target,
         )
 

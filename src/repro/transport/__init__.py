@@ -6,8 +6,7 @@ two interchangeable carriers:
 * :class:`~repro.transport.inproc.InprocLink` — deterministic FIFOs,
   for reproducible accuracy experiments and tests;
 * :class:`~repro.transport.tcp.TcpLink` — real localhost TCP, as in
-  the paper, with reconnect, heartbeats and resync, for measured
-  wall-clock runs.
+  the paper, with reconnect and resync, for measured wall-clock runs.
 
 Every link has the same shape: ``master`` and ``board`` endpoints, the
 shared ``stats`` and ``close()``.  A session steps in-process links
@@ -25,8 +24,6 @@ from repro.transport.messages import (
     DataRead,
     DataReply,
     DataWrite,
-    Heartbeat,
-    HeartbeatAck,
     INT_PORT,
     Interrupt,
     TimeReport,
@@ -49,8 +46,6 @@ __all__ = [
     "DataRead",
     "DataReply",
     "DataWrite",
-    "Heartbeat",
-    "HeartbeatAck",
     "INT_PORT",
     "InprocLink",
     "Interrupt",

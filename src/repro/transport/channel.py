@@ -41,17 +41,13 @@ class LinkStats:
         self.clock_messages = 0
         self.int_messages = 0
         self.data_messages = 0
-        # Reconnect/heartbeat counters, populated by repro.transport.tcp.
+        # Reconnect counters, populated by repro.transport.tcp.
         #: Successful reconnections of a dropped port.
         self.reconnects = 0
         #: Individual (re)connect attempts, including failed ones.
         self.reconnect_attempts = 0
         #: Messages replayed after a reconnect (resync handshake).
         self.replays = 0
-        #: Liveness probes sent on the CLOCK connection.
-        self.heartbeats_sent = 0
-        #: Probe acknowledgements received back.
-        self.heartbeats_acked = 0
         #: Total wall seconds spent in backoff delays.
         self.backoff_wait_s = 0.0
 
@@ -59,12 +55,19 @@ class LinkStats:
     FIELDS = (
         "messages_sent", "bytes_sent", "clock_messages", "int_messages",
         "data_messages", "reconnects", "reconnect_attempts", "replays",
-        "heartbeats_sent", "heartbeats_acked", "backoff_wait_s",
+        "backoff_wait_s",
     )
 
     def snapshot(self) -> dict:
-        """All counters as a plain dict (checkpoint support)."""
-        return {name: getattr(self, name) for name in self.FIELDS}
+        """All counters as a plain dict (checkpoint support).
+
+        The tree also carries two retired probe counters, always 0, so
+        that checkpoints saved while the link still had them restore
+        strictly until the checkpoint schema is next bumped.
+        """
+        state = {name: getattr(self, name) for name in self.FIELDS}
+        state.update(heartbeats_sent=0, heartbeats_acked=0)
+        return state
 
     def restore(self, state: dict) -> None:
         for name in self.FIELDS:

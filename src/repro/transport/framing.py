@@ -19,8 +19,6 @@ from repro.transport.messages import (
     DataRead,
     DataReply,
     DataWrite,
-    Heartbeat,
-    HeartbeatAck,
     Interrupt,
     Message,
     TimeReport,
@@ -33,8 +31,7 @@ _T_INTERRUPT = 3
 _T_DATA_READ = 4
 _T_DATA_WRITE = 5
 _T_DATA_REPLY = 6
-_T_HEARTBEAT = 7
-_T_HEARTBEAT_ACK = 8
+# Kinds 7 and 8 are retired: they decode as unknown frame kinds.
 _T_COUNTED = 9
 
 _V_INT = 0
@@ -102,10 +99,6 @@ def _encode(message: Message) -> bytes:
                 + _U64.pack(message.address) + _encode_value(message.value))
     elif isinstance(message, DataReply):
         body = bytes([_T_DATA_REPLY]) + _U64.pack(message.seq) + _encode_value(message.value)
-    elif isinstance(message, Heartbeat):
-        body = bytes([_T_HEARTBEAT]) + _U64.pack(message.seq)
-    elif isinstance(message, HeartbeatAck):
-        body = bytes([_T_HEARTBEAT_ACK]) + _U64.pack(message.seq)
     elif isinstance(message, Counted) \
             and not isinstance(message.message, Counted):
         body = (bytes([_T_COUNTED]) + _U64.pack(message.count)
@@ -145,10 +138,6 @@ def decode(body: bytes) -> Message:
             seq = _U64.unpack_from(body, 1)[0]
             value, _ = _decode_value(body, 9)
             return DataReply(seq=seq, value=value)
-        if kind == _T_HEARTBEAT:
-            return Heartbeat(seq=_U64.unpack_from(body, 1)[0])
-        if kind == _T_HEARTBEAT_ACK:
-            return HeartbeatAck(seq=_U64.unpack_from(body, 1)[0])
         if kind == _T_COUNTED:
             if body[9:10] == bytes([_T_COUNTED]):
                 raise TransportError("nested counted frame")

@@ -77,26 +77,6 @@ class DataReply:
 
 
 @dataclass(frozen=True)
-class Heartbeat:
-    """Liveness probe on the CLOCK connection.
-
-    Sent by a TCP endpoint while it waits; never passed to the
-    protocol layer — the peer's transport answers with a
-    :class:`HeartbeatAck` and both sides drop the pair from the message
-    stream (see :mod:`repro.transport.tcp`).
-    """
-
-    seq: int
-
-
-@dataclass(frozen=True)
-class HeartbeatAck:
-    """Answer to a :class:`Heartbeat`, echoing its ``seq``."""
-
-    seq: int
-
-
-@dataclass(frozen=True)
 class Counted:
     """A protocol message as the TCP link frames it, with the count the
     link orders its separate connections by: a grant carries the INT
@@ -109,7 +89,7 @@ class Counted:
 
 
 Message = Union[ClockGrant, TimeReport, Interrupt, DataRead, DataWrite,
-                DataReply, Heartbeat, HeartbeatAck, Counted]
+                DataReply, Counted]
 
 #: Logical port names.
 CLOCK_PORT = "clock"

@@ -13,13 +13,6 @@ The link survives faults instead of merely detecting them:
 * **Automatic reconnect** — the board side redials a dropped port with
   exponential backoff, deterministic jitter and a bounded retry budget;
   the master keeps its listeners open and re-accepts.
-* **Heartbeats** — when the CLOCK connection has been silent for
-  ``heartbeat_interval_s`` while a side waits on it, that side probes
-  the peer with :class:`~repro.transport.messages.Heartbeat` frames (a
-  link that keeps talking sends none); a dead peer is detected within
-  :attr:`ResilienceConfig.liveness_window_s` instead of blocking until
-  the session timeout.  Probes and acks are consumed at this layer and
-  never reach the protocol.
 * **Resync** — after a reconnect, the side that may have lost an
   in-flight message replays it: the master re-sends its unacknowledged
   :class:`ClockGrant`, the board re-sends its last
@@ -39,6 +32,12 @@ a poll is one readiness syscall, a wait is a ``poll`` with the time
 left to its deadline, and a send waits at most
 :attr:`ResilienceConfig.connect_timeout_s` for the peer to drain.
 
+The link sends no liveness probes.  Both ends of a :class:`TcpLink`
+live in one process, so a dead board is a board thread that has ended,
+and the session sees that directly (see
+:class:`~repro.cosim.session.CosimSession`).  A live peer that falls
+silent is bounded by the session's ``report_timeout_s`` alone.
+
 Counters for all of this land in the shared
 :class:`~repro.transport.channel.LinkStats` and surface in
 ``CosimMetrics.summary()``.
@@ -53,7 +52,7 @@ import struct
 import time
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Deque, Dict, List, Optional
+from typing import Deque, Dict, List, Optional
 
 from repro.determinism import seeded_rng
 from repro.errors import TransportError
@@ -67,8 +66,6 @@ from repro.transport.messages import (
     DataRead,
     DataReply,
     DataWrite,
-    Heartbeat,
-    HeartbeatAck,
     INT_PORT,
     Interrupt,
     Message,
@@ -78,13 +75,14 @@ from repro.transport.messages import (
 
 _LEN = struct.Struct(">I")
 _PORTS = (DATA_PORT, INT_PORT, CLOCK_PORT)
-#: How long the master waits per re-accept poll while blocked on CLOCK.
+#: How long the master waits per re-accept poll while blocked on CLOCK,
+#: and the longest CLOCK wait between two polls for a redialed INT port.
 _REVIVE_SLICE_S = 0.05
 
 
 @dataclass
 class ResilienceConfig:
-    """Reconnect and heartbeat knobs of the TCP link."""
+    """Reconnect knobs of the TCP link."""
 
     #: Bounded retry budget: (re)connect attempts per incident.
     max_attempts: int = 8
@@ -100,10 +98,6 @@ class ResilienceConfig:
     #: TCP connect timeout for each dial attempt, and the deadline for
     #: the peer to drain a send that does not fit the socket buffer.
     connect_timeout_s: float = 5.0
-    #: Seconds of CLOCK silence before a liveness probe goes out.
-    heartbeat_interval_s: float = 0.5
-    #: Unanswered probes tolerated before the peer is declared dead.
-    heartbeat_misses_allowed: int = 20
 
     def __post_init__(self) -> None:
         if self.max_attempts <= 0:
@@ -112,10 +106,6 @@ class ResilienceConfig:
             raise ValueError("backoff delays must be non-negative")
         if self.backoff_multiplier < 1.0:
             raise ValueError("backoff_multiplier must be >= 1")
-        if self.heartbeat_interval_s <= 0:
-            raise ValueError("heartbeat_interval_s must be positive")
-        if self.heartbeat_misses_allowed < 1:
-            raise ValueError("heartbeat_misses_allowed must be >= 1")
 
     def backoff_schedule(self) -> List[float]:
         """The bounded, jittered delays (seconds) for one incident.
@@ -131,59 +121,6 @@ class ResilienceConfig:
             delays.append(bounded + jitter)
             delay *= self.backoff_multiplier
         return delays
-
-    @property
-    def liveness_window_s(self) -> float:
-        """Worst-case seconds of CLOCK silence before a dead peer is
-        declared: one interval before the first probe, then one per
-        tolerated unanswered probe."""
-        return self.heartbeat_interval_s * (self.heartbeat_misses_allowed + 1)
-
-
-class _Liveness:
-    """Heartbeat bookkeeping for one waiting side of the CLOCK port.
-
-    A probe goes out only after ``heartbeat_interval_s`` of silence on
-    the CLOCK connection, counted from the last frame received there
-    (or the last probe), so a link that keeps talking sends none.
-    """
-
-    def __init__(self, config: ResilienceConfig, stats: LinkStats,
-                 send_probe: Callable[[Heartbeat], None]) -> None:
-        self.config = config
-        self.stats = stats
-        self._send_probe = send_probe
-        self._seq = 0
-        self._misses = 0
-        self._quiet_since = time.monotonic()
-
-    def alive(self) -> None:
-        """Any received frame counts as proof of life."""
-        self._misses = 0
-
-    def heard(self) -> None:
-        """A frame arrived on the CLOCK connection: proof of life, and
-        the silence that paces probes starts over."""
-        self._misses = 0
-        self._quiet_since = time.monotonic()
-
-    def probe(self) -> None:
-        """Called on every silent receive slice; raises when the miss
-        budget is exhausted."""
-        now = time.monotonic()
-        if now - self._quiet_since < self.config.heartbeat_interval_s:
-            return
-        if self._misses >= self.config.heartbeat_misses_allowed:
-            raise TransportError(
-                f"peer failed liveness check: {self._misses} heartbeats "
-                f"unanswered over ~{self.config.liveness_window_s:.1f}s "
-                "on the CLOCK connection"
-            )
-        self._seq += 1
-        self._misses += 1
-        self._quiet_since = now
-        self.stats.heartbeats_sent += 1
-        self._send_probe(Heartbeat(seq=self._seq))
 
 
 class _FramedSocket:
@@ -409,7 +346,7 @@ class TcpLinkServer:
 
 
 class TcpMaster(MasterEndpoint):
-    """Master endpoint with re-accept, grant replay and heartbeat acks."""
+    """Master endpoint with re-accept, grant replay and INT resend."""
 
     def __init__(self, conns: Dict[str, _FramedSocket], stats: LinkStats,
                  server: TcpLinkServer,
@@ -432,13 +369,6 @@ class TcpMaster(MasterEndpoint):
         #: back until the requests it counts have been.
         self._data_seen = 0
         self._held_report: Optional[Counted] = None
-        self._liveness = _Liveness(config, stats, self._send_probe)
-
-    @property
-    def liveness_window_s(self) -> float:
-        """Worst-case CLOCK silence before the board is declared dead;
-        sessions refuse a report timeout that does not exceed it."""
-        return self.config.liveness_window_s
 
     # -- recovery -------------------------------------------------------
     def _mark_dead(self, port: str) -> None:
@@ -461,7 +391,6 @@ class TcpMaster(MasterEndpoint):
         self.stats.reconnects += 1
         try:
             if port == CLOCK_PORT:
-                self._liveness.heard()
                 if self._last_grant is not None and not self._last_grant_acked:
                     conn.send(self._last_grant)
                     self.stats.replays += 1
@@ -487,19 +416,10 @@ class TcpMaster(MasterEndpoint):
             f"({self.config.max_attempts} attempts)"
         )
 
-    def _send_probe(self, probe: Heartbeat) -> None:
-        conn = self._conns.get(CLOCK_PORT)
-        if conn is None:
-            return
-        try:
-            conn.send(probe)
-        except (TransportError, OSError):
-            self._mark_dead(CLOCK_PORT)
-
     # -- CLOCK ---------------------------------------------------------
     def send_grant(self, grant: ClockGrant) -> None:
-        # The count is framing, like a heartbeat: the logical grant is
-        # what the link counters account.
+        # The count is framing: the logical grant is what the link
+        # counters account.
         self.stats.account(grant, "clock")
         grant = Counted(self._interrupts_accepted, grant)
         self._last_grant = grant
@@ -530,7 +450,7 @@ class TcpMaster(MasterEndpoint):
                         return None
                     continue
             conn = self._conns[CLOCK_PORT]
-            slice_s = self.config.heartbeat_interval_s
+            slice_s = _REVIVE_SLICE_S
             if deadline is not None:
                 slice_s = min(slice_s, max(deadline - time.monotonic(), 0.0))
             data = self._conns.get(DATA_PORT)  # None while dead
@@ -545,19 +465,8 @@ class TcpMaster(MasterEndpoint):
                 # A board stuck at an interrupt fence redials INT: take
                 # the fresh connection and resend the frames it lacks.
                 self._revive(INT_PORT, 0.0)
-                self._liveness.probe()
                 if expired():
                     return None
-                continue
-            self._liveness.heard()
-            if isinstance(message, Heartbeat):
-                try:
-                    conn.send(HeartbeatAck(seq=message.seq))
-                except (TransportError, OSError):
-                    self._mark_dead(CLOCK_PORT)
-                continue
-            if isinstance(message, HeartbeatAck):
-                self.stats.heartbeats_acked += 1
                 continue
             if not (isinstance(message, Counted)
                     and isinstance(message.message, TimeReport)):
@@ -616,8 +525,6 @@ class TcpMaster(MasterEndpoint):
             return None
         if not isinstance(message, (DataRead, DataWrite)):
             raise TransportError(f"unexpected message on DATA port: {message!r}")
-        # A board busy on DATA is alive even while CLOCK stays silent.
-        self._liveness.alive()
         self._data_seen = max(self._data_seen, message.seq)
         return message
 
@@ -669,7 +576,6 @@ class TcpBoard(BoardEndpoint):
         #: INT frames read so far, and those not yet polled.
         self._interrupts_read = 0
         self._interrupts: Deque[Interrupt] = deque()
-        self._liveness = _Liveness(config, self.stats, self._send_probe)
         for port in _PORTS:
             self._dial(port)
 
@@ -707,7 +613,6 @@ class TcpBoard(BoardEndpoint):
         self._dial(port)
         self.stats.reconnects += 1
         if port == CLOCK_PORT:
-            self._liveness.heard()
             if self._last_report is not None:
                 # Resync: the master may never have heard this report;
                 # its sequence number lets the master drop a duplicate.
@@ -729,12 +634,6 @@ class TcpBoard(BoardEndpoint):
             self._reconnect(port)
         self._send_raw(port, message)
 
-    def _send_probe(self, probe: Heartbeat) -> None:
-        try:
-            self._send_raw(CLOCK_PORT, probe)
-        except (TransportError, OSError):
-            self._reconnect(CLOCK_PORT)
-
     def inject_disconnect(self, port: str) -> None:
         """Forcibly drop one connection (fault injection hook).
 
@@ -749,33 +648,22 @@ class TcpBoard(BoardEndpoint):
     def recv_grant(self, timeout: Optional[float] = None) -> Optional[ClockGrant]:
         deadline = None if timeout is None else time.monotonic() + timeout
         while True:
-            if deadline is not None and time.monotonic() >= deadline:
-                return None
+            remaining = None
+            if deadline is not None:
+                remaining = deadline - time.monotonic()
+                if remaining <= 0:
+                    return None
             conn = self._conns[CLOCK_PORT]
             if conn is None:
                 self._reconnect(CLOCK_PORT)
                 continue
-            slice_s = self.config.heartbeat_interval_s
-            if deadline is not None:
-                slice_s = min(slice_s, max(deadline - time.monotonic(), 0.0))
             try:
-                message = conn.recv(slice_s)
+                message = conn.recv(remaining)
             except (TransportError, OSError):
                 self._reconnect(CLOCK_PORT)
                 continue
             if message is None:
-                self._liveness.probe()
-                continue
-            self._liveness.heard()
-            if isinstance(message, Heartbeat):
-                try:
-                    self._send_raw(CLOCK_PORT, HeartbeatAck(seq=message.seq))
-                except (TransportError, OSError):
-                    self._reconnect(CLOCK_PORT)
-                continue
-            if isinstance(message, HeartbeatAck):
-                self.stats.heartbeats_acked += 1
-                continue
+                return None
             if not (isinstance(message, Counted)
                     and isinstance(message.message, ClockGrant)):
                 raise TransportError(
@@ -797,9 +685,9 @@ class TcpBoard(BoardEndpoint):
         """Read INT frames until *count* of them have arrived, redialing
         a dropped INT connection (the master resends what no report has
         covered; numbers already read are dropped).  Raises
-        :class:`TransportError` when a frame is still missing after the
-        liveness window."""
-        window_s = self.config.liveness_window_s
+        :class:`TransportError` when a frame is still missing after
+        ``connect_timeout_s``, the time a redial may take."""
+        window_s = self.config.connect_timeout_s
         deadline = time.monotonic() + window_s
         while self._interrupts_read < count:
             remaining = deadline - time.monotonic()
@@ -807,15 +695,14 @@ class TcpBoard(BoardEndpoint):
                 raise TransportError(
                     f"INT frame {self._interrupts_read + 1} of the "
                     f"{count} sent before this grant never arrived "
-                    f"within the liveness window ({window_s:.1f}s)"
+                    f"within {window_s:g}s"
                 )
             conn = self._conns[INT_PORT]
             if conn is None:
                 self._reconnect(INT_PORT)
                 continue
             try:
-                frame = conn.recv(min(remaining,
-                                      self.config.heartbeat_interval_s))
+                frame = conn.recv(remaining)
             except (TransportError, OSError):
                 self._reconnect(INT_PORT)
                 continue
@@ -874,8 +761,7 @@ class TcpBoard(BoardEndpoint):
                 raise TransportError(f"DATA read of {address:#x} timed out")
             conn = self._conns[DATA_PORT]
             try:
-                reply = conn.recv(
-                    min(remaining, self.config.heartbeat_interval_s))
+                reply = conn.recv(remaining)
             except (TransportError, OSError):
                 # The reply (and possibly the request) was lost; replay.
                 # Reads are idempotent on the master, so at-least-once

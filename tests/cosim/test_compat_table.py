@@ -29,7 +29,7 @@ from repro.errors import ProtocolError
 from repro.replay.checkpoint import Checkpointer
 from repro.transport.faults import FaultPlan, FaultyBoardEndpoint
 from repro.transport.inproc import InprocLink
-from repro.transport.tcp import ResilienceConfig, TcpLink
+from repro.transport.tcp import TcpLink
 
 FEATURES = ("speculation", "adaptive", "fault", "threaded", "multiboard",
             "checkpointer", "tracing")
@@ -45,7 +45,6 @@ class Rig:
         threaded = "threaded" in self.features
         self.config = CosimConfig(
             t_sync=40, report_timeout_s=5.0,
-            resilience=ResilienceConfig(heartbeat_interval_s=0.1),
             speculation_depth=4 if "speculation" in self.features else 0,
             tracing=TracingConfig(enabled="tracing" in self.features))
         sim, clock = build_driver_sim("compat_hw", config=self.config)

@@ -117,7 +117,6 @@ GOLDEN = {
             "board_cycles": 12000020, "int_packets": 8, "data_messages": 56,
             "messages_total": 112, "bytes_total": 2624, "state_switches": 49,
             "reconnects": 0, "reconnect_attempts": 0, "replays": 0,
-            "heartbeats_sent": 0, "heartbeats_acked": 0,
             "checkpoints_taken": 0, "restores": 0, "windows_replayed": 0,
             "windows_speculated": 0, "rollbacks": 0,
             "rollback_depth_max": 0, "spans_recorded": 0, "span_events": 0,
@@ -140,7 +139,6 @@ GOLDEN = {
             "board_cycles": 12000020, "int_packets": 3, "data_messages": 46,
             "messages_total": 73, "bytes_total": 1800, "state_switches": 25,
             "reconnects": 0, "reconnect_attempts": 0, "replays": 0,
-            "heartbeats_sent": 0, "heartbeats_acked": 0,
             "checkpoints_taken": 0, "restores": 0, "windows_replayed": 0,
             "windows_speculated": 0, "rollbacks": 0,
             "rollback_depth_max": 0, "spans_recorded": 0, "span_events": 0,
@@ -163,7 +161,6 @@ GOLDEN = {
             "board_cycles": 12000020, "int_packets": 3, "data_messages": 46,
             "messages_total": 73, "bytes_total": 1800, "state_switches": 25,
             "reconnects": 0, "reconnect_attempts": 0, "replays": 0,
-            "heartbeats_sent": 0, "heartbeats_acked": 0,
             "checkpoints_taken": 0, "restores": 0, "windows_replayed": 0,
             "windows_speculated": 0, "rollbacks": 0,
             "rollback_depth_max": 0, "spans_recorded": 0, "span_events": 0,
@@ -196,7 +193,6 @@ GOLDEN = {
             "board_cycles": 14000020, "int_packets": 3, "data_messages": 46,
             "messages_total": 77, "bytes_total": 1884, "state_switches": 29,
             "reconnects": 0, "reconnect_attempts": 0, "replays": 0,
-            "heartbeats_sent": 0, "heartbeats_acked": 0,
             "checkpoints_taken": 0, "restores": 0, "windows_replayed": 0,
             "windows_speculated": 17, "rollbacks": 2,
             "rollback_depth_max": 3, "spans_recorded": 0, "span_events": 0,

@@ -25,8 +25,7 @@ BASE, VECTOR = 0x10, 2
 
 
 def _rig(links):
-    # Longer than the TCP link's default liveness window.
-    config = CosimConfig(t_sync=40, report_timeout_s=30.0)
+    config = CosimConfig(t_sync=40)
     sim, clock = build_driver_sim("links_hw", config=config)
     accel = ChecksumAccelerator(sim, "accel", clock)
     accel.map_registers(sim, BASE)

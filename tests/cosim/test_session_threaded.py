@@ -14,12 +14,7 @@ import pytest
 from repro.cosim import CosimConfig
 from repro.errors import ProtocolError, ReproError
 from repro.router.testbench import RouterWorkload, build_router_cosim
-from repro.transport import ResilienceConfig
 from repro.transport.faults import FaultPlan
-
-#: A liveness window (0.05 s x 4) under the 0.5 s report timeout below.
-SHORT_LIVENESS = ResilienceConfig(heartbeat_interval_s=0.05,
-                                  heartbeat_misses_allowed=3)
 
 
 def run_threaded(mode, t_sync=100, **workload_kwargs):
@@ -120,8 +115,7 @@ class TestFailureCleanup:
         # it while the healthy board loops back to recv_grant and takes
         # the shutdown grant from the cleanup path.
         cosim = build_router_cosim(
-            CosimConfig(t_sync=100, report_timeout_s=0.5,
-                        resilience=SHORT_LIVENESS), workload,
+            CosimConfig(t_sync=100, report_timeout_s=0.5), workload,
             mode="tcp", fault_plan=FaultPlan(drop_reports={2}))
         session = cosim.session
         closed = []
@@ -145,13 +139,17 @@ class TestFailureCleanup:
 
     def test_board_error_is_the_run_errors_context(self, thread_errors):
         # The board executes grant 2, then takes its duplicate and
-        # dies; the master then waits in vain for the report of grant 3.
+        # dies; the master stops waiting for the report of grant 3 as
+        # soon as it sees the board thread has ended, long before the
+        # default 60 s report timeout.
         cosim = build_router_cosim(
-            CosimConfig(t_sync=100, report_timeout_s=0.5,
-                        resilience=SHORT_LIVENESS), RouterWorkload(),
+            CosimConfig(t_sync=100), RouterWorkload(),
             mode="tcp", fault_plan=FaultPlan(duplicate_grants={2}))
-        with pytest.raises(ProtocolError, match="report") as failure:
+        start = time.monotonic()
+        with pytest.raises(ProtocolError, match="'board' stopped serving "
+                           "before its time report") as failure:
             cosim.run()
+        assert time.monotonic() - start < 2.0
         chain = []
         error = failure.value
         while error is not None:
@@ -162,15 +160,36 @@ class TestFailureCleanup:
 
     def test_board_error_after_a_clean_run_raised_by_close(
             self, thread_errors):
+        # The board reports grant 1, which ends the run, then takes the
+        # grant's duplicate and dies between runs.
         cosim = build_router_cosim(
-            CosimConfig(t_sync=100, report_timeout_s=0.5,
-                        resilience=SHORT_LIVENESS), RouterWorkload(),
-            mode="tcp")
-        cosim.session.run(max_windows=1)
-        # Nothing answers the board between runs: it gives up on the
-        # master within the liveness window.
-        time.sleep(1.0)
-        with pytest.raises(ReproError):
+            CosimConfig(t_sync=100), RouterWorkload(), mode="tcp",
+            fault_plan=FaultPlan(duplicate_grants={1}))
+        metrics = cosim.session.run(max_windows=1)
+        assert metrics.windows == 1
+        with pytest.raises(ReproError, match="grant out of order"):
+            cosim.close()
+        assert thread_errors == []
+
+
+class TestBetweenRuns:
+    def test_idle_between_runs_outlasts_the_report_timeout(
+            self, thread_errors):
+        # The board thread waits for its next grant without a deadline:
+        # a session idle for longer than report_timeout_s runs again.
+        cosim = build_router_cosim(
+            CosimConfig(t_sync=100, report_timeout_s=0.5),
+            RouterWorkload(), mode="tcp")
+        session = cosim.session
+        try:
+            session.run(max_windows=2)
+            assert session.aligned()
+            time.sleep(1.0)
+            metrics = session.run(max_windows=4)
+            assert metrics.windows == 2
+            assert session.aligned()
+            assert session.master.clock.cycles == 400
+        finally:
             cosim.close()
         assert thread_errors == []
 

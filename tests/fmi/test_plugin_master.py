@@ -35,7 +35,7 @@ from repro.router.testbench import (
     replay_router_recording,
 )
 from repro.staticcheck.replay_rules import check_snapshotability
-from repro.transport.tcp import ResilienceConfig, TcpLink
+from repro.transport.tcp import TcpLink
 
 #: Sparse traffic: busy windows early, then a long idle tail in which
 #: the board is quiescent and speculation has windows to run ahead on.
@@ -107,8 +107,7 @@ class TestSpeculation:
 
 def test_threaded_plugin_session_runs():
     # The master's threaded window steps the plugin like the netlist.
-    config = CosimConfig(t_sync=200, report_timeout_s=5.0,
-                         resilience=ResilienceConfig(heartbeat_interval_s=0.1))
+    config = CosimConfig(t_sync=200, report_timeout_s=5.0)
     workload = RouterWorkload(**WORKLOAD)
     link = TcpLink(config.resilience)
     plugin = BehavioralRouterModel()

@@ -125,8 +125,7 @@ class TestReplayIdentity:
             t_sync=300,
             resilience=ResilienceConfig(
                 max_attempts=8, backoff_initial_s=0.005,
-                backoff_max_s=0.05, heartbeat_interval_s=0.05,
-                heartbeat_misses_allowed=200))
+                backoff_max_s=0.05))
         recording = SessionRecording()
         cosim = build_router_cosim(
             config,

@@ -1,11 +1,11 @@
-"""Per-rule tests for the RTOS / co-sim pass (RTOS001-004, COSIM001-004)."""
+"""Per-rule tests for the RTOS / co-sim pass (RTOS001-004, COSIM001,
+COSIM002 and COSIM004)."""
 
 from repro.cosim.adaptive import AdaptivePolicy
 from repro.cosim.config import CosimConfig
 from repro.rtos.kernel import RtosKernel
 from repro.rtos.syscalls import CpuWork
 from repro.staticcheck import check_cosim_config, check_kernel
-from repro.transport import ResilienceConfig
 
 
 def rules_of(diagnostics):
@@ -128,26 +128,10 @@ class TestCosimConfig:
                              emulated_network_delay_s=0.01)
         assert "COSIM002" not in rules_of(check_cosim_config(config))
 
-    def test_cosim003_catches_post_construction_mutation(self):
-        # Every config is checked, whatever transport it is meant for:
-        # one built with too long a window, and one made so afterwards.
-        too_long = CosimConfig(
-            report_timeout_s=5.0,
-            resilience=ResilienceConfig(heartbeat_interval_s=1.0,
-                                        heartbeat_misses_allowed=10),
-        )
-        mutated = CosimConfig(report_timeout_s=60.0)
-        assert check_cosim_config(mutated) == []
-        mutated.report_timeout_s = 5.0
-        for config in (too_long, mutated):
-            diags = check_cosim_config(config)
-            (finding,) = [d for d in diags if d.rule == "COSIM003"]
-            assert finding.severity == "error"
-            assert "liveness window" in finding.message
-
-    def test_cosim003_valid_window_is_clean(self):
-        config = CosimConfig(report_timeout_s=60.0)
-        assert "COSIM003" not in rules_of(check_cosim_config(config))
+    def test_short_report_timeout_is_clean(self):
+        # The report timeout is the TCP link's one silence bound: no
+        # second bound on the link can undercut it.
+        assert check_cosim_config(CosimConfig(report_timeout_s=0.5)) == []
 
     def test_cosim004_unattached_remote_vector(self):
         kernel = RtosKernel()

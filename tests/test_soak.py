@@ -86,9 +86,7 @@ class TestSoak:
         )
         injected = dict(plan.disconnect_after_grants)
         resilience = ResilienceConfig(
-            max_attempts=8, backoff_initial_s=0.005,
-            backoff_max_s=0.05, heartbeat_interval_s=0.05,
-            heartbeat_misses_allowed=200)
+            max_attempts=8, backoff_initial_s=0.005, backoff_max_s=0.05)
         config = CosimConfig(t_sync=t_sync, report_timeout_s=30.0,
                              resilience=resilience)
         workload = RouterWorkload(
