@@ -77,19 +77,17 @@ class Memory:
                 "writes": self.writes}
 
     def restore(self, state: dict) -> None:
-        if "data" not in state:
-            raise MemoryError_("memory snapshot missing 'data'")
+        for key in ("data", "reads", "writes"):
+            if key not in state:
+                raise MemoryError_(f"memory snapshot missing {key!r}")
         data = state["data"]
         if len(data) != self.size:
             raise MemoryError_(
                 f"memory snapshot is {len(data)} bytes, RAM is {self.size}"
             )
         self._data[:] = data
-        # Snapshots that predate the access counters were taken when
-        # the counters were always zero; falling back to the live
-        # values would leave a *used* object's stale counts behind.
-        self.reads = state.get("reads", 0)
-        self.writes = state.get("writes", 0)
+        self.reads = state["reads"]
+        self.writes = state["writes"]
 
     def __len__(self) -> int:
         return self.size

@@ -64,12 +64,17 @@ class UntimedRouterCosim:
     def run(self, max_cycles: Optional[int] = None) -> UntimedResult:
         bound = max_cycles or (4 * self.workload.estimated_cycles())
         period = self.clock.period
+        irq = self.router.irq
+        irq_was_high = bool(irq.read())
         start = time.perf_counter()
         while (self.clock.cycles < bound
                and not packets_drained(self.producers, self.stats)):
             self.sim.run_until(self.sim.now + period)
-            if self.sim.poll_interrupt() or self.router.reg_status.read() & 1:
+            irq_high = bool(irq.read())
+            if ((irq_high and not irq_was_high)
+                    or self.router.reg_status.read() & 1):
                 self._drain_instantly()
+            irq_was_high = irq_high
         wall = time.perf_counter() - start
         return UntimedResult(self.stats, self.clock.cycles, wall,
                              self.packets_checked)
@@ -78,6 +83,4 @@ class UntimedRouterCosim:
 def run_untimed(workload: Optional[RouterWorkload] = None,
                 config: Optional[CosimConfig] = None) -> UntimedResult:
     """Convenience wrapper: build and run the functional baseline."""
-    cosim = UntimedRouterCosim(workload, config)
-    cosim.sim.bind_interrupt(cosim.router.irq)
-    return cosim.run()
+    return UntimedRouterCosim(workload, config).run()

@@ -7,17 +7,17 @@ the loop cannot combine.  A pair it does not list runs.
 
 * ``refuse`` rows raise :class:`~repro.errors.ProtocolError` before
   window 0: at session construction, at ``attach_*`` time, or at the
-  top of ``run()`` for state wired in by hand.  ``restore_session``
-  and lint rule COSIM005 read the same rows.
+  top of ``run()`` for state wired in by hand.  Lint rule COSIM005
+  reads the same rows.
 * ``degrade`` rows run with the row's *first* feature switched off; the
   reason says what the run does instead.
 
 Features (see :func:`features`): ``speculation``, ``adaptive``,
 ``fault`` (a fault injector on a board link), ``threaded``,
 ``multiboard``, ``checkpointer``, ``tracing`` and ``plugin`` (the
-master's hardware is a plugin, see :mod:`repro.fmi`), plus two that only
-appear in rows: ``done`` (a ``done()`` probe passed to ``run``) and
-``restore`` (``restore_session``).
+master's hardware is a plugin, see :mod:`repro.fmi`), plus ``done`` (a
+``done()`` probe passed to ``run``), which only appears in rows.
+Checkpoints and restores cover every board, so neither is refused.
 """
 
 from __future__ import annotations
@@ -29,8 +29,6 @@ from repro.transport.faults import find_fault_injector
 
 REFUSE = "refuse"
 DEGRADE = "degrade"
-
-_ONE_BOARD = "session snapshots cover the first board only"
 
 #: (feature, feature) -> (verdict, reason).
 COMPATIBILITY = {
@@ -48,8 +46,6 @@ COMPATIBILITY = {
     ("adaptive", "plugin"): (
         REFUSE, "an adaptive window ends at the first interrupt edge, and "
         "a plugin's step(n) cannot stop early"),
-    ("checkpointer", "multiboard"): (REFUSE, _ONE_BOARD),
-    ("restore", "multiboard"): (REFUSE, _ONE_BOARD),
     ("speculation", "done"): (
         DEGRADE, "a done() probe inspects live state between windows, "
         "which is meaningless while the board runs ahead; every window "
@@ -61,7 +57,6 @@ COMPATIBILITY = {
 _ATTACHED = {
     "adaptive": "an adaptive window controller",
     "checkpointer": "a checkpointer",
-    "restore": "restore_session",
 }
 
 

@@ -108,10 +108,6 @@ class CosimMaster:
         if vector in self._irq_endpoints:
             raise ProtocolError(f"interrupt vector {vector} already bound")
         self._irq_endpoints[vector] = endpoint or self.endpoint
-        self.sim.bind_interrupt_vector(vector, signal)
-        if vector == self.config.remote_vector:
-            # Keep the kernel-level single-signal view working too.
-            self.sim.bind_interrupt(signal)
 
         def on_commit(sig, old, new, vector=vector):
             if new and not old:

@@ -65,6 +65,7 @@ from repro.cosim.optimistic import Speculator
 from repro.cosim.protocol import make_shutdown
 from repro.errors import ProtocolError, ReproError, TransportError
 from repro.obs.recorder import install_recorder, make_recorder
+from repro.replay.snapshot import SnapshotError, require_keys
 from repro.transport.channel import LinkStats
 
 DoneFn = Callable[[], bool]
@@ -175,9 +176,10 @@ class CosimSession:
         self.windows_speculated = 0
         self.rollbacks = 0
         self.rollback_depth_max = 0
-        #: Board-side trees (board_runtime, link, board-side extras) of
-        #: a committed speculative boundary, read by snapshot() while
-        #: that window is reported.  Transient within one window report.
+        #: The first board's trees (board_runtime, link, board-side
+        #: extras) at a committed speculative boundary, read by
+        #: snapshot() while that window is reported (speculation runs
+        #: one board).  Transient within one window report.
         self._committed_board = None
         self._check_shape()
         if not self.threaded:
@@ -197,9 +199,8 @@ class CosimSession:
 
     def attach_checkpointer(self, checkpointer) -> None:
         """Capture checkpoints at window boundaries via *checkpointer*
-        (an object with an ``on_window(session)`` hook)."""
-        compat.check(compat.with_feature(self, "checkpointer"),
-                     "checkpointer")
+        (an object with an ``on_window(session)`` hook).  No feature
+        refuses a checkpointer: the snapshot covers every board."""
         self.checkpointer = checkpointer
 
     def attach_adaptive(self, policy: Optional[AdaptivePolicy] = None) -> None:
@@ -251,19 +252,25 @@ class CosimSession:
     # Checkpointing
     # ------------------------------------------------------------------
     def snapshot(self) -> dict:
-        """Full-session state tree (only call at a window boundary).
+        """Full-session state tree (only call at a window boundary):
+        the master, one ``{"runtime", "link"}`` subtree per board keyed
+        by board name, and the extra snapshotables.
 
         While a committed speculative window is reported the live board
-        has already run ahead, so the board half of the tree comes from
-        the speculation checkpoint of that boundary; the master half is
-        live and exact.
+        has already run ahead, so the first board's subtree and the
+        board-side extras come from the speculation checkpoint of that
+        boundary; the master half is live and exact.
         """
         board = self._committed_board
+        boards = {slot.name: {"runtime": slot.runtime.snapshot(),
+                              "link": slot.link.stats.snapshot()}
+                  for slot in self.slots[1 if board else 0:]}
+        if board:
+            boards[self.slots[0].name] = {"runtime": board["board_runtime"],
+                                          "link": board["link"]}
         return {
             "master": self.master.snapshot(),
-            "board_runtime": (board["board_runtime"] if board
-                              else self.runtime.snapshot()),
-            "link": board["link"] if board else self.link_stats.snapshot(),
+            "boards": boards,
             "extra": {name: (board["extra"][name]
                              if board and self.snapshotable_sides[name]
                              == "board" else obj.snapshot())
@@ -277,12 +284,19 @@ class CosimSession:
         frames, simkernel processes) must already match, which the
         re-execution restore path guarantees and verifies by digest.
         """
-        for key in ("master", "board_runtime", "link", "extra"):
-            if key not in state:
-                raise ReproError(f"session snapshot missing {key!r}")
+        require_keys(state, ("master", "boards", "extra"), "session")
+        names = sorted(slot.name for slot in self.slots)
+        if sorted(state["boards"]) != names:
+            raise SnapshotError(
+                f"session snapshot has boards {sorted(state['boards'])}, "
+                f"the session has {names}")
         self.master.restore(state["master"])
-        self.runtime.restore(state["board_runtime"])
-        self.link_stats.restore(state["link"])
+        for slot in self.slots:
+            subtree = state["boards"][slot.name]
+            require_keys(subtree, ("runtime", "link"),
+                         f"board {slot.name!r}")
+            slot.runtime.restore(subtree["runtime"])
+            slot.link.stats.restore(subtree["link"])
         for name, subtree in state["extra"].items():
             if name not in self.snapshotables:
                 raise ReproError(

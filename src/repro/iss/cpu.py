@@ -118,7 +118,8 @@ class IssCpu:
         }
 
     def restore(self, state: dict) -> None:
-        for key in ("regs", "pc", "halted"):
+        for key in ("regs", "pc", "halted", "instructions_retired",
+                    "cycles", "op_histogram"):
             if key not in state:
                 raise IssError(f"cpu snapshot missing {key!r}")
         if len(state["regs"]) != NUM_REGS:
@@ -130,13 +131,9 @@ class IssCpu:
         self.regs[0] = 0
         self.pc = state["pc"]
         self.halted = state["halted"]
-        # Optional accounting keys default to the snapshot-era initial
-        # values, NOT this instance's current counters: restoring an
-        # old checkpoint into a used CPU must not leak post-checkpoint
-        # progress.
-        self._retired_base = state.get("instructions_retired", 0)
-        self.cycles = state.get("cycles", 0)
-        self._histogram_base = dict(state.get("op_histogram", {}))
+        self._retired_base = state["instructions_retired"]
+        self.cycles = state["cycles"]
+        self._histogram_base = dict(state["op_histogram"])
         self._pc_counts = [0] * len(self.program.instructions)
 
     # ------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Versioned checkpoints at window boundaries (``repro-checkpoint/1``).
+"""Versioned checkpoints at window boundaries (``repro-checkpoint/2``).
 
 Every ``CLOCK_PORT`` exchange is a full resynchronization point —
 simulated time and board time agree exactly — so window boundaries are
@@ -8,15 +8,22 @@ frozen in IDLE, the master's window is fully settled.
 File format (JSON, schema-checked on load)::
 
     {
-      "schema": "repro-checkpoint/1",
+      "schema": "repro-checkpoint/2",
       "window": 12,                  # windows completed at capture
       "master_cycles": 12000,        # == board SW ticks (alignment)
       "seq": 12,                     # protocol sequence number
       "digest": "sha256...",         # over the canonical state tree
-      "meta": {...},                 # session/config fingerprint
+      "meta": {...},                 # config fingerprint
       "trace": [[...], ...],         # WindowRecord rows up to `window`
-      "state": {...}                 # full Snapshotable tree
+      "state": {                     # full Snapshotable tree
+        "master": {...},
+        "boards": {"<board name>": {"runtime": {...}, "link": {...}}},
+        "extra": {...}
+      }
     }
+
+Every key of the tree is required on restore; a document of any other
+schema is refused with :class:`SnapshotError`.
 
 Restore semantics: RTOS threads and simkernel processes are Python
 generators, whose frames cannot be serialized.  A checkpoint is
@@ -35,7 +42,6 @@ import os
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
-from repro.cosim import compat
 from repro.replay.snapshot import (
     SnapshotError,
     check_int_rows,
@@ -46,7 +52,7 @@ from repro.replay.snapshot import (
 )
 
 #: The checkpoint file schema identifier.
-CHECKPOINT_SCHEMA = "repro-checkpoint/1"
+CHECKPOINT_SCHEMA = "repro-checkpoint/2"
 
 
 class CheckpointDivergence(SnapshotError):
@@ -151,8 +157,7 @@ def capture_checkpoint(session, meta: Optional[dict] = None) -> Checkpoint:
     trace_rows = []
     if session.trace is not None:
         trace_rows = [record.as_row() for record in session.trace.records]
-    info = {"t_sync": session.config.t_sync,
-            "session": type(session).__name__}
+    info = {"t_sync": session.config.t_sync}
     info.update(meta or {})
     return Checkpoint(
         window=session.windows_completed,
@@ -218,19 +223,14 @@ def restore_session(session, checkpoint: Checkpoint, strict: bool = True):
     plain-data state is re-applied.  Returns the fast-forward metrics;
     afterwards ``session.run(...)`` continues the run bit-exactly.
 
-    Sessions the compatibility table refuses to restore raise
-    :class:`SnapshotError`: multi-board snapshots cover one board.  Any
-    link restores: TCP windows run in the same order as in-process
-    ones, so re-execution reproduces them bit for bit.
+    Any session restores, with any number of boards on any link: TCP
+    windows run in the same order as in-process ones, so re-execution
+    reproduces them bit for bit.
     """
     if session.windows_completed != 0:
         raise SnapshotError(
             "restore_session needs a fresh session (windows already run)"
         )
-    refused = compat.refusals(compat.with_feature(session, "restore"),
-                              "restore")
-    if refused:
-        raise SnapshotError(refused[0])
     metrics = session.run(max_windows=checkpoint.window)
     verify_against(session, checkpoint, strict=strict)
     session.restore(checkpoint.state)

@@ -124,7 +124,8 @@ class Router(Module):
         }
 
     def restore(self, state: dict) -> None:
-        for key in ("buffer", "current", "input_fifos", "output_fifos"):
+        for key in ("buffer", "current", "input_fifos", "output_fifos",
+                    "parked"):
             if key not in state:
                 raise ValueError(f"router snapshot missing {key!r}")
         self.buffer.restore(state["buffer"])
@@ -134,10 +135,9 @@ class Router(Module):
             fifo.load_items([Packet.from_bytes(p) for p in packets])
         for fifo, packets in zip(self.output_fifos, state["output_fifos"]):
             fifo.load_items([Packet.from_bytes(p) for p in packets])
-        # Snapshot-era default: snapshots that predate parking were
-        # always clocked.  The flag must round-trip exactly — a restored
-        # session replays the same delta schedule as the original.
-        parked = state.get("parked", False)
+        # The flag must round-trip exactly — a restored session
+        # replays the same delta schedule as the original.
+        parked = state["parked"]
         if parked != self._parked:
             self._parked = parked
             self._main_proc.set_static_sensitivity(

@@ -392,10 +392,10 @@ def _assemble(link, config: CosimConfig, workload: RouterWorkload,
 
 
 #: The run keys :func:`router_run_meta` stamps beside the workload's
-#: (default, type, bounds), and the session class a checkpoint adds.
+#: (default, type, bounds).
 _RUN_META = {"scenario": (None, str), "mode": (INPROC, str),
              "threaded": (False, bool), "t_sync": (1000, int, 1),
-             "iss_timing": (False, bool), "session": ("", str)}
+             "iss_timing": (False, bool)}
 
 
 def router_run_meta(config: CosimConfig, workload: RouterWorkload,

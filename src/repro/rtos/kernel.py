@@ -93,10 +93,6 @@ class RtosKernel:
         self.idle_cycles = 0
         self.kernel_cycles = 0
         self.context_switches = 0
-        #: Interrupts serviced while frozen: always 0, since every
-        #: interrupt is scheduled inside its window.  Kept in the
-        #: snapshot until the checkpoint schema next changes.
-        self.idle_service_count = 0
 
     # ------------------------------------------------------------------
     # Time properties
@@ -359,7 +355,6 @@ class RtosKernel:
             "idle_cycles": self.idle_cycles,
             "kernel_cycles": self.kernel_cycles,
             "context_switches": self.context_switches,
-            "idle_service_count": self.idle_service_count,
             "threads": threads,
             "scheduler": self.scheduler.snapshot(),
             "alarms": self._alarm_queue.snapshot(),
@@ -380,8 +375,10 @@ class RtosKernel:
         the checkpoint by re-execution); this re-applies every plain
         field and queue ordering on top.
         """
-        for key in ("cycles", "sw_ticks", "threads", "scheduler",
-                    "alarms", "interrupts"):
+        for key in ("cycles", "hw_ticks", "sw_ticks", "next_tick_at",
+                    "hw_tick_phase", "state", "state_switches",
+                    "idle_cycles", "kernel_cycles", "context_switches",
+                    "threads", "scheduler", "alarms", "interrupts"):
             if key not in state:
                 raise RtosError(
                     f"{self.name}: kernel snapshot missing {key!r}"
@@ -419,7 +416,6 @@ class RtosKernel:
         self.idle_cycles = state["idle_cycles"]
         self.kernel_cycles = state["kernel_cycles"]
         self.context_switches = state["context_switches"]
-        self.idle_service_count = state["idle_service_count"]
         self.scheduler.restore(state["scheduler"], by_name)
         self._alarm_queue.restore(state["alarms"])
         self.interrupts.restore(state["interrupts"])

@@ -131,10 +131,13 @@ class MlqScheduler:
         (the kernel's registry — queue entries are references, so the
         caller must supply them).
         """
-        queues = state.get("queues")
-        if queues is None or len(queues) != len(self._queues):
+        for key in ("queues", "idle_mode"):
+            if key not in state:
+                raise RtosError(f"scheduler snapshot missing {key!r}")
+        queues = state["queues"]
+        if len(queues) != len(self._queues):
             raise RtosError(
-                f"scheduler snapshot has {len(queues or [])} priority "
+                f"scheduler snapshot has {len(queues)} priority "
                 f"levels, expected {len(self._queues)}"
             )
         self._bitmap = 0
@@ -150,9 +153,7 @@ class MlqScheduler:
             self._queues[priority] = queue
             if queue:
                 self._bitmap |= 1 << priority
-        # Snapshot-era default: idle_mode postdates early snapshots,
-        # which were all taken with the scheduler in normal mode.
-        self.idle_mode = state.get("idle_mode", False)
+        self.idle_mode = state["idle_mode"]
 
     def peers_ready(self, thread: Thread) -> bool:
         """Any eligible thread ready at *thread*'s own priority?"""

@@ -212,9 +212,9 @@ class Mutex(Waitable):
 
     def restore(self, state: dict) -> None:
         super().restore(state)
-        # Snapshot-era default: boosts was zero before the counter
-        # existed, so never keep a used object's live value.
-        self.boosts = state.get("boosts", 0)
+        if "boosts" not in state:
+            raise RtosError(f"{self.name}: snapshot missing 'boosts'")
+        self.boosts = state["boosts"]
 
     def unlock(self) -> None:
         if self._owner is None:

@@ -141,26 +141,22 @@ class Thread:
         rebuilt by re-execution, not assigned here (they reference live
         objects a serialized tree cannot carry).
         """
-        for key in ("state", "suspended", "work_remaining",
-                    "timeslice_left"):
+        for key in ("state", "suspended", "base_priority", "priority",
+                    "work_remaining", "timeslice_left", "cycles_consumed",
+                    "dispatch_count", "syscall_count"):
             if key not in state:
                 raise RtosError(
                     f"thread {self.name}: snapshot missing {key!r}"
                 )
         self.state = state["state"]
         self.suspended = state["suspended"]
-        # Missing keys take their snapshot-era values, not the live
-        # object's: old snapshots predate priority inheritance (no
-        # thread ever ran boosted) and the activity counters (always
-        # zero), so a restore into a used thread must reset them.
-        self.base_priority = state.get("base_priority",
-                                       self.base_priority)
-        self.priority = state.get("priority", self.base_priority)
+        self.base_priority = state["base_priority"]
+        self.priority = state["priority"]
         self.work_remaining = state["work_remaining"]
         self.timeslice_left = state["timeslice_left"]
-        self.cycles_consumed = state.get("cycles_consumed", 0)
-        self.dispatch_count = state.get("dispatch_count", 0)
-        self.syscall_count = state.get("syscall_count", 0)
+        self.cycles_consumed = state["cycles_consumed"]
+        self.dispatch_count = state["dispatch_count"]
+        self.syscall_count = state["syscall_count"]
 
     # ------------------------------------------------------------------
     # Kernel internals

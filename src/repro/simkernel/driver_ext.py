@@ -14,6 +14,10 @@ The DATE'05 methodology modifies the SystemC kernel with:
   :class:`repro.cosim.master.CosimMaster` that serves DATA, simulates
   and forwards interrupts on this simulator.
 
+The simulator keeps no interrupt state of its own: the master observes
+each bound request signal and forwards its rising edges
+(:meth:`repro.cosim.master.CosimMaster.bind_interrupt`).
+
 Driver ports are addressed by small integer *register addresses* so the
 remote DATA protocol can name them.
 """
@@ -131,10 +135,6 @@ class DriverSimulator(Simulator):
                  max_deltas: int = 10_000) -> None:
         super().__init__(name, max_deltas)
         self._driver_ports: Dict[int, DriverPort] = {}
-        self._interrupt_signal: Optional[Signal] = None
-        self._interrupt_was_high = False
-        #: vector -> (signal, was_high) for multi-device designs.
-        self._interrupt_vectors: Dict[int, list] = {}
 
     # ------------------------------------------------------------------
     # Register file
@@ -185,62 +185,11 @@ class DriverSimulator(Simulator):
         return port.external_read()
 
     # ------------------------------------------------------------------
-    # Interrupt forwarding
-    # ------------------------------------------------------------------
-    def bind_interrupt(self, signal: Signal) -> None:
-        """Designate the model's (single) interrupt-request signal."""
-        self._interrupt_signal = signal
-        self._interrupt_was_high = bool(signal.read())
-
-    def bind_interrupt_vector(self, vector: int, signal: Signal) -> None:
-        """Attach *signal* as the interrupt source for *vector*.
-
-        Multi-device designs expose one request line per device; the
-        master forwards each rising edge as an INT packet carrying the
-        vector, and the board's interrupt controller dispatches it to
-        the matching ISR.
-        """
-        if vector in self._interrupt_vectors:
-            raise ElaborationError(
-                f"interrupt vector {vector} already bound"
-            )
-        self._interrupt_vectors[vector] = [signal, bool(signal.read())]
-
-    def poll_interrupt(self) -> bool:
-        """Edge-detect the single interrupt signal.
-
-        Returns True exactly once per rising edge — the moment the
-        master must emit a packet on the INT port.
-        """
-        if self._interrupt_signal is None:
-            return False
-        high = bool(self._interrupt_signal.read())
-        fired = high and not self._interrupt_was_high
-        self._interrupt_was_high = high
-        return fired
-
-    def poll_interrupt_vectors(self) -> list:
-        """Edge-detect every bound vector; returns fired vector numbers."""
-        fired = []
-        for vector, record in self._interrupt_vectors.items():
-            signal, was_high = record
-            high = bool(signal.read())
-            if high and not was_high:
-                fired.append(vector)
-            record[1] = high
-        return fired
-
-    # ------------------------------------------------------------------
     # Checkpointing
     # ------------------------------------------------------------------
     def snapshot(self) -> dict:
         state = super().snapshot()
         state["driver"] = {
-            "interrupt_was_high": self._interrupt_was_high,
-            "vector_levels": {
-                str(vector): record[1]
-                for vector, record in sorted(self._interrupt_vectors.items())
-            },
             "port_counts": {
                 str(address): [getattr(port, "write_count", 0),
                                getattr(port, "read_count", 0)]
@@ -251,18 +200,10 @@ class DriverSimulator(Simulator):
 
     def restore(self, state: dict) -> None:
         super().restore(state)
-        if "driver" not in state:
-            raise SimulationError(f"{self.name}: snapshot missing 'driver'")
-        driver = state["driver"]
-        self._interrupt_was_high = driver["interrupt_was_high"]
-        for vector, level in driver["vector_levels"].items():
-            record = self._interrupt_vectors.get(int(vector))
-            if record is None:
-                raise SimulationError(
-                    f"{self.name}: snapshot names unbound vector {vector}"
-                )
-            record[1] = level
-        for address, (writes, reads) in driver["port_counts"].items():
+        if "port_counts" not in state.get("driver", {}):
+            raise SimulationError(
+                f"{self.name}: snapshot missing 'driver.port_counts'")
+        for address, (writes, reads) in state["driver"]["port_counts"].items():
             port = self.port_at(int(address))
             if hasattr(port, "write_count"):
                 port.write_count = writes

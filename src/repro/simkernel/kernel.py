@@ -540,17 +540,15 @@ class Simulator:
         """Apply a :meth:`snapshot` tree to a settled, elaborated kernel."""
         self._require_settled("restore")
         signals, events, modules = self._checkpoint_names()
-        for key in ("now", "signals", "timed", "modules"):
+        for key in ("now", "delta_count", "process_runs", "signals",
+                    "timed", "modules"):
             if key not in state:
                 raise SimulationError(
                     f"{self.name}: snapshot missing key {key!r}"
                 )
         self._now = state["now"]
-        # Snapshot-era defaults: snapshots that predate these counters
-        # were taken when both were zero; keeping the live values
-        # would leave a used kernel's stale counts in place.
-        self.delta_count = state.get("delta_count", 0)
-        self.process_runs = state.get("process_runs", 0)
+        self.delta_count = state["delta_count"]
+        self.process_runs = state["process_runs"]
         for name, (value, change_count) in state["signals"].items():
             signal = signals.get(name)
             if signal is None:

@@ -1,6 +1,6 @@
 """The checkpoint/replay lint pass: COSIM005.
 
-Checkpoints (:mod:`repro.replay`) walk the netlist and the board's
+Checkpoints (:mod:`repro.replay`) walk the netlist and every board's
 device table and serialize every object that implements the
 ``Snapshotable`` protocol (duck-typed ``snapshot()``/``restore()``).
 Objects that *lack* the protocol are silently skipped — the checkpoint
@@ -12,7 +12,7 @@ one without any error being raised.
 checkpointing run starts:
 
 * netlist modules registered with the master's simulator;
-* devices registered with the board kernel's device table;
+* devices registered with each board kernel's device table;
 * extra snapshotables attached to the session.
 
 An object that implements only *one* of the two methods is always
@@ -111,9 +111,10 @@ def check_snapshotability(
         _check_object(report, target, "mounted plugin", name, plugin,
                       enabled)
 
-    kernel = session.runtime.board.kernel
-    for name, device in kernel.devices.items():
-        _check_object(report, target, "device", name, device, enabled)
+    for slot in session.slots:
+        for name, device in slot.runtime.board.kernel.devices.items():
+            _check_object(report, target, f"board {slot.name!r} device",
+                          name, device, enabled)
 
     for name, obj in sorted(session.snapshotables.items()):
         # register_snapshotable() enforces the full protocol, but the

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from typing import List, Optional, Union
 
+from repro.errors import TransportError
 from repro.transport.framing import frame_size
 from repro.transport.messages import (
     ClockGrant,
@@ -59,20 +60,16 @@ class LinkStats:
     )
 
     def snapshot(self) -> dict:
-        """All counters as a plain dict (checkpoint support).
-
-        The tree also carries two retired probe counters, always 0, so
-        that checkpoints saved while the link still had them restore
-        strictly until the checkpoint schema is next bumped.
-        """
-        state = {name: getattr(self, name) for name in self.FIELDS}
-        state.update(heartbeats_sent=0, heartbeats_acked=0)
-        return state
+        """All counters as a plain dict (checkpoint support)."""
+        return {name: getattr(self, name) for name in self.FIELDS}
 
     def restore(self, state: dict) -> None:
         for name in self.FIELDS:
-            if name in state:
-                setattr(self, name, state[name])
+            if name not in state:
+                raise TransportError(
+                    f"link stats snapshot missing {name!r}")
+        for name in self.FIELDS:
+            setattr(self, name, state[name])
 
     def account(self, message: Message, port: str) -> None:
         self.messages_sent += 1

@@ -175,23 +175,24 @@ class _FramedSocket:
 
         ``timeout`` is a wall-clock *deadline* for the whole message,
         not a per-chunk allowance: a peer dribbling partial frames
-        cannot stretch the wait beyond ``timeout`` seconds.  With
-        *wake*, also return None as soon as *wake* has input waiting
-        and this connection has none.
+        cannot stretch the wait beyond ``timeout`` seconds.  A deadline
+        that has passed (``timeout=0`` included) still gets one
+        non-blocking poll and fill.  With *wake*, also return None as
+        soon as *wake* has input waiting and this connection has none.
         """
         deadline = None if timeout is None else time.monotonic() + timeout
+        expired = False
         while True:
             frame = self._extract_frame()
             if frame is not None:
                 return decode(frame)
-            if wake is not None and wake._has_frame():
+            if expired or (wake is not None and wake._has_frame()):
                 return None
             wait_ms = None
             if deadline is not None:
                 remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    return None
-                wait_ms = remaining * 1e3
+                expired = remaining <= 0
+                wait_ms = max(remaining, 0.0) * 1e3
             if not self._wait(wait_ms, wake):
                 return None  # timed out, or *wake* has input
             self._fill()
@@ -650,9 +651,8 @@ class TcpBoard(BoardEndpoint):
         while True:
             remaining = None
             if deadline is not None:
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    return None
+                # Past the deadline, recv still polls once.
+                remaining = max(deadline - time.monotonic(), 0.0)
             conn = self._conns[CLOCK_PORT]
             if conn is None:
                 self._reconnect(CLOCK_PORT)

@@ -182,7 +182,7 @@ class TestTableShape:
     def test_rows_name_known_features(self):
         # "plugin" needs a plugin master, which this rig does not
         # build; tests/fmi/test_plugin_master.py covers its row.
-        known = set(FEATURES) | {"done", "restore", "plugin"}
+        known = set(FEATURES) | {"done", "plugin"}
         for (a, b), (verdict, reason) in compat.COMPATIBILITY.items():
             assert {a, b} <= known
             assert verdict in (compat.REFUSE, compat.DEGRADE)

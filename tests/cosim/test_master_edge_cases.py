@@ -4,7 +4,7 @@ reactive windows in isolation."""
 import pytest
 
 from repro.cosim import CosimConfig, CosimMaster, build_driver_sim
-from repro.errors import ElaborationError, ProtocolError
+from repro.errors import ProtocolError
 from repro.simkernel import DriverIn, Module, Signal, driver_process
 from repro.transport import InprocLink, TcpLink
 
@@ -50,29 +50,27 @@ class TestMultiVectorBinding:
         with pytest.raises(ProtocolError, match="already bound"):
             master.bind_interrupt(3, device.irq)
 
-    def test_kernel_level_duplicate_vector_rejected(self):
-        sim, clock = build_driver_sim("dup_hw2")
-        device = Pulser(sim, "dev", clock)
-        sim.bind_interrupt_vector(5, device.irq)
-        with pytest.raises(ElaborationError):
-            sim.bind_interrupt_vector(5, device.irq)
-
-    def test_poll_interrupt_vectors_edge_detects_each(self):
-        sim, clock = build_driver_sim("vec_hw")
+    def test_each_vector_forwards_its_edges(self):
+        config = CosimConfig(t_sync=5)
+        link = InprocLink()
+        sim, clock = build_driver_sim("vec_hw", config=config)
         dev_a = Pulser(sim, "a", clock)
         dev_b = Pulser(sim, "b", clock)
         sim.map_port(0, dev_a.poke)
         sim.map_port(1, dev_b.poke)
-        sim.bind_interrupt_vector(1, dev_a.irq)
-        sim.bind_interrupt_vector(2, dev_b.irq)
+        master = CosimMaster(sim, clock, link.master, config)
+        master.bind_interrupt(1, dev_a.irq)
+        master.bind_interrupt(2, dev_b.irq)
         sim.elaborate()
         sim.settle()
-        assert sim.poll_interrupt_vectors() == []
         sim.external_write(0, 1)
-        assert sim.poll_interrupt_vectors() == [1]
-        assert sim.poll_interrupt_vectors() == []  # level, not edge
+        sim.external_write(0, 1)  # the line is still high: no new edge
         sim.external_write(1, 1)
-        assert sim.poll_interrupt_vectors() == [2]
+        vectors = []
+        while (irq := link.board.poll_interrupt()) is not None:
+            vectors.append(irq.vector)
+        assert vectors == [1, 2]
+        assert master.interrupts_sent == 2
 
 
 class TestReactiveWindow:

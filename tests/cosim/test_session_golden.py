@@ -122,7 +122,7 @@ GOLDEN = {
             "rollback_depth_max": 0, "spans_recorded": 0, "span_events": 0,
             "spans_dropped": 0,
         },
-        "digest": "873a3cf69cac28a5a996e4bf45764273eee4a282878661e3ed7b14dc7014b1dd",
+        "digest": "55529be7ea8d591ebdeb49a4a882a1f34bf502241cfaaf7e5689bcb425e55edd",
     },
     "fmu": {
         "rows": [
@@ -166,7 +166,7 @@ GOLDEN = {
             "rollback_depth_max": 0, "spans_recorded": 0, "span_events": 0,
             "spans_dropped": 0,
         },
-        "digest": "1dc50c36400509b360f582bbeedb5108ce6807c8eac5f52a3597e39e141cef91",
+        "digest": "4dc1835722d16b8f6a105d34613736e0129c5093ae644de63f552011499d11ed",
     },
     "multi-inproc": {
         "rows": None,
@@ -198,7 +198,7 @@ GOLDEN = {
             "rollback_depth_max": 3, "spans_recorded": 0, "span_events": 0,
             "spans_dropped": 0,
         },
-        "digest": "8780e2cd5fab5760edcbd55ef431a6edee8643831d04f9e250890213578c62ef",
+        "digest": "ec21fac81c2c8f8fab5601b4046292ac8da4ed2b1e0bf3277e08ee75ee43ce75",
     },
 }
 

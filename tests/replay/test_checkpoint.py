@@ -52,10 +52,11 @@ class TestCapture:
         assert latest.meta["scenario"] == "router"
         assert latest.master_cycles == latest.window * T_SYNC
         # State tree covers every layer of the stack.
-        assert set(latest.state) == {"master", "board_runtime", "link",
-                                     "extra"}
+        assert set(latest.state) == {"master", "boards", "extra"}
         assert "sim" in latest.state["master"]
-        assert "board" in latest.state["board_runtime"]
+        [board] = latest.state["boards"].values()
+        assert set(board) == {"runtime", "link"}
+        assert "board" in board["runtime"]
         assert "workload_stats" in latest.state["extra"]
 
     def test_checkpoint_save_load_verifies_digest(self, tmp_path):

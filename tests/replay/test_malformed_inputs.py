@@ -109,6 +109,15 @@ class TestCheckpointResume:
         assert len(lines) == 1
         assert "checkpoint trace" in lines[0]
 
+    def test_schema_1_document(self, tmp_path, capsys, checkpoint_doc):
+        # Schema 1 kept the first board only, in a flat tree.
+        checkpoint_doc["schema"] = "repro-checkpoint/1"
+        code, lines = _resume(tmp_path, capsys, checkpoint_doc)
+        assert code == 2
+        assert len(lines) == 1
+        assert "repro-checkpoint/1" in lines[0]
+        assert "repro-checkpoint/2" in lines[0]
+
     @pytest.mark.parametrize("key,value", [
         ("seed", None), ("packets_per_producer", "4"), ("t_sync", 0),
         ("num_ports", 0), ("bogus_knob", 1)])

@@ -34,7 +34,6 @@ def device_sim():
     dev = EchoDevice(sim, "dev")
     sim.map_port(0, dev.cmd)
     sim.map_port(1, dev.result)
-    sim.bind_interrupt(dev.irq)
     sim.elaborate()
     sim.settle()
     return sim, dev
@@ -90,24 +89,41 @@ class TestDriverPorts:
             driver_process(dev, lambda: None)
 
 
+def rising_edges(signal):
+    """A list that gains one entry per rising edge *signal* commits."""
+    edges = []
+
+    def on_commit(_signal, old, new):
+        if new and not old:
+            edges.append(new)
+
+    signal.observe(on_commit)
+    return edges
+
+
 class TestInterruptPolling:
+    """Interrupt edges are observed on the request signal itself (the
+    master forwards them); the simulator keeps no interrupt state."""
+
     def test_edge_detection(self, device_sim):
         sim, dev = device_sim
-        assert not sim.poll_interrupt()
+        edges = rising_edges(dev.irq)
         sim.external_write(0, 1)  # asserts irq
-        assert sim.poll_interrupt() is True
-        assert sim.poll_interrupt() is False  # level still high, no edge
+        assert len(edges) == 1
+        sim.external_write(0, 1)
+        assert len(edges) == 1  # level still high, no edge
 
     def test_new_edge_after_deassert(self, device_sim):
         sim, dev = device_sim
+        edges = rising_edges(dev.irq)
         sim.external_write(0, 1)
-        assert sim.poll_interrupt()
         dev.irq.write(False)
         sim.settle()
-        assert not sim.poll_interrupt()
+        assert len(edges) == 1
         sim.external_write(0, 2)
-        assert sim.poll_interrupt()
+        assert len(edges) == 2
 
-    def test_no_interrupt_signal_bound(self):
-        sim = DriverSimulator()
-        assert sim.poll_interrupt() is False
+    def test_no_interrupt_signal_bound(self, device_sim):
+        sim, _ = device_sim
+        assert sim.snapshot()["driver"] == {"port_counts": {"0": [0, 0],
+                                                           "1": [0, 0]}}

@@ -70,6 +70,17 @@ class TestCheckSnapshotability:
         assert len(diagnostics) == 1
         assert "restore" in diagnostics[0].message
 
+    def test_gap_on_the_second_board_reported(self):
+        from tests.cosim.test_multiboard import Rig
+
+        rig = Rig()
+        rig.board_b.kernel.devices.register(NotSnapshotable())
+        rig.session.attach_checkpointer(Checkpointer(every=5))
+        diagnostics = check_snapshotability(rig.session)
+        assert [d.rule for d in diagnostics] == ["COSIM005"]
+        assert diagnostics[0].severity == WARNING
+        assert "board 'b' device 'bogus'" in diagnostics[0].message
+
     def test_netlist_module_gap_reported(self, session):
         module = NotSnapshotable()
         session.master.sim.modules.append(module)

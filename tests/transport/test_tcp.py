@@ -16,7 +16,12 @@ from repro.transport import (
     connect_board,
 )
 from repro.transport.framing import MAX_FRAME_SIZE, encode
-from repro.transport.messages import DATA_PORT, DataRead, DataReply
+from repro.transport.messages import (
+    CLOCK_PORT,
+    DATA_PORT,
+    DataRead,
+    DataReply,
+)
 from repro.transport.tcp import _FramedSocket
 
 
@@ -29,6 +34,14 @@ def tcp_socket_pair():
     server, _ = listener.accept()
     listener.close()
     return client, server
+
+
+def wait_readable(framed, timeout=5.0):
+    """Wait until bytes are waiting on *framed*, without reading them."""
+    deadline = time.monotonic() + timeout
+    while not framed.ready():
+        assert time.monotonic() < deadline, "no bytes arrived"
+        time.sleep(0.001)
 
 
 @pytest.fixture
@@ -106,6 +119,24 @@ class TestTcpLink:
     def test_recv_timeout(self, tcp_pair):
         master, board = tcp_pair
         assert board.recv_grant(timeout=0.02) is None
+
+    # An expired (here: zero) deadline still gets one non-blocking poll
+    # and fill, so a frame already waiting on the socket is returned.
+    def test_zero_timeout_recv_grant_reads_a_waiting_grant(self, tcp_pair):
+        master, board = tcp_pair
+        assert board.recv_grant(timeout=0) is None
+        master.send_grant(ClockGrant(seq=1, ticks=42))
+        wait_readable(board._conns[CLOCK_PORT])
+        assert board.recv_grant(timeout=0).ticks == 42
+
+    def test_zero_timeout_recv_report_reads_a_waiting_report(self, tcp_pair):
+        master, board = tcp_pair
+        master.send_grant(ClockGrant(seq=1, ticks=42))
+        assert board.recv_grant(timeout=5).ticks == 42
+        assert master.recv_report(timeout=0) is None
+        board.send_report(TimeReport(seq=1, board_ticks=42))
+        wait_readable(master._conns[CLOCK_PORT])
+        assert master.recv_report(timeout=0).board_ticks == 42
 
     def test_listeners_stay_open_for_reaccept(self, tcp_pair):
         master, _board = tcp_pair
