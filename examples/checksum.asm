@@ -4,6 +4,8 @@
 ;
 ;     repro iss examples/checksum.asm --reg r1=0x100 --reg r2=8
 ;
+; CI diffs its output against examples/checksum.expected.
+;
 ; or lint it without running:
 ;
 ;     repro lint examples/checksum.asm

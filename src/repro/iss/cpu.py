@@ -1,16 +1,31 @@
-"""The instruction-set simulator core.
+"""The instruction-set simulator core: a basic-block compiler.
 
-Programs are *pre-decoded*: :func:`_compile_program` turns every
-:class:`~repro.iss.isa.Instruction` into a specialized closure with its
-operand indices, immediate, successor pc and cycle cost already bound,
-so the per-instruction hot path does no string comparison, no
-``Instruction`` attribute access and no timing-table lookup.  Each
-closure returns the next pc (``None`` after ``halt``) and bumps a
-per-pc retired counter; ``instructions_retired`` and ``op_histogram``
-are materialized from those counters on demand instead of being paid
-per instruction.  The compiled form is cached on the
-:class:`~repro.iss.isa.Program` (keyed by the timing model's contents)
-— CPUs instantiated per packet reuse it.
+The CPU runs a program one *basic block* at a time.  A block is the
+straight-line run of instructions from an entry pc through its first
+control transfer (a branch, ``jal``, ``jr`` or ``halt``), or to the end
+of the program.  :func:`_generate` emits a block as Python source, with
+operand indices, immediates and cycle costs inlined and writes to ``r0``
+dropped, and ``exec``s it once.  The generated function charges the
+block's summed cycle cost (a closing branch adds its taken or untaken
+cost) and returns the next pc.  Blocks are generated on first entry and
+cached on the :class:`~repro.iss.isa.Program` per timing model, so CPUs
+built per packet reuse them.
+
+Timing stays exact at instruction granularity:
+
+* A block runs whole only if it fits the instructions left in the
+  current chunk and budget.  Otherwise the CPU runs the block's longest
+  prefix that fits, from the same generator, cached per
+  ``(pc, length)``.  A chunk therefore ends after exactly ``chunk``
+  instructions, and :meth:`IssCpu.step` runs a prefix of length one.
+* Memory is reached only through ``memory.load``/``store``, one call per
+  access, so a bus with MMIO sees every access (a load into ``r0``
+  included).  An access that raises leaves the instructions before it
+  retired and charged, the faulting one neither, and ``pc`` at the
+  faulting instruction.
+* Retirement is counted once per block entry;
+  ``instructions_retired`` and ``op_histogram`` fold those counts on
+  demand.
 """
 
 from __future__ import annotations
@@ -18,16 +33,12 @@ from __future__ import annotations
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.errors import IssError
-from repro.iss.isa import ACCESS_WIDTH, BRANCHES, Instruction, NUM_REGS, Program
+from repro.iss.isa import (ACCESS_WIDTH, BRANCHES, JUMPS, LOADS, NUM_REGS,
+                           Instruction, Program)
 from repro.iss.timing import TimingModel
 from repro.obs.recorder import NULL_RECORDER
 
 _MASK32 = 0xFFFFFFFF
-
-
-def _signed(value: int) -> int:
-    value &= _MASK32
-    return value - (1 << 32) if value >> 31 else value
 
 
 class IssCpu:
@@ -53,13 +64,16 @@ class IssCpu:
         #: Counter contributions carried across ``restore``.
         self._retired_base = 0
         self._histogram_base: Dict[str, int] = {}
-        #: Retired count per program index; ``instructions_retired`` and
-        #: ``op_histogram`` fold these on demand so the hot path pays
-        #: one list increment, not a string-keyed dict update plus an
-        #: attribute bump per instruction.
-        self._pc_counts: List[int] = [0] * len(program.instructions)
-        self._ops = _compile_program(program, self.timing)
+        self._blocks = _program_blocks(program, self.timing)
+        self._reset_counts()
         self._load_data()
+
+    def _reset_counts(self) -> None:
+        #: Whole-block entries per entry pc.
+        self._block_counts: List[int] = [0] * len(self.program.instructions)
+        #: ``(pc, length)`` -> runs of a block cut short, by a chunk
+        #: boundary or by a faulting memory access.
+        self._partial_counts: Dict[Tuple[int, int], int] = {}
 
     def _load_data(self) -> None:
         for address, blob in self.program.data:
@@ -82,22 +96,49 @@ class IssCpu:
             self.regs[index] = value & _MASK32
 
     # ------------------------------------------------------------------
-    # Accounting (materialized from the per-pc counters)
+    # Accounting (folded from the per-block counters)
     # ------------------------------------------------------------------
+    def _retired_per_pc(self) -> List[int]:
+        per_pc = [0] * len(self._block_counts)
+        blocks = self._blocks.blocks
+        runs = [(pc, blocks[pc][1], count)
+                for pc, count in enumerate(self._block_counts) if count]
+        runs.extend((pc, length, count)
+                    for (pc, length), count in self._partial_counts.items())
+        for pc, length, count in runs:
+            for index in range(pc, pc + length):
+                per_pc[index] += count
+        return per_pc
+
     @property
     def instructions_retired(self) -> int:
-        return self._retired_base + sum(self._pc_counts)
+        return self._retired_base + sum(self._retired_per_pc())
 
     @property
     def op_histogram(self) -> Dict[str, int]:
         """op -> retired count (profiling / annotation extraction)."""
         histogram = dict(self._histogram_base)
         instructions = self.program.instructions
-        for index, count in enumerate(self._pc_counts):
+        for index, count in enumerate(self._retired_per_pc()):
             if count:
                 op = instructions[index].op
                 histogram[op] = histogram.get(op, 0) + count
         return histogram
+
+    def _count_partial(self, pc: int, length: int) -> None:
+        key = (pc, length)
+        self._partial_counts[key] = self._partial_counts.get(key, 0) + 1
+
+    def _fault(self, pc: int, done: int, cycles: int) -> None:
+        """The memory access at ``pc + done`` raised (generated code).
+
+        The *done* instructions before it retire and their *cycles* are
+        charged; ``pc`` stays at the faulting instruction.
+        """
+        self.cycles += cycles
+        if done:
+            self._count_partial(pc, done)
+        self.pc = pc + done
 
     # ------------------------------------------------------------------
     # Checkpointing
@@ -134,7 +175,7 @@ class IssCpu:
         self._retired_base = state["instructions_retired"]
         self.cycles = state["cycles"]
         self._histogram_base = dict(state["op_histogram"])
-        self._pc_counts = [0] * len(self.program.instructions)
+        self._reset_counts()
 
     # ------------------------------------------------------------------
     # Execution
@@ -176,344 +217,192 @@ class IssCpu:
         """
         if self.halted:
             return 0
-        ops = self._ops
-        size = len(ops)
+        cache = self._blocks
+        blocks = cache.blocks
+        counts = self._block_counts
+        size = len(blocks)
         remaining = max_instructions - spent
         # Whether the chunk, not the budget, ends this call.
         bounded = chunk is not None and chunk <= remaining
         limit = chunk if bounded else remaining
-        executed = 0
-        pc: Optional[int] = self.pc
-        try:
-            while pc is not None and executed < limit:
-                if not 0 <= pc < size:
-                    raise IssError(f"pc {pc} outside the program")
-                pc = ops[pc](self)
-                executed += 1
-        finally:
-            # ``halt`` closures set pc themselves (and return None);
-            # everything else leaves the loop-local pc to write back —
-            # including mid-instruction faults, which must not advance.
-            if pc is not None:
+        left = limit
+        pc = self.pc
+        while left > 0:
+            if not 0 <= pc < size:
                 self.pc = pc
-        if pc is not None and not bounded:
+                raise IssError(f"pc {pc} outside the program")
+            block, length = blocks[pc] or cache.block(pc)
+            if length <= left:
+                next_pc = block(self)
+                counts[pc] += 1
+            else:
+                length = left
+                next_pc = cache.prefix(pc, length)(self)
+                self._count_partial(pc, length)
+            left -= length
+            if next_pc is None:  # halt stored its own pc
+                return limit - left
+            pc = next_pc
+        self.pc = pc
+        if not bounded:
             raise IssError(
                 f"program did not halt within {max_instructions} "
                 "instructions"
             )
-        return executed
+        return limit
 
 
 # ----------------------------------------------------------------------
-# Pre-decode: Instruction -> specialized closure
+# Block compiler
 # ----------------------------------------------------------------------
 
-def _compile_instruction(index: int, instr: Instruction,
-                         timing: TimingModel) -> Callable:
-    """One instruction at program index *index* as a closure.
+#: Ops that end a block.
+_CONTROL = frozenset(BRANCHES + JUMPS + ("halt",))
 
-    Every closure charges its pre-looked-up cycle cost, bumps the
-    per-pc retired counter and returns the next pc (``None`` for
-    ``halt``, which also stores the final pc itself).
+#: Result expression of each register-writing op without a memory
+#: access, over operand expressions ``{a}``/``{b}``.  Every register
+#: value is already masked to 32 bits and ``regs[0]`` is 0, so only
+#: results that can leave the range are masked.  Signed comparisons
+#: flip the sign bit to compare unsigned.
+_RESULTS = {
+    "add": "({a} + {b}) & 0xFFFFFFFF",
+    "sub": "({a} - {b}) & 0xFFFFFFFF",
+    "and": "{a} & {b}",
+    "or": "{a} | {b}",
+    "xor": "{a} ^ {b}",
+    "sltu": "1 if {a} < {b} else 0",
+    "slt": "1 if {a} ^ 0x80000000 < {b} ^ 0x80000000 else 0",
+    "addi": "({a} + ({imm})) & 0xFFFFFFFF",
+    "andi": "{a} & {uimm}",
+    "ori": "{a} | {uimm}",
+    "xori": "{a} ^ {uimm}",
+    "shl": "({a} << {shift}) & 0xFFFFFFFF",
+    "shr": "{a} >> {shift}",
+    "sar": "(({a} ^ 0x80000000) - 0x80000000) >> {shift} & 0xFFFFFFFF",
+    "ldi": "{uimm}",
+    "mov": "{a}",
+}
+
+#: Taken condition of each branch.
+_CONDITIONS = {
+    "beq": "{a} == {b}",
+    "bne": "{a} != {b}",
+    "bltu": "{a} < {b}",
+    "bgeu": "{a} >= {b}",
+    "blt": "{a} ^ 0x80000000 < {b} ^ 0x80000000",
+    "bge": "{a} ^ 0x80000000 >= {b} ^ 0x80000000",
+}
+
+
+def _generate(program: Program, cycles: Dict[str, int], penalty: int,
+              start: int, length: int) -> Callable:
+    """The *length* instructions from *start* as one function of the CPU.
+
+    The function returns the next pc, or ``None`` after ``halt`` (which
+    stores the final pc itself).
     """
-    op = instr.op
-    rd, ra, rb, imm = instr.rd, instr.ra, instr.rb, instr.imm
-    cost = timing.cost(op, False)
-    next_pc = index + 1
-
-    # Register file invariant the closures rely on: every entry of
-    # ``cpu.regs`` is already masked to 32 bits and ``regs[0]`` is 0
-    # (writes to r0 are squashed, ``restore`` re-zeroes it).
-
-    if op in ("add", "sub", "addi"):
-        # The only ALU results that can leave the 32-bit range.
-        if op == "add":
-            def execute(cpu):
-                regs = cpu.regs
+    body: List[str] = []
+    accessors = set()  # "load"/"store", bound once per call
+    charged = 0  # cycles of the instructions emitted so far
+    for index in range(start, start + length):
+        instr = program.instructions[index]
+        op, rd, imm = instr.op, instr.rd, instr.imm
+        if not isinstance(imm, int):  # only integers reach the source
+            raise IssError(f"instruction {index}: immediate {imm!r} "
+                           "is not an integer")
+        a, b = f"regs[{instr.ra}]", f"regs[{instr.rb}]"
+        taken = charged + cycles[op] + penalty
+        if op in _RESULTS:
+            if rd:  # r0 is hardwired and no memory is touched
+                body.append(f"regs[{rd}] = " + _RESULTS[op].format(
+                    a=a, b=b, imm=imm, uimm=imm & _MASK32, shift=imm & 31))
+        elif op in ACCESS_WIDTH:
+            width = ACCESS_WIDTH[op]
+            if op in LOADS:
+                accessors.add("load")
+                access = f"load({a} + ({imm}), {width})"
                 if rd:
-                    regs[rd] = (regs[ra] + regs[rb]) & _MASK32
-                cpu.cycles += cost
-                cpu._pc_counts[index] += 1
-                return next_pc
-        elif op == "sub":
-            def execute(cpu):
-                regs = cpu.regs
-                if rd:
-                    regs[rd] = (regs[ra] - regs[rb]) & _MASK32
-                cpu.cycles += cost
-                cpu._pc_counts[index] += 1
-                return next_pc
-        else:
-            def execute(cpu):
-                regs = cpu.regs
-                if rd:
-                    regs[rd] = (regs[ra] + imm) & _MASK32
-                cpu.cycles += cost
-                cpu._pc_counts[index] += 1
-                return next_pc
-
-    elif op in ("and", "or", "xor"):
-        if op == "and":
-            def execute(cpu):
-                regs = cpu.regs
-                if rd:
-                    regs[rd] = regs[ra] & regs[rb]
-                cpu.cycles += cost
-                cpu._pc_counts[index] += 1
-                return next_pc
-        elif op == "or":
-            def execute(cpu):
-                regs = cpu.regs
-                if rd:
-                    regs[rd] = regs[ra] | regs[rb]
-                cpu.cycles += cost
-                cpu._pc_counts[index] += 1
-                return next_pc
-        else:
-            def execute(cpu):
-                regs = cpu.regs
-                if rd:
-                    regs[rd] = regs[ra] ^ regs[rb]
-                cpu.cycles += cost
-                cpu._pc_counts[index] += 1
-                return next_pc
-
-    elif op in ("sltu", "slt"):
-        if op == "sltu":
-            def execute(cpu):
-                regs = cpu.regs
-                if rd:
-                    regs[rd] = 1 if regs[ra] < regs[rb] else 0
-                cpu.cycles += cost
-                cpu._pc_counts[index] += 1
-                return next_pc
-        else:
-            def execute(cpu):
-                regs = cpu.regs
-                if rd:
-                    regs[rd] = (1 if _signed(regs[ra]) < _signed(regs[rb])
-                                else 0)
-                cpu.cycles += cost
-                cpu._pc_counts[index] += 1
-                return next_pc
-
-    elif op in ("andi", "ori", "xori"):
-        # imm is applied masked so the result stays in range.
-        masked_imm = imm & _MASK32
-        if op == "andi":
-            def execute(cpu):
-                regs = cpu.regs
-                if rd:
-                    regs[rd] = regs[ra] & masked_imm
-                cpu.cycles += cost
-                cpu._pc_counts[index] += 1
-                return next_pc
-        elif op == "ori":
-            def execute(cpu):
-                regs = cpu.regs
-                if rd:
-                    regs[rd] = regs[ra] | masked_imm
-                cpu.cycles += cost
-                cpu._pc_counts[index] += 1
-                return next_pc
-        else:
-            def execute(cpu):
-                regs = cpu.regs
-                if rd:
-                    regs[rd] = regs[ra] ^ masked_imm
-                cpu.cycles += cost
-                cpu._pc_counts[index] += 1
-                return next_pc
-
-    elif op in ("shl", "shr", "sar"):
-        shift = imm & 31
-        if op == "shl":
-            def execute(cpu):
-                regs = cpu.regs
-                if rd:
-                    regs[rd] = (regs[ra] << shift) & _MASK32
-                cpu.cycles += cost
-                cpu._pc_counts[index] += 1
-                return next_pc
-        elif op == "shr":
-            def execute(cpu):
-                regs = cpu.regs
-                if rd:
-                    regs[rd] = regs[ra] >> shift
-                cpu.cycles += cost
-                cpu._pc_counts[index] += 1
-                return next_pc
-        else:
-            def execute(cpu):
-                regs = cpu.regs
-                if rd:
-                    regs[rd] = (_signed(regs[ra]) >> shift) & _MASK32
-                cpu.cycles += cost
-                cpu._pc_counts[index] += 1
-                return next_pc
-
-    elif op in ("ld", "ldh", "ldb"):
-        width = ACCESS_WIDTH[op]
-
-        def execute(cpu):
-            regs = cpu.regs
-            # The load always happens (MMIO reads have side effects);
-            # only the writeback is squashed for rd = r0.
-            value = cpu.memory.load(regs[ra] + imm, width)
+                    access = f"regs[{rd}] = {access} & 0xFFFFFFFF"
+            else:
+                accessors.add("store")
+                access = f"store({b} + ({imm}), {a}, {width})"
+            body += ["try:", f"    {access}", "except BaseException:",
+                     f"    cpu._fault({start}, {index - start}, {charged})",
+                     "    raise"]
+        elif op in BRANCHES:
+            body += [f"if {_CONDITIONS[op].format(a=a, b=b)}:",
+                     f"    cpu.cycles += {taken}", f"    return {imm}"]
+        elif op == "jal":
             if rd:
-                regs[rd] = value & _MASK32
-            cpu.cycles += cost
-            cpu._pc_counts[index] += 1
-            return next_pc
-
-    elif op in ("st", "sth", "stb"):
-        width = ACCESS_WIDTH[op]
-
-        def execute(cpu):
-            regs = cpu.regs
-            cpu.memory.store(regs[rb] + imm, regs[ra], width)
-            cpu.cycles += cost
-            cpu._pc_counts[index] += 1
-            return next_pc
-
-    elif op in BRANCHES:
-        cost_taken = timing.cost(op, True)
-        if op == "beq":
-            def execute(cpu):
-                regs = cpu.regs
-                cpu._pc_counts[index] += 1
-                if regs[ra] == regs[rb]:
-                    cpu.cycles += cost_taken
-                    return imm
-                cpu.cycles += cost
-                return next_pc
-        elif op == "bne":
-            def execute(cpu):
-                regs = cpu.regs
-                cpu._pc_counts[index] += 1
-                if regs[ra] != regs[rb]:
-                    cpu.cycles += cost_taken
-                    return imm
-                cpu.cycles += cost
-                return next_pc
-        elif op == "bltu":
-            def execute(cpu):
-                regs = cpu.regs
-                cpu._pc_counts[index] += 1
-                if regs[ra] < regs[rb]:
-                    cpu.cycles += cost_taken
-                    return imm
-                cpu.cycles += cost
-                return next_pc
-        elif op == "bgeu":
-            def execute(cpu):
-                regs = cpu.regs
-                cpu._pc_counts[index] += 1
-                if regs[ra] >= regs[rb]:
-                    cpu.cycles += cost_taken
-                    return imm
-                cpu.cycles += cost
-                return next_pc
-        elif op == "blt":
-            def execute(cpu):
-                regs = cpu.regs
-                cpu._pc_counts[index] += 1
-                if _signed(regs[ra]) < _signed(regs[rb]):
-                    cpu.cycles += cost_taken
-                    return imm
-                cpu.cycles += cost
-                return next_pc
-        else:  # bge
-            def execute(cpu):
-                regs = cpu.regs
-                cpu._pc_counts[index] += 1
-                if _signed(regs[ra]) >= _signed(regs[rb]):
-                    cpu.cycles += cost_taken
-                    return imm
-                cpu.cycles += cost
-                return next_pc
-
-    elif op == "jal":
-        cost_taken = timing.cost(op, True)
-        link = (index + 1) & _MASK32
-
-        def execute(cpu):
-            if rd:
-                cpu.regs[rd] = link
-            cpu.cycles += cost_taken
-            cpu._pc_counts[index] += 1
-            return imm
-
-    elif op == "jr":
-        cost_taken = timing.cost(op, True)
-
-        def execute(cpu):
-            cpu.cycles += cost_taken
-            cpu._pc_counts[index] += 1
-            return cpu.regs[ra]
-
-    elif op == "ldi":
-        value = imm & _MASK32
-
-        def execute(cpu):
-            if rd:
-                cpu.regs[rd] = value
-            cpu.cycles += cost
-            cpu._pc_counts[index] += 1
-            return next_pc
-
-    elif op == "mov":
-
-        def execute(cpu):
-            regs = cpu.regs
-            if rd:
-                regs[rd] = regs[ra]
-            cpu.cycles += cost
-            cpu._pc_counts[index] += 1
-            return next_pc
-
-    elif op == "nop":
-
-        def execute(cpu):
-            cpu.cycles += cost
-            cpu._pc_counts[index] += 1
-            return next_pc
-
-    elif op == "halt":
-
-        def execute(cpu):
-            cpu.halted = True
-            cpu.pc = next_pc
-            cpu.cycles += cost
-            cpu._pc_counts[index] += 1
-            return None
-
-    else:  # pragma: no cover - isa validation makes this unreachable
-        raise IssError(f"unimplemented opcode {op!r}")
-
-    return execute
+                body.append(f"regs[{rd}] = {(index + 1) & _MASK32}")
+            body += [f"cpu.cycles += {taken}", f"return {imm}"]
+        elif op == "jr":
+            body += [f"cpu.cycles += {taken}", f"return {a}"]
+        elif op == "halt":
+            body += ["cpu.halted = True", f"cpu.pc = {index + 1}",
+                     f"cpu.cycles += {charged + cycles[op]}", "return None"]
+        elif op != "nop":  # pragma: no cover - isa validation
+            raise IssError(f"unimplemented opcode {op!r}")
+        charged += cycles[op]
+    if program.instructions[start + length - 1].op not in JUMPS + ("halt",):
+        # Falls through: a prefix, an untaken branch or the program end.
+        body += [f"cpu.cycles += {charged}", f"return {start + length}"]
+    name = f"block_{start}_{length}"
+    source = "\n    ".join(
+        [f"def {name}(cpu):", "regs = cpu.regs"]
+        + [f"{accessor} = cpu.memory.{accessor}"
+           for accessor in sorted(accessors)] + body)
+    namespace: dict = {}
+    exec(compile(source, f"<iss block {start}+{length}>", "exec"), namespace)
+    return namespace[name]
 
 
-def _timing_key(timing: TimingModel) -> tuple:
-    return (tuple(sorted(timing.cycles.items())),
-            timing.branch_taken_penalty)
+class _BlockCache:
+    """The generated blocks of one program under one timing model."""
+
+    def __init__(self, program: Program, timing_key: tuple) -> None:
+        self.program = program
+        self.cycles = dict(timing_key[0])
+        self.penalty = timing_key[1]
+        #: Entry pc -> ``(function, length)`` of its whole block, filled
+        #: on first entry.
+        self.blocks: List[Optional[Tuple[Callable, int]]] = \
+            [None] * len(program.instructions)
+        self._prefixes: Dict[Tuple[int, int], Callable] = {}
+
+    def block(self, pc: int) -> Tuple[Callable, int]:
+        instructions = self.program.instructions
+        end = pc
+        while end < len(instructions) - 1 \
+                and instructions[end].op not in _CONTROL:
+            end += 1
+        length = end - pc + 1
+        entry = (_generate(self.program, self.cycles, self.penalty,
+                           pc, length), length)
+        self.blocks[pc] = entry
+        return entry
+
+    def prefix(self, pc: int, length: int) -> Callable:
+        """The first *length* instructions of the block at *pc*."""
+        key = (pc, length)
+        function = self._prefixes.get(key)
+        if function is None:
+            function = self._prefixes[key] = _generate(
+                self.program, self.cycles, self.penalty, pc, length)
+        return function
 
 
-def _compile_program(program: Program,
-                     timing: TimingModel) -> Tuple[Callable, ...]:
-    """Pre-decode *program*, cached on the program per timing model."""
-    key = _timing_key(timing)
-    cache = getattr(program, "_iss_compiled", None)
+def _program_blocks(program: Program, timing: TimingModel) -> _BlockCache:
+    """The block cache of *program*, kept on it per timing model.
+
+    Board threads share bundled programs without a lock: threads racing
+    to build a cache, a block or a prefix build identical ones, and the
+    last write wins harmlessly.
+    """
+    key = (tuple(sorted(timing.cycles.items())),
+           timing.branch_taken_penalty)
+    caches = vars(program).setdefault("_iss_blocks", {})
+    cache = caches.get(key)
     if cache is None:
-        cache = {}
-        try:
-            program._iss_compiled = cache
-        except AttributeError:  # pragma: no cover - exotic Program stand-in
-            cache = None
-    if cache is not None and key in cache:
-        return cache[key]
-    ops = tuple(_compile_instruction(index, instr, timing)
-                for index, instr in enumerate(program.instructions))
-    if cache is not None:
-        cache[key] = ops
-    return ops
+        cache = caches[key] = _BlockCache(program, key)
+    return cache

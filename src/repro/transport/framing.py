@@ -10,7 +10,7 @@ with full round-trip tests, used verbatim by the TCP transport.
 from __future__ import annotations
 
 import struct
-from typing import Tuple
+from typing import Optional, Tuple
 
 from repro.errors import TransportError
 from repro.transport.messages import (
@@ -148,6 +148,69 @@ def decode(body: bytes) -> Message:
     raise TransportError(f"unknown frame kind {kind}")
 
 
+#: The signed 64-bit range of integer fields.
+_INT64_MIN, _INT64_END = -(1 << 63), 1 << 63
+
+
 def frame_size(message: Message) -> int:
-    """Wire size of *message* in bytes, including the length prefix."""
-    return len(encode(message))
+    """Wire size of *message* in bytes, including the length prefix.
+
+    Counted from the field types without building the frame.  A message
+    the arithmetic does not vouch for is handed to :func:`encode`, so
+    both functions refuse the same messages with the same error.
+    """
+    size = _body_size(message)
+    if size is None or size > MAX_FRAME_SIZE:
+        return len(encode(message))
+    return LENGTH_PREFIX_SIZE + size
+
+
+def _body_size(message: Message) -> Optional[int]:
+    """Frame body size of *message*, or None to leave it to the codec.
+
+    Mirrors :func:`_encode`: a kind byte, 8 bytes per integer field and
+    a tagged value; a counted frame wraps its inner body.  Only exact
+    message types with plain ``int`` fields in range and ``int`` or
+    ``bytes`` values are counted; anything else (bools, bytearrays,
+    subclasses, values the codec refuses) returns None.
+    """
+    kind = type(message)
+    if kind is ClockGrant:
+        fixed = _int64(message.seq) and _int64(message.ticks)
+    elif kind is TimeReport:
+        fixed = _int64(message.seq) and _int64(message.board_ticks)
+    elif kind is Interrupt:
+        fixed = _int64(message.vector) and _int64(message.master_cycle)
+    elif kind is DataRead:
+        fixed = _int64(message.seq) and _int64(message.address)
+    elif kind is DataWrite:
+        value = _value_size(message.value)
+        if value is None or not (_int64(message.seq)
+                                 and _int64(message.address)):
+            return None
+        return 17 + value
+    elif kind is DataReply:
+        value = _value_size(message.value)
+        if value is None or not _int64(message.seq):
+            return None
+        return 9 + value
+    elif kind is Counted and type(message.message) is not Counted:
+        inner = _body_size(message.message)
+        if inner is None or not _int64(message.count):
+            return None
+        return 9 + inner
+    else:
+        return None
+    return 17 if fixed else None
+
+
+def _int64(value) -> bool:
+    return type(value) is int and _INT64_MIN <= value < _INT64_END
+
+
+def _value_size(value: Value) -> Optional[int]:
+    if type(value) is int:
+        return 9 if _INT64_MIN <= value < _INT64_END else None
+    if type(value) is bytes:
+        return 5 + len(value)
+    return None

@@ -3,8 +3,11 @@
 import pytest
 
 from repro.board import Memory
+from repro.board.bus import Bus
+from repro.board.memory import MemoryError_
 from repro.errors import IssError
-from repro.iss import IssCpu, TimingModel, assemble
+from repro.iss import IssCpu, TimingModel, assemble, run_program
+from repro.iss.isa import Instruction, Program
 
 
 def run(source, regs=None, memory=None):
@@ -154,6 +157,85 @@ class TestTimingAndErrors:
         with pytest.raises(IssError):
             cpu.step()
 
+    def test_non_integer_immediate_rejected(self):
+        program = Program(instructions=(
+            Instruction("ldi", rd=1, imm="0; cpu.halted = True"),
+            Instruction("halt")))
+        cpu = IssCpu(program, Memory(64))
+        with pytest.raises(IssError, match="not an integer"):
+            cpu.run()
+        assert cpu.pc == 0 and cpu.instructions_retired == 0
+
     def test_timing_model_validation(self):
         with pytest.raises(IssError):
             TimingModel(cycles={"add": 1})  # missing opcodes
+
+
+class TestMemoryFaults:
+    """A faulting access mid-block stops exactly at that instruction."""
+
+    SOURCE = """
+        ldi  r1, 5
+        jal  r0, body
+        halt
+    body:
+        ldi  r2, 0x7fffff00
+        addi r3, r1, 1
+        mov  r6, r3
+        {access}
+        addi r5, r1, 2
+        halt
+    """
+
+    @pytest.mark.parametrize("access", ["ld r4, 0(r2)", "st r1, 8(r2)"])
+    @pytest.mark.parametrize("chunk", [None, 1, 2, 3, 64])
+    def test_fault_as_fourth_instruction_of_a_block(self, access, chunk):
+        timing = TimingModel()
+        cpu = IssCpu(assemble(self.SOURCE.format(access=access)),
+                     Memory(64), timing)
+        with pytest.raises(MemoryError_):
+            if chunk is None:
+                cpu.run()
+            else:
+                for _work in run_program(cpu, chunk_instructions=chunk):
+                    pass
+        # ldi, jal, then the block at 3 retires ldi, addi, mov and
+        # faults on its fourth instruction.
+        assert cpu.pc == 6
+        assert cpu.instructions_retired == 5
+        assert cpu.op_histogram == {"ldi": 2, "jal": 1, "addi": 1, "mov": 1}
+        assert cpu.cycles == (2 * timing.cycles["ldi"]
+                              + timing.cost("jal", True)
+                              + timing.cycles["addi"] + timing.cycles["mov"])
+        assert [cpu.read_reg(i) for i in range(1, 7)] == \
+            [5, 0x7FFFFF00, 6, 0, 0, 6]
+        assert not cpu.halted
+
+    def test_every_access_reaches_the_bus(self):
+        class Device:
+            def __init__(self):
+                self.log = []
+
+            def load(self, address, width):
+                self.log.append(("load", address, width))
+                return 0xAB
+
+            def store(self, address, value, width):
+                self.log.append(("store", address, value, width))
+
+        bus = Bus()
+        device = Device()
+        bus.map_region("dev", 0x1000, 0x100, device)
+        cpu = IssCpu(assemble("""
+            ldi  r1, 0x1000
+            ld   r0, 4(r1)
+            ldb  r2, 8(r1)
+            sth  r2, 12(r1)
+            halt
+        """), bus)
+        cpu.run()
+        # The load into r0 still happens: MMIO reads have side effects.
+        assert device.log == [("load", 0x1004, 4), ("load", 0x1008, 1),
+                              ("store", 0x100C, 0xAB, 2)]
+        assert bus.accesses == 3
+        assert cpu.read_reg(0) == 0 and cpu.read_reg(2) == 0xAB

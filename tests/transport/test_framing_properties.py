@@ -1,6 +1,7 @@
 """Property-based tests for the wire codec (requires hypothesis)."""
 
 import struct
+from unittest import mock
 
 import pytest
 
@@ -9,6 +10,7 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from repro.errors import TransportError  # noqa: E402
+from repro.transport import framing  # noqa: E402
 from repro.transport.framing import (  # noqa: E402
     LENGTH_PREFIX_SIZE,
     MAX_FRAME_SIZE,
@@ -18,6 +20,7 @@ from repro.transport.framing import (  # noqa: E402
 )
 from repro.transport.messages import (  # noqa: E402
     ClockGrant,
+    Counted,
     DataRead,
     DataReply,
     DataWrite,
@@ -135,3 +138,73 @@ class TestAdversarialInput:
         except TransportError:
             return
         assert result != message
+
+
+# Any field value at all: in and out of the 64-bit range, and types the
+# codec refuses.
+anything = st.one_of(
+    st.integers(min_value=-(1 << 70), max_value=1 << 70), st.booleans(),
+    st.binary(max_size=64), st.binary(max_size=8).map(bytearray),
+    st.floats(allow_nan=False), st.text(max_size=4),
+    st.none(), st.just([1]),
+)
+loose_messages = st.one_of(
+    st.builds(ClockGrant, seq=anything, ticks=anything),
+    st.builds(TimeReport, seq=anything, board_ticks=anything),
+    st.builds(Interrupt, vector=anything, master_cycle=anything),
+    st.builds(DataRead, seq=anything, address=anything),
+    st.builds(DataWrite, seq=anything, address=anything, value=anything),
+    st.builds(DataReply, seq=anything, value=anything),
+)
+
+
+def encode_outcome(function, message):
+    """``("ok", size)`` or ``("error", type, text)`` of one call."""
+    try:
+        return ("ok", len(function(message)) if function is encode
+                else function(message))
+    except Exception as exc:  # noqa: BLE001 - the error is the outcome
+        return ("error", type(exc), str(exc))
+
+
+class TestFrameSize:
+    """``frame_size`` counts without encoding, and agrees with ``encode``."""
+
+    @given(message=st.one_of(
+        messages,
+        st.builds(Counted, count=i64, message=messages),
+    ))
+    def test_size_matches_encoded_length(self, message):
+        expected = len(encode(message))
+        # Counting never builds the frame.
+        with mock.patch.object(framing, "_encode",
+                               side_effect=AssertionError("encoded")):
+            assert frame_size(message) == expected
+
+    @given(message=st.one_of(
+        loose_messages,
+        st.builds(Counted, count=anything, message=loose_messages),
+        st.builds(Counted, count=i64,
+                  message=st.builds(Counted, count=i64, message=messages)),
+    ))
+    def test_refuses_what_encode_refuses(self, message):
+        assert encode_outcome(frame_size, message) \
+            == encode_outcome(encode, message)
+
+    @pytest.mark.parametrize("size", [MAX_FRAME_SIZE - 10, MAX_FRAME_SIZE])
+    def test_frame_size_limit(self, size):
+        # A DataReply body is 1 + 8 + 5 bytes around the value.
+        message = DataReply(seq=0, value=bytes(size - 14))
+        assert encode_outcome(frame_size, message) \
+            == encode_outcome(encode, message)
+        wrapped = Counted(count=1, message=message)
+        assert encode_outcome(frame_size, wrapped) \
+            == encode_outcome(encode, wrapped)
+
+    def test_unencodable_values_raise_transport_error(self):
+        for message in (ClockGrant(seq=1 << 63, ticks=0),
+                        DataReply(seq=0, value="text"),
+                        Counted(count=0, message=Counted(
+                            count=0, message=ClockGrant(0, 0)))):
+            with pytest.raises(TransportError):
+                frame_size(message)
