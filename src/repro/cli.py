@@ -220,6 +220,7 @@ def _cmd_record(args: argparse.Namespace) -> int:
     from repro.cosim import CosimConfig, ProtocolTrace
     from repro.replay import SessionRecording
     from repro.router.testbench import (
+        ROUTER_BOARD,
         build_router_cosim,
         finalize_router_recording,
     )
@@ -264,9 +265,10 @@ def _cmd_record(args: argparse.Namespace) -> int:
     finalize_router_recording(recording, cosim, metrics)
     recording.save(args.out)
     print(metrics.summary())
-    print(f"recorded {recording.num_windows} windows, "
-          f"{len(recording.interrupts)} interrupts, "
-          f"{len(recording.data_ops)} data ops -> {args.out}")
+    rows = recording.boards[ROUTER_BOARD]
+    print(f"recorded {len(rows)} windows, "
+          f"{sum(len(row['interrupts']) for row in rows)} interrupts, "
+          f"{sum(len(row['data']) for row in rows)} data ops -> {args.out}")
     if args.trace:
         trace.to_csv(args.trace)
         print(f"wrote {len(trace)} window records to {args.trace}")
@@ -274,6 +276,7 @@ def _cmd_record(args: argparse.Namespace) -> int:
 
 
 def _cmd_replay(args: argparse.Namespace) -> int:
+    from repro.errors import ReproError
     from repro.replay import (
         ReplayDivergence,
         SessionRecording,
@@ -294,16 +297,18 @@ def _cmd_replay(args: argparse.Namespace) -> int:
     try:
         result = replay_router_recording(recording, strict=strict)
     except ReplayDivergence as exc:
-        print(f"replay diverged in window {exc.window} ({exc.kind}): "
-              f"recorded {exc.expected!r}, replayed {exc.actual!r}",
-              file=sys.stderr)
+        print(exc, file=sys.stderr)
         return 1
+    except ReproError as exc:  # the rebuilt board refused the recording
+        print(f"cannot replay {args.recording}: {exc}", file=sys.stderr)
+        return 2
     print(f"replayed {result.windows_replayed} windows, "
           f"{result.interrupts_delivered} interrupts, "
           f"{result.data_ops_replayed} data ops")
     if args.trace:
-        result.trace.to_csv(args.trace)
-        print(f"wrote {len(result.trace)} window records to {args.trace}")
+        trace = result.trace
+        trace.to_csv(args.trace)
+        print(f"wrote {len(trace)} window records to {args.trace}")
     report = find_divergence(recording, result)
     if args.bisect or not report.clean:
         print(report.describe())

@@ -4,7 +4,7 @@ Seed-driven generation of random-but-valid workloads, executed through
 multiple backends (in-process, rerun, record/replay, TCP, ISS
 timing models, adaptive windows, multi-board), with equivalence oracles
 between them and greedy shrinking of failing workloads down to a
-replayable ``repro-recording/1`` artifact.
+replayable ``repro-recording/2`` artifact.
 
 Entry points: :func:`repro.difftest.harness.fuzz` and the ``repro
 fuzz`` CLI subcommand.

@@ -31,6 +31,7 @@ from repro.difftest.workload import FuzzSpec
 from repro.errors import UnknownBackendError
 from repro.iss import NUM_REGS, IssCpu, TimingModel
 from repro.replay import (
+    RecordingBoardEndpoint,
     SessionRecording,
     board_state_summary,
     find_divergence,
@@ -38,6 +39,7 @@ from repro.replay import (
 from repro.replay.snapshot import state_digest
 from repro.router.checksum import checksum16
 from repro.router.testbench import (
+    ROUTER_BOARD,
     build_router_cosim,
     finalize_router_recording,
     replay_router_recording,
@@ -161,11 +163,11 @@ def _run_router(spec: FuzzSpec, backend: str) -> RunOutcome:
     # specs run as a plain second conservative execution instead.
     use_optimistic = (backend == "optimistic"
                       and spec.fault_plan() is None)
-    # Every flavour records, so that every backend's trace rows carry
-    # the *board-visible* interrupt counts (a fault plan can drop
-    # packets the master sent), which is the representation the replay
-    # backend reconstructs — comparing raw live rows against a replay
-    # would flag every dropped interrupt as a divergence.  A
+    # Every flavour records, so that every backend's trace rows are the
+    # projection of its recording, with the *board-visible* interrupt
+    # counts (a fault plan can drop packets the master sent) that the
+    # replay backend reproduces — comparing raw live rows against a
+    # replay would flag every dropped interrupt as a divergence.  A
     # speculating run does not record, but then it never runs under
     # faults, so its live rows equal the board-visible ones.  Only the
     # reference ``inproc`` recording is handed onward to the replay
@@ -196,8 +198,8 @@ def _run_router(spec: FuzzSpec, backend: str) -> RunOutcome:
         state_switches=metrics.state_switches,
         aligned=(metrics.master_cycles
                  == cosim.runtime.board.kernel.sw_ticks),
-        trace_rows=(list(recording.trace_rows) if record
-                    else [r.as_row() for r in trace.records]),
+        trace_rows=[r.as_row() for r in (
+            recording.trace(ROUTER_BOARD) if record else trace).records],
         stats=cosim.stats.snapshot(),
         digest=state_digest({
             "board": board_state_summary(cosim.runtime.board),
@@ -343,7 +345,12 @@ _ACCEL_BASE = 0x10
 _ACCEL_VECTOR = 2
 
 
-def _run_multiboard(spec: FuzzSpec, backend: str) -> RunOutcome:
+def _run_multiboard(spec: FuzzSpec, backend: str,
+                    recorder: Optional[SessionRecording] = None
+                    ) -> RunOutcome:
+    """Run the multiboard scenario; with a *recorder*, each board
+    ``b<i>`` is recorded where it is built, and the recording finished
+    after the run."""
     from repro.board import Board
 
     threaded = backend == "multi-threaded"
@@ -363,12 +370,15 @@ def _run_multiboard(spec: FuzzSpec, backend: str) -> RunOutcome:
     for index, link in enumerate(links):
         board = Board(name=f"board_{index}")
         boards.append(board)
+        endpoint = link.board
+        if recorder is not None:
+            endpoint = RecordingBoardEndpoint(endpoint, recorder,
+                                              f"b{index}")
         slots.append(BoardSlot(
-            f"b{index}", link,
-            CosimBoardRuntime(board, link.board, config)))
+            f"b{index}", link, CosimBoardRuntime(board, endpoint, config)))
     data = spec.payload_bytes()
     results: Dict[str, int] = {}
-    driver = AcceleratorDriver(boards[0].kernel, links[0].board,
+    driver = AcceleratorDriver(boards[0].kernel, slots[0].runtime.endpoint,
                                config.latency, vector=_ACCEL_VECTOR,
                                base=_ACCEL_BASE)
 
@@ -382,6 +392,8 @@ def _run_multiboard(spec: FuzzSpec, backend: str) -> RunOutcome:
         metrics = session.run(max_cycles=spec.max_cycles)
     finally:
         session.close()
+    if recorder is not None:
+        recorder.finish(session)
     return RunOutcome(
         backend=backend,
         windows=metrics.windows,

@@ -6,7 +6,7 @@ shrinks the workload and emits reproduction artifacts:
 
 * ``fail-<index>.workload.json`` — the shrunk :class:`FuzzSpec`, which
   ``repro fuzz --spec FILE`` re-executes directly;
-* ``fail-<index>.recording.json`` — a ``repro-recording/1`` message
+* ``fail-<index>.recording.json`` — a ``repro-recording/2`` message
   stream of the shrunk failing run (when the reference backend produced
   one), replayable with ``repro replay``.
 

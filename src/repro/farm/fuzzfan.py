@@ -16,7 +16,7 @@ byte.  Three properties make that hold:
 3. Aggregation happens in campaign-index order with the serial loop's
    own early-stop rule (stop after ``max_failures``), and artifacts
    are written by the same
-   :func:`~repro.difftest.write_failure_artifacts` — ``repro-recording/1``
+   :func:`~repro.difftest.write_failure_artifacts` — ``repro-recording/2``
    serialization is wall-clock-free, so the files match bit for bit.
 
 Jobs whose *worker* dies (crash, timeout — infrastructure, not

@@ -7,11 +7,11 @@ synchronization points:
   digest-verified session snapshots (``repro-checkpoint/1``) captured
   periodically by a session hook; restore is deterministic
   re-execution plus leaf-level verification.
-* **Recording** (:mod:`repro.replay.recorder`) — the full CLOCK / INT /
-  DATA message stream the board observed, serialized as
-  ``repro-recording/1``.
-* **Replay & bisection** (:mod:`repro.replay.replayer`) — re-feed a
-  recording to a freshly built board with no sockets and no wall
+* **Recording** (:mod:`repro.replay.recorder`) — one row per window
+  and board of what crossed the board's CLOCK, INT and DATA ports,
+  serialized as ``repro-recording/2``.
+* **Replay & bisection** (:mod:`repro.replay.replayer`) — re-feed one
+  board's rows to a freshly built board with no sockets and no wall
   clock, compare window-by-window, and report the first divergent
   window.
 
@@ -35,18 +35,16 @@ from repro.replay.recorder import (
     RECORDING_SCHEMA,
     RecordingBoardEndpoint,
     SessionRecording,
+    board_state_summary,
+    project_trace,
     validate_recording_dict,
 )
 from repro.replay.replayer import (
-    SUMMARY_FIELDS,
     DivergenceReport,
     ReplayBoardEndpoint,
     ReplayDivergence,
     ReplayResult,
-    board_state_summary,
     find_divergence,
-    reconstruct_trace,
-    recorded_trace,
     replay_recording,
 )
 from repro.replay.snapshot import (
@@ -80,7 +78,6 @@ __all__ = [
     "ReplayBoardEndpoint",
     "ReplayDivergence",
     "ReplayResult",
-    "SUMMARY_FIELDS",
     "SessionRecording",
     "SnapshotError",
     "Snapshotable",
@@ -94,8 +91,7 @@ __all__ = [
     "is_snapshotable",
     "missing_snapshotables",
     "plain_copy",
-    "reconstruct_trace",
-    "recorded_trace",
+    "project_trace",
     "replay_recording",
     "require_keys",
     "restore_session",

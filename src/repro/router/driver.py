@@ -18,6 +18,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 from repro.board.board import REMOTE_DEVICE_VECTOR
+from repro.errors import ProtocolError
 from repro.router.packet import Packet
 from repro.router.router import REG_PACKET, REG_STATS, REG_STATUS, REG_VERDICT
 from repro.rtos.devices import Device
@@ -102,6 +103,8 @@ class RouterDriver(Device):
         self.transactions += 1
         self._trace_data("read", REG_STATUS)
         status = self.endpoint.data_read(REG_STATUS)
+        if not isinstance(status, int):
+            raise ProtocolError(f"STATUS read returned {status!r}")
         return (bool(status & 1), status >> 8)
 
     def read_packet_bytes(self):
@@ -110,6 +113,8 @@ class RouterDriver(Device):
         self.transactions += 1
         self._trace_data("read", REG_PACKET)
         raw = self.endpoint.data_read(REG_PACKET)
+        if not isinstance(raw, (bytes, bytearray)):
+            raise ProtocolError(f"PACKET read returned {raw!r}")
         return bytes(raw)
 
     def read(self):

@@ -47,6 +47,9 @@ from repro.transport.tcp import TcpLink
 INPROC = "inproc"
 TCP = "tcp"
 
+#: The name of the case study's one board, in sessions and recordings.
+ROUTER_BOARD = "board"
+
 
 def check_value(name: str, value: Any, kind: type,
                 low: Any = None, high: Any = None) -> Any:
@@ -296,8 +299,8 @@ def build_router_cosim(
     (:class:`~repro.transport.faults.FaultyBoardEndpoint`); in TCP mode
     this exercises disconnect recovery end to end.  A *recorder* (a
     :class:`repro.replay.SessionRecording`) wraps the board endpoint
-    outermost — inside any fault injector — so it logs the exact
-    message stream the board consumed, fault effects included.
+    outermost — outside any fault injector — so the board's rows hold
+    the exact message stream it consumed, fault effects included.
 
     A *plugin* (see :mod:`repro.fmi`) replaces the router netlist on
     the hardware side, on any transport: ``init`` is called here with
@@ -340,7 +343,7 @@ def _assemble(link, config: CosimConfig, workload: RouterWorkload,
         recorder.meta.update(
             router_run_meta(config, workload, mode=mode,
                             iss_timing=iss_timing))
-        board_ep = RecordingBoardEndpoint(board_ep, recorder)
+        board_ep = RecordingBoardEndpoint(board_ep, recorder, ROUTER_BOARD)
 
     # ------------------------------------------------------------------
     # Hardware side (the master: the netlist, or a plugin)
@@ -365,8 +368,8 @@ def _assemble(link, config: CosimConfig, workload: RouterWorkload,
     # ------------------------------------------------------------------
     # Session
     # ------------------------------------------------------------------
-    session = CosimSession(master, [BoardSlot("board", link, runtime)],
-                           config)
+    session = CosimSession(master,
+                           [BoardSlot(ROUTER_BOARD, link, runtime)], config)
     if adaptive is not None:
         session.attach_adaptive(adaptive)
 
@@ -433,35 +436,16 @@ def router_run_from_meta(
 def finalize_router_recording(recording, cosim: RouterCosim,
                               metrics: CosimMetrics) -> None:
     """Stamp end-of-run ground truth into *recording* after a recorded
-    run completes: board counters, workload stats and the live trace
-    rows (when a trace was attached) — everything a replay is compared
-    against bit-for-bit."""
-    from repro.replay import board_state_summary
-
-    recording.final = {
-        "board": board_state_summary(cosim.runtime.board),
-        "stats": cosim.stats.snapshot(),
-        "metrics": {
-            "windows": metrics.windows,
-            "master_cycles": metrics.master_cycles,
-            "board_ticks": metrics.board_ticks,
-            "int_packets": metrics.int_packets,
-            "data_messages": metrics.data_messages,
-        },
+    run completes: the board's counters, workload stats and metrics."""
+    recording.finish(cosim.session)
+    recording.final["stats"] = cosim.stats.snapshot()
+    recording.final["metrics"] = {
+        "windows": metrics.windows,
+        "master_cycles": metrics.master_cycles,
+        "board_ticks": metrics.board_ticks,
+        "int_packets": metrics.int_packets,
+        "data_messages": metrics.data_messages,
     }
-    if cosim.session.trace is not None:
-        rows = []
-        for index, record in enumerate(cosim.session.trace.records):
-            row = record.as_row()
-            # The live interrupt column counts packets the master *sent*;
-            # a replay can only ever observe packets the board *received*.
-            # Under a fault plan that drops interrupts the two differ, so
-            # the recording stores the board-visible count (its own
-            # stream) — otherwise a bit-clean replay of a faulted run
-            # would be reported as divergent.
-            row[4] = recording.interrupts_in_window(index)
-            rows.append(row)
-        recording.trace_rows = rows
 
 
 def replay_router_recording(recording, strict: bool = True,
@@ -491,6 +475,6 @@ def replay_router_recording(recording, strict: bool = True,
             obs_targets.append(app.verifier)
         return board
 
-    return replay_recording(recording, config=config, strict=strict,
-                            board_factory=factory,
+    return replay_recording(recording, factory, ROUTER_BOARD,
+                            config=config, strict=strict,
                             obs_targets=obs_targets)

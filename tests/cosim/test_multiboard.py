@@ -1,5 +1,7 @@
 """Tests for multi-board co-simulation (in-process and TCP)."""
 
+import json
+
 import pytest
 
 from repro.board import Board
@@ -9,6 +11,7 @@ from repro.cosim import (
     CosimConfig,
     CosimMaster,
     CosimSession,
+    ProtocolTrace,
     build_driver_sim,
 )
 from repro.devices import (
@@ -18,6 +21,13 @@ from repro.devices import (
     GpioDriver,
 )
 from repro.errors import ProtocolError
+from repro.replay import (
+    RecordingBoardEndpoint,
+    SessionRecording,
+    board_state_summary,
+    find_divergence,
+    replay_recording,
+)
 from repro.router.checksum import checksum16
 from repro.transport import InprocLink, TcpLink
 
@@ -25,13 +35,29 @@ ACCEL_BASE, GPIO_BASE = 0x10, 0x30
 ACCEL_VECTOR, GPIO_VECTOR = 2, 4
 
 
+def build_board_a(endpoint, latency):
+    """Board A and the accelerator driver that captures *endpoint*."""
+    board = Board(name="board_a")
+    return board, AcceleratorDriver(board.kernel, endpoint, latency,
+                                    vector=ACCEL_VECTOR, base=ACCEL_BASE)
+
+
+def build_board_b(endpoint, latency):
+    """Board B and the GPIO driver that captures *endpoint*."""
+    board = Board(name="board_b")
+    return board, GpioDriver(board.kernel, endpoint, latency,
+                             vector=GPIO_VECTOR, base=GPIO_BASE)
+
+
 class Rig:
     """One shared hardware model, two boards: board A drives the
     accelerator, board B watches the GPIO bank.  ``mode`` selects the
     transport and session flavour: ``inproc`` (deterministic) or ``tcp``
-    (threaded board runtimes)."""
+    (threaded board runtimes).  A *recorder* records each board, as
+    ``a`` and ``b``, where it is built."""
 
-    def __init__(self, t_sync=25, mode="inproc", **config_kwargs):
+    def __init__(self, t_sync=25, mode="inproc", recorder=None,
+                 **config_kwargs):
         self.mode = mode
         self.config = CosimConfig(t_sync=t_sync, **config_kwargs)
         self.sim, self.clock = build_driver_sim("multi_hw",
@@ -45,6 +71,9 @@ class Rig:
         self.link_b = self._make_link()
         master_a, board_a_ep = self.link_a.master, self.link_a.board
         master_b, board_b_ep = self.link_b.master, self.link_b.board
+        if recorder is not None:
+            board_a_ep = RecordingBoardEndpoint(board_a_ep, recorder, "a")
+            board_b_ep = RecordingBoardEndpoint(board_b_ep, recorder, "b")
         self.master = CosimMaster(self.sim, self.clock, master_a,
                                   self.config)
         self.master.bind_interrupt(ACCEL_VECTOR, self.accel.done_irq,
@@ -52,15 +81,9 @@ class Rig:
         self.master.bind_interrupt(GPIO_VECTOR, self.gpio.irq,
                                    endpoint=master_b)
 
-        self.board_a = Board(name="board_a")
-        self.board_b = Board(name="board_b")
         latency = self.config.latency
-        self.accel_driver = AcceleratorDriver(
-            self.board_a.kernel, board_a_ep, latency,
-            vector=ACCEL_VECTOR, base=ACCEL_BASE)
-        self.gpio_driver = GpioDriver(
-            self.board_b.kernel, board_b_ep, latency,
-            vector=GPIO_VECTOR, base=GPIO_BASE)
+        self.board_a, self.accel_driver = build_board_a(board_a_ep, latency)
+        self.board_b, self.gpio_driver = build_board_b(board_b_ep, latency)
         self.slot_a = BoardSlot(
             "a", self.link_a,
             CosimBoardRuntime(self.board_a, board_a_ep, self.config))
@@ -101,28 +124,7 @@ class TestMultiBoard:
         assert metrics.windows == 4
 
     def test_apps_on_different_boards_share_the_hardware(self, rig):
-        results = {}
-
-        def app_a():
-            value = yield from rig.accel_driver.checksum([b"cross"],
-                                                         wait_irq=True)
-            results["csum"] = value
-
-        def app_b():
-            yield from rig.gpio_driver.configure(direction_mask=0,
-                                                 irq_enable_mask=0xFF)
-            results["edges"] = (yield from rig.gpio_driver.wait_edges())
-
-        thread_a = rig.board_a.kernel.create_thread("a", app_a, 10)
-        thread_b = rig.board_b.kernel.create_thread("b", app_b, 10)
-        # Let both apps run a little, then fire the GPIO edge.
-        rig.session.run(max_cycles=75)
-        rig.gpio.drive_inputs(0x04)
-        rig.sim.settle()
-        rig.session.run(
-            max_cycles=1000,
-            done=lambda: not thread_a.alive and not thread_b.alive,
-        )
+        results = _run_both_apps(rig)
         assert results["csum"] == checksum16(b"cross")
         assert results["edges"] == 0x04
         assert rig.session.aligned()
@@ -164,7 +166,7 @@ class TestMultiBoard:
             rig.session.run()
 
     def test_tracing_records_spans_and_trace_rows(self):
-        from repro.cosim import ProtocolTrace, TracingConfig
+        from repro.cosim import TracingConfig
 
         rig = Rig(tracing=TracingConfig(enabled=True))
         trace = ProtocolTrace()
@@ -265,3 +267,113 @@ class TestMultiBoardThreaded:
         assert results["csum"] == checksum16(b"multi")
         assert accel_vec.isr_count == 1
         assert gpio_vec.isr_count == 0
+
+
+def _start_accel_app(board, driver, results):
+    def app():
+        results["csum"] = yield from driver.checksum([b"cross"],
+                                                     wait_irq=True)
+    return board.kernel.create_thread("a", app, 10)
+
+
+def _start_gpio_app(board, driver, results):
+    def app():
+        yield from driver.configure(direction_mask=0, irq_enable_mask=0xFF)
+        results["edges"] = yield from driver.wait_edges()
+    return board.kernel.create_thread("b", app, 10)
+
+
+def _run_both_apps(rig):
+    """Board A checksums through the accelerator while board B waits
+    for a GPIO edge, fired between two runs; returns their results."""
+    results = {}
+    thread_a = _start_accel_app(rig.board_a, rig.accel_driver, results)
+    thread_b = _start_gpio_app(rig.board_b, rig.gpio_driver, results)
+    # Let both apps run a little, then fire the GPIO edge.
+    rig.session.run(max_cycles=75)
+    rig.gpio.drive_inputs(0x04)
+    rig.sim.settle()
+    rig.session.run(
+        max_cycles=1000,
+        done=lambda: not thread_a.alive and not thread_b.alive,
+    )
+    return results
+
+
+def _record_two_boards(mode):
+    """Both apps, recorded board by board; returns the saved-and-loaded
+    recording, the live trace rows, the live board summaries and the
+    apps' results."""
+    recording = SessionRecording()
+    rig = Rig(mode=mode, recorder=recording)
+    trace = ProtocolTrace()
+    rig.session.attach_trace(trace)
+    try:
+        results = _run_both_apps(rig)
+    finally:
+        rig.close()
+    recording.finish(rig.session)
+    summaries = {"a": board_state_summary(rig.board_a),
+                 "b": board_state_summary(rig.board_b)}
+    loaded = SessionRecording.from_dict(
+        json.loads(json.dumps(recording.to_dict())))
+    return loaded, _rows(trace), summaries, results
+
+
+def _rows(trace):
+    return [record.as_row() for record in trace.records]
+
+
+class TestMultiBoardRecording:
+    """Each board of a two-board session is recorded where it is built
+    and replays strictly from its own rows."""
+
+    @pytest.mark.parametrize("mode", ["inproc", "tcp"])
+    def test_each_board_replays_to_the_live_rows_and_counters(self, mode):
+        recording, live_rows, summaries, live = _record_two_boards(mode)
+        assert live == {"csum": checksum16(b"cross"), "edges": 0x04}
+        config = CosimConfig(t_sync=25)
+        replayed = {}
+        builders = {"a": (build_board_a, _start_accel_app),
+                    "b": (build_board_b, _start_gpio_app)}
+        projected = {}
+        for name, (build, start) in builders.items():
+            def factory(endpoint, build=build, start=start):
+                board, driver = build(endpoint, config.latency)
+                start(board, driver, replayed)
+                return board
+
+            result = replay_recording(recording, factory, name,
+                                      config=config, strict=True)
+            assert find_divergence(recording, result).clean
+            assert result.board_summary == summaries[name]
+            projected[name] = _rows(result.trace)
+            assert projected[name] == _rows(recording.trace(name))
+        assert replayed == live
+        # The live trace has one row per window for both boards: the
+        # boards' clocks and their summed DATA traffic.
+        merged = [a[:4] + [a[5] + b[5]]
+                  for a, b in zip(projected["a"], projected["b"])]
+        assert merged == [row[:4] + [row[5]] for row in live_rows]
+        assert [row[:4] for row in projected["b"]] == \
+            [row[:4] for row in projected["a"]]
+        # Its interrupt column counts what the master sent while it
+        # simulated the window.  A row holds what the board drained at
+        # the window's start: here one window later, since the
+        # accelerator's IRQ answers board A's own DATA write, and the
+        # GPIO edge was driven between two runs.
+        assert [row[4] for row in live_rows] == [1, 0, 0, 0]
+        assert [row[4] for row in projected["a"]] == [0, 1, 0, 0]
+        assert [row[4] for row in projected["b"]] == [0, 0, 0, 1]
+
+    def test_inproc_and_tcp_recordings_hold_the_same_rows(self):
+        inproc = _record_two_boards("inproc")[0].to_dict()
+        tcp = _record_two_boards("tcp")[0].to_dict()
+        assert inproc == tcp
+        assert sorted(inproc["boards"]) == ["a", "b"]
+
+    def test_a_board_is_recorded_once(self):
+        recording = SessionRecording()
+        RecordingBoardEndpoint(InprocLink().board, recording, "a")
+        with pytest.raises(ProtocolError, match="already recorded"):
+            RecordingBoardEndpoint(InprocLink().board, recording, "a")

@@ -9,7 +9,7 @@ boundary is transparent even for the event-driven kernel itself.
 
 import pytest
 
-from repro.cosim import CosimConfig, ProtocolTrace
+from repro.cosim import CosimConfig
 from repro.fmi.behavioral import BehavioralRouterModel
 from repro.fmi.netlist import NetlistRouterModel
 from repro.fmi.subproc import SubprocessPlugin
@@ -42,15 +42,17 @@ def _digest(cosim) -> str:
     })
 
 
+def _rows(recording):
+    return [record.as_row() for record in recording.trace("board").records]
+
+
 def _run_inproc(workload, fault_plan=None):
     recording = SessionRecording()
     cosim = build_router_cosim(CONFIG, workload, mode="inproc",
                                fault_plan=fault_plan, recorder=recording)
-    trace = ProtocolTrace()
-    cosim.session.attach_trace(trace)
     metrics = cosim.run(max_cycles=MAX_CYCLES, await_drain=False)
     finalize_router_recording(recording, cosim, metrics)
-    return list(recording.trace_rows), _digest(cosim), metrics
+    return _rows(recording), _digest(cosim), metrics
 
 
 def _run_fmu(workload, plugin=None, fault_plan=None):
@@ -58,11 +60,9 @@ def _run_fmu(workload, plugin=None, fault_plan=None):
     cosim = build_router_cosim(CONFIG, workload,
                                plugin=plugin or BehavioralRouterModel(),
                                fault_plan=fault_plan, recorder=recording)
-    trace = ProtocolTrace()
-    cosim.session.attach_trace(trace)
     metrics = cosim.run(max_cycles=MAX_CYCLES, await_drain=False)
     finalize_router_recording(recording, cosim, metrics)
-    return list(recording.trace_rows), _digest(cosim), metrics
+    return _rows(recording), _digest(cosim), metrics
 
 
 class TestBehavioralEquivalence:

@@ -158,5 +158,5 @@ def test_inproc_plugin_recording_replays_bit_identically():
     result = replay_router_recording(loaded)
     assert find_divergence(loaded, result).clean
     assert [r.as_row() for r in result.trace.records] == \
-        recording.trace_rows
-    assert result.board_summary == recording.final["board"]
+        [r.as_row() for r in recording.trace("board").records]
+    assert result.board_summary == recording.final["boards"]["board"]

@@ -51,7 +51,7 @@ class TestRecordReplayAcrossProcesses:
         assert record.returncode == 0, record.stderr
         payload = json.loads((tmp_path / "run.json").read_text())
         # Corrupt a recorded report tick count.
-        payload["reports"][1][1] += 1
+        payload["boards"]["board"][1]["report"][1] += 1
         (tmp_path / "run.json").write_text(json.dumps(payload))
 
         replay = repro_cli("replay", "run.json", "--bisect", cwd=tmp_path)

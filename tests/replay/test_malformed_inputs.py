@@ -5,6 +5,7 @@ document before trusting any field, and exit 2 with a single stderr
 line on a schema error, an unreadable file or bad JSON.
 """
 
+import copy
 import json
 
 import pytest
@@ -67,11 +68,11 @@ def _resume(tmp_path, capsys, doc):
 
 class TestReplayCommand:
     def test_short_grant_row(self, tmp_path, capsys, recording_doc):
-        recording_doc["grants"] = [[1]]
+        recording_doc["boards"]["board"][0]["grant"] = [1]
         code, lines = _replay(tmp_path, capsys, recording_doc)
         assert code == 2
         assert len(lines) == 1
-        assert "grants row 0" in lines[0]
+        assert "'board' row 0 grant" in lines[0]
 
     def test_final_not_an_object(self, tmp_path, capsys, recording_doc):
         recording_doc["final"] = 3
@@ -100,6 +101,78 @@ class TestReplayCommand:
             ["replay", str(tmp_path / "absent.json")], capsys)
         assert code == 2 and len(lines) == 1
 
+
+def _first_row_with(doc, key):
+    return next(row for row in doc["boards"]["board"] if row[key])
+
+
+class TestTruncatedRecording:
+    """A recording cut short never replays clean."""
+
+    def test_row_without_its_report_is_refused(self, tmp_path, capsys,
+                                               recording_doc):
+        rows = recording_doc["boards"]["board"]
+        del rows[-1]["report"]
+        code, lines = _replay(tmp_path, capsys, recording_doc)
+        assert code == 2
+        assert len(lines) == 1
+        assert f"'board' row {len(rows) - 1}" in lines[0]
+
+    def test_recording_cut_by_whole_rows_is_a_summary_divergence(
+            self, tmp_path, capsys, recording_doc):
+        del recording_doc["boards"]["board"][-1]
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps(recording_doc))
+        assert main(["replay", str(path)]) == 1
+        out = capsys.readouterr().out
+        assert "end-of-run board_ticks" in out
+        assert "bit-identical" not in out
+
+
+class TestRefusedByTheBoard:
+    """Inputs the rebuilt board would refuse get one line and exit 2."""
+
+    @pytest.mark.parametrize("grant", [[1, -5], [2, 300]])
+    def test_bad_grant(self, tmp_path, capsys, recording_doc, grant):
+        recording_doc["boards"]["board"][0]["grant"] = grant
+        code, lines = _replay(tmp_path, capsys, recording_doc)
+        assert code == 2
+        assert len(lines) == 1
+        assert "row 0 grant" in lines[0] and "ticks >= 1" in lines[0]
+
+    def test_interrupt_on_an_unbound_vector(self, tmp_path, capsys,
+                                            recording_doc):
+        row = _first_row_with(recording_doc, "interrupts")
+        row["interrupts"][0][0] = 99
+        code, lines = _replay(tmp_path, capsys, recording_doc)
+        assert code == 2
+        assert len(lines) == 1
+        assert "no handler attached to vector 99" in lines[0]
+
+    def test_string_as_a_data_read_reply(self, tmp_path, capsys,
+                                         recording_doc):
+        row = _first_row_with(recording_doc, "data")
+        row["data"][0][2] = "ready"
+        code, lines = _replay(tmp_path, capsys, recording_doc)
+        assert code == 2
+        assert len(lines) == 1
+        assert "int or bytes" in lines[0]
+
+    def test_board_summary_as_a_list(self, tmp_path, capsys,
+                                     recording_doc):
+        recording_doc["final"]["boards"]["board"] = [1, 2]
+        code, lines = _replay(tmp_path, capsys, recording_doc)
+        assert code == 2
+        assert len(lines) == 1
+        assert "final summary of 'board'" in lines[0]
+
+    def test_schema_1_document(self, tmp_path, capsys, recording_doc):
+        recording_doc["schema"] = "repro-recording/1"
+        code, lines = _replay(tmp_path, capsys, recording_doc)
+        assert code == 2
+        assert len(lines) == 1
+        assert "repro-recording/1" in lines[0]
+        assert "repro-recording/2" in lines[0]
 
 class TestCheckpointResume:
     def test_trace_not_a_list(self, tmp_path, capsys, checkpoint_doc):
@@ -141,11 +214,11 @@ class TestCheckpointResume:
 
 class TestValidators:
     def test_every_recorded_stream_checks_its_rows(self, recording_doc):
-        for key, row in (("grants", [1, "x"]), ("interrupts", [1, 2]),
-                         ("reports", [1, 2, 3]), ("trace", ["a"]),
-                         ("data_ops", [0, "poke", 1, 2])):
-            doc = dict(recording_doc, **{key: [row]})
-            with pytest.raises(SnapshotError, match=f"{key} row 0"):
+        for key, value in (("grant", [1, "x"]), ("interrupts", [[1]]),
+                           ("report", [1, 2, 3]), ("data", [["poke", 1, 2]])):
+            doc = copy.deepcopy(recording_doc)
+            doc["boards"]["board"][0][key] = value
+            with pytest.raises(SnapshotError, match=f"row 0 {key}"):
                 SessionRecording.from_dict(doc)
 
     def test_meta_must_be_an_object(self, recording_doc, checkpoint_doc):
@@ -155,7 +228,7 @@ class TestValidators:
             Checkpoint.from_dict(dict(checkpoint_doc, meta="router"))
 
     def test_corrupt_byte_payload(self, recording_doc):
-        doc = dict(recording_doc,
-                   data_ops=[[0, "read", 1, {"__bytes_zb64__": "!!"}]])
+        recording_doc["boards"]["board"][0]["data"] = [
+            ["read", 1, {"__bytes_zb64__": "!!"}]]
         with pytest.raises(SnapshotError, match="corrupt byte payload"):
-            SessionRecording.from_dict(doc)
+            SessionRecording.from_dict(recording_doc)

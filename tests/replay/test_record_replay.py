@@ -14,7 +14,6 @@ from repro.replay import (
     ReplayDivergence,
     SessionRecording,
     find_divergence,
-    recorded_trace,
     replay_recording,
 )
 from repro.router.testbench import (
@@ -43,13 +42,28 @@ def record_run(mode="inproc", t_sync=300, fault_plan=None,
     return recording, metrics, trace
 
 
+def rows_of(trace):
+    return [record.as_row() for record in trace.records]
+
+
+def data_ops(recording):
+    """``(window, op)`` for every DATA op of the router board."""
+    return [(window, op)
+            for window, row in enumerate(recording.boards["board"])
+            for op in row["data"]]
+
+
 class TestRecording:
     def test_recording_captures_all_streams(self):
         recording, metrics, _trace = record_run()
-        assert recording.num_windows == metrics.windows
-        assert len(recording.grants) == metrics.windows
-        assert len(recording.interrupts) == metrics.int_packets
-        assert recording.data_ops, "router run must do DATA traffic"
+        rows = recording.boards["board"]
+        assert list(recording.boards) == ["board"]
+        assert len(rows) == metrics.windows
+        assert [row["grant"][0] for row in rows] == \
+            list(range(1, metrics.windows + 1))
+        assert (sum(len(row["interrupts"]) for row in rows)
+                == metrics.int_packets)
+        assert data_ops(recording), "router run must do DATA traffic"
         assert recording.meta["scenario"] == "router"
         assert recording.meta["threaded"] is False
 
@@ -58,12 +72,9 @@ class TestRecording:
         path = tmp_path / "run.json"
         recording.save(str(path))
         loaded = SessionRecording.load(str(path))
-        assert loaded.grants == recording.grants
-        assert loaded.interrupts == recording.interrupts
-        assert loaded.data_ops == recording.data_ops
-        assert loaded.reports == recording.reports
-        assert loaded.trace_rows == recording.trace_rows
+        assert loaded.boards == recording.boards
         assert loaded.final == recording.final
+        assert loaded.meta == recording.meta
 
     def test_workload_round_trips_through_meta(self):
         recording, _metrics, _trace = record_run(seed=99,
@@ -96,14 +107,12 @@ class TestReplayIdentity:
 
     def test_tcp_and_inproc_recordings_match(self):
         # Every link runs the same windows: the two recordings differ
-        # only in their meta and the TCP run's trailing shutdown grant.
+        # only in their meta (the TCP run's shutdown grant is no row).
         inproc, _m, _t = record_run()
         tcp, _m, _t = record_run(mode="tcp")
         a, b = inproc.to_dict(), tcp.to_dict()
-        assert b["grants"][-1][1] == 0
-        assert a["grants"] == b["grants"][:-1]
         assert a["meta"] != b["meta"]
-        for key in set(a) - {"meta", "grants"}:
+        for key in set(a) - {"meta"}:
             assert a[key] == b[key], key
         for recording in (inproc, tcp):
             with forbid_entropy():
@@ -154,19 +163,18 @@ class TestReplayIdentity:
 class TestDivergenceDetection:
     def test_tampered_data_value_raises_in_strict_mode(self):
         recording, _metrics, _trace = record_run()
-        writes = [i for i, op in enumerate(recording.data_ops)
-                  if op[1] == "write" and isinstance(op[3], int)]
-        recording.data_ops[writes[len(writes) // 2]][3] += 1
+        writes = [op for _window, op in data_ops(recording)
+                  if op[0] == "write" and isinstance(op[2], int)]
+        writes[len(writes) // 2][2] += 1
         with pytest.raises(ReplayDivergence):
             replay_router_recording(recording, strict=True)
 
     def test_bisector_reports_first_divergent_window(self):
         recording, _metrics, _trace = record_run()
-        writes = [i for i, op in enumerate(recording.data_ops)
-                  if op[1] == "write" and isinstance(op[3], int)]
-        index = writes[len(writes) // 2]
-        tampered_window = recording.data_ops[index][0]
-        recording.data_ops[index][3] += 1
+        writes = [(window, op) for window, op in data_ops(recording)
+                  if op[0] == "write" and isinstance(op[2], int)]
+        tampered_window, op = writes[len(writes) // 2]
+        op[2] += 1
         result = replay_router_recording(recording, strict=False)
         assert not result.clean
         report = find_divergence(recording, result)
@@ -177,23 +185,20 @@ class TestDivergenceDetection:
 
     def test_tampered_final_state_is_caught(self):
         recording, _metrics, _trace = record_run()
-        recording.final["board"]["board_ticks"] += 1
+        recording.final["boards"]["board"]["board_ticks"] += 1
         result = replay_router_recording(recording, strict=False)
         report = find_divergence(recording, result)
         assert not report.clean
         assert report.summary_mismatches
         assert report.first_window == result.windows_replayed
 
-    def test_recorded_trace_prefers_live_rows(self):
-        recording, _metrics, trace = record_run()
-        from_recording = recorded_trace(recording)
-        assert ([r.as_row() for r in from_recording.records]
-                == [r.as_row() for r in trace.records])
-        # Reconstruction from the raw stream matches the live rows too.
-        recording.trace_rows = []
-        reconstructed = recorded_trace(recording)
-        assert ([r.as_row() for r in reconstructed.records]
-                == [r.as_row() for r in trace.records])
+    def test_recorded_trace_is_a_projection(self):
+        # The live trace counts interrupts the master sent and the
+        # link's DATA messages; with no fault the projection of the
+        # board's rows equals it, on either link.
+        for mode in ("inproc", "tcp"):
+            recording, _metrics, trace = record_run(mode=mode)
+            assert rows_of(recording.trace("board")) == rows_of(trace)
 
 
 class TestReplayApi:
@@ -201,5 +206,6 @@ class TestReplayApi:
         recording, _metrics, _trace = record_run()
         from repro.errors import ReproError
 
-        with pytest.raises(ReproError, match="board"):
-            replay_recording(recording, config=CosimConfig(t_sync=300))
+        with pytest.raises(ReproError, match="no board 'b1'"):
+            replay_recording(recording, lambda endpoint: None, "b1",
+                             config=CosimConfig(t_sync=300))
