@@ -17,7 +17,8 @@ their fan-out to every board, report checks, the window FSM, DATA
 service and its counters, interrupt sends and their counters, the
 ``master.simulate`` span and the snapshot counters.  What the hardware
 itself does is a handful of operations — :meth:`CosimMaster.run_cycles`,
-:meth:`~CosimMaster.run_cycles_leaping`, :meth:`~CosimMaster.hw_read`,
+:meth:`~CosimMaster.run_cycles_leaping`,
+:meth:`~CosimMaster.run_cycles_reactive`, :meth:`~CosimMaster.hw_read`,
 :meth:`~CosimMaster.hw_write`, :meth:`~CosimMaster._activity` and the
 hardware half of the snapshot — which this class implements on the
 simkernel netlist and :class:`repro.fmi.adapter.FmuMasterAdapter` on a
@@ -239,6 +240,25 @@ class CosimMaster:
             clocks=(self.clock,),
         )
 
+    def run_cycles_reactive(self, max_ticks: int) -> int:
+        """Hardware operation: advance the hardware at most *max_ticks*
+        cycles, stopping at the first interrupt edge; returns the
+        cycles run (at least one)."""
+        start = self.clock.cycles
+        period = self.clock.period
+        self._stop_on_activity = True
+        try:
+            self.sim.run_until(self.sim.now + max_ticks * period)
+        finally:
+            self._stop_on_activity = False
+        ticks = self.clock.cycles - start
+        if ticks == 0:
+            # An event fired in the settle phase before any clock
+            # edge; the minimum legal grant is one tick.
+            self.sim.run_until(self.sim.now + period)
+            ticks = self.clock.cycles - start
+        return ticks
+
     def _activity(self) -> dict:
         """Hardware operation: the activity counters whose growth a
         ``master.simulate`` span reports."""
@@ -285,26 +305,13 @@ class CosimMaster:
         return leapt
 
     def _simulate_reactive(self, max_ticks: int) -> int:
-        """Simulate up to *max_ticks* cycles, stopping at the first
-        interrupt edge; returns the cycles simulated (at least one)."""
-        start = self.clock.cycles
-        period = self.clock.period
+        """:meth:`run_cycles_reactive` under a ``master.simulate``
+        span; returns the cycles simulated."""
         span = self._begin_simulate(max_ticks=max_ticks, reactive=1)
         try:
-            self._stop_on_activity = True
-            try:
-                self.sim.run_until(self.sim.now + max_ticks * period)
-            finally:
-                self._stop_on_activity = False
-            ticks = self.clock.cycles - start
-            if ticks == 0:
-                # An event fired in the settle phase before any clock
-                # edge; the minimum legal grant is one tick.
-                self.sim.run_until(self.sim.now + period)
-                ticks = self.clock.cycles - start
+            return self.run_cycles_reactive(max_ticks)
         finally:
             self._end_simulate(span)
-        return ticks
 
     def _send_grant(self, ticks: int, endpoints) -> None:
         """Book and send one window's grant.  Every board's endpoint

@@ -51,25 +51,61 @@ bit-identical to the conservative window — same trace rows, same
 snapshot digests, same tick accounting — which the difftest
 ``optimistic`` backend proves against ``inproc`` on every fuzz case.
 
-The session speculates when ``config.speculation_depth > 0``.  Which
-features it combines with is declared in :mod:`repro.cosim.compat`:
-a ``done()`` probe degrades every window to the conservative one,
-since probing live state between windows is incompatible with the
-board running ahead; a fault injector, adaptive windows, threads and
-several boards are refused.
+The session speculates when ``config.speculation_depth > 0`` and no
+``done()`` probe is passed to ``run``: probing live state between
+windows is meaningless while the board runs ahead, so a probe runs
+every window conservatively.  A fault injector, adaptive windows,
+threads and several boards are refused before window 0
+(:func:`speculation_refusals`); every other feature combines.
 """
 
 from __future__ import annotations
 
 import copy
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, List, Optional
 
 from repro.cosim.metrics import CosimMetrics
 from repro.errors import ProtocolError
+from repro.transport.faults import find_fault_injector
 from repro.transport.messages import ClockGrant
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.cosim.session import CosimSession
+
+
+def speculation_refusals(session: "CosimSession") -> List[str]:
+    """Why *session* cannot speculate: one message per feature it holds
+    that speculation does not combine with, in a fixed order (none when
+    ``speculation_depth`` is 0).  ``run`` raises the first before
+    window 0; lint rule COSIM005 reports them all."""
+    depth = session.config.speculation_depth
+    if depth <= 0:
+        return []
+    held = []
+    for slot in session.slots:
+        injector = find_fault_injector(slot.runtime.endpoint)
+        if injector is not None:
+            held.append((
+                f"a fault injector ({type(injector).__name__})",
+                "cannot speculate across a fault-injected link: the fault "
+                "plan's drop/corruption schedule lives outside the session "
+                "snapshot, so a rollback would not rewind it"))
+            break
+    if session.controller is not None:
+        held.append((
+            "an adaptive window controller",
+            "adaptive synchronization sizes windows reactively and "
+            "cannot be combined with speculation"))
+    if session.threaded:
+        held.append((
+            "a threaded session",
+            "optimistic synchronization is only supported in-process"))
+    if len(session.slots) > 1:
+        held.append((
+            f"{len(session.slots)} boards",
+            "speculation checkpoints and rolls back a single board"))
+    return [f"cannot combine speculation_depth={depth} with {what}: "
+            f"{reason}" for what, reason in held]
 
 
 class Speculator:
@@ -271,7 +307,7 @@ class Speculator:
             else:
                 self._rollback_replay(metrics, k, len(stash), grant,
                                       ticks, checkpoints[k - 1],
-                                      spec_end_link, ints_before)
+                                      spec_end_link)
                 break
         master.fsm.step("round_done")
 
@@ -297,16 +333,14 @@ class Speculator:
         master = self.master
         session._committed_board = boundary
         try:
-            session._after_window(metrics, ticks, master.interrupts_sent,
-                                  session._data_messages(),
+            session._after_window(metrics, ticks, session._data_messages(),
                                   board_ticks=master.protocol.ticks_granted)
         finally:
             session._committed_board = None
 
     def _rollback_replay(self, metrics: CosimMetrics, k: int,
                          spec_count: int, grant: ClockGrant, ticks: int,
-                         checkpoint: dict, spec_end_link: dict,
-                         ints_before: int) -> None:
+                         checkpoint: dict, spec_end_link: dict) -> None:
         """Conflict at speculated window *k*: roll the board back to the
         pre-window checkpoint and replay the window conservatively
         against the caught-up master, discarding windows k..end of the
@@ -355,7 +389,7 @@ class Speculator:
                                board_ticks=report.board_ticks)
             master.protocol.check_report(report, master.clock.cycles)
             master.fsm.step("recv_spec_report")
-            session._after_window(metrics, ticks, ints_before, data_before)
+            session._after_window(metrics, ticks, data_before)
         finally:
             if token is not None:
                 self.obs.end(token, sim=master.clock.cycles)

@@ -3,7 +3,9 @@
 A session runs the paper's ``driver_simulate`` loop: simulate the
 window, grant it, wait for the board's time report.
 :meth:`CosimSession.run` is that loop, and the only one; what varies is
-chosen from the session's features (see :mod:`repro.cosim.compat`):
+chosen from the session's features, and every feature combines with
+every other, except that speculation refuses four of them (see
+:func:`repro.cosim.optimistic.speculation_refusals`):
 
 * **window sizing** — the fixed ``config.t_sync``, or an
   :class:`~repro.cosim.adaptive.AdaptiveController` with reactive,
@@ -55,13 +57,12 @@ import threading
 import time
 from typing import Callable, Optional, Sequence
 
-from repro.cosim import compat
 from repro.cosim.adaptive import AdaptiveController, AdaptivePolicy
 from repro.cosim.board_runtime import CosimBoardRuntime
 from repro.cosim.config import CosimConfig
 from repro.cosim.master import CosimMaster
 from repro.cosim.metrics import CosimMetrics
-from repro.cosim.optimistic import Speculator
+from repro.cosim.optimistic import Speculator, speculation_refusals
 from repro.cosim.protocol import make_shutdown
 from repro.errors import ProtocolError, ReproError, TransportError
 from repro.obs.recorder import install_recorder, make_recorder
@@ -165,6 +166,10 @@ class CosimSession:
             install_recorder(self.obs, runtime=slot.runtime)
         #: Windows completed over the session's lifetime (across runs).
         self.windows_completed = 0  # lint: disable=SNAP001
+        #: ``master.interrupts_sent`` at the last window boundary: a
+        #: trace row counts every interrupt sent since, including those
+        #: sent between two runs.  Reset by restore().
+        self._interrupts_mark = master.interrupts_sent
         # Checkpoint/restore accounting, copied into the metrics.
         self.checkpoints_taken = 0
         self.restores = 0
@@ -181,17 +186,9 @@ class CosimSession:
         #: snapshot() while that window is reported (speculation runs
         #: one board).  Transient within one window report.
         self._committed_board = None
-        self._check_shape()
         if not self.threaded:
             for slot in self.slots:
                 slot.link.data_server = master.serve_data
-
-    def _check_shape(self) -> None:
-        """Construction-time check of the compatibility table, over the
-        features a session is built with."""
-        compat.check({name: text
-                      for name, text in compat.features(self).items()
-                      if name in ("speculation", "threaded", "multiboard")})
 
     def attach_trace(self, trace) -> None:
         """Record every window into *trace* (a ProtocolTrace)."""
@@ -199,8 +196,8 @@ class CosimSession:
 
     def attach_checkpointer(self, checkpointer) -> None:
         """Capture checkpoints at window boundaries via *checkpointer*
-        (an object with an ``on_window(session)`` hook).  No feature
-        refuses a checkpointer: the snapshot covers every board."""
+        (an object with an ``on_window(session)`` hook); the snapshot
+        covers every board."""
         self.checkpointer = checkpointer
 
     def attach_adaptive(self, policy: Optional[AdaptivePolicy] = None) -> None:
@@ -210,7 +207,6 @@ class CosimSession:
         quiet windows.  The controller joins the checkpoint as
         ``extra/adaptive_controller``."""
         controller = AdaptiveController(policy or AdaptivePolicy())
-        compat.check(compat.with_feature(self, "adaptive"), "adaptive")
         self.register_snapshotable("adaptive_controller", controller)
         self.controller = controller
 
@@ -303,6 +299,7 @@ class CosimSession:
                     f"snapshot names unregistered snapshotable {name!r}"
                 )
             self.snapshotables[name].restore(subtree)
+        self._interrupts_mark = self.master.interrupts_sent
 
     def close(self) -> None:
         """Stop the board threads, if any — a shutdown grant each, then
@@ -351,13 +348,19 @@ class CosimSession:
             done: Optional[DoneFn] = None,
             max_windows: Optional[int] = None) -> CosimMetrics:
         """Run windows until *done()* holds, the master reaches
-        *max_cycles*, or the session has completed *max_windows*."""
+        *max_cycles*, or the session has completed *max_windows*.
+
+        A speculating session runs every window conservatively when
+        given *done*; a feature speculation refuses raises
+        :class:`ProtocolError` before window 0."""
         if max_cycles is None and done is None and max_windows is None:
             raise ProtocolError(
                 "need max_cycles, max_windows, and/or a done() condition"
             )
-        active = compat.resolve(compat.features(self, done))
-        if "speculation" in active:
+        refusals = speculation_refusals(self)
+        if refusals:
+            raise ProtocolError(refusals[0])
+        if self.config.speculation_depth > 0 and done is None:
             step = Speculator(self)
         else:
             step = self._simulate_window
@@ -416,7 +419,7 @@ class CosimSession:
         finally:
             if token is not None:
                 self.obs.end(token, sim=master.clock.cycles)
-        self._after_window(metrics, ticks, ints_before, data_before)
+        self._after_window(metrics, ticks, data_before)
         if self.controller is not None:
             self.controller.feedback(
                 master.interrupts_sent > ints_before
@@ -450,13 +453,15 @@ class CosimSession:
         return sum(slot.link.stats.data_messages for slot in self.slots)
 
     def _after_window(self, metrics: CosimMetrics, ticks: int,
-                      ints_before: int, data_before: int,
+                      data_before: int,
                       board_ticks: Optional[int] = None) -> None:
         """Window-boundary hook, the one place a completed window is
         counted: metrics, trace row, then checkpointer."""
         metrics.windows += 1
         metrics.sync_exchanges += len(self.slots)
         self.windows_completed += 1
+        interrupts = self.master.interrupts_sent - self._interrupts_mark
+        self._interrupts_mark = self.master.interrupts_sent
         if self.trace is not None:
             if board_ticks is None:
                 board_ticks = self.runtime.board.kernel.sw_ticks
@@ -464,7 +469,7 @@ class CosimSession:
                 ticks=ticks,
                 master_cycles=self.master.clock.cycles,
                 board_ticks=board_ticks,
-                interrupts=self.master.interrupts_sent - ints_before,
+                interrupts=interrupts,
                 data_messages=self._data_messages() - data_before,
             )
         if self.checkpointer is not None:

@@ -52,7 +52,7 @@ from repro.transport.tcp import TcpLink
 SCENARIO_BACKENDS: Dict[str, List[str]] = {
     "router": ["inproc", "rerun", "replay", "optimistic", "fmu", "tcp"],
     "iss": ["iss-default", "iss-unit"],
-    "adaptive": ["adaptive", "adaptive-rerun"],
+    "adaptive": ["adaptive", "adaptive-rerun", "adaptive-fmu"],
     "multiboard": ["multi-inproc", "multi-threaded"],
 }
 
@@ -129,7 +129,7 @@ def run_backend(spec: FuzzSpec, backend: str,
             return _run_replay(spec, recording)
         if backend in ("iss-default", "iss-unit"):
             return _run_iss(spec, backend)
-        if backend in ("adaptive", "adaptive-rerun"):
+        if backend in ("adaptive", "adaptive-rerun", "adaptive-fmu"):
             return _run_adaptive(spec, backend)
         if backend in ("multi-inproc", "multi-threaded"):
             return _run_multiboard(spec, backend)
@@ -159,7 +159,7 @@ def _run_router(spec: FuzzSpec, backend: str) -> RunOutcome:
     # must land on bit-identical trace rows and digests — the oracles
     # are exactly the ≥2x-throughput claim's correctness half.  Fault
     # plans are hidden off-snapshot state a rollback cannot rewind
-    # (the compatibility table refuses the combination), so faulted
+    # (speculation refuses the combination), so faulted
     # specs run as a plain second conservative execution instead.
     use_optimistic = (backend == "optimistic"
                       and spec.fault_plan() is None)
@@ -288,9 +288,18 @@ def _run_iss(spec: FuzzSpec, backend: str) -> RunOutcome:
 # ----------------------------------------------------------------------
 def _run_adaptive(spec: FuzzSpec, backend: str) -> RunOutcome:
     policy = spec.adaptive_policy()
+    # The adaptive-fmu backend mounts the behavioral-router plugin,
+    # whose reactive windows are composed from the plugin contract's
+    # step and snapshot/restore: it must end every window at the same
+    # interrupt edge as the netlist.
+    plugin = None
+    if backend == "adaptive-fmu":
+        from repro.fmi.behavioral import BehavioralRouterModel
+
+        plugin = BehavioralRouterModel()
     cosim = build_router_cosim(
         spec.cosim_config(), spec.router_workload(), mode="inproc",
-        adaptive=policy, fault_plan=spec.fault_plan())
+        adaptive=policy, fault_plan=spec.fault_plan(), plugin=plugin)
     trace = ProtocolTrace()
     cosim.session.attach_trace(trace)
     kernel = cosim.runtime.board.kernel

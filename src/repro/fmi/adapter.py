@@ -8,8 +8,9 @@ behind the master's hardware operations.  The router case study mounts
 a plugin with ``build_router_cosim(plugin=...)`` on any transport: same
 window protocol, same ``CosimMetrics``, same recording/fault wrapping,
 and — for the reference plugins — bit-identical traces and digests.
-Which session features a plugin mount combines with is the ``plugin``
-row of the compatibility table (:mod:`repro.cosim.compat`).
+A plugin mount combines with every session feature; an adaptive
+window's early stop is composed from the contract's step and
+snapshot/restore (:meth:`FmuMasterAdapter.run_cycles_reactive`).
 """
 
 from __future__ import annotations
@@ -79,9 +80,36 @@ class FmuMasterAdapter(CosimMaster):
         return outputs.get("data_value")
 
     def run_cycles(self, cycles: int) -> None:
-        expected = self.clock.cycles + cycles
         self.plugin.step(cycles)
+        self._stepped(cycles, self.plugin.get_outputs())
+
+    def run_cycles_reactive(self, max_ticks: int) -> int:
+        """Step at most *max_ticks*, stopping at the first interrupt
+        edge, through the plugin contract: step the whole budget from a
+        snapshot and, when an edge comes before its end, restore and
+        step again only up to that edge (at least one tick).  Step
+        additivity and bit-exact restore make that step the first one's
+        prefix.  Only the final step's interrupts are forwarded."""
+        start = self.clock.cycles
+        state = self.plugin.snapshot()
+        self.plugin.step(max_ticks)
         outputs = self.plugin.get_outputs()
+        events = outputs.get("irq_events")
+        ticks = max_ticks
+        if events:
+            ticks = min(max(events[0][0] - start, 1), max_ticks)
+        if ticks < max_ticks:
+            self.plugin.restore(state)
+            self.plugin.step(ticks)
+            outputs = self.plugin.get_outputs()
+        self._stepped(ticks, outputs)
+        return ticks
+
+    def _stepped(self, cycles: int, outputs: dict) -> None:
+        """Account for a step of *cycles* that produced *outputs*:
+        check the plugin's clock, advance the master's and forward the
+        step's interrupts."""
+        expected = self.clock.cycles + cycles
         if outputs.get("cycles") != expected:
             raise FmiError(
                 f"plugin clock drift: stepped to {outputs.get('cycles')}"

@@ -29,6 +29,7 @@ from repro.errors import FmiError
 from repro.fmi.adapter import read_router_plugin_config
 from repro.fmi.protocol import DATA_ADDR_KEY, DATA_OP_KEY, DATA_VALUE_KEY
 from repro.replay.snapshot import plain_copy, state_digest
+from repro.router.stats import WorkloadStats
 from repro.router.testbench import build_router_netlist
 
 
@@ -41,6 +42,9 @@ class NetlistRouterModel:
         self._initialized = False  # lint: disable=SNAP001
         self._terminated = False  # lint: disable=SNAP001
         self._pending: Optional[Dict[str, Any]] = None
+        #: One stats object for the plugin's lifetime: every rebuild
+        #: records into it, so a view taken at mount stays live.
+        self.stats = WorkloadStats()
 
     # ------------------------------------------------------------------
     # Contract: lifecycle
@@ -135,14 +139,15 @@ class NetlistRouterModel:
     # Internals
     # ------------------------------------------------------------------
     def _build(self) -> None:
-        """Elaborate a fresh netlist from ``(config, seed)``."""
+        """Elaborate a fresh netlist from ``(config, seed)``, recording
+        into the plugin's stats, cleared."""
         workload, own = read_router_plugin_config(self._config, self._seed)
         self._irq_vector = own["irq_vector"]
+        self.stats.restore(WorkloadStats().snapshot())
         hw = build_router_netlist("fmu_netlist", workload, CosimConfig(
-            clock_period_ps=own["clock_period_ps"]))
+            clock_period_ps=own["clock_period_ps"]), self.stats)
         self.sim, self.clock, self.router = hw.sim, hw.clock, hw.router
         self.producers, self.consumers = hw.producers, hw.consumers
-        self.stats = hw.stats
         self._irq_events: List[List[int]] = []
 
         def on_irq(sig, old, new) -> None:

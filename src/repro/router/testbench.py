@@ -172,13 +172,18 @@ class RouterNetlist:
 
 
 def build_router_netlist(name: str, workload: RouterWorkload,
-                         config: CosimConfig) -> RouterNetlist:
+                         config: CosimConfig,
+                         stats: Optional[WorkloadStats] = None
+                         ) -> RouterNetlist:
     """Elaborate the case study's hardware for *workload*: the router
     with its registers mapped on the simulator's DATA port, one
-    producer and one consumer per port.  The co-simulated testbench,
-    the netlist plugin and both baselines all build it here."""
+    producer and one consumer per port, all recording into *stats* (a
+    fresh :class:`WorkloadStats` by default).  The co-simulated
+    testbench, the netlist plugin and both baselines all build it
+    here."""
     sim, clock = build_driver_sim(name, config=config)
-    stats = WorkloadStats()
+    if stats is None:
+        stats = WorkloadStats()
     table = RoutingTable.uniform(workload.num_ports,
                                  addresses_per_port=256 // workload.num_ports)
     router = Router(sim, "router", clock, table, stats,

@@ -22,18 +22,18 @@ neither is reported only for sessions where checkpointing is enabled
 the caller passes ``assume_enabled=True`` — the ``repro lint router``
 sweep does, so gaps surface before anyone attaches a checkpointer.
 
-A session holding any pair of features that the compatibility table
-(:mod:`repro.cosim.compat`) refuses is reported as an *error* — a
-fault injector beside speculation, say.
-Sessions refuse those pairs themselves before window 0; this rule
-catches sessions assembled by hand around those guards.
+A speculating session holding a feature that speculation refuses
+(:func:`repro.cosim.optimistic.speculation_refusals`) is reported as
+an *error* — a fault injector beside speculation, say.  ``run``
+refuses it too, before window 0; this rule finds it before anything
+runs.
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING, List, Optional
 
-from repro.cosim import compat
+from repro.cosim.optimistic import speculation_refusals
 from repro.staticcheck.diagnostics import Diagnostic, LintReport
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -92,7 +92,7 @@ def check_snapshotability(
     before = len(report.diagnostics)
     enabled = assume_enabled or session.checkpointer is not None
 
-    for message in compat.refusals(compat.features(session)):
+    for message in speculation_refusals(session):
         report.add("COSIM005", message, target, severity="error")
 
     sim = getattr(session.master, "sim", None)

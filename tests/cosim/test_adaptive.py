@@ -137,9 +137,8 @@ class TestAdaptiveSession:
 
 
 class TestHandWiredController:
-    """A controller set by hand on a speculating session bypasses
-    attach_adaptive's check; run() still refuses the pair before
-    window 0."""
+    """A controller set by hand on a speculating session, past
+    attach_adaptive, is refused by run() before window 0."""
 
     def test_refused_before_window_zero(self):
         cosim = build_router_cosim(

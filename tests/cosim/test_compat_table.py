@@ -1,10 +1,13 @@
-"""The compatibility table, pair by pair.
+"""Session features, pair by pair.
 
 Every pair of session features either runs, or is refused with a
 :class:`ProtocolError` before window 0 — never mid-run, never silently.
-The table in :mod:`repro.cosim.compat` says which; these tests hold the
-sessions to it on one small rig that can carry every feature: one or
-two boards sharing a checksum accelerator, in-process or threaded.
+Only speculation refuses anything: a fault injector, adaptive windows,
+threads and several boards
+(:func:`repro.cosim.optimistic.speculation_refusals`).  These tests
+hold the sessions to that on one small rig that can carry every
+feature: one or two boards sharing a checksum accelerator, in-process
+or threaded.
 """
 
 import itertools
@@ -21,7 +24,6 @@ from repro.cosim import (
     ProtocolTrace,
     TracingConfig,
     build_driver_sim,
-    compat,
 )
 from repro.cosim.adaptive import AdaptiveController, AdaptivePolicy
 from repro.devices import AcceleratorDriver, ChecksumAccelerator
@@ -118,10 +120,13 @@ def plain_run():
     return rig
 
 
+#: The pairs a session refuses: speculation beside each of these.
+REFUSED = {frozenset(("speculation", feature))
+           for feature in ("fault", "adaptive", "threaded", "multiboard")}
+
+
 def refused(a, b) -> bool:
-    row = (compat.COMPATIBILITY.get((a, b))
-           or compat.COMPATIBILITY.get((b, a)))
-    return row is not None and row[0] == compat.REFUSE
+    return frozenset((a, b)) in REFUSED
 
 
 @pytest.mark.parametrize("a,b", list(itertools.combinations(FEATURES, 2)))
@@ -152,8 +157,8 @@ def test_every_feature_runs_alone(feature):
 
 
 def test_hand_wired_refused_pair_is_caught_by_run():
-    # attach_adaptive would refuse; a harness that sets the attribute
-    # directly is stopped by run() before window 0 instead.
+    # A harness that sets the controller directly, past
+    # attach_adaptive, is stopped by run() before window 0 too.
     rig = Rig({"speculation"})
     rig.session = CosimSession(rig.master, rig.slots, rig.config)
     rig.session.controller = AdaptiveController(AdaptivePolicy())
@@ -164,11 +169,6 @@ def test_hand_wired_refused_pair_is_caught_by_run():
 
 
 class TestDegradations:
-    def test_every_degrade_row_is_not_refused(self):
-        for (a, b), (verdict, _reason) in compat.COMPATIBILITY.items():
-            if verdict == compat.DEGRADE:
-                assert compat.resolve({a: a, b: b}) == {b}
-
     def test_speculation_with_done_probe_runs_conservatively(self):
         rig = Rig({"speculation"})
         rig.session = CosimSession(rig.master, rig.slots, rig.config)
@@ -177,17 +177,3 @@ class TestDegradations:
         assert metrics.master_cycles == MAX_CYCLES
         assert metrics.windows_speculated == 0
 
-
-class TestTableShape:
-    def test_rows_name_known_features(self):
-        # "plugin" needs a plugin master, which this rig does not
-        # build; tests/fmi/test_plugin_master.py covers its row.
-        known = set(FEATURES) | {"done", "plugin"}
-        for (a, b), (verdict, reason) in compat.COMPATIBILITY.items():
-            assert {a, b} <= known
-            assert verdict in (compat.REFUSE, compat.DEGRADE)
-            assert reason
-
-    def test_each_pair_declared_once(self):
-        pairs = [frozenset(pair) for pair in compat.COMPATIBILITY]
-        assert len(pairs) == len(set(pairs))

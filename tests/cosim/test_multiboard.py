@@ -183,8 +183,14 @@ class TestMultiBoard:
         assert len(boards) == 2 * 4
 
     def test_speculation_refused(self):
-        with pytest.raises(ProtocolError, match="single board"):
-            Rig(speculation_depth=4)
+        rig = Rig(speculation_depth=4)
+        try:
+            with pytest.raises(ProtocolError, match="single board"):
+                rig.session.run(max_cycles=100)
+        finally:
+            rig.close()
+        assert rig.master.clock.cycles == 0
+        assert rig.session.windows_completed == 0
 
     def test_max_windows_bound(self, rig):
         metrics = rig.session.run(max_windows=3)
@@ -357,12 +363,12 @@ class TestMultiBoardRecording:
         assert merged == [row[:4] + [row[5]] for row in live_rows]
         assert [row[:4] for row in projected["b"]] == \
             [row[:4] for row in projected["a"]]
-        # Its interrupt column counts what the master sent while it
-        # simulated the window.  A row holds what the board drained at
-        # the window's start: here one window later, since the
-        # accelerator's IRQ answers board A's own DATA write, and the
-        # GPIO edge was driven between two runs.
-        assert [row[4] for row in live_rows] == [1, 0, 0, 0]
+        # Its interrupt column counts what the master sent since the
+        # last window boundary, so the GPIO edge driven between two
+        # runs lands in the next window's row, as it does in board B's.
+        # Board A drains the accelerator's IRQ one window later than
+        # the master sent it, since it answers board A's own DATA write.
+        assert [row[4] for row in live_rows] == [1, 0, 0, 1]
         assert [row[4] for row in projected["a"]] == [0, 1, 0, 0]
         assert [row[4] for row in projected["b"]] == [0, 0, 0, 1]
 

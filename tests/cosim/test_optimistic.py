@@ -73,9 +73,13 @@ class TestDegradation:
     def test_adaptive_plus_speculation_rejected(self):
         from repro.cosim.adaptive import AdaptivePolicy
 
+        cosim = build(depth=2, adaptive=AdaptivePolicy())
         with pytest.raises(ProtocolError, match="adaptive"):
-            build(depth=2, adaptive=AdaptivePolicy())
+            cosim.run(max_cycles=2000, await_drain=False)
+        assert cosim.master.clock.cycles == 0
 
     def test_threaded_transport_plus_speculation_rejected(self):
+        cosim = build(depth=2, mode="tcp")
         with pytest.raises(ProtocolError, match="in-process"):
-            build(depth=2, mode="tcp")
+            cosim.run(max_cycles=2000, await_drain=False)
+        assert cosim.master.clock.cycles == 0

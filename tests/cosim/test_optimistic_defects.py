@@ -101,12 +101,12 @@ class TestShallowRollback:
         original = Speculator._rollback_replay
 
         def shallow(self, metrics, k, spec_count, grant, ticks,
-                    checkpoint, spec_end_link, ints_before):
+                    checkpoint, spec_end_link):
             stale = {"board_runtime": self.runtime.snapshot(),
                      "link": checkpoint["link"],
                      "extra": checkpoint["extra"]}
             return original(self, metrics, k, spec_count, grant, ticks,
-                            stale, spec_end_link, ints_before)
+                            stale, spec_end_link)
 
         monkeypatch.setattr(Speculator, "_rollback_replay",
                             shallow)
@@ -129,10 +129,10 @@ class TestStaleCheckpointReuse:
         cache = {}
 
         def reused(self, metrics, k, spec_count, grant, ticks,
-                   checkpoint, spec_end_link, ints_before):
+                   checkpoint, spec_end_link):
             stale = cache.setdefault("checkpoint", checkpoint)
             return original(self, metrics, k, spec_count, grant, ticks,
-                            stale, spec_end_link, ints_before)
+                            stale, spec_end_link)
 
         monkeypatch.setattr(Speculator, "_rollback_replay",
                             reused)

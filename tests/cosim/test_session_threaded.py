@@ -209,7 +209,7 @@ class TestOneLoop:
         assert metrics.master_cycles == 200
         assert cosim.session.aligned()
 
-    def test_speculation_refused_at_construction(self):
+    def test_speculation_refused_before_window_zero(self):
         from repro.board import Board
         from repro.cosim import (
             BoardSlot,
@@ -225,9 +225,12 @@ class TestOneLoop:
         link = TcpLink()
         master = CosimMaster(sim, clock, link.master, config)
         runtime = CosimBoardRuntime(Board(), link.board, config)
+        session = CosimSession(master, [BoardSlot("board", link, runtime)],
+                               config)
         try:
             with pytest.raises(ProtocolError, match="in-process"):
-                CosimSession(master, [BoardSlot("board", link, runtime)],
-                             config)
+                session.run(max_cycles=100)
         finally:
-            link.close()
+            session.close()
+        assert master.clock.cycles == 0
+        assert session.windows_completed == 0

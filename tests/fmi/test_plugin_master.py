@@ -1,8 +1,9 @@
 """A plugin master is a :class:`~repro.cosim.master.CosimMaster`.
 
-Session features either run on a plugin mount exactly as on the
-netlist, or are refused before window 0 by the compatibility table's
-``plugin`` row — never mid-run.
+Every session feature runs on a plugin mount exactly as on the
+netlist, adaptive windows included: the adapter ends a reactive window
+at the first interrupt edge through the contract's step and
+snapshot/restore.
 """
 
 import pytest
@@ -16,17 +17,17 @@ from repro.cosim import (
     CosimSession,
     ProtocolTrace,
     TracingConfig,
-    compat,
 )
-from repro.cosim.adaptive import AdaptiveController, AdaptivePolicy
-from repro.errors import ProtocolError
+from repro.cosim.adaptive import AdaptivePolicy
 from repro.fmi import FmuMasterAdapter, router_plugin_config
 from repro.fmi.behavioral import BehavioralRouterModel
+from repro.fmi.netlist import NetlistRouterModel
 from repro.replay import (
     SessionRecording,
     board_state_summary,
     find_divergence,
 )
+from repro.replay.snapshot import state_digest
 from repro.router.testbench import (
     RouterWorkload,
     build_router_board_side,
@@ -66,31 +67,81 @@ def _run(**config):
 def test_adapter_is_the_one_master():
     cosim = _cosim()
     assert isinstance(cosim.master, CosimMaster)
-    assert "plugin" in compat.features(cosim.session)
     # The plugin layout: the master's counters, then the plugin subtree.
     assert list(cosim.master.snapshot()) == [
         "protocol", "interrupts_sent", "data_reads_served",
         "data_writes_served", "cycles", "plugin"]
 
 
-class TestAdaptiveRefused:
-    def test_refused_before_window_zero(self):
-        cosim = _cosim()
-        with pytest.raises(ProtocolError, match="cannot combine.*plugin"):
-            cosim.session.attach_adaptive(AdaptivePolicy())
-        assert cosim.master.clock.cycles == 0
-        assert cosim.session.windows_completed == 0
-        assert cosim.session.controller is None
+#: A policy whose windows shrink to 10 ticks around interrupts and
+#: grow to 800 over the idle tail.
+ADAPTIVE = AdaptivePolicy(min_t_sync=10, initial_t_sync=100,
+                          max_t_sync=800)
+ADAPTIVE_CYCLES = 6000
 
-    def test_cosim005_reports_the_pair(self):
+
+def _adaptive_run(plugin=None, mode="inproc"):
+    cosim = build_router_cosim(CosimConfig(t_sync=1000, report_timeout_s=5.0),
+                               RouterWorkload(**WORKLOAD), mode=mode,
+                               adaptive=ADAPTIVE, plugin=plugin)
+    trace = ProtocolTrace()
+    cosim.session.attach_trace(trace)
+    metrics = cosim.run(max_cycles=ADAPTIVE_CYCLES, await_drain=False)
+    return {
+        "rows": [record.as_row() for record in trace.records],
+        "board": state_digest(board_state_summary(cosim.runtime.board)),
+        "stats": cosim.stats.snapshot(),
+        "windows": list(cosim.session.controller.trace),
+        "cycles": metrics.master_cycles,
+    }
+
+
+class TestAdaptive:
+    """An adaptive plugin session runs bit-identically to the netlist
+    master's adaptive run."""
+
+    @pytest.fixture(scope="class")
+    def reference(self):
+        return _adaptive_run()
+
+    @pytest.mark.parametrize("mode", ["inproc", "tcp"])
+    @pytest.mark.parametrize("model", [BehavioralRouterModel,
+                                       NetlistRouterModel])
+    def test_matches_the_netlist_master_run(self, reference, model, mode):
+        run = _adaptive_run(model(), mode)
+        # The run has early windows to get right, and long idle ones.
+        assert min(reference["windows"]) < 100
+        assert max(reference["windows"]) == 800
+        assert any(row[4] for row in reference["rows"])
+        for key in ("rows", "board", "stats", "windows", "cycles"):
+            assert run[key] == reference[key], key
+
+    def test_cosim005_is_clean(self):
         session = _cosim().session
-        # Wired by hand, past attach_adaptive's check.
-        session.controller = AdaptiveController(AdaptivePolicy())
-        diagnostics = [d for d in check_snapshotability(session)
-                       if d.rule == "COSIM005" and d.severity == "error"]
-        assert len(diagnostics) == 1
-        assert "adaptive window controller" in diagnostics[0].message
-        assert "plugin master" in diagnostics[0].message
+        session.attach_adaptive(ADAPTIVE)
+        assert [d for d in check_snapshotability(session)
+                if d.severity == "error"] == []
+
+
+def test_netlist_plugin_stats_stay_live_across_restore():
+    # The netlist plugin restores by rebuilding its netlist; the stats
+    # the mount handed out must follow the rebuilt netlist.
+    cosim = build_router_cosim(
+        CosimConfig(t_sync=100),
+        RouterWorkload(packets_per_producer=20, interval_cycles=200,
+                       payload_size=8, seed=3),
+        plugin=NetlistRouterModel())
+    session = cosim.session
+    session.run(max_windows=5)
+    state = session.snapshot()
+    at_five = cosim.stats.snapshot()
+    session.run(max_windows=10)
+    assert cosim.stats.generated > at_five["generated"]
+    session.restore(state)
+    assert cosim.stats.snapshot() == at_five
+    session.run(max_windows=12)
+    assert cosim.stats.generated > at_five["generated"]
+    assert cosim.stats is cosim.master.plugin.stats
 
 
 class TestSpeculation:

@@ -132,6 +132,17 @@ class TestMemoPlusSpeculation:
         assert "fault injector" in diagnostic.message
         assert "FaultyBoardEndpoint" in diagnostic.message
 
+    def test_every_refusal_is_reported(self):
+        session = _speculating_session()
+        _inject_faults(session)
+        session.attach_adaptive()
+        messages = [d.message for d in
+                    check_snapshotability(session, assume_enabled=True)
+                    if d.severity == "error"]
+        assert len(messages) == 2
+        assert "fault injector" in messages[0]
+        assert "adaptive window controller" in messages[1]
+
 
 class TestRefusedPairs:
     """Each half of a refused pair is clean on its own."""
