@@ -22,6 +22,16 @@ class Memory:
         self.reads = 0
         self.writes = 0
 
+    @property
+    def data(self) -> bytearray:
+        """The live RAM bytes, for code that indexes them directly.
+
+        Such code keeps :meth:`load`/:meth:`store`'s bounds check
+        (through :meth:`_offset`) and ``reads``/``writes`` counts itself,
+        as the ISS's generated blocks do.
+        """
+        return self._data
+
     def _offset(self, address: int, width: int) -> int:
         offset = address - self.base
         if offset < 0 or offset + width > self.size:

@@ -1,37 +1,53 @@
-"""The instruction-set simulator core: a basic-block compiler.
+"""The instruction-set simulator core: a basic-block and loop compiler.
 
 The CPU runs a program one *basic block* at a time.  A block is the
 straight-line run of instructions from an entry pc through its first
 control transfer (a branch, ``jal``, ``jr`` or ``halt``), or to the end
-of the program.  :func:`_generate` emits a block as Python source, with
+of the program.  :func:`_emit` writes a block as Python source, with
 operand indices, immediates and cycle costs inlined and writes to ``r0``
-dropped, and ``exec``s it once.  The generated function charges the
-block's summed cycle cost (a closing branch adds its taken or untaken
-cost) and returns the next pc.  Blocks are generated on first entry and
-cached on the :class:`~repro.iss.isa.Program` per timing model, so CPUs
-built per packet reuse them.
+dropped, and the block is ``exec``ed once as one function.  It charges
+the block's summed cycle cost (a closing branch adds its taken or
+untaken cost) and returns the next pc.
+
+A block that heads a *loop region* (a single-path loop: every block on
+the path but the last leaves it in one direction of its closing branch,
+and the last one's branch or ``jal`` returns to the head) also gets the
+whole path as one function from the same emitter.  It runs whole
+iterations while one fits in the instructions left, and returns the
+next pc with how many instructions ran.  Blocks and regions are
+generated on first entry and cached on the
+:class:`~repro.iss.isa.Program` per timing model and memory kind, so
+CPUs built per packet reuse them.
 
 Timing stays exact at instruction granularity:
 
-* A block runs whole only if it fits the instructions left in the
-  current chunk and budget.  Otherwise the CPU runs the block's longest
-  prefix that fits, from the same generator, cached per
-  ``(pc, length)``.  A chunk therefore ends after exactly ``chunk``
-  instructions, and :meth:`IssCpu.step` runs a prefix of length one.
-* Memory is reached only through ``memory.load``/``store``, one call per
-  access, so a bus with MMIO sees every access (a load into ``r0``
-  included).  An access that raises leaves the instructions before it
-  retired and charged, the faulting one neither, and ``pc`` at the
-  faulting instruction.
-* Retirement is counted once per block entry;
+* A region runs only whole iterations, and a block runs whole only if
+  it fits the instructions left in the current chunk and budget.
+  Otherwise the CPU runs the block's longest prefix that fits, from the
+  same emitter, cached per ``(pc, length)``.  A chunk therefore ends
+  after exactly ``chunk`` instructions, and :meth:`IssCpu.step` runs a
+  prefix of length one.
+* A plain :class:`~repro.board.memory.Memory` is indexed directly by
+  the generated code, with ``Memory.load``/``store``'s bounds check and
+  error and its ``reads``/``writes`` counts (a load into ``r0``
+  included).  Any other memory, such as a bus with MMIO, gets one
+  ``load``/``store`` call per access, so a device sees every access.
+  An access that raises leaves the instructions before it retired and
+  charged, the faulting one neither, and ``pc`` at the faulting
+  instruction.
+* Retirement is counted per block run, not per instruction: one count
+  for a block entry, *k* for each block on a region's path after *k*
+  iterations, and one per ``(pc, length)`` for a cut-short run.
   ``instructions_retired`` and ``op_histogram`` fold those counts on
   demand.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Tuple
+import sys
+from typing import Callable, Dict, List, NamedTuple, Optional, Set, Tuple
 
+from repro.board.memory import Memory
 from repro.errors import IssError
 from repro.iss.isa import (ACCESS_WIDTH, BRANCHES, JUMPS, LOADS, NUM_REGS,
                            Instruction, Program)
@@ -46,7 +62,8 @@ class IssCpu:
 
     Memory is any object with ``load(addr, width)`` and
     ``store(addr, value, width)`` — a :class:`repro.board.memory.Memory`
-    or a :class:`repro.board.bus.Bus` with MMIO regions.
+    (indexed directly by the generated code) or a
+    :class:`repro.board.bus.Bus` with MMIO regions (called per access).
     """
 
     #: Span recorder; replaced per-session when tracing is enabled.
@@ -64,12 +81,15 @@ class IssCpu:
         #: Counter contributions carried across ``restore``.
         self._retired_base = 0
         self._histogram_base: Dict[str, int] = {}
-        self._blocks = _program_blocks(program, self.timing)
+        # The memory's kind is fixed for the CPU's life, and generated
+        # code differs by kind, so it selects the cache.
+        self._blocks = _program_blocks(program, self.timing,
+                                       ram=type(memory) is Memory)
         self._reset_counts()
         self._load_data()
 
     def _reset_counts(self) -> None:
-        #: Whole-block entries per entry pc.
+        #: Whole-block runs per entry pc.
         self._block_counts: List[int] = [0] * len(self.program.instructions)
         #: ``(pc, length)`` -> runs of a block cut short, by a chunk
         #: boundary or by a faulting memory access.
@@ -231,7 +251,11 @@ class IssCpu:
             if not 0 <= pc < size:
                 self.pc = pc
                 raise IssError(f"pc {pc} outside the program")
-            block, length = blocks[pc] or cache.block(pc)
+            block, length, loop, iteration = blocks[pc] or cache.block(pc)
+            if iteration <= left:  # whole iterations of a loop region
+                pc, ran = loop(self, left)
+                left -= ran
+                continue
             if length <= left:
                 next_pc = block(self)
                 counts[pc] += 1
@@ -261,7 +285,7 @@ _CONTROL = frozenset(BRANCHES + JUMPS + ("halt",))
 
 #: Result expression of each register-writing op without a memory
 #: access, over operand expressions ``{a}``/``{b}``.  Every register
-#: value is already masked to 32 bits and ``regs[0]`` is 0, so only
+#: value is already masked to 32 bits and ``r0`` reads as 0, so only
 #: results that can leave the range are masked.  Signed comparisons
 #: flip the sign bit to compare unsigned.
 _RESULTS = {
@@ -294,23 +318,119 @@ _CONDITIONS = {
 }
 
 
-def _generate(program: Program, cycles: Dict[str, int], penalty: int,
-              start: int, length: int) -> Callable:
-    """The *length* instructions from *start* as one function of the CPU.
+#: Loaded value of each width, read from RAM at offset ``o``.
+_RAM_LOADS = {
+    1: "data[o]",
+    2: 'int.from_bytes(data[o:o + 2], "little")',
+    4: 'int.from_bytes(data[o:o + 4], "little")',
+}
 
-    The function returns the next pc, or ``None`` after ``halt`` (which
-    stores the final pc itself).
-    """
-    body: List[str] = []
-    accessors = set()  # "load"/"store", bound once per call
+#: Store of register ``{a}`` at RAM offset ``o``, per width.
+_RAM_STORES = {
+    1: "data[o] = {a} & 0xFF",
+    2: 'data[o:o + 2] = ({a} & 0xFFFF).to_bytes(2, "little")',
+    4: 'data[o:o + 4] = ({a}).to_bytes(4, "little")',
+}
+
+#: Names a generated function binds on entry, in binding order.
+_PRELUDE = (
+    ("counts", "counts = cpu._block_counts"),
+    ("load", "load = cpu.memory.load"),
+    ("store", "store = cpu.memory.store"),
+    ("memory", "memory = cpu.memory"),
+    ("data", "data = memory.data"),
+    ("base", "base = memory.base"),
+    ("lim1", "lim1 = memory.size - 1"),
+    ("lim2", "lim2 = memory.size - 2"),
+    ("lim4", "lim4 = memory.size - 4"),
+)
+
+#: ``iteration`` of a block that heads no loop region: more than any
+#: instruction budget holds.
+_NO_LOOP = sys.maxsize
+
+#: Most blocks on a loop region's path.
+_MAX_LOOP_BLOCKS = 8
+
+
+class _Fault(NamedTuple):
+    """Where emitted code settles before a faulting access raises:
+    after *done* instructions of the run, their *cycles* and
+    *loads*/*stores* memory accesses."""
+
+    done: int
+    cycles: int
+    loads: int
+    stores: int
+
+
+class _Code(NamedTuple):
+    """One straight-line run of instructions, emitted as source."""
+
+    #: Lines up to the closing control transfer; a :class:`_Fault`
+    #: stands for the indented lines that settle a faulting access.
+    body: list
+    #: How the run ends, as ``(condition, target, cycles)`` tested in
+    #: order.  A ``None`` condition always holds; *target* is source
+    #: (``"None"`` after ``halt``, which stores the final pc itself).
+    exits: List[Tuple[Optional[str], str, int]]
+    #: The :data:`_PRELUDE` names the body uses.
+    names: Set[str]
+    loads: int
+    stores: int
+
+    def lines(self, fault: Callable[[_Fault], List[str]]) -> List[str]:
+        """The body, each fault site settled by *fault*'s lines."""
+        out: List[str] = []
+        for line in self.body:
+            out += _indent(fault(line)) if isinstance(line, _Fault) \
+                else [line]
+        return out
+
+
+def _operand(index: int) -> str:
+    """Source reading register *index* (``r0`` reads as 0)."""
+    return f"regs[{index}]" if index else "0"
+
+
+def _indent(lines: List[str]) -> List[str]:
+    return ["    " + line for line in lines]
+
+
+def _count(per: int, extra: int) -> Optional[str]:
+    """Source of ``k * per + extra`` for ``k`` whole loop iterations,
+    or ``None`` when it is always 0."""
+    terms = [] if not per else ["k"] if per == 1 else [f"k * {per}"]
+    if extra:
+        terms.append(str(extra))
+    return " + ".join(terms) or None
+
+
+def _memory_counts(ram: bool, reads: Optional[str],
+                   writes: Optional[str]) -> List[str]:
+    """Lines adding to a RAM's access counters (a bus counts its own)."""
+    if not ram:
+        return []
+    return ([f"memory.reads += {reads}"] if reads else []) \
+        + ([f"memory.writes += {writes}"] if writes else [])
+
+
+def _emit(program: Program, cycles: Dict[str, int], penalty: int,
+          start: int, length: int, ram: bool) -> _Code:
+    """The source of the *length* instructions from *start*; *ram*
+    indexes a plain :class:`Memory` instead of calling it."""
+    body: list = []
+    exits: List[Tuple[Optional[str], str, int]] = []
+    names: Set[str] = set()
     charged = 0  # cycles of the instructions emitted so far
+    loads = stores = 0
     for index in range(start, start + length):
         instr = program.instructions[index]
         op, rd, imm = instr.op, instr.rd, instr.imm
         if not isinstance(imm, int):  # only integers reach the source
             raise IssError(f"instruction {index}: immediate {imm!r} "
                            "is not an integer")
-        a, b = f"regs[{instr.ra}]", f"regs[{instr.rb}]"
+        a, b = _operand(instr.ra), _operand(instr.rb)
         taken = charged + cycles[op] + penalty
         if op in _RESULTS:
             if rd:  # r0 is hardwired and no memory is touched
@@ -318,69 +438,225 @@ def _generate(program: Program, cycles: Dict[str, int], penalty: int,
                     a=a, b=b, imm=imm, uimm=imm & _MASK32, shift=imm & 31))
         elif op in ACCESS_WIDTH:
             width = ACCESS_WIDTH[op]
-            if op in LOADS:
-                accessors.add("load")
-                access = f"load({a} + ({imm}), {width})"
-                if rd:
-                    access = f"regs[{rd}] = {access} & 0xFFFFFFFF"
+            fault = _Fault(index - start, charged, loads, stores)
+            is_load = op in LOADS
+            address = a if is_load else b
+            if imm:
+                address += f" + ({imm})"
+            if ram:  # Memory.load/store's bounds check and error
+                names.update(("memory", "data", "base", f"lim{width}"))
+                body += [f"o = {address} - base",
+                         f"if not 0 <= o <= lim{width}:", fault,
+                         f"    memory._offset(o + base, {width})"]
+                if not is_load:
+                    body.append(_RAM_STORES[width].format(a=a))
+                elif rd:
+                    body.append(f"regs[{rd}] = {_RAM_LOADS[width]}")
             else:
-                accessors.add("store")
-                access = f"store({b} + ({imm}), {a}, {width})"
-            body += ["try:", f"    {access}", "except BaseException:",
-                     f"    cpu._fault({start}, {index - start}, {charged})",
-                     "    raise"]
+                if is_load:
+                    names.add("load")
+                    access = f"load({address}, {width})"
+                    if rd:
+                        access = f"regs[{rd}] = {access} & 0xFFFFFFFF"
+                else:
+                    names.add("store")
+                    access = f"store({address}, {a}, {width})"
+                body += ["try:", f"    {access}", "except BaseException:",
+                         fault, "    raise"]
+            if is_load:
+                loads += 1
+            else:
+                stores += 1
         elif op in BRANCHES:
-            body += [f"if {_CONDITIONS[op].format(a=a, b=b)}:",
-                     f"    cpu.cycles += {taken}", f"    return {imm}"]
+            exits.append((_CONDITIONS[op].format(a=a, b=b), str(imm), taken))
         elif op == "jal":
             if rd:
                 body.append(f"regs[{rd}] = {(index + 1) & _MASK32}")
-            body += [f"cpu.cycles += {taken}", f"return {imm}"]
+            exits.append((None, str(imm), taken))
         elif op == "jr":
-            body += [f"cpu.cycles += {taken}", f"return {a}"]
+            exits.append((None, a, taken))
         elif op == "halt":
-            body += ["cpu.halted = True", f"cpu.pc = {index + 1}",
-                     f"cpu.cycles += {charged + cycles[op]}", "return None"]
+            body += ["cpu.halted = True", f"cpu.pc = {index + 1}"]
+            exits.append((None, "None", charged + cycles[op]))
         elif op != "nop":  # pragma: no cover - isa validation
             raise IssError(f"unimplemented opcode {op!r}")
         charged += cycles[op]
     if program.instructions[start + length - 1].op not in JUMPS + ("halt",):
         # Falls through: a prefix, an untaken branch or the program end.
-        body += [f"cpu.cycles += {charged}", f"return {start + length}"]
-    name = f"block_{start}_{length}"
+        exits.append((None, str(start + length), charged))
+    return _Code(body, exits, names, loads, stores)
+
+
+def _define(name: str, arguments: str, names: Set[str], body: List[str],
+            filename: str) -> Callable:
+    """Compile ``def name(arguments)`` over *body*, *names* bound first."""
     source = "\n    ".join(
-        [f"def {name}(cpu):", "regs = cpu.regs"]
-        + [f"{accessor} = cpu.memory.{accessor}"
-           for accessor in sorted(accessors)] + body)
+        [f"def {name}({arguments}):", "regs = cpu.regs"]
+        + [line for key, line in _PRELUDE if key in names] + body)
     namespace: dict = {}
-    exec(compile(source, f"<iss block {start}+{length}>", "exec"), namespace)
+    exec(compile(source, filename, "exec"), namespace)
     return namespace[name]
 
 
-class _BlockCache:
-    """The generated blocks of one program under one timing model."""
+def _generate(program: Program, cycles: Dict[str, int], penalty: int,
+              start: int, length: int, ram: bool) -> Callable:
+    """The *length* instructions from *start* as one function of the CPU.
 
-    def __init__(self, program: Program, timing_key: tuple) -> None:
+    The function returns the next pc, or ``None`` after ``halt``.
+    """
+    code = _emit(program, cycles, penalty, start, length, ram)
+    body = code.lines(lambda fault: _memory_counts(
+        ram, _count(0, fault.loads), _count(0, fault.stores))
+        + [f"cpu._fault({start}, {fault.done}, {fault.cycles})"])
+    for condition, target, cost in code.exits:
+        leave = [f"cpu.cycles += {cost}"] + _memory_counts(
+            ram, _count(0, code.loads), _count(0, code.stores)) \
+            + [f"return {target}"]
+        body += [f"if {condition}:", *_indent(leave)] if condition \
+            else leave
+    return _define(f"block_{start}_{length}", "cpu", code.names, body,
+                   f"<iss block {start}+{length}>")
+
+
+def _generate_loop(program: Program, cycles: Dict[str, int], penalty: int,
+                   path: List[Tuple[int, int]],
+                   ram: bool) -> Tuple[Callable, int]:
+    """The loop region through the ``(start, length)`` blocks of *path*.
+
+    Returns ``(loop, iteration)``: ``loop(cpu, left)`` runs whole
+    iterations of *iteration* instructions while one fits in *left*
+    (at least one must), charges and counts exactly what the blocks
+    would, and returns ``(next_pc, instructions_run)``.
+    """
+    head = path[0][0]
+    codes = [_emit(program, cycles, penalty, start, length, ram)
+             for start, length in path]
+    # Each block stays on the path through the exit to the next block;
+    # the last one's returns to the head.
+    stays = [str(start) for start, _ in path[1:]] + [str(head)]
+    stay_cycles = [next(cost for _, target, cost in code.exits
+                        if target == stay)
+                   for code, stay in zip(codes, stays)]
+    iteration = sum(length for _, length in path)
+    per_loads = sum(code.loads for code in codes)
+    per_stores = sum(code.stores for code in codes)
+
+    def settle(ran: int, spent: int, loads: int, stores: int) -> List[str]:
+        """Charge ``k`` iterations plus *spent* cycles, *loads* and
+        *stores*; the first *ran* blocks of the path ran once more."""
+        charge = _count(sum(stay_cycles), spent)
+        return ([f"cpu.cycles += {charge}"] if charge else []) \
+            + [f"counts[{start}] += k + 1" if position < ran
+               else f"counts[{start}] += k"
+               for position, (start, _) in enumerate(path)] \
+            + _memory_counts(ram, _count(per_loads, loads),
+                             _count(per_stores, stores))
+
+    body: List[str] = []
+    names = {"counts"}
+    done = spent = loads = stores = 0  # the path's blocks before this one
+    for position, ((start, length), code, stay) in enumerate(
+            zip(path, codes, stays)):
+        body += code.lines(lambda fault: settle(
+            position, spent, loads + fault.loads, stores + fault.stores)
+            + [f"cpu._fault({start}, {fault.done}, {fault.cycles})"])
+        names |= code.names
+        condition = code.exits[0][0]
+        for exit_condition, target, cost in code.exits:
+            if target == stay:
+                continue
+            # The other exit leaves: a branch's fall-through leaves when
+            # its condition fails.
+            test = exit_condition or f"not ({condition})"
+            body += [f"if {test}:", *_indent(
+                settle(position + 1, spent + cost, loads + code.loads,
+                       stores + code.stores)
+                + [f"return {target}, {_count(iteration, done + length)}"])]
+        done += length
+        spent += stay_cycles[position]
+        loads += code.loads
+        stores += code.stores
+    if body:
+        body = [f"for k in range(left // {iteration}):", *_indent(body)]
+    body.append(f"k = left // {iteration}  # every iteration ran")
+    body += settle(0, 0, 0, 0) + [f"return {head}, {_count(iteration, 0)}"]
+    return _define(f"loop_{head}", "cpu, left", names, body,
+                   f"<iss loop {head}>"), iteration
+
+
+class _BlockCache:
+    """The generated blocks and loop regions of one program under one
+    timing model and memory kind."""
+
+    def __init__(self, program: Program, key: tuple) -> None:
         self.program = program
-        self.cycles = dict(timing_key[0])
-        self.penalty = timing_key[1]
-        #: Entry pc -> ``(function, length)`` of its whole block, filled
-        #: on first entry.
-        self.blocks: List[Optional[Tuple[Callable, int]]] = \
+        self.cycles = dict(key[0])
+        self.penalty = key[1]
+        self.ram = key[2]
+        #: Entry pc -> ``(block, length, loop, iteration)``, filled on
+        #: first entry: the function and length of its whole block, and
+        #: of the loop region it heads and one iteration's instruction
+        #: count (``None`` and :data:`_NO_LOOP` when it heads none).
+        self.blocks: List[Optional[tuple]] = \
             [None] * len(program.instructions)
         self._prefixes: Dict[Tuple[int, int], Callable] = {}
 
-    def block(self, pc: int) -> Tuple[Callable, int]:
+    def _length(self, pc: int) -> int:
+        """The length of the block at *pc*."""
         instructions = self.program.instructions
         end = pc
         while end < len(instructions) - 1 \
                 and instructions[end].op not in _CONTROL:
             end += 1
-        length = end - pc + 1
-        entry = (_generate(self.program, self.cycles, self.penalty,
-                           pc, length), length)
-        self.blocks[pc] = entry
+        return end - pc + 1
+
+    def _plain(self, pc: int) -> tuple:
+        length = self._length(pc)
+        return (_generate(self.program, self.cycles, self.penalty, pc,
+                          length, self.ram), length, None, _NO_LOOP)
+
+    def block(self, pc: int) -> tuple:
+        entry = self.blocks[pc] = self._plain(pc)
+        path = self._loop_path(pc)
+        if path is not None:
+            loop, iteration = _generate_loop(
+                self.program, self.cycles, self.penalty,
+                [(start, self._length(start)) for start in path], self.ram)
+            # The region counts runs of its path's blocks, which fold
+            # into retirement by their lengths.
+            for start in path[1:]:
+                if self.blocks[start] is None:
+                    self.blocks[start] = self._plain(start)
+            entry = self.blocks[pc] = entry[:2] + (loop, iteration)
         return entry
+
+    def _loop_path(self, head: int) -> Optional[List[int]]:
+        """Entry pcs of the blocks of the loop region headed at *head*,
+        or ``None`` when it heads none."""
+        instructions = self.program.instructions
+
+        def extend(path: List[int]) -> Optional[List[int]]:
+            end = path[-1] + self._length(path[-1]) - 1
+            if not all(isinstance(instr.imm, int)
+                       for instr in instructions[path[-1]:end + 1]):
+                return None  # the block reports it when it runs
+            last = instructions[end]
+            if last.op == "jal":
+                return path if last.imm == head else None
+            if last.op not in BRANCHES or last.imm == end + 1:
+                return None  # no branch, or one whose cost varies
+            if head in (last.imm, end + 1):
+                return path
+            if len(path) == _MAX_LOOP_BLOCKS:
+                return None
+            for stay in (end + 1, last.imm):
+                if 0 <= stay < len(instructions) and stay not in path:
+                    found = extend(path + [stay])
+                    if found is not None:
+                        return found
+            return None
+
+        return extend([head])
 
     def prefix(self, pc: int, length: int) -> Callable:
         """The first *length* instructions of the block at *pc*."""
@@ -388,19 +664,22 @@ class _BlockCache:
         function = self._prefixes.get(key)
         if function is None:
             function = self._prefixes[key] = _generate(
-                self.program, self.cycles, self.penalty, pc, length)
+                self.program, self.cycles, self.penalty, pc, length,
+                self.ram)
         return function
 
 
-def _program_blocks(program: Program, timing: TimingModel) -> _BlockCache:
-    """The block cache of *program*, kept on it per timing model.
+def _program_blocks(program: Program, timing: TimingModel,
+                    ram: bool) -> _BlockCache:
+    """The block cache of *program*, kept on it per timing model and
+    memory kind (*ram*: a plain :class:`Memory`).
 
     Board threads share bundled programs without a lock: threads racing
-    to build a cache, a block or a prefix build identical ones, and the
-    last write wins harmlessly.
+    to build a cache, a block, a loop region or a prefix build
+    identical ones, and the last write wins harmlessly.
     """
     key = (tuple(sorted(timing.cycles.items())),
-           timing.branch_taken_penalty)
+           timing.branch_taken_penalty, ram)
     caches = vars(program).setdefault("_iss_blocks", {})
     cache = caches.get(key)
     if cache is None:

@@ -43,7 +43,9 @@ from repro.iss.isa import (  # noqa: E402
 )
 
 MASK = 0xFFFFFFFF
-CHUNKS = (1, 3, 7, 64, None)
+#: One checksum-loop iteration is 8 instructions: chunks of exactly
+#: one iteration and of one more are both covered.
+CHUNKS = (1, 3, 7, 8, 9, 64, None)
 
 
 def signed(value):
@@ -292,6 +294,39 @@ class TestBundledPrograms:
         build, regs = BUNDLED["checksum"]
         assert_lockstep(build(), regs, chunk, timing=timing,
                         setup=with_payload)
+
+
+#: A checksum-style loop over the last bytes of a 0x1000-byte RAM: the
+#: second load of its second block walks off the end after
+#: ``{iterations}`` whole iterations (each reads 2 bytes, stores 1).
+OFF_THE_END = """
+    ldi   r4, {cursor}
+    ldi   r5, 0x2000
+    jal   r0, loop              ; enter the loop at its head
+loop:
+    beq   r4, r5, done
+    ldb   r7, 0(r4)
+    stb   r7, 0(r4)
+    ldb   r8, 1(r4)
+    add   r3, r3, r8
+    addi  r4, r4, 2
+    jal   r0, loop
+done:
+    halt
+"""
+
+
+class TestLoopRegions:
+    @pytest.mark.parametrize("chunk", CHUNKS)
+    @pytest.mark.parametrize("iterations", [0, 1, 5, 20])
+    def test_loop_walks_off_the_end_of_ram(self, iterations, chunk):
+        program = assemble(OFF_THE_END.format(
+            iterations=iterations, cursor=0x1000 - 2 * iterations - 1))
+        cpu = assert_lockstep(program, {}, chunk)
+        loop = program.labels["loop"]
+        assert cpu._blocks.blocks[loop][2] is not None  # a loop region
+        assert cpu.pc == loop + 3 and not cpu.halted
+        assert cpu.instructions_retired == 3 + 7 * iterations + 3
 
 
 class TestGeneratedPrograms:

@@ -171,6 +171,20 @@ class TestTimingAndErrors:
             TimingModel(cycles={"add": 1})  # missing opcodes
 
 
+class Device:
+    """An MMIO device that logs every access and reads as 0xAB."""
+
+    def __init__(self):
+        self.log = []
+
+    def load(self, address, width):
+        self.log.append(("load", address, width))
+        return 0xAB
+
+    def store(self, address, value, width):
+        self.log.append(("store", address, value, width))
+
+
 class TestMemoryFaults:
     """A faulting access mid-block stops exactly at that instruction."""
 
@@ -212,17 +226,6 @@ class TestMemoryFaults:
         assert not cpu.halted
 
     def test_every_access_reaches_the_bus(self):
-        class Device:
-            def __init__(self):
-                self.log = []
-
-            def load(self, address, width):
-                self.log.append(("load", address, width))
-                return 0xAB
-
-            def store(self, address, value, width):
-                self.log.append(("store", address, value, width))
-
         bus = Bus()
         device = Device()
         bus.map_region("dev", 0x1000, 0x100, device)
@@ -239,3 +242,35 @@ class TestMemoryFaults:
                               ("store", 0x100C, 0xAB, 2)]
         assert bus.accesses == 3
         assert cpu.read_reg(0) == 0 and cpu.read_reg(2) == 0xAB
+
+    @pytest.mark.parametrize("chunk", [None, 1, 3, 5, 64])
+    def test_polling_loop_reaches_the_bus_every_iteration(self, chunk):
+        # A loop region on a bus still makes one device access per load
+        # or store, in program order.
+        polls = 12
+        bus = Bus()
+        device = Device()
+        bus.map_region("dev", 0x1000, 0x100, device)
+        cpu = IssCpu(assemble(f"""
+            ldi  r1, 0x1000
+            ldi  r2, {polls}
+        poll:
+            ld   r0, 4(r1)
+            ldb  r3, 8(r1)
+            add  r4, r4, r3
+            sth  r3, 12(r1)
+            addi r2, r2, -1
+            bne  r2, r0, poll
+            halt
+        """), bus)
+        if chunk is None:
+            cpu.run()
+        else:
+            for _work in run_program(cpu, chunk_instructions=chunk):
+                pass
+        assert cpu._blocks.blocks[2][2] is not None  # a loop region
+        assert device.log == [("load", 0x1004, 4), ("load", 0x1008, 1),
+                              ("store", 0x100C, 0xAB, 2)] * polls
+        assert bus.accesses == 3 * polls
+        assert cpu.read_reg(4) == 0xAB * polls
+        assert cpu.instructions_retired == 2 + 6 * polls + 1
