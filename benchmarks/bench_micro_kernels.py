@@ -5,7 +5,7 @@ the RTOS, the ISS and the wire codec, to track performance regressions
 of the substrates every macro experiment sits on.
 """
 
-from repro.iss import IssCpu, checksum_program
+from repro.iss import IssCpu, checksum_program, run_program
 from repro.board.memory import Memory
 from repro.router import Packet, checksum16
 from repro.rtos import CpuWork, RtosConfig, RtosKernel, YieldCpu
@@ -166,6 +166,35 @@ def test_iss_instruction_throughput(benchmark, quick, bench):
     retired = benchmark(bench.wrap(run))
     bench.series("iss_checksum", work=retired, unit="instructions",
                  tier1=True, cold_seconds=cold_seconds)
+    assert retired > len(data)
+
+
+def test_iss_chunked_throughput(benchmark, quick, bench):
+    """Warm ISS instructions per second on the same checksum, drained
+    through ``run_program`` in the 64-instruction chunks that every
+    co-simulation workload runs, so a chunk starts mid-loop.
+
+    The cold first call runs untimed, as above, and is kept as
+    ``cold_seconds``.  Not tier-1: a single sample does not measure
+    code under a 20% gate.
+    """
+    data = bytes(range(256)) * 4
+
+    def run():
+        memory = Memory(0x1000)
+        memory.store_bytes(0x100, data)
+        cpu = IssCpu(checksum_program(), memory)
+        cpu.write_reg(1, 0x100)
+        cpu.write_reg(2, len(data))
+        for _work in run_program(cpu, 64):
+            pass
+        return cpu.instructions_retired
+
+    bench.measure(run)
+    cold_seconds = bench.last_seconds
+    retired = benchmark(bench.wrap(run))
+    bench.series("iss_checksum_chunked", work=retired, unit="instructions",
+                 cold_seconds=cold_seconds)
     assert retired > len(data)
 
 

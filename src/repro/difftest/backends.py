@@ -29,7 +29,7 @@ from repro.devices import AcceleratorDriver, ChecksumAccelerator
 from repro.difftest.progbuilder import build_program
 from repro.difftest.workload import FuzzSpec
 from repro.errors import UnknownBackendError
-from repro.iss import NUM_REGS, IssCpu, TimingModel
+from repro.iss import NUM_REGS, IssCpu, TimingModel, run_program
 from repro.replay import (
     RecordingBoardEndpoint,
     SessionRecording,
@@ -51,7 +51,7 @@ from repro.transport.tcp import TcpLink
 #: Backends per scenario; the first entry is the reference backend.
 SCENARIO_BACKENDS: Dict[str, List[str]] = {
     "router": ["inproc", "rerun", "replay", "optimistic", "fmu", "tcp"],
-    "iss": ["iss-default", "iss-unit"],
+    "iss": ["iss-default", "iss-unit", "iss-chunked"],
     "adaptive": ["adaptive", "adaptive-rerun", "adaptive-fmu"],
     "multiboard": ["multi-inproc", "multi-threaded"],
 }
@@ -127,7 +127,7 @@ def run_backend(spec: FuzzSpec, backend: str,
             return _run_router(spec, backend)
         if backend == "replay":
             return _run_replay(spec, recording)
-        if backend in ("iss-default", "iss-unit"):
+        if backend in ("iss-default", "iss-unit", "iss-chunked"):
             return _run_iss(spec, backend)
         if backend in ("adaptive", "adaptive-rerun", "adaptive-fmu"):
             return _run_adaptive(spec, backend)
@@ -261,7 +261,14 @@ def _run_iss(spec: FuzzSpec, backend: str) -> RunOutcome:
         timing = TimingModel()
     memory = Memory(64 * 1024)
     cpu = IssCpu(generated.program, memory, timing)
-    cpu.run(max_instructions=1_000_000)
+    if backend == "iss-chunked":
+        # As RTOS thread work: chunks of 1-97 instructions, so across
+        # cases they start at every phase of the program's loops.
+        for _work in run_program(cpu, spec.seed % 97 + 1,
+                                 max_instructions=1_000_000):
+            pass
+    else:
+        cpu.run(max_instructions=1_000_000)
     registers = [cpu.read_reg(i) for i in range(NUM_REGS)]
     data = [memory.load(addr, 1)
             for addr in range(*_ISS_DIGEST_SPAN)]
@@ -277,6 +284,7 @@ def _run_iss(spec: FuzzSpec, backend: str) -> RunOutcome:
         extra={
             "instructions": cpu.instructions_retired,
             "cycles": cpu.cycles,
+            "timing": "unit" if backend == "iss-unit" else "default",
             "accumulator": cpu.read_reg(1),
             "fragments": generated.fragments,
         },

@@ -192,6 +192,13 @@ def check_pair(spec: FuzzSpec, reference: RunOutcome,
                 f"instruction counts differ: "
                 f"{reference.extra['instructions']} != "
                 f"{other.extra['instructions']}"))
+    timing = reference.extra.get("timing")
+    if timing is not None and other.extra.get("timing") == timing \
+            and reference.extra["cycles"] != other.extra["cycles"]:
+        found.append(Mismatch(
+            "iss-cycles", pair,
+            f"cycle counts under one timing model differ: "
+            f"{reference.extra['cycles']} != {other.extra['cycles']}"))
     return found
 
 

@@ -9,24 +9,31 @@ dropped, and the block is ``exec``ed once as one function.  It charges
 the block's summed cycle cost (a closing branch adds its taken or
 untaken cost) and returns the next pc.
 
-A block that heads a *loop region* (a single-path loop: every block on
-the path but the last leaves it in one direction of its closing branch,
-and the last one's branch or ``jal`` returns to the head) also gets the
-whole path as one function from the same emitter.  It runs whole
-iterations while one fits in the instructions left, and returns the
-next pc with how many instructions ran.  Blocks and regions are
-generated on first entry and cached on the
+A pc on a *loop* (a single path back to itself: every block on it but
+the last leaves it in one direction of its closing branch, and the last
+one returns by its branch or ``jal``, or by falling into the pc) heads a
+*loop region*: the whole path from that pc as one function from the
+same emitter, so every pc of a loop heads its own rotation of it.  The
+path is found statically and has at most eight runs; a loop through a
+``jr``, or through a branch whose taken target is its fall-through
+(whose cost varies), gets none and runs block by block.
+``loop(cpu, left)`` runs whole iterations while one fits in the
+instructions left, then the first instructions of one more, and returns
+the next pc with how many instructions ran.  A chunk that starts
+mid-loop is therefore one call.  Blocks and regions are generated on
+first entry, one ``compile()`` each, and cached on the
 :class:`~repro.iss.isa.Program` per timing model and memory kind, so
 CPUs built per packet reuse them.
 
 Timing stays exact at instruction granularity:
 
-* A region runs only whole iterations, and a block runs whole only if
-  it fits the instructions left in the current chunk and budget.
-  Otherwise the CPU runs the block's longest prefix that fits, from the
-  same emitter, cached per ``(pc, length)``.  A chunk therefore ends
-  after exactly ``chunk`` instructions, and :meth:`IssCpu.step` runs a
-  prefix of length one.
+* A region stops after exactly the instructions left, checking the
+  count between the instructions of its last iteration only.  A block
+  runs whole only if it fits the instructions left in the current chunk
+  and budget; otherwise the CPU runs the block's longest prefix that
+  fits, from the same emitter, cached per ``(pc, length)``.  A chunk
+  therefore ends after exactly ``chunk`` instructions, and
+  :meth:`IssCpu.step` runs one instruction.
 * A plain :class:`~repro.board.memory.Memory` is indexed directly by
   the generated code, with ``Memory.load``/``store``'s bounds check and
   error and its ``reads``/``writes`` counts (a load into ``r0``
@@ -37,14 +44,14 @@ Timing stays exact at instruction granularity:
   instruction.
 * Retirement is counted per block run, not per instruction: one count
   for a block entry, *k* for each block on a region's path after *k*
-  iterations, and one per ``(pc, length)`` for a cut-short run.
-  ``instructions_retired`` and ``op_histogram`` fold those counts on
-  demand.
+  iterations, and one per ``(pc, length)`` for a run cut short (a
+  prefix, a region's run that falls into its head, or the end of its
+  last iteration).  ``instructions_retired`` and ``op_histogram`` fold
+  those counts on demand.
 """
 
 from __future__ import annotations
 
-import sys
 from typing import Callable, Dict, List, NamedTuple, Optional, Set, Tuple
 
 from repro.board.memory import Memory
@@ -120,8 +127,8 @@ class IssCpu:
     # ------------------------------------------------------------------
     def _retired_per_pc(self) -> List[int]:
         per_pc = [0] * len(self._block_counts)
-        blocks = self._blocks.blocks
-        runs = [(pc, blocks[pc][1], count)
+        lengths = self._blocks.lengths
+        runs = [(pc, lengths[pc], count)
                 for pc, count in enumerate(self._block_counts) if count]
         runs.extend((pc, length, count)
                     for (pc, length), count in self._partial_counts.items())
@@ -251,8 +258,8 @@ class IssCpu:
             if not 0 <= pc < size:
                 self.pc = pc
                 raise IssError(f"pc {pc} outside the program")
-            block, length, loop, iteration = blocks[pc] or cache.block(pc)
-            if iteration <= left:  # whole iterations of a loop region
+            block, length, loop = blocks[pc] or cache.block(pc)
+            if loop is not None:  # the loop region this pc heads
                 pc, ran = loop(self, left)
                 left -= ran
                 continue
@@ -335,6 +342,7 @@ _RAM_STORES = {
 #: Names a generated function binds on entry, in binding order.
 _PRELUDE = (
     ("counts", "counts = cpu._block_counts"),
+    ("partial", "partial = cpu._partial_counts"),
     ("load", "load = cpu.memory.load"),
     ("store", "store = cpu.memory.store"),
     ("memory", "memory = cpu.memory"),
@@ -345,18 +353,14 @@ _PRELUDE = (
     ("lim4", "lim4 = memory.size - 4"),
 )
 
-#: ``iteration`` of a block that heads no loop region: more than any
-#: instruction budget holds.
-_NO_LOOP = sys.maxsize
-
-#: Most blocks on a loop region's path.
+#: Most runs (blocks, the last one maybe cut short) on a loop region's
+#: path.
 _MAX_LOOP_BLOCKS = 8
 
 
-class _Fault(NamedTuple):
-    """Where emitted code settles before a faulting access raises:
-    after *done* instructions of the run, their *cycles* and
-    *loads*/*stores* memory accesses."""
+class _Site(NamedTuple):
+    """A point before instruction *done* of an emitted run, after the
+    *cycles*, *loads* and *stores* of the instructions before it."""
 
     done: int
     cycles: int
@@ -364,11 +368,25 @@ class _Fault(NamedTuple):
     stores: int
 
 
+class _Fault(_Site):
+    """Where emitted code settles before a faulting access raises."""
+
+    __slots__ = ()
+
+
+class _Boundary(_Site):
+    """An instruction boundary, where a loop region's last iteration
+    may stop."""
+
+    __slots__ = ()
+
+
 class _Code(NamedTuple):
     """One straight-line run of instructions, emitted as source."""
 
     #: Lines up to the closing control transfer; a :class:`_Fault`
-    #: stands for the indented lines that settle a faulting access.
+    #: stands for the indented lines that settle a faulting access, and
+    #: a :class:`_Boundary` precedes every instruction.
     body: list
     #: How the run ends, as ``(condition, target, cycles)`` tested in
     #: order.  A ``None`` condition always holds; *target* is source
@@ -379,12 +397,19 @@ class _Code(NamedTuple):
     loads: int
     stores: int
 
-    def lines(self, fault: Callable[[_Fault], List[str]]) -> List[str]:
-        """The body, each fault site settled by *fault*'s lines."""
+    def lines(self, fault: Callable[[_Site], List[str]],
+              boundary: Optional[Callable[[_Site], List[str]]] = None
+              ) -> List[str]:
+        """The body, each fault site settled by *fault*'s lines and each
+        boundary replaced by *boundary*'s (dropped without it)."""
         out: List[str] = []
         for line in self.body:
-            out += _indent(fault(line)) if isinstance(line, _Fault) \
-                else [line]
+            if isinstance(line, _Fault):
+                out += _indent(fault(line))
+            elif isinstance(line, _Boundary):
+                out += boundary(line) if boundary else []
+            else:
+                out.append(line)
         return out
 
 
@@ -432,6 +457,7 @@ def _emit(program: Program, cycles: Dict[str, int], penalty: int,
                            "is not an integer")
         a, b = _operand(instr.ra), _operand(instr.rb)
         taken = charged + cycles[op] + penalty
+        body.append(_Boundary(index - start, charged, loads, stores))
         if op in _RESULTS:
             if rd:  # r0 is hardwired and no memory is touched
                 body.append(f"regs[{rd}] = " + _RESULTS[op].format(
@@ -519,20 +545,21 @@ def _generate(program: Program, cycles: Dict[str, int], penalty: int,
 
 
 def _generate_loop(program: Program, cycles: Dict[str, int], penalty: int,
-                   path: List[Tuple[int, int]],
-                   ram: bool) -> Tuple[Callable, int]:
-    """The loop region through the ``(start, length)`` blocks of *path*.
+                   path: List[Tuple[int, int]], ram: bool) -> Callable:
+    """The loop region through the ``(start, length)`` runs of *path*.
 
-    Returns ``(loop, iteration)``: ``loop(cpu, left)`` runs whole
-    iterations of *iteration* instructions while one fits in *left*
-    (at least one must), charges and counts exactly what the blocks
-    would, and returns ``(next_pc, instructions_run)``.
+    ``loop(cpu, left)`` runs *left* instructions along the path (whole
+    iterations, then the first instructions of one more), or fewer when
+    a branch leaves it; it charges and counts exactly what blocks and
+    prefixes would, and returns ``(next_pc, instructions_run)``.  A run
+    is a whole block, counted per entry pc, unless it is cut short where
+    it falls into the head; a cut run counts as a partial run.
     """
     head = path[0][0]
     codes = [_emit(program, cycles, penalty, start, length, ram)
              for start, length in path]
-    # Each block stays on the path through the exit to the next block;
-    # the last one's returns to the head.
+    # Each run stays on the path through the exit to the next run; the
+    # last one's returns to the head.
     stays = [str(start) for start, _ in path[1:]] + [str(head)]
     stay_cycles = [next(cost for _, target, cost in code.exits
                         if target == stay)
@@ -541,47 +568,82 @@ def _generate_loop(program: Program, cycles: Dict[str, int], penalty: int,
     per_loads = sum(code.loads for code in codes)
     per_stores = sum(code.stores for code in codes)
 
-    def settle(ran: int, spent: int, loads: int, stores: int) -> List[str]:
-        """Charge ``k`` iterations plus *spent* cycles, *loads* and
-        *stores*; the first *ran* blocks of the path ran once more."""
-        charge = _count(sum(stay_cycles), spent)
-        return ([f"cpu.cycles += {charge}"] if charge else []) \
-            + [f"counts[{start}] += k + 1" if position < ran
-               else f"counts[{start}] += k"
-               for position, (start, _) in enumerate(path)] \
-            + _memory_counts(ram, _count(per_loads, loads),
-                             _count(per_stores, stores))
+    def count(start: int, length: int, runs: str) -> str:
+        """Source adding *runs* runs of the *length* instructions from
+        *start*: a whole block's by its entry pc, a shorter run's as a
+        partial run."""
+        if program.instructions[start + length - 1].op in _CONTROL:
+            return f"counts[{start}] += {runs}"
+        return (f"partial[{start}, {length}] = "
+                f"partial.get(({start}, {length}), 0) + {runs}")
 
-    body: List[str] = []
-    names = {"counts"}
-    done = spent = loads = stores = 0  # the path's blocks before this one
-    for position, ((start, length), code, stay) in enumerate(
-            zip(path, codes, stays)):
-        body += code.lines(lambda fault: settle(
-            position, spent, loads + fault.loads, stores + fault.stores)
-            + [f"cpu._fault({start}, {fault.done}, {fault.cycles})"])
-        names |= code.names
-        condition = code.exits[0][0]
-        for exit_condition, target, cost in code.exits:
-            if target == stay:
-                continue
-            # The other exit leaves: a branch's fall-through leaves when
-            # its condition fails.
-            test = exit_condition or f"not ({condition})"
-            body += [f"if {test}:", *_indent(
-                settle(position + 1, spent + cost, loads + code.loads,
-                       stores + code.stores)
-                + [f"return {target}, {_count(iteration, done + length)}"])]
-        done += length
-        spent += stay_cycles[position]
-        loads += code.loads
-        stores += code.stores
+    def settle(ran: int, spent: int, loads: int, stores: int,
+               cut: int = 0) -> List[str]:
+        """Charge ``k`` iterations plus *spent* cycles, *loads* and
+        *stores*; the first *ran* runs of the path ran once more, and
+        the first *cut* instructions of the next one."""
+        charge = _count(sum(stay_cycles), spent)
+        lines = ([f"cpu.cycles += {charge}"] if charge else []) \
+            + [count(start, length, "k + 1" if position < ran else "k")
+               for position, (start, length) in enumerate(path)]
+        if cut:
+            lines.append(count(path[ran][0], cut, "1"))
+        return lines + _memory_counts(ram, _count(per_loads, loads),
+                                      _count(per_stores, stores))
+
+    def stop(ran: int, at: _Site, done: int, spent: int, loads: int,
+             stores: int) -> List[str]:
+        """Stop the last, partial iteration *at* a boundary in run *ran*
+        once ``r`` instructions of it ran; the runs before *ran* took
+        *done* instructions, *spent* cycles, *loads* and *stores*."""
+        lines = settle(ran, spent + at.cycles, loads + at.loads,
+                       stores + at.stores, at.done) \
+            + [f"return {path[ran][0] + at.done}, "
+               f"{_count(iteration, done + at.done)}"]
+        if done + at.done < iteration - 1:
+            return [f"if r == {done + at.done}:", *_indent(lines)]
+        return lines + [None]  # r < iteration: the last boundary stops
+
+    def iterate(last: bool) -> List[str]:
+        """The path once; with *last*, stopping at the boundary where
+        the instructions left run out."""
+        body: List[str] = []
+        done = spent = loads = stores = 0  # the runs before this one
+        for position, ((start, length), code, stay) in enumerate(
+                zip(path, codes, stays)):
+            body += code.lines(
+                lambda fault: settle(
+                    position, spent, loads + fault.loads,
+                    stores + fault.stores)
+                + [f"cpu._fault({start}, {fault.done}, {fault.cycles})"],
+                last and (lambda at: stop(position, at, done, spent,
+                                          loads, stores)))
+            condition = code.exits[0][0]
+            for exit_condition, target, cost in code.exits:
+                if target == stay:
+                    continue
+                # The other exit leaves: a branch's fall-through leaves
+                # when its condition fails.
+                test = exit_condition or f"not ({condition})"
+                body += [f"if {test}:", *_indent(
+                    settle(position + 1, spent + cost, loads + code.loads,
+                           stores + code.stores)
+                    + [f"return {target}, "
+                       f"{_count(iteration, done + length)}"])]
+            done += length
+            spent += stay_cycles[position]
+            loads += code.loads
+            stores += code.stores
+        return body[:body.index(None)] if last else body
+
+    names = {"counts", "partial"}.union(*(code.names for code in codes))
+    body = iterate(False)
     if body:
         body = [f"for k in range(left // {iteration}):", *_indent(body)]
-    body.append(f"k = left // {iteration}  # every iteration ran")
-    body += settle(0, 0, 0, 0) + [f"return {head}, {_count(iteration, 0)}"]
+    body += [f"k = left // {iteration}  # every whole iteration ran",
+             f"r = left - k * {iteration}"] + iterate(True)
     return _define(f"loop_{head}", "cpu, left", names, body,
-                   f"<iss loop {head}>"), iteration
+                   f"<iss loop {head}>")
 
 
 class _BlockCache:
@@ -593,70 +655,69 @@ class _BlockCache:
         self.cycles = dict(key[0])
         self.penalty = key[1]
         self.ram = key[2]
-        #: Entry pc -> ``(block, length, loop, iteration)``, filled on
-        #: first entry: the function and length of its whole block, and
-        #: of the loop region it heads and one iteration's instruction
-        #: count (``None`` and :data:`_NO_LOOP` when it heads none).
-        self.blocks: List[Optional[tuple]] = \
-            [None] * len(program.instructions)
+        instructions = program.instructions
+        #: The length of the block at each pc: through its first control
+        #: transfer, or to the end of the program.
+        self.lengths: List[int] = [0] * len(instructions)
+        length = 0
+        for pc in reversed(range(len(instructions))):
+            length = 1 if instructions[pc].op in _CONTROL else length + 1
+            self.lengths[pc] = length
+        #: Entry pc -> ``(block, length, loop)``, filled on first entry:
+        #: the loop region the pc heads, or else (``loop`` ``None``) the
+        #: function and length of its block.
+        self.blocks: List[Optional[tuple]] = [None] * len(instructions)
         self._prefixes: Dict[Tuple[int, int], Callable] = {}
 
-    def _length(self, pc: int) -> int:
-        """The length of the block at *pc*."""
-        instructions = self.program.instructions
-        end = pc
-        while end < len(instructions) - 1 \
-                and instructions[end].op not in _CONTROL:
-            end += 1
-        return end - pc + 1
-
-    def _plain(self, pc: int) -> tuple:
-        length = self._length(pc)
-        return (_generate(self.program, self.cycles, self.penalty, pc,
-                          length, self.ram), length, None, _NO_LOOP)
-
     def block(self, pc: int) -> tuple:
-        entry = self.blocks[pc] = self._plain(pc)
         path = self._loop_path(pc)
-        if path is not None:
-            loop, iteration = _generate_loop(
-                self.program, self.cycles, self.penalty,
-                [(start, self._length(start)) for start in path], self.ram)
-            # The region counts runs of its path's blocks, which fold
-            # into retirement by their lengths.
-            for start in path[1:]:
-                if self.blocks[start] is None:
-                    self.blocks[start] = self._plain(start)
-            entry = self.blocks[pc] = entry[:2] + (loop, iteration)
+        if path is None:
+            length = self.lengths[pc]
+            entry = (_generate(self.program, self.cycles, self.penalty, pc,
+                               length, self.ram), length, None)
+        else:
+            entry = (None, 0, _generate_loop(
+                self.program, self.cycles, self.penalty, path, self.ram))
+        self.blocks[pc] = entry
         return entry
 
-    def _loop_path(self, head: int) -> Optional[List[int]]:
-        """Entry pcs of the blocks of the loop region headed at *head*,
-        or ``None`` when it heads none."""
+    def _loop_path(self, head: int) -> Optional[List[Tuple[int, int]]]:
+        """The ``(start, length)`` runs of the loop region headed at
+        *head*, or ``None`` when *head* is on no single-path loop.
+
+        Every run but the last ends in a branch that stays on the path
+        one way and leaves it the other, or in a ``jal``; the last one
+        returns to *head*, by its branch or ``jal`` or by falling into
+        it, cut short there.  So every pc of a loop heads a rotation of
+        it.
+        """
         instructions = self.program.instructions
 
-        def extend(path: List[int]) -> Optional[List[int]]:
-            end = path[-1] + self._length(path[-1]) - 1
+        def extend(path: List[Tuple[int, int]],
+                   start: int) -> Optional[List[Tuple[int, int]]]:
+            if path and start == head:
+                return path
+            if not 0 <= start < len(instructions) \
+                    or any(start == run for run, _ in path) \
+                    or len(path) == _MAX_LOOP_BLOCKS:
+                return None
+            end = start + self.lengths[start] - 1
+            cut = start < head <= end  # falls into the head
+            length = head - start if cut else end - start + 1
             if not all(isinstance(instr.imm, int)
-                       for instr in instructions[path[-1]:end + 1]):
+                       for instr in instructions[start:start + length]):
                 return None  # the block reports it when it runs
+            path = path + [(start, length)]
+            if cut:
+                return path
             last = instructions[end]
             if last.op == "jal":
-                return path if last.imm == head else None
+                return extend(path, last.imm)
             if last.op not in BRANCHES or last.imm == end + 1:
                 return None  # no branch, or one whose cost varies
-            if head in (last.imm, end + 1):
-                return path
-            if len(path) == _MAX_LOOP_BLOCKS:
-                return None
-            for stay in (end + 1, last.imm):
-                if 0 <= stay < len(instructions) and stay not in path:
-                    found = extend(path + [stay])
-                    if found is not None:
-                        return found
-            return None
+            return extend(path, end + 1) or extend(path, last.imm)
 
-        return extend([head])
+        return extend([], head)
 
     def prefix(self, pc: int, length: int) -> Callable:
         """The first *length* instructions of the block at *pc*."""

@@ -62,3 +62,12 @@ class TestRunSpecBackends:
         spec = generate_spec(42, 1, scenarios=["iss"])
         with pytest.raises(UnknownBackendError, match="known: "):
             run_spec(spec, backends=["iss-unit", "bogus"])
+
+    @pytest.mark.parametrize("index", range(4))
+    def test_chunked_iss_matches_the_unchunked_run(self, index):
+        spec = generate_spec(42, index, scenarios=["iss"])
+        outcomes, mismatches = run_spec(spec)
+        assert mismatches == []
+        default, chunked = outcomes["iss-default"], outcomes["iss-chunked"]
+        assert chunked.ok and chunked.digest == default.digest
+        assert chunked.extra["cycles"] == default.extra["cycles"]

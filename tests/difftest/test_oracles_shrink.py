@@ -148,6 +148,16 @@ class TestTier2And3:
         diverging = [m for m in found if m.oracle == "trace-equivalence"]
         assert diverging and "window 1" in diverging[0].detail
 
+    def test_iss_cycles_compared_under_one_timing_model(self):
+        def iss(backend, cycles, timing):
+            return RunOutcome(backend=backend, digest="d" * 16, extra={
+                "instructions": 40, "cycles": cycles, "timing": timing})
+
+        ref = iss("iss-default", 90, "default")
+        found = check_pair(_spec(), ref, iss("iss-chunked", 91, "default"))
+        assert [m.oracle for m in found] == ["iss-cycles"]
+        assert check_pair(_spec(), ref, iss("iss-unit", 40, "unit")) == []
+
     def test_failed_run_is_not_compared(self):
         ref = _clean_outcome()
         other = RunOutcome(backend="tcp", ok=False, error="boom")

@@ -8,6 +8,7 @@ histogram and memory (contents and access counters) must agree.
 """
 
 import operator
+import sys
 from collections import Counter
 
 import pytest
@@ -299,10 +300,11 @@ class TestBundledPrograms:
 #: A checksum-style loop over the last bytes of a 0x1000-byte RAM: the
 #: second load of its second block walks off the end after
 #: ``{iterations}`` whole iterations (each reads 2 bytes, stores 1).
+#: The setup jumps into the loop at pc ``{entry}``.
 OFF_THE_END = """
     ldi   r4, {cursor}
     ldi   r5, 0x2000
-    jal   r0, loop              ; enter the loop at its head
+    jal   r0, {entry}
 loop:
     beq   r4, r5, done
     ldb   r7, 0(r4)
@@ -315,18 +317,120 @@ done:
     halt
 """
 
+#: Loops that head no region.  ``cost``: its ``beq`` is taken into its
+#: own fall-through, so it costs more taken than not.  ``jr``: the loop
+#: closes through a register.
+NO_REGION = {
+    "cost": """
+        ldi   r1, 9
+    loop:
+        addi  r1, r1, -1
+        beq   r1, r0, next
+    next:
+        bne   r1, r0, loop
+        halt
+    """,
+    "jr": """
+        ldi   r1, 9
+        ldi   r2, 2
+    loop:
+        addi  r1, r1, -1
+        beq   r1, r0, done
+        jr    r2
+    done:
+        halt
+    """,
+}
+
+
+def chain_loop(blocks):
+    """A loop whose path is *blocks* blocks, each closing in a branch
+    that leaves it only after the last iteration."""
+    body = "\n".join(f"    addi r2, r2, {n}\n    beq r1, r0, done"
+                     for n in range(1, blocks))
+    return f"""
+        ldi   r1, 12
+    loop:
+        addi  r1, r1, -1
+{body}
+        jal   r0, loop
+    done:
+        halt
+    """
+
+
+def generated_calls(cpu, chunk):
+    """The generated functions each ``run_program`` chunk called."""
+    calls = [[]]
+
+    def profile(frame, event, arg):
+        code = frame.f_code
+        if event == "call" and code.co_filename.startswith("<iss ") \
+                and code.co_name != "<module>":
+            calls[-1].append(code.co_name)
+
+    sys.setprofile(profile)
+    try:
+        for _work in run_program(cpu, chunk):
+            calls.append([])
+    finally:
+        sys.setprofile(None)
+    return calls
+
 
 class TestLoopRegions:
     @pytest.mark.parametrize("chunk", CHUNKS)
     @pytest.mark.parametrize("iterations", [0, 1, 5, 20])
     def test_loop_walks_off_the_end_of_ram(self, iterations, chunk):
-        program = assemble(OFF_THE_END.format(
-            iterations=iterations, cursor=0x1000 - 2 * iterations - 1))
-        cpu = assert_lockstep(program, {}, chunk)
-        loop = program.labels["loop"]
-        assert cpu._blocks.blocks[loop][2] is not None  # a loop region
-        assert cpu.pc == loop + 3 and not cpu.halted
-        assert cpu.instructions_retired == 3 + 7 * iterations + 3
+        # Entered at every pc of its path, the region settles the
+        # completed runs and the faulting one's prefix like the
+        # reference does.
+        for offset in range(7):
+            program = assemble(OFF_THE_END.format(
+                cursor=0x1000 - 2 * iterations - 1, entry=3 + offset))
+            loop = program.labels["loop"]
+            cpu = assert_lockstep(program, {}, chunk)
+            assert cpu._blocks.blocks[loop + offset][2] is not None
+            assert program.instructions[cpu.pc].op in LOADS
+            assert not cpu.halted
+            if offset == 0:
+                assert cpu.pc == loop + 3
+                assert cpu.instructions_retired == 3 + 7 * iterations + 3
+
+    @pytest.mark.parametrize("chunk", CHUNKS)
+    @pytest.mark.parametrize("name", sorted(NO_REGION))
+    def test_loops_without_a_region_run_as_blocks(self, name, chunk):
+        cpu = assert_lockstep(assemble(NO_REGION[name]), {}, chunk)
+        entered = [entry for entry in cpu._blocks.blocks if entry]
+        assert entered and all(entry[2] is None for entry in entered)
+
+    @pytest.mark.parametrize("chunk", CHUNKS)
+    @pytest.mark.parametrize("blocks", [8, 9])
+    def test_a_region_path_has_at_most_eight_blocks(self, blocks, chunk):
+        cpu = assert_lockstep(assemble(chain_loop(blocks)), {}, chunk)
+        regions = [entry for entry in cpu._blocks.blocks
+                   if entry and entry[2]]
+        assert bool(regions) == (blocks == 8)
+
+    @pytest.mark.parametrize("build, regs, rotations", [
+        (checksum_program, {1: 0x100, 2: 1024}, 1),
+        # memcpy's 6-instruction loop starts 64-instruction chunks at
+        # changing pcs, each the head of its own rotation.
+        (memcpy_program, {1: 0x800, 2: 0x100, 3: 1024}, 3),
+    ])
+    def test_steady_state_chunk_is_one_call(self, build, regs, rotations):
+        memory = Memory(0x1000)
+        memory.store_bytes(0x100, bytes(range(256)) * 4)
+        cpu = IssCpu(build(), memory)
+        for index, value in regs.items():
+            cpu.write_reg(index, value)
+        calls = generated_calls(cpu, 64)
+        assert cpu.halted
+        steady = calls[1:-2]
+        assert len(steady) >= 60
+        assert all(len(chunk) == 1 and chunk[0].startswith("loop_")
+                   for chunk in steady), steady
+        assert len({chunk[0] for chunk in steady}) == rotations
 
 
 class TestGeneratedPrograms:
