@@ -225,38 +225,13 @@ def _cmd_record(args: argparse.Namespace) -> int:
         finalize_router_recording,
     )
     from repro.transport.faults import FaultPlan
-    from repro.transport.messages import CLOCK_PORT, DATA_PORT, INT_PORT
-    from repro.transport.tcp import ResilienceConfig
 
-    ports = {p: p for p in (CLOCK_PORT, DATA_PORT, INT_PORT)}
-    disconnects = {}
-    for spec in args.disconnect_after:
-        seq, _, port = spec.partition(":")
-        port = port or CLOCK_PORT
-        if port not in ports:
-            print(f"unknown port {port!r} in --disconnect-after {spec!r} "
-                  f"(expected one of {sorted(ports)})", file=sys.stderr)
-            return 2
-        disconnects[int(seq)] = port
-    if disconnects and args.mode != "tcp":
-        print("--disconnect-after requires --mode tcp (the TCP link "
-              "is what reconnects)", file=sys.stderr)
-        return 2
     fault_plan = None
-    if disconnects or args.drop_interrupt:
-        fault_plan = FaultPlan(
-            drop_interrupts=set(args.drop_interrupt),
-            disconnect_after_grants=disconnects,
-        )
-    resilience = ResilienceConfig()
-    if disconnects:
-        # Fast-reconnect knobs (the soak-test profile): sub-second
-        # backoff so a recorded CI run stays quick.
-        resilience = ResilienceConfig(
-            max_attempts=8, backoff_initial_s=0.005, backoff_max_s=0.05)
+    if args.drop_interrupt:
+        fault_plan = FaultPlan(drop_interrupts=set(args.drop_interrupt))
     recording = SessionRecording()
     cosim = build_router_cosim(
-        CosimConfig(t_sync=args.t_sync, resilience=resilience),
+        CosimConfig(t_sync=args.t_sync),
         _workload_from_args(args), mode=args.mode,
         fault_plan=fault_plan, recorder=recording)
     trace = ProtocolTrace()
@@ -802,11 +777,6 @@ def build_parser() -> argparse.ArgumentParser:
     record.add_argument("--drop-interrupt", type=int, action="append",
                         default=[], metavar="N",
                         help="fault injection: swallow the N-th interrupt")
-    record.add_argument("--disconnect-after", action="append",
-                        default=[], metavar="SEQ[:PORT]",
-                        help="fault injection (tcp mode): yank PORT "
-                             "(clock/int/data) right after grant SEQ; "
-                             "the link reconnects")
     record.set_defaults(fn=_cmd_record)
 
     replay = sub.add_parser(

@@ -9,7 +9,6 @@ from repro.errors import ProtocolError
 from repro.obs.recorder import TracingConfig
 from repro.simkernel.simtime import ns
 from repro.transport.latency import CycleLatencyModel, WallCostModel
-from repro.transport.tcp import ResilienceConfig
 
 
 @dataclass
@@ -49,8 +48,6 @@ class CosimConfig:
     #: every link, emulating the Ethernet + physical-board response
     #: latency of the paper's setup (0 = no added delay).
     emulated_network_delay_s: float = 0.0
-    #: Reconnect knobs of the TCP transport.
-    resilience: ResilienceConfig = field(default_factory=ResilienceConfig)
     #: Observability: span tracing and profiling (see repro.obs).
     #: Disabled by default — sessions then install the no-op recorder
     #: and the instrumented hot paths cost one branch.

@@ -408,8 +408,8 @@ class CosimMaster:
                     report = endpoints[waiting].recv_report(
                         timeout=REPORT_POLL_S if ended else poll_s)
                 except TransportError as exc:
-                    # A TCP endpoint only raises once its reconnect
-                    # budget is spent; that is a protocol death.
+                    # A TCP endpoint raises when its CLOCK or DATA
+                    # connection fails; that is a protocol death.
                     raise ProtocolError(
                         f"link failed while waiting for report of grant "
                         f"seq {seq}: {exc}"

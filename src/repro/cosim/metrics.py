@@ -34,11 +34,6 @@ class CosimMetrics:
     messages_total: int = 0
     bytes_total: int = 0
     state_switches: int = 0
-    # TCP reconnect counters (zero on fault-free runs).
-    reconnects: int = 0
-    reconnect_attempts: int = 0
-    replays: int = 0
-    backoff_wait_s: float = 0.0
     # Checkpoint/replay counters (see repro.replay).
     checkpoints_taken: int = 0
     restores: int = 0
@@ -65,10 +60,6 @@ class CosimMetrics:
         self.bytes_total = stats.bytes_sent
         self.int_packets = stats.int_messages
         self.data_messages = stats.data_messages
-        self.reconnects = stats.reconnects
-        self.reconnect_attempts = stats.reconnect_attempts
-        self.replays = stats.replays
-        self.backoff_wait_s = stats.backoff_wait_s
 
     def finish_modeled(self, model: WallCostModel) -> None:
         self.modeled_wall_seconds = model.estimate(
@@ -107,9 +98,6 @@ class CosimMetrics:
             f"cycles={self.master_cycles} ticks={self.board_ticks} "
             f"ints={self.int_packets} data={self.data_messages} "
             f"bytes={self.bytes_total} wall={wall} "
-            f"reconnects={self.reconnects} "
-            f"retries={self.reconnect_attempts} replays={self.replays} "
-            f"backoff={self.backoff_wait_s:.3f}s "
             f"checkpoints={self.checkpoints_taken} "
             f"restores={self.restores} "
             f"windows_replayed={self.windows_replayed} "

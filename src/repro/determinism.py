@@ -1,7 +1,7 @@
 """Centralized, seeded randomness for reproducible runs.
 
 Every stochastic knob in the framework — producer traffic shaping,
-transport backoff jitter, the optimistic baseline's arrival process —
+the optimistic baseline's arrival process, fuzz campaigns —
 draws from a :class:`random.Random` instance obtained through this
 module.  Nothing on a recorded or replayed path may read the global
 :mod:`random` state or the wall clock: recordings would stop being

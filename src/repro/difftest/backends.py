@@ -376,7 +376,7 @@ def _run_multiboard(spec: FuzzSpec, backend: str,
     accel = ChecksumAccelerator(sim, "accel", clock)
     accel.map_registers(sim, _ACCEL_BASE)
 
-    links = [TcpLink(config.resilience) if threaded else InprocLink()
+    links = [TcpLink() if threaded else InprocLink()
              for _ in range(spec.num_boards)]
     master = CosimMaster(sim, clock, links[0].master, config)
     master.bind_interrupt(_ACCEL_VECTOR, accel.done_irq,

@@ -4,7 +4,7 @@ Three capabilities built on the protocol's window-boundary
 synchronization points:
 
 * **Checkpointing** (:mod:`repro.replay.checkpoint`) — versioned,
-  digest-verified session snapshots (``repro-checkpoint/1``) captured
+  digest-verified session snapshots (``repro-checkpoint/3``) captured
   periodically by a session hook; restore is deterministic
   re-execution plus leaf-level verification.
 * **Recording** (:mod:`repro.replay.recorder`) — one row per window

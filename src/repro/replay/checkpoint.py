@@ -1,4 +1,4 @@
-"""Versioned checkpoints at window boundaries (``repro-checkpoint/2``).
+"""Versioned checkpoints at window boundaries (``repro-checkpoint/3``).
 
 Every ``CLOCK_PORT`` exchange is a full resynchronization point —
 simulated time and board time agree exactly — so window boundaries are
@@ -8,7 +8,7 @@ frozen in IDLE, the master's window is fully settled.
 File format (JSON, schema-checked on load)::
 
     {
-      "schema": "repro-checkpoint/2",
+      "schema": "repro-checkpoint/3",
       "window": 12,                  # windows completed at capture
       "master_cycles": 12000,        # == board SW ticks (alignment)
       "seq": 12,                     # protocol sequence number
@@ -52,7 +52,7 @@ from repro.replay.snapshot import (
 )
 
 #: The checkpoint file schema identifier.
-CHECKPOINT_SCHEMA = "repro-checkpoint/2"
+CHECKPOINT_SCHEMA = "repro-checkpoint/3"
 
 
 class CheckpointDivergence(SnapshotError):

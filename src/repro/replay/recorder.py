@@ -14,7 +14,7 @@ one row per window:
 * ``report`` — the ``TimeReport`` ``[seq, board_ticks]`` it sent back.
 
 Because the wrapper sits *outside* any fault injector, the rows hold
-the post-fault stream — drops and reconnect replays appear exactly as
+the post-fault stream — drops and delays appear exactly as
 the board saw them, so a replay reproduces their effects without
 re-injecting anything.  Re-feeding one board's rows to an identically
 built board (:mod:`repro.replay.replayer`) is a closed deterministic

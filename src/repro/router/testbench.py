@@ -322,7 +322,7 @@ def build_router_cosim(
     if mode == INPROC:
         link = InprocLink()
     elif mode == TCP:
-        link = TcpLink(config.resilience)
+        link = TcpLink()
     else:
         raise ProtocolError(f"unknown transport mode {mode!r}")
     try:
@@ -462,10 +462,16 @@ def replay_router_recording(recording, strict: bool = True,
 
     No sockets are opened, no threads are started and no wall clock is
     read — the recording fully determines the board's inputs.  Malformed
-    meta raises :class:`WorkloadError` (see :func:`router_run_from_meta`).
+    meta raises :class:`WorkloadError` (see :func:`router_run_from_meta`),
+    and so does a recording of any boards but the one router board.
     """
     from repro.replay import replay_recording
 
+    if list(recording.boards) != [ROUTER_BOARD]:
+        raise WorkloadError(
+            f"recording holds boards {sorted(recording.boards)}, not the "
+            f"router case study's one board {ROUTER_BOARD!r}: replay each "
+            f"board through repro.replay.replay_recording")
     run_config, _workload, iss_timing = router_run_from_meta(
         recording.meta)
     config = config or run_config

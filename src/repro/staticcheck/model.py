@@ -18,7 +18,7 @@ numbers are bounded by the window budget) and classifies what it finds:
 * **sequence violations** — a grant or report whose sequence number is
   stale or gapped reaches the window FSM, or a board takes a grant
   before the IRQs sent ahead of it (only possible when the TCP link's
-  seq-dedup or interrupt fence is modelled as disabled).
+  interrupt fence is modelled as disabled).
 
 The master simulates each window before it grants it, so a window's
 IRQs are all sent before its grant.  INT and CLOCK are separate
@@ -29,12 +29,10 @@ grant that overtakes its IRQs is a sequence violation: the board would
 start the window without them.  The INT port is otherwise
 fire-and-forget, so leftover IRQ messages never count as lost wake-ups.
 
-Reconnect is modelled the way the TCP link behaves after a
-drop: the last delivered grant is replayed once onto the clock channel;
-with seq-dedup on the duplicate dies in the transport, with dedup off
-it reaches the FSM and is convicted.
+Every channel is one connection for the whole run: the TCP link never
+redials or redelivers, so no message is ever duplicated.
 
-Everything is parameterised — tables, board count, bounds, dedup — so
+Everything is parameterised — tables, board count, bounds — so
 the mutation self-tests can inject a defective table and prove the
 explorer convicts it.
 """
@@ -85,10 +83,6 @@ class ModelConfig:
     #: Maximum windows the master may grant ahead of its own simulation
     #: (0 disables the optimistic ``spec_grant``/catch-up machinery).
     speculation_depth: int = 0
-    #: Replay the last delivered grant once (TCP reconnect).
-    reconnect: bool = False
-    #: Model the transport's sequence dedup (the shipped behaviour).
-    dedup: bool = True
     channel_depth: int = 3
     max_states: int = 200_000
 
@@ -177,7 +171,6 @@ def table_inconsistencies(table: Table, initial: str,
 # chan:   (clock, report, irq, dreq, drep)        -- one tuple per board
 #         clock holds (tag, seq, fence) and report (tag, seq) tuples;
 #         irq/dreq/drep are ints
-# replay_left: int
 _State = Tuple
 
 
@@ -185,7 +178,7 @@ def _initial_state(cfg: ModelConfig, m_init: str, b_init: str) -> _State:
     master = (m_init, 0, cfg.irqs_per_window, 0, 0)
     boards = tuple((b_init, 0, 0, 0) for _ in range(cfg.boards))
     chans = tuple(((), (), 0, 0, 0) for _ in range(cfg.boards))
-    return (master, boards, chans, 1 if cfg.reconnect else 0)
+    return (master, boards, chans)
 
 
 class _Explorer:
@@ -203,8 +196,7 @@ class _Explorer:
 
     # ------------------------------------------------------------------
     def _is_final(self, state: _State) -> bool:
-        (m_phase, granted, _irqs, spec, stashed), boards, chans, \
-            _replay = state
+        (m_phase, granted, _irqs, spec, stashed), boards, chans = state
         if m_phase != self.m_final or granted != self.cfg.windows:
             return False
         if spec != 0 or stashed != 0:
@@ -240,8 +232,7 @@ class _Explorer:
     def successors(self, state: _State):
         """Yield (label, next_state, violation_message_or_None)."""
         cfg = self.cfg
-        (m_phase, granted, irqs_left, spec, stashed), boards, chans, \
-            replay = state
+        (m_phase, granted, irqs_left, spec, stashed), boards, chans = state
 
         # ---- master ---------------------------------------------------
         succ = self.mt.get((m_phase, "send_grant"))
@@ -252,15 +243,14 @@ class _Explorer:
             # is spent.
             yield (f"master.send_grant(seq={seq})",
                    ((succ, granted + 1, 0, spec, stashed), boards,
-                    self._grants(chans, boards, _GRANT, seq), replay), None)
+                    self._grants(chans, boards, _GRANT, seq)), None)
 
         succ = self.mt.get((m_phase, "send_shutdown"))
         if succ is not None and granted == cfg.windows \
                 and all(len(c[0]) < cfg.channel_depth for c in chans):
             yield ("master.send_shutdown",
                    ((succ, granted, irqs_left, spec, stashed), boards,
-                    self._grants(chans, boards, _SHUTDOWN, granted + 1),
-                    replay), None)
+                    self._grants(chans, boards, _SHUTDOWN, granted + 1)), None)
 
         succ = self.mt.get((m_phase, "send_irq"))
         if succ is not None and irqs_left > 0:
@@ -272,7 +262,7 @@ class _Explorer:
                                      (clock, rep, irq + 1, dreq, drep))
                 yield (f"master.send_irq(board={b})",
                        ((succ, granted, irqs_left - 1, spec, stashed),
-                        boards, new_chans, replay), None)
+                        boards, new_chans), None)
 
         succ = self.mt.get((m_phase, "serve_data"))
         if succ is not None:
@@ -284,7 +274,7 @@ class _Explorer:
                                      (clock, rep, irq, dreq - 1, drep + 1))
                 yield (f"master.serve_data(board={b})",
                        ((succ, granted, irqs_left, spec, stashed), boards,
-                        new_chans, replay), None)
+                        new_chans), None)
 
         succ = self.mt.get((m_phase, "recv_report"))
         if succ is not None and all(c[1] for c in chans):
@@ -301,7 +291,7 @@ class _Explorer:
                 new_chans.append((clock, rep[1:], irq, dreq, drep))
             yield ("master.recv_report",
                    ((succ, granted, self._armed(granted), spec, stashed),
-                    boards, tuple(new_chans), replay), violation)
+                    boards, tuple(new_chans)), violation)
 
         # ---- master: optimistic speculation ---------------------------
         # Counters mirror repro.cosim.optimistic: `spec` windows granted
@@ -314,8 +304,7 @@ class _Explorer:
             seq = granted + 1
             yield (f"master.spec_grant(seq={seq})",
                    ((succ, granted + 1, irqs_left, spec + 1, stashed),
-                    boards, self._grants(chans, boards, _GRANT, seq),
-                    replay), None)
+                    boards, self._grants(chans, boards, _GRANT, seq)), None)
 
         succ = self.mt.get((m_phase, "recv_spec_report"))
         if succ is not None and all(c[1] for c in chans):
@@ -334,7 +323,7 @@ class _Explorer:
                 new_chans.append((clock, rep[1:], irq, dreq, drep))
             yield ("master.recv_spec_report",
                    ((succ, granted, irqs_left, spec, stashed + 1), boards,
-                    tuple(new_chans), replay), violation)
+                    tuple(new_chans)), violation)
 
         succ = self.mt.get((m_phase, "begin_catchup"))
         if succ is not None and spec > 0:
@@ -342,13 +331,13 @@ class _Explorer:
             # the master only discovers interrupts while simulating.
             yield ("master.begin_catchup",
                    ((succ, granted, cfg.irqs_per_window, spec, stashed),
-                    boards, chans, replay), None)
+                    boards, chans), None)
 
         succ = self.mt.get((m_phase, "catchup_simulated"))
         if succ is not None and spec > 0:
             yield ("master.catchup_simulated",
                    ((succ, granted, irqs_left, spec, stashed), boards,
-                    chans, replay), None)
+                    chans), None)
 
         for event in ("commit_window", "rollback"):
             succ = self.mt.get((m_phase, event))
@@ -359,13 +348,13 @@ class _Explorer:
                 # budget for the next catch-up window.
                 yield (f"master.{event}",
                        ((succ, granted, cfg.irqs_per_window, spec - 1,
-                         stashed - 1), boards, chans, replay), None)
+                         stashed - 1), boards, chans), None)
 
         succ = self.mt.get((m_phase, "round_done"))
         if succ is not None and spec == 0 and stashed == 0:
             yield ("master.round_done",
                    ((succ, granted, self._armed(granted), spec, stashed),
-                    boards, chans, replay), None)
+                    boards, chans), None)
 
         # ---- boards ---------------------------------------------------
         for b in range(cfg.boards):
@@ -375,48 +364,31 @@ class _Explorer:
             if clock:
                 tag, seq, fence = clock[0]
                 if tag == _GRANT:
-                    if cfg.dedup and seq <= last_seq:
-                        # The TCP link drops replayed grants
-                        # before they ever reach the window FSM.
+                    succ = self.bt.get((b_phase, "recv_grant"))
+                    if not self._fence_met(irqs_read, fence):
+                        succ = None
+                    if succ is not None:
+                        violation = None
+                        if irqs_read < fence:
+                            violation = (
+                                f"board {b}: grant seq {seq} taken "
+                                f"with {irqs_read} of the {fence} "
+                                f"IRQs sent before it"
+                            )
+                        elif seq != last_seq + 1:
+                            violation = (
+                                f"board {b}: grant seq {seq} does not "
+                                f"follow last_seq={last_seq}"
+                            )
+                        new_boards = _replace(
+                            boards, b,
+                            (succ, max(last_seq, seq),
+                             cfg.data_per_window, irqs_read))
                         new_chans = _replace(
                             chans, b, (clock[1:], rep, irq, dreq, drep))
-                        yield (f"board{b}.dedup_stale_grant(seq={seq})",
-                               ((m_phase, granted, irqs_left, spec, stashed), boards,
-                                new_chans, replay), None)
-                    else:
-                        succ = self.bt.get((b_phase, "recv_grant"))
-                        if not self._fence_met(irqs_read, fence):
-                            succ = None
-                        if succ is not None:
-                            violation = None
-                            if irqs_read < fence:
-                                violation = (
-                                    f"board {b}: grant seq {seq} taken "
-                                    f"with {irqs_read} of the {fence} "
-                                    f"IRQs sent before it"
-                                )
-                            elif seq <= last_seq:
-                                violation = (
-                                    f"board {b}: replayed grant seq {seq} "
-                                    f"reached the FSM (last_seq="
-                                    f"{last_seq}, dedup disabled)"
-                                )
-                            elif seq != last_seq + 1:
-                                violation = (
-                                    f"board {b}: grant seq {seq} skips "
-                                    f"ahead of last_seq={last_seq}"
-                                )
-                            new_boards = _replace(
-                                boards, b,
-                                (succ, max(last_seq, seq),
-                                 cfg.data_per_window, irqs_read))
-                            new_chans = _replace(
-                                chans, b,
-                                (clock[1:], rep, irq, dreq, drep))
-                            yield (f"board{b}.recv_grant(seq={seq})",
-                                   ((m_phase, granted, irqs_left, spec, stashed),
-                                    new_boards, new_chans, replay),
-                                   violation)
+                        yield (f"board{b}.recv_grant(seq={seq})",
+                               ((m_phase, granted, irqs_left, spec, stashed),
+                                new_boards, new_chans), violation)
                 elif tag == _SHUTDOWN:
                     succ = self.bt.get((b_phase, "recv_shutdown"))
                     if succ is not None:
@@ -427,7 +399,7 @@ class _Explorer:
                             chans, b, (clock[1:], rep, irq, dreq, drep))
                         yield (f"board{b}.recv_shutdown",
                                ((m_phase, granted, irqs_left, spec, stashed), new_boards,
-                                new_chans, replay), None)
+                                new_chans), None)
 
             succ = self.bt.get((b_phase, "recv_irq"))
             if succ is not None and irq > 0:
@@ -437,7 +409,7 @@ class _Explorer:
                                      (clock, rep, irq - 1, dreq, drep))
                 yield (f"board{b}.recv_irq",
                        ((m_phase, granted, irqs_left, spec, stashed), new_boards,
-                        new_chans, replay), None)
+                        new_chans), None)
 
             succ = self.bt.get((b_phase, "send_data_request"))
             if succ is not None and data_left > 0 \
@@ -448,7 +420,7 @@ class _Explorer:
                                      (clock, rep, irq, dreq + 1, drep))
                 yield (f"board{b}.send_data_request",
                        ((m_phase, granted, irqs_left, spec, stashed), new_boards,
-                        new_chans, replay), None)
+                        new_chans), None)
 
             succ = self.bt.get((b_phase, "recv_data_reply"))
             if succ is not None and drep > 0:
@@ -458,15 +430,15 @@ class _Explorer:
                                      (clock, rep, irq, dreq, drep - 1))
                 yield (f"board{b}.recv_data_reply",
                        ((m_phase, granted, irqs_left, spec, stashed), new_boards,
-                        new_chans, replay), None)
+                        new_chans), None)
 
             succ = self.bt.get((b_phase, "window_done"))
             if succ is not None:
                 new_boards = _replace(
                     boards, b, (succ, last_seq, data_left, irqs_read))
                 yield (f"board{b}.window_done",
-                       ((m_phase, granted, irqs_left, spec, stashed), new_boards, chans,
-                        replay), None)
+                       ((m_phase, granted, irqs_left, spec, stashed), new_boards,
+                        chans), None)
 
             succ = self.bt.get((b_phase, "send_report"))
             if succ is not None and len(rep) < cfg.channel_depth:
@@ -477,20 +449,7 @@ class _Explorer:
                     (clock, rep + ((_REPORT, last_seq),), irq, dreq, drep))
                 yield (f"board{b}.send_report(seq={last_seq})",
                        ((m_phase, granted, irqs_left, spec, stashed), new_boards,
-                        new_chans, replay), None)
-
-            # ---- TCP reconnect: replay the last delivered
-            # grant once, exactly as redelivery after a drop does (its
-            # fence was met when it was first taken).
-            if replay > 0 and last_seq >= 1 \
-                    and len(clock) < cfg.channel_depth:
-                new_chans = _replace(
-                    chans, b,
-                    (clock + ((_GRANT, last_seq, irqs_read),), rep, irq,
-                     dreq, drep))
-                yield (f"link{b}.replay_grant(seq={last_seq})",
-                       ((m_phase, granted, irqs_left, spec, stashed), boards, new_chans,
-                        replay - 1), None)
+                        new_chans), None)
 
     # ------------------------------------------------------------------
     def explore(self) -> ExplorationResult:
@@ -576,7 +535,7 @@ class _Explorer:
     # ------------------------------------------------------------------
     @staticmethod
     def _stuck_messages(state: _State) -> List[str]:
-        (_m, _g, _i, _sp, _st), _boards, chans, _replay = state
+        (_m, _g, _i, _sp, _st), _boards, chans = state
         stuck = []
         for b, (clock, rep, _irq, dreq, drep) in enumerate(chans):
             for tag, seq, _fence in clock:
@@ -591,8 +550,7 @@ class _Explorer:
 
     @staticmethod
     def _describe(state: _State) -> str:
-        (m_phase, granted, _irqs, spec, _stashed), boards, _chans, \
-            _replay = state
+        (m_phase, granted, _irqs, spec, _stashed), boards, _chans = state
         phases = ",".join(board[0] for board in boards)
         ahead = f", spec={spec}" if spec else ""
         return (f"(master={m_phase}, boards=[{phases}], "

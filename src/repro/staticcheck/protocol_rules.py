@@ -13,20 +13,19 @@ counterexamples into diagnostics:
   the fully-shut-down configuration (livelock);
 * ``PROTO004`` — sequence violation: a stale or gapped grant/report
   reaches a window FSM, or a board takes a grant before the interrupts
-  sent ahead of it (only possible when the TCP link's seq-dedup or
-  interrupt fence is broken);
+  sent ahead of it (only possible when the TCP link's interrupt fence
+  is broken);
 * ``PROTO005`` — table inconsistency: structural defects in the
   transition tables themselves (unknown events, unreachable states,
   non-accepting states with no way out) or an exploration that blew
   the state bound and is therefore not exhaustive.
 
-The default sweep (``repro lint protocol``) explores four bounded
+The default sweep (``repro lint protocol``) explores three bounded
 configurations: single-board with DATA and IRQ traffic, a two-board
-multiboard topology, a single-board run with one TCP-link reconnect
-replay, and a single-board run speculating two windows ahead
-(the optimistic extension's ``spec_grant``/catch-up/validate states).
-All four are exhaustive — every interleaving the bounds admit is
-visited.
+multiboard topology, and a single-board run speculating two windows
+ahead (the optimistic extension's ``spec_grant``/catch-up/validate
+states).  All three are exhaustive — every interleaving the bounds
+admit is visited.
 """
 
 from __future__ import annotations
@@ -56,8 +55,6 @@ DEFAULT_CONFIGS = (
                 irqs_per_window=1, data_per_window=1),
     ModelConfig(name="2-board", boards=2, windows=2,
                 irqs_per_window=1, data_per_window=1),
-    ModelConfig(name="1-board-reconnect", boards=1, windows=2,
-                irqs_per_window=1, data_per_window=1, reconnect=True),
     ModelConfig(name="1-board-speculative", boards=1, windows=2,
                 irqs_per_window=1, data_per_window=1,
                 speculation_depth=2),

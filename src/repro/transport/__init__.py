@@ -6,7 +6,9 @@ two interchangeable carriers:
 * :class:`~repro.transport.inproc.InprocLink` — deterministic FIFOs,
   for reproducible accuracy experiments and tests;
 * :class:`~repro.transport.tcp.TcpLink` — real localhost TCP, as in
-  the paper, with reconnect and resync, for measured wall-clock runs.
+  the paper, for measured wall-clock runs: one connection per port for
+  the link's whole life, so a failed port is a ``TransportError``
+  naming it.
 
 Every link has the same shape: ``master`` and ``board`` endpoints, the
 shared ``stats`` and ``close()``.  A session steps in-process links
@@ -29,7 +31,6 @@ from repro.transport.messages import (
     TimeReport,
 )
 from repro.transport.tcp import (
-    ResilienceConfig,
     TcpBoard,
     TcpLink,
     TcpLinkServer,
@@ -51,7 +52,6 @@ __all__ = [
     "Interrupt",
     "LinkStats",
     "MasterEndpoint",
-    "ResilienceConfig",
     "TcpBoard",
     "TcpLink",
     "TcpLinkServer",

@@ -42,21 +42,11 @@ class LinkStats:
         self.clock_messages = 0
         self.int_messages = 0
         self.data_messages = 0
-        # Reconnect counters, populated by repro.transport.tcp.
-        #: Successful reconnections of a dropped port.
-        self.reconnects = 0
-        #: Individual (re)connect attempts, including failed ones.
-        self.reconnect_attempts = 0
-        #: Messages replayed after a reconnect (resync handshake).
-        self.replays = 0
-        #: Total wall seconds spent in backoff delays.
-        self.backoff_wait_s = 0.0
 
     #: Counter attribute names, in snapshot order.
     FIELDS = (
         "messages_sent", "bytes_sent", "clock_messages", "int_messages",
-        "data_messages", "reconnects", "reconnect_attempts", "replays",
-        "backoff_wait_s",
+        "data_messages",
     )
 
     def snapshot(self) -> dict:

@@ -2,12 +2,16 @@
 
 Wraps a board-side endpoint and tampers with the message streams
 according to a :class:`FaultPlan` — dropped or duplicated clock grants,
-dropped or corrupted time reports, dropped interrupt packets.  Used by
-the test-suite to demonstrate that the virtual-tick protocol *detects*
-every synchronization-breaking fault (sequence/alignment checks raise
-:class:`~repro.errors.ProtocolError`) and degrades gracefully on
-non-fatal ones (lost interrupts delay service but never corrupt
-accounting).
+dropped, corrupted or delayed time reports, dropped interrupt packets.
+Used by the test-suite to demonstrate that the virtual-tick protocol
+*detects* every synchronization-breaking fault (sequence/alignment
+checks raise :class:`~repro.errors.ProtocolError`) and degrades
+gracefully on non-fatal ones (lost interrupts delay service but never
+corrupt accounting).
+
+Faults act on messages, never on connections: a TCP link that loses a
+connection fails the run with a :class:`~repro.errors.TransportError`
+naming the port, which no fault plan is needed to show.
 """
 
 from __future__ import annotations
@@ -35,10 +39,6 @@ class FaultPlan:
     corrupt_reports: Set[int] = field(default_factory=set)
     #: 1-based interrupt indices to swallow.
     drop_interrupts: Set[int] = field(default_factory=set)
-    #: Grant seq -> port name: forcibly drop that TCP connection right
-    #: after the grant is delivered (requires an endpoint with an
-    #: ``inject_disconnect`` hook, e.g. TcpBoard).
-    disconnect_after_grants: Dict[int, str] = field(default_factory=dict)
     #: Report seq -> extra wall seconds to stall before sending it.
     delay_reports: Dict[int, float] = field(default_factory=dict)
 
@@ -48,14 +48,12 @@ class FaultPlan:
     reports_dropped: int = 0
     reports_corrupted: int = 0
     interrupts_dropped: int = 0
-    disconnects_injected: int = 0
     reports_delayed: int = 0
 
     def total_faults(self) -> int:
         return (self.grants_dropped + self.grants_duplicated
                 + self.reports_dropped + self.reports_corrupted
-                + self.interrupts_dropped + self.disconnects_injected
-                + self.reports_delayed)
+                + self.interrupts_dropped + self.reports_delayed)
 
 
 class FaultyBoardEndpoint(BoardEndpoint):
@@ -91,13 +89,6 @@ class FaultyBoardEndpoint(BoardEndpoint):
                 if self.obs.enabled:
                     self.obs.event("fault", "grant.duplicate", seq=grant.seq)
                 self._pending_duplicate = grant
-            port = self.plan.disconnect_after_grants.pop(grant.seq, None)
-            if port is not None and hasattr(self.inner, "inject_disconnect"):
-                self.inner.inject_disconnect(port)
-                self.plan.disconnects_injected += 1
-                if self.obs.enabled:
-                    self.obs.event("fault", "disconnect", seq=grant.seq,
-                                   port=port)
             return grant
 
     def send_report(self, report: TimeReport) -> None:

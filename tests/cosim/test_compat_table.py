@@ -53,7 +53,7 @@ class Rig:
         accel = ChecksumAccelerator(sim, "accel", clock)
         accel.map_registers(sim, 0x10)
         boards = 2 if "multiboard" in self.features else 1
-        links = [TcpLink(self.config.resilience) if threaded
+        links = [TcpLink() if threaded
                  else InprocLink() for _ in range(boards)]
         self.master = CosimMaster(sim, clock, links[0].master, self.config)
         self.master.bind_interrupt(2, accel.done_irq,

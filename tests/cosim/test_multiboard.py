@@ -100,7 +100,7 @@ class Rig:
     def _make_link(self):
         if self.mode == "inproc":
             return InprocLink()
-        return TcpLink(self.config.resilience)
+        return TcpLink()
 
     def close(self):
         session = getattr(self, "session", None)

@@ -116,13 +116,12 @@ GOLDEN = {
             "master_cycles": 12000, "board_ticks": 12000,
             "board_cycles": 12000020, "int_packets": 8, "data_messages": 56,
             "messages_total": 112, "bytes_total": 2624, "state_switches": 49,
-            "reconnects": 0, "reconnect_attempts": 0, "replays": 0,
             "checkpoints_taken": 0, "restores": 0, "windows_replayed": 0,
             "windows_speculated": 0, "rollbacks": 0,
             "rollback_depth_max": 0, "spans_recorded": 0, "span_events": 0,
             "spans_dropped": 0,
         },
-        "digest": "55529be7ea8d591ebdeb49a4a882a1f34bf502241cfaaf7e5689bcb425e55edd",
+        "digest": "0deffb08ad4dd4c868681ab01efd10edafd526a1396a70ee048356df10de7d9e",
     },
     "fmu": {
         "rows": [
@@ -138,7 +137,6 @@ GOLDEN = {
             "master_cycles": 12000, "board_ticks": 12000,
             "board_cycles": 12000020, "int_packets": 3, "data_messages": 46,
             "messages_total": 73, "bytes_total": 1800, "state_switches": 25,
-            "reconnects": 0, "reconnect_attempts": 0, "replays": 0,
             "checkpoints_taken": 0, "restores": 0, "windows_replayed": 0,
             "windows_speculated": 0, "rollbacks": 0,
             "rollback_depth_max": 0, "spans_recorded": 0, "span_events": 0,
@@ -160,13 +158,12 @@ GOLDEN = {
             "master_cycles": 12000, "board_ticks": 12000,
             "board_cycles": 12000020, "int_packets": 3, "data_messages": 46,
             "messages_total": 73, "bytes_total": 1800, "state_switches": 25,
-            "reconnects": 0, "reconnect_attempts": 0, "replays": 0,
             "checkpoints_taken": 0, "restores": 0, "windows_replayed": 0,
             "windows_speculated": 0, "rollbacks": 0,
             "rollback_depth_max": 0, "spans_recorded": 0, "span_events": 0,
             "spans_dropped": 0,
         },
-        "digest": "4dc1835722d16b8f6a105d34613736e0129c5093ae644de63f552011499d11ed",
+        "digest": "57136d301e1cef8fd4394b6ddb976d4945b82f8e01e176d9785397097c482acc",
     },
     "multi-inproc": {
         "rows": None,
@@ -192,13 +189,12 @@ GOLDEN = {
             "master_cycles": 14000, "board_ticks": 14000,
             "board_cycles": 14000020, "int_packets": 3, "data_messages": 46,
             "messages_total": 77, "bytes_total": 1884, "state_switches": 29,
-            "reconnects": 0, "reconnect_attempts": 0, "replays": 0,
             "checkpoints_taken": 0, "restores": 0, "windows_replayed": 0,
             "windows_speculated": 17, "rollbacks": 2,
             "rollback_depth_max": 3, "spans_recorded": 0, "span_events": 0,
             "spans_dropped": 0,
         },
-        "digest": "ec21fac81c2c8f8fab5601b4046292ac8da4ed2b1e0bf3277e08ee75ee43ce75",
+        "digest": "385c0d1adbce44d16df3fdc3a6afe5c8f0c4439352b74f58010ba7c086f99190",
     },
 }
 

@@ -160,7 +160,7 @@ def test_threaded_plugin_session_runs():
     # The master's threaded window steps the plugin like the netlist.
     config = CosimConfig(t_sync=200, report_timeout_s=5.0)
     workload = RouterWorkload(**WORKLOAD)
-    link = TcpLink(config.resilience)
+    link = TcpLink()
     plugin = BehavioralRouterModel()
     plugin.init(router_plugin_config(config, workload), workload.seed)
     master = FmuMasterAdapter(plugin, link.master, config)

@@ -106,6 +106,20 @@ def _first_row_with(doc, key):
     return next(row for row in doc["boards"]["board"] if row[key])
 
 
+    def test_multiboard_recording_is_refused_naming_its_boards(
+            self, tmp_path, capsys):
+        # The CLI rebuilds only the one-board router case study; a
+        # two-board recording replays through the library instead.
+        from tests.cosim.test_multiboard import _record_two_boards
+
+        recording, *_live = _record_two_boards("inproc")
+        code, lines = _replay(tmp_path, capsys, recording.to_dict())
+        assert code == 2
+        assert len(lines) == 1
+        assert "['a', 'b']" in lines[0]
+        assert "repro.replay.replay_recording" in lines[0]
+
+
 class TestTruncatedRecording:
     """A recording cut short never replays clean."""
 
@@ -189,7 +203,20 @@ class TestCheckpointResume:
         assert code == 2
         assert len(lines) == 1
         assert "repro-checkpoint/1" in lines[0]
+        assert "repro-checkpoint/3" in lines[0]
+
+    def test_schema_2_document(self, tmp_path, capsys, checkpoint_doc):
+        # Schema 2 carried four TCP reconnect counters in each board's
+        # link subtree.
+        checkpoint_doc["schema"] = "repro-checkpoint/2"
+        link = next(iter(checkpoint_doc["state"]["boards"].values()))["link"]
+        link.update(reconnects=0, reconnect_attempts=0, replays=0,
+                    backoff_wait_s=0.0)
+        code, lines = _resume(tmp_path, capsys, checkpoint_doc)
+        assert code == 2
+        assert len(lines) == 1
         assert "repro-checkpoint/2" in lines[0]
+        assert "repro-checkpoint/3" in lines[0]
 
     @pytest.mark.parametrize("key,value", [
         ("seed", None), ("packets_per_producer", "4"), ("t_sync", 0),

@@ -120,33 +120,14 @@ class TestReplayIdentity:
             assert result.clean
             assert find_divergence(recording, result).clean
 
-    def test_disconnect_faulted_run_replays_identically(self):
-        # Yank connections mid-run on the TCP link: the
-        # recording captures the post-recovery stream the board
-        # consumed, so replay reproduces the run without re-injecting
-        # faults or opening any socket.
-        from repro.transport.messages import CLOCK_PORT, DATA_PORT
-        from repro.transport.tcp import ResilienceConfig
-
-        plan = FaultPlan(disconnect_after_grants={2: CLOCK_PORT,
-                                                  4: DATA_PORT})
-        config = CosimConfig(
-            t_sync=300,
-            resilience=ResilienceConfig(
-                max_attempts=8, backoff_initial_s=0.005,
-                backoff_max_s=0.05))
-        recording = SessionRecording()
-        cosim = build_router_cosim(
-            config,
-            RouterWorkload(packets_per_producer=5, interval_cycles=300,
-                           corrupt_rate=0.2, seed=11),
-            mode="tcp", fault_plan=plan, recorder=recording)
-        trace = ProtocolTrace()
-        cosim.session.attach_trace(trace)
-        metrics = cosim.run()
-        finalize_router_recording(recording, cosim, metrics)
-        assert plan.disconnects_injected == 2
-        assert metrics.reconnects >= 2
+    def test_interrupt_faulted_tcp_run_replays_identically(self):
+        # Swallow an interrupt on the TCP link: the recording holds the
+        # post-fault stream the board consumed, so replay reproduces
+        # the run without re-injecting the fault or opening a socket.
+        plan = FaultPlan(drop_interrupts={2})
+        recording, _metrics, _trace = record_run(mode="tcp",
+                                                 fault_plan=plan)
+        assert plan.interrupts_dropped == 1
         with forbid_entropy():
             result = replay_router_recording(recording)
         assert result.clean

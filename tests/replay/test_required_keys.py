@@ -1,6 +1,6 @@
 """Every key of a checkpoint tree is required on restore.
 
-Trees of checkpoint schema 2 carry every key their components write;
+Trees of checkpoint schema 3 carry every key their components write;
 nothing fills in a missing one.  Dropping any key that older trees
 could lack (access counters, priority-inheritance state, idle mode,
 parking, ISS accounting, link counters) must raise the restoring

@@ -3,17 +3,14 @@
 Marked ``slow`` (deselected by default; run with ``pytest -m slow``).
 All randomness is derived through :func:`repro.determinism.derive_seed`
 so every run — locally, in CI, after a bisect — draws the identical
-workload and fault plan.
+workload.
 """
 
 import pytest
 
 from repro.cosim import CosimConfig
-from repro.determinism import derive_seed, seeded_rng
+from repro.determinism import derive_seed
 from repro.router.testbench import RouterWorkload, build_router_cosim
-from repro.transport import ResilienceConfig
-from repro.transport.faults import FaultPlan
-from repro.transport.messages import CLOCK_PORT, DATA_PORT, INT_PORT
 
 pytestmark = pytest.mark.slow
 
@@ -69,36 +66,3 @@ class TestSoak:
         assert metrics.sync_exchanges > 2000
         assert cosim.accuracy() == 1.0
         assert metrics.board_ticks == metrics.master_cycles
-
-    def test_tcp_soak_with_seeded_random_disconnects(self):
-        """A real TCP session under a randomized (but derived-seed)
-        fault plan: connections are yanked at random windows and the
-        virtual tick still never skews."""
-        rng = seeded_rng(derive_seed(BASE_SEED, "soak", "tcp-faults"))
-        windows, t_sync = 24, 40
-        ports = [CLOCK_PORT, DATA_PORT, INT_PORT]
-        plan = FaultPlan(
-            disconnect_after_grants={
-                seq: rng.choice(ports)
-                for seq in rng.sample(range(2, windows - 1), 4)
-            },
-            delay_reports={rng.randrange(2, windows - 1): 0.05},
-        )
-        injected = dict(plan.disconnect_after_grants)
-        resilience = ResilienceConfig(
-            max_attempts=8, backoff_initial_s=0.005, backoff_max_s=0.05)
-        config = CosimConfig(t_sync=t_sync, report_timeout_s=30.0,
-                             resilience=resilience)
-        workload = RouterWorkload(
-            packets_per_producer=2, interval_cycles=80,
-            corrupt_rate=0.0, payload_size=16,
-            seed=derive_seed(BASE_SEED, "soak", "tcp-workload"))
-        cosim = build_router_cosim(config, workload, mode="tcp",
-                                   fault_plan=plan)
-        metrics = cosim.run(max_cycles=windows * t_sync,
-                            await_drain=False)
-        assert plan.disconnects_injected == len(injected)
-        assert metrics.board_ticks == metrics.master_cycles
-        assert metrics.master_cycles == windows * t_sync
-        assert metrics.reconnects > 0
-        assert "reconnects=" in metrics.summary()

@@ -7,18 +7,23 @@ import time
 
 import pytest
 
+from repro.cosim import CosimConfig
 from repro.errors import TransportError
+from repro.router.testbench import RouterWorkload, build_router_cosim
 from repro.transport import (
     ClockGrant,
     Interrupt,
+    LinkStats,
     TcpLinkServer,
     TimeReport,
     connect_board,
 )
+from repro.transport.faults import FaultPlan
 from repro.transport.framing import MAX_FRAME_SIZE, encode
 from repro.transport.messages import (
     CLOCK_PORT,
     DATA_PORT,
+    INT_PORT,
     DataRead,
     DataReply,
 )
@@ -138,10 +143,44 @@ class TestTcpLink:
         wait_readable(master._conns[CLOCK_PORT])
         assert master.recv_report(timeout=0).board_ticks == 42
 
-    def test_listeners_stay_open_for_reaccept(self, tcp_pair):
-        master, _board = tcp_pair
-        # No redial pending: the open listener just reports none.
-        assert master._server.reaccept(DATA_PORT) is None
+    def test_listeners_close_once_connected(self):
+        server = TcpLinkServer()
+        addresses = server.addresses
+        board = connect_board(addresses, stats=server.stats)
+        master = server.accept(timeout=10)
+        try:
+            # Nothing redials, so nothing listens any more.
+            assert server._listeners == {}
+            with pytest.raises(ConnectionRefusedError):
+                socket.create_connection(addresses[DATA_PORT], timeout=1)
+        finally:
+            master.close()
+            board.close()
+
+    def test_dial_failure_names_the_port(self):
+        # A port nobody listens on: bind, grab the number, close.
+        probe = socket.socket()
+        probe.bind(("127.0.0.1", 0))
+        dead_address = probe.getsockname()
+        probe.close()
+        start = time.monotonic()
+        with pytest.raises(TransportError, match="DATA port: cannot connect"):
+            connect_board({name: dead_address
+                           for name in (DATA_PORT, INT_PORT, CLOCK_PORT)},
+                          connect_timeout_s=0.2)
+        assert time.monotonic() - start < 1.0
+
+    def test_report_for_no_outstanding_grant_is_an_error(self, tcp_pair):
+        master, board = tcp_pair
+        _open_window(master, board)
+        board.send_report(TimeReport(seq=1, board_ticks=7))
+        assert master.recv_report(timeout=5).board_ticks == 7
+        # A second report for the answered grant: nothing resends on
+        # this link, so it is a fault, not a duplicate to drop.
+        board.send_report(TimeReport(seq=1, board_ticks=7))
+        with pytest.raises(TransportError,
+                           match="CLOCK port: time report seq 1"):
+            master.recv_report(timeout=5)
 
     def test_accept_timeout(self):
         server = TcpLinkServer()
@@ -171,6 +210,35 @@ class TestTcpLink:
             assert lone.recv(1) == b""
         finally:
             lone.close()
+
+
+class TestSessionOverTcp:
+    """The link sends no liveness probes, its checkpoint tree holds the
+    link counters and nothing else, and a slow report is waited for."""
+
+    def test_clean_run_sends_no_heartbeats(self):
+        workload = RouterWorkload(packets_per_producer=4, seed=7)
+        cosim = build_router_cosim(CosimConfig(t_sync=200), workload,
+                                   mode="tcp")
+        metrics = cosim.run()
+        assert metrics.windows > 10
+        state = cosim.session.link_stats.snapshot()
+        assert list(state) == list(LinkStats.FIELDS)
+        restored = LinkStats()
+        restored.restore(state)
+        assert restored.snapshot() == state
+
+    def test_delayed_report_is_absorbed(self):
+        workload = RouterWorkload(packets_per_producer=3,
+                                  interval_cycles=100, corrupt_rate=0.0,
+                                  payload_size=16, seed=7)
+        plan = FaultPlan(delay_reports={2: 0.2})
+        cosim = build_router_cosim(
+            CosimConfig(t_sync=50, report_timeout_s=30.0), workload,
+            mode="tcp", fault_plan=plan)
+        metrics = cosim.run(max_cycles=500, await_drain=False)
+        assert plan.reports_delayed == 1
+        assert metrics.board_ticks == metrics.master_cycles == 500
 
 
 def _after(delay_s, fn, *args):
@@ -258,7 +326,7 @@ class TestFramedSocket:
         """A corrupt length prefix (e.g. 0xFFFFFFFF) must fail fast
         instead of buffering unboundedly."""
         client, server = tcp_socket_pair()
-        framed = _FramedSocket(server)
+        framed = _FramedSocket(server, DATA_PORT)
         try:
             client.sendall(struct.pack(">I", 0xFFFFFFFF) + b"junk")
             with pytest.raises(TransportError, match="MAX_FRAME_SIZE"):
@@ -269,7 +337,7 @@ class TestFramedSocket:
 
     def test_max_frame_size_boundary(self):
         client, server = tcp_socket_pair()
-        framed = _FramedSocket(server)
+        framed = _FramedSocket(server, DATA_PORT)
         try:
             client.sendall(struct.pack(">I", MAX_FRAME_SIZE + 1))
             with pytest.raises(TransportError, match="MAX_FRAME_SIZE"):
@@ -280,7 +348,7 @@ class TestFramedSocket:
 
     def test_poll_preserves_configured_timeout(self):
         client, server = tcp_socket_pair()
-        framed = _FramedSocket(server)
+        framed = _FramedSocket(server, DATA_PORT)
         try:
             framed.sock.settimeout(1.5)
             assert framed.poll() is None
@@ -301,7 +369,7 @@ class TestFramedSocket:
         timeout is a wall-clock deadline, overshot by at most one
         scheduling slice."""
         client, server = tcp_socket_pair()
-        framed = _FramedSocket(server)
+        framed = _FramedSocket(server, DATA_PORT)
         stop = threading.Event()
 
         def dripper():
@@ -330,7 +398,7 @@ class TestFramedSocket:
 
     def test_frame_split_across_two_segments(self):
         client, server = tcp_socket_pair()
-        framed = _FramedSocket(server)
+        framed = _FramedSocket(server, DATA_PORT)
         wire = encode(ClockGrant(seq=3, ticks=40))
         try:
             client.sendall(wire[:5])
@@ -344,7 +412,7 @@ class TestFramedSocket:
 
     def test_several_frames_in_one_segment(self):
         client, server = tcp_socket_pair()
-        framed = _FramedSocket(server)
+        framed = _FramedSocket(server, DATA_PORT)
         grants = [ClockGrant(seq=n, ticks=n * 10) for n in (1, 2, 3)]
         try:
             client.sendall(b"".join(encode(grant) for grant in grants))
@@ -359,27 +427,32 @@ class TestFramedSocket:
 
     def test_peer_close_seen_by_poll(self):
         client, server = tcp_socket_pair()
-        framed = _FramedSocket(server)
+        framed = _FramedSocket(server, DATA_PORT)
         try:
             client.close()
             deadline = time.monotonic() + 2.0
-            with pytest.raises(TransportError, match="peer closed"):
+            with pytest.raises(TransportError,
+                               match="DATA port: peer closed"):
                 while time.monotonic() < deadline:
                     framed.poll()
         finally:
             framed.close()
 
     def test_poll_after_local_close_fails(self):
-        """A connection closed on this side (as fault injection does)
-        fails its next poll instead of reading as silent."""
+        """A connection closed on this side fails its next poll, send
+        or receive, naming the port, instead of reading as silent."""
         client, server = tcp_socket_pair()
-        framed = _FramedSocket(server)
+        framed = _FramedSocket(server, DATA_PORT)
         framed.close()
         try:
-            with pytest.raises(OSError):
+            with pytest.raises(TransportError,
+                               match="DATA port: connection is closed"):
                 framed.poll()
-            with pytest.raises(OSError):
+            with pytest.raises(TransportError,
+                               match="DATA port: connection is closed"):
                 framed.recv(timeout=0.05)
+            with pytest.raises(TransportError, match="DATA port: send"):
+                framed.send(ClockGrant(seq=1, ticks=2))
         finally:
             client.close()
 
@@ -405,7 +478,7 @@ class TestSendDeadline:
 
     def test_peer_that_never_reads_fails_the_send(self):
         client, server = narrow_socket_pair()
-        framed = _FramedSocket(server, send_timeout_s=0.2)
+        framed = _FramedSocket(server, DATA_PORT, send_timeout_s=0.2)
         try:
             start = time.monotonic()
             with pytest.raises(TransportError, match="did not drain"):
@@ -421,7 +494,7 @@ class TestSendDeadline:
         """A short receive slice does not shorten the next send: a peer
         that drains after 100ms still gets the whole frame."""
         client, server = narrow_socket_pair()
-        framed = _FramedSocket(server)
+        framed = _FramedSocket(server, DATA_PORT)
         wire = encode(self.BIG)
         received = bytearray()
 
