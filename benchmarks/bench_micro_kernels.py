@@ -1,16 +1,26 @@
 """Micro-benchmarks of the substrate engines.
 
 Not a paper figure: throughput numbers for the discrete-event kernel,
-the RTOS, the ISS and the wire codec, to track performance regressions
-of the substrates every macro experiment sits on.
+the RTOS, the ISS, the wire codec and the TCP link, to track
+performance regressions of the substrates every macro experiment sits
+on.
 """
+
+import threading
 
 from repro.iss import IssCpu, checksum_program, run_program
 from repro.board.memory import Memory
 from repro.router import Packet, checksum16
 from repro.rtos import CpuWork, RtosConfig, RtosKernel, YieldCpu
 from repro.simkernel import Clock, Event, Module, Signal, Simulator, ns
-from repro.transport import DataWrite, decode, encode
+from repro.transport import (
+    ClockGrant,
+    DataWrite,
+    TcpLink,
+    TimeReport,
+    decode,
+    encode,
+)
 
 
 def test_simkernel_clocked_methods(benchmark, quick, bench):
@@ -223,6 +233,46 @@ def test_codec_roundtrip_throughput(benchmark, quick, bench):
     frame = benchmark(bench.wrap(run))
     bench.series("codec_roundtrip", work=rounds, unit="roundtrips")
     assert decode(frame[4:]) == message
+
+
+def test_tcp_data_round_trip(benchmark, quick, bench):
+    """DATA reads per second over a loopback :class:`TcpLink`: per
+    window a board thread makes *reads* ``data_read`` round trips and
+    reports, while the master serves them inside ``recv_report``, as a
+    threaded window does.  Not tier-1: it times the host's loopback
+    stack and thread wake-ups as much as the code."""
+    reads = 20 if quick else 200
+    link = TcpLink()
+    link.data_server = lambda op, address, value: address
+    board = link.board
+
+    def board_loop():
+        while True:
+            grant = board.recv_grant()
+            if grant.ticks == 0:
+                return
+            for address in range(reads):
+                board.data_read(address)
+            board.send_report(TimeReport(seq=grant.seq,
+                                         board_ticks=grant.ticks))
+
+    thread = threading.Thread(target=board_loop, daemon=True)
+    thread.start()
+    seq = [0]
+
+    def run():
+        seq[0] += 1
+        link.master.send_grant(ClockGrant(seq=seq[0], ticks=1))
+        return link.master.recv_report(timeout=5.0)
+
+    try:
+        report = benchmark(bench.wrap(run))
+    finally:
+        link.master.send_grant(ClockGrant(seq=seq[0] + 1, ticks=0))
+        thread.join(timeout=5.0)
+        link.close()
+    bench.series("tcp_data_round_trip", work=reads, unit="round trips")
+    assert report == TimeReport(seq=seq[0], board_ticks=1)
 
 
 def test_packet_build_parse_throughput(benchmark, quick, bench):

@@ -11,6 +11,10 @@ tick protocol.  Every window, on every link, runs in one order:
 * it then grants the board exactly the cycles it simulated;
 * and serves DATA requests against the settled model state until every
   board's time report is in ("it waits an answer from the board").
+  :meth:`CosimMaster.serve_data` is every link's ``data_server``: an
+  in-process link calls it from the board's register access, a TCP
+  link from inside its report wait (``recv_report``), so a threaded
+  window waits with one ``recv_report`` per board.
 
 The master owns that protocol for every kind of hardware: grants and
 their fan-out to every board, report checks, the window FSM, DATA
@@ -27,7 +31,6 @@ plugin.
 
 from __future__ import annotations
 
-import time
 from typing import Optional
 
 from repro.cosim.config import CosimConfig
@@ -43,19 +46,7 @@ from repro.simkernel.clock import Clock
 from repro.simkernel.driver_ext import DriverSimulator
 from repro.simkernel.signals import Signal
 from repro.transport.channel import MasterEndpoint
-from repro.transport.messages import (
-    DataRead,
-    DataWrite,
-    Interrupt,
-    TimeReport,
-)
-
-#: Initial CLOCK-port poll slice while waiting for a time report.
-REPORT_POLL_S = 0.0005
-#: The poll slice doubles while the link stays quiet (no DATA traffic,
-#: no report) up to this cap, and snaps back to ``REPORT_POLL_S`` at
-#: the first sign of traffic.
-REPORT_POLL_MAX_S = 0.01
+from repro.transport.messages import Interrupt, TimeReport
 
 
 class CosimMaster:
@@ -171,8 +162,7 @@ class CosimMaster:
     # ------------------------------------------------------------------
     def serve_data(self, op: str, address: int, value=None):
         """Serve one DATA request: the one path that counts and traces
-        each request, installed on in-process links and called by
-        :meth:`_serve_pending_data` on threaded ones."""
+        each request, installed as every link's ``data_server``."""
         if op == "read":
             self.data_reads_served += 1
             if self.obs.enabled:
@@ -195,30 +185,6 @@ class CosimMaster:
     def hw_write(self, address: int, value) -> None:
         """Hardware operation: write a mapped register."""
         self.sim.external_write(address, value)
-
-    def _serve_pending_data(self, endpoints) -> int:
-        """Drain the DATA requests queued on every endpoint (threaded
-        links); returns the count.  Requests are drained in batches and
-        served in arrival order (a write must be visible to the read
-        behind it)."""
-        served = 0
-        for endpoint in endpoints:
-            while True:
-                batch = endpoint.poll_data_batch()
-                if not batch:
-                    break
-                served += len(batch)
-                for request in batch:
-                    if isinstance(request, DataRead):
-                        endpoint.send_reply(
-                            request.seq,
-                            self.serve_data("read", request.address))
-                    elif isinstance(request, DataWrite):
-                        self.serve_data("write", request.address,
-                                        request.value)
-                    else:  # pragma: no cover - endpoint type-checks
-                        raise ProtocolError(f"bad DATA request {request!r}")
-        return served
 
     # ------------------------------------------------------------------
     # Window execution
@@ -359,80 +325,68 @@ class CosimMaster:
     def run_window_threaded(self, ticks: int, *endpoints,
                             reactive: bool = False, boards=()) -> int:
         """A window over threaded (TCP) links: the same
-        :meth:`run_window_inproc`, then serve every board's DATA port
-        until all of them have reported (one endpoint per board;
-        default: the primary), then :meth:`finish_window_inproc`.
-        *boards* are the session's board slots behind *endpoints*, in
-        the same order: a slot's ``thread`` that has ended stops the
-        wait for its report at once.  Returns the ticks granted."""
+        :meth:`run_window_inproc`, then wait for every board's time
+        report (one endpoint per board; default: the primary) while
+        each link serves its board's DATA, then
+        :meth:`finish_window_inproc`.  *boards* are the session's board
+        slots behind *endpoints*: a link failure on a board whose slot
+        holds an error (a board thread that died and closed its end)
+        is reported as that board stopping.  Returns the ticks
+        granted."""
         endpoints = endpoints or (self.endpoint,)
-        ticks = self.run_window_inproc(ticks, *endpoints, reactive=reactive)
-        self.finish_window_inproc(*self._await_reports(endpoints, boards))
-        return ticks
+        seq = self.protocol.seq + 1
+        waiting = False
+        try:
+            ticks = self.run_window_inproc(ticks, *endpoints,
+                                           reactive=reactive)
+            waiting = True
+            reports = self._await_reports(endpoints)
+        except TransportError as exc:
+            failure = exc
+        else:
+            self.finish_window_inproc(*reports)
+            return ticks
+        # Raised outside the handler, so that a dead board's own error
+        # is the context of the run's (see CosimSession._serving).
+        dead = next((slot for slot in boards if slot.error is not None),
+                    None)
+        if dead is not None:
+            raise ProtocolError(
+                f"board {dead.name!r} stopped serving before its time "
+                f"report for grant seq {seq}")
+        if not waiting:
+            raise failure
+        # A TCP endpoint raises when its CLOCK or DATA connection
+        # fails; that is a protocol death.
+        raise ProtocolError(
+            f"link failed while waiting for report of grant seq {seq}: "
+            f"{failure}") from failure
 
-    def _await_reports(self, endpoints, boards=()) -> list:
-        """Serve DATA until every endpoint has sent its time report;
-        returns the reports in endpoint order."""
+    def _await_reports(self, endpoints) -> list:
+        """Each endpoint's time report, in endpoint order: one
+        ``recv_report`` per endpoint, which serves the board's DATA
+        until the report is in."""
         obs = self.obs
-        seq = self.protocol.seq
         wait_token = None
         if obs.enabled:
             wait_token = obs.begin("transport", "report_wait",
-                                   sim=self.clock.cycles, seq=seq)
-        polls = 0
+                                   sim=self.clock.cycles,
+                                   seq=self.protocol.seq)
         timeout_s = self.config.report_timeout_s
-        poll_s = REPORT_POLL_S
-        # The deadline bounds *silence*, not total window duration: a
-        # slow board that keeps issuing DATA requests is alive, so each
-        # sign of progress pushes the deadline out again.
-        deadline = time.monotonic() + timeout_s
         reports = []
         try:
-            while True:
-                # A board whose thread had ended before this visit sent
-                # all it ever will: once a visit finds neither DATA nor
-                # its report (a last short poll), the wait is over.
-                waiting = len(reports)
-                ended = (waiting < len(boards)
-                         and not boards[waiting].thread.is_alive())
-                served = self._serve_pending_data(endpoints)
-                if served:
-                    deadline = time.monotonic() + timeout_s
-                    poll_s = REPORT_POLL_S
-                if len(reports) == len(endpoints):
-                    # Served after the last report: a DATA write a
-                    # board issued just before reporting.
-                    return reports
-                polls += 1
-                try:
-                    report = endpoints[waiting].recv_report(
-                        timeout=REPORT_POLL_S if ended else poll_s)
-                except TransportError as exc:
-                    # A TCP endpoint raises when its CLOCK or DATA
-                    # connection fails; that is a protocol death.
+            for endpoint in endpoints:
+                report = endpoint.recv_report(timeout=timeout_s)
+                if report is None:
                     raise ProtocolError(
-                        f"link failed while waiting for report of grant "
-                        f"seq {seq}: {exc}"
-                    ) from exc
-                if report is not None:
-                    reports.append(report)
-                    deadline = time.monotonic() + timeout_s
-                    poll_s = REPORT_POLL_S
-                    continue
-                if ended and not served:
-                    raise ProtocolError(
-                        f"board {boards[waiting].name!r} stopped serving "
-                        f"before its time report for grant seq {seq}"
-                    )
-                poll_s = min(poll_s * 2, REPORT_POLL_MAX_S)
-                if time.monotonic() > deadline:
-                    raise ProtocolError(
-                        f"no time report for grant seq {seq} "
+                        f"no time report for grant seq {self.protocol.seq} "
                         f"within {timeout_s}s of the last sign of life"
                     )
+                reports.append(report)
+            return reports
         finally:
             if wait_token is not None:
-                obs.end(wait_token, sim=self.clock.cycles, polls=polls)
+                obs.end(wait_token, sim=self.clock.cycles)
 
 
 def build_driver_sim(name: str = "cosim_hw",

@@ -17,8 +17,7 @@ every other, except that speculation refuses four of them (see
 * **window exchange** — decided by the links:
 
   * in-process links (:class:`~repro.transport.inproc.InprocLink`) —
-    master and boards interleaved window by window in one thread; the
-    session points each link's ``data_server`` at the master.
+    master and boards interleaved window by window in one thread.
     Wall-clock cost is *modeled* (calibrated cost model).
   * TCP links (:class:`~repro.transport.tcp.TcpLink`) — each board
     runtime runs in its own OS thread, as in the paper's physical
@@ -27,11 +26,12 @@ every other, except that speculation refuses four of them (see
     thread raises is kept on its :class:`BoardSlot` and raised in the
     caller's thread by :meth:`CosimSession.close`, or as the context of
     the error that ends a failed :meth:`CosimSession.run`: a board
-    thread that ends mid-run ends the master's report wait at once.
-    ``config.report_timeout_s`` bounds the silence of a board that is
-    alive.
+    thread that dies closes its end of the link, which ends the
+    master's report wait at once.  ``config.report_timeout_s`` bounds
+    the silence of a board that is alive.
 
-  One session never mixes the two.
+  One session never mixes the two.  Either way the session points
+  every link's ``data_server`` at the master's ``serve_data``.
 
 Window ordering, on every link: the master simulates its half of the
 window first, then grants it, and the board consumes the same window
@@ -68,6 +68,7 @@ from repro.errors import ProtocolError, ReproError, TransportError
 from repro.obs.recorder import install_recorder, make_recorder
 from repro.replay.snapshot import SnapshotError, require_keys
 from repro.transport.channel import LinkStats
+from repro.transport.inproc import InprocLink
 
 DoneFn = Callable[[], bool]
 
@@ -90,13 +91,15 @@ class BoardSlot:
         self._closed = False
 
     def serve(self) -> None:
-        """The board thread's body: serve every grant until shutdown,
-        keeping an error for the session instead of letting it escape
-        the thread."""
+        """The board thread's body: serve every grant until shutdown.
+        An error is kept for the session instead of escaping the
+        thread, and closes the board's end of the link, so that the
+        master's report wait reads EOF at once."""
         try:
             self.runtime.serve_forever()
         except BaseException as exc:  # noqa: BLE001 - handed to the session
             self.error = exc
+            self.runtime.endpoint.close()
 
     def close(self) -> None:
         """Close the link and the runtime's endpoint (which may wrap the
@@ -128,10 +131,9 @@ class CosimSession:
         names = [slot.name for slot in slots]
         if len(set(names)) != len(names):
             raise ProtocolError(f"duplicate board names: {names}")
-        # In-process links serve DATA through a synchronous
-        # ``data_server`` callback and are stepped window by window;
-        # every other link gets a board thread.
-        threaded = {not hasattr(slot.link, "data_server") for slot in slots}
+        # In-process links are stepped window by window; every other
+        # link gets a board thread.
+        threaded = {not isinstance(slot.link, InprocLink) for slot in slots}
         if len(threaded) > 1:
             raise ProtocolError(
                 "cannot mix in-process and threaded links in one session")
@@ -166,10 +168,11 @@ class CosimSession:
             install_recorder(self.obs, runtime=slot.runtime)
         #: Windows completed over the session's lifetime (across runs).
         self.windows_completed = 0  # lint: disable=SNAP001
-        #: ``master.interrupts_sent`` at the last window boundary: a
-        #: trace row counts every interrupt sent since, including those
-        #: sent between two runs.  Reset by restore().
-        self._interrupts_mark = master.interrupts_sent
+        #: The interrupts the boards had received at the last window
+        #: boundary: a trace row counts those received since, as a
+        #: replayed recording does (an interrupt lost on the way is in
+        #: neither).  Reset by restore().
+        self._interrupts_mark = self._interrupts_received()
         # Checkpoint/restore accounting, copied into the metrics.
         self.checkpoints_taken = 0
         self.restores = 0
@@ -186,9 +189,8 @@ class CosimSession:
         #: snapshot() while that window is reported (speculation runs
         #: one board).  Transient within one window report.
         self._committed_board = None
-        if not self.threaded:
-            for slot in self.slots:
-                slot.link.data_server = master.serve_data
+        for slot in self.slots:
+            slot.link.data_server = master.serve_data
 
     def attach_trace(self, trace) -> None:
         """Record every window into *trace* (a ProtocolTrace)."""
@@ -299,7 +301,7 @@ class CosimSession:
                     f"snapshot names unregistered snapshotable {name!r}"
                 )
             self.snapshotables[name].restore(subtree)
-        self._interrupts_mark = self.master.interrupts_sent
+        self._interrupts_mark = self._interrupts_received()
 
     def close(self) -> None:
         """Stop the board threads, if any — a shutdown grant each, then
@@ -452,6 +454,9 @@ class CosimSession:
     def _data_messages(self) -> int:
         return sum(slot.link.stats.data_messages for slot in self.slots)
 
+    def _interrupts_received(self) -> int:
+        return sum(slot.runtime.interrupts_received for slot in self.slots)
+
     def _after_window(self, metrics: CosimMetrics, ticks: int,
                       data_before: int,
                       board_ticks: Optional[int] = None) -> None:
@@ -460,8 +465,9 @@ class CosimSession:
         metrics.windows += 1
         metrics.sync_exchanges += len(self.slots)
         self.windows_completed += 1
-        interrupts = self.master.interrupts_sent - self._interrupts_mark
-        self._interrupts_mark = self.master.interrupts_sent
+        received = self._interrupts_received()
+        interrupts = received - self._interrupts_mark
+        self._interrupts_mark = received
         if self.trace is not None:
             if board_ticks is None:
                 board_ticks = self.runtime.board.kernel.sw_ticks

@@ -64,9 +64,9 @@ def project_trace(rows: List[Dict[str, Any]]) -> ProtocolTrace:
     The master clock starts at 0 and advances by each grant.  A DATA
     read counts two messages (request + reply) and a write one, as
     :class:`~repro.transport.channel.LinkStats` counts them.  The
-    interrupt column counts the packets the board *received*; under a
-    ``drop_interrupts`` fault the live trace counts the ones the master
-    *sent*.
+    interrupt column counts the packets the board *received*, as the
+    live trace does, so a ``drop_interrupts`` fault leaves the two
+    equal.
     """
     trace = ProtocolTrace()
     master_cycles = 0

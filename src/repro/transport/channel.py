@@ -4,8 +4,9 @@ A *link* is the bundle of the three logical ports.  It exposes two
 asymmetric endpoints:
 
 * :class:`MasterEndpoint` — used by the SystemC-side co-simulation
-  master (``driver_simulate``): sends clock grants and interrupts,
-  services DATA requests;
+  master (``driver_simulate``): sends clock grants and interrupts and
+  awaits time reports; the link's ``data_server`` answers DATA
+  requests;
 * :class:`BoardEndpoint` — used by the board runtime and the device
   driver: receives grants, reports time, performs register I/O.
 
@@ -16,21 +17,23 @@ in the paper).
 
 from __future__ import annotations
 
-from typing import List, Optional, Union
+from typing import Callable, Optional
 
 from repro.errors import TransportError
 from repro.transport.framing import frame_size
 from repro.transport.messages import (
     ClockGrant,
-    DataRead,
-    DataWrite,
     Interrupt,
     Message,
     TimeReport,
     Value,
 )
 
-DataRequest = Union[DataRead, DataWrite]
+#: Serves one board DATA request: ``server("read", address, None)``
+#: returns the register value, ``server("write", address, value)``
+#: applies the write.  A session installs its master's ``serve_data``
+#: on every link.
+DataServer = Callable[[str, int, Optional[Value]], Optional[Value]]
 
 
 class LinkStats:
@@ -62,8 +65,14 @@ class LinkStats:
             setattr(self, name, state[name])
 
     def account(self, message: Message, port: str) -> None:
+        """Count *message* sent on *port*, sized by
+        :func:`~repro.transport.framing.frame_size`."""
+        self.charge(port, frame_size(message))
+
+    def charge(self, port: str, size: int) -> None:
+        """Count one message of *size* wire bytes sent on *port*."""
         self.messages_sent += 1
-        self.bytes_sent += frame_size(message)
+        self.bytes_sent += size
         if port == "clock":
             self.clock_messages += 1
         elif port == "int":
@@ -79,37 +88,18 @@ class MasterEndpoint:
         raise NotImplementedError
 
     def recv_report(self, timeout: Optional[float] = None) -> Optional[TimeReport]:
-        """Wait up to *timeout* seconds (None: forever) for the board's
-        time report; None when none arrived.
+        """The board's time report for the outstanding grant, or None
+        when none arrived.
 
-        May also return None early while a DATA request is waiting, so
-        the caller can serve it before waiting again (the board cannot
-        report while its read is unanswered).  Callers that poll DATA
-        between waits therefore loop on None rather than treat it as
-        silence; the silence deadline is theirs to keep.
+        A threaded link serves the board's DATA requests while it waits
+        (through the link's ``data_server``) and gives up after
+        *timeout* seconds without a request or the report (None: no
+        limit); an in-process link answers at once.
         """
         raise NotImplementedError
 
     def send_interrupt(self, interrupt: Interrupt) -> None:
         raise NotImplementedError
-
-    def poll_data(self) -> Optional[DataRequest]:
-        raise NotImplementedError
-
-    def poll_data_batch(self, limit: int = 64) -> "List[DataRequest]":
-        """Drain up to *limit* pending DATA requests in one call.
-
-        The master serves a whole window's backlog per visit instead of
-        re-entering the transport for every request; transports with a
-        cheaper bulk path may override this.
-        """
-        batch: List[DataRequest] = []
-        while len(batch) < limit:
-            request = self.poll_data()
-            if request is None:
-                break
-            batch.append(request)
-        return batch
 
     def send_reply(self, seq: int, value: Value) -> None:
         raise NotImplementedError

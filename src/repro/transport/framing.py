@@ -10,6 +10,7 @@ with full round-trip tests, used verbatim by the TCP transport.
 from __future__ import annotations
 
 import struct
+from operator import attrgetter
 from typing import Optional, Tuple
 
 from repro.errors import TransportError
@@ -37,12 +38,14 @@ _T_COUNTED = 9
 _V_INT = 0
 _V_BYTES = 1
 
-_HEADER = struct.Struct(">IB")
 _U64 = struct.Struct(">q")
 _U32 = struct.Struct(">I")
 
 LENGTH_PREFIX_SIZE = 4
 MAX_FRAME_SIZE = 1 << 20
+#: Bytes a :class:`~repro.transport.messages.Counted` wrapper adds to
+#: the frame it wraps: its kind byte and its count.
+COUNTED_OVERHEAD = 9
 
 
 def _encode_value(value: Value) -> bytes:
@@ -75,9 +78,54 @@ def _decode_value(payload: bytes, offset: int) -> Tuple[Value, int]:
     raise TransportError(f"unknown value kind {kind}")
 
 
+#: Kind byte and field reader of each frame that carries two int64
+#: fields, by exact message type.
+_PAIRS = {
+    ClockGrant: (_T_CLOCK_GRANT, attrgetter("seq", "ticks")),
+    TimeReport: (_T_TIME_REPORT, attrgetter("seq", "board_ticks")),
+    Interrupt: (_T_INTERRUPT, attrgetter("vector", "master_cycle")),
+    DataRead: (_T_DATA_READ, attrgetter("seq", "address")),
+}
+#: The message type of each two-int64 kind byte (constructed
+#: positionally, in wire order).
+_PAIR_TYPES = {kind: cls for cls, (kind, _) in _PAIRS.items()}
+
+# One precompiled layout per frame shape, length prefix included.  The
+# bodies are 17, 26, 26 and 18 bytes long.
+_PAIR_FRAME = struct.Struct(">IBqq")
+_COUNTED_PAIR_FRAME = struct.Struct(">IBqBqq")
+_WRITE_INT_FRAME = struct.Struct(">IBqqBq")
+_REPLY_INT_FRAME = struct.Struct(">IBqBq")
+
+
 def encode(message: Message) -> bytes:
-    """Serialize *message* to a length-prefixed frame."""
+    """Serialize *message* to a length-prefixed frame.
+
+    Exact message types with ``int`` values are packed by one
+    precompiled :class:`struct.Struct` each; everything else (bytes
+    values, subclasses, messages the codec refuses) takes the generic
+    path, which yields the same bytes and the same errors.
+    """
     try:
+        kind = type(message)
+        pair = _PAIRS.get(kind)
+        if pair is not None:
+            code, fields = pair
+            return _PAIR_FRAME.pack(17, code, *fields(message))
+        if kind is Counted:
+            pair = _PAIRS.get(type(message.message))
+            if pair is not None:
+                code, fields = pair
+                return _COUNTED_PAIR_FRAME.pack(
+                    26, _T_COUNTED, message.count, code,
+                    *fields(message.message))
+        elif kind is DataWrite and type(message.value) is int:
+            return _WRITE_INT_FRAME.pack(26, _T_DATA_WRITE, message.seq,
+                                         message.address, _V_INT,
+                                         message.value)
+        elif kind is DataReply and type(message.value) is int:
+            return _REPLY_INT_FRAME.pack(18, _T_DATA_REPLY, message.seq,
+                                         _V_INT, message.value)
         return _encode(message)
     except struct.error as exc:
         # Field outside the wire format's 64-bit range: surface the
@@ -110,8 +158,44 @@ def _encode(message: Message) -> bytes:
     return _U32.pack(len(body)) + body
 
 
+_PAIR_BODY = struct.Struct(">qq")
+_COUNTED_PAIR_BODY = struct.Struct(">qBqq")
+_WRITE_INT_BODY = struct.Struct(">qqBq")
+_REPLY_INT_BODY = struct.Struct(">qBq")
+
+
 def decode(body: bytes) -> Message:
-    """Deserialize one frame body (without the length prefix)."""
+    """Deserialize one frame body (without the length prefix).
+
+    The layouts :func:`encode` packs in one step are unpacked in one
+    step; every other body (bytes values, short or corrupt frames)
+    takes the generic path, which raises the codec's errors.
+    """
+    size = len(body)
+    if size >= 17:
+        kind = body[0]
+        cls = _PAIR_TYPES.get(kind)
+        if cls is not None:
+            return cls(*_PAIR_BODY.unpack_from(body, 1))
+        if kind == _T_COUNTED:
+            if size >= 26:
+                cls = _PAIR_TYPES.get(body[9])
+                if cls is not None:
+                    count, _, first, second = \
+                        _COUNTED_PAIR_BODY.unpack_from(body, 1)
+                    return Counted(count, cls(first, second))
+        elif kind == _T_DATA_REPLY:
+            if size >= 18 and body[9] == _V_INT:
+                seq, _, value = _REPLY_INT_BODY.unpack_from(body, 1)
+                return DataReply(seq, value)
+        elif kind == _T_DATA_WRITE:
+            if size >= 26 and body[17] == _V_INT:
+                seq, address, _, value = _WRITE_INT_BODY.unpack_from(body, 1)
+                return DataWrite(seq, address, value)
+    return _decode(body)
+
+
+def _decode(body: bytes) -> Message:
     if not body:
         raise TransportError("empty frame")
     kind = body[0]
@@ -142,7 +226,7 @@ def decode(body: bytes) -> Message:
             if body[9:10] == bytes([_T_COUNTED]):
                 raise TransportError("nested counted frame")
             return Counted(count=_U64.unpack_from(body, 1)[0],
-                           message=decode(body[9:]))
+                           message=_decode(body[9:]))
     except (struct.error, IndexError) as exc:
         raise TransportError(f"truncated frame of kind {kind}: {exc}") from exc
     raise TransportError(f"unknown frame kind {kind}")

@@ -15,10 +15,15 @@ the modeled wall-clock cost of a run reflects genuine frame sizes.
 from __future__ import annotations
 
 from collections import deque
-from typing import Callable, Deque, Optional
+from typing import Deque, Optional
 
 from repro.errors import TransportError
-from repro.transport.channel import BoardEndpoint, LinkStats, MasterEndpoint
+from repro.transport.channel import (
+    BoardEndpoint,
+    DataServer,
+    LinkStats,
+    MasterEndpoint,
+)
 from repro.transport.messages import (
     ClockGrant,
     DataRead,
@@ -28,8 +33,6 @@ from repro.transport.messages import (
     TimeReport,
     Value,
 )
-
-DataServer = Callable[[str, int, Optional[Value]], Optional[Value]]
 
 
 class InprocLink:
@@ -69,9 +72,6 @@ class _InprocMaster(MasterEndpoint):
     def send_interrupt(self, interrupt: Interrupt) -> None:
         self.link.stats.account(interrupt, "int")
         self.link._interrupts.append(interrupt)
-
-    def poll_data(self):
-        return None  # DATA requests are served synchronously by callback
 
     def send_reply(self, seq: int, value: Value) -> None:
         raise TransportError(

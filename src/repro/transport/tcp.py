@@ -18,21 +18,26 @@ connection resumes from a checkpoint (:mod:`repro.replay`).
 The ports are separate connections, so grants, reports and interrupts
 travel as :class:`~repro.transport.messages.Counted` frames that fence
 them.  The board returns a grant only once it has read the INT frames
-the grant counts, and the master a report only once it has handed out
-the DATA requests the report counts.  Interrupts are numbered, and the
+the grant counts, and the master a report only once it has served the
+DATA requests the report counts.  Interrupts are numbered, and the
 master accepts only the report that answers its outstanding grant; a
 frame out of order on either is a :class:`TransportError`.
 
-Each connection's socket is non-blocking from the moment it is made:
-a poll is one readiness syscall, a wait is a ``poll`` with the time
-left to its deadline, and a send waits at most ``connect_timeout_s``
-for the peer to drain.
+The master serves DATA itself, inside :meth:`TcpMaster.recv_report`,
+through the link's ``data_server`` (the in-process link's callback):
+one ``poll`` over the CLOCK and DATA sockets per wake, one ``recv`` per
+readable socket, and every complete DATA frame served as soon as it
+has been read.  Each connection's socket is non-blocking from the
+moment it is made: a poll is one readiness syscall, a wait is a
+``poll`` with the time left to its deadline, and a send waits at most
+``connect_timeout_s`` for the peer to drain.  Frames are encoded once;
+the link counters are charged from the encoded frame.
 
 The link sends no liveness probes.  Both ends of a :class:`TcpLink`
-live in one process, so a dead board is a board thread that has ended,
-and the session sees that directly (see
-:class:`~repro.cosim.session.CosimSession`).  A live peer that falls
-silent is bounded by the session's ``report_timeout_s`` alone.
+live in one process, and a board thread that dies closes its end of
+the link (see :class:`~repro.cosim.session.BoardSlot`), so the master's
+report wait reads EOF at once.  A live peer that falls silent is
+bounded by the session's ``report_timeout_s`` alone.
 """
 
 from __future__ import annotations
@@ -45,8 +50,18 @@ from collections import deque
 from typing import Deque, Dict, Optional
 
 from repro.errors import TransportError
-from repro.transport.channel import BoardEndpoint, LinkStats, MasterEndpoint
-from repro.transport.framing import MAX_FRAME_SIZE, decode, encode
+from repro.transport.channel import (
+    BoardEndpoint,
+    DataServer,
+    LinkStats,
+    MasterEndpoint,
+)
+from repro.transport.framing import (
+    COUNTED_OVERHEAD,
+    MAX_FRAME_SIZE,
+    decode,
+    encode,
+)
 from repro.transport.messages import (
     CLOCK_PORT,
     ClockGrant,
@@ -92,62 +107,73 @@ class _FramedSocket:
         self._poller = select.poll()
         self._poller.register(self._fd, select.POLLIN)
         self._closed = False
+        #: The peer closed its end: frames read before that are still
+        #: delivered, and the next wait raises.
+        self._eof = False
         self._rxbuf = bytearray()
 
     def _error(self, what: str) -> TransportError:
         return TransportError(f"{self.port.upper()} port: {what}")
 
     def send(self, message: Message) -> None:
-        """Write one frame, waiting for the peer to drain the socket for
-        at most ``send_timeout_s`` in all."""
-        data = memoryview(encode(message))
+        """Encode *message* and :meth:`send_frame` it."""
+        self.send_frame(encode(message))
+
+    def send_frame(self, frame: bytes) -> None:
+        """Write one encoded frame, waiting for the peer to drain the
+        socket for at most ``send_timeout_s`` in all."""
+        try:
+            sent = self.sock.send(frame)
+        except (BlockingIOError, InterruptedError):
+            sent = 0
+        except OSError as exc:
+            raise self._error(f"send failed: {exc}") from exc
+        if sent == len(frame):
+            return
+        # The kernel buffer is full: wait for the peer to drain it.
+        data = memoryview(frame)[sent:]
         deadline = time.monotonic() + self.send_timeout_s
-        writable = None
-        while True:
-            try:
-                data = data[self.sock.send(data):]
-            except (BlockingIOError, InterruptedError):
-                pass
-            except OSError as exc:
-                raise self._error(f"send failed: {exc}") from exc
-            if not data:
-                return
-            if writable is None:
-                writable = select.poll()
-                writable.register(self._fd, select.POLLOUT)
+        writable = select.poll()
+        writable.register(self._fd, select.POLLOUT)
+        while data:
             remaining = deadline - time.monotonic()
             if remaining <= 0 or not writable.poll(remaining * 1e3):
                 raise self._error(
                     f"send timed out: the peer did not drain the "
                     f"connection within {self.send_timeout_s:g}s"
                 )
+            try:
+                data = data[self.sock.send(data):]
+            except (BlockingIOError, InterruptedError):
+                pass
+            except OSError as exc:
+                raise self._error(f"send failed: {exc}") from exc
 
-    def recv(self, timeout: Optional[float],
-             wake: Optional["_FramedSocket"] = None) -> Optional[Message]:
+    def recv(self, timeout: Optional[float]) -> Optional[Message]:
         """Receive one message; None on timeout.
 
         ``timeout`` is a wall-clock *deadline* for the whole message,
         not a per-chunk allowance: a peer dribbling partial frames
         cannot stretch the wait beyond ``timeout`` seconds.  A deadline
         that has passed (``timeout=0`` included) still gets one
-        non-blocking poll and fill.  With *wake*, also return None as
-        soon as *wake* has input waiting and this connection has none.
+        non-blocking poll and fill.
         """
         deadline = None if timeout is None else time.monotonic() + timeout
         expired = False
         while True:
-            frame = self._extract_frame()
-            if frame is not None:
-                return decode(frame)
-            if expired or (wake is not None and wake._has_frame()):
+            if self._rxbuf:
+                frame = self._extract_frame()
+                if frame is not None:
+                    return decode(frame)
+            if expired:
                 return None
             wait_ms = None
             if deadline is not None:
                 remaining = deadline - time.monotonic()
                 expired = remaining <= 0
                 wait_ms = max(remaining, 0.0) * 1e3
-            if not self._wait(wait_ms, wake):
-                return None  # timed out, or *wake* has input
+            if not self._wait(wait_ms):
+                return None
             self._fill()
 
     def poll(self) -> Optional[Message]:
@@ -166,23 +192,22 @@ class _FramedSocket:
         """True when a frame is buffered or bytes wait on the socket."""
         return self._has_frame() or self._wait(0)
 
-    def _wait(self, wait_ms: Optional[float],
-              wake: Optional["_FramedSocket"] = None) -> bool:
-        """Poll until this connection is readable (True), *wake* is, or
-        *wait_ms* milliseconds pass (None: no limit)."""
+    def _wait(self, wait_ms: Optional[float]) -> bool:
+        """Poll until this connection is readable (True) or *wait_ms*
+        milliseconds pass (None: no limit)."""
+        self._check_open()
+        return bool(self._poller.poll(wait_ms))
+
+    def _check_open(self) -> None:
+        """Raise when nothing more can arrive: this side closed the
+        connection, or the peer did."""
         if self._closed:
             raise self._error("connection is closed")
-        if wake is None:
-            return bool(self._poller.poll(wait_ms))
-        self._poller.register(wake._fd, select.POLLIN)
-        try:
-            events = self._poller.poll(wait_ms)
-        finally:
-            self._poller.unregister(wake._fd)
-        return any(fd == self._fd for fd, _ in events)
+        if self._eof:
+            raise self._error("peer closed the connection")
 
     def _fill(self) -> None:
-        """One ``recv`` into the receive buffer; raises on EOF."""
+        """One ``recv`` into the receive buffer; EOF sets ``_eof``."""
         try:
             chunk = self.sock.recv(65536)
         except (BlockingIOError, InterruptedError):
@@ -190,7 +215,7 @@ class _FramedSocket:
         except OSError as exc:
             raise self._error(f"receive failed: {exc}") from exc
         if not chunk:
-            raise self._error("peer closed the connection")
+            self._eof = True
         self._rxbuf.extend(chunk)
 
     def _has_frame(self) -> bool:
@@ -287,80 +312,148 @@ class TcpLinkServer:
 
 
 class TcpMaster(MasterEndpoint):
-    """Master endpoint: grants and interrupts out, reports and DATA in."""
+    """Master endpoint: grants and interrupts out, reports and DATA in.
+
+    DATA requests are served inside :meth:`recv_report`, through
+    :attr:`data_server` (the in-process link's callback, set by the
+    session): a read gets its reply from there.
+    """
 
     def __init__(self, conns: Dict[str, _FramedSocket],
                  stats: LinkStats) -> None:
         self._conns = conns
         self.stats = stats
+        #: Serves board DATA requests: ``data_server("read", address,
+        #: None)`` returns the value, ``data_server("write", address,
+        #: value)`` applies the write.
+        self.data_server: Optional[DataServer] = None
         #: The seq of the grant awaiting its report; None when every
         #: grant sent has been answered.
         self._outstanding: Optional[int] = None
         #: INT frames sent so far: the count of the next grant.
         self._interrupts_sent = 0
-        #: Highest DATA request number handed out, and a report held
-        #: back until the requests it counts have been.
+        #: Highest DATA request number served, and a report held back
+        #: until the requests it counts have been.
         self._data_seen = 0
         self._held_report: Optional[Counted] = None
+        # The report wait's one poll, over CLOCK and DATA.
+        self._clock, self._data = conns[CLOCK_PORT], conns[DATA_PORT]
+        self._readable = select.poll()
+        self._by_fd = {}
+        for conn in (self._clock, self._data):
+            self._readable.register(conn._fd, select.POLLIN)
+            self._by_fd[conn._fd] = conn
 
     # -- CLOCK ---------------------------------------------------------
     def send_grant(self, grant: ClockGrant) -> None:
+        frame = encode(Counted(self._interrupts_sent, grant))
         # The count is framing: the logical grant is what the link
         # counters account.
-        self.stats.account(grant, "clock")
-        self._conns[CLOCK_PORT].send(Counted(self._interrupts_sent, grant))
+        self.stats.charge("clock", len(frame) - COUNTED_OVERHEAD)
+        self._clock.send_frame(frame)
         self._outstanding = grant.seq
 
     def recv_report(self, timeout: Optional[float] = None) -> Optional[TimeReport]:
+        """Serve DATA until the time report of the outstanding grant is
+        in, and return it; None after *timeout* seconds of silence.
+
+        Every DATA request is served as soon as its frame has been
+        read, in arrival order, and starts the silence bound again.
+        The report is returned once the DATA requests it counts have
+        been served (the two ports are separate connections).  One
+        ``poll`` per wake, over both connections, and one ``recv`` per
+        readable one.
+        """
+        clock, data = self._clock, self._data
         deadline = None if timeout is None else time.monotonic() + timeout
+        expired = False
         while True:
-            held = self._held_report
-            if held is not None and self._data_seen >= held.count:
-                self._held_report = None
-                return held.message
-            remaining = None
-            if deadline is not None:
-                remaining = max(deadline - time.monotonic(), 0.0)
-            # A waiting DATA request ends the wait: the caller serves
-            # it, which is also what releases a held report.
-            message = self._conns[CLOCK_PORT].recv(
-                remaining, wake=self._conns[DATA_PORT])
-            if message is None:
+            # Most wakes fill one buffer: parse only what holds bytes.
+            if data._rxbuf and self._serve_data() and deadline is not None:
+                deadline = time.monotonic() + timeout
+                expired = False
+            if clock._rxbuf or self._held_report is not None:
+                report = self._take_report()
+                if report is not None:
+                    return report
+            if expired:
                 return None
-            if not (isinstance(message, Counted)
-                    and isinstance(message.message, TimeReport)):
+            wait_ms = None
+            if deadline is not None:
+                remaining = deadline - time.monotonic()
+                expired = remaining <= 0
+                wait_ms = max(remaining, 0.0) * 1e3
+            # Frames read before a peer closed are served above; a
+            # report its board sent before dying still counts.
+            clock._check_open()
+            data._check_open()
+            for fd, _ in self._readable.poll(wait_ms):
+                self._by_fd[fd]._fill()
+
+    def _take_report(self) -> Optional[TimeReport]:
+        """The report of the outstanding grant once it has been read
+        and the DATA requests it counts served; else None."""
+        held = self._held_report
+        if held is None:
+            frame = self._clock._extract_frame()
+            if frame is None:
+                return None
+            held = decode(frame)
+            if not (type(held) is Counted
+                    and type(held.message) is TimeReport):
                 raise TransportError(
-                    f"unexpected message on CLOCK port: {message!r}"
+                    f"unexpected message on CLOCK port: {held!r}"
                 )
-            seq = message.message.seq
+            seq = held.message.seq
             if seq != self._outstanding:
                 raise TransportError(
                     f"CLOCK port: time report seq {seq} answers no "
                     f"outstanding grant (awaiting {self._outstanding})"
                 )
             self._outstanding = None
-            self._held_report = message
+            self._held_report = held
+        if self._data_seen < held.count:
+            return None
+        self._held_report = None
+        return held.message
 
     # -- INT -----------------------------------------------------------
     def send_interrupt(self, interrupt: Interrupt) -> None:
-        self.stats.account(interrupt, "int")
+        frame = encode(Counted(self._interrupts_sent + 1, interrupt))
+        self.stats.charge("int", len(frame) - COUNTED_OVERHEAD)
         self._interrupts_sent += 1
-        self._conns[INT_PORT].send(Counted(self._interrupts_sent, interrupt))
+        self._conns[INT_PORT].send_frame(frame)
 
     # -- DATA ----------------------------------------------------------
-    def poll_data(self):
-        message = self._conns[DATA_PORT].poll()
-        if message is None:
-            return None
-        if not isinstance(message, (DataRead, DataWrite)):
-            raise TransportError(f"unexpected message on DATA port: {message!r}")
-        self._data_seen = message.seq
-        return message
+    def _serve_data(self) -> bool:
+        """Serve every complete DATA frame read so far, in arrival
+        order; True when there was one."""
+        conn = self._data
+        frame = conn._extract_frame()
+        if frame is None:
+            return False
+        server = self.data_server
+        if server is None:
+            raise TransportError("no DATA server installed on TCP link")
+        while frame is not None:
+            request = decode(frame)
+            kind = type(request)
+            if kind is DataRead:
+                self.send_reply(request.seq,
+                                server("read", request.address, None))
+            elif kind is DataWrite:
+                server("write", request.address, request.value)
+            else:
+                raise TransportError(
+                    f"unexpected message on DATA port: {request!r}")
+            self._data_seen = request.seq
+            frame = conn._extract_frame()
+        return True
 
     def send_reply(self, seq: int, value: Value) -> None:
-        reply = DataReply(seq, value)
-        self.stats.account(reply, "data")
-        self._conns[DATA_PORT].send(reply)
+        frame = encode(DataReply(seq, value))
+        self.stats.charge("data", len(frame))
+        self._data.send_frame(frame)
 
     def close(self) -> None:
         for conn in self._conns.values():
@@ -446,8 +539,9 @@ class TcpBoard(BoardEndpoint):
         self._interrupts.append(frame.message)
 
     def send_report(self, report: TimeReport) -> None:
-        self.stats.account(report, "clock")
-        self._conns[CLOCK_PORT].send(Counted(self._data_seq, report))
+        frame = encode(Counted(self._data_seq, report))
+        self.stats.charge("clock", len(frame) - COUNTED_OVERHEAD)
+        self._conns[CLOCK_PORT].send_frame(frame)
 
     # -- INT -----------------------------------------------------------
     def poll_interrupt(self) -> Optional[Interrupt]:
@@ -463,22 +557,22 @@ class TcpBoard(BoardEndpoint):
     # -- DATA ----------------------------------------------------------
     def data_read(self, address: int) -> Value:
         self._data_seq += 1
-        request = DataRead(self._data_seq, address)
-        self.stats.account(request, "data")
+        frame = encode(DataRead(self._data_seq, address))
+        self.stats.charge("data", len(frame))
         conn = self._conns[DATA_PORT]
-        conn.send(request)
+        conn.send_frame(frame)
         reply = conn.recv(self.reply_timeout)
         if reply is None:
             raise TransportError(f"DATA read of {address:#x} timed out")
-        if not isinstance(reply, DataReply) or reply.seq != request.seq:
+        if type(reply) is not DataReply or reply.seq != self._data_seq:
             raise TransportError(f"bad DATA reply: {reply!r}")
         return reply.value
 
     def data_write(self, address: int, value: Value) -> None:
         self._data_seq += 1
-        request = DataWrite(self._data_seq, address, value)
-        self.stats.account(request, "data")
-        self._conns[DATA_PORT].send(request)
+        frame = encode(DataWrite(self._data_seq, address, value))
+        self.stats.charge("data", len(frame))
+        self._conns[DATA_PORT].send_frame(frame)
 
     def close(self) -> None:
         # The connections stay installed, closed: a later call on one
@@ -508,6 +602,16 @@ class TcpLink:
                 self.board.close()
             server.close()
             raise
+
+    @property
+    def data_server(self) -> Optional[DataServer]:
+        """What serves the board's DATA requests (the master's
+        ``serve_data`` in a session), as on the in-process link."""
+        return self.master.data_server
+
+    @data_server.setter
+    def data_server(self, server: Optional[DataServer]) -> None:
+        self.master.data_server = server
 
     def close(self) -> None:
         """Close both ends."""

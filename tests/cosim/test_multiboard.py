@@ -357,18 +357,18 @@ class TestMultiBoardRecording:
             assert projected[name] == _rows(recording.trace(name))
         assert replayed == live
         # The live trace has one row per window for both boards: the
-        # boards' clocks and their summed DATA traffic.
-        merged = [a[:4] + [a[5] + b[5]]
+        # boards' clocks, their summed interrupts and DATA traffic.
+        merged = [a[:4] + [a[4] + b[4], a[5] + b[5]]
                   for a, b in zip(projected["a"], projected["b"])]
-        assert merged == [row[:4] + [row[5]] for row in live_rows]
+        assert merged == live_rows
         assert [row[:4] for row in projected["b"]] == \
             [row[:4] for row in projected["a"]]
-        # Its interrupt column counts what the master sent since the
-        # last window boundary, so the GPIO edge driven between two
+        # Its interrupt column counts what the boards received since
+        # the last window boundary, so the GPIO edge driven between two
         # runs lands in the next window's row, as it does in board B's.
-        # Board A drains the accelerator's IRQ one window later than
-        # the master sent it, since it answers board A's own DATA write.
-        assert [row[4] for row in live_rows] == [1, 0, 0, 1]
+        # Board A drains the accelerator's IRQ one window after the
+        # master sent it, since it answers board A's own DATA write.
+        assert [row[4] for row in live_rows] == [0, 1, 0, 1]
         assert [row[4] for row in projected["a"]] == [0, 1, 0, 0]
         assert [row[4] for row in projected["b"]] == [0, 0, 0, 1]
 

@@ -174,9 +174,9 @@ class TestDivergenceDetection:
         assert report.first_window == result.windows_replayed
 
     def test_recorded_trace_is_a_projection(self):
-        # The live trace counts interrupts the master sent and the
-        # link's DATA messages; with no fault the projection of the
-        # board's rows equals it, on either link.
+        # The live trace counts the interrupts the board received and
+        # the link's DATA messages; the projection of the board's rows
+        # equals it, on either link.
         for mode in ("inproc", "tcp"):
             recording, _metrics, trace = record_run(mode=mode)
             assert rows_of(recording.trace("board")) == rows_of(trace)

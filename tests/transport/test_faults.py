@@ -119,9 +119,10 @@ class TestFaultedRecordings:
 
     Found by the differential fuzzer (``repro fuzz``): the finalized
     recording used to embed the live trace rows, whose interrupt
-    column counts packets the master *sent* — but a replay can only
-    redeliver the packets the board *received*, so any run with a
+    column then counted packets the master *sent* — but a replay can
+    only redeliver the packets the board *received*, so any run with a
     ``drop_interrupts`` fault made a bit-clean replay look divergent.
+    The live trace now counts received packets too.
     """
 
     def test_drop_interrupt_recording_replays_cleanly(self):
@@ -149,11 +150,12 @@ class TestFaultedRecordings:
         # The fault actually fired: the board saw one interrupt fewer
         # than the master sent.
         assert plan.interrupts_dropped == 1
-        sent = sum(record.interrupts for record in trace.records)
+        sent = cosim.master.interrupts_sent
         recorded = recording.trace("board")
         # The recorded trace counts the interrupts the board received,
-        # not the ones the master sent.
+        # not the ones the master sent, and so does the live one.
         assert recorded.total_interrupts() == sent - 1
+        assert trace.records == recorded.records
 
         result = replay_router_recording(recording)
         assert result.clean

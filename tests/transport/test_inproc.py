@@ -53,10 +53,6 @@ class TestPorts:
         with pytest.raises(TransportError):
             link.master.send_reply(1, 2)
 
-    def test_master_poll_data_always_empty(self):
-        link = InprocLink()
-        assert link.master.poll_data() is None
-
 
 class TestStats:
     def test_byte_and_message_accounting(self):

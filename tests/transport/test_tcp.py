@@ -24,7 +24,7 @@ from repro.transport.messages import (
     CLOCK_PORT,
     DATA_PORT,
     INT_PORT,
-    DataRead,
+    Counted,
     DataReply,
 )
 from repro.transport.tcp import _FramedSocket
@@ -98,28 +98,35 @@ class TestTcpLink:
 
     def test_data_rpc(self, tcp_pair):
         master, board = tcp_pair
+        served = _serve_into(master, value=b"payload")
+        _open_window(master, board)
         result = {}
 
         def board_side():
             result["value"] = board.data_read(7)
+            board.send_report(TimeReport(seq=1, board_ticks=7))
 
         thread = threading.Thread(target=board_side)
         thread.start()
-        request = None
-        while request is None:
-            request = master.poll_data()
-        assert isinstance(request, DataRead) and request.address == 7
-        master.send_reply(request.seq, b"payload")
+        assert master.recv_report(timeout=5).board_ticks == 7
         thread.join(timeout=10)
+        assert [entry[:3] for entry in served] == [("read", 7, None)]
         assert result["value"] == b"payload"
 
     def test_data_write_reaches_master(self, tcp_pair):
         master, board = tcp_pair
+        served = _serve_into(master)
+        _open_window(master, board)
         board.data_write(3, 99)
-        request = None
-        while request is None:
-            request = master.poll_data()
-        assert request.address == 3 and request.value == 99
+        board.send_report(TimeReport(seq=1, board_ticks=7))
+        assert master.recv_report(timeout=5).board_ticks == 7
+        assert [entry[:3] for entry in served] == [("write", 3, 99)]
+
+    def test_data_without_a_server_is_an_error(self, tcp_pair):
+        master, board = tcp_pair
+        board.data_write(3, 99)
+        with pytest.raises(TransportError, match="no DATA server"):
+            master.recv_report(timeout=5)
 
     def test_recv_timeout(self, tcp_pair):
         master, board = tcp_pair
@@ -254,45 +261,67 @@ def _open_window(master, board, ticks=7):
     assert board.recv_grant(timeout=5) == ClockGrant(seq=1, ticks=ticks)
 
 
+def _serve_into(master, value=0):
+    """Serve *master*'s DATA requests with reads of *value*; returns the
+    list each request is appended to, as ``(op, address, value, when)``."""
+    served = []
+
+    def server(op, address, written):
+        served.append((op, address, written, time.monotonic()))
+        return value if op == "read" else None
+
+    master.data_server = server
+    return served
+
+
 class TestReportWaitWakesOnData:
-    """The master's report wait returns early while a DATA request is
-    waiting, so the caller serves it instead of sleeping out its poll."""
+    """A DATA frame ends the master's poll at once: the report wait
+    serves it through the link's ``data_server`` and waits on, and each
+    request served starts the silence bound again."""
 
     def test_data_frame_ends_the_wait(self, tcp_pair):
         master, board = tcp_pair
+        served = _serve_into(master)
         sender = _after(0.05, board.data_write, 3, 99)
         start = time.monotonic()
-        assert master.recv_report(timeout=5.0) is None
-        assert time.monotonic() - start < 1.0
+        assert master.recv_report(timeout=0.3) is None
+        end = time.monotonic()
         sender.join()
-        request = master.poll_data()
-        assert request.address == 3 and request.value == 99
+        assert [entry[:3] for entry in served] == [("write", 3, 99)]
+        served_at = served[0][3]
+        # Served as it arrived, and the 0.3s of silence counted from
+        # there, not from the start of the wait.
+        assert served_at - start < 0.25
+        assert end - served_at >= 0.3
 
     def test_data_frame_ends_the_wait_mid_window(self, tcp_pair):
         master, board = tcp_pair
+        served = _serve_into(master)
         _open_window(master, board, ticks=5)
-        sender = _after(0.05, board.data_write, 3, 99)
-        start = time.monotonic()
-        assert master.recv_report(timeout=5.0) is None
-        assert time.monotonic() - start < 1.0
-        sender.join()
-        request = master.poll_data()
-        assert request.address == 3 and request.value == 99
-        board.send_report(TimeReport(seq=1, board_ticks=5))
+
+        def board_side():
+            board.data_write(3, 99)
+            time.sleep(0.05)
+            board.send_report(TimeReport(seq=1, board_ticks=5))
+
+        sender = _after(0.05, board_side)
         assert master.recv_report(timeout=5.0).board_ticks == 5
+        sender.join()
+        assert [entry[:3] for entry in served] == [("write", 3, 99)]
 
     def test_buffered_data_frame_ends_the_wait(self, tcp_pair):
+        # Frames already read are served in arrival order before the
+        # wait polls again.
         master, board = tcp_pair
+        served = _serve_into(master)
+        _open_window(master, board)
         board.data_write(1, 10)
         board.data_write(2, 20)
-        time.sleep(0.05)  # both frames in flight before the first poll
-        request = None
-        while request is None:
-            request = master.poll_data()  # reads both frames
-        start = time.monotonic()
-        assert master.recv_report(timeout=5.0) is None
-        assert time.monotonic() - start < 1.0
-        assert master.poll_data().address == 2
+        board.send_report(TimeReport(seq=1, board_ticks=7))
+        time.sleep(0.05)  # all three frames in flight before the poll
+        assert master.recv_report(timeout=5.0).board_ticks == 7
+        assert [entry[:3] for entry in served] == [("write", 1, 10),
+                                                   ("write", 2, 20)]
 
     def test_report_still_returned(self, tcp_pair):
         master, board = tcp_pair
@@ -304,15 +333,20 @@ class TestReportWaitWakesOnData:
 
     def test_report_waits_for_the_data_sent_before_it(self, tcp_pair):
         # DATA and CLOCK are separate connections: a report must not
-        # overtake a write the board issued before it.
+        # overtake a write the board issued before it.  Here the report
+        # that counts one request reaches the master 0.1s before it.
         master, board = tcp_pair
+        served = _serve_into(master)
         _open_window(master, board)
-        board.data_write(3, 99)
-        board.send_report(TimeReport(seq=1, board_ticks=7))
-        time.sleep(0.05)  # both frames in flight before the first poll
-        assert master.recv_report(timeout=0.5) is None
-        assert master.poll_data().value == 99
+        board._conns[CLOCK_PORT].send(
+            Counted(1, TimeReport(seq=1, board_ticks=7)))
+        wait_readable(master._conns[CLOCK_PORT])
+        sender = _after(0.1, board.data_write, 3, 99)
         assert master.recv_report(timeout=5.0).board_ticks == 7
+        returned_at = time.monotonic()
+        sender.join()
+        assert [entry[:3] for entry in served] == [("write", 3, 99)]
+        assert served[0][3] <= returned_at
 
     def test_silence_still_times_out(self, tcp_pair):
         master, _board = tcp_pair
