@@ -15,12 +15,16 @@ from repro.rtos import CpuWork, RtosConfig, RtosKernel, YieldCpu
 from repro.simkernel import Clock, Event, Module, Signal, Simulator, ns
 from repro.transport import (
     ClockGrant,
+    DataRead,
+    DataReply,
     DataWrite,
+    Interrupt,
     TcpLink,
     TimeReport,
     decode,
     encode,
 )
+from repro.transport.messages import Counted
 
 
 def test_simkernel_clocked_methods(benchmark, quick, bench):
@@ -220,19 +224,30 @@ def test_checksum_throughput(benchmark, quick, bench):
 
 
 def test_codec_roundtrip_throughput(benchmark, quick, bench):
+    """Messages encoded and decoded per second: per round, one message
+    of every layout the TCP link sends, each with its own fence count
+    where the link wraps it."""
     packet = Packet.build(1, 2, 3, bytes(64))
-    message = DataWrite(seq=9, address=1, value=packet.to_bytes())
+    messages = [
+        Counted(3, ClockGrant(seq=7, ticks=200)),
+        Counted(12, TimeReport(seq=7, board_ticks=1400)),
+        Counted(4, Interrupt(vector=2, master_cycle=1234)),
+        DataRead(seq=12, address=0x10),
+        DataWrite(seq=13, address=0x14, value=1),
+        DataReply(seq=12, value=0xBEEF),
+        DataWrite(seq=14, address=0x18, value=packet.to_bytes()),
+    ]
     rounds = 10 if quick else 100
 
     def run():
         for _ in range(rounds):
-            frame = encode(message)
-            decode(frame[4:])
-        return frame
+            decoded = [decode(encode(message)[4:]) for message in messages]
+        return decoded
 
-    frame = benchmark(bench.wrap(run))
-    bench.series("codec_roundtrip", work=rounds, unit="roundtrips")
-    assert decode(frame[4:]) == message
+    decoded = benchmark(bench.wrap(run))
+    bench.series("codec_roundtrip", work=rounds * len(messages),
+                 unit="roundtrips")
+    assert decoded == messages
 
 
 def test_tcp_data_round_trip(benchmark, quick, bench):

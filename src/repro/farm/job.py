@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, Optional
 
 from repro.determinism import derive_token
-from repro.errors import FarmError, WorkloadError
+from repro.errors import FarmError, ReproError, WorkloadError
 
 #: Wire-format version tag for serialized jobs.
 JOB_SCHEMA = "repro-job/1"
@@ -60,7 +60,8 @@ class Job:
     tenant: str
     kind: str = KIND_FUZZ_CASE
     #: Kind-specific execution recipe; for ``fuzz_case``: ``spec``
-    #: (a FuzzSpec document), optional ``backends`` and ``shrink``.
+    #: (a FuzzSpec document) or ``base_seed`` and ``index`` (optional
+    #: ``scenarios``), optional ``backends`` and ``shrink``.
     payload: Dict[str, Any] = field(default_factory=dict)
     #: Higher runs first within a tenant's queue.
     priority: int = 0
@@ -197,6 +198,53 @@ def read_router_payload(payload: Dict[str, Any]):
     return workload, run
 
 
+#: The ``fuzz_case`` payload's keys: the case is an embedded ``spec``,
+#: or the one ``base_seed`` and ``index`` derive over ``scenarios``.
+_FUZZ_CASE_KEYS = ("spec", "base_seed", "index", "scenarios", "backends",
+                   "shrink")
+
+
+def read_fuzz_payload(payload: Dict[str, Any]):
+    """A ``fuzz_case`` job payload, validated: ``(spec, backends,
+    shrink)``.  The spec is read through the
+    :class:`~repro.difftest.workload.FuzzSpec` codec or generated as the
+    serial campaign would; ``backends`` is None (every backend) or a
+    list of known names.  A malformed key raises
+    :class:`~repro.errors.FarmError`."""
+    from repro.difftest.backends import check_backends
+    from repro.difftest.workload import FuzzSpec, generate_spec
+    from repro.router.testbench import check_keys, check_value
+
+    try:
+        check_keys(payload, _FUZZ_CASE_KEYS, "keys")
+        backends = _read_names(payload, "backends")
+        if backends is not None:
+            check_backends(backends)
+        shrink = check_value("shrink", payload.get("shrink", True), bool)
+        if payload.get("spec") is None:
+            spec = generate_spec(
+                check_value("base_seed", payload.get("base_seed"), int),
+                check_value("index", payload.get("index"), int, 0),
+                scenarios=_read_names(payload, "scenarios"))
+            return spec, backends, shrink
+    except ReproError as exc:
+        raise FarmError(f"fuzz_case payload: {exc}") from None
+    try:
+        return FuzzSpec.from_dict(payload["spec"]), backends, shrink
+    except WorkloadError as exc:
+        raise FarmError(f"fuzz_case payload.spec: {exc}") from None
+
+
+def _read_names(payload: Dict[str, Any], key: str):
+    """``payload[key]``, a list of names, or None when it is absent."""
+    names = payload.get(key)
+    if names is not None and not (
+            isinstance(names, list)
+            and all(isinstance(name, str) for name in names)):
+        raise WorkloadError(f"{key} must be a list of names, got {names!r}")
+    return names
+
+
 def validate_job_dict(doc: Any) -> None:
     """Raise :class:`FarmError` unless *doc* is a valid ``repro-job/1``
     document (schema-checked before any field is trusted)."""
@@ -218,7 +266,7 @@ def validate_job_dict(doc: Any) -> None:
         raise FarmError("job.payload must be an object")
     for int_field in ("priority", "seed", "windows_requested"):
         value = doc.get(int_field, 0)
-        if not isinstance(value, int):
+        if not isinstance(value, int) or isinstance(value, bool):
             raise FarmError(f"job.{int_field} must be an integer")
     state = doc.get("state", PENDING)
     if state not in STATES:
@@ -226,10 +274,5 @@ def validate_job_dict(doc: Any) -> None:
                         f"got {state!r}")
     if kind == KIND_ROUTER:
         read_router_payload(payload)
-    elif payload.get("spec") is not None:
-        from repro.difftest.workload import FuzzSpec
-
-        try:
-            FuzzSpec.from_dict(payload["spec"])
-        except WorkloadError as exc:
-            raise FarmError(f"fuzz_case payload.spec: {exc}") from None
+    else:
+        read_fuzz_payload(payload)

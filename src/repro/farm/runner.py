@@ -63,22 +63,11 @@ def execute_task(task: Dict[str, Any]) -> Dict[str, Any]:
 # ----------------------------------------------------------------------
 # fuzz_case
 # ----------------------------------------------------------------------
-def _spec_from_payload(payload: Dict[str, Any]):
-    from repro.difftest import FuzzSpec, generate_spec
-
-    spec_doc = payload.get("spec")
-    if spec_doc is not None:
-        return FuzzSpec.from_dict(dict(spec_doc))
-    return generate_spec(int(payload["base_seed"]),
-                         int(payload["index"]),
-                         scenarios=payload.get("scenarios"))
-
-
 def _run_fuzz_case(payload: Dict[str, Any]) -> Dict[str, Any]:
     from repro.difftest import analyze_failure, run_spec
+    from repro.farm.job import read_fuzz_payload
 
-    spec = _spec_from_payload(payload)
-    backends = payload.get("backends")
+    spec, backends, shrink = read_fuzz_payload(payload)
     outcomes, mismatches = run_spec(spec, backends=backends)
     result: Dict[str, Any] = {
         "ok": not mismatches,
@@ -91,7 +80,7 @@ def _run_fuzz_case(payload: Dict[str, Any]) -> Dict[str, Any]:
     }
     if mismatches:
         failure = analyze_failure(spec, outcomes, mismatches,
-                                  shrink=bool(payload.get("shrink", True)),
+                                  shrink=shrink,
                                   backends=backends)
         result["failure"] = failure_to_doc(failure)
     return result

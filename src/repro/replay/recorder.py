@@ -187,7 +187,7 @@ def validate_recording_dict(payload: dict) -> Dict[str, List[dict]]:
                         for value in summary.values())):
             raise SnapshotError(
                 f"recording final summary of {name!r} is not an object "
-                f"of integers: {str(summary)[:60]}")
+                f"of integers: {repr(summary)[:60]}")
     return boards
 
 
@@ -201,7 +201,7 @@ def _check_row(row: Any, what: str, index: int) -> None:
         if not (isinstance(pair, list) and len(pair) == 2
                 and all(isinstance(cell, int) for cell in pair)):
             raise SnapshotError(
-                f"{what} {key} is not 2 integers: {str(pair)[:60]}")
+                f"{what} {key} is not 2 integers: {repr(pair)[:60]}")
     seq, ticks = row["grant"]
     if seq != index + 1 or ticks < 1:
         raise SnapshotError(
@@ -216,7 +216,7 @@ def _check_row(row: Any, what: str, index: int) -> None:
                 and isinstance(op[2], (int, bytes))):
             raise SnapshotError(
                 f"{what} data op is not ['read'|'write', address, "
-                f"int or bytes]: {str(op)[:60]}")
+                f"int or bytes]: {repr(op)[:60]}")
 
 
 class RecordingBoardEndpoint(BoardEndpoint):

@@ -150,7 +150,7 @@ def check_int_rows(rows: Any, what: str, width: int = 0) -> None:
                 or not all(isinstance(cell, int) for cell in row)):
             shape = f"{width} integers" if width else "a list of integers"
             raise SnapshotError(
-                f"{what} row {index} is not {shape}: {str(row)[:60]}")
+                f"{what} row {index} is not {shape}: {repr(row)[:60]}")
 
 
 def canonical_json(tree: Any) -> str:

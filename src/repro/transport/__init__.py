@@ -16,7 +16,7 @@ window by window and gives a TCP link a board thread.
 """
 
 from repro.transport.channel import BoardEndpoint, LinkStats, MasterEndpoint
-from repro.transport.framing import decode, encode, frame_size
+from repro.transport.framing import decode, encode
 from repro.transport.inproc import InprocLink
 from repro.transport.latency import CycleLatencyModel, WallCostModel
 from repro.transport.messages import (
@@ -61,5 +61,4 @@ __all__ = [
     "connect_board",
     "decode",
     "encode",
-    "frame_size",
 ]

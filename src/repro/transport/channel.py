@@ -20,7 +20,7 @@ from __future__ import annotations
 from typing import Callable, Optional
 
 from repro.errors import TransportError
-from repro.transport.framing import frame_size
+from repro.transport.framing import encode
 from repro.transport.messages import (
     ClockGrant,
     Interrupt,
@@ -37,7 +37,11 @@ DataServer = Callable[[str, int, Optional[Value]], Optional[Value]]
 
 
 class LinkStats:
-    """Message/byte counters shared by both endpoints of a link."""
+    """Message/byte counters shared by both endpoints of a link.
+
+    Every message is charged the length of its encoded frame, so the
+    in-process and TCP links count the same bytes for the same run.
+    """
 
     def __init__(self) -> None:
         self.messages_sent = 0
@@ -65,9 +69,8 @@ class LinkStats:
             setattr(self, name, state[name])
 
     def account(self, message: Message, port: str) -> None:
-        """Count *message* sent on *port*, sized by
-        :func:`~repro.transport.framing.frame_size`."""
-        self.charge(port, frame_size(message))
+        """Count *message* sent on *port*, sized by its encoded frame."""
+        self.charge(port, len(encode(message)))
 
     def charge(self, port: str, size: int) -> None:
         """Count one message of *size* wire bytes sent on *port*."""
@@ -99,9 +102,6 @@ class MasterEndpoint:
         raise NotImplementedError
 
     def send_interrupt(self, interrupt: Interrupt) -> None:
-        raise NotImplementedError
-
-    def send_reply(self, seq: int, value: Value) -> None:
         raise NotImplementedError
 
     def close(self) -> None:

@@ -8,8 +8,8 @@ link's :attr:`InprocLink.data_server` callback, which the session sets
 to the master's register file, mirroring the zero-time settlement of
 ``driver_simulate``.
 
-Message and byte counts are still accounted with the real wire codec so
-the modeled wall-clock cost of a run reflects genuine frame sizes.
+Every message is still encoded with the wire codec and charged to the
+link's counters at its frame length, so both links count the same bytes.
 """
 
 from __future__ import annotations
@@ -72,11 +72,6 @@ class _InprocMaster(MasterEndpoint):
     def send_interrupt(self, interrupt: Interrupt) -> None:
         self.link.stats.account(interrupt, "int")
         self.link._interrupts.append(interrupt)
-
-    def send_reply(self, seq: int, value: Value) -> None:
-        raise TransportError(
-            "in-process links serve DATA synchronously; send_reply unused"
-        )
 
 
 class _InprocBoard(BoardEndpoint):

@@ -115,10 +115,6 @@ class _FramedSocket:
     def _error(self, what: str) -> TransportError:
         return TransportError(f"{self.port.upper()} port: {what}")
 
-    def send(self, message: Message) -> None:
-        """Encode *message* and :meth:`send_frame` it."""
-        self.send_frame(encode(message))
-
     def send_frame(self, frame: bytes) -> None:
         """Write one encoded frame, waiting for the peer to drain the
         socket for at most ``send_timeout_s`` in all."""
@@ -150,7 +146,8 @@ class _FramedSocket:
                 raise self._error(f"send failed: {exc}") from exc
 
     def recv(self, timeout: Optional[float]) -> Optional[Message]:
-        """Receive one message; None on timeout.
+        """Receive one message; None on timeout (``recv(0)`` is a
+        non-blocking poll).
 
         ``timeout`` is a wall-clock *deadline* for the whole message,
         not a per-chunk allowance: a peer dribbling partial frames
@@ -175,22 +172,6 @@ class _FramedSocket:
             if not self._wait(wait_ms):
                 return None
             self._fill()
-
-    def poll(self) -> Optional[Message]:
-        """Non-blocking receive; None if no complete frame is available."""
-        if self._rxbuf:
-            frame = self._extract_frame()
-            if frame is not None:
-                return decode(frame)
-        if not self._wait(0):
-            return None
-        self._fill()
-        frame = self._extract_frame()
-        return None if frame is None else decode(frame)
-
-    def ready(self) -> bool:
-        """True when a frame is buffered or bytes wait on the socket."""
-        return self._has_frame() or self._wait(0)
 
     def _wait(self, wait_ms: Optional[float]) -> bool:
         """Poll until this connection is readable (True) or *wait_ms*
@@ -217,12 +198,6 @@ class _FramedSocket:
         if not chunk:
             self._eof = True
         self._rxbuf.extend(chunk)
-
-    def _has_frame(self) -> bool:
-        if len(self._rxbuf) < 4:
-            return False
-        (length,) = _LEN.unpack_from(self._rxbuf, 0)
-        return len(self._rxbuf) >= 4 + length
 
     def _extract_frame(self) -> Optional[bytes]:
         if len(self._rxbuf) < 4:
@@ -439,8 +414,10 @@ class TcpMaster(MasterEndpoint):
             request = decode(frame)
             kind = type(request)
             if kind is DataRead:
-                self.send_reply(request.seq,
-                                server("read", request.address, None))
+                reply = encode(DataReply(
+                    request.seq, server("read", request.address, None)))
+                self.stats.charge("data", len(reply))
+                conn.send_frame(reply)
             elif kind is DataWrite:
                 server("write", request.address, request.value)
             else:
@@ -449,11 +426,6 @@ class TcpMaster(MasterEndpoint):
             self._data_seen = request.seq
             frame = conn._extract_frame()
         return True
-
-    def send_reply(self, seq: int, value: Value) -> None:
-        frame = encode(DataReply(seq, value))
-        self.stats.charge("data", len(frame))
-        self._data.send_frame(frame)
 
     def close(self) -> None:
         for conn in self._conns.values():
@@ -548,7 +520,7 @@ class TcpBoard(BoardEndpoint):
         # recv_grant has already read every frame fenced before the
         # grant; the socket is polled only once those are taken.
         if not self._interrupts:
-            frame = self._conns[INT_PORT].poll()
+            frame = self._conns[INT_PORT].recv(0)
             if frame is None:
                 return None
             self._take_interrupt(frame)

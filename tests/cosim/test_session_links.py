@@ -19,6 +19,7 @@ from repro.cosim import (
 from repro.devices import AcceleratorDriver, ChecksumAccelerator
 from repro.errors import ProtocolError
 from repro.router.checksum import checksum16
+from repro.router.testbench import RouterWorkload, build_router_cosim
 from repro.transport import InprocLink, TcpLink
 
 BASE, VECTOR = 0x10, 2
@@ -72,3 +73,23 @@ def test_mixed_links_refused_before_window_zero():
     slots[1].close()
     assert master.clock.cycles == 0
     assert slots[0].link.data_server is None
+
+
+@pytest.mark.parametrize("iss_timing", [False, True])
+def test_both_links_charge_the_same_counters(iss_timing):
+    """Each link charges every message its encoded frame (TCP less its
+    fence count): the same router run counts the same messages and
+    bytes on both.  The run reads and writes int and bytes values."""
+    counters = {}
+    for mode in ("inproc", "tcp"):
+        cosim = build_router_cosim(
+            CosimConfig(t_sync=200),
+            RouterWorkload(packets_per_producer=4, seed=7), mode=mode,
+            iss_timing=iss_timing)
+        try:
+            metrics = cosim.run()
+        finally:
+            cosim.close()
+        counters[mode] = (metrics.messages_total, metrics.bytes_total,
+                          metrics.int_packets, metrics.data_messages)
+    assert counters["tcp"] == counters["inproc"] == (176, 4496, 16, 112)

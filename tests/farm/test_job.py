@@ -3,8 +3,11 @@ validation."""
 
 import pytest
 
+from repro.difftest import generate_spec
 from repro.errors import FarmError
 from repro.farm import JOB_SCHEMA, Job, job_id_for, validate_job_dict
+from repro.farm.job import read_fuzz_payload
+from repro.farm.runner import execute_task
 
 
 class TestDeterministicIds:
@@ -82,6 +85,48 @@ class TestValidation:
     def test_malformed_documents_rejected(self, doc, message):
         with pytest.raises(FarmError, match=message):
             validate_job_dict(doc)
+
+    # Each of these was once accepted, queued, and failed in the worker.
+    @pytest.mark.parametrize("payload,message", [
+        ({}, "base_seed"),
+        ({"base_seed": 42}, "index"),
+        ({"base_seed": "x", "index": 0}, "base_seed"),
+        ({"base_seed": True, "index": 0}, "base_seed"),
+        ({"base_seed": 42, "index": -1}, "index"),
+        ({"base_seed": 42, "index": 0, "backends": "inproc"}, "backends"),
+        ({"base_seed": 42, "index": 0, "backends": 5}, "backends"),
+        ({"base_seed": 42, "index": 0, "backends": [1]}, "backends"),
+        ({"base_seed": 42, "index": 0, "backends": ["bogus"]},
+         "unknown difftest backend"),
+        ({"base_seed": 42, "index": 0, "scenarios": "router"}, "scenarios"),
+        ({"base_seed": 42, "index": 0, "scenarios": ["bogus"]},
+         "unknown fuzz scenario"),
+        ({"base_seed": 42, "index": 0, "shrink": "no"}, "shrink"),
+        ({"base_seed": 42, "index": 0, "shirnk": False}, "unknown keys"),
+    ])
+    def test_malformed_fuzz_case_payload_rejected(self, payload, message):
+        doc = {"tenant": "a", "kind": "fuzz_case", "payload": payload}
+        with pytest.raises(FarmError, match=message):
+            validate_job_dict(doc)
+        # The worker reads the payload the same way.
+        result = execute_task({"job": doc})
+        assert not result["ok"]
+        assert result["error"].startswith("FarmError: fuzz_case payload")
+
+    @pytest.mark.parametrize("field", ["priority", "seed",
+                                       "windows_requested"])
+    def test_bool_is_not_an_integer_field(self, field):
+        with pytest.raises(FarmError, match=field):
+            validate_job_dict({"tenant": "a", field: True})
+
+    def test_derived_fuzz_case_payload_accepted(self):
+        payload = {"base_seed": 42, "index": 3, "scenarios": ["iss"],
+                   "backends": ["iss-default"], "shrink": False}
+        validate_job_dict({"tenant": "a", "kind": "fuzz_case",
+                           "payload": payload})
+        spec, backends, shrink = read_fuzz_payload(payload)
+        assert spec == generate_spec(42, 3, scenarios=["iss"])
+        assert (backends, shrink) == (["iss-default"], False)
 
     def test_constructor_validates_too(self):
         with pytest.raises(FarmError):

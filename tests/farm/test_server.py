@@ -193,6 +193,19 @@ class TestErrorCodes:
         assert next(iter(change)) in doc["error"]
         assert client.jobs() == []
 
+    @pytest.mark.parametrize("payload,message", [
+        ({"base_seed": 42}, "index"),
+        ({"base_seed": 42, "index": 0, "backends": "inproc"}, "backends"),
+        ({"base_seed": 42, "index": 0, "shrink": "no"}, "shrink"),
+    ])
+    def test_malformed_fuzz_case_payload_400(self, served, payload,
+                                             message):
+        _farm, client = served
+        status, doc = _raw(client, _post_job("fuzz_case", payload))
+        assert status == 400
+        assert message in doc["error"]
+        assert client.jobs() == []
+
     @pytest.mark.parametrize("cursor", ["xyz", "-3"])
     def test_bad_stream_cursor_400(self, served, cursor):
         _farm, client = served

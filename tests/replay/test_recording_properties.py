@@ -120,6 +120,15 @@ class TestRecordingDocument:
         except SnapshotError:
             pass
 
+    def test_control_character_in_a_row_is_one_error_line(self):
+        # A bad cell is quoted: a raw "\x1e" once split the message
+        # into two lines.
+        doc = mutate(recording_doc(), ("boards", "board", 0, "data", 0),
+                     "\x1e", False)
+        code, lines = _replay(doc)
+        assert code == 2
+        assert len(lines) == 1 and lines[0].endswith("'\\x1e'")
+
     @settings(max_examples=60, deadline=None)
     @given(mutation=mutations, bisect=st.booleans())
     def test_replay_of_any_mutation_exits_0_1_or_2(self, mutation, bisect):

@@ -7,7 +7,7 @@ import time
 import pytest
 
 from repro.errors import TransportError
-from repro.transport import ClockGrant, Interrupt
+from repro.transport import ClockGrant, Interrupt, encode
 from repro.transport.messages import CLOCK_PORT, INT_PORT
 from repro.transport.tcp import TcpLinkServer, connect_board
 
@@ -47,7 +47,8 @@ class TestInterruptFence:
 
         master, board = pair
         # A grant that counts an interrupt which was never sent.
-        master._conns[CLOCK_PORT].send(Counted(1, ClockGrant(1, 5)))
+        master._conns[CLOCK_PORT].send_frame(
+            encode(Counted(1, ClockGrant(1, 5))))
         start = time.monotonic()
         with pytest.raises(TransportError, match="never arrived"):
             board.recv_grant(timeout=30)
@@ -63,8 +64,8 @@ class TestInterruptFence:
         assert board.poll_interrupt() == Interrupt(1, 3)
         # Frame 1 again where frame 2 is due: nothing redelivers on
         # this link, so a repeat is a fault, not a duplicate to drop.
-        master._conns[INT_PORT].send(Counted(1, Interrupt(1, 3)))
-        master._conns[INT_PORT].send(Counted(2, Interrupt(1, 9)))
+        for frame in (Counted(1, Interrupt(1, 3)), Counted(2, Interrupt(1, 9))):
+            master._conns[INT_PORT].send_frame(encode(frame))
         master._interrupts_sent = 2
         master.send_grant(ClockGrant(seq=2, ticks=5))
         with pytest.raises(TransportError,

@@ -1,7 +1,6 @@
 """Property-based tests for the wire codec (requires hypothesis)."""
 
 import struct
-from unittest import mock
 
 import pytest
 
@@ -10,13 +9,12 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from repro.errors import TransportError  # noqa: E402
-from repro.transport import framing  # noqa: E402
 from repro.transport.framing import (  # noqa: E402
+    COUNTED_OVERHEAD,
     LENGTH_PREFIX_SIZE,
     MAX_FRAME_SIZE,
     decode,
     encode,
-    frame_size,
 )
 from repro.transport.messages import (  # noqa: E402
     ClockGrant,
@@ -41,6 +39,8 @@ messages = st.one_of(
     st.builds(DataWrite, seq=i64, address=i64, value=values),
     st.builds(DataReply, seq=i64, value=values),
 )
+#: Every layout bare, and wrapped in a counted frame as TCP sends it.
+framed = st.one_of(messages, st.builds(Counted, count=i64, message=messages))
 
 
 def body_of(frame: bytes) -> bytes:
@@ -49,19 +49,25 @@ def body_of(frame: bytes) -> bytes:
 
 
 class TestRoundTrip:
-    @given(message=messages)
+    @given(message=framed)
     def test_encode_decode_round_trips(self, message):
         assert decode(body_of(encode(message))) == message
 
-    @given(message=messages)
+    @given(message=framed)
     def test_length_prefix_matches_body(self, message):
         frame = encode(message)
         (length,) = struct.unpack(">I", frame[:LENGTH_PREFIX_SIZE])
         assert length == len(frame) - LENGTH_PREFIX_SIZE
         assert length <= MAX_FRAME_SIZE
-        assert frame_size(message) == len(frame)
 
-    @given(message=messages)
+    @given(message=messages, count=i64)
+    def test_counted_frame_is_its_head_and_the_wrapped_body(self, message,
+                                                           count):
+        bare, wrapped = encode(message), encode(Counted(count, message))
+        assert len(wrapped) == len(bare) + COUNTED_OVERHEAD
+        assert body_of(wrapped)[COUNTED_OVERHEAD:] == body_of(bare)
+
+    @given(message=framed)
     def test_encoding_is_deterministic(self, message):
         assert encode(message) == encode(message)
 
@@ -158,53 +164,50 @@ loose_messages = st.one_of(
 )
 
 
-def encode_outcome(function, message):
-    """``("ok", size)`` or ``("error", type, text)`` of one call."""
-    try:
-        return ("ok", len(function(message)) if function is encode
-                else function(message))
-    except Exception as exc:  # noqa: BLE001 - the error is the outcome
-        return ("error", type(exc), str(exc))
-
-
 class TestFrameSize:
-    """``frame_size`` counts without encoding, and agrees with ``encode``."""
-
-    @given(message=st.one_of(
-        messages,
-        st.builds(Counted, count=i64, message=messages),
-    ))
-    def test_size_matches_encoded_length(self, message):
-        expected = len(encode(message))
-        # Counting never builds the frame.
-        with mock.patch.object(framing, "_encode",
-                               side_effect=AssertionError("encoded")):
-            assert frame_size(message) == expected
-
-    @given(message=st.one_of(
-        loose_messages,
-        st.builds(Counted, count=anything, message=loose_messages),
-        st.builds(Counted, count=i64,
-                  message=st.builds(Counted, count=i64, message=messages)),
-    ))
-    def test_refuses_what_encode_refuses(self, message):
-        assert encode_outcome(frame_size, message) \
-            == encode_outcome(encode, message)
+    """``encode`` refuses a frame over ``MAX_FRAME_SIZE`` and a message
+    the wire cannot carry, always with the codec's own error type."""
 
     @pytest.mark.parametrize("size", [MAX_FRAME_SIZE - 10, MAX_FRAME_SIZE])
     def test_frame_size_limit(self, size):
         # A DataReply body is 1 + 8 + 5 bytes around the value.
         message = DataReply(seq=0, value=bytes(size - 14))
-        assert encode_outcome(frame_size, message) \
-            == encode_outcome(encode, message)
+        assert len(encode(message)) == LENGTH_PREFIX_SIZE + size
         wrapped = Counted(count=1, message=message)
-        assert encode_outcome(frame_size, wrapped) \
-            == encode_outcome(encode, wrapped)
+        if size + COUNTED_OVERHEAD <= MAX_FRAME_SIZE:
+            assert len(encode(wrapped)) \
+                == LENGTH_PREFIX_SIZE + COUNTED_OVERHEAD + size
+        else:
+            with pytest.raises(TransportError, match="frame too large"):
+                encode(wrapped)
+
+    def test_one_byte_over_the_limit(self):
+        # A DataWrite body is 1 + 8 + 8 + 5 bytes around the value.
+        message = DataWrite(seq=0, address=0,
+                            value=bytearray(MAX_FRAME_SIZE - 21))
+        with pytest.raises(TransportError, match="frame too large"):
+            encode(message)
+
+    @given(message=st.one_of(
+        loose_messages,
+        st.builds(Counted, count=anything, message=loose_messages),
+    ))
+    def test_loose_fields_encode_or_raise_transport_error(self, message):
+        try:
+            frame = encode(message)
+        except TransportError as exc:
+            assert str(exc).startswith("cannot encode")
+            return
+        assert decode(body_of(frame)) is not None
 
     def test_unencodable_values_raise_transport_error(self):
-        for message in (ClockGrant(seq=1 << 63, ticks=0),
-                        DataReply(seq=0, value="text"),
-                        Counted(count=0, message=Counted(
-                            count=0, message=ClockGrant(0, 0)))):
-            with pytest.raises(TransportError):
-                frame_size(message)
+        for message, text in (
+                (ClockGrant(seq=1 << 63, ticks=0), "cannot encode"),
+                (DataReply(seq=0, value="text"),
+                 "cannot encode value of type str"),
+                (Counted(count=0, message=Counted(
+                    count=0, message=ClockGrant(0, 0))), "cannot encode"),
+                (DataReply, "cannot encode"),
+                (TimeReport(seq=0, board_ticks=0.5), "cannot encode")):
+            with pytest.raises(TransportError, match=text):
+                encode(message)

@@ -48,10 +48,14 @@ class TestPorts:
         link.board.data_write(0, 99)
         assert registers[0] == 99
 
-    def test_master_send_reply_unused(self):
+    def test_unencodable_write_raises_the_codec_error(self):
+        # The link charges each message its encoded frame, so a value
+        # the wire cannot carry fails here as it would over TCP.
         link = InprocLink()
-        with pytest.raises(TransportError):
-            link.master.send_reply(1, 2)
+        link.data_server = lambda op, a, v: None
+        with pytest.raises(TransportError,
+                           match="cannot encode value of type object"):
+            link.board.data_write(0, object())
 
 
 class TestStats:

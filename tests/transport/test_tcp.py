@@ -43,10 +43,7 @@ def tcp_socket_pair():
 
 def wait_readable(framed, timeout=5.0):
     """Wait until bytes are waiting on *framed*, without reading them."""
-    deadline = time.monotonic() + timeout
-    while not framed.ready():
-        assert time.monotonic() < deadline, "no bytes arrived"
-        time.sleep(0.001)
+    assert framed._wait(timeout * 1e3), "no bytes arrived"
 
 
 @pytest.fixture
@@ -338,8 +335,8 @@ class TestReportWaitWakesOnData:
         master, board = tcp_pair
         served = _serve_into(master)
         _open_window(master, board)
-        board._conns[CLOCK_PORT].send(
-            Counted(1, TimeReport(seq=1, board_ticks=7)))
+        board._conns[CLOCK_PORT].send_frame(
+            encode(Counted(1, TimeReport(seq=1, board_ticks=7))))
         wait_readable(master._conns[CLOCK_PORT])
         sender = _after(0.1, board.data_write, 3, 99)
         assert master.recv_report(timeout=5.0).board_ticks == 7
@@ -385,7 +382,7 @@ class TestFramedSocket:
         framed = _FramedSocket(server, DATA_PORT)
         try:
             framed.sock.settimeout(1.5)
-            assert framed.poll() is None
+            assert framed.recv(0) is None
             assert framed.sock.gettimeout() == 1.5
             # And a message still comes through afterwards.
             client.sendall(encode(ClockGrant(seq=1, ticks=2)))
@@ -437,7 +434,7 @@ class TestFramedSocket:
         try:
             client.sendall(wire[:5])
             time.sleep(0.02)
-            assert framed.poll() is None  # half a frame is buffered
+            assert framed.recv(0) is None  # half a frame is buffered
             client.sendall(wire[5:])
             assert framed.recv(timeout=2.0) == ClockGrant(seq=3, ticks=40)
         finally:
@@ -452,9 +449,8 @@ class TestFramedSocket:
             client.sendall(b"".join(encode(grant) for grant in grants))
             assert framed.recv(timeout=2.0) == grants[0]
             # The other two come out one poll each, in order.
-            assert framed.ready()
-            assert [framed.poll(), framed.poll()] == grants[1:]
-            assert framed.poll() is None
+            assert [framed.recv(0), framed.recv(0)] == grants[1:]
+            assert framed.recv(0) is None
         finally:
             client.close()
             framed.close()
@@ -468,7 +464,7 @@ class TestFramedSocket:
             with pytest.raises(TransportError,
                                match="DATA port: peer closed"):
                 while time.monotonic() < deadline:
-                    framed.poll()
+                    framed.recv(0)
         finally:
             framed.close()
 
@@ -481,12 +477,12 @@ class TestFramedSocket:
         try:
             with pytest.raises(TransportError,
                                match="DATA port: connection is closed"):
-                framed.poll()
+                framed.recv(0)
             with pytest.raises(TransportError,
                                match="DATA port: connection is closed"):
                 framed.recv(timeout=0.05)
             with pytest.raises(TransportError, match="DATA port: send"):
-                framed.send(ClockGrant(seq=1, ticks=2))
+                framed.send_frame(encode(ClockGrant(seq=1, ticks=2)))
         finally:
             client.close()
 
@@ -517,7 +513,7 @@ class TestSendDeadline:
             start = time.monotonic()
             with pytest.raises(TransportError, match="did not drain"):
                 for _ in range(64):
-                    framed.send(self.BIG)
+                    framed.send_frame(encode(self.BIG))
             elapsed = time.monotonic() - start
             assert 0.2 <= elapsed < 2.0
         finally:
@@ -545,7 +541,7 @@ class TestSendDeadline:
         reader.start()
         try:
             assert framed.recv(timeout=0.001) is None
-            framed.send(self.BIG)
+            framed.send_frame(wire)
             reader.join(timeout=5)
             assert bytes(received) == wire
         finally:
