@@ -10,8 +10,9 @@ pytest harness.
 
 from __future__ import annotations
 
+import statistics
 import time
-from typing import Any, Callable, Optional
+from typing import Any, Callable, List, Optional
 
 from repro.bench import BenchReport, env_fingerprint
 
@@ -20,7 +21,7 @@ class BenchRecorder:
     """Collects one harness module's series and timing.
 
     ``measure``/``wrap`` are the single timing source for the JSON
-    trajectory: they clock exactly one invocation of the workload with
+    trajectory: they clock each invocation of the workload with
     ``perf_counter`` regardless of what pytest-benchmark does around
     it, so the numbers mean the same thing under ``--benchmark-only``,
     ``--benchmark-disable`` and ``repro bench``.
@@ -31,23 +32,35 @@ class BenchRecorder:
                                   env=env_fingerprint())
         #: Seconds of the most recent ``measure``/``wrap`` invocation.
         self.last_seconds: float = 0.0
+        #: Seconds of every call of the latest ``wrap`` callable, since
+        #: the latest ``measure``.
+        self.calls: List[float] = []
 
     # ------------------------------------------------------------------
     # Timing
     # ------------------------------------------------------------------
-    def measure(self, fn: Callable, *args: Any, **kwargs: Any) -> Any:
-        """Run *fn* once, remembering its wall time."""
+    def _time(self, fn: Callable, *args: Any, **kwargs: Any) -> Any:
         start = time.perf_counter()
         result = fn(*args, **kwargs)
         self.last_seconds = time.perf_counter() - start
         return result
 
+    def measure(self, fn: Callable, *args: Any, **kwargs: Any) -> Any:
+        """Run *fn* once, remembering its wall time as
+        ``last_seconds``."""
+        self.calls = []
+        return self._time(fn, *args, **kwargs)
+
     def wrap(self, fn: Callable) -> Callable:
-        """A callable that times every invocation (last one wins) —
-        hand this to pytest-benchmark so both clocks see the same run."""
+        """A callable that times every invocation into ``calls`` —
+        hand this to pytest-benchmark so both clocks see the same
+        runs."""
+        calls = self.calls = []
 
         def timed(*args: Any, **kwargs: Any) -> Any:
-            return self.measure(fn, *args, **kwargs)
+            result = self._time(fn, *args, **kwargs)
+            calls.append(self.last_seconds)
+            return result
 
         return timed
 
@@ -61,9 +74,12 @@ class BenchRecorder:
     def series(self, key: str, seconds: Optional[float] = None, *,
                work: Optional[float] = None, unit: str = "ops",
                tier1: bool = False, **extra: Any) -> None:
-        """Record one measured series (defaults to the last timing)."""
+        """Record one measured series.  *seconds* defaults to the
+        median of the wrapped callable's calls, or to the last
+        ``measure`` when nothing was wrapped since."""
         if seconds is None:
-            seconds = self.last_seconds
+            seconds = (statistics.median(self.calls) if self.calls
+                       else self.last_seconds)
         self.report.add_series(key, seconds, work=work, unit=unit,
                                tier1=tier1, **extra)
 

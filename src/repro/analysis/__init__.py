@@ -1,57 +1,21 @@
 """Experiment harnesses for the paper's evaluation section."""
 
-from repro.analysis.accuracy import Figure7Result, expected_knee, figure7_accuracy
-from repro.analysis.calibration import (
-    CalibrationResult,
-    CalibrationSample,
-    calibrate,
-    fit_samples,
-    measure_samples,
-)
-from repro.analysis.latency import LatencyPoint, latency_vs_t_sync, percentile
-from repro.analysis.optimal import (
-    MeritPoint,
-    OptimalResult,
-    find_optimal_t_sync,
-)
-from repro.analysis.overhead import (
-    Figure5Result,
-    Figure6Result,
-    figure5_time_vs_packets,
-    figure6_overhead_ratio,
-)
-from repro.analysis.report import (
-    format_float,
-    format_percent,
-    format_series,
-    format_table,
-)
-from repro.analysis.sweep import SweepPoint, run_point, sweep_t_sync
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "CalibrationResult",
-    "CalibrationSample",
-    "Figure5Result",
-    "Figure6Result",
-    "Figure7Result",
-    "LatencyPoint",
-    "MeritPoint",
-    "OptimalResult",
-    "SweepPoint",
-    "calibrate",
-    "expected_knee",
-    "figure5_time_vs_packets",
-    "figure6_overhead_ratio",
-    "figure7_accuracy",
-    "find_optimal_t_sync",
-    "fit_samples",
-    "format_float",
-    "format_percent",
-    "format_series",
-    "format_table",
-    "latency_vs_t_sync",
-    "measure_samples",
-    "percentile",
-    "run_point",
-    "sweep_t_sync",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "accuracy": ("Figure7Result", "expected_knee", "figure7_accuracy"),
+    "calibration": (
+        "CalibrationResult", "CalibrationSample", "calibrate", "fit_samples",
+        "measure_samples",
+    ),
+    "latency": ("LatencyPoint", "latency_vs_t_sync", "percentile"),
+    "optimal": ("MeritPoint", "OptimalResult", "find_optimal_t_sync"),
+    "overhead": (
+        "Figure5Result", "Figure6Result", "figure5_time_vs_packets",
+        "figure6_overhead_ratio",
+    ),
+    "report": (
+        "format_float", "format_percent", "format_series", "format_table",
+    ),
+    "sweep": ("SweepPoint", "run_point", "sweep_t_sync"),
+})

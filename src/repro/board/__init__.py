@@ -1,37 +1,15 @@
 """The embedded board model (SCM2x0 substitute)."""
 
-from repro.board.board import (
-    Board,
-    BoardConfig,
-    DEVICE_WINDOW_BASE,
-    DEVICE_WINDOW_SIZE,
-    RAM_BASE,
-    RAM_SIZE,
-    REMOTE_DEVICE_VECTOR,
-    TIMER_BASE,
-    TIMER_VECTOR,
-)
-from repro.board.bus import Bus, BusError, BusRegion
-from repro.board.cpu import CpuModel, WorkModel
-from repro.board.memory import Memory, MemoryError_
-from repro.board.timer import HardwareTimer
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "Board",
-    "BoardConfig",
-    "Bus",
-    "BusError",
-    "BusRegion",
-    "CpuModel",
-    "DEVICE_WINDOW_BASE",
-    "DEVICE_WINDOW_SIZE",
-    "HardwareTimer",
-    "Memory",
-    "MemoryError_",
-    "RAM_BASE",
-    "RAM_SIZE",
-    "REMOTE_DEVICE_VECTOR",
-    "TIMER_BASE",
-    "TIMER_VECTOR",
-    "WorkModel",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "board": (
+        "Board", "BoardConfig", "DEVICE_WINDOW_BASE", "DEVICE_WINDOW_SIZE",
+        "RAM_BASE", "RAM_SIZE", "REMOTE_DEVICE_VECTOR", "TIMER_BASE",
+        "TIMER_VECTOR",
+    ),
+    "bus": ("Bus", "BusError", "BusRegion"),
+    "cpu": ("CpuModel", "WorkModel"),
+    "memory": ("Memory", "MemoryError_"),
+    "timer": ("HardwareTimer",),
+})

@@ -41,12 +41,14 @@ from repro.errors import WorkloadError
 
 def _cmd_run(args: argparse.Namespace) -> int:
     from repro.analysis import format_percent, format_table
-    from repro.cosim import AdaptivePolicy, CosimConfig, ProtocolTrace
+    from repro.cosim import CosimConfig, ProtocolTrace
     from repro.router.testbench import build_router_cosim
 
     workload = _workload_from_args(args)
     adaptive = None
     if args.adaptive:
+        from repro.cosim.adaptive import AdaptivePolicy
+
         adaptive = AdaptivePolicy(
             min_t_sync=max(1, args.t_sync // 8),
             max_t_sync=args.t_sync * 8,

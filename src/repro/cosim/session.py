@@ -55,20 +55,21 @@ from __future__ import annotations
 import contextlib
 import threading
 import time
-from typing import Callable, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Optional, Sequence
 
-from repro.cosim.adaptive import AdaptiveController, AdaptivePolicy
 from repro.cosim.board_runtime import CosimBoardRuntime
 from repro.cosim.config import CosimConfig
 from repro.cosim.master import CosimMaster
 from repro.cosim.metrics import CosimMetrics
-from repro.cosim.optimistic import Speculator, speculation_refusals
 from repro.cosim.protocol import make_shutdown
 from repro.errors import ProtocolError, ReproError, TransportError
 from repro.obs.recorder import install_recorder, make_recorder
 from repro.replay.snapshot import SnapshotError, require_keys
 from repro.transport.channel import LinkStats
 from repro.transport.inproc import InprocLink
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.cosim.adaptive import AdaptivePolicy
 
 DoneFn = Callable[[], bool]
 
@@ -191,6 +192,10 @@ class CosimSession:
         self._committed_board = None
         for slot in self.slots:
             slot.link.data_server = master.serve_data
+        if config.speculation_depth > 0:
+            # Compiled here, where the session is configured to
+            # speculate, rather than inside a timed run().
+            import repro.cosim.optimistic  # noqa: F401
 
     def attach_trace(self, trace) -> None:
         """Record every window into *trace* (a ProtocolTrace)."""
@@ -208,6 +213,8 @@ class CosimSession:
         and the next budget shrinks after activity and grows after
         quiet windows.  The controller joins the checkpoint as
         ``extra/adaptive_controller``."""
+        from repro.cosim.adaptive import AdaptiveController, AdaptivePolicy
+
         controller = AdaptiveController(policy or AdaptivePolicy())
         self.register_snapshotable("adaptive_controller", controller)
         self.controller = controller
@@ -359,13 +366,15 @@ class CosimSession:
             raise ProtocolError(
                 "need max_cycles, max_windows, and/or a done() condition"
             )
-        refusals = speculation_refusals(self)
-        if refusals:
-            raise ProtocolError(refusals[0])
-        if self.config.speculation_depth > 0 and done is None:
-            step = Speculator(self)
-        else:
-            step = self._simulate_window
+        step = self._simulate_window
+        if self.config.speculation_depth > 0:
+            from repro.cosim.optimistic import Speculator, speculation_refusals
+
+            refusals = speculation_refusals(self)
+            if refusals:
+                raise ProtocolError(refusals[0])
+            if done is None:
+                step = Speculator(self)
         metrics = self._new_metrics()
         with self._serving(metrics):
             while self._should_continue(metrics.windows, done, max_cycles,

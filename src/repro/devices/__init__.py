@@ -14,15 +14,10 @@ RTL exists.  The register map of every peripheral is relocatable — pass
 ``base`` to place it in the driver address space.
 """
 
-from repro.devices.accelerator import AcceleratorDriver, ChecksumAccelerator
-from repro.devices.gpio import GpioBank, GpioDriver
-from repro.devices.uart import UartDevice, UartDriver
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "AcceleratorDriver",
-    "ChecksumAccelerator",
-    "GpioBank",
-    "GpioDriver",
-    "UartDevice",
-    "UartDriver",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "accelerator": ("AcceleratorDriver", "ChecksumAccelerator"),
+    "gpio": ("GpioBank", "GpioDriver"),
+    "uart": ("UartDevice", "UartDriver"),
+})

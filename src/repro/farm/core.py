@@ -41,6 +41,7 @@ from repro.farm.job import (
     PENDING,
     RUNNING,
     Job,
+    read_payload,
 )
 from repro.farm.pool import EVENT_DONE, WorkerPool
 from repro.farm.scheduler import Scheduler, TenantQuota
@@ -160,7 +161,9 @@ class Farm:
         """Admit *job*; raises :class:`repro.errors.QuotaExceeded` when
         the tenant's window budget is blown.  Resubmitting a job id
         that already exists returns the existing job (idempotent
-        retry — job ids are deterministic)."""
+        retry — job ids are deterministic).  A malformed payload raises
+        :class:`FarmError` and queues nothing."""
+        read_payload(job.kind, job.payload)
         with self._cond:
             if not self._started or self._stop:
                 raise FarmError("farm is not accepting jobs")

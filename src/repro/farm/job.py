@@ -245,6 +245,15 @@ def _read_names(payload: Dict[str, Any], key: str):
     return names
 
 
+def read_payload(kind: str, payload: Dict[str, Any]) -> None:
+    """Raise :class:`FarmError` unless *payload* is a valid payload of
+    a *kind* job, read by the same reader its worker runs."""
+    if kind == KIND_ROUTER:
+        read_router_payload(payload)
+    else:
+        read_fuzz_payload(payload)
+
+
 def validate_job_dict(doc: Any) -> None:
     """Raise :class:`FarmError` unless *doc* is a valid ``repro-job/1``
     document (schema-checked before any field is trusted)."""
@@ -272,7 +281,4 @@ def validate_job_dict(doc: Any) -> None:
     if state not in STATES:
         raise FarmError(f"job.state must be one of {list(STATES)}, "
                         f"got {state!r}")
-    if kind == KIND_ROUTER:
-        read_router_payload(payload)
-    else:
-        read_fuzz_payload(payload)
+    read_payload(kind, payload)

@@ -1,40 +1,16 @@
 """A small RISC instruction-set simulator with timing annotations."""
 
-from repro.iss.assembler import Assembler, assemble
-from repro.iss.cpu import IssCpu
-from repro.iss.isa import Instruction, NUM_REGS, Program
-from repro.iss.rtos_bridge import IssChecksumVerifier, run_program
-from repro.iss.programs import (
-    CHECKSUM_ASM,
-    FIBONACCI_ASM,
-    MEMCPY_ASM,
-    checksum_program,
-    fibonacci_program,
-    memcpy_program,
-    run_checksum,
-    run_fibonacci,
-    run_memcpy,
-)
-from repro.iss.timing import DEFAULT_CYCLES, TimingModel
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "Assembler",
-    "CHECKSUM_ASM",
-    "DEFAULT_CYCLES",
-    "FIBONACCI_ASM",
-    "Instruction",
-    "IssChecksumVerifier",
-    "IssCpu",
-    "MEMCPY_ASM",
-    "NUM_REGS",
-    "Program",
-    "TimingModel",
-    "assemble",
-    "checksum_program",
-    "fibonacci_program",
-    "memcpy_program",
-    "run_checksum",
-    "run_fibonacci",
-    "run_memcpy",
-    "run_program",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "assembler": ("Assembler", "assemble"),
+    "cpu": ("IssCpu",),
+    "isa": ("Instruction", "NUM_REGS", "Program"),
+    "rtos_bridge": ("IssChecksumVerifier", "run_program"),
+    "programs": (
+        "CHECKSUM_ASM", "FIBONACCI_ASM", "MEMCPY_ASM", "checksum_program",
+        "fibonacci_program", "memcpy_program", "run_checksum", "run_fibonacci",
+        "run_memcpy",
+    ),
+    "timing": ("DEFAULT_CYCLES", "TimingModel"),
+})

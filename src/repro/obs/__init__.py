@@ -18,40 +18,16 @@ Exporters live in :mod:`repro.obs.export`: Chrome ``trace_event`` JSON
 See ``docs/OBSERVABILITY.md`` for the span model and schemas.
 """
 
-from repro.obs.export import (
-    CSV_HEADER,
-    render_text_report,
-    to_chrome_trace,
-    to_csv_text,
-    validate_chrome_trace,
-    write_csv,
-)
-from repro.obs.recorder import (
-    NULL_RECORDER,
-    EventRecord,
-    NullRecorder,
-    SpanRecord,
-    TracingConfig,
-    TracingRecorder,
-    deterministic_view,
-    install_recorder,
-    make_recorder,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "CSV_HEADER",
-    "EventRecord",
-    "NULL_RECORDER",
-    "NullRecorder",
-    "SpanRecord",
-    "TracingConfig",
-    "TracingRecorder",
-    "deterministic_view",
-    "install_recorder",
-    "make_recorder",
-    "render_text_report",
-    "to_chrome_trace",
-    "to_csv_text",
-    "validate_chrome_trace",
-    "write_csv",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "export": (
+        "CSV_HEADER", "render_text_report", "to_chrome_trace", "to_csv_text",
+        "validate_chrome_trace", "write_csv",
+    ),
+    "recorder": (
+        "NULL_RECORDER", "EventRecord", "NullRecorder", "SpanRecord",
+        "TracingConfig", "TracingRecorder", "deterministic_view",
+        "install_recorder", "make_recorder",
+    ),
+})

@@ -19,84 +19,27 @@ CLI entry points: ``repro record``, ``repro replay``,
 ``repro checkpoint``.
 """
 
-from repro.replay.checkpoint import (
-    CHECKPOINT_SCHEMA,
-    Checkpoint,
-    CheckpointDivergence,
-    Checkpointer,
-    capture_checkpoint,
-    restore_session,
-    validate_checkpoint_dict,
-    verify_against,
-)
-from repro.replay.recorder import (
-    OP_READ,
-    OP_WRITE,
-    RECORDING_SCHEMA,
-    RecordingBoardEndpoint,
-    SessionRecording,
-    board_state_summary,
-    project_trace,
-    validate_recording_dict,
-)
-from repro.replay.replayer import (
-    DivergenceReport,
-    ReplayBoardEndpoint,
-    ReplayDivergence,
-    ReplayResult,
-    find_divergence,
-    replay_recording,
-)
-from repro.replay.snapshot import (
-    BYTES_KEY,
-    AttrSnapshot,
-    SnapshotError,
-    Snapshotable,
-    canonical_json,
-    decode_tree,
-    diff_trees,
-    encode_tree,
-    is_snapshotable,
-    missing_snapshotables,
-    plain_copy,
-    require_keys,
-    state_digest,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "AttrSnapshot",
-    "BYTES_KEY",
-    "CHECKPOINT_SCHEMA",
-    "Checkpoint",
-    "CheckpointDivergence",
-    "Checkpointer",
-    "DivergenceReport",
-    "OP_READ",
-    "OP_WRITE",
-    "RECORDING_SCHEMA",
-    "RecordingBoardEndpoint",
-    "ReplayBoardEndpoint",
-    "ReplayDivergence",
-    "ReplayResult",
-    "SessionRecording",
-    "SnapshotError",
-    "Snapshotable",
-    "board_state_summary",
-    "canonical_json",
-    "capture_checkpoint",
-    "decode_tree",
-    "diff_trees",
-    "encode_tree",
-    "find_divergence",
-    "is_snapshotable",
-    "missing_snapshotables",
-    "plain_copy",
-    "project_trace",
-    "replay_recording",
-    "require_keys",
-    "restore_session",
-    "state_digest",
-    "validate_checkpoint_dict",
-    "validate_recording_dict",
-    "verify_against",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "checkpoint": (
+        "CHECKPOINT_SCHEMA", "Checkpoint", "CheckpointDivergence",
+        "Checkpointer", "capture_checkpoint", "restore_session",
+        "validate_checkpoint_dict", "verify_against",
+    ),
+    "recorder": (
+        "OP_READ", "OP_WRITE", "RECORDING_SCHEMA", "RecordingBoardEndpoint",
+        "SessionRecording", "board_state_summary", "project_trace",
+        "validate_recording_dict",
+    ),
+    "replayer": (
+        "DivergenceReport", "ReplayBoardEndpoint", "ReplayDivergence",
+        "ReplayResult", "find_divergence", "replay_recording",
+    ),
+    "snapshot": (
+        "BYTES_KEY", "AttrSnapshot", "SnapshotError", "Snapshotable",
+        "canonical_json", "decode_tree", "diff_trees", "encode_tree",
+        "is_snapshotable", "missing_snapshotables", "plain_copy",
+        "require_keys", "state_digest",
+    ),
+})

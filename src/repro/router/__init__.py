@@ -1,49 +1,20 @@
 """The Section 6 case study: a 4-port packet router with a board-side
 checksum application."""
 
-from repro.router.app import ChecksumApp, install_checksum_app
-from repro.router.buffer import PacketBuffer
-from repro.router.checksum import IncrementalChecksum, checksum16, verify16
-from repro.router.consumer import Consumer
-from repro.router.driver import RouterDriver
-from repro.router.packet import CHECKSUM_SIZE, HEADER_SIZE, Packet, PacketError
-from repro.router.producer import Producer
-from repro.router.router import (
-    NUM_PORTS,
-    REG_PACKET,
-    REG_STATS,
-    REG_STATUS,
-    REG_VERDICT,
-    Router,
-    VERDICT_BAD,
-    VERDICT_OK,
-)
-from repro.router.routing_table import RoutingError, RoutingTable
-from repro.router.stats import WorkloadStats
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "CHECKSUM_SIZE",
-    "ChecksumApp",
-    "Consumer",
-    "HEADER_SIZE",
-    "IncrementalChecksum",
-    "NUM_PORTS",
-    "Packet",
-    "PacketBuffer",
-    "PacketError",
-    "Producer",
-    "REG_PACKET",
-    "REG_STATS",
-    "REG_STATUS",
-    "REG_VERDICT",
-    "Router",
-    "RouterDriver",
-    "RoutingError",
-    "RoutingTable",
-    "VERDICT_BAD",
-    "VERDICT_OK",
-    "WorkloadStats",
-    "checksum16",
-    "install_checksum_app",
-    "verify16",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "app": ("ChecksumApp", "install_checksum_app"),
+    "buffer": ("PacketBuffer",),
+    "checksum": ("IncrementalChecksum", "checksum16", "verify16"),
+    "consumer": ("Consumer",),
+    "driver": ("RouterDriver",),
+    "packet": ("CHECKSUM_SIZE", "HEADER_SIZE", "Packet", "PacketError"),
+    "producer": ("Producer",),
+    "router": (
+        "NUM_PORTS", "REG_PACKET", "REG_STATS", "REG_STATUS", "REG_VERDICT",
+        "Router", "VERDICT_BAD", "VERDICT_OK",
+    ),
+    "routing_table": ("RoutingError", "RoutingTable"),
+    "stats": ("WorkloadStats",),
+})

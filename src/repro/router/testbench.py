@@ -15,7 +15,7 @@ plugin (:mod:`repro.fmi`) mounted in its place.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field, fields
-from typing import Any, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, List, Optional, Tuple
 
 from repro.board.board import Board, BoardConfig
 from repro.cosim.board_runtime import CosimBoardRuntime
@@ -40,9 +40,10 @@ from repro.router.routing_table import RoutingTable
 from repro.router.stats import WorkloadStats
 from repro.simkernel.clock import Clock
 from repro.simkernel.driver_ext import DriverSimulator
-from repro.transport.faults import FaultPlan, FaultyBoardEndpoint
 from repro.transport.inproc import InprocLink
-from repro.transport.tcp import TcpLink
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.transport.faults import FaultPlan
 
 INPROC = "inproc"
 TCP = "tcp"
@@ -317,11 +318,14 @@ def build_router_cosim(
     board_config = board_config or BoardConfig()
 
     # ------------------------------------------------------------------
-    # Transport
+    # Transport (an optional feature's module is imported where it is
+    # configured, so a run compiles only what it executes)
     # ------------------------------------------------------------------
     if mode == INPROC:
         link = InprocLink()
     elif mode == TCP:
+        from repro.transport.tcp import TcpLink
+
         link = TcpLink()
     else:
         raise ProtocolError(f"unknown transport mode {mode!r}")
@@ -340,6 +344,8 @@ def _assemble(link, config: CosimConfig, workload: RouterWorkload,
     """The rest of :func:`build_router_cosim`, over an open *link*."""
     board_ep = link.board
     if fault_plan is not None:
+        from repro.transport.faults import FaultyBoardEndpoint
+
         board_ep = FaultyBoardEndpoint(board_ep, fault_plan)
 
     if recorder is not None:

@@ -12,55 +12,19 @@ Public surface::
     )
 """
 
-from repro.rtos.alarm import Alarm, AlarmQueue
-from repro.rtos.config import RtosConfig
-from repro.rtos.devices import Device, DeviceTable, immediate
-from repro.rtos.interrupts import ISR_CALL_DSR, ISR_HANDLED, InterruptController
-from repro.rtos.kernel import IDLE, NORMAL, RtosKernel
-from repro.rtos.scheduler import MlqScheduler
-from repro.rtos.sync import Flag, Mailbox, Mutex, Semaphore, Waitable
-from repro.rtos.syscalls import (
-    CpuWork,
-    ExitThread,
-    GetTime,
-    Join,
-    SetPriority,
-    Sleep,
-    SleepUntil,
-    Suspend,
-    Syscall,
-    YieldCpu,
-)
-from repro.rtos.thread import Thread
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "Alarm",
-    "AlarmQueue",
-    "CpuWork",
-    "Device",
-    "DeviceTable",
-    "ExitThread",
-    "Flag",
-    "GetTime",
-    "IDLE",
-    "ISR_CALL_DSR",
-    "ISR_HANDLED",
-    "InterruptController",
-    "Join",
-    "Mailbox",
-    "MlqScheduler",
-    "Mutex",
-    "NORMAL",
-    "RtosConfig",
-    "RtosKernel",
-    "Semaphore",
-    "SetPriority",
-    "Sleep",
-    "SleepUntil",
-    "Suspend",
-    "Syscall",
-    "Thread",
-    "Waitable",
-    "YieldCpu",
-    "immediate",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "alarm": ("Alarm", "AlarmQueue"),
+    "config": ("RtosConfig",),
+    "devices": ("Device", "DeviceTable", "immediate"),
+    "interrupts": ("ISR_CALL_DSR", "ISR_HANDLED", "InterruptController"),
+    "kernel": ("IDLE", "NORMAL", "RtosKernel"),
+    "scheduler": ("MlqScheduler",),
+    "sync": ("Flag", "Mailbox", "Mutex", "Semaphore", "Waitable"),
+    "syscalls": (
+        "CpuWork", "ExitThread", "GetTime", "Join", "SetPriority", "Sleep",
+        "SleepUntil", "Suspend", "Syscall", "YieldCpu",
+    ),
+    "thread": ("Thread",),
+})

@@ -11,57 +11,24 @@ Public surface::
     )
 """
 
-from repro.simkernel.bitvec import BitVector
-from repro.simkernel.clock import Clock
-from repro.simkernel.driver_ext import (
-    DriverIn,
-    DriverOut,
-    DriverSimulator,
-    driver_process,
-)
-from repro.simkernel.event_queue import EventQueue
-from repro.simkernel.events import Event
-from repro.simkernel.kernel import Simulator
-from repro.simkernel.module import Module
-from repro.simkernel.ports import In, Out, Port
-from repro.simkernel.primitives import SimFifo, SimMutex, SimSemaphore
-from repro.simkernel.processes import AllOf, Process, Timeout
-from repro.simkernel.signals import Signal
-from repro.simkernel.simtime import MS, NS, PS, SEC, US, format_time, ms, ns, ps, sec, us
-from repro.simkernel.trace import VcdTracer, trace_to_string
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "AllOf",
-    "BitVector",
-    "Clock",
-    "DriverIn",
-    "DriverOut",
-    "DriverSimulator",
-    "Event",
-    "EventQueue",
-    "In",
-    "MS",
-    "Module",
-    "NS",
-    "Out",
-    "PS",
-    "Port",
-    "Process",
-    "SEC",
-    "Signal",
-    "SimFifo",
-    "SimMutex",
-    "SimSemaphore",
-    "Simulator",
-    "Timeout",
-    "US",
-    "VcdTracer",
-    "driver_process",
-    "format_time",
-    "ms",
-    "ns",
-    "ps",
-    "sec",
-    "trace_to_string",
-    "us",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "bitvec": ("BitVector",),
+    "clock": ("Clock",),
+    "driver_ext": (
+        "DriverIn", "DriverOut", "DriverSimulator", "driver_process",
+    ),
+    "events": ("Event",),
+    "kernel": ("Simulator",),
+    "module": ("Module",),
+    "ports": ("In", "Out", "Port"),
+    "primitives": ("SimFifo", "SimMutex", "SimSemaphore"),
+    "processes": ("AllOf", "Process", "Timeout"),
+    "signals": ("Signal",),
+    "simtime": (
+        "MS", "NS", "PS", "SEC", "US", "format_time", "ms", "ns", "ps", "sec",
+        "us",
+    ),
+    "trace": ("VcdTracer", "trace_to_string"),
+})

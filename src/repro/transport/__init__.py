@@ -15,50 +15,18 @@ shared ``stats`` and ``close()``.  A session steps in-process links
 window by window and gives a TCP link a board thread.
 """
 
-from repro.transport.channel import BoardEndpoint, LinkStats, MasterEndpoint
-from repro.transport.framing import decode, encode
-from repro.transport.inproc import InprocLink
-from repro.transport.latency import CycleLatencyModel, WallCostModel
-from repro.transport.messages import (
-    CLOCK_PORT,
-    ClockGrant,
-    DATA_PORT,
-    DataRead,
-    DataReply,
-    DataWrite,
-    INT_PORT,
-    Interrupt,
-    TimeReport,
-)
-from repro.transport.tcp import (
-    TcpBoard,
-    TcpLink,
-    TcpLinkServer,
-    TcpMaster,
-    connect_board,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "BoardEndpoint",
-    "CLOCK_PORT",
-    "ClockGrant",
-    "CycleLatencyModel",
-    "DATA_PORT",
-    "DataRead",
-    "DataReply",
-    "DataWrite",
-    "INT_PORT",
-    "InprocLink",
-    "Interrupt",
-    "LinkStats",
-    "MasterEndpoint",
-    "TcpBoard",
-    "TcpLink",
-    "TcpLinkServer",
-    "TcpMaster",
-    "TimeReport",
-    "WallCostModel",
-    "connect_board",
-    "decode",
-    "encode",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "channel": ("BoardEndpoint", "LinkStats", "MasterEndpoint"),
+    "framing": ("decode", "encode"),
+    "inproc": ("InprocLink",),
+    "latency": ("CycleLatencyModel", "WallCostModel"),
+    "messages": (
+        "CLOCK_PORT", "ClockGrant", "DATA_PORT", "DataRead", "DataReply",
+        "DataWrite", "INT_PORT", "Interrupt", "TimeReport",
+    ),
+    "tcp": (
+        "TcpBoard", "TcpLink", "TcpLinkServer", "TcpMaster", "connect_board",
+    ),
+})

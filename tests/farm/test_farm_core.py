@@ -67,6 +67,26 @@ class TestLifecycle:
             assert farm.wait(job.job_id, timeout_s=30) is True
 
 
+class TestSubmitReadsPayload:
+    """A job built in process is read like one posted as JSON: a
+    malformed payload is refused at submit and never reaches a
+    worker."""
+
+    @pytest.mark.parametrize("kind, payload, match", [
+        ("fuzz_case", {}, "base_seed"),
+        ("router", dict(ROUTER_PAYLOAD, mode="tcp"), "mode"),
+        ("fuzz_case", {"base_seed": 42, "index": 0, "backends": "inproc"},
+         "backends"),
+    ])
+    def test_malformed_payload_queues_nothing(self, kind, payload, match):
+        with Farm(workers=1) as farm:
+            job = Job(tenant="a", kind=kind, payload=payload)
+            with pytest.raises(FarmError, match=match):
+                farm.submit(job)
+            assert farm.jobs() == []
+            assert farm.events_since(0) == (0, [])
+
+
 class TestCancellation:
     def test_cancel_queued_job(self):
         # One worker + a long job in front keeps the victim queued.

@@ -185,3 +185,68 @@ def test_cli_compare_exit_2_on_missing_file(tmp_path):
     make_report().save(str(good))
     assert main(["bench", "--compare", str(tmp_path / "absent.json"),
                  str(good)]) == 2
+
+
+# ----------------------------------------------------------------------
+# The harness recorder (benchmarks/benchjson.py)
+# ----------------------------------------------------------------------
+
+def load_benchjson():
+    import importlib.util
+    import pathlib
+
+    path = pathlib.Path(__file__).resolve().parents[1] / "benchmarks" / \
+        "benchjson.py"
+    spec = importlib.util.spec_from_file_location("benchjson", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class FakeClock:
+    """``perf_counter`` that advances only inside a timed call, by the
+    next of the given durations."""
+
+    def __init__(self, *durations):
+        self.now = 0.0
+        self.durations = iter(durations)
+
+    def perf_counter(self):
+        return self.now
+
+    def work(self):
+        self.now += next(self.durations)
+
+
+def make_recorder(monkeypatch, *durations):
+    benchjson = load_benchjson()
+    clock = FakeClock(*durations)
+    monkeypatch.setattr(benchjson, "time", clock)
+    return benchjson.BenchRecorder("micro_kernels", "quick"), clock
+
+
+def test_recorder_series_is_the_median_of_wrapped_calls(monkeypatch):
+    recorder, clock = make_recorder(monkeypatch, 9.0, 3.0, 1.0, 2.0, 8.0,
+                                    1.5)
+    recorder.measure(clock.work)
+    cold_seconds = recorder.last_seconds
+    timed = recorder.wrap(clock.work)
+    for _ in range(5):
+        timed()
+    recorder.series("codec_roundtrip", work=10, cold_seconds=cold_seconds)
+    series = recorder.report.find("codec_roundtrip")
+    assert series.wall_seconds == 2.0
+    assert series.extra["cold_seconds"] == 9.0
+    assert recorder.last_seconds == 1.5
+
+
+def test_recorder_series_after_measure_is_that_call(monkeypatch):
+    recorder, clock = make_recorder(monkeypatch, 1.0, 5.0, 4.0)
+    timed = recorder.wrap(clock.work)
+    timed()
+    recorder.series("wrapped")
+    recorder.measure(clock.work)
+    recorder.measure(clock.work)
+    recorder.series("measured")
+    assert recorder.report.find("wrapped").wall_seconds == 1.0
+    assert recorder.report.find("measured").wall_seconds == 4.0
